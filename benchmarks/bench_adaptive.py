@@ -12,10 +12,12 @@ hard-coded galloping crossover, so the default engine runs the
 shuffling kernel on every one of those intersections where galloping
 wins.
 
-Both interpreted rows pin ``layout_level="uint_only"``: dictionary
-encoding densifies node ids, so Algorithm 3 would otherwise turn the
-adjacency sets into bitsets and the galloping decision under test
-would never run.  The rows differ *only* in the dispatch constants.
+Both interpreted rows pin ``execution_mode="interpreted"`` (set
+intersection dispatch only exists on the interpreter) and
+``layout_level="uint_only"``: dictionary encoding densifies node ids,
+so Algorithm 3 would otherwise turn the adjacency sets into bitsets and
+the galloping decision under test would never run.  The rows differ
+*only* in the dispatch constants.
 
 Rows (all bit-identical results):
 
@@ -27,8 +29,13 @@ Rows (all bit-identical results):
     ``default`` whenever the calibration finds a crossover below the
     workload's skew ratio.
 ``fused-default`` / ``fused-tuned``
-    The fused block kernel with and without the calibrated constants
-    (block budget + skew-aware probe sweep).
+    The default engine's block kernels without and with the calibrated
+    constants (block size, probe-sweep crossover).  The untuned row
+    used to be the cliff this benchmark documented (0.08x: relation
+    size tied between the two ``Edge`` atoms and the kernel expanded
+    the targets' 24x larger adjacency); the kernel now generates each
+    level from the participant with the smallest fan-out over the
+    actual frontier, so both rows expand the probes' side.
 
 ``--gate`` replays the suite and fails on a >25% tuned-vs-untuned
 regression on any row pair — the nightly tuned-replay check.
@@ -114,13 +121,13 @@ def adaptive_rows():
     """(label, Database overrides) for every benchmark row."""
     profile = machine_profile()
     return [
-        ("default", {"layout_level": "uint_only"}),
-        ("tuned", {"layout_level": "uint_only",
+        ("default", {"execution_mode": "interpreted",
+                     "layout_level": "uint_only"}),
+        ("tuned", {"execution_mode": "interpreted",
+                   "layout_level": "uint_only",
                    "adaptive": True, "tuning": profile}),
-        ("fused-default", {"execution_mode": "compiled",
-                           "fused_kernels": True}),
+        ("fused-default", {"execution_mode": "compiled"}),
         ("fused-tuned", {"execution_mode": "compiled",
-                         "fused_kernels": True,
                          "adaptive": True, "tuning": profile}),
     ]
 

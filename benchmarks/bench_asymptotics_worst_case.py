@@ -32,7 +32,8 @@ def star_graph(spokes):
 
 
 def eh_ops(edges, **overrides):
-    db = Database(**overrides)
+    # lane ops per set intersection: an interpreter measurement
+    db = Database(execution_mode="interpreted", **overrides)
     db.load_graph("Edge", [tuple(e) for e in edges], prune=True)
     db.query(TRIANGLE_COUNT)
     return edges.shape[0], db.counter.total_ops

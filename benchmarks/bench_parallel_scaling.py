@@ -19,17 +19,19 @@ Reported per row (``extra_info`` / the ``--smoke`` table):
     Max/min per-morsel wall time — how evenly the degree-based cost
     model sliced the level-0 candidates.
 
-Two fused rows price the per-morsel dispatch elimination on the same
-schedule: ``fused-4w`` routes every morsel through the numpy block
-kernel (:mod:`repro.engine.fused`) instead of the per-tuple loop nest,
-and ``fused-shared-4w`` additionally serves the trie arrays from the
-database's shared-memory arena (``shared_tries``), so forked workers
-map them zero-copy instead of paying copy-on-write churn.
+The ``serial`` / ``steal`` / ``static`` rows pin the interpreter, whose
+per-binding morsel loops are what the scheduling claims were made on.
+Two fused rows price the same schedule on the default engine:
+``fused-4w`` routes every morsel through the numpy block kernel
+(:mod:`repro.engine.fused`), and ``fused-shared-4w`` additionally
+serves the trie arrays from the database's shared-memory arena
+(``shared_tries``), so forked workers map them zero-copy instead of
+paying copy-on-write churn.
 
 Shape assertions (run in CI without timing) pin the acceptance claims:
 stealing's busy ratio is far below static's, stealing beats static on
-wall-clock, and fused+shared beats the per-tuple steal row by at least
-2x.  The steal-vs-static claim holds on any core count: on a
+wall-clock, and fused+shared beats the interpreted steal row by at
+least 2x.  The steal-vs-static claim holds on any core count: on a
 multi-core host stealing wins through balance; on a single-core host it
 wins by refusing to oversubscribe (the static strategy always forks one
 process per worker, paying fork + copy-on-write overhead for no
@@ -50,17 +52,21 @@ from repro import Database
 from repro.graphs import TRIANGLE_COUNT, chung_lu_graph
 
 #: (label, Database overrides) — the benchmark's rows.
+_INTERPRETED = {"execution_mode": "interpreted"}
 ROWS = [
-    ("serial", {}),
-    ("steal-2w", {"parallel_workers": 2, "parallel_threshold": 4}),
-    ("steal-4w", {"parallel_workers": 4, "parallel_threshold": 4}),
-    ("static-4w", {"parallel_workers": 4, "parallel_threshold": 4,
-                   "parallel_strategy": "static"}),
+    ("serial", dict(_INTERPRETED)),
+    ("steal-2w", dict(_INTERPRETED, parallel_workers=2,
+                      parallel_threshold=4)),
+    ("steal-4w", dict(_INTERPRETED, parallel_workers=4,
+                      parallel_threshold=4)),
+    ("static-4w", dict(_INTERPRETED, parallel_workers=4,
+                       parallel_threshold=4,
+                       parallel_strategy="static")),
     ("fused-4w", {"parallel_workers": 4, "parallel_threshold": 4,
-                  "execution_mode": "compiled", "fused_kernels": True}),
+                  "execution_mode": "compiled"}),
     ("fused-shared-4w", {"parallel_workers": 4, "parallel_threshold": 4,
                          "execution_mode": "compiled",
-                         "fused_kernels": True, "shared_tries": True}),
+                         "shared_tries": True}),
 ]
 
 #: Full-size skewed input (benchmark + shape tests).

@@ -84,10 +84,15 @@ def database_for(name, prune=False, key=None, **overrides):
     """Cached Database with the named dataset loaded.
 
     ``key`` must distinguish configs; trie/index build time stays out of
-    the measurement, matching §5.1.3.
+    the measurement, matching §5.1.3.  The paper-table modules compare
+    the cost model's lane ops across layout / SIMD / algorithm
+    ablations, which only the set-at-a-time interpreter charges, so
+    the databases run the interpreted oracle unless a module asks
+    otherwise.
     """
     cache_key = (name, prune, key)
     if cache_key not in _DB_CACHE:
+        overrides.setdefault("execution_mode", "interpreted")
         db = Database(**overrides)
         db.load_graph("Edge", [tuple(e) for e in edges_of(name)],
                       prune=prune)

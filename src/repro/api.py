@@ -463,11 +463,11 @@ class Database:
         PageRank program) are installed into the database and remain
         available to later queries.
 
-        With ``execution_mode="compiled"`` the program runs through the
-        code-generating pipeline: parsed programs, compiled rules, and
-        generated bag sources are all cached, so a repeated query skips
-        parse → GHD → codegen entirely (verifiable through the counters
-        on :attr:`last_stats`).
+        Under the default engine parsed programs, compiled rules, and
+        bag kernels are all cached, so a repeated query skips
+        parse → GHD → lowering entirely (verifiable through the counters
+        on :attr:`last_stats`); ``execution_mode="interpreted"`` re-plans
+        every run on the set-at-a-time oracle.
 
         When tracing (:meth:`enable_tracing` / ``REPRO_TRACE``),
         metrics (:meth:`enable_metrics`), or telemetry
@@ -499,10 +499,7 @@ class Database:
         start = time.perf_counter()
         with maybe_span(tracer, "query", "query",
                         mode=self.config.execution_mode):
-            if self.config.execution_mode == "compiled":
-                result = self._query_compiled(text)
-            else:
-                result = self._query_interpreted(text)
+            result = self._run_program(text)
         if metrics is not None:
             self._record_query_metrics(metrics, marks,
                                        time.perf_counter() - start)
@@ -588,6 +585,7 @@ class Database:
             record["plan_cache_hits"] = hits
             record["plan_cache_misses"] = misses
             record["fused_blocks"] = stats.fused_blocks
+            record["fused_fallbacks"] = stats.fused_fallbacks
             if stats.morsels:
                 record["morsels"] = stats.n_morsels
                 record["steals"] = stats.steals
@@ -621,14 +619,37 @@ class Database:
             return BagMemo()
         return None
 
-    def _query_interpreted(self, text):
+    def _run_program(self, text):
+        """Run every rule of a program, installing each head.
+
+        Under the default engine the parsed program comes from the
+        plan cache and one :class:`~repro.engine.stats.ExecStats`
+        accumulates across the rules, so multi-rule programs
+        (PageRank's three rules) report their compilation work as a
+        whole; the interpreted oracle parses and plans afresh.
+        Recursive rules delegate to the recursion driver, whose
+        per-round executions recompile against each round's catalog —
+        relation identity guards make that correct by construction.
+        """
         tracer = self.config.tracer
-        with maybe_span(tracer, "parse", "compile", chars=len(text)):
-            program = parse(text)
+        compiled = self.config.execution_mode != "interpreted"
+        stats = rules = None
+        if compiled:
+            stats = ExecStats(execution_mode="compiled",
+                              strategy=self.config.parallel_strategy,
+                              workers=self.config.parallel_workers)
+            key = (text, config_signature(self.config))
+            rules = self._plan_cache.get_program(key)
+        if rules is None:
+            with maybe_span(tracer, "parse", "compile", chars=len(text)):
+                rules = tuple(parse(text).rules)
+            if compiled:
+                stats.parses += 1
+                self._plan_cache.put_program(key, rules)
         result_relation = None
         self._executor.program_memo = self._program_memo()
         try:
-            for rule in program.rules:
+            for rule in rules:
                 # Resolve decode dictionaries against the pre-execution
                 # catalog: a recursive rule replaces its own head
                 # relation mid-flight, which would otherwise lose them.
@@ -639,49 +660,7 @@ class Database:
                         result_relation = execute_recursive(rule,
                                                             self._executor)
                     else:
-                        result_relation = self._executor.execute(rule)
-                if head_dictionaries is not None and result_relation.arity:
-                    result_relation.dictionaries = head_dictionaries
-                self._install(rule.head_name, result_relation)
-        finally:
-            self._record_memo_metrics(self._executor.program_memo)
-            self._executor.program_memo = None
-        return Result(result_relation)
-
-    def _query_compiled(self, text):
-        """Program-tier driver of the compiled pipeline.
-
-        One :class:`~repro.engine.stats.ExecStats` accumulates across
-        every rule of the program, so multi-rule programs (PageRank's
-        three rules) report their compilation work as a whole.
-        Recursive rules delegate to the recursion driver, whose
-        per-round executions recompile against each round's catalog —
-        relation identity guards make that correct by construction.
-        """
-        stats = ExecStats(execution_mode="compiled",
-                          strategy=self.config.parallel_strategy,
-                          workers=self.config.parallel_workers)
-        tracer = self.config.tracer
-        key = (text, config_signature(self.config))
-        rules = self._plan_cache.get_program(key)
-        if rules is None:
-            stats.parses += 1
-            with maybe_span(tracer, "parse", "compile", chars=len(text)):
-                rules = tuple(parse(text).rules)
-            self._plan_cache.put_program(key, rules)
-        result_relation = None
-        self._executor.program_memo = self._program_memo()
-        try:
-            for rule in rules:
-                head_dictionaries = self._head_dictionaries(rule)
-                with maybe_span(tracer, "rule:%s" % rule.head_name,
-                                "query"):
-                    if rule.recursive:
-                        result_relation = execute_recursive(rule,
-                                                            self._executor)
-                    else:
-                        result_relation = \
-                            self._executor.execute_compiled_mode(rule,
+                        result_relation = self._executor.execute(rule,
                                                                  stats)
                 if head_dictionaries is not None and result_relation.arity:
                     result_relation.dictionaries = head_dictionaries
@@ -689,9 +668,10 @@ class Database:
         finally:
             self._record_memo_metrics(self._executor.program_memo)
             self._executor.program_memo = None
-        # Recursion rounds install their own per-round stats; the
-        # program-level counters are what the caller sees.
-        self._executor.last_stats = stats
+        if compiled:
+            # Recursion rounds install their own per-round stats; the
+            # program-level counters are what the caller sees.
+            self._executor.last_stats = stats
         return Result(result_relation)
 
     def _record_memo_metrics(self, memo):
@@ -883,12 +863,12 @@ class Database:
 
     @property
     def last_stats(self):
-        """Execution statistics of the latest query that engaged the
-        parallel executor (``config.parallel_workers > 1`` or
-        :func:`~repro.engine.parallel.parallel_count`); ``None`` after a
-        purely serial query.  See
-        :class:`~repro.engine.stats.ExecStats` for the recorded
-        per-morsel timings, steal counts, and cache hit rates.
+        """Execution statistics of the latest query: plan-cache,
+        compilation and kernel/fallback counters under the default
+        engine, plus per-morsel timings, steal counts and cache hit
+        rates when the parallel executor engaged.  ``None`` after a
+        purely serial *interpreted* query.  See
+        :class:`~repro.engine.stats.ExecStats`.
         """
         return self._executor.last_stats
 

@@ -11,7 +11,8 @@ Commands
     List the built-in Table 3 analog datasets with their profiles.
 ``bench``
     Quick triangle-count timing across engine configurations on one
-    dataset — a taste of the paper's ablation tables.
+    dataset — the default engine, and a taste of the paper's ablation
+    tables on the interpreted oracle.
 ``top``
     Live monitor over a telemetry query log (``--telemetry DIR``):
     QPS, latency quantiles, plan-cache tiers, worker lanes.
@@ -57,9 +58,6 @@ def _build_database(args):
         # Only override when the flag is given, so the
         # REPRO_EXECUTION_MODE environment default still applies.
         overrides["execution_mode"] = args.execution_mode
-    if getattr(args, "fused", False):
-        overrides["execution_mode"] = "compiled"
-        overrides["fused_kernels"] = True
     if getattr(args, "shared_tries", False):
         overrides["shared_tries"] = True
     if getattr(args, "no_incremental_views", False):
@@ -122,12 +120,11 @@ def _add_loader_flags(parser):
                              "or one static chunk per worker")
     parser.add_argument("--execution-mode", default=None,
                         choices=["interpreted", "compiled"],
-                        help="bag execution: generic interpreter "
-                             "(default) or generated code with plan "
-                             "caching (also: REPRO_EXECUTION_MODE)")
-    parser.add_argument("--fused", action="store_true",
-                        help="fused numpy block kernels (implies "
-                             "--execution-mode compiled)")
+                        help="bag execution: block kernels with plan "
+                             "caching (compiled, the default) or the "
+                             "generic interpreter, the oracle and home "
+                             "of the layout/SIMD ablations (also: "
+                             "REPRO_EXECUTION_MODE)")
     parser.add_argument("--shared-tries", action="store_true",
                         help="place tries in shared memory so forked "
                              "workers map them zero-copy")
@@ -242,13 +239,18 @@ def cmd_datasets(args):
 
 def cmd_bench(args):
     """``repro bench``: quick ablation timings on one dataset."""
+    # The set-level ablations (-R, -S) change how the *interpreter*
+    # intersects sets; the default engine's block kernels do not
+    # perform set intersections, so those rows run the oracle.
+    interpreted = {"execution_mode": "interpreted"}
     configurations = [
-        ("full engine", {}),
-        ("-R (uint only)", {"layout_level": "uint_only"}),
-        ("-S (no simd)", {"simd": False}),
-        ("-GHD (single bag)", {"use_ghd": False}),
+        ("default engine", {}),
         ("4 workers (steal)", {"parallel_workers": 4,
                                "parallel_threshold": 0}),
+        ("-GHD (single bag)", {"use_ghd": False}),
+        ("interpreted", interpreted),
+        ("  -R (uint only)", dict(interpreted, layout_level="uint_only")),
+        ("  -S (no simd)", dict(interpreted, simd=False)),
     ]
     edges = load_dataset(args.dataset)
     print("triangle counting on %s (%d edges, pruned):"

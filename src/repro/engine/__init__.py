@@ -1,9 +1,8 @@
 """Execution engine: semirings, generic WCOJ, Yannakakis, recursion."""
 
-from .codegen import (GeneratedQuery, InputSpec, compile_count_rule,
-                      generate_bag_plan, generate_count_plan,
-                      trie_level_kind)
+from .codegen import InputSpec, generate_bag_plan
 from .config import EngineConfig
+from .fused import FusedBagKernel
 from ..lir.build import normalize_atom
 from .executor import RuleExecutor, TrieCache, eval_expression
 from .generic_join import (BagEvaluator, BagInput, BagResult,
@@ -23,8 +22,7 @@ __all__ = [
     "BagEvaluator", "BagInput", "BagResult", "assemble_chunks",
     "evaluate_bag",
     "BagPlan", "PhysicalPlan",
-    "GeneratedQuery", "InputSpec", "compile_count_rule",
-    "generate_bag_plan", "generate_count_plan", "trie_level_kind",
+    "FusedBagKernel", "InputSpec", "generate_bag_plan",
     "CompiledBag", "CompiledRule", "PlanCache", "config_signature",
     "evaluate_bag_parallel", "parallel_count",
     "ExecStats", "MorselStat",

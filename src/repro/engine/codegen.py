@@ -1,186 +1,49 @@
-"""Code generation: translate a bag's plan into Python source (§3.3).
+"""Bag lowering: from a bag's plan to its block kernel (§3.3).
 
-EmptyHeaded generates C++ from the GHD instead of interpreting it; this
-module reproduces that phase as the engine's *compiled* execution path.
-:func:`generate_bag_plan` lowers one GHD bag — any semiring, any head
-mode — to Python source whose loop nest mirrors the bag's attribute
-order, the structure Example 3.2 of the paper shows for the triangle
-query:
+EmptyHeaded compiles every GHD bag instead of interpreting it.  Here
+"compiling" a bag means resolving, once, everything about it that does
+not depend on the data — which input participates at which level of
+the attribute order, at which trie depth, whether it is annotated,
+which fold finishes the aggregated suffix — into a
+:class:`~repro.engine.fused.FusedBagKernel`, which then evaluates the
+bag as numpy block operations on every execution.  Kernels are cached
+through the plan cache (:mod:`repro.engine.plan_cache`) and keyed on
+the bag's shape, so structurally identical bags share one.
 
-.. code-block:: python
-
-    for t_x in R.x ∩ T.x:
-        for t_y in R[t_x].y ∩ S.y:
-            total += |S[t_y].z ∩ T[t_x].z|
-
-Generated functions are ``exec``-compiled once and then reused through
-the plan cache (:mod:`repro.engine.plan_cache`); the interpreter
-(:class:`~repro.engine.generic_join.BagEvaluator`) stays the reference
-implementation that parity tests compare against.
-
-Three compile-time specializations distinguish the generated code from
-the interpreting evaluator:
-
-* **Unrolling** — the participant scan, cursor bookkeeping, and
-  undo-stack of the interpreter disappear; every level gets dedicated
-  local variables (``c{depth}_{input}`` cursors, ``s{level}``
-  candidate sets).
-* **Kernel dispatch** — when both operand layouts of a two-set
-  intersection are known at trie-build time, the emitted call goes
-  straight to the pair kernel from
-  :func:`repro.sets.intersect.specialized_pair_kernel` instead of the
-  generic ``intersect`` dispatcher.
-* **Typed accumulators** — unannotated SUM/COUNT folds accumulate in
-  ``int`` (exact, and what the interpreter's cardinality fast path
-  yields) instead of drifting through ``float``.
-
-Every generated function takes ``(tries, config, restrict=None)``:
-``restrict`` intersects an extra set at level 0, which is how compiled
-plans compose with the work-stealing parallel executor's morsels.
+Bag shapes the block kernel does not cover (an input of arity above
+two, a semiring without a block fold) have no compiled form:
+:func:`generate_bag_plan` returns ``None`` and the executor runs them
+on the interpreter (:class:`~repro.engine.generic_join.BagEvaluator`),
+which is also the reference implementation every kernel is
+differentially tested against.
 """
 
-import numpy as np
-
 from ..errors import PlanError
-from ..sets.intersect import intersect, intersect_many, \
-    specialized_pair_kernel
-from .generic_join import BagResult, assemble_chunks, empty_bag_result
-from .semiring import COUNT, Semiring
-
-#: Shared zero-row matrices for scalar results (never mutated).
-_EMPTY_SCALAR_DATA = np.empty((0, 0), dtype=np.uint32)
-_NO_VALUES = np.empty(0, dtype=np.uint32)
+from .fused import FusedBagKernel, fusable
+from .semiring import Semiring
 
 
 class InputSpec:
     """Compile-time description of one bag input.
 
     ``variables`` must be the bag evaluation order restricted to this
-    input (i.e. the trie's level order); ``kinds`` optionally records
-    the set-layout kind every node at the corresponding trie depth is
-    known to have (``None`` per level = unknown, keep generic
-    dispatch).
+    input (i.e. the trie's level order).
     """
 
-    __slots__ = ("name", "variables", "annotated", "kinds")
+    __slots__ = ("name", "variables", "annotated")
 
-    def __init__(self, name, variables, annotated=False, kinds=None):
+    def __init__(self, name, variables, annotated=False):
         self.name = name
         self.variables = tuple(variables)
         self.annotated = bool(annotated)
-        if kinds is None:
-            kinds = (None,) * len(self.variables)
-        self.kinds = tuple(kinds)
-        if len(self.kinds) != len(self.variables):
-            raise PlanError("input %r: %d kinds for %d variables"
-                            % (name, len(self.kinds),
-                               len(self.variables)))
 
     def signature(self):
-        """Hashable identity for the codegen source cache."""
-        return (self.variables, self.annotated, self.kinds)
+        """Hashable identity for the plan cache's bag-source tier."""
+        return (self.variables, self.annotated)
 
 
-def static_level_kind(layout_level):
-    """Layout kind a homogeneous optimizer level forces on every set,
-    or ``None`` when the per-set optimizer decides at build time."""
-    if layout_level in ("relation", "uint_only"):
-        return "uint"
-    if layout_level == "bitset_only":
-        return "bitset"
-    if layout_level == "block":
-        return "block"
-    return None
-
-
-def trie_level_kind(trie, depth, layout_level="set"):
-    """Layout kind every set at ``depth`` of ``trie`` is known to have.
-
-    Homogeneous optimizer levels decide statically; the per-set default
-    optimizer is answered from the trie's own build histogram (each
-    cache-built trie gets a private :class:`SetOptimizer`, so the
-    histogram covers exactly this trie's sets).  Returns ``None`` when
-    the level mixes kinds — the generated code then keeps the generic
-    dispatcher for that level.
-    """
-    forced = static_level_kind(layout_level)
-    if forced is not None:
-        return forced
-    if depth == 0:
-        return trie.root.set.kind
-    histogram = getattr(getattr(trie, "optimizer", None), "histogram",
-                        None)
-    if histogram and len(histogram) == 1:
-        return next(iter(histogram))
-    return None
-
-
-class GeneratedQuery:
-    """A compiled bag plan: the emitted source text plus the callable."""
-
-    #: True on plans whose callable runs the fused block kernel.
-    fused = False
-
-    def __init__(self, source, function, input_names):
-        self.source = source
-        self.function = function
-        self.input_names = input_names
-
-    def __call__(self, tries, config, restrict=None):
-        """Run the generated plan over root tries (in spec order).
-
-        ``restrict`` is an optional extra set intersected at level 0 —
-        the morsel hook of the parallel executor.
-        """
-        return self.function(tries, config, restrict)
-
-
-def _intersect_many_config(sets, config):
-    """Runtime helper bound into generated namespaces.
-
-    Carries the compiled path's per-intersection observability: the
-    ``metrics``/``tracer`` config slots are ``None`` unless enabled, so
-    the generated hot loop pays one ``is not None`` check each.
-    (Layout-specialized pair kernels bypass this helper; their calls
-    are still attributed via the op counter's per-algorithm tallies.)
-    """
-    tracer = config.tracer
-    if tracer is not None and tracer.capture_intersections:
-        start = tracer.now()
-        result = intersect_many(sets, counter=config.counter,
-                                algorithm=config.uint_algorithm,
-                                adaptive=config.adaptive_algorithms,
-                                simd=config.simd)
-        tracer.record(
-            "intersect", "intersect", start, tracer.now(),
-            args={"inputs": [int(s.cardinality) for s in sets],
-                  "out": int(result.cardinality)})
-    else:
-        result = intersect_many(sets, counter=config.counter,
-                                algorithm=config.uint_algorithm,
-                                adaptive=config.adaptive_algorithms,
-                                simd=config.simd)
-    if config.metrics is not None:
-        config.metrics.observe("intersection.size",
-                               int(result.cardinality))
-    return result
-
-
-def _intersect_pair_config(x, y, config):
-    """Runtime helper: generic pair intersection under the config."""
-    result = intersect(x, y, config.counter,
-                       algorithm=config.uint_algorithm,
-                       adaptive=config.adaptive_algorithms,
-                       simd=config.simd)
-    if config.metrics is not None:
-        config.metrics.observe("intersection.size",
-                               int(result.cardinality))
-    return result
-
-
-def generate_bag_plan(eval_order, out_count, specs, semiring,
-                      fused=False):
-    """Emit and compile Python source evaluating one bag.
+def generate_bag_plan(eval_order, out_count, specs, semiring):
+    """Lower one bag to its block kernel.
 
     Parameters
     ----------
@@ -193,333 +56,21 @@ def generate_bag_plan(eval_order, out_count, specs, semiring,
         :class:`InputSpec` list, one per input trie.
     semiring:
         Fold for the aggregated suffix (and the zero of empty results).
-    fused:
-        When true and the bag shape qualifies (all inputs unary or
-        binary, supported semiring), return a
-        :class:`~repro.engine.fused.FusedBagKernel` wrapper that
-        evaluates whole morsels as numpy block operations, with this
-        per-tuple generated function kept as its over-budget fallback.
-        Unqualifying bags silently get the per-tuple plan.
 
     Returns
     -------
-    GeneratedQuery
-        Calling it with ``(tries, config, restrict=None)`` — tries in
-        spec order — returns the same
+    FusedBagKernel or None
+        Calling the kernel with ``(tries, config, restrict=None)`` —
+        tries in spec order — returns the same
         :class:`~repro.engine.generic_join.BagResult` the interpreting
         :class:`~repro.engine.generic_join.BagEvaluator` produces.
+        ``None`` means the shape is not fusable and the caller must
+        interpret the bag.
     """
-    if fused:
-        return _generate_fused_plan(eval_order, out_count, specs,
-                                    semiring)
-    order = tuple(eval_order)
-    n_levels = len(order)
-    if n_levels == 0:
-        raise PlanError("cannot generate code for a zero-attribute plan")
-    if not 0 <= out_count <= n_levels:
-        raise PlanError("out_count %d outside [0, %d]"
-                        % (out_count, n_levels))
+    if not eval_order:
+        raise PlanError("cannot lower a zero-attribute bag")
     if not isinstance(semiring, Semiring):
         raise PlanError("semiring must be a Semiring instance")
-    participants = []
-    for level, attr in enumerate(order):
-        rows = []
-        for index, spec in enumerate(specs):
-            if attr in spec.variables:
-                position = spec.variables.index(attr)
-                rows.append((index, position == len(spec.variables) - 1))
-        if not rows:
-            raise PlanError("attribute %r not covered" % (attr,))
-        participants.append(rows)
-
-    any_annotated = any(spec.annotated for spec in specs)
-    # Satellite of the same bug parallel_count had: unannotated
-    # SUM/COUNT accumulates exactly in int; everything else follows the
-    # interpreter's float arithmetic bit for bit.
-    int_fold = semiring.name in ("SUM", "COUNT") and not any_annotated
-    is_exists = semiring.name == "EXISTS"
-    zero_literal = "0" if int_fold else "_ZERO"
-
-    lines = []
-    pad = "    "
-    namespace = {
-        "np": np,
-        "_intersect_many": _intersect_many_config,
-        "_pair_intersect": _intersect_pair_config,
-        "_plus": semiring.plus,
-        "_fold_leaf": semiring.fold_leaf,
-        "_ZERO": semiring.zero,
-        "_NO_VALUES": _NO_VALUES,
-    }
-
-    def w(depth, text):
-        lines.append(pad * depth + text)
-
-    depth_of = [0] * len(specs)
-
-    def cursor(index):
-        return "c%d_%d" % (depth_of[index], index)
-
-    def one_literal():
-        return "1" if int_fold else "1.0"
-
-    def ann_or_one(ann_expr):
-        return ann_expr if ann_expr is not None else one_literal()
-
-    def float_ann(ann_expr):
-        return ann_expr if ann_expr is not None else "1.0"
-
-    def emit_candidates(level, depth):
-        """Write ``s{level} = ...`` — single set, specialized pair
-        kernel, or generic ``_intersect_many``."""
-        rows = participants[level]
-        sets = ["%s.set" % cursor(index) for index, _ in rows]
-        if len(sets) == 1:
-            w(depth, "s%d = %s" % (level, sets[0]))
-        else:
-            kernel = None
-            if len(sets) == 2:
-                kinds = []
-                for index, _ in rows:
-                    spec = specs[index]
-                    kinds.append(
-                        spec.kinds[spec.variables.index(order[level])])
-                if kinds[0] is not None and kinds[1] is not None:
-                    kernel = specialized_pair_kernel(kinds[0], kinds[1])
-            if kernel is not None:
-                name = "_pair_kernel_%d" % level
-                namespace[name] = kernel
-                w(depth, "s%d = %s(%s, %s, config)"
-                  "  # specialized %s-x-%s kernel"
-                  % (level, name, sets[0], sets[1], kinds[0], kinds[1]))
-            else:
-                w(depth, "s%d = _intersect_many([%s], config)"
-                  % (level, ", ".join(sets)))
-        if level == 0:
-            w(depth, "if restrict is not None:")
-            w(depth + 1, "s0 = _pair_intersect(s0, restrict, config)")
-
-    def emit_bindings(level, depth, ann_expr):
-        """Collect annotations of inputs binding their last attribute
-        and advance the other participants' cursors; returns the new
-        annotation-chain expression."""
-        factors = ["%s.annotation(v%d)" % (cursor(index), level)
-                   for index, is_last in participants[level]
-                   if is_last and specs[index].annotated]
-        new_expr = ann_expr
-        if factors:
-            terms = factors if ann_expr is None else [ann_expr] + factors
-            w(depth, "a%d = %s" % (level, " * ".join(terms)))
-            new_expr = "a%d" % level
-        for index, is_last in participants[level]:
-            if not is_last:
-                old = cursor(index)
-                depth_of[index] += 1
-                w(depth, "%s = %s.child(v%d)" % (cursor(index), old,
-                                                 level))
-        return new_expr
-
-    def leaf_annotated(level):
-        return [index for index, _ in participants[level]
-                if specs[index].annotated]
-
-    def emit_leaf_gather(level, depth, ann_expr):
-        """Vectorized per-value annotation products at the deepest
-        level (mirrors ``BagEvaluator._leaf_annotated_fold``)."""
-        w(depth, "vals%d = s%d.to_array()" % (level, level))
-        w(depth, "fac%d = np.full(vals%d.shape[0], %s, dtype=np.float64)"
-          % (level, level, float_ann(ann_expr)))
-        for index in leaf_annotated(level):
-            w(depth, "fac%d = fac%d * %s.annotations["
-              "np.searchsorted(%s.set.to_array(), vals%d)]"
-              % (level, level, cursor(index), cursor(index), level))
-
-    def emit_fold(level, depth, ann_expr):
-        """Aggregated-suffix levels ``[level, n_levels)``: compute
-        ``t{level}``/``f{level}`` (fold value, any-binding flag)."""
-        w(depth, "t%d = %s" % (level, zero_literal))
-        w(depth, "f%d = False" % level)
-        emit_candidates(level, depth)
-        if level == n_levels - 1:
-            w(depth, "if s%d.cardinality:" % level)
-            body = depth + 1
-            if not leaf_annotated(level):
-                if is_exists:
-                    w(body, "t%d = 1.0" % level)
-                elif semiring.name in ("SUM", "COUNT"):
-                    w(body, "t%d = %s * s%d.cardinality"
-                      "  # count %r values"
-                      % (level, ann_or_one(ann_expr), level,
-                         order[level]))
-                else:  # MIN/MAX of a constant annotation product
-                    w(body, "t%d = %s" % (level, ann_or_one(ann_expr)))
-            else:
-                emit_leaf_gather(level, body, ann_expr)
-                w(body, "t%d = _fold_leaf(fac%d)" % (level, level))
-            w(body, "f%d = True" % level)
-            return
-        w(depth, "for v%d in s%d:  # bind %r" % (level, level,
-                                                 order[level]))
-        body = depth + 1
-        inner_expr = emit_bindings(level, body, ann_expr)
-        emit_fold(level + 1, body, inner_expr)
-        w(body, "if f%d:" % (level + 1))
-        w(body + 1, "t%d = _plus(t%d, t%d) if f%d else t%d"
-          % (level, level, level + 1, level, level + 1))
-        w(body + 1, "f%d = True" % level)
-        if is_exists:
-            w(body + 1, "break  # EXISTS: one witness suffices")
-
-    def emit_output(level, depth, ann_expr):
-        """Output-prefix levels: enumerate bindings into chunks."""
-        emit_candidates(level, depth)
-        at_out_leaf = level == out_count - 1
-        if at_out_leaf and out_count == n_levels:
-            # Pure leaf: the whole candidate set is one chunk.
-            w(depth, "vals%d = s%d.to_array()" % (level, level))
-            w(depth, "if vals%d.shape[0]:" % level)
-            body = depth + 1
-            if leaf_annotated(level):
-                emit_leaf_gather(level, body, ann_expr)
-            else:
-                w(body, "fac%d = np.full(vals%d.shape[0], %s, "
-                  "dtype=np.float64)"
-                  % (level, level, float_ann(ann_expr)))
-            prefix = ", ".join("v%d" % l for l in range(level))
-            w(body, "chunks.append(((%s), vals%d, fac%d))"
-              % (prefix + ("," if prefix else ""), level, level))
-            return
-        w(depth, "for v%d in s%d:  # bind %r" % (level, level,
-                                                 order[level]))
-        body = depth + 1
-        inner_expr = emit_bindings(level, body, ann_expr)
-        if at_out_leaf:
-            # Aggregated suffix below: the fold restarts its annotation
-            # chain at 1.0, exactly like BagEvaluator._emit.
-            emit_fold(level + 1, body, None)
-            prefix = ", ".join("v%d" % l for l in range(level + 1))
-            w(body, "if f%d:" % (level + 1))
-            deeper = "t%d" % (level + 1)
-            product = deeper if inner_expr is None \
-                else "%s * %s" % (inner_expr, deeper)
-            w(body + 1, "chunks.append(((%s,), _NO_VALUES, "
-              "np.asarray([%s], dtype=np.float64)))" % (prefix, product))
-        else:
-            emit_output(level + 1, body, inner_expr)
-
-    w(0, "def _generated(tries, config, restrict=None):")
-    w(1, "# generated by repro.engine.codegen: order=(%s) out=%d "
-      "semiring=%s" % (", ".join(order), out_count, semiring.name))
-    for index in range(len(specs)):
-        w(1, "c0_%d = tries[%d].root" % (index, index))
-    if out_count == 0:
-        emit_fold(0, 1, None)
-        w(1, "return _scalar_result(t0)")
-        namespace["_scalar_result"] = lambda value: BagResult(
-            (), _EMPTY_SCALAR_DATA, scalar=value)
-    else:
-        w(1, "chunks = []")
-        emit_output(0, 1, None)
-        w(1, "return _assemble(chunks)")
-        namespace["_assemble"] = lambda chunks: assemble_chunks(
-            order, out_count, chunks, semiring)
-
-    source = "\n".join(lines)
-    exec(compile(source, "<generated-query>", "exec"), namespace)
-    return GeneratedQuery(source, namespace["_generated"],
-                          [spec.name for spec in specs])
-
-
-def _generate_fused_plan(eval_order, out_count, specs, semiring):
-    """Pair a :class:`~repro.engine.fused.FusedBagKernel` with its
-    per-tuple fallback plan behind the ``GeneratedQuery`` interface."""
-    from .fused import FusedBagKernel, FusedFallback, fusable
-
-    fallback = generate_bag_plan(eval_order, out_count, specs, semiring)
     if not fusable(eval_order, out_count, specs, semiring):
-        return fallback
-    kernel = FusedBagKernel(eval_order, out_count, specs, semiring)
-    per_tuple = fallback.function
-
-    def _run(tries, config, restrict=None):
-        try:
-            return kernel.run(tries, config, restrict)
-        except FusedFallback:
-            return per_tuple(tries, config, restrict)
-
-    source = ("# fused block kernel: order=(%s) out=%d semiring=%s\n"
-              "# per-tuple fallback plan follows\n%s"
-              % (", ".join(eval_order), out_count, semiring.name,
-                 fallback.source))
-    generated = GeneratedQuery(source, _run, list(fallback.input_names))
-    generated.fused = True
-    generated.kernel = kernel
-    return generated
-
-
-def generate_count_plan(eval_order, input_specs):
-    """Emit source for a COUNT(*)-style single-bag plan (legacy entry).
-
-    Parameters
-    ----------
-    eval_order:
-        The bag's attribute order.
-    input_specs:
-        ``(name, variables)`` pairs — each input's trie levels, which
-        must be ``eval_order`` restricted to its variables.
-
-    Returns
-    -------
-    GeneratedQuery
-        Call it with ``(tries, config)``; unlike
-        :func:`generate_bag_plan` it returns the bare count — an
-        ``int``, matching the interpreter.
-    """
-    specs = [InputSpec(name, variables)
-             for name, variables in input_specs]
-    generated = generate_bag_plan(eval_order, 0, specs, COUNT)
-    inner = generated.function
-
-    def _count(tries, config, restrict=None):
-        return inner(tries, config, restrict).scalar
-
-    return GeneratedQuery(generated.source, _count,
-                          list(generated.input_names))
-
-
-def compile_count_rule(rule, database):
-    """Generate code for a single-bag COUNT(*) rule against ``database``.
-
-    Builds the same GHD/attribute order the interpreter would choose,
-    requires it to be a single bag, emits the loop nest, and returns
-    ``(generated, tries)`` ready to run.  Tries come from the
-    database's shared :class:`~repro.engine.executor.TrieCache`, so
-    repeated compilation never re-sorts relation data.
-    """
-    from ..ghd.attribute_order import (bag_evaluation_order,
-                                       global_attribute_order)
-    from ..ghd.decompose import decompose
-    from ..lir.build import normalize_atom
-    from ..query.hypergraph import Hypergraph
-
-    aggregates = rule.aggregates
-    if rule.head_vars or not aggregates or aggregates[0].op != "COUNT" \
-            or aggregates[0].arg != "*":
-        raise PlanError("code generation supports COUNT(*) rules with an "
-                        "empty head")
-    atoms = [normalize_atom(atom, database.catalog) for atom in rule.body]
-    hypergraph = Hypergraph(atoms)
-    ghd = decompose(hypergraph, use_ghd=False)
-    global_order = global_attribute_order(ghd)
-    eval_order = bag_evaluation_order(ghd.root.chi, (), global_order)
-    specs = []
-    tries = []
-    for atom in atoms:
-        ordered = tuple(a for a in eval_order if a in atom.variables)
-        key_order = tuple(atom.variables.index(a) for a in ordered)
-        trie = database._trie_cache.get(atom.relation, key_order,
-                                        database.config.layout_level)
-        specs.append((atom.name, ordered))
-        tries.append(trie)
-    generated = generate_count_plan(eval_order, specs)
-    return generated, tries
+        return None
+    return FusedBagKernel(eval_order, out_count, specs, semiring)

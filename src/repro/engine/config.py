@@ -3,6 +3,16 @@
 Every optimization the paper measures can be toggled here, which is how
 the benchmark harness reproduces the "-R", "-RA", "-S", and "-GHD"
 columns of Tables 8, 11, and 13.
+
+The planner switches (``use_ghd``, ``push_selections``, the rewrite
+passes) apply to both execution modes.  The set-level switches —
+``layout_level``, ``adaptive_algorithms``, ``simd``,
+``uint_algorithm`` — decide how the *interpreter* lays out and
+intersects sets; the default engine's block kernels read the tries'
+flat sorted arrays and are indifferent to them (they still shape the
+tries the interpreter's fast paths and fallbacks see), so the paper's
+layout/SIMD/algorithm ablations are measured with
+``execution_mode="interpreted"``.
 """
 
 import os
@@ -15,8 +25,8 @@ from ..tune.profile import TuningProfile
 
 def _default_execution_mode():
     """Default from ``REPRO_EXECUTION_MODE`` (CI runs the suite once
-    with it set to ``compiled``); ``interpreted`` otherwise."""
-    return os.environ.get("REPRO_EXECUTION_MODE", "interpreted")
+    with it set to ``interpreted``); ``compiled`` otherwise."""
+    return os.environ.get("REPRO_EXECUTION_MODE", "compiled")
 
 
 @dataclass
@@ -61,19 +71,17 @@ class EngineConfig:
         Force one uint∩uint kernel by name (``None`` = adaptive
         dispatch); used by the micro-benchmarks.
     execution_mode:
-        ``"interpreted"`` (default) walks bags with the generic
-        :class:`~repro.engine.generic_join.BagEvaluator`;
-        ``"compiled"`` lowers every bag to generated Python source
-        (paper §3.3) cached across executions — repeated queries skip
-        parse, GHD search, and codegen entirely.  The default honors
-        the ``REPRO_EXECUTION_MODE`` environment variable.
-    fused_kernels:
-        Lower qualifying compiled bags (all inputs unary/binary) to
-        :class:`~repro.engine.fused.FusedBagKernel` block kernels that
-        evaluate a whole morsel's bindings per numpy sweep instead of a
-        Python loop per binding.  Only meaningful with
-        ``execution_mode="compiled"``; participates in the plan cache's
-        ``config_signature`` because it changes the generated plan.
+        ``"compiled"`` (default) is the engine: every bag is lowered
+        once to a :class:`~repro.engine.fused.FusedBagKernel` (paper
+        §3.3) that evaluates it as numpy block operations, and parsed
+        programs, plans and kernels are cached across executions —
+        repeated queries skip parse, GHD search, and lowering entirely.
+        Bag shapes the kernels do not cover fall back, counted, to the
+        interpreter.  ``"interpreted"`` walks every bag with the
+        generic :class:`~repro.engine.generic_join.BagEvaluator` and
+        re-plans per run: the differential oracle, and the mode the
+        layout/SIMD/algorithm ablations are measured in.  The default
+        honors the ``REPRO_EXECUTION_MODE`` environment variable.
     shared_tries:
         Place cache-built tries' bulk arrays (and integer dictionary
         decode columns) into ``multiprocessing.shared_memory`` via a
@@ -171,7 +179,6 @@ class EngineConfig:
     cross_rule_cse: bool = True
     uint_algorithm: Optional[str] = None
     execution_mode: str = field(default_factory=_default_execution_mode)
-    fused_kernels: bool = False
     shared_tries: bool = False
     parallel_workers: int = 1
     parallel_threshold: int = 64
@@ -216,14 +223,14 @@ class EngineConfig:
         return self._tuned("density_threshold")
 
     def fused_block_rows(self):
-        """Tuned fused-kernel expansion budget, or ``None`` for
-        ``repro.engine.fused.MAX_BLOCK_ROWS``."""
+        """Tuned candidate rows per kernel block, or ``None`` for
+        ``repro.engine.fused.BLOCK_ROWS``."""
         value = self._tuned("fused_block_rows")
         return None if value is None else int(value)
 
     def fused_probe_crossover(self):
-        """Tuned skew ratio enabling the fused probe sweep, or ``None``
-        to keep the sweep disabled."""
+        """Tuned skew ratio past which a kernel level takes the probe
+        sweep, or ``None`` for ``repro.engine.fused.PROBE_CROSSOVER``."""
         return self._tuned("fused_probe_crossover")
 
     def effective_parallel_threshold(self):
@@ -233,100 +240,78 @@ class EngineConfig:
         return self.parallel_threshold if value is None else int(value)
 
 
+def _fuzz_profile():
+    """Aggressively non-default constants: an early galloping switch, a
+    much denser bitset bar, kernel blocks of a handful of rows (every
+    level is cut into many slices, rows split mid-fan-out), and a
+    hair-trigger probe sweep — tuned plans must still produce
+    identical results."""
+    return TuningProfile(galloping_crossover=4.0,
+                         density_threshold=64.0,
+                         parallel_threshold=1,
+                         fused_block_rows=5,
+                         fused_probe_crossover=1.0,
+                         source="fuzz-matrix")
+
+
+#: ``parallel_threshold=0`` forces the executor to engage even on
+#: fuzz-sized inputs.
+_STEAL = dict(parallel_workers=4, parallel_threshold=0,
+              parallel_strategy="steal")
+_STATIC = dict(_STEAL, parallel_strategy="static")
+
+
 def enumerate_config_matrix(full=False):
     """``(label, EngineConfig)`` pairs spanning the engine's execution
     paths, for differential testing (:mod:`repro.fuzz`).
 
-    The default is a one-factor-at-a-time covering set: every execution
-    mode, parallel strategy, optimizer pass, and set-layout level is
-    exercised against the baseline at least once (~a dozen configs).
-    ``full=True`` returns the cross product of the high-impact axes
-    (execution mode × parallelism × optimizer bundle × layout) for
-    deep/nightly runs.
-
-    ``parallel_threshold=0`` in the parallel entries forces the
-    work-stealing executor to engage even on fuzz-sized inputs.
+    The first entry, ``interp``, is the oracle every other config is
+    diffed against.  The default is a one-factor-at-a-time covering
+    set: the default engine serial, work-stealing and over shared
+    tries, every optimizer pass and set-layout level, and the tuned /
+    re-planning variants (about a dozen configs).  ``full=True``
+    returns the cross product of the high-impact axes (execution mode ×
+    parallelism × optimizer bundle × layout) for deep/nightly runs.
     """
-    base = dict(execution_mode="interpreted")
-
     def cfg(**overrides):
-        merged = dict(base)
-        merged.update(overrides)
-        return EngineConfig().ablated(**merged)
+        return EngineConfig().ablated(**overrides)
 
-    def fuzz_profile():
-        # Aggressively non-default constants: an early galloping switch,
-        # a much denser bitset bar, a tiny fused budget (forcing
-        # FusedFallback re-routes), and a hair-trigger probe sweep —
-        # tuned plans must still produce identical results.
-        return TuningProfile(galloping_crossover=4.0,
-                             density_threshold=64.0,
-                             parallel_threshold=1,
-                             fused_block_rows=1 << 16,
-                             fused_probe_crossover=2.0,
-                             source="fuzz-matrix")
+    def interp(**overrides):
+        return cfg(execution_mode="interpreted", **overrides)
+
+    def default(**overrides):
+        return cfg(execution_mode="compiled", **overrides)
 
     if not full:
-        matrix = [
-            ("interp", cfg()),
-            ("compiled", cfg(execution_mode="compiled")),
-            ("interp-steal", cfg(parallel_workers=4,
-                                 parallel_threshold=0,
-                                 parallel_strategy="steal")),
-            ("interp-static", cfg(parallel_workers=4,
-                                  parallel_threshold=0,
-                                  parallel_strategy="static")),
-            ("compiled-steal", cfg(execution_mode="compiled",
-                                   parallel_workers=4,
-                                   parallel_threshold=0,
-                                   parallel_strategy="steal")),
-            ("fused", cfg(execution_mode="compiled",
-                          fused_kernels=True)),
-            ("fused-steal", cfg(execution_mode="compiled",
-                                fused_kernels=True,
-                                parallel_workers=4,
-                                parallel_threshold=0,
-                                parallel_strategy="steal")),
-            ("shared-tries", cfg(parallel_workers=4,
-                                 parallel_threshold=0,
-                                 parallel_strategy="steal",
-                                 shared_tries=True)),
-            ("fused-shared", cfg(execution_mode="compiled",
-                                 fused_kernels=True,
-                                 shared_tries=True,
-                                 parallel_workers=4,
-                                 parallel_threshold=0,
-                                 parallel_strategy="steal")),
-            ("no-prune", cfg(prune_attributes=False)),
-            ("no-fold", cfg(fold_constants=False)),
-            ("no-cse", cfg(cross_rule_cse=False,
-                           eliminate_redundant_bags=False)),
-            ("no-ghd", cfg(use_ghd=False, push_selections=False,
-                           skip_top_down=False)),
-            ("uint-only", cfg(layout_level="uint_only", simd=False,
-                              adaptive_algorithms=False)),
-            ("bitset-only", cfg(layout_level="bitset_only")),
-            ("block", cfg(layout_level="block")),
-            ("adaptive", cfg(adaptive=True, tuning=fuzz_profile())),
-            ("adaptive-replan", cfg(execution_mode="compiled",
-                                    adaptive=True,
-                                    tuning=fuzz_profile(),
-                                    replan_factor=1e-6)),
-            ("adaptive-fused", cfg(execution_mode="compiled",
-                                   fused_kernels=True,
-                                   adaptive=True,
-                                   tuning=fuzz_profile())),
+        return [
+            ("interp", interp()),
+            ("default", default()),
+            ("interp-steal", interp(**_STEAL)),
+            ("interp-static", interp(**_STATIC)),
+            ("default-steal", default(**_STEAL)),
+            ("shared-tries", interp(shared_tries=True, **_STEAL)),
+            ("default-shared", default(shared_tries=True, **_STEAL)),
+            ("no-prune", default(prune_attributes=False)),
+            ("no-fold", default(fold_constants=False)),
+            ("no-cse", default(cross_rule_cse=False,
+                               eliminate_redundant_bags=False)),
+            ("no-ghd", default(use_ghd=False, push_selections=False,
+                               skip_top_down=False)),
+            ("uint-only", interp(layout_level="uint_only", simd=False,
+                                 adaptive_algorithms=False)),
+            ("bitset-only", interp(layout_level="bitset_only")),
+            ("block", interp(layout_level="block")),
+            ("adaptive", default(adaptive=True, tuning=_fuzz_profile())),
+            ("adaptive-interp", interp(adaptive=True,
+                                       tuning=_fuzz_profile())),
+            ("adaptive-replan", default(adaptive=True,
+                                        tuning=_fuzz_profile(),
+                                        replan_factor=1e-6)),
         ]
-        return matrix
     matrix = []
-    for mode in ("interpreted", "compiled", "fused"):
-        for par_label, par in (("serial", {}),
-                               ("steal", dict(parallel_workers=4,
-                                              parallel_threshold=0,
-                                              parallel_strategy="steal")),
-                               ("static", dict(parallel_workers=4,
-                                               parallel_threshold=0,
-                                               parallel_strategy="static"))):
+    for mode in ("interpreted", "compiled"):
+        for par_label, par in (("serial", {}), ("steal", _STEAL),
+                               ("static", _STATIC)):
             for opt_label, opt in (
                     ("opt", {}),
                     ("noopt", dict(prune_attributes=False,
@@ -339,19 +324,11 @@ def enumerate_config_matrix(full=False):
                                "block"):
                     label = "%s-%s-%s-%s" % (mode, par_label, opt_label,
                                              layout)
-                    if mode == "fused":
-                        # "fused" is compiled + block kernels + shared
-                        # tries — the full new-path stack in one axis.
-                        overrides = dict(execution_mode="compiled",
-                                         fused_kernels=True,
-                                         shared_tries=True,
-                                         layout_level=layout)
-                    else:
-                        overrides = dict(execution_mode=mode,
-                                         layout_level=layout)
-                    overrides.update(par)
-                    overrides.update(opt)
-                    matrix.append((label, cfg(**overrides)))
+                    # The compiled rows also run over shared tries: the
+                    # full default-path stack in one axis.
+                    matrix.append((label, cfg(
+                        execution_mode=mode, layout_level=layout,
+                        shared_tries=mode == "compiled", **par, **opt)))
     return matrix
 
 
@@ -362,36 +339,23 @@ def enumerate_mutation_matrix():
     Smaller than :func:`enumerate_config_matrix` — mutation cases run
     an interleaved op *sequence* per config, so each config is several
     times the work of a one-shot case — but it still spans the axes
-    incremental maintenance interacts with: interpreted vs compiled
-    (versioned plan guards), serial vs work-stealing (delta terms
-    through the parallel executor), fused kernels, shared tries (the
+    incremental maintenance interacts with: the interpreted oracle vs
+    the default engine (versioned plan guards), serial vs work-stealing
+    (delta terms through the parallel executor), shared tries (the
     arena patch/re-place path), and ``incremental_views=False`` (the
     full-recompute route as its own differential axis).
     """
-    base = dict(execution_mode="interpreted")
-
     def cfg(**overrides):
-        merged = dict(base)
-        merged.update(overrides)
-        return EngineConfig().ablated(**merged)
+        return EngineConfig().ablated(**overrides)
 
     return [
-        ("interp", cfg()),
-        ("compiled", cfg(execution_mode="compiled")),
-        ("interp-steal", cfg(parallel_workers=4,
-                             parallel_threshold=0,
-                             parallel_strategy="steal")),
-        ("compiled-steal", cfg(execution_mode="compiled",
-                               parallel_workers=4,
-                               parallel_threshold=0,
-                               parallel_strategy="steal")),
-        ("fused", cfg(execution_mode="compiled",
-                      fused_kernels=True)),
-        ("fused-shared", cfg(execution_mode="compiled",
-                             fused_kernels=True,
-                             shared_tries=True,
-                             parallel_workers=2,
-                             parallel_threshold=0,
-                             parallel_strategy="steal")),
-        ("full-recompute", cfg(incremental_views=False)),
+        ("interp", cfg(execution_mode="interpreted")),
+        ("default", cfg(execution_mode="compiled")),
+        ("interp-steal", cfg(execution_mode="interpreted", **_STEAL)),
+        ("default-steal", cfg(execution_mode="compiled", **_STEAL)),
+        ("default-shared", cfg(execution_mode="compiled",
+                               shared_tries=True,
+                               **dict(_STEAL, parallel_workers=2))),
+        ("full-recompute", cfg(execution_mode="interpreted",
+                               incremental_views=False)),
     ]

@@ -7,7 +7,8 @@ in :mod:`repro.lir`; the executor receives an optimized
 :class:`~repro.lir.ir.LogicalRule` and
 
 1. lowers it to per-bag physical plans (evaluation orders, inputs,
-   pass-up shapes), interpreted or code-generated;
+   pass-up shapes) — block kernels by default, the interpreter as
+   oracle and for the bag shapes the kernels do not cover;
 2. runs Yannakakis' **bottom-up** pass: every bag is evaluated with the
    generic worst-case optimal join, aggregating away attributes its
    parent does not need (early aggregation) and passing the result up as
@@ -35,8 +36,8 @@ from ..query.ast import Agg, BinOp, Num, Ref
 from ..sets.optimizer import SetOptimizer
 from ..storage.relation import Relation, relation_columns
 from ..storage.trie import Trie
-from .codegen import InputSpec, generate_bag_plan, static_level_kind, \
-    trie_level_kind
+from .codegen import InputSpec, generate_bag_plan
+from .fused import fusable
 from .generic_join import BagEvaluator, BagInput, BagResult, evaluate_bag
 from .memo import remap_memoized
 from .plan import BagPlan, PhysicalPlan
@@ -271,8 +272,8 @@ class RuleExecutor:
 
     All logical planning is delegated to :mod:`repro.lir`; this class
     owns only physical concerns — tries, bag evaluation, Yannakakis
-    passes, finalization — plus the compiled-mode plan cache keyed on
-    the canonical (alpha-invariant) optimized IR.
+    passes, finalization — plus the plan cache keyed on the canonical
+    (alpha-invariant) optimized IR.
     """
 
     def __init__(self, catalog, config, trie_cache=None, env=None,
@@ -317,17 +318,22 @@ class RuleExecutor:
 
     # -- public ---------------------------------------------------------------
 
-    def execute(self, rule):
+    def execute(self, rule, stats=None):
         """Run ``rule`` and return the result :class:`Relation`.
 
         The result carries the head's columns in head-variable order and,
-        for aggregation rules, an annotation column.
+        for aggregation rules, an annotation column.  ``stats`` (default
+        engine only) carries program-level counters when
+        ``Database.query`` drives a multi-rule program; a fresh
+        :class:`~repro.engine.stats.ExecStats` is created otherwise.
         """
         mode = self.config.execution_mode
         if mode == "compiled":
-            return self.execute_compiled_mode(rule)
+            return self._execute_compiled(rule, stats)
         if mode != "interpreted":
             raise ExecutionError("unknown execution_mode %r" % (mode,))
+        # The interpreted oracle: plans rebuilt per run, every bag on
+        # the set-at-a-time generic join.
         self.last_stats = None
         logical = optimize_rule(rule, self.catalog, self._options())
         self.last_logical = logical
@@ -701,7 +707,15 @@ class RuleExecutor:
     # -- compiled execution ---------------------------------------------------
 
     def execute_compiled_mode(self, rule, stats=None):
-        """Run ``rule`` through the code-generating pipeline (§3.3).
+        """Run ``rule`` through the default compiled pipeline whatever
+        ``config.execution_mode`` says.  :meth:`execute` is the entry
+        point that honors the configuration and the one the engine
+        itself calls; this name is part of the surface the end-to-end
+        benchmark instruments."""
+        return self._execute_compiled(rule, stats)
+
+    def _execute_compiled(self, rule, stats=None):
+        """The default engine (§3.3): compile once, run block kernels.
 
         The rule is compiled at most once per catalog state: the plan
         cache keys on the *optimized logical IR's* canonical form
@@ -709,9 +723,7 @@ class RuleExecutor:
         variable renaming, so alpha-renamed queries share one entry)
         plus the result-affecting config switches, and revalidates by
         relation identity, so a repeated query skips GHD search and
-        codegen entirely.  ``stats`` carries program-level counters when
-        ``Database.query`` drives a multi-rule program; a fresh
-        :class:`~repro.engine.stats.ExecStats` is created otherwise.
+        bag lowering entirely.
         """
         if stats is None:
             stats = ExecStats(execution_mode="compiled",
@@ -756,7 +768,8 @@ class RuleExecutor:
         Performs the same validation and plan choice as :meth:`execute`
         but stops before touching any tuples beyond trie construction:
         the result pins the catalog relations it read (``guards``) and
-        holds one generated function per GHD bag.
+        holds one block kernel per GHD bag (``None`` for the shapes
+        only the interpreter covers).
         """
         guards = _relation_guards(logical)
         if logical.has_empty_guard:
@@ -776,12 +789,12 @@ class RuleExecutor:
         return self._compile_plan(logical, guards, stats)
 
     def _compile_plan(self, logical, guards, stats):
-        """Choose the GHD and lower every bag to generated code.
+        """Choose the GHD and lower every bag to its block kernel.
 
         Structurally identical bags (same evaluation order, head split,
-        semiring, and per-input layouts) share one compiled source via
-        the plan cache's bag-source tier — codegen runs once per shape,
-        not once per bag.
+        semiring, and per-input annotation flags) share one kernel via
+        the plan cache's bag-source tier — lowering runs once per
+        shape, not once per bag.
         """
         agg = logical.aggregate
         aggregate_mode = logical.aggregate_mode
@@ -808,8 +821,8 @@ class RuleExecutor:
             wanted = {a for a in node.chi if a in head or a in keep}
             eval_order = tuple(bag_evaluation_order(node.chi, wanted,
                                                     global_order))
-            # The generated function (like the interpreter's
-            # ``evaluate_bag``) emits columns as ``eval_order[:k]`` —
+            # The kernel (like the interpreter's ``evaluate_bag``)
+            # emits columns as ``eval_order[:k]`` —
             # record exactly that, or the baked pass-up key orders
             # would address permuted columns.
             out_attrs = tuple(eval_order[:len(wanted)])
@@ -834,15 +847,11 @@ class RuleExecutor:
                                       self.config.density_threshold())
                 annotated = atom.annotated \
                     and (id(node), edge.index) not in duplicates
-                kinds = tuple(
-                    trie_level_kind(trie, depth,
-                                    self.config.layout_level)
-                    for depth in range(len(ordered_vars)))
                 base_inputs.append(BagInput(trie, ordered_vars,
                                             annotated=annotated,
                                             name=atom.name))
                 specs.append(InputSpec(atom.name, ordered_vars,
-                                       annotated=annotated, kinds=kinds))
+                                       annotated=annotated))
             # Pass-up inputs have statically known shapes: the child's
             # out attributes are fixed by the GHD, and aggregate-mode
             # results always carry annotations (materialize-mode
@@ -870,31 +879,27 @@ class RuleExecutor:
                 key_order = tuple(up_attrs.index(a)
                                   for a in ordered_vars)
                 passups.append((ordered_vars, key_order, annotated))
-                kind = static_level_kind(self.config.layout_level)
-                specs.append(InputSpec(
-                    "pass:" + ",".join(up_attrs), ordered_vars,
-                    annotated=annotated,
-                    kinds=(kind,) * len(ordered_vars)))
+                specs.append(InputSpec("pass:" + ",".join(up_attrs),
+                                       ordered_vars, annotated=annotated))
             input_names = [atoms[e.index].name for e in node.edges] \
                 + ["pass:%s" % ",".join(sorted(c.chi_set & node.chi_set))
                    for c in node.children]
-            # The bag-source tier is keyed on this signature alone, so
-            # the fused flag must join it — fused and per-tuple plans
-            # for the same shape are distinct compiled artifacts.
             bag_sig = ("bag", eval_order, len(out_attrs), semiring.name,
-                       tuple(spec.signature() for spec in specs),
-                       self.config.fused_kernels)
-            generated = self.plans.get_bag_code(bag_sig)
-            if generated is None:
-                stats.codegen_runs += 1
-                with maybe_span(self.config.tracer, "codegen", "compile",
-                                bag=",".join(node.chi)):
-                    generated = generate_bag_plan(
-                        eval_order, len(out_attrs), specs, semiring,
-                        fused=self.config.fused_kernels)
-                self.plans.put_bag_code(bag_sig, generated)
-            else:
-                stats.bag_codegen_reuses += 1
+                       tuple(spec.signature() for spec in specs))
+            # An unfusable shape has no kernel to lower or cache: the
+            # bag runs on the interpreter (a counted fallback).
+            generated = None
+            if fusable(eval_order, len(out_attrs), specs, semiring):
+                generated = self.plans.get_bag_code(bag_sig)
+                if generated is None:
+                    stats.codegen_runs += 1
+                    with maybe_span(self.config.tracer, "codegen",
+                                    "compile", bag=",".join(node.chi)):
+                        generated = generate_bag_plan(
+                            eval_order, len(out_attrs), specs, semiring)
+                    self.plans.put_bag_code(bag_sig, generated)
+                else:
+                    stats.bag_codegen_reuses += 1
             bags[id(node)] = CompiledBag(
                 eval_order, out_attrs, base_inputs, passups, generated,
                 chi=node.chi, width=node.width(),
@@ -978,19 +983,20 @@ class RuleExecutor:
 
     def _run_compiled_bag(self, node, cbag, semiring, aggregate_mode,
                           retained, stats, bag_plan=None):
-        """Evaluate one bag through its generated function.
+        """Evaluate one bag through its block kernel.
 
-        Child pass-ups are built exactly as in :meth:`_evaluate_bag`;
-        should a pass-up's runtime shape ever disagree with the baked
-        spec, the reference interpreter evaluates the same inputs
-        instead (cannot happen with the current planner, but the guard
-        keeps the fallback airtight).
+        Child pass-ups are built exactly as in :meth:`_evaluate_bag`.
+        A bag without a kernel (a shape :func:`~repro.engine.fused.
+        fusable` rejects) — or whose pass-up's runtime shape disagrees
+        with the baked spec, which the current planner cannot produce —
+        is a *fallback*: the interpreter evaluates the same inputs and
+        ``stats.fused_fallbacks`` counts it.
         """
         inputs = list(cbag.base_inputs)
         tries = [bag_input.trie for bag_input in cbag.base_inputs]
         scalar_factor = 1.0
         dead = False
-        spec_ok = True
+        kernel = cbag.generated
         passups = iter(cbag.passups)
         for child in node.children:
             child_result = retained[id(child)]
@@ -1003,12 +1009,12 @@ class RuleExecutor:
             passed = self._pass_up(child_result, node.chi_set,
                                    aggregate_mode, semiring)
             if passed is None:
-                spec_ok = False
+                kernel = None
                 continue
             relation, annotated = passed
             spec = next(passups, None)
             if spec is None:
-                spec_ok = False
+                kernel = None
                 cols = relation_columns(relation)
                 ordered_vars = tuple(a for a in cbag.eval_order
                                      if a in cols)
@@ -1016,7 +1022,7 @@ class RuleExecutor:
             else:
                 ordered_vars, key_order, spec_annotated = spec
                 if annotated != spec_annotated:
-                    spec_ok = False
+                    kernel = None
             trie = Trie(relation, key_order=key_order,
                         optimizer=SetOptimizer(self.config.layout_level,
                                                self.config.density_threshold()))
@@ -1032,31 +1038,34 @@ class RuleExecutor:
                                np.empty((0, out_count), dtype=np.uint32),
                                annotations=np.empty(0),
                                scalar=semiring.zero)
-        elif not spec_ok:
-            result = evaluate_bag(eval_order, out_count, inputs,
-                                  semiring, self.config)
         elif self._parallel_node is not None \
                 and id(node) == self._parallel_node:
             from .parallel import evaluate_bag_parallel
-            stats.compiled_bag_calls += 1
             result = evaluate_bag_parallel(
                 eval_order, out_count, inputs, semiring, self.config,
                 cache=self.cache, stats=stats,
-                compiled=(cbag.generated, tries))
+                kernel=None if kernel is None else (kernel, tries))
+            # counted as in the serial branch: only when no whole-bag
+            # fast path answered
+            if stats.mode != "fast-path":
+                stats.compiled_bag_calls += 1
+                if kernel is None:
+                    stats.fused_fallbacks += 1
         else:
             # The interpreter's vectorized whole-bag shortcuts answer
-            # identically and are cheaper than any loop nest, so the
-            # compiled path keeps them as a pre-flight probe.
+            # identically and are cheaper than any block sequence, so
+            # they stay as a pre-flight probe.
             probe = BagEvaluator(eval_order, out_count, inputs, semiring,
                                  self.config)
-            fast = probe.try_fast_paths()
-            if fast is not None:
-                result = fast
-            else:
+            result = probe.try_fast_paths()
+            if result is None:
                 stats.compiled_bag_calls += 1
-                if cbag.generated.fused:
+                if kernel is None:
+                    stats.fused_fallbacks += 1
+                    result = probe.run()
+                else:
                     stats.fused_blocks += 1
-                result = cbag.generated(tries, self.config)
+                    result = kernel(tries, self.config)
         if aggregate_mode and scalar_factor != 1.0:
             if result.scalar is not None:
                 result.scalar *= scalar_factor

@@ -1,61 +1,82 @@
 """Fused block execution: the generic join as numpy block ops.
 
-The per-tuple compiled path (:mod:`repro.engine.codegen`) still pays a
-Python-level loop iteration per binding — one ``intersect`` or pair
-kernel call per outer value.  This module eliminates that dispatch
-entirely for the bag shapes graph queries compile to (every input of
-arity 1 or 2): the whole morsel is evaluated as a short, fixed sequence
-of vectorized *block operations* over the tries' flat level arrays
-(:meth:`repro.storage.trie.Trie.flat`):
+This is the engine's default executor for the bag shapes graph queries
+compile to (every input of arity 1 or 2).  Instead of one Python-level
+loop iteration per binding, the whole bag is evaluated as a short,
+fixed sequence of vectorized *block operations* over the tries' flat
+level arrays (:meth:`repro.storage.trie.Trie.flat`):
 
 1. **Frontier expansion.**  The bag's bound prefixes live in a column
    matrix (one array per level, rows in lexicographic order).  A level
    is expanded by one CSR gather over the generating input's flat child
    arrays (``offsets``/``values``) — ``np.repeat`` + cumulative-sum
-   arithmetic, no per-row Python.
+   arithmetic, no per-row Python.  The generator is the child-level
+   participant whose *summed fan-out over the actual frontier* is
+   smallest — the block form of the paper's min property (Algorithm 2
+   intersects from the smaller set).  Relation size cannot decide this:
+   every atom of a pattern query is the same ``Edge`` relation.
 2. **Batched membership probes.**  Every other participant filters the
    expanded candidates with one ``searchsorted`` sweep: root levels
    probe the sorted key array directly, child levels probe a 64-bit
    packed ``(parent << 32) | child`` array, so a million bindings cost
-   a handful of numpy calls.
+   a handful of numpy calls.  When even the cheapest CSR expansion
+   dwarfs tiling the level's root-key candidates across the frontier
+   (by :data:`PROBE_CROSSOVER`), the level is generated from those root
+   keys instead and every child-level input is probed (the *sweep*).
 3. **Block aggregate folds.**  The aggregated suffix never materializes
    past the frontier: leaf contributions are folded per output prefix
-   with ``bincount``/``ufunc.reduceat`` segment reductions, and
-   unannotated SUM/COUNT keeps the compiled path's exact ``int``
-   accumulator (a bare element count).
+   with ``reduceat`` segment reductions, and unannotated SUM/COUNT keeps
+   an exact ``int`` accumulator (a bare element count).
 
-Annotation products multiply in the same input order as the per-tuple
-paths, so results agree bit-for-bit except for float *summation* order
-inside a fold, where grouping differs — the differential fuzzer's
-dyadic-rational value hygiene makes even those sums exact in practice.
+**Bounded blocks.**  Every level generates its candidates in slices of
+at most :data:`BLOCK_ROWS` rows (cut on the cumulative fan-out, so a
+single hub row is split too).  Surviving rows of non-leaf slices are
+concatenated into the next frontier; leaf slices fold into per-row
+accumulators.  Transient memory per level is therefore a constant
+number of block-sized arrays no matter how skewed the fan-out is, and
+no input size makes the kernel give up — the only bags that run on the
+interpreter instead are the shapes :func:`fusable` rejects.
 
-A kernel call that would expand past :data:`MAX_BLOCK_ROWS` raises
-:class:`FusedFallback`; the wrapper built by
-:func:`repro.engine.codegen.generate_bag_plan` then reruns the call
-through the per-tuple generated loop nest, so the fused path can never
-be wrong, only slower.  Workspace buffers (the index ramp) are reused
-across morsels within a kernel, so the steady-state morsel loop
-allocates only result-sized arrays.
+Annotation products multiply in the same input order as the
+interpreter, so results agree bit-for-bit except for float *summation*
+order inside a fold, where grouping (and block boundaries) differ —
+the differential fuzzer's dyadic-rational value hygiene makes even
+those sums exact in practice.
 """
 
 import numpy as np
 
 from ..errors import PlanError
+from ..tune.profile import DEFAULT_FUSED_BLOCK_ROWS
 from .generic_join import BagResult, empty_bag_result
 
 #: Semirings the block folds implement.
 FUSED_SEMIRINGS = ("SUM", "COUNT", "MIN", "MAX", "EXISTS")
 
-#: Expansion budget per block: a level whose expanded frontier would
-#: exceed this many rows falls back to the per-tuple loop nest, keeping
-#: worst-case memory bounded (~8M rows ≈ a few hundred MB of state).
-MAX_BLOCK_ROWS = 1 << 23
+#: Candidate rows per block.  Cache-sized on purpose: a block touches
+#: about ten arrays of this length (parent ids, gathered values, packed
+#: keys, probe ranks, masks), and at 16K rows — roughly a megabyte in
+#: all — they stay cache-resident between the numpy calls that produce
+#: and consume them.  Measured on the ``patterns`` benchmark queries,
+#: 8K-32K rows are within 3% of each other, 4K pays numpy's per-call
+#: overhead (+8%) and 64K, 128K and 256K rows are 13%, 29% and 44%
+#: slower; transient memory grows in proportion throughout.  (Defined
+#: in ``repro.tune.profile``, which sits below the engine.)
+BLOCK_ROWS = DEFAULT_FUSED_BLOCK_ROWS
+
+#: CSR-expansion : root-key-sweep candidate ratio past which a level
+#: takes the sweep.  The two routes break even near 2 on this substrate
+#: (a tie at 2x, the sweep 2x faster at 8x and 3.5x at 16x);
+#: ``repro.tune`` refines the constant per machine, and the built-in
+#: value means an untuned engine never expands a hub frontier that a
+#: few root keys would have answered.
+PROBE_CROSSOVER = 2.0
 
 _EMPTY_SCALAR_DATA = np.empty((0, 0), dtype=np.uint32)
 
-
-class FusedFallback(Exception):
-    """A block exceeded the expansion budget; rerun per-tuple."""
+#: The ufunc behind each fold (EXISTS needs none: a witness suffices).
+_FOLD_UFUNC = {"SUM": np.add, "COUNT": np.add, "MIN": np.minimum,
+               "MAX": np.maximum}
 
 
 def fusable(eval_order, out_count, specs, semiring):
@@ -79,32 +100,13 @@ class _Part:
         self.var0_level = var0_level    # bag level of the input's first var
 
 
-class _Workspace:
-    """Reusable scratch buffers (the morsel-loop allocation killer).
-
-    The index ramp backing ``np.arange`` views grows geometrically and
-    is shared by every block in a kernel, so repeated morsel calls stop
-    allocating ramp arrays entirely.
-    """
-
-    __slots__ = ("ramp",)
-
-    def __init__(self):
-        self.ramp = np.empty(0, dtype=np.int64)
-
-    def arange(self, n):
-        if self.ramp.size < n:
-            size = max(int(n), 1024, self.ramp.size * 2)
-            self.ramp = np.arange(size, dtype=np.int64)
-        return self.ramp[:n]
-
-
 def _probe(keys, vals):
-    """Batched sorted-membership probe.
+    """Batched sorted-membership probe of ``vals`` in ``keys`` (plain
+    root keys or packed ``(parent << 32) | child`` pairs).
 
-    Returns ``(rank, member)``: for member positions ``rank`` is the
-    value's index in ``keys`` (the trie-node rank, valid wherever
-    ``member`` holds).
+    Returns ``(rank, member)``: where ``member`` holds, ``rank`` is the
+    value's index in ``keys`` — the trie-node rank for root keys, the
+    leaf row (hence the annotation index) for packed pairs.
     """
     if keys.size == 0:
         zero = np.zeros(vals.size, dtype=np.intp)
@@ -114,38 +116,60 @@ def _probe(keys, vals):
     return rank, keys[rank] == vals
 
 
-def _packed_probe(packed, pk):
-    """Membership of packed ``(parent << 32) | child`` pairs; the hit
-    position doubles as the row index for leaf-annotation gathers."""
-    if packed.size == 0:
-        zero = np.zeros(pk.size, dtype=np.intp)
-        return zero, np.zeros(pk.size, dtype=bool)
-    pos = np.searchsorted(packed, pk)
-    pos = np.minimum(pos, packed.size - 1)
-    return pos, packed[pos] == pk
+def _blocks(counts, cum, size):
+    """Cut a level's candidate space into blocks of at most ``size``.
+
+    ``counts[r]`` candidates hang off frontier row ``r`` (``cum`` is
+    their running total); candidate ``j`` of the level is the ``j``-th
+    in row order.  Yields ``(parent, offset)`` per block — the frontier
+    row and the level-wide index of each candidate — cutting inside a
+    row when one row alone exceeds the block.  An empty level yields
+    one empty block.
+    """
+    total = int(cum[-1])
+    if total <= size:
+        yield np.repeat(np.arange(counts.size), counts), np.arange(total)
+        return
+    starts = cum - counts
+    for a in range(0, total, size):
+        b = min(a + size, total)
+        lo = int(np.searchsorted(cum, a, side="right"))
+        hi = int(np.searchsorted(cum, b, side="left")) + 1
+        clipped = counts[lo:hi].copy()
+        clipped[0] -= a - starts[lo]
+        clipped[-1] -= cum[hi - 1] - b
+        yield np.repeat(np.arange(lo, hi), clipped), np.arange(a, b)
+
+
+def _segment_starts(seg):
+    """Start index of every run of equal values in sorted ``seg``."""
+    change = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+    return np.concatenate(([0], change))
 
 
 class FusedBagKernel:
     """One bag lowered to a sequence of numpy block operations.
 
-    Instances are built by :func:`repro.engine.codegen.generate_bag_plan`
-    when ``fused=True`` and cached through the plan cache's bag-source
-    tier exactly like per-tuple generated functions.  Calling convention
-    matches :class:`~repro.engine.codegen.GeneratedQuery.__call__`:
+    Built by :func:`repro.engine.codegen.generate_bag_plan` and cached
+    through the plan cache's bag-source tier.  Calling convention:
     ``kernel(tries, config, restrict=None)`` with tries in spec order
-    and ``restrict`` the parallel executor's morsel hook.
+    and ``restrict`` the parallel executor's morsel hook (an extra set
+    intersected at level 0).
     """
 
     def __init__(self, eval_order, out_count, specs, semiring):
         if not fusable(eval_order, out_count, specs, semiring):
             raise PlanError("bag is not fusable")
+        if not 0 <= out_count <= len(eval_order):
+            raise PlanError("out_count %d outside [0, %d]"
+                            % (out_count, len(eval_order)))
         self.order = tuple(eval_order)
         self.out_count = out_count
         self.specs = list(specs)
         self.semiring = semiring
         self.n_levels = len(self.order)
-        # Same exact-int rule as the per-tuple codegen: unannotated
-        # SUM/COUNT results are bare element counts.
+        # Unannotated SUM/COUNT results are bare element counts, exact
+        # in ``int`` (what the interpreter's cardinality path yields).
         self.int_fold = semiring.name in ("SUM", "COUNT") \
             and not any(spec.annotated for spec in specs)
         var_level = {attr: level for level, attr in enumerate(self.order)}
@@ -161,30 +185,17 @@ class FusedBagKernel:
             if not parts:
                 raise PlanError("attribute %r not covered" % (attr,))
             self.levels.append(parts)
-        self._ws = _Workspace()
-        #: Effective limits, refreshed per run() from the config's
-        #: adaptive accessors (``None`` = hard-coded defaults).
-        self._max_rows = MAX_BLOCK_ROWS
-        self._probe_xover = None
-        #: Cumulative skew-sweep engagements (observability/tests).
-        self.sweep_blocks = 0
-        self._last_was_sweep = False
 
     # -- driver ---------------------------------------------------------------
 
-    def run(self, tries, config, restrict=None):
-        """Evaluate the bag; raises :class:`FusedFallback` over budget."""
+    def __call__(self, tries, config, restrict=None):
+        """Evaluate the bag over root tries (in spec order)."""
         flats = [trie.flat() for trie in tries]
         if any(flat.keys.size == 0 for flat in flats):
             return self._empty()
-        counter = config.counter
-        # Adaptive limits (duck-typed: plain configs lack the accessors).
-        accessor = getattr(config, "fused_block_rows", None)
-        tuned_rows = accessor() if callable(accessor) else None
-        self._max_rows = MAX_BLOCK_ROWS if tuned_rows is None \
-            else tuned_rows
-        accessor = getattr(config, "fused_probe_crossover", None)
-        self._probe_xover = accessor() if callable(accessor) else None
+        # the tuned constants are None without an active profile
+        block_rows = max(1, config.fused_block_rows() or BLOCK_ROWS)
+        crossover = config.fused_probe_crossover() or PROBE_CROSSOVER
         oc, nl = self.out_count, self.n_levels
         exists = self.semiring.name == "EXISTS"
         cols = []           # bound value column per level, len F each
@@ -192,20 +203,25 @@ class FusedBagKernel:
         sw = None           # aggregated-suffix annotation chain
         ranks = {}          # spec index -> rank of its bound first var
         frontier = 1
-        blocks = 0
         for level in range(nl):
-            parts = self.levels[level]
-            leaf_fold = level == nl - 1 and oc < nl
-            expansion = self._expand(level, parts, flats, cols, ranks,
-                                     frontier, restrict)
-            parent, vals, new_ranks, factors, total = expansion
-            blocks += 1
-            counter.charge(
-                "fused_sweep" if self._last_was_sweep else "fused_block",
+            counts, first, values, settled, probed, sweep = \
+                self._plan_level(self.levels[level], flats, ranks,
+                                 frontier, crossover,
+                                 restrict if level == 0 else None)
+            cum = np.cumsum(counts)
+            total = int(cum[-1])
+            config.counter.charge(
+                "fused_sweep" if sweep else "fused_block",
                 simd=-(-total // 4), elements=total)
-            if leaf_fold:
-                return self._fold_leaf(parent, factors, cols, pw, sw,
-                                       frontier)
+            base = first - (cum - counts)
+            blocks = (self._expand_block(parent, base[parent] + offset,
+                                         values, settled, probed, flats,
+                                         cols)
+                      for parent, offset in _blocks(counts, cum,
+                                                    block_rows))
+            if level == nl - 1 and oc < nl:
+                return self._fold_leaf(blocks, cols, pw, sw, frontier)
+            parent, vals, new_ranks, factors = _concatenate(list(blocks))
             if parent.size == 0:
                 return self._empty()
             cols = [column[parent] for column in cols]
@@ -217,9 +233,7 @@ class FusedBagKernel:
             ranks = {index: rank[parent]
                      for index, rank in ranks.items()}
             ranks.update(new_ranks)
-            # Annotation factors multiply in input-index order, exactly
-            # like the per-tuple paths' left-associated products.
-            for _, factor in sorted(factors, key=lambda item: item[0]):
+            for factor in factors:
                 if level < oc:
                     pw = factor if pw is None else pw * factor
                 elif not exists:
@@ -231,232 +245,158 @@ class FusedBagKernel:
         metrics = getattr(config, "metrics", None)
         if metrics is not None:
             metrics.observe("fused.block_rows", frontier)
-        data = np.stack(cols, axis=1) if cols \
-            else np.empty((0, 0), dtype=np.uint32)
         annotations = pw if pw is not None \
             else np.ones(frontier, dtype=np.float64)
-        return BagResult(self.order[:oc], data, annotations=annotations)
+        return BagResult(self.order[:oc], np.stack(cols, axis=1),
+                         annotations=annotations)
 
     # -- expansion ------------------------------------------------------------
 
-    def _expand(self, level, parts, flats, cols, ranks, frontier,
-                restrict):
-        """Expand the frontier through one level.
+    def _plan_level(self, parts, flats, ranks, frontier, crossover,
+                    restrict):
+        """Decide how one level generates its candidates.
 
-        Returns ``(parent, vals, new_ranks, factors, total)`` — parent
-        row per surviving candidate, its bound value, ranks recorded
-        for inputs whose first variable binds here, leaf-annotation
-        factor arrays as ``(input_index, float64 array)``, and the
-        pre-filter expansion size (for op accounting).
+        Returns ``(counts, first, values, settled, probed, sweep)``:
+        frontier row ``r`` owns the ``counts[r]`` candidates
+        ``values[first[r]:first[r] + counts[r]]``.  ``settled`` lists
+        ``(part, rank_of)`` for participants whose membership the
+        generation itself guarantees — the candidate read from
+        ``values[p]`` has rank ``rank_of[p]`` in that part (``None``:
+        ``p`` itself); ``probed`` are the parts that still filter
+        candidates; ``sweep`` says the skew sweep was taken.
         """
-        ws = self._ws
-        self._last_was_sweep = False
         child_parts = [part for part in parts if part.pos == 1]
+        generating, probed = parts, []
         if child_parts:
-            # CSR expansion through the cheapest child-level input.
-            gen = min(child_parts,
-                      key=lambda part: flats[part.index].values.size)
-            flat = flats[gen.index]
-            row = ranks[gen.index]
-            offsets = flat.offsets
-            counts = offsets[row + 1] - offsets[row]
-            total = int(counts.sum())
+            # CSR expansion through the participant with the smallest
+            # fan-out over this frontier (the min property).
+            gen = counts = total = None
+            for part in child_parts:
+                offsets = flats[part.index].offsets
+                row = ranks[part.index]
+                fanout = offsets[row + 1] - offsets[row]
+                fanout_total = int(fanout.sum())
+                if total is None or fanout_total < total:
+                    gen, counts, total = part, fanout, fanout_total
             root_parts = [part for part in parts if part.pos == 0]
-            if root_parts and self._probe_xover is not None:
-                # Skew-aware sweep (calibrated): when CSR expansion
-                # through even the cheapest generator dwarfs tiling the
-                # level's root-key candidates, probe instead of expand —
-                # the block analog of galloping's min-property switch.
-                width0 = min(flats[part.index].keys.size
-                             for part in root_parts)
-                sweep_total = frontier * width0
-                if sweep_total <= self._max_rows \
-                        and total > self._probe_xover * sweep_total:
-                    return self._sweep_expand(parts, root_parts, flats,
-                                              cols, frontier)
-            self._budget(total)
-            parent = np.repeat(ws.arange(frontier), counts)
-            run_starts = np.cumsum(counts) - counts
-            src = np.repeat(offsets[row] - run_starts, counts) \
-                + ws.arange(total)
-            vals = flat.values[src]
-            keep = None
-            probes = []     # (part, rank array) pending compression
-            for part in parts:
-                if part is gen:
-                    continue
-                other = flats[part.index]
-                if part.pos == 0:
-                    rank, member = _probe(other.keys, vals)
-                else:
-                    bound = cols[part.var0_level][parent]
-                    pk = (bound.astype(np.uint64) << 32) | vals
-                    rank, member = _packed_probe(other.packed, pk)
-                probes.append((part, rank))
-                keep = member if keep is None else keep & member
-            if keep is not None:
-                parent = parent[keep]
-                vals = vals[keep]
-                src = src[keep]
-                probes = [(part, rank[keep]) for part, rank in probes]
-            new_ranks = {}
-            factors = []
-            if gen.annotated and flat.ann is not None:
-                factors.append((gen.index, flat.ann[src]))
-            for part, rank in probes:
-                other = flats[part.index]
-                if part.is_last:
-                    if part.annotated and other.ann is not None:
-                        factors.append((part.index, other.ann[rank]))
-                else:
-                    new_ranks[part.index] = rank
-            return parent, vals, new_ranks, factors, total
-        # All participants offer row-independent root keys: the level's
-        # candidate set is one intersection, then a Cartesian expansion.
-        if level == 0 and restrict is not None:
-            base = restrict.to_array()
+            if not root_parts or total <= crossover * frontier * min(
+                    flats[part.index].keys.size for part in root_parts):
+                flat = flats[gen.index]
+                return (counts, flat.offsets[ranks[gen.index]],
+                        flat.values, [(gen, None)],
+                        [part for part in parts if part is not gen],
+                        False)
+            # Skew sweep: expanding even the cheapest generator dwarfs
+            # tiling the level's root-key candidates, so generate from
+            # those and probe every child-level input instead.  Same
+            # memberships, same sorted order per parent: bit-identical.
+            generating, probed = root_parts, child_parts
+        # Row-independent root keys: one intersection, tiled across the
+        # frontier (a Cartesian expansion).
+        if restrict is not None:
+            candidates = restrict.to_array()
         else:
-            base = min((flats[part.index].keys for part in parts),
-                       key=lambda keys: keys.size)
-        keep = np.ones(base.size, dtype=bool)
-        set_ranks = {}
-        for part in parts:
-            rank, member = _probe(flats[part.index].keys, base)
+            candidates = min((flats[part.index].keys
+                              for part in generating),
+                             key=lambda keys: keys.size)
+        keep = np.ones(candidates.size, dtype=bool)
+        found = []
+        for part in generating:
+            rank, member = _probe(flats[part.index].keys, candidates)
             keep &= member
-            set_ranks[part.index] = rank
-        vset = base[keep]
-        width = vset.size
-        total = frontier * width
-        self._budget(total)
-        parent = np.repeat(ws.arange(frontier), width)
-        vals = np.tile(vset, frontier)
-        new_ranks = {}
-        factors = []
-        for part in parts:
-            rank = set_ranks[part.index][keep]
-            other = flats[part.index]
-            if part.is_last:
-                if part.annotated and other.ann is not None:
-                    factors.append(
-                        (part.index, np.tile(other.ann[rank], frontier)))
-            else:
-                new_ranks[part.index] = np.tile(rank, frontier)
-        return parent, vals, new_ranks, factors, total
+            found.append((part, rank))
+        values = candidates[keep]
+        return (np.full(frontier, values.size, dtype=np.int64), 0, values,
+                [(part, rank[keep]) for part, rank in found], probed,
+                bool(probed))
 
-    def _sweep_expand(self, parts, root_parts, flats, cols, frontier):
-        """Skew-aware alternative to CSR expansion: tile the sorted
-        intersection of the level's root-key sets across the frontier
-        and filter with packed probes against every child-level input.
+    def _expand_block(self, parent, src, values, settled, probed, flats,
+                      cols):
+        """Evaluate one block of a level's candidates.
 
-        Work is ``frontier × |root candidates|`` regardless of the
-        generator's fanout, so extreme-skew frontiers (a few hub
-        prefixes with huge adjacency) cost the probe sweep instead of
-        materializing millions of children.  The surviving set equals
-        the CSR path's (same memberships, both emitted in sorted order
-        per parent), so results are bit-identical.
+        Returns ``(parent, vals, new_ranks, factors)`` for the
+        surviving candidates: frontier row, bound value, ranks of
+        inputs whose first variable binds here (by input index), and
+        the leaf-annotation factor arrays in input-index order — the
+        order the interpreter's left-associated products multiply in.
         """
-        ws = self._ws
-        self._last_was_sweep = True
-        self.sweep_blocks += 1
-        base = min((flats[part.index].keys for part in root_parts),
-                   key=lambda keys: keys.size)
-        keep0 = np.ones(base.size, dtype=bool)
-        root_ranks = {}
-        for part in root_parts:
-            rank, member = _probe(flats[part.index].keys, base)
-            keep0 &= member
-            root_ranks[part.index] = rank
-        vset = base[keep0]
-        width = vset.size
-        total = frontier * width
-        self._budget(total)
-        parent = np.repeat(ws.arange(frontier), width)
-        vals = np.tile(vset, frontier)
+        vals = values[src]
+        found = [(part, src if rank_of is None else rank_of[src])
+                 for part, rank_of in settled]
         keep = None
-        probes = []
-        for part in parts:
-            if part.pos != 1:
-                continue
+        for part in probed:
             other = flats[part.index]
-            bound = cols[part.var0_level][parent]
-            pk = (bound.astype(np.uint64) << 32) | vals
-            pos, member = _packed_probe(other.packed, pk)
-            probes.append((part, pos))
+            if part.pos == 0:
+                rank, member = _probe(other.keys, vals)
+            else:
+                bound = cols[part.var0_level][parent]
+                rank, member = _probe(
+                    other.packed, (bound.astype(np.uint64) << 32) | vals)
+            found.append((part, rank))
             keep = member if keep is None else keep & member
         if keep is not None:
             parent = parent[keep]
             vals = vals[keep]
-            probes = [(part, pos[keep]) for part, pos in probes]
+            found = [(part, rank[keep]) for part, rank in found]
         new_ranks = {}
         factors = []
-        for part, pos in probes:
-            # pos==1 participants of a fusable bag are binary, hence
-            # is_last: they contribute annotation factors, never ranks.
-            other = flats[part.index]
-            if part.annotated and other.ann is not None:
-                factors.append((part.index, other.ann[pos]))
-        for part in root_parts:
-            rank = np.tile(root_ranks[part.index][keep0], frontier)
-            if keep is not None:
-                rank = rank[keep]
-            other = flats[part.index]
-            if part.is_last:
-                if part.annotated and other.ann is not None:
-                    factors.append((part.index, other.ann[rank]))
-            else:
+        for part, rank in found:
+            if not part.is_last:
                 new_ranks[part.index] = rank
-        return parent, vals, new_ranks, factors, total
-
-    def _budget(self, total):
-        if total > self._max_rows:
-            raise FusedFallback(total)
+            elif part.annotated and flats[part.index].ann is not None:
+                factors.append((part.index, flats[part.index].ann[rank]))
+        factors.sort(key=lambda item: item[0])
+        return parent, vals, new_ranks, [f for _, f in factors]
 
     # -- aggregated-leaf folds ------------------------------------------------
 
-    def _fold_leaf(self, seg, factors, cols, pw, sw, frontier):
+    def _fold_leaf(self, blocks, cols, pw, sw, frontier):
         """Fold the deepest level per frontier row without expanding it.
 
-        ``seg`` is sorted (parents expand in order), so per-row and
-        per-group reductions are ``bincount``/``reduceat`` segment ops.
+        Each block's surviving parents are sorted (rows expand in
+        order), so per-row reductions are ``reduceat`` segment ops;
+        rows a block boundary splits combine through the per-row
+        accumulator, and groups of rows sharing an output prefix reduce
+        once at the end.
         """
-        sem = self.semiring
+        name = self.semiring.name
         oc = self.out_count
-        if seg.size == 0:
+        if oc == 0 and self.int_fold:
+            return BagResult((), _EMPTY_SCALAR_DATA,
+                             scalar=sum(int(block[0].size)
+                                        for block in blocks))
+        hit = np.zeros(frontier, dtype=bool)
+        fold = _FOLD_UFUNC.get(name)
+        acc = None if fold is None \
+            else np.full(frontier, self.semiring.zero, dtype=np.float64)
+        for seg, _, _, factors in blocks:
+            if seg.size == 0:
+                continue
+            starts = _segment_starts(seg)
+            rows = seg[starts]
+            hit[rows] = True
+            if fold is None:        # EXISTS: one witness per row
+                continue
+            if sw is None and not factors:
+                if fold is np.add:  # bare element counts
+                    leafv = np.diff(starts, append=seg.size)
+                else:               # MIN/MAX of a constant chain
+                    leafv = 1.0
+            else:
+                elem = sw[seg] if sw is not None \
+                    else np.ones(seg.size, dtype=np.float64)
+                for factor in factors:
+                    elem = elem * factor
+                leafv = fold.reduceat(elem, starts)
+            acc[rows] = fold(acc[rows], leafv)
+        rows = np.flatnonzero(hit)
+        if rows.size == 0:
             return self._empty()
-        name = sem.name
-        facs = [factor for _, factor
-                in sorted(factors, key=lambda item: item[0])]
-        if name == "EXISTS" or (sw is None and not facs):
-            rows, starts = np.unique(seg, return_index=True)
-            if name in ("SUM", "COUNT"):
-                counts = np.bincount(seg, minlength=frontier)
-                leafv = counts[rows].astype(np.float64)
-            else:   # MIN/MAX of a constant chain, or EXISTS witnesses
-                leafv = np.ones(rows.size, dtype=np.float64)
-        else:
-            elem = sw[seg] if sw is not None \
-                else np.ones(seg.size, dtype=np.float64)
-            for factor in facs:
-                elem = elem * factor
-            rows, starts = np.unique(seg, return_index=True)
-            if name in ("SUM", "COUNT"):
-                leafv = np.add.reduceat(elem, starts)
-            elif name == "MIN":
-                leafv = np.minimum.reduceat(elem, starts)
-            else:
-                leafv = np.maximum.reduceat(elem, starts)
+        leafv = acc[rows] if fold is not None \
+            else np.ones(rows.size, dtype=np.float64)
         if oc == 0:
-            if self.int_fold:
-                return BagResult((), _EMPTY_SCALAR_DATA,
-                                 scalar=int(seg.size))
-            if name == "EXISTS":
-                scalar = 1.0 if rows.size else 0.0
-            elif name in ("SUM", "COUNT"):
-                scalar = float(leafv.sum())
-            elif name == "MIN":
-                scalar = float(leafv.min())
-            else:
-                scalar = float(leafv.max())
+            scalar = 1.0 if fold is None \
+                else float(fold.reduce(leafv))
             return BagResult((), _EMPTY_SCALAR_DATA, scalar=scalar)
         # Group surviving rows by their output prefix (lexicographically
         # contiguous by construction) and reduce per group.
@@ -466,18 +406,11 @@ class FusedBagKernel:
         for column in prefix:
             new_group[1:] |= column[1:] != column[:-1]
         gstarts = np.flatnonzero(new_group)
-        if name in ("SUM", "COUNT"):
-            gval = np.add.reduceat(leafv, gstarts)
-        elif name == "MIN":
-            gval = np.minimum.reduceat(leafv, gstarts)
-        elif name == "MAX":
-            gval = np.maximum.reduceat(leafv, gstarts)
-        else:   # EXISTS: one witness per group suffices
+        if fold is None:            # EXISTS: one witness per group
             gval = np.ones(gstarts.size, dtype=np.float64)
-        if pw is not None:
-            annotations = pw[rows][gstarts] * gval
         else:
-            annotations = gval
+            gval = fold.reduceat(leafv, gstarts)
+        annotations = gval if pw is None else pw[rows][gstarts] * gval
         data = np.stack([column[gstarts] for column in prefix], axis=1)
         return BagResult(self.order[:oc], data,
                          annotations=annotations.astype(np.float64,
@@ -487,3 +420,14 @@ class FusedBagKernel:
         if self.out_count == 0 and self.int_fold:
             return BagResult((), _EMPTY_SCALAR_DATA, scalar=0)
         return empty_bag_result(self.order, self.out_count, self.semiring)
+
+
+def _concatenate(blocks):
+    """Join non-leaf blocks' survivors into the next frontier."""
+    if len(blocks) == 1:
+        return blocks[0]
+    parents, vals, ranks, factors = zip(*blocks)
+    return (np.concatenate(parents), np.concatenate(vals),
+            {index: np.concatenate([r[index] for r in ranks])
+             for index in ranks[0]},
+            [np.concatenate(column) for column in zip(*factors)])

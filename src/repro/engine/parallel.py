@@ -34,8 +34,9 @@ discipline.
 *and* materializing heads (partial result arrays concatenate in
 candidate order; level-0 partitions are disjoint, so no cross-worker
 duplicates can arise).  ``RuleExecutor`` routes the largest bag of any
-plan here when ``EngineConfig.parallel_workers > 1``, which covers
-multi-bag GHD plans and recursion for free.  :func:`parallel_count`
+plan here when ``EngineConfig.parallel_workers > 1`` (handing over the
+bag's block kernel under the default engine), which covers multi-bag
+GHD plans and recursion for free.  :func:`parallel_count`
 remains as the historical entry point for single-bag COUNT-style
 queries.
 """
@@ -187,20 +188,18 @@ def _level0_candidates(inputs, order, config, cache=None):
 def _morsel_runner(spec):
     """Build the per-morsel evaluation closure for one schedule.
 
-    All per-morsel dispatch — the compiled/interpreted branch, the spec
+    All per-morsel dispatch — the kernel/interpreter branch, the spec
     dict lookups, the config fetch — is resolved *once* here, so the
     hot loop's per-morsel cost is one closure call plus the evaluation
-    itself.  (Fused kernels take this further: the closure call then
-    covers the whole morsel in a handful of numpy block ops.)
+    itself (with a block kernel, a handful of numpy block ops).
     """
-    compiled = spec.get("compiled")
     config = spec["config"]
-    if compiled is not None:
-        function, tries = compiled
+    if spec.get("kernel") is not None:
+        kernel, tries = spec["kernel"]
 
         def run(values):
-            return function(tries, config,
-                            restrict=UintSet.from_sorted(values))
+            return kernel(tries, config,
+                          restrict=UintSet.from_sorted(values))
         return run
     order = spec["order"]
     out_count = spec["out_count"]
@@ -457,7 +456,7 @@ def _combine(partials, out_count, eval_order, semiring):
 def evaluate_bag_parallel(eval_order, out_count, inputs, semiring, config,
                           workers=None, strategy=None, threshold=None,
                           morsels_per_worker=None, cache=None, stats=None,
-                          compiled=None):
+                          kernel=None):
     """Drop-in replacement for
     :func:`~repro.engine.generic_join.evaluate_bag` that partitions the
     outermost loop across forked workers.
@@ -467,11 +466,11 @@ def evaluate_bag_parallel(eval_order, out_count, inputs, semiring, config,
     ``threshold``, only one morsel remains, or ``workers <= 1``; the
     outcome is recorded in ``stats.mode`` either way.
 
-    ``compiled`` is an optional ``(generated, tries)`` pair from the
-    compiled pipeline: every morsel then runs the generated function
-    with its values as the level-0 ``restrict`` set.  Forked children
-    inherit the ``exec``-compiled function copy-on-write, so nothing is
-    pickled.
+    ``kernel`` is an optional ``(FusedBagKernel, tries)`` pair from the
+    default engine: every morsel then runs the block kernel with its
+    values as the level-0 ``restrict`` set (``None``: the interpreter
+    evaluates the morsels).  Forked children inherit the kernel
+    copy-on-write, so nothing is pickled.
     """
     workers = config.parallel_workers if workers is None else workers
     strategy = config.parallel_strategy if strategy is None else strategy
@@ -492,15 +491,11 @@ def evaluate_bag_parallel(eval_order, out_count, inputs, semiring, config,
         stats.mode = "fast-path"
         return fast
 
-    fused = compiled is not None \
-        and getattr(compiled[0], "fused", False)
-
     def run_serial():
-        if compiled is not None:
-            if fused:
-                stats.fused_blocks += 1
-            function, tries = compiled
-            return function(tries, config)
+        if kernel is not None:
+            stats.fused_blocks += 1
+            run, tries = kernel
+            return run(tries, config)
         return probe.run()
 
     candidates = _level0_candidates(inputs, eval_order, config, cache)
@@ -534,9 +529,9 @@ def evaluate_bag_parallel(eval_order, out_count, inputs, semiring, config,
             morsel.home = position % n_workers
     spec = {"order": tuple(eval_order), "out_count": out_count,
             "inputs": list(inputs), "semiring": semiring,
-            "config": config, "compiled": compiled,
+            "config": config, "kernel": kernel,
             "morsels": {m.index: m.values for m in schedule}}
-    if fused:
+    if kernel is not None:
         # One block-kernel invocation per morsel (forked workers charge
         # into copy-on-write stats, so the parent accounts up front).
         stats.fused_blocks += len(schedule)

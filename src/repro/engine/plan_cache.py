@@ -1,25 +1,23 @@
-"""Compiled-plan caching for the code-generating execution path.
+"""Compiled-plan caching for the default execution path.
 
 EmptyHeaded compiles a query once and amortizes the compilation over
 repeated executions; this module supplies the three cache tiers that
-make the compiled path's repeat cost approach the pure join work:
+make a repeated query's cost approach the pure join work:
 
 * **program tier** — query text → parsed rule ASTs, so a repeated
   ``Database.query`` call skips the parser entirely;
 * **rule tier** — rule text → :class:`CompiledRule` (GHD choice, global
-  order, per-bag generated functions, baked base tries), guarded by
+  order, per-bag block kernels, baked base tries), guarded by
   catalog relation *identity* so replacing a relation (new load,
   recursion round) transparently invalidates;
 * **bag-source tier** — normalized bag signature (attribute order +
-  head split + semiring + per-input layouts/annotations) → compiled
-  :class:`~repro.engine.codegen.GeneratedQuery`, so structurally
-  identical bags across different rules share one ``exec``.
+  head split + semiring + per-input annotation flags) →
+  :class:`~repro.engine.fused.FusedBagKernel`, so structurally
+  identical bags across different rules share one kernel.
 
 Every tier keys on :func:`config_signature` — the engine switches that
 change results or plan shape — so ablation configs never cross-hit.
 """
-
-from .codegen import GeneratedQuery  # noqa: F401  (re-export for callers)
 
 #: Default per-tier entry cap; oldest entries evict first (dict order).
 MAX_ENTRIES = 256
@@ -44,12 +42,12 @@ def config_signature(config):
             config.use_ghd, config.push_selections,
             config.eliminate_redundant_bags, config.skip_top_down,
             config.uint_algorithm, config.prune_attributes,
-            config.fold_constants, config.fused_kernels,
-            adaptive, tuning_sig)
+            config.fold_constants, adaptive, tuning_sig)
 
 
 class CompiledBag:
-    """One GHD bag lowered to a generated function plus its runtime
+    """One GHD bag lowered to its block kernel (``generated``; ``None``
+    when only the interpreter covers the shape) plus its runtime
     wiring: the baked base-relation tries (in spec order), the static
     shape of every child pass-up input, and the bag-equivalence
     signature the redundant-bag elimination memoizes on."""
@@ -136,7 +134,7 @@ class CompiledRule:
 
 
 class PlanCache:
-    """Three-tier cache: programs, compiled rules, generated bag code."""
+    """Three-tier cache: programs, compiled rules, bag kernels."""
 
     def __init__(self, max_entries=MAX_ENTRIES):
         self.max_entries = max_entries
@@ -184,7 +182,7 @@ class PlanCache:
     # -- bag-source tier ----------------------------------------------------
 
     def get_bag_code(self, signature):
-        """Compiled :class:`GeneratedQuery` for a bag signature."""
+        """Cached block kernel for a bag signature, or ``None``."""
         return self._bag_code.get(signature)
 
     def put_bag_code(self, signature, generated):

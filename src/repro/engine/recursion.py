@@ -48,8 +48,19 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS):
         raise PlanError(
             "recursion with non-monotone aggregate %r needs a fixed "
             "iteration count (*[i=k])" % op)
-    catalog[rule.head_name] = result
+    _install_round(executor, rule.head_name, result)
     return result
+
+
+def _install_round(executor, name, relation):
+    """Put ``relation`` under ``name`` and retire the relation it
+    replaces.  Every round's head is a new relation object, and the
+    trie cache keys on a per-object uid, so a replaced head's tries
+    (and level-0 memo entries) would otherwise stay cached forever."""
+    old = executor.catalog.get(name)
+    if old is not None and old is not relation:
+        executor.cache.invalidate(old)
+    executor.catalog[name] = relation
 
 
 def _run_once(rule, executor):
@@ -64,9 +75,9 @@ def _naive_replace(rule, executor, iterations):
     catalog = executor.catalog
     current = catalog[rule.head_name]
     for _ in range(iterations):
-        catalog[rule.head_name] = current
+        _install_round(executor, rule.head_name, current)
         current = _run_once(rule, executor)
-    catalog[rule.head_name] = current
+    _install_round(executor, rule.head_name, current)
     return current
 
 
@@ -75,7 +86,7 @@ def _naive_union(rule, executor, max_rounds):
     catalog = executor.catalog
     current = catalog[rule.head_name].deduplicated()
     for _ in range(max_rounds):
-        catalog[rule.head_name] = current
+        _install_round(executor, rule.head_name, current)
         produced = _run_once(rule, executor)
         merged_data = np.concatenate([current.data, produced.data]) \
             if produced.cardinality else current.data
@@ -107,7 +118,7 @@ def _seminaive(rule, executor, op, max_rounds):
         for _ in range(max_rounds):
             if delta.cardinality == 0:
                 break
-            catalog[rule.head_name] = delta
+            _install_round(executor, rule.head_name, delta)
             produced = _run_once(rule, executor)
             improved_rows = []
             improved_values = []
@@ -131,7 +142,7 @@ def _seminaive(rule, executor, op, max_rounds):
                 "seminaive recursion on %r did not converge in %d rounds"
                 % (rule.head_name, max_rounds))
     finally:
-        catalog[rule.head_name] = saved
+        _install_round(executor, rule.head_name, saved)
     keys = np.asarray(sorted(best), dtype=np.uint32).reshape(-1, base.arity)
     values = np.asarray([best[tuple(int(v) for v in row)] for row in keys],
                         dtype=np.float64)

@@ -81,10 +81,13 @@ class ExecStats:
     #: Trie cache hits/misses during this execution.
     trie_cache_hits: int = 0
     trie_cache_misses: int = 0
-    #: Which executor ran: ``"interpreted"`` or ``"compiled"``.
+    #: Which executor ran: ``"compiled"`` (the default engine) or
+    #: ``"interpreted"`` (the oracle).
     execution_mode: str = "interpreted"
-    #: Compiled-path counters — the plan-cache acceptance tests assert
-    #: that a repeated query performs zero parses/GHD builds/codegen.
+    #: Default-engine counters — the plan-cache acceptance tests assert
+    #: that a repeated query performs zero parses/GHD builds/lowerings.
+    #: ``compiled_bag_calls`` counts bags the default engine evaluated
+    #: itself (not answered by a memo or a whole-bag fast path).
     parses: int = 0
     ghd_builds: int = 0
     codegen_runs: int = 0
@@ -92,10 +95,15 @@ class ExecStats:
     compiled_bag_calls: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    #: Fused block-kernel invocations (one per serial bag call or per
-    #: morsel routed through a :class:`~repro.engine.fused`
-    #: FusedBagKernel); 0 means every bag ran per-tuple.
+    #: Block-kernel invocations (one per serial bag call or per morsel
+    #: routed through a :class:`~repro.engine.fused.FusedBagKernel`) —
+    #: bag invocations, not the bounded slices a kernel cuts a level
+    #: into.
     fused_blocks: int = 0
+    #: Bags the default engine handed to the interpreter because the
+    #: kernel does not cover their *shape* (an input of arity above
+    #: two, a semiring without a block fold).  Size never causes one.
+    fused_fallbacks: int = 0
     #: Payload bytes of trie/dictionary arrays served from the
     #: database's shared-memory arena during this execution (0 when
     #: ``shared_tries`` is off).
@@ -225,9 +233,10 @@ class ExecStats:
                 % (self.plan_cache_hits, self.plan_cache_misses,
                    self.parses, self.ghd_builds, self.codegen_runs,
                    self.bag_codegen_reuses, self.compiled_bag_calls))
-        if self.fused_blocks:
-            lines.append("  fused block kernels: %d invocation(s)"
-                         % self.fused_blocks)
+            lines.append(
+                "  fused block kernels: %d invocation(s), "
+                "%d interpreter fallback(s)"
+                % (self.fused_blocks, self.fused_fallbacks))
         if self.shm_bytes_mapped:
             lines.append("  shared-memory tries: %d byte(s) mapped"
                          % self.shm_bytes_mapped)

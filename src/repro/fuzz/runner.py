@@ -34,7 +34,7 @@ from .oracle import OracleError, evaluate_case
 #: ``adaptive-replan`` config (replan_factor ~ 0) evicts its plan after
 #: every run, so its warm re-run differentially checks that a
 #: mispredict-triggered re-plan never changes results.
-WARM_LABELS = ("interp", "compiled", "adaptive-replan")
+WARM_LABELS = ("interp", "default", "adaptive-replan")
 
 
 @dataclass

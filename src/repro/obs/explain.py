@@ -218,9 +218,11 @@ def render_explain_analyze(plan, stats, tracer, config, result=None,
             lines.append(
                 "compiled pipeline: %d parse(s), %d GHD build(s), "
                 "%d codegen run(s), %d source reuse(s), "
-                "%d generated bag call(s)"
+                "%d generated bag call(s) (%d fused, "
+                "%d interpreter fallback(s))"
                 % (stats.parses, stats.ghd_builds, stats.codegen_runs,
-                   stats.bag_codegen_reuses, stats.compiled_bag_calls))
+                   stats.bag_codegen_reuses, stats.compiled_bag_calls,
+                   stats.fused_blocks, stats.fused_fallbacks))
     if tuning is not None:
         profile = tuning.get("profile")
         lines.append("adaptive: %s"

@@ -306,6 +306,7 @@ class MetricsRegistry:
         self.inc("pipeline.codegen_runs", stats.codegen_runs)
         self.inc("pipeline.bag_codegen_reuses", stats.bag_codegen_reuses)
         self.inc("pipeline.compiled_bag_calls", stats.compiled_bag_calls)
+        self.inc("pipeline.fused_fallbacks", stats.fused_fallbacks)
         if stats.morsels:
             self.inc("parallel.morsels", stats.n_morsels)
             self.inc("parallel.steals", stats.steals)

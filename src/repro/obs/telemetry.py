@@ -64,6 +64,7 @@ QUERY_RECORD_FIELDS = {
     "mispredict_ratio": (False, (int, float)),
     "replans": (False, (int,)),
     "fused_blocks": (False, (int,)),
+    "fused_fallbacks": (False, (int,)),
     "morsels": (False, (int,)),
     "steals": (False, (int,)),
     "workers": (False, (int,)),
@@ -253,6 +254,7 @@ class TelemetryHub:
     ``telemetry.rows``                —
     ``telemetry.plan_cache``          ``tier`` (``hit``/``partial``/…)
     ``telemetry.fused_blocks``        —
+    ``telemetry.fused_fallbacks``     —
     ``telemetry.morsels``/``steals``  —
     ``telemetry.slow_queries``        —
     ``telemetry.replans``             —
@@ -399,6 +401,7 @@ class TelemetryHub:
                             TIME_BUCKETS).observe(queued)
         for field, series in (
                 ("fused_blocks", "telemetry.fused_blocks"),
+                ("fused_fallbacks", "telemetry.fused_fallbacks"),
                 ("morsels", "telemetry.morsels"),
                 ("steals", "telemetry.steals")):
             value = record.get(field)

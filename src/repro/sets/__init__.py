@@ -13,9 +13,9 @@ from .bitpacked import BitPackedSet
 from .blocked import BlockedSet
 from .cost import (GLOBAL_COUNTER, OpCounter, SIMD_REGISTER_BITS,
                    SIMD_UINT16_LANES, SIMD_UINT32_LANES)
-from .intersect import (GALLOPING_THRESHOLD, PAIR_KERNELS, UINT_ALGORITHMS,
+from .intersect import (GALLOPING_THRESHOLD, UINT_ALGORITHMS,
                         choose_uint_algorithm, intersect, intersect_many,
-                        intersect_uint_arrays, specialized_pair_kernel)
+                        intersect_uint_arrays)
 from .optimizer import (LEVELS, OracleCounter, SetOptimizer, build_set,
                         choose_set_layout, layout_histogram,
                         oracle_intersection_cost)
@@ -31,9 +31,9 @@ __all__ = [
     "BLOCK_BITS", "BitSet", "BitPackedSet", "BlockedSet",
     "GLOBAL_COUNTER", "OpCounter", "SIMD_REGISTER_BITS",
     "SIMD_UINT16_LANES", "SIMD_UINT32_LANES",
-    "GALLOPING_THRESHOLD", "PAIR_KERNELS", "UINT_ALGORITHMS",
+    "GALLOPING_THRESHOLD", "UINT_ALGORITHMS",
     "choose_uint_algorithm", "intersect", "intersect_many",
-    "intersect_uint_arrays", "specialized_pair_kernel",
+    "intersect_uint_arrays",
     "LEVELS", "OracleCounter", "SetOptimizer", "build_set",
     "choose_set_layout", "layout_histogram", "oracle_intersection_cost",
     "PShortSet", "UintSet", "VariantSet",

@@ -561,95 +561,3 @@ def intersect_many(sets, counter=None, algorithm=None, adaptive=True,
         if acc.cardinality == 0:
             return _EMPTY_UINT
     return acc
-
-
-# ---------------------------------------------------------------------------
-# compile-time kernel specialization
-# ---------------------------------------------------------------------------
-#
-# The generic :func:`intersect` re-inspects ``x.kind``/``y.kind`` on every
-# call.  When the code generator knows both layouts at compile time (the
-# trie build already decided them), it asks for a *pair kernel* here and
-# emits a direct call, removing the dispatch chain from the inner loop —
-# the "baking the kernel choice into the compiled plan" idea of the GPU
-# Datalog follow-up work.  Every pair kernel has the same contract as
-# :func:`intersect`: ``kernel(x, y, config) -> SetLayout`` with results
-# identical to the generic dispatcher under that config.
-
-
-def _pair_uint_uint(x, y, config):
-    return UintSet.from_sorted(intersect_uint_arrays(
-        x.values, y.values, config.counter,
-        algorithm=config.uint_algorithm,
-        adaptive=config.adaptive_algorithms, simd=config.simd,
-        crossover=_config_crossover(config)))
-
-
-def _pair_bitset_bitset(x, y, config):
-    if config.simd:
-        return intersect_bitsets(x, y, config.counter, simd=True)
-    return UintSet.from_sorted(
-        intersect_bitsets(x, y, config.counter, simd=False).to_array())
-
-
-def _pair_uint_bitset(x, y, config):
-    return UintSet.from_sorted(
-        intersect_uint_bitset(x, y, config.counter, simd=config.simd))
-
-
-def _pair_bitset_uint(x, y, config):
-    return _pair_uint_bitset(y, x, config)
-
-
-def _pair_pshort_pshort(x, y, config):
-    return UintSet.from_sorted(intersect_pshorts(x, y, config.counter))
-
-
-def _pair_block_block(x, y, config):
-    return UintSet.from_sorted(
-        intersect_blocked(x, y, config.counter, simd=config.simd))
-
-
-def _pair_mixed_uint(x, y, config):
-    """Fallback pair kernel for mixed pairs (pshort/block against others):
-    the same sparse-representation uint path the dispatcher takes."""
-    ax = x.to_array() if x.kind != "uint" else x.values
-    ay = y.to_array() if y.kind != "uint" else y.values
-    return UintSet.from_sorted(intersect_uint_arrays(
-        ax, ay, config.counter, algorithm=config.uint_algorithm,
-        adaptive=config.adaptive_algorithms, simd=config.simd,
-        crossover=_config_crossover(config)))
-
-
-#: ``(kind_a, kind_b) -> pair kernel``.  Compressed layouts (variant /
-#: bitpacked) are deliberately absent: they decode per call, so the
-#: generic dispatcher's decode-and-recurse path stays in charge.
-PAIR_KERNELS = {
-    ("uint", "uint"): _pair_uint_uint,
-    ("bitset", "bitset"): _pair_bitset_bitset,
-    ("uint", "bitset"): _pair_uint_bitset,
-    ("bitset", "uint"): _pair_bitset_uint,
-    ("pshort", "pshort"): _pair_pshort_pshort,
-    ("block", "block"): _pair_block_block,
-    ("uint", "pshort"): _pair_mixed_uint,
-    ("pshort", "uint"): _pair_mixed_uint,
-    ("uint", "block"): _pair_mixed_uint,
-    ("block", "uint"): _pair_mixed_uint,
-    ("pshort", "block"): _pair_mixed_uint,
-    ("block", "pshort"): _pair_mixed_uint,
-    ("pshort", "bitset"): _pair_mixed_uint,
-    ("bitset", "pshort"): _pair_mixed_uint,
-    ("block", "bitset"): _pair_mixed_uint,
-    ("bitset", "block"): _pair_mixed_uint,
-}
-
-
-def specialized_pair_kernel(kind_a, kind_b):
-    """Direct kernel for a layout pair known at compile time, or ``None``.
-
-    Returns a ``kernel(x, y, config) -> SetLayout`` whose result equals
-    ``intersect(x, y, config.counter, ...)`` for inputs of exactly these
-    kinds; ``None`` means the caller must keep the generic dispatcher
-    (unknown or compressed layouts).
-    """
-    return PAIR_KERNELS.get((kind_a, kind_b))

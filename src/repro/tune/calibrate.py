@@ -15,8 +15,9 @@ one field of the :class:`~repro.tune.profile.TuningProfile`:
   which bitset blocks beat sorted-uint arrays.
 * ``parallel_threshold`` — candidate count where forking workers
   amortizes; derived from fork overhead vs per-candidate serial cost.
-* ``fused_block_rows`` — expansion budget sized so one fused block
-  stays within a fixed latency envelope.
+* ``fused_block_rows`` — candidate rows per kernel block: the smallest
+  block whose per-row cost is within 10% of the best measured (past
+  the cache-resident size bigger blocks only cost memory).
 * ``fused_probe_crossover`` — skew ratio where the fused kernel's
   tile+probe sweep beats CSR ``np.repeat`` expansion.
 
@@ -39,8 +40,10 @@ from .profile import TuningProfile, machine_fingerprint
 _REPS = 5
 _QUICK_REPS = 3
 
-#: Latency envelope one fused block expansion should fit in (seconds).
-_FUSED_BLOCK_BUDGET_S = 0.1
+#: Block sizes the kernel-block fit compares, and how close to the best
+#: per-row cost a smaller block must come to be preferred.
+_FUSED_BLOCK_SIZES = (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20)
+_FUSED_BLOCK_TOLERANCE = 1.1
 
 
 def _sorted_unique(rng, size, span):
@@ -142,38 +145,42 @@ def _fit_parallel_threshold(timer, reps):
 
 
 def _fit_fused_block_rows(timer, reps):
-    """Rows of one representative fused block that fit the latency
-    envelope.
+    """Smallest kernel block size that runs at (nearly) the best
+    per-row cost.
 
     The timed block mirrors what :class:`repro.engine.fused` actually
-    does per level — CSR ``np.repeat`` expansion, a value gather, a
-    packed ``uint64`` probe, and the keep-mask compression — at a row
-    count large enough to spill cache, so the fitted throughput prices
-    memory bandwidth, not just ``np.repeat``."""
-    rows = 1 << 21
+    does per block — CSR ``np.repeat`` expansion, a value gather, a
+    packed ``uint64`` probe, and the keep-mask compression.  Small
+    blocks pay numpy's per-call overhead, large ones spill the cache;
+    among sizes within :data:`_FUSED_BLOCK_TOLERANCE` of the cheapest
+    the smallest wins, because transient memory grows with the block."""
     fanout = 8
-    parents = np.arange(rows // fanout, dtype=np.int64)
-    counts = np.full(parents.size, fanout, dtype=np.int64)
     values = np.arange(1 << 16, dtype=np.uint32)
-    src = np.arange(rows) % values.size
     packed = np.arange(1 << 16, dtype=np.uint64) << np.uint64(32)
+    per_row = {}
+    for rows in _FUSED_BLOCK_SIZES:
+        parents = np.arange(rows // fanout, dtype=np.int64)
+        counts = np.full(parents.size, fanout, dtype=np.int64)
+        src = np.arange(rows) % values.size
 
-    def block():
-        parent = np.repeat(parents, counts)
-        vals = values[src]
-        pk = (parent.astype(np.uint64) << np.uint64(32)) \
-            | vals.astype(np.uint64)
-        idx = np.searchsorted(packed, pk)
-        clamped = np.minimum(idx, packed.size - 1)
-        keep = packed[clamped] == pk
-        parent[keep]
-        vals[keep]
+        def block():
+            parent = np.repeat(parents, counts)
+            vals = values[src]
+            pk = (parent.astype(np.uint64) << np.uint64(32)) \
+                | vals.astype(np.uint64)
+            idx = np.searchsorted(packed, pk)
+            clamped = np.minimum(idx, packed.size - 1)
+            keep = packed[clamped] == pk
+            parent[keep]
+            vals[keep]
 
-    elapsed = _best_of(timer, reps, block)
-    if elapsed <= 0:
-        return None
-    rows_per_second = rows / elapsed
-    return int(rows_per_second * _FUSED_BLOCK_BUDGET_S)
+        elapsed = _best_of(timer, reps, block)
+        if elapsed <= 0:
+            return None
+        per_row[rows] = elapsed / rows
+    best = min(per_row.values())
+    return min(rows for rows, cost in per_row.items()
+               if cost <= _FUSED_BLOCK_TOLERANCE * best)
 
 
 def _fit_fused_probe_crossover(rng, timer, reps):

@@ -14,7 +14,7 @@ A profile is a plain JSON file::
       "galloping_crossover": 8.0,
       "density_threshold": 256.0,
       "parallel_threshold": 128,
-      "fused_block_rows": 8388608,
+      "fused_block_rows": 16384,
       "fused_probe_crossover": 16.0
     }
 
@@ -34,18 +34,18 @@ from dataclasses import dataclass, field
 #: Profiles with any other version are ignored (clean fallback).
 PROFILE_VERSION = 1
 
-#: Defaults mirroring the engine's hard-coded constants.  Kept in sync
-#: by tests against ``repro.sets.cost`` / ``repro.engine.fused`` — this
-#: module cannot import them (layering).
+#: Defaults mirroring the engine's hard-coded constants — this module
+#: cannot import them (layering).  ``DEFAULT_FUSED_BLOCK_ROWS`` is the
+#: definition: ``repro.engine.fused.BLOCK_ROWS`` imports it.
 DEFAULT_GALLOPING_CROSSOVER = 32.0
 DEFAULT_DENSITY_THRESHOLD = 256.0      # sets.cost.SIMD_REGISTER_BITS
 DEFAULT_PARALLEL_THRESHOLD = 64        # engine.config default
-DEFAULT_FUSED_BLOCK_ROWS = 1 << 23    # engine.fused.MAX_BLOCK_ROWS
-DEFAULT_FUSED_PROBE_CROSSOVER = None   # None = sweep disabled (default path)
+DEFAULT_FUSED_BLOCK_ROWS = 1 << 14    # see engine.fused.BLOCK_ROWS
+DEFAULT_FUSED_PROBE_CROSSOVER = None   # None = engine.fused.PROBE_CROSSOVER
 
 #: Sanity clamps applied on load: a corrupt or adversarial profile can
 #: shift constants, never break correctness, but absurd values would
-#: still hurt (e.g. fused_block_rows=1 would fall back on every block).
+#: still hurt (e.g. fused_block_rows=1 would run one numpy call per row).
 _BOUNDS = {
     "galloping_crossover": (1.0, 4096.0),
     "density_threshold": (1.0, 1 << 20),
@@ -78,9 +78,9 @@ class TuningProfile:
     execution.
 
     ``None`` for any field means "use the engine default" — the config
-    accessors skip it.  ``fused_probe_crossover`` defaults to ``None``
-    because the skew-aware fused sweep is opt-in even under adaptive
-    execution until a calibration has priced it.
+    accessors skip it.  ``fused_probe_crossover`` defaults to ``None``:
+    until a calibration has priced the skew sweep on this machine the
+    kernel's built-in crossover applies.
     """
 
     galloping_crossover: float = DEFAULT_GALLOPING_CROSSOVER

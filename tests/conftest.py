@@ -22,6 +22,34 @@ def random_undirected_edges(n_nodes, n_edges, seed=0):
     return sorted(edges)
 
 
+def bag_inputs(db, atoms):
+    """``(specs, tries, inputs)`` for one bag over stored binary
+    relations: the kernel's ``InputSpec``s, the ``(0, 1)``-ordered
+    tries, and the interpreter's ``BagInput``s, from ``(relation name,
+    variables, annotated)`` triples."""
+    from repro.engine.codegen import InputSpec
+    from repro.engine.generic_join import BagInput
+    specs, tries, inputs = [], [], []
+    for name, variables, annotated in atoms:
+        trie = db._trie_cache.get(db.catalog[name], (0, 1),
+                                  db.config.layout_level)
+        specs.append(InputSpec(name, variables, annotated=annotated))
+        tries.append(trie)
+        inputs.append(BagInput(trie, variables, annotated=annotated,
+                               name=name))
+    return specs, tries, inputs
+
+
+def clique_atoms(order, reverse=False):
+    """One unannotated ``Edge(a,b)`` atom per pair ``a < b`` of the
+    attribute order — the clique pattern on a pruned graph, where every
+    atom reads the same ``(src, dst)`` trie."""
+    pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]]
+    if reverse:
+        pairs.reverse()
+    return [("Edge", pair, False) for pair in pairs]
+
+
 def brute_force_triangles(edges):
     """Reference triangle count over undirected edges."""
     adjacency = {}

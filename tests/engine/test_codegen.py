@@ -1,90 +1,100 @@
-"""Unit tests for the code-generation phase (paper §3.3)."""
+"""Unit tests for bag lowering (paper §3.3): plan -> block kernel."""
 
+import numpy as np
 import pytest
 
 from repro import Database
-from repro.engine.codegen import compile_count_rule, generate_count_plan
+from repro.engine.codegen import InputSpec, generate_bag_plan
+from repro.engine.fused import FusedBagKernel
+from repro.engine.semiring import COUNT, Semiring
 from repro.errors import PlanError
-from repro.query import parse_rule
-from tests.conftest import random_undirected_edges
+from tests.conftest import (bag_inputs, clique_atoms,
+                            random_undirected_edges)
+
+TRIANGLE = "T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); w=<<COUNT(*)>>."
+FOUR_CLIQUE = ("K(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,u),"
+               "Edge(y,u),Edge(z,u); w=<<COUNT(*)>>.")
 
 
-def triangle_rule():
-    return parse_rule("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
-                      "w=<<COUNT(*)>>.")
+def pruned_db(edges, **overrides):
+    db = Database(**overrides)
+    db.load_graph("Edge", edges, prune=True)
+    return db
 
 
-class TestGeneratedSource:
-    def test_source_mirrors_example_3_2(self):
-        """Generated code must show the paper's loop nest: intersect at
-        each level, count at the leaf."""
-        db = Database()
-        db.load_graph("Edge", random_undirected_edges(20, 60, 1),
-                      prune=True)
-        generated, _ = compile_count_rule(triangle_rule(), db)
-        source = generated.source
-        assert source.count("for v") == 2          # x and y loops
-        for level in range(3):                     # one candidate set per level
-            assert "s%d = " % level in source
-        assert "s2.cardinality" in source          # leaf counts, no z loop
-        assert "for v2" not in source
-        assert "bind 'x'" in source and "bind 'y'" in source
-        assert "restrict" in source                # the parallel morsel hook
+def clique_kernel(db, order):
+    """Kernel + tries for the clique count over ``order``."""
+    specs, tries, _ = bag_inputs(db, clique_atoms(order))
+    return generate_bag_plan(order, 0, specs, COUNT), tries
 
-    def test_generated_matches_interpreter(self):
+
+class TestLoweredKernel:
+    def test_levels_mirror_example_3_2(self):
+        """The kernel's levels follow the paper's loop nest for the
+        triangle: x from R.x ∩ T.x, y from R[x].y ∩ S.y, z from
+        S[y].z ∩ T[x].z — roots probe keys, children expand/probe."""
+        db = pruned_db(random_undirected_edges(20, 60, 1))
+        kernel, _ = clique_kernel(db, ("x", "y", "z"))
+        assert isinstance(kernel, FusedBagKernel)
+        # specs in pair order: R=(x,y), T=(x,z), S=(y,z)
+        shape = [[(part.index, part.pos) for part in level]
+                 for level in kernel.levels]
+        assert shape == [[(0, 0), (1, 0)],      # x: R.x ∩ T.x
+                         [(0, 1), (2, 0)],      # y: R[x].y ∩ S.y
+                         [(1, 1), (2, 1)]]      # z: T[x].z ∩ S[y].z
+        assert kernel.int_fold                  # leaf counts, no z rows
+
+    def test_kernel_matches_interpreter(self):
         for seed in range(3):
             edges = random_undirected_edges(30, 120, seed)
-            db = Database()
-            db.load_graph("Edge", edges, prune=True)
-            generated, tries = compile_count_rule(triangle_rule(), db)
-            expected = db.query(
-                "T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
-                "w=<<COUNT(*)>>.").scalar
-            assert generated(tries, db.config) == expected
+            db = pruned_db(edges, execution_mode="interpreted")
+            kernel, tries = clique_kernel(db, ("x", "y", "z"))
+            expected = db.query(TRIANGLE).scalar
+            assert kernel(tries, db.config).scalar == expected
 
-    def test_four_clique_generated(self):
-        edges = random_undirected_edges(25, 140, 9)
-        db = Database()
-        db.load_graph("Edge", edges, prune=True)
-        rule = parse_rule(
-            "K(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,u),"
-            "Edge(y,u),Edge(z,u); w=<<COUNT(*)>>.")
-        generated, tries = compile_count_rule(rule, db)
-        expected = db.query(
-            "K(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,u),"
-            "Edge(y,u),Edge(z,u); w=<<COUNT(*)>>.").scalar
-        assert generated(tries, db.config) == expected
+    def test_four_clique_kernel(self):
+        db = pruned_db(random_undirected_edges(25, 140, 9),
+                       execution_mode="interpreted")
+        kernel, tries = clique_kernel(db, ("x", "y", "z", "u"))
+        expected = db.query(FOUR_CLIQUE).scalar
+        assert kernel(tries, db.config).scalar == expected
 
     def test_charges_same_counter(self):
-        db = Database()
-        db.load_graph("Edge", random_undirected_edges(20, 60, 2),
-                      prune=True)
-        generated, tries = compile_count_rule(triangle_rule(), db)
+        db = pruned_db(random_undirected_edges(20, 60, 2))
+        kernel, tries = clique_kernel(db, ("x", "y", "z"))
         before = db.counter.total_ops
-        generated(tries, db.config)
+        kernel(tries, db.config)
         assert db.counter.total_ops > before
+
+    def test_restrict_partitions_the_outermost_level(self):
+        """``restrict`` (the parallel morsel hook) splits level 0: the
+        parts' counts add up to the whole."""
+        from repro.sets import UintSet
+        db = pruned_db(random_undirected_edges(30, 120, 4))
+        kernel, tries = clique_kernel(db, ("x", "y", "z"))
+        keys = tries[0].flat().keys
+        halves = [UintSet.from_sorted(keys[:keys.size // 2]),
+                  UintSet.from_sorted(keys[keys.size // 2:])]
+        whole = kernel(tries, db.config).scalar
+        assert sum(kernel(tries, db.config, restrict=half).scalar
+                   for half in halves) == whole
 
 
 class TestScope:
-    def test_materialize_rule_rejected(self):
-        db = Database()
-        db.load_graph("Edge", [(0, 1)], prune=True)
-        with pytest.raises(PlanError):
-            compile_count_rule(
-                parse_rule("T(x,y) :- Edge(x,y)."), db)
+    def test_arity_three_input_has_no_kernel(self):
+        specs = [InputSpec("R", ("x", "y", "z"))]
+        assert generate_bag_plan(("x", "y", "z"), 0, specs, COUNT) is None
 
-    def test_keyed_aggregate_rejected(self):
-        db = Database()
-        db.load_graph("Edge", [(0, 1)], prune=True)
-        with pytest.raises(PlanError):
-            compile_count_rule(
-                parse_rule("T(x;w:int) :- Edge(x,y); w=<<COUNT(*)>>."),
-                db)
+    def test_unknown_semiring_has_no_kernel(self):
+        product = Semiring("PRODUCT", 1.0, lambda a, b: a * b, np.prod)
+        specs = [InputSpec("E", ("x", "y"))]
+        assert generate_bag_plan(("x", "y"), 0, specs, product) is None
 
     def test_zero_levels_rejected(self):
         with pytest.raises(PlanError):
-            generate_count_plan((), [])
+            generate_bag_plan((), 0, [], COUNT)
 
     def test_uncovered_attribute_rejected(self):
         with pytest.raises(PlanError):
-            generate_count_plan(("x", "q"), [("E", ("x",))])
+            generate_bag_plan(("x", "q"), 0, [InputSpec("E", ("x",))],
+                              COUNT)

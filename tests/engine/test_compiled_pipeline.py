@@ -1,27 +1,25 @@
-"""Compiled pipeline: codegen-vs-interpreter parity and plan caching.
+"""Default engine: kernel-vs-interpreter parity and plan caching.
 
-The compiled execution path must be *bit-identical* to the interpreting
-:class:`~repro.engine.generic_join.BagEvaluator` — same tuples, same
-annotation arrays, same scalars — across set layouts, semirings, head
-modes, and worker counts.  On top of parity, the plan cache must make a
-repeated query skip parse, GHD search, and code generation entirely,
-which the ``ExecStats`` counters prove.
+The default (compiled) execution path must be *bit-identical* to the
+interpreting :class:`~repro.engine.generic_join.BagEvaluator` — same
+tuples, same annotation arrays, same scalars — across set layouts,
+semirings, head modes, and worker counts.  On top of parity, the plan
+cache must make a repeated query skip parse, GHD search, and bag
+lowering entirely, which the ``ExecStats`` counters prove.
 """
 
 import numpy as np
 import pytest
 
 from repro import Database
-from repro.engine.codegen import (InputSpec, compile_count_rule,
-                                  generate_bag_plan, trie_level_kind)
+from repro.engine.codegen import InputSpec, generate_bag_plan
+from repro.engine.generic_join import evaluate_bag
 from repro.engine.plan_cache import PlanCache, config_signature
-from repro.engine.semiring import COUNT, SUM
+from repro.engine.semiring import COUNT, EXISTS, SUM
 from repro.errors import ExecutionError
 from repro.query import parse_rule
-from repro.sets import BitSet, BlockedSet, PShortSet, UintSet
-from repro.sets.intersect import PAIR_KERNELS, intersect, \
-    specialized_pair_kernel
-from tests.conftest import brute_force_triangles, random_undirected_edges
+from tests.conftest import (bag_inputs, brute_force_triangles,
+                            random_undirected_edges)
 
 EDGES = random_undirected_edges(30, 110, seed=7)
 WEIGHTED = [(u, v) for u, v in random_undirected_edges(25, 80, seed=3)]
@@ -183,64 +181,103 @@ class TestPlanCache:
         assert result.scalar == 6.0 * brute_force_triangles(EDGES)
 
 
-class TestGeneratedCode:
+class TestLoweredBags:
+    """Kernels built straight from specs agree with the interpreter's
+    ``evaluate_bag`` on the same tries, in value *and* in type."""
+
+    @staticmethod
+    def both(db, order, out_count, atoms, semiring):
+        """(kernel result, interpreter result) for one bag whose inputs
+        are ``(relation name, variables, annotated)`` triples."""
+        specs, tries, inputs = bag_inputs(db, atoms)
+        kernel = generate_bag_plan(order, out_count, specs, semiring)
+        return (kernel(tries, db.config),
+                evaluate_bag(order, out_count, inputs, semiring,
+                             db.config))
+
     def test_unannotated_count_accumulates_in_int(self):
         db = make_db("interpreted")
-        rule = parse_rule(QUERIES[0])
-        generated, tries = compile_count_rule(rule, db)
-        value = generated(tries, db.config)
-        assert isinstance(value, int) and not isinstance(value, bool)
-        # The old float accumulator bug: no float literals belong in an
-        # unannotated COUNT loop nest.
-        assert "0.0" not in generated.source
+        got, expected = self.both(
+            db, ("x", "y", "z"), 0,
+            [("Edge", ("x", "y"), False), ("Edge", ("y", "z"), False),
+             ("Edge", ("x", "z"), False)], COUNT)
+        assert isinstance(got.scalar, int) \
+            and not isinstance(got.scalar, bool)
+        assert got.scalar == expected.scalar
 
-    def test_materializing_source_shape(self):
-        specs = [InputSpec("E", ("x", "y")), InputSpec("F", ("y", "z"))]
-        generated = generate_bag_plan(("x", "y", "z"), 2, specs, COUNT)
-        assert "chunks.append" in generated.source
-        assert "_assemble" in generated.source
+    def test_materializing_bag_emits_the_output_prefix(self):
+        db = make_db("interpreted")
+        got, expected = self.both(
+            db, ("x", "y", "z"), 2,
+            [("Edge", ("x", "y"), False), ("Edge", ("y", "z"), False)],
+            EXISTS)
+        assert got.out_attrs == ("x", "y")
+        assert np.array_equal(got.data, expected.data)
 
-    def test_annotated_sum_uses_float_zero(self):
-        specs = [InputSpec("W", ("x", "y"), annotated=True)]
-        generated = generate_bag_plan(("x", "y"), 0, specs, SUM)
-        assert "annotation" in generated.source
+    def test_annotated_sum_folds_in_float(self):
+        db = make_db("interpreted")
+        got, expected = self.both(
+            db, ("x", "y"), 0, [("W", ("x", "y"), True)], SUM)
+        assert isinstance(got.scalar, float)
+        assert got.scalar == expected.scalar == sum(WEIGHTS)
 
-    def test_specialized_kernels_match_generic(self):
-        config = Database().config
-        rng = np.random.RandomState(5)
-        arrays = [
-            np.unique(rng.randint(0, 120, size=60)).astype(np.uint32),
-            np.unique(rng.randint(0, 5000, size=40)).astype(np.uint32),
-            np.arange(200, 460, 2, dtype=np.uint32),
-        ]
-        kinds_seen = set()
-        for a in arrays:
-            for b in arrays:
-                for make_x in (UintSet, BitSet, PShortSet, BlockedSet):
-                    for make_y in (UintSet, BitSet, PShortSet,
-                                   BlockedSet):
-                        x, y = make_x(a), make_y(b)
-                        kernel = specialized_pair_kernel(x.kind, y.kind)
-                        if kernel is None:
-                            continue
-                        kinds_seen.add((x.kind, y.kind))
-                        expected = intersect(x, y, config.counter,
-                                             simd=config.simd)
-                        got = kernel(x, y, config)
-                        assert np.array_equal(got.to_array(),
-                                              expected.to_array())
-        assert len(kinds_seen) == len(PAIR_KERNELS)
+    def test_keyed_annotated_sum_matches_row_for_row(self):
+        db = make_db("interpreted")
+        got, expected = self.both(
+            db, ("x", "y", "z"), 1,
+            [("W", ("x", "y"), True), ("Edge", ("y", "z"), False)], SUM)
+        assert np.array_equal(got.data, expected.data)
+        assert np.array_equal(got.annotations, expected.annotations)
 
-    def test_kernel_table_covers_pshort(self):
-        assert ("pshort", "pshort") in PAIR_KERNELS
-        assert specialized_pair_kernel("variant", "uint") is None
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_kernels_read_flat_arrays_whatever_the_layout(self, layout):
+        """Set layouts are an interpreter concern: the kernel sweeps
+        ``Trie.flat()`` and answers identically under every level."""
+        db = make_db("interpreted", layout)
+        got, expected = self.both(
+            db, ("x", "y", "z"), 0,
+            [("Edge", ("x", "y"), False), ("Edge", ("y", "z"), False),
+             ("Edge", ("x", "z"), False)], COUNT)
+        assert got.scalar == expected.scalar
 
-    def test_trie_level_kind_homogeneous_layouts(self):
-        db = Database(layout_level="uint_only")
-        db.load_graph("Edge", EDGES)
-        trie = db._trie_cache.get(db.catalog["Edge"], (0, 1),
-                                  "uint_only")
-        assert trie_level_kind(trie, 0, "uint_only") == "uint"
-        assert trie_level_kind(trie, 1, "uint_only") == "uint"
-        assert trie_level_kind(trie, 0, "bitset_only") == "bitset"
-        assert trie_level_kind(trie, 0, "block") == "block"
+    def test_unfusable_bag_falls_back_and_is_counted(self):
+        """An arity-3 input has no flat view: the default engine hands
+        the bag to the interpreter and says so."""
+        rows = [(a, b, (a + b) % 5) for a in range(6) for b in range(6)]
+        query = "Q(a;c:long) :- R3(a,b,c2),Edge(a,b); c=<<COUNT(*)>>."
+        results = {}
+        for mode in ("compiled", "interpreted"):
+            db = make_db(mode)
+            db.add_relation("R3", rows)
+            results[mode] = db.query(query)
+            if mode == "compiled":
+                stats = db.last_stats
+                assert stats.fused_fallbacks >= 1
+                assert stats.fused_fallbacks \
+                    == stats.compiled_bag_calls - stats.fused_blocks
+                assert "interpreter fallback" in stats.describe()
+        assert_identical(results["compiled"], results["interpreted"],
+                         query)
+
+    def test_unfusable_bag_skips_the_bag_code_tier(self):
+        """No kernel means nothing to lower or cache: an unfusable bag
+        is neither a codegen run nor a cached ``None``."""
+        db = make_db("compiled")
+        db.add_relation("R3", [(a, b, a ^ b) for a in range(6)
+                               for b in range(6)])
+        db.query("Q(;c:long) :- R3(a,b,c2); c=<<COUNT(*)>>.")
+        stats = db.last_stats
+        assert stats.fused_fallbacks == 1
+        assert stats.codegen_runs == stats.bag_codegen_reuses == 0
+        assert db._plan_cache.sizes()["bag_code"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_fast_path_answer_is_not_a_fallback(self, workers):
+        """An unfusable bag that a whole-bag fast path answers never
+        reached the interpreter: not counted, serial or parallel."""
+        db = make_db("compiled", workers=workers)
+        db.add_relation("R3", [(a, b, a ^ b) for a in range(6)
+                               for b in range(6)])
+        db.query("Q(a,b,c) :- R3(a,b,c).")
+        stats = db.last_stats
+        assert stats.compiled_bag_calls == stats.fused_fallbacks == 0

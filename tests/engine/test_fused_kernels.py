@@ -1,21 +1,33 @@
-"""Fused block kernels vs the per-tuple oracles, across set layouts.
+"""Block kernels vs the interpreter oracle.
 
-The fused executor (:mod:`repro.engine.fused`) replaces the generated
-per-tuple loop nest with vectorized ``searchsorted`` sweeps over flat
-trie arrays.  Its contract is bit-exactness against the per-tuple
-compiled path (same value *types*, e.g. exact ``int`` COUNT folds) and
-value-level agreement with the interpreter — on every set layout the
-optimizer can choose, since the kernel reads ``Trie.sorted_data``
-directly and must stay independent of the per-node layout decisions.
+The default engine (:mod:`repro.engine.fused`) evaluates bags as
+vectorized ``searchsorted`` sweeps over flat trie arrays.  Its contract
+is value-and-type agreement with the interpreter on every set layout
+the optimizer can choose (the kernel reads ``Trie.sorted_data``
+directly and must stay independent of per-node layout decisions), and
+four properties that make it safe as the default: it generates each
+level from the cheapest participant *for the actual frontier*, it cuts
+every level into bounded blocks without changing a bit of the result,
+its transient memory follows the block size and not the data, and it
+takes the skew sweep without anyone installing a tuning profile.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import Database
-from repro.engine.codegen import generate_bag_plan
+from repro.engine.codegen import InputSpec, generate_bag_plan
+from repro.engine import fused
 from repro.engine.fused import FUSED_SEMIRINGS, fusable
-from repro.graphs import chung_lu_graph, uniform_graph
+from repro.engine.generic_join import BagEvaluator, evaluate_bag
+from repro.engine.semiring import COUNT, semiring_for
+from repro.graphs import (BARBELL_COUNT, FOUR_CLIQUE_COUNT, chung_lu_graph,
+                          uniform_graph)
+from repro.sets import UintSet
+from repro.tune.profile import TuningProfile
+from tests.conftest import bag_inputs, clique_atoms
 
 TRIANGLES = ("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
              "w=<<COUNT(*)>>.")
@@ -31,15 +43,29 @@ POWER_LAW = [tuple(e) for e in chung_lu_graph(220, 1600, exponent=1.7,
                                               seed=9)]
 UNIFORM = [tuple(e) for e in uniform_graph(100, 420, seed=21)]
 
+UNBOUNDED = 1 << 62
+
 
 def make_pair(layout, edges):
-    """(interpreted, fused) databases over the same graph and layout."""
+    """(interpreted, default) databases over the same graph and layout."""
     interp = Database(execution_mode="interpreted", layout_level=layout)
-    fused = Database(execution_mode="compiled", fused_kernels=True,
-                     layout_level=layout)
-    for db in (interp, fused):
+    default = kernel_db(layout_level=layout)
+    for db in (interp, default):
         db.load_graph("Edge", edges, prune=True)
-    return interp, fused
+    return interp, default
+
+
+def kernel_db(**overrides):
+    """A database on the default engine, whatever
+    ``REPRO_EXECUTION_MODE`` says (CI runs the suite under the
+    interpreted oracle too)."""
+    return Database(execution_mode="compiled", **overrides)
+
+
+def blocked(config, rows):
+    """``config`` with the kernel block size pinned to ``rows``."""
+    return config.ablated(adaptive=True,
+                          tuning=TuningProfile(fused_block_rows=rows))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -47,37 +73,33 @@ def make_pair(layout, edges):
                          ids=["powerlaw", "uniform"])
 class TestLayoutParity:
     def test_scalar_counts(self, layout, edges):
-        interp, fused = make_pair(layout, edges)
+        interp, default = make_pair(layout, edges)
         for query in (TRIANGLES, FOUR_CLIQUE):
             expected = interp.query(query).scalar
-            got = fused.query(query).scalar
+            got = default.query(query).scalar
             assert got == expected, (layout, query)
-        assert fused.last_stats.fused_blocks >= 1
+        stats = default.last_stats
+        assert stats.fused_blocks >= 1 and stats.fused_fallbacks == 0
 
     def test_materialized_rows_identical(self, layout, edges):
-        interp, fused = make_pair(layout, edges)
+        interp, default = make_pair(layout, edges)
         expected = interp.query(TRIANGLE_LIST)
-        got = fused.query(TRIANGLE_LIST)
+        got = default.query(TRIANGLE_LIST)
         assert np.array_equal(got.relation.data, expected.relation.data)
 
     def test_grouped_aggregate(self, layout, edges):
-        interp, fused = make_pair(layout, edges)
+        interp, default = make_pair(layout, edges)
         expected = interp.query(PER_VERTEX)
-        got = fused.query(PER_VERTEX)
+        got = default.query(PER_VERTEX)
         assert np.array_equal(got.relation.data, expected.relation.data)
         assert np.allclose(got.annotations, expected.annotations)
 
 
-class TestFusedTyping:
-    def test_count_fold_is_exact_int(self):
-        """Unannotated COUNT folds as an int accumulator — the fused
-        path matches the per-tuple compiled oracle's value type."""
-        compiled = Database(execution_mode="compiled")
-        fused = Database(execution_mode="compiled", fused_kernels=True)
-        for db in (compiled, fused):
-            db.load_graph("Edge", UNIFORM, prune=True)
-        a = compiled.query(TRIANGLES).scalar
-        b = fused.query(TRIANGLES).scalar
+class TestTyping:
+    def test_count_scalar_matches_the_oracle_in_value_and_type(self):
+        interp, default = make_pair("set", UNIFORM)
+        a = interp.query(TRIANGLES).scalar
+        b = default.query(TRIANGLES).scalar
         assert b == a
         assert type(b) is type(a)
 
@@ -87,33 +109,213 @@ class TestFusability:
         assert FUSED_SEMIRINGS == ("SUM", "COUNT", "MIN", "MAX",
                                    "EXISTS")
 
-    def test_unfusable_spec_returns_per_tuple_plan(self):
-        """Arity-3 inputs have no flat trie view; the fused entry point
-        must hand back the untouched per-tuple plan."""
-        from repro.engine.semiring import COUNT as semiring
-        fused_plan = generate_bag_plan(
-            ("x", "y", "z"), 0,
-            [_spec(("x", "y", "z"))], semiring, fused=True)
-        assert not fused_plan.fused
-        assert not fusable(("x", "y", "z"), 0,
-                           [_spec(("x", "y", "z"))], semiring)
+    def test_unfusable_spec_has_no_kernel(self):
+        """Arity-3 inputs have no flat trie view: no kernel, the
+        executor interprets the bag."""
+        specs = [InputSpec("R", ("x", "y", "z"))]
+        assert not fusable(("x", "y", "z"), 0, specs, COUNT)
+        assert generate_bag_plan(("x", "y", "z"), 0, specs, COUNT) is None
 
 
-def _spec(variables):
-    """Minimal stand-in matching the InputSpec surface ``fusable`` and
-    ``generate_bag_plan`` read (name/variables/annotated)."""
-    from repro.engine.codegen import InputSpec
-    return InputSpec("R", tuple(variables))
+# -- (a) generator choice -----------------------------------------------------
+
+
+def hub_and_spokes(spokes=60, chords=25, seed=3):
+    """One hub adjacent to every spoke, plus a few spoke-spoke chords
+    (so triangles and 4-cliques through the hub exist)."""
+    rng = np.random.RandomState(seed)
+    edges = {(0, s) for s in range(1, spokes + 1)}
+    while len(edges) < spokes + chords:
+        a, b = rng.randint(1, spokes + 1, size=2)
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return sorted(edges)
+
+
+def clique_bound(adjacency, k):
+    """Candidates a k-clique bag must generate when every level expands
+    through the child participant with the smallest summed fan-out over
+    the actual frontier — computed set-at-a-time, independently of the
+    kernel — and the same sum for the *largest* fan-out."""
+    keys = sorted(adjacency)
+    best = worst = len(keys)               # level 0: the root keys
+    frontier = [(x,) for x in keys]
+    for level in range(1, k):
+        fanouts = [sum(len(adjacency.get(row[j], ())) for row in frontier)
+                   for j in range(level)]
+        best += min(fanouts)
+        worst += max(fanouts)
+        grown = []
+        for row in frontier:
+            common = set.intersection(
+                *(set(adjacency.get(v, ())) for v in row))
+            for value in sorted(common):
+                if level == k - 1 or value in adjacency:
+                    grown.append(row + (value,))
+        frontier = grown
+    return best, worst
+
+
+class TestGeneratorChoice:
+    """Every atom is the same ``Edge`` relation, so relation size ties
+    and only the frontier's actual fan-out separates the hub's side
+    from the spokes'."""
+
+    @pytest.mark.parametrize("k", [3, 4], ids=["triangle", "4-clique"])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["atoms-forward", "atoms-reversed"])
+    def test_charges_no_more_than_the_min_fanout_side(self, k, reverse):
+        db = Database()
+        db.load_graph("Edge", hub_and_spokes(), prune=True)
+        order = ("x", "y", "z", "u")[:k]
+        specs, tries, _ = bag_inputs(db, clique_atoms(order, reverse))
+        kernel = generate_bag_plan(order, 0, specs, COUNT)
+        adjacency = {}
+        for src, dst in db.catalog["Edge"].data.tolist():
+            adjacency.setdefault(src, []).append(dst)
+        best, worst = clique_bound(adjacency, k)
+        assert worst > 2 * best         # the graph really is lopsided
+        db.counter.reset()
+        kernel(tries, db.config)
+        assert db.counter.elements <= best
+        assert "fused_sweep" not in db.counter.by_algorithm
+
+
+# -- (b) slicing --------------------------------------------------------------
+
+SLICE_EDGES = [tuple(e) for e in chung_lu_graph(40, 150, exponent=1.8,
+                                                seed=5)]
+
+
+def slicing_db():
+    db = Database(execution_mode="interpreted")
+    db.load_graph("Edge", SLICE_EDGES)
+    edge = db.catalog["Edge"]
+    # Dyadic weights: every product and partial sum is exact, so block
+    # boundaries cannot show up as float reassociation.
+    weights = [((int(u) * 7 + int(v) * 13) % 11) / 4.0 + 0.25
+               for u, v in edge.data]
+    db.add_encoded("W", edge.data, annotations=weights)
+    return db
+
+
+@pytest.mark.parametrize("restricted", [False, True],
+                         ids=["whole", "restrict"])
+@pytest.mark.parametrize("out_count", [0, 1, 3],
+                         ids=["scalar", "grouped", "materializing"])
+@pytest.mark.parametrize("name", FUSED_SEMIRINGS)
+class TestSlicing:
+    """Block size is a memory knob, never a result: 1, 7, the default
+    and unbounded agree bit for bit, and with the interpreter."""
+
+    ATOMS = [("W", ("x", "y"), True), ("Edge", ("y", "z"), False),
+             ("W", ("x", "z"), True)]
+    ORDER = ("x", "y", "z")
+
+    def test_block_sizes_agree_bit_for_bit(self, name, out_count,
+                                           restricted):
+        db = slicing_db()
+        semiring = semiring_for(name)
+        specs, tries, inputs = bag_inputs(db, self.ATOMS)
+        keys = tries[0].flat().keys
+        restrict = UintSet.from_sorted(keys[keys.size // 3:]) \
+            if restricted else None
+        kernel = generate_bag_plan(self.ORDER, out_count, specs, semiring)
+        results = [kernel(tries, blocked(db.config, rows), restrict)
+                   for rows in (UNBOUNDED, 1, 7, 1 << 16)]
+        results.append(BagEvaluator(self.ORDER, out_count, inputs,
+                                    semiring, db.config,
+                                    restrict_level0=restrict).run())
+        reference = results[0]
+        assert reference.cardinality or reference.scalar is not None
+        for other in results[1:]:
+            assert other.scalar == reference.scalar
+            assert type(other.scalar) is type(reference.scalar)
+            assert np.array_equal(other.data, reference.data)
+            if reference.annotations is None:
+                assert other.annotations is None
+            else:
+                assert np.array_equal(other.annotations,
+                                      reference.annotations)
+
+
+class TestSlicingIntFold:
+    def test_unannotated_count_stays_an_exact_int_across_blocks(self):
+        db = slicing_db()
+        order = ("x", "y", "z")
+        specs, tries, inputs = bag_inputs(db, clique_atoms(order))
+        kernel = generate_bag_plan(order, 0, specs, COUNT)
+        counts = [kernel(tries, blocked(db.config, rows)).scalar
+                  for rows in (UNBOUNDED, 1, 7, 1 << 16)]
+        assert all(type(count) is int for count in counts)
+        assert len(set(counts)) == 1 and counts[0] > 0
+        assert counts[0] == evaluate_bag(("x", "y", "z"), 0, inputs,
+                                         COUNT, db.config).scalar
+
+    def test_no_size_makes_the_kernel_give_up(self):
+        """There is no expansion budget left to exceed: a one-row block
+        on a query with hundreds of thousands of candidates still runs
+        on the kernel."""
+        db = kernel_db(adaptive=True,
+                       tuning=TuningProfile(fused_block_rows=64))
+        db.load_graph("Edge", POWER_LAW, prune=True)
+        db.query(FOUR_CLIQUE)
+        stats = db.last_stats
+        assert stats.fused_blocks == stats.compiled_bag_calls >= 1
+        assert stats.fused_fallbacks == 0
+        assert not hasattr(fused, "FusedFallback")
+
+
+# -- (c) bounded memory -------------------------------------------------------
+
+PATTERNS_EDGES = [tuple(e) for e in chung_lu_graph(650, 2200, exponent=2.1,
+                                                   seed=20160626)]
+
+#: Transient-memory ceiling of one warm pattern query at 1024-row
+#: blocks on the ``patterns``-sized graph: about ten block-sized arrays
+#: plus the surviving frontier and its per-row accumulators (measured:
+#: 0.33 MB for the 4-clique, 0.47 MB for the barbell; unbounded blocks
+#: take 2.0 MB and 10.8 MB).
+SMALL_BLOCK_CEILING = 600_000
+
+
+def traced_peak(db, query):
+    db.query(query)                     # warm: tries, plan, kernel
+    tracemalloc.start()
+    try:
+        db.query(query)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("query,prune", [(FOUR_CLIQUE_COUNT, True),
+                                             (BARBELL_COUNT, False)],
+                             ids=["4-clique", "barbell"])
+    def test_peak_follows_the_block_size(self, query, prune):
+        peaks = {}
+        for rows in (1 << 10, UNBOUNDED):
+            db = kernel_db(adaptive=True,
+                           tuning=TuningProfile(fused_block_rows=rows))
+            db.load_graph("Edge", PATTERNS_EDGES, prune=prune)
+            peaks[rows] = traced_peak(db, query)
+        assert peaks[1 << 10] < SMALL_BLOCK_CEILING
+        assert peaks[UNBOUNDED] > 2 * peaks[1 << 10]
+
+
+# -- (d) skew without a profile -----------------------------------------------
 
 
 class TestSkewSweep:
-    """The calibrated skew-aware probe sweep (``_sweep_expand``).
+    """The skew-aware probe sweep.
 
     ``R(x),S(x,y),T(y)`` puts a root part (``T``, first var at level
-    ``y``) next to a high-fanout generator (``S``): with a calibrated
-    ``fused_probe_crossover`` the kernel tiles ``T``'s keys instead of
-    materializing ``S``'s full expansion.  Contract: same results, a
-    ``fused_sweep`` charge instead of a ``fused_block`` one.
+    ``y``) next to a high-fanout generator (``S``): past the crossover
+    the kernel tiles ``T``'s keys instead of materializing ``S``'s full
+    expansion.  Contract: same results, a ``fused_sweep`` charge
+    instead of a ``fused_block`` one — and the built-in crossover
+    applies with no tuning profile installed.
     """
 
     QUERY = "Q(;w:long) :- R(x),S(x,y),T(y); w=<<COUNT(*)>>."
@@ -130,42 +332,80 @@ class TestSkewSweep:
         db.add_relation("T", [(y,) for y in range(0, 64, 8)], arity=1)
         return db
 
-    def sweep_profile(self):
-        from repro.tune.profile import TuningProfile
-        return TuningProfile(fused_probe_crossover=1.0)
+    @staticmethod
+    def never_sweep():
+        return dict(adaptive=True,
+                    tuning=TuningProfile(fused_probe_crossover=4096.0))
 
-    def test_sweep_fires_and_is_charged(self):
-        db = self.load(Database(execution_mode="compiled",
-                                fused_kernels=True, adaptive=True,
-                                tuning=self.sweep_profile()))
+    def test_sweeps_without_a_profile(self):
+        db = self.load(kernel_db())
+        assert db.config.tuning is None
         db.query(self.QUERY)
         assert "fused_sweep" in db.counter.by_algorithm
+        # the sweep's candidates, not the expansion's
+        assert db.counter.elements < self.XS * self.FANOUT
 
-    def test_default_path_never_sweeps(self):
-        db = self.load(Database(execution_mode="compiled",
-                                fused_kernels=True))
+    def test_a_profile_refines_the_crossover(self):
+        db = self.load(kernel_db(**self.never_sweep()))
         db.query(self.QUERY)
         assert "fused_sweep" not in db.counter.by_algorithm
         assert "fused_block" in db.counter.by_algorithm
 
     def test_sweep_results_bit_identical(self):
-        plain = self.load(Database(execution_mode="compiled",
-                                   fused_kernels=True))
-        swept = self.load(Database(execution_mode="compiled",
-                                   fused_kernels=True, adaptive=True,
-                                   tuning=self.sweep_profile()))
-        interp = self.load(Database())
+        swept = self.load(kernel_db())
+        plain = self.load(kernel_db(**self.never_sweep()))
+        interp = self.load(Database(execution_mode="interpreted"))
         expected = interp.query(self.QUERY).scalar
         assert plain.query(self.QUERY).scalar == expected
         assert swept.query(self.QUERY).scalar == expected
 
     def test_sweep_parity_on_materialized_rows(self):
         query = "Q(x,y) :- R(x),S(x,y),T(y)."
-        plain = self.load(Database(execution_mode="compiled",
-                                   fused_kernels=True))
-        swept = self.load(Database(execution_mode="compiled",
-                                   fused_kernels=True, adaptive=True,
-                                   tuning=self.sweep_profile()))
+        swept = self.load(kernel_db())
+        plain = self.load(kernel_db(**self.never_sweep()))
         assert sorted(plain.query(query).tuples()) \
             == sorted(swept.query(query).tuples())
         assert "fused_sweep" in swept.counter.by_algorithm
+
+
+class TestSkewedCommonNeighbours:
+    """The ``bench_adaptive`` shape at test scale: every (probe, target)
+    pair intersects a small adjacency with one 24x larger.  Its level
+    has no root participant, so the sweep cannot apply; what used to
+    make the untuned kernel 12x slower than the per-tuple loop was
+    expanding the *target's* side, which the min-fan-out generator no
+    longer does — with no profile installed."""
+
+    QUERY = ("T(;w:long) :- Pair(x,y),Edge(y,z),Edge(x,z); "
+             "w=<<COUNT(*)>>.")
+    PROBES, PROBE_DEGREE, TARGETS, SKEW = 24, 16, 3, 24
+
+    def load(self, db):
+        rng = np.random.default_rng(7)
+        target_degree = self.PROBE_DEGREE * self.SKEW
+        leaves = target_degree * 2
+        rows = []
+        for index in range(self.PROBES + self.TARGETS):
+            degree = self.PROBE_DEGREE if index < self.PROBES \
+                else target_degree
+            for leaf in rng.choice(leaves, size=degree, replace=False):
+                rows.append((leaves + index, int(leaf)))
+        rows += [(b, a) for a, b in rows]
+        pairs = [(leaves + p, leaves + self.PROBES + t)
+                 for p in range(self.PROBES) for t in range(self.TARGETS)]
+        db.add_encoded("Edge", np.asarray(rows, dtype=np.uint32))
+        db.add_encoded("Pair", np.asarray(pairs, dtype=np.uint32))
+        return db
+
+    def test_expands_the_probe_side_without_a_profile(self):
+        db = self.load(kernel_db())
+        assert db.config.tuning is None
+        interp = self.load(Database(execution_mode="interpreted"))
+        assert db.query(self.QUERY).scalar \
+            == interp.query(self.QUERY).scalar
+        assert db.last_stats.fused_blocks >= 1
+        n_pairs = self.PROBES * self.TARGETS
+        small_side = n_pairs * self.PROBE_DEGREE
+        # levels x and y generate at most the Pair relation each
+        assert db.counter.elements <= 2 * n_pairs + small_side \
+            + self.PROBES + self.TARGETS
