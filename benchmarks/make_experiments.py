@@ -75,11 +75,12 @@ These are enforced by ``test_shape_*``/claims tests in the repository
 * **Wall-clock cross-engine order on pattern queries at small scale.**
   On triangle/K4-style queries the lean CSR baselines beat
   EmptyHeaded's wall clock despite doing more algorithmic work —
-  interpreter constants, as discussed above.  On PageRank and SSSP the
-  engine's vectorized two-level fast path (the generated-inner-loop
-  analog) restores the paper's band: SSSP lands within the paper's own
-  "at most 3x off Galois", and PageRank sits between the tuned and
-  per-vertex scalar engines.
+  interpreter constants, as discussed above.  The PageRank and SSSP
+  rows below run on the interpreter as well (the table modules pin the
+  oracle), one set intersection per vertex and round; the default
+  engine's block kernels — the generated-inner-loop analog, measured
+  only by `benchmarks/e2e/` — are what restore the paper's band on
+  those two.
 * **LogicBlox-class gaps are smaller than three orders of magnitude.**
   The paper's LogicBlox figures include a full commercial system's
   overheads (transactions, pure scalar leapfrog at native speed); our

@@ -64,7 +64,14 @@ class Result:
 
     def tuples(self):
         """Result tuples with dictionary decoding applied."""
-        return list(self.relation.decoded_tuples())
+        return self.relation.decoded_tuples()
+
+    def _keys(self, rows=None):
+        """Decoded keys (all, or those at ``rows``): tuples, or the
+        bare values when unary."""
+        if self.relation.arity == 1:
+            return self.relation.decoded_columns(rows)[0]
+        return self.relation.decoded_tuples(rows)
 
     def to_dict(self):
         """``{decoded key tuple: annotation}`` for annotated results.
@@ -73,11 +80,8 @@ class Result:
         """
         if self.relation.annotations is None:
             raise SchemaError("result carries no annotations")
-        out = {}
-        for key, value in zip(self.relation.decoded_tuples(),
-                              self.relation.annotations):
-            out[key[0] if len(key) == 1 else key] = float(value)
-        return out
+        return dict(zip(self._keys(),
+                        self.relation.annotations.tolist()))
 
     def __len__(self):
         return self.relation.cardinality
@@ -91,9 +95,8 @@ class Result:
         if self.relation.annotations is None:
             raise SchemaError("result carries no annotations")
         order = np.argsort(-self.relation.annotations)[:k]
-        keys = list(self.relation.decoded_tuples())
-        return [(keys[i][0] if len(keys[i]) == 1 else keys[i],
-                 float(self.relation.annotations[i])) for i in order]
+        return list(zip(self._keys(order),
+                        self.relation.annotations[order].tolist()))
 
     def __repr__(self):
         return "Result(%r)" % (self.relation,)
@@ -586,6 +589,8 @@ class Database:
             record["plan_cache_misses"] = misses
             record["fused_blocks"] = stats.fused_blocks
             record["fused_fallbacks"] = stats.fused_fallbacks
+            if stats.recursion_rounds:
+                record["recursion_rounds"] = stats.recursion_rounds
             if stats.morsels:
                 record["morsels"] = stats.n_morsels
                 record["steals"] = stats.steals
@@ -627,9 +632,10 @@ class Database:
         accumulates across the rules, so multi-rule programs
         (PageRank's three rules) report their compilation work as a
         whole; the interpreted oracle parses and plans afresh.
-        Recursive rules delegate to the recursion driver, whose
-        per-round executions recompile against each round's catalog —
-        relation identity guards make that correct by construction.
+        Recursive rules delegate to the recursion driver; every round
+        is one rule execution accumulating into the same stats, and
+        only a rule's first round compiles — later rounds re-bind the
+        replaced head relation's trie into the cached plan.
         """
         tracer = self.config.tracer
         compiled = self.config.execution_mode != "interpreted"
@@ -657,8 +663,8 @@ class Database:
                 with maybe_span(tracer, "rule:%s" % rule.head_name,
                                 "query"):
                     if rule.recursive:
-                        result_relation = execute_recursive(rule,
-                                                            self._executor)
+                        result_relation = execute_recursive(
+                            rule, self._executor, stats=stats)
                     else:
                         result_relation = self._executor.execute(rule,
                                                                  stats)
@@ -669,8 +675,8 @@ class Database:
             self._record_memo_metrics(self._executor.program_memo)
             self._executor.program_memo = None
         if compiled:
-            # Recursion rounds install their own per-round stats; the
-            # program-level counters are what the caller sees.
+            # every rule execution installed these already, but a
+            # program can run none (a ``*[i=0]`` recursion)
             self._executor.last_stats = stats
         return Result(result_relation)
 

@@ -68,6 +68,15 @@ class TrieCache:
     from scratch, then retires the stale entry — invalidation is
     surgical, other relations' entries stay warm.
 
+    A *derived* relation — the selection or projection slice a
+    :class:`~repro.lir.ir.LogicalAtom` cuts from a catalog relation, a
+    new object per planning — is identified by what it was cut from:
+    ``(source uid, selection)`` at the source's version, so a repeated
+    selection hits and a mutated source misses.  Nothing installs or
+    replaces a derived relation, so its entries are retired by whoever
+    planned with it (:meth:`invalidate` with the selection: the plan
+    cache's eviction hook, or the end of an interpreted run).
+
     The cache doubles as the parallel engine's *process-shared read
     path*: every trie a query needs is built here, in the parent, before
     any worker forks — children then read the structures copy-on-write
@@ -117,14 +126,22 @@ class TrieCache:
             relation._trie_uid = uid
         return uid
 
+    def _identity(self, relation):
+        """``(uid, version)`` cache identity of ``relation``."""
+        source, selection = getattr(relation, "derived_from", None) \
+            or (relation, None)
+        uid = self._uid(source)
+        return (uid if selection is None else (uid, selection),
+                getattr(source, "version", 0))
+
     def get(self, relation, key_order, layout_level,
             density_threshold=None):
         """Fetch (building on miss) the trie for a relation/order/layout.
 
         ``density_threshold`` is the tuned uint/bitset crossover (part
         of the key: tuned and default layouts are distinct tries)."""
-        key = (self._uid(relation), getattr(relation, "version", 0),
-               tuple(key_order), layout_level, density_threshold)
+        key = self._identity(relation) \
+            + (tuple(key_order), layout_level, density_threshold)
         trie = self._tries.get(key)
         if trie is not None:
             self.hits += 1
@@ -221,13 +238,21 @@ class TrieCache:
         for memo_key in stale_memo:
             del self._level0[memo_key]
 
-    def invalidate(self, relation):
+    def invalidate(self, relation, selection=None):
         """Drop every cached trie (and level-0 memo entry) of
-        ``relation``, across all cached versions."""
+        ``relation``, across all cached versions: those of the
+        relation itself and of every relation derived from it, or,
+        given a ``selection``, of that derived relation only."""
         uid = getattr(relation, "_trie_uid", None)
         if uid is None:
             return
-        for key in [k for k in self._tries if k[0] == uid]:
+        if selection is not None:
+            doomed = [k for k in self._tries if k[0] == (uid, selection)]
+        else:
+            doomed = [k for k in self._tries
+                      if k[0] == uid or (isinstance(k[0], tuple)
+                                         and k[0][0] == uid)]
+        for key in doomed:
             self._drop_entry(key)
 
     def __len__(self):
@@ -283,6 +308,8 @@ class RuleExecutor:
         self.cache = trie_cache if trie_cache is not None else TrieCache()
         self.env = env if env is not None else {}
         self.plans = plan_cache if plan_cache is not None else PlanCache()
+        self.plans.on_retire = \
+            lambda compiled: self._retire_derived(compiled.logical)
         self.last_plan = None  # PhysicalPlan of the latest execution
         self.last_stats = None  # ExecStats of the latest parallel run
         self.last_logical = None  # LogicalRule of the latest execution
@@ -341,15 +368,30 @@ class RuleExecutor:
             return self._empty_output(rule)
         self._validate(logical)
         agg = logical.aggregate
-        if agg is not None and agg.op == "COUNT" and agg.arg != "*":
-            result = self._execute_count_distinct(logical, agg)
-        else:
-            result = self._execute_plan(logical)
+        try:
+            if agg is not None and agg.op == "COUNT" and agg.arg != "*":
+                result = self._execute_count_distinct(logical, agg)
+            else:
+                result = self._execute_plan(logical)
+        finally:
+            # the plan dies with the run, and its derived tries with it
+            self._retire_derived(logical)
         # Interpreted plans are rebuilt per run, so a mispredict feeds
         # observed cardinalities straight into the next planning pass
         # (there is no cache entry to evict).
         self._adaptive_check()
         return result
+
+    def _retire_derived(self, logical):
+        """Drop the cached tries of a plan's derived relations (the
+        selection and projection slices of its atoms).  Called when
+        the plan made from ``logical`` is gone — an interpreted run
+        ended, a compiled rule left the plan cache: a derived relation
+        is named by nothing but the plans made with it, so its tries
+        go when they do."""
+        for atom in logical.atoms:
+            if atom.sig_name != atom.name:
+                self.cache.invalidate(atom.source, atom.sig_name)
 
     @staticmethod
     def _validate(logical):
@@ -730,12 +772,17 @@ class RuleExecutor:
                               strategy=self.config.parallel_strategy,
                               workers=self.config.parallel_workers)
         self.last_stats = stats
+        # trie-cache traffic of the whole execution: tries are built
+        # when a rule compiles or re-binds its head, not when it runs
+        marks = (self.cache.hits, self.cache.misses,
+                 self.cache.level0_hits, self.cache.level0_misses)
         logical = optimize_rule(rule, self.catalog, self._options())
         self.last_logical = logical
         key = (logical.cache_key(), config_signature(self.config))
         with maybe_span(self.config.tracer, "plan_cache.lookup",
                         "cache") as span:
-            compiled = self.plans.get_rule(key, self.catalog)
+            compiled = self.plans.get_rule(key, self.catalog,
+                                           self._rebind_head)
             if span is not None:
                 span.args["hit"] = compiled is not None
         tier = "miss" if compiled is None else "hit"
@@ -752,6 +799,12 @@ class RuleExecutor:
             # family, and dashboards can ratio them directly.
             metrics.inc("plan_cache.lookups", labels={"tier": tier})
         result = self.run_compiled(compiled, stats)
+        stats.trie_cache_hits += self.cache.hits - marks[0]
+        stats.trie_cache_misses += self.cache.misses - marks[1]
+        stats.level0_cache_hits += self.cache.level0_hits - marks[2]
+        stats.level0_cache_misses += self.cache.level0_misses - marks[3]
+        if self.cache.arena is not None:
+            stats.shm_bytes_mapped = self.cache.arena.nbytes
         # Mispredict check runs after every compiled execution; on
         # divergence it evicts exactly this rule's cache entry, so the
         # next call re-plans with the harvested cardinality feedback.
@@ -760,6 +813,42 @@ class RuleExecutor:
         if compiled.kind != "empty":
             self._adaptive_check(key)
         return result
+
+    def _rebind_head(self, compiled, stale):
+        """Bring a compiled rule up to date with a replaced head.
+
+        A recursion round changes one thing about its rule: the
+        relation the rule's own head names (the previous round's
+        output, or its delta).  GHD, attribute orders and kernels do
+        not depend on that relation's contents, so instead of
+        recompiling, the atoms over it take the new relation and the
+        bags that read it take its trie.  Returns false — recompile —
+        when anything else changed or the head is read through a
+        selection, whose derived relation would have to be re-cut.
+        """
+        head = compiled.rule.head_name
+        relation = self.catalog.get(head)
+        logical = compiled.logical
+        if compiled.kind != "plan" or relation is None \
+                or any(name != head for name in stale) \
+                or any(guard.name == head for guard in logical.guard_atoms):
+            return False
+        atoms = [atom for atom in logical.atoms if atom.name == head]
+        annotated = relation.annotations is not None
+        if any(atom.sig_name != head or atom.annotated != annotated
+               for atom in atoms):
+            return False
+        for atom in atoms:
+            atom.rebind(relation)
+        for cbag in compiled.bags.values():
+            for bag_input in cbag.base_inputs:
+                if bag_input.name == head:
+                    bag_input.trie = self.cache.get(
+                        relation, bag_input.trie.key_order,
+                        self.config.layout_level,
+                        self.config.density_threshold())
+        compiled.guards = _relation_guards(logical)
+        return True
 
     def compile_rule(self, logical, stats):
         """Lower one optimized non-recursive rule to a
@@ -928,8 +1017,6 @@ class RuleExecutor:
         ghd = compiled.ghd
         semiring = compiled.semiring
         aggregate_mode = compiled.aggregate_mode
-        marks = (self.cache.hits, self.cache.misses,
-                 self.cache.level0_hits, self.cache.level0_misses)
         # The parallel knobs deliberately stay out of the cache key, so
         # the forked bag is re-chosen per run from the baked tries.
         parallel_node = None
@@ -970,12 +1057,6 @@ class RuleExecutor:
             retained[id(node)] = result
             self._memo_store(memo, cbag.signature, result,
                              cbag.canonical_out, logical)
-        stats.trie_cache_hits += self.cache.hits - marks[0]
-        stats.trie_cache_misses += self.cache.misses - marks[1]
-        stats.level0_cache_hits += self.cache.level0_hits - marks[2]
-        stats.level0_cache_misses += self.cache.level0_misses - marks[3]
-        if self.cache.arena is not None:
-            stats.shm_bytes_mapped = self.cache.arena.nbytes
         root_result = retained[id(ghd.root)]
         if aggregate_mode:
             return self._finish_aggregate(logical, root_result)
@@ -1052,9 +1133,8 @@ class RuleExecutor:
                 if kernel is None:
                     stats.fused_fallbacks += 1
         else:
-            # The interpreter's vectorized whole-bag shortcuts answer
-            # identically and are cheaper than any block sequence, so
-            # they stay as a pre-flight probe.
+            # Empty inputs and identity scans involve no join work, so
+            # no kernel (or loop nest) is entered for them.
             probe = BagEvaluator(eval_order, out_count, inputs, semiring,
                                  self.config)
             result = probe.try_fast_paths()

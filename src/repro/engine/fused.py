@@ -16,13 +16,17 @@ level arrays (:meth:`repro.storage.trie.Trie.flat`):
    intersects from the smaller set).  Relation size cannot decide this:
    every atom of a pattern query is the same ``Edge`` relation.
 2. **Batched membership probes.**  Every other participant filters the
-   expanded candidates with one ``searchsorted`` sweep: root levels
-   probe the sorted key array directly, child levels probe a 64-bit
-   packed ``(parent << 32) | child`` array, so a million bindings cost
-   a handful of numpy calls.  When even the cheapest CSR expansion
-   dwarfs tiling the level's root-key candidates across the frontier
-   (by :data:`PROBE_CROSSOVER`), the level is generated from those root
-   keys instead and every child-level input is probed (the *sweep*).
+   expanded candidates in one sweep.  Root levels probe by layout, as
+   the paper's uint∩bitset kernel does (§4.2): a root set the layout
+   optimizer stored as a bitset answers through its dense
+   ``rank_of`` table — one gather — and a sparse one through a
+   ``searchsorted`` of its sorted keys.  Child levels probe a 64-bit
+   packed ``(parent << 32) | child`` array.  A million bindings cost
+   a handful of numpy calls either way.  When even the cheapest CSR
+   expansion dwarfs tiling the level's root-key candidates across the
+   frontier (by :data:`PROBE_CROSSOVER`), the level is generated from
+   those root keys instead and every child-level input is probed (the
+   *sweep*).
 3. **Block aggregate folds.**  The aggregated suffix never materializes
    past the frontier: leaf contributions are folded per output prefix
    with ``reduceat`` segment reductions, and unannotated SUM/COUNT keeps
@@ -100,14 +104,23 @@ class _Part:
         self.var0_level = var0_level    # bag level of the input's first var
 
 
-def _probe(keys, vals):
-    """Batched sorted-membership probe of ``vals`` in ``keys`` (plain
-    root keys or packed ``(parent << 32) | child`` pairs).
+def _probe(flat, vals, pos=0):
+    """Batched membership probe of ``vals`` in one level of ``flat``:
+    its root keys (``pos == 0``) or, with ``vals`` packed as
+    ``(parent << 32) | child``, its stored pairs.
 
     Returns ``(rank, member)``: where ``member`` holds, ``rank`` is the
-    value's index in ``keys`` — the trie-node rank for root keys, the
-    leaf row (hence the annotation index) for packed pairs.
+    value's index in the level — the trie-node rank for root keys, the
+    leaf row (hence the annotation index) for packed pairs.  Elsewhere
+    ``rank`` is meaningless (callers filter by ``member`` first).
     """
+    table = flat.rank_of if pos == 0 else None
+    if table is not None:
+        # Dense root: out-of-range values (below wrap around) clamp to
+        # the table's trailing -1 slot.
+        rank = table[np.minimum(vals - flat.keys[0], table.size - 1)]
+        return rank, rank >= 0
+    keys = flat.keys if pos == 0 else flat.packed
     if keys.size == 0:
         zero = np.zeros(vals.size, dtype=np.intp)
         return zero, np.zeros(vals.size, dtype=bool)
@@ -302,7 +315,7 @@ class FusedBagKernel:
         keep = np.ones(candidates.size, dtype=bool)
         found = []
         for part in generating:
-            rank, member = _probe(flats[part.index].keys, candidates)
+            rank, member = _probe(flats[part.index], candidates)
             keep &= member
             found.append((part, rank))
         values = candidates[keep]
@@ -327,14 +340,14 @@ class FusedBagKernel:
         for part in probed:
             other = flats[part.index]
             if part.pos == 0:
-                rank, member = _probe(other.keys, vals)
+                rank, member = _probe(other, vals)
             else:
                 bound = cols[part.var0_level][parent]
                 rank, member = _probe(
-                    other.packed, (bound.astype(np.uint64) << 32) | vals)
+                    other, (bound.astype(np.uint64) << 32) | vals, pos=1)
             found.append((part, rank))
             keep = member if keep is None else keep & member
-        if keep is not None:
+        if keep is not None and not keep.all():
             parent = parent[keep]
             vals = vals[keep]
             found = [(part, rank[keep]) for part, rank in found]

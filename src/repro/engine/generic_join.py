@@ -13,6 +13,10 @@ materializing bindings — the "early aggregation" that GHD plans enable
 (paper §3.1.1).  Two leaf-level fast paths keep the inner loop
 vectorized: unannotated counting uses set cardinalities directly, and
 annotated folds gather annotation vectors with one ``searchsorted``.
+This module is the differential oracle of the block kernels
+(:mod:`repro.engine.fused`), so it shares no evaluation route with
+them: the only answers given without the loop nest
+(:meth:`BagEvaluator.try_fast_paths`) involve no join work.
 """
 
 import numpy as np
@@ -191,20 +195,19 @@ class BagEvaluator:
     def try_fast_paths(self):
         """Probe the serial short-circuits without entering the loop nest.
 
-        Returns a finished :class:`BagResult` when an input is empty or a
-        vectorized whole-bag path applies, else ``None``.  The parallel
-        driver calls this before morselizing — the fast paths are already
-        cheaper than any fork, and they do not compose with
-        ``restrict_level0`` partitioning.
+        Returns a finished :class:`BagResult` when an input is empty or
+        the bag is an identity scan, else ``None``: every bag with
+        something to intersect goes through the loop nest (or, in the
+        default engine, its block kernel).  The parallel driver calls
+        this before morselizing — both answers are cheaper than any
+        fork, and the scan does not compose with ``restrict_level0``
+        partitioning.
         """
         if any(inp.trie.cardinality == 0 for inp in self.inputs):
             return self._empty_result()
         if self.restrict_level0 is not None:
             return None
-        fast = self._try_identity_scan()
-        if fast is not None:
-            return fast
-        return self._try_vectorized_two_level()
+        return self._try_identity_scan()
 
     # -- identity scan fast path ----------------------------------------------
 
@@ -223,105 +226,6 @@ class BagEvaluator:
         else:
             annotations = np.ones(data.shape[0], dtype=np.float64)
         return BagResult(self.order, data, annotations=annotations)
-
-    # -- vectorized two-level fast path ---------------------------------------
-
-    def _try_vectorized_two_level(self):
-        """Whole-bag vectorized evaluation for the shape that graph
-        analytics compile to: ``Agg(x; ...) :- B(x,z), U1(z), U2(z), ...``
-        — one binary atom ordered (out, aggregated) plus unary atoms over
-        either variable, aggregating ``z`` away per ``x``.
-
-        This plays the role of the paper's generated C++ inner loop for
-        PageRank/SSSP-style rules: instead of intersecting per ``x``, the
-        binary relation's sorted tuple array is filtered against the
-        unary sets with vectorized searches and segment-reduced per
-        ``x``.  Returns ``None`` when the bag does not fit, falling back
-        to the generic recursion.  Disabled with ``simd=False`` (the
-        "-S" ablation runs scalar loops).
-        """
-        if not self.config.simd or self.out_count != 1 \
-                or self.n_levels != 2:
-            return None
-        if self.semiring.name not in ("SUM", "COUNT", "MIN", "MAX",
-                                      "EXISTS"):
-            return None
-        out_attr, agg_attr = self.order
-        binary = None
-        unary_agg = []
-        unary_out = []
-        for bag_input in self.inputs:
-            if bag_input.variables == (out_attr, agg_attr):
-                if binary is not None:
-                    return None  # two binary atoms: generic path
-                binary = bag_input
-            elif bag_input.variables == (agg_attr,):
-                unary_agg.append(bag_input)
-            elif bag_input.variables == (out_attr,):
-                unary_out.append(bag_input)
-            else:
-                return None
-        if binary is None or binary.annotated:
-            return None
-        pairs = binary.trie.sorted_data
-        if pairs.shape[0] == 0:
-            return self._empty_result()
-        out_col = pairs[:, 0]
-        agg_col = pairs[:, 1]
-        factors = np.ones(pairs.shape[0], dtype=np.float64)
-        mask = np.ones(pairs.shape[0], dtype=bool)
-        counter = self.config.counter
-        counter.charge("vectorized_two_level",
-                       simd=-(-pairs.shape[0] // 4),
-                       elements=int(pairs.shape[0]))
-        for bag_input in unary_agg:
-            keys = bag_input.trie.root.set.to_array()
-            positions = np.searchsorted(keys, agg_col)
-            clipped = np.minimum(positions, keys.size - 1)
-            found = keys[clipped] == agg_col
-            mask &= found
-            counter.charge("vectorized_two_level",
-                           simd=-(-pairs.shape[0] // 4))
-            if bag_input.annotated:
-                annotations = bag_input.trie.root.annotations
-                factors *= np.where(found, annotations[clipped], 1.0)
-        if not mask.any():
-            return self._empty_result()
-        out_keys = out_col[mask]
-        values = factors[mask]
-        # Segment-reduce per out key (out_col is sorted ascending).
-        boundaries = np.ones(out_keys.shape[0], dtype=bool)
-        boundaries[1:] = out_keys[1:] != out_keys[:-1]
-        starts = np.nonzero(boundaries)[0]
-        group_keys = out_keys[starts]
-        if self.semiring.name in ("SUM", "COUNT"):
-            reduced = np.add.reduceat(values, starts)
-        elif self.semiring.name == "MIN":
-            reduced = np.minimum.reduceat(values, starts)
-        elif self.semiring.name == "MAX":
-            reduced = np.maximum.reduceat(values, starts)
-        else:  # EXISTS
-            reduced = np.ones(starts.size, dtype=np.float64)
-        # Unary atoms over the out variable filter the groups and
-        # multiply their annotations after the reduction.
-        keep = np.ones(group_keys.shape[0], dtype=bool)
-        for bag_input in unary_out:
-            keys = bag_input.trie.root.set.to_array()
-            positions = np.searchsorted(keys, group_keys)
-            clipped = np.minimum(positions, keys.size - 1)
-            found = keys[clipped] == group_keys
-            keep &= found
-            counter.charge("vectorized_two_level",
-                           simd=-(-group_keys.shape[0] // 4))
-            if bag_input.annotated:
-                annotations = bag_input.trie.root.annotations
-                reduced = np.where(found, reduced * annotations[clipped],
-                                   reduced)
-        group_keys = group_keys[keep]
-        reduced = reduced[keep]
-        data = group_keys.reshape(-1, 1).astype(np.uint32)
-        return BagResult((out_attr,), data,
-                         annotations=reduced.astype(np.float64))
 
     # -- helpers -------------------------------------------------------------
 

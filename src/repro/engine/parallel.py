@@ -461,8 +461,8 @@ def evaluate_bag_parallel(eval_order, out_count, inputs, semiring, config,
     :func:`~repro.engine.generic_join.evaluate_bag` that partitions the
     outermost loop across forked workers.
 
-    Falls back to the serial evaluator when a vectorized fast path
-    answers the bag outright, the candidate count is below
+    Falls back to the serial evaluator when the bag needs no join
+    work (an empty input, an identity scan), the candidate count is below
     ``threshold``, only one morsel remains, or ``workers <= 1``; the
     outcome is recorded in ``stats.mode`` either way.
 

@@ -8,8 +8,12 @@ make a repeated query's cost approach the pure join work:
   ``Database.query`` call skips the parser entirely;
 * **rule tier** — rule text → :class:`CompiledRule` (GHD choice, global
   order, per-bag block kernels, baked base tries), guarded by
-  catalog relation *identity* so replacing a relation (new load,
-  recursion round) transparently invalidates;
+  catalog relation *identity* so replacing a relation (a new load)
+  transparently invalidates — except when the only replaced relation
+  is the one the rule's own head names, which is what a recursion
+  round does: the executor then *re-binds* that atom's trie and the
+  entry lives on, so a recursion compiles once however many rounds
+  it runs;
 * **bag-source tier** — normalized bag signature (attribute order +
   head split + semiring + per-input annotation flags) →
   :class:`~repro.engine.fused.FusedBagKernel`, so structurally
@@ -119,18 +123,23 @@ class CompiledRule:
         self.inner = inner
         self.logical = logical
 
-    def valid(self, catalog):
-        """True while every relation the compilation saw is still the
-        installed one *and* unmutated.
+    def stale_guards(self, catalog):
+        """Names of the relations the compilation saw that are no
+        longer the installed one *or* were mutated since (empty: the
+        entry is valid).
 
         The identity check catches wholesale replacement (rule heads,
         recursion rounds); the version check catches in-place mutation
         (``Database.append`` / ``delete``), whose baked tries would
         otherwise serve stale contents.
         """
-        return all(catalog.get(name) is relation
-                   and getattr(relation, "version", 0) == version
-                   for name, relation, version in self.guards)
+        return [name for name, relation, version in self.guards
+                if catalog.get(name) is not relation
+                or getattr(relation, "version", 0) != version]
+
+    def valid(self, catalog):
+        """True while no guard is stale."""
+        return not self.stale_guards(catalog)
 
 
 class PlanCache:
@@ -141,6 +150,10 @@ class PlanCache:
         self._programs = {}
         self._rules = {}
         self._bag_code = {}
+        #: Called with every :class:`CompiledRule` leaving the rule
+        #: tier, however it leaves; the executor releases what only
+        #: that rule kept alive (tries of its derived relations).
+        self.on_retire = None
 
     # -- program tier -------------------------------------------------------
 
@@ -154,30 +167,40 @@ class PlanCache:
 
     # -- rule tier ----------------------------------------------------------
 
-    def get_rule(self, key, catalog):
+    def get_rule(self, key, catalog, rebind=None):
         """Valid :class:`CompiledRule` for the key, or ``None``.
 
-        Stale entries (a guard relation was replaced) are dropped on
-        probe, so the caller recompiles exactly once per invalidation.
+        A stale entry (a guard relation was replaced or mutated) is
+        offered to ``rebind(compiled, stale_names)``, which may bring
+        it up to date in place and return true; otherwise it is
+        dropped on probe, so the caller recompiles exactly once per
+        invalidation.
         """
         compiled = self._rules.get(key)
         if compiled is None:
             return None
-        if not compiled.valid(catalog):
-            del self._rules[key]
+        stale = compiled.stale_guards(catalog)
+        if stale and not (rebind is not None and rebind(compiled, stale)):
+            self.evict_rule(key)
             return None
         return compiled
 
     def put_rule(self, key, compiled):
-        self._evict(self._rules)
+        while len(self._rules) >= self.max_entries:
+            self.evict_rule(next(iter(self._rules)))
         self._rules[key] = compiled
 
     def evict_rule(self, key):
         """Surgically drop one compiled rule (mispredict-driven
         re-planning): the next execution re-plans from scratch with
         whatever cardinality feedback the executor has accumulated.
-        Returns whether an entry was present."""
-        return self._rules.pop(key, None) is not None
+        Every way out of the rule tier ends here, so ``on_retire``
+        sees each departing rule once.  Returns whether an entry was
+        present."""
+        compiled = self._rules.pop(key, None)
+        if compiled is not None and self.on_retire is not None:
+            self.on_retire(compiled)
+        return compiled is not None
 
     # -- bag-source tier ----------------------------------------------------
 
@@ -197,7 +220,8 @@ class PlanCache:
 
     def clear(self):
         self._programs.clear()
-        self._rules.clear()
+        for key in list(self._rules):
+            self.evict_rule(key)
         self._bag_code.clear()
 
     def sizes(self):

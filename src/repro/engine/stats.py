@@ -68,7 +68,8 @@ class ExecStats:
         Parallelism was requested but the bag fell below
         ``parallel_threshold`` (or a single morsel remained).
     ``"fast-path"``
-        A serial vectorized fast path answered the bag outright.
+        The bag needed no join work (an empty input, an identity
+        scan) and was answered before any morsel was cut.
     """
 
     strategy: str = "steal"
@@ -104,6 +105,9 @@ class ExecStats:
     #: kernel does not cover their *shape* (an input of arity above
     #: two, a semiring without a block fold).  Size never causes one.
     fused_fallbacks: int = 0
+    #: Rounds the recursion driver ran (one rule execution each, all
+    #: accumulated into these counters); 0 for non-recursive programs.
+    recursion_rounds: int = 0
     #: Payload bytes of trie/dictionary arrays served from the
     #: database's shared-memory arena during this execution (0 when
     #: ``shared_tries`` is off).
@@ -218,7 +222,7 @@ class ExecStats:
                            ops.get(worker, 0)))
         elif self.mode == "fast-path":
             lines.append(
-                "serial vectorized fast path (no morsels scheduled)")
+                "serial fast path: no join work (no morsels scheduled)")
         lines.append(
             "  level-0 intersection cache: %d hit(s), %d miss(es)"
             % (self.level0_cache_hits, self.level0_cache_misses))
@@ -237,6 +241,9 @@ class ExecStats:
                 "  fused block kernels: %d invocation(s), "
                 "%d interpreter fallback(s)"
                 % (self.fused_blocks, self.fused_fallbacks))
+            if self.recursion_rounds:
+                lines.append("  recursion: %d round(s)"
+                             % self.recursion_rounds)
         if self.shm_bytes_mapped:
             lines.append("  shared-memory tries: %d byte(s) mapped"
                          % self.shm_bytes_mapped)

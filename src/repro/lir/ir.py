@@ -111,7 +111,18 @@ class LogicalAtom:
                            annotations, None)
         if self._dedup and derived.arity:
             derived = derived.deduplicated()
+        # What the trie cache identifies the slice by: every planning
+        # derives a new object, but equal sources and ``sig_name``
+        # guarantee equal contents.
+        derived.derived_from = (source, self.sig_name)
         return derived
+
+    def rebind(self, source):
+        """Point this (selection-free) atom at a replacement of its
+        source relation with the same shape — a recursion round's new
+        head."""
+        self.source = source
+        self._relation = None
 
     def pruned(self, drop_vars):
         """Copy of this atom with ``drop_vars`` projected away.

@@ -163,7 +163,7 @@ def _render_bag(lines, index, bag, stats, simd):
                      % (predicted / float(actual_ops)))
     else:
         lines.append("      cost-model error: n/a (no lane ops charged "
-                     "— vectorized fast path)")
+                     "— empty input or identity scan)")
     if bag.predicted_ops:
         lines.append(
             "      planner estimate: %d lane ops, mispredict %.2fx "
@@ -223,6 +223,10 @@ def render_explain_analyze(plan, stats, tracer, config, result=None,
                 % (stats.parses, stats.ghd_builds, stats.codegen_runs,
                    stats.bag_codegen_reuses, stats.compiled_bag_calls,
                    stats.fused_blocks, stats.fused_fallbacks))
+            if stats.recursion_rounds:
+                lines.append("recursion: %d round(s), counters above "
+                             "summed over all of them"
+                             % stats.recursion_rounds)
     if tuning is not None:
         profile = tuning.get("profile")
         lines.append("adaptive: %s"

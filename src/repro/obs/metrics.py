@@ -307,6 +307,7 @@ class MetricsRegistry:
         self.inc("pipeline.bag_codegen_reuses", stats.bag_codegen_reuses)
         self.inc("pipeline.compiled_bag_calls", stats.compiled_bag_calls)
         self.inc("pipeline.fused_fallbacks", stats.fused_fallbacks)
+        self.inc("pipeline.recursion_rounds", stats.recursion_rounds)
         if stats.morsels:
             self.inc("parallel.morsels", stats.n_morsels)
             self.inc("parallel.steals", stats.steals)

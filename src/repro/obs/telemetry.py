@@ -65,6 +65,7 @@ QUERY_RECORD_FIELDS = {
     "replans": (False, (int,)),
     "fused_blocks": (False, (int,)),
     "fused_fallbacks": (False, (int,)),
+    "recursion_rounds": (False, (int,)),
     "morsels": (False, (int,)),
     "steals": (False, (int,)),
     "workers": (False, (int,)),
@@ -255,6 +256,7 @@ class TelemetryHub:
     ``telemetry.plan_cache``          ``tier`` (``hit``/``partial``/…)
     ``telemetry.fused_blocks``        —
     ``telemetry.fused_fallbacks``     —
+    ``telemetry.recursion_rounds``    —
     ``telemetry.morsels``/``steals``  —
     ``telemetry.slow_queries``        —
     ``telemetry.replans``             —
@@ -402,6 +404,7 @@ class TelemetryHub:
         for field, series in (
                 ("fused_blocks", "telemetry.fused_blocks"),
                 ("fused_fallbacks", "telemetry.fused_fallbacks"),
+                ("recursion_rounds", "telemetry.recursion_rounds"),
                 ("morsels", "telemetry.morsels"),
                 ("steals", "telemetry.steals")):
             value = record.get(field)

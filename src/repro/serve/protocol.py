@@ -95,13 +95,11 @@ def normalize_relation(relation, fallback_dictionary):
     dictionaries = relation.dictionaries
     if dictionaries is None:
         dictionaries = [fallback_dictionary] * relation.arity
-    rows = []
-    for row in relation.data:
-        rows.append(tuple(_plain(dictionaries[c].decode(v))
-                          for c, v in enumerate(row)))
+    rows = list(zip(*([_plain(value) for value in column]
+                      for column in relation.decoded_columns(
+                          dictionaries=dictionaries))))
     if relation.annotations is not None:
-        return "map", {row: float(a)
-                       for row, a in zip(rows, relation.annotations)}
+        return "map", dict(zip(rows, relation.annotations.tolist()))
     return "set", frozenset(rows)
 
 

@@ -32,6 +32,9 @@ def as_sorted_uint32(values):
     arr = np.asarray(values)
     if arr.size == 0:
         return np.empty(0, dtype=np.uint32)
+    if arr.dtype == np.uint32 and arr.ndim == 1 \
+            and bool(np.all(arr[1:] > arr[:-1])):
+        return arr  # canonical already: what every trie build passes
     if arr.dtype.kind not in "iu":
         if arr.dtype.kind == "f" and np.all(arr == np.floor(arr)):
             arr = arr.astype(np.int64)

@@ -30,11 +30,16 @@ class Dictionary:
     def __init__(self):
         self._value_to_id = {}
         self._id_to_value = []
-        # Optional shared-memory decode column (share_into): an int64
-        # array with _id_array[id] == value, valid only while every
-        # stored value is a plain int.  Forked workers decode from the
-        # shared pages instead of duplicating the Python list.
+        # Decode column: an int64 array with _id_array[id] == value,
+        # valid only while every stored value is a plain int (node
+        # ids).  Built on the first columnar decode and dropped when a
+        # new value arrives; share_into places it in shared memory, so
+        # forked workers decode from the shared pages instead of
+        # duplicating the Python list.
         self._id_array = None
+        # Set once a value that is not a plain int64 was seen: no
+        # later value can make the column representable again.
+        self._mixed = False
 
     def __len__(self):
         return len(self._id_to_value)
@@ -75,12 +80,32 @@ class Dictionary:
         return self._id_to_value[key]
 
     def decode_many(self, keys):
-        """Decode an iterable of ids to a list of original values."""
-        if self._id_array is not None:
-            table = self._id_array
-            return [int(table[int(k)]) for k in keys]
+        """Decode ids (an array or a sequence) to a list of the
+        original values.
+
+        Columnar: one ``take`` when every stored value is a plain
+        ``int`` — the elements come back as Python ``int``, as stored —
+        and one list comprehension over the value table otherwise.
+        """
+        keys = np.asarray(keys, dtype=np.intp)
+        column = self._int_column()
+        if column is not None:
+            return column.take(keys).tolist()
         table = self._id_to_value
-        return [table[int(k)] for k in keys]
+        return [table[key] for key in keys.tolist()]
+
+    def _int_column(self):
+        """The decode column, or ``None`` unless every stored value is
+        a plain ``int`` that fits ``int64``."""
+        values = self._id_to_value
+        if self._id_array is None and not self._mixed and values:
+            self._mixed = not all(type(value) is int for value in values)
+            if not self._mixed:
+                try:
+                    self._id_array = np.asarray(values, dtype=np.int64)
+                except OverflowError:
+                    self._mixed = True
+        return self._id_array
 
     def share_into(self, arena):
         """Place the decode column into ``arena`` shared memory.
@@ -90,11 +115,9 @@ class Dictionary:
         their private Python list and this is a no-op.  Returns the
         number of payload bytes shared.
         """
-        if not self._id_to_value:
+        column = self._int_column()
+        if column is None:
             return 0
-        if not all(type(value) is int for value in self._id_to_value):
-            return 0
-        column = np.asarray(self._id_to_value, dtype=np.int64)
         self._id_array = arena.place(column)
         return int(column.nbytes)
 

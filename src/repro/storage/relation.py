@@ -65,6 +65,10 @@ class Relation:
         # (canonical order) — deduplicated() and the trie build skip
         # their sort passes.
         self._canonical = False
+        #: ``(source relation, selection signature)`` on the selection /
+        #: projection slices the optimizer derives from a catalog
+        #: relation; ``None`` on everything else.
+        self.derived_from = None
 
     # -- constructors -----------------------------------------------------
 
@@ -136,9 +140,15 @@ class Relation:
         """Return a copy with duplicate key-tuples removed.
 
         ``combine`` selects how annotations of duplicates merge:
-        ``"last"``, ``"sum"``, ``"min"``, or ``"max"``.
+        ``"last"``, ``"sum"``, ``"min"``, or ``"max"``.  A relation
+        already in canonical order — the engine's own aggregate and
+        join outputs arrive that way — is recognized with one linear
+        pass and returned as is, without a sort.
         """
         if self.cardinality == 0 or self.arity == 0 or self._canonical:
+            return self
+        if _rows_increase(self.data):
+            self._canonical = True
             return self
         order = np.lexsort(tuple(self.data[:, c]
                                  for c in range(self.arity - 1, -1, -1)))
@@ -316,20 +326,46 @@ class Relation:
             dicts = [self.dictionaries[c] for c in columns]
         return Relation(self.name, data, self.annotations, dicts)
 
-    def decoded_tuples(self):
-        """Yield tuples with dictionary decoding applied (if available)."""
-        if self.dictionaries is None:
-            for row in self.data:
-                yield tuple(int(v) for v in row)
-            return
-        for row in self.data:
-            yield tuple(self.dictionaries[c].decode(v)
-                        for c, v in enumerate(row))
+    def decoded_columns(self, rows=None, dictionaries=None):
+        """One list of decoded values per column — all rows, or those
+        ``rows`` indexes — through ``dictionaries`` (default: the
+        relation's own; without any, the keys as Python ``int``).
+
+        Decoding is columnar (:meth:`Dictionary.decode_many`), never a
+        call per element; elements are the dictionaries' stored
+        objects, so ``int`` node ids come back as Python ``int``.
+        """
+        data = self.data if rows is None else self.data[rows]
+        if dictionaries is None:
+            dictionaries = self.dictionaries
+        if dictionaries is None:
+            return [data[:, c].tolist() for c in range(self.arity)]
+        return [dictionaries[c].decode_many(data[:, c])
+                for c in range(self.arity)]
+
+    def decoded_tuples(self, rows=None):
+        """Tuples (all, or those at ``rows``) with dictionary decoding
+        applied (if available), as a list."""
+        if self.arity == 0:
+            return [()] * (self.cardinality if rows is None
+                           else len(rows))
+        return list(zip(*self.decoded_columns(rows)))
 
     def __repr__(self):
         ann = "" if self.annotations is None else ", annotated"
         return "Relation(%s/%d, %d tuples%s)" % (
             self.name, self.arity, self.cardinality, ann)
+
+
+def _rows_increase(data):
+    """Whether every row is lexicographically greater than the one
+    before it (canonical order: sorted and duplicate-free)."""
+    later = np.zeros(data.shape[0] - 1, dtype=bool)
+    tied = ~later
+    for column in data.T:
+        later |= tied & (column[1:] > column[:-1])
+        tied &= column[1:] == column[:-1]
+    return bool(later.all())
 
 
 def relation_columns(relation):

@@ -11,7 +11,7 @@ per-value semiring annotations.
 import numpy as np
 
 from ..errors import SchemaError
-from ..sets.optimizer import SetOptimizer
+from ..sets.optimizer import SetOptimizer, choose_set_layout
 from .relation import Relation
 
 
@@ -33,13 +33,24 @@ class FlatTrieView:
     ``ann``
         Leaf annotations aligned with ``keys`` (unary) or with
         ``values``/``packed`` rows (binary); ``None`` if unannotated.
+    ``rank_of``
+        Dense root-rank table, built on first use and only when the
+        layout optimizer stored the root set as a bitset (its density
+        decision, paper Algorithm 3): ``rank_of[v - keys[0]]`` is the
+        index of ``v`` in ``keys`` or ``-1``, with one trailing ``-1``
+        slot that out-of-range probes clamp to.  A root-level
+        membership probe is then one gather instead of a binary search
+        — the uint∩bitset kernel of §4.2.  ``None`` for sparse roots.
+        Four bytes per value of the root key *range*, which the
+        density decision bounds at 256x the key count.
 
     All arrays alias :attr:`Trie.sorted_data` buffers where possible,
     so the view costs one ``unique`` + one pack per trie and is cached
     by :meth:`Trie.flat`.
     """
 
-    __slots__ = ("arity", "keys", "offsets", "values", "packed", "ann")
+    __slots__ = ("arity", "keys", "offsets", "values", "packed", "ann",
+                 "_dense_root", "_rank_of")
 
     def __init__(self, trie):
         if trie.arity not in (1, 2):
@@ -48,12 +59,23 @@ class FlatTrieView:
         self.arity = trie.arity
         data = trie.sorted_data
         self.ann = trie.sorted_annotations
+        self._rank_of = None
         if trie.arity == 1:
             self.keys = np.ascontiguousarray(data[:, 0])
             self.offsets = None
             self.values = None
             self.packed = None
-            return
+        else:
+            self._index_pairs(data)
+        # ``bitset_only`` stores sparse roots as bitsets too, so the
+        # kind alone does not bound the table: the density rule does
+        # (and ranks must fit the table's int32).
+        self._dense_root = trie.root.set.kind == "bitset" \
+            and self.keys.size < np.iinfo(np.int32).max \
+            and choose_set_layout(
+                self.keys, trie.optimizer.density_threshold) == "bitset"
+
+    def _index_pairs(self, data):
         col0 = np.ascontiguousarray(data[:, 0])
         col1 = np.ascontiguousarray(data[:, 1])
         keys, starts = np.unique(col0, return_index=True)
@@ -62,6 +84,17 @@ class FlatTrieView:
         self.values = col1
         self.packed = (col0.astype(np.uint64) << np.uint64(32)) \
             | col1.astype(np.uint64)
+
+    @property
+    def rank_of(self):
+        """The dense root-rank table, or ``None`` for a sparse root."""
+        if self._rank_of is None and self._dense_root:
+            keys = self.keys
+            span = int(keys[-1]) - int(keys[0]) + 1
+            table = np.full(span + 1, -1, dtype=np.int32)
+            table[keys - keys[0]] = np.arange(keys.size, dtype=np.int32)
+            self._rank_of = table
+        return self._rank_of
 
 
 class TrieNode:

@@ -180,3 +180,72 @@ class TestTrieCache:
         trie_second = cache.get(second, (0, 1), "set")
         assert trie_first is not trie_second
         assert list(trie_second.tuples()) == [(2, 3)]
+
+
+class TestDerivedRelationTries:
+    """Selection and projection slices are new relation objects per
+    planning; the trie cache must know them by what they were cut from
+    and let them go with the plan that cut them."""
+
+    @staticmethod
+    def two_hop(node):
+        return ("Hop(;w:long) :- Edge(%d,y),Edge(y,z); w=<<COUNT(*)>>."
+                % node)
+
+    def db(self, **overrides):
+        from repro.graphs import uniform_graph
+        db = Database(ordering="identity", **overrides)
+        db.load_graph("Edge", [tuple(e) for e
+                               in uniform_graph(320, 1500, seed=4)])
+        return db
+
+    def test_distinct_selections_do_not_accumulate(self):
+        """The daemon's miss traffic: 300 distinct selections on one
+        database (more than the plan cache holds) leave at most one
+        selection trie per cached plan."""
+        db = self.db(execution_mode="compiled")
+        answers = {node: db.query(self.two_hop(node)).scalar
+                   for node in range(300)}
+        cache = db._trie_cache
+        cached_rules = db._plan_cache.sizes()["rules"]
+        assert cached_rules < 300
+        assert len(cache._tries) <= cached_rules + 2
+        assert all(key[0][1].startswith("Edge{") for key in cache._tries
+                   if isinstance(key[0], tuple))
+        # evicted and still-cached selections alike answer as before
+        for node in (0, 150, 299):
+            assert db.query(self.two_hop(node)).scalar == answers[node]
+
+    def test_repeated_selection_hits(self):
+        db = self.db(execution_mode="compiled")
+        db.query(self.two_hop(7))
+        db._plan_cache.clear()   # forget the plan, not the relation...
+        assert not any(isinstance(key[0], tuple)
+                       for key in db._trie_cache._tries)
+        # ...whose trie went with it; two plans alive share one trie
+        db.query(self.two_hop(7))
+        misses = db._trie_cache.misses
+        db.query(self.two_hop(7).replace("Hop", "SameHop"))
+        assert db._trie_cache.misses == misses
+        assert db.last_stats.trie_cache_hits >= 1
+
+    def test_interpreted_runs_leave_no_selection_trie(self):
+        db = self.db(execution_mode="interpreted")
+        for node in range(20):
+            db.query(self.two_hop(node))
+        assert len(db._trie_cache._tries) <= 2
+
+    def test_mutated_source_misses(self):
+        db = self.db(execution_mode="compiled")
+        before = db.query(self.two_hop(3)).scalar
+        absent = next(node for node in range(4, 320)
+                      if (3, node) not in set(map(
+                          tuple, db.catalog["Edge"].data.tolist())))
+        db.append("Edge", [(3, absent), (absent, 3)])
+        after = db.query(self.two_hop(3)).scalar
+        fresh = self.db(execution_mode="interpreted")
+        fresh.append("Edge", [(3, absent), (absent, 3)])
+        assert after == fresh.query(self.two_hop(3)).scalar != before
+        # the selection's stale trie was replaced, not kept beside
+        assert sum(isinstance(key[0], tuple)
+                   for key in db._trie_cache._tries) == 1

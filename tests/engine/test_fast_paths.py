@@ -1,16 +1,14 @@
-"""Unit tests for the bag evaluator's vectorized fast paths.
+"""Unit tests for the bag evaluator's identity-scan shortcut.
 
-The fast paths must (a) fire on the shapes they claim, (b) never fire
-where they don't apply, and (c) agree with the generic recursion
-bit-for-bit (the latter is also covered globally by the reference-
-equivalence property tests).
+It must (a) fire on the shape it claims, (b) never fire where it does
+not apply, and (c) agree with the generic recursion bit-for-bit (the
+latter is also covered globally by the reference-equivalence property
+tests).
 """
 
 import numpy as np
-import pytest
 
-from repro.engine import (BagInput, EngineConfig, EXISTS, MIN, SUM,
-                          evaluate_bag)
+from repro.engine import BagInput, EngineConfig, EXISTS, evaluate_bag
 from repro.engine.generic_join import BagEvaluator
 from repro.storage import Relation, Trie
 
@@ -21,89 +19,7 @@ def trie_of(rows, annotations=None, key_order=None):
     return Trie(Relation("R", data, annotations), key_order=key_order)
 
 
-def unary_trie(values, annotations=None):
-    data = np.asarray(values, dtype=np.uint32).reshape(-1, 1)
-    return Trie(Relation("U", data, annotations))
-
-
 PAIRS = [(0, 1), (0, 2), (1, 2), (2, 0), (2, 3)]
-
-
-class TestTwoLevelFastPath:
-    def evaluator(self, inputs, semiring=SUM, simd=True):
-        config = EngineConfig(simd=simd)
-        return BagEvaluator(("x", "z"), 1, inputs, semiring, config)
-
-    def test_fires_on_pagerank_shape(self):
-        edge = trie_of(PAIRS)
-        weights = unary_trie([0, 1, 2, 3],
-                             annotations=[1.0, 2.0, 4.0, 8.0])
-        inputs = [BagInput(edge, ("x", "z")),
-                  BagInput(weights, ("z",), annotated=True)]
-        evaluator = self.evaluator(inputs)
-        assert evaluator._try_vectorized_two_level() is not None
-        result = evaluator.run()
-        got = dict(zip((r[0] for r in result.data.tolist()),
-                       result.annotations))
-        assert got == {0: 2.0 + 4.0, 1: 4.0, 2: 1.0 + 8.0}
-
-    def test_matches_generic_recursion(self):
-        edge = trie_of(PAIRS)
-        weights = unary_trie([1, 2, 3], annotations=[3.0, 5.0, 7.0])
-        for semiring in (SUM, MIN):
-            inputs = [BagInput(edge, ("x", "z")),
-                      BagInput(weights, ("z",), annotated=True)]
-            fast = evaluate_bag(("x", "z"), 1, inputs, semiring,
-                                EngineConfig(simd=True))
-            inputs = [BagInput(edge, ("x", "z")),
-                      BagInput(weights, ("z",), annotated=True)]
-            slow = evaluate_bag(("x", "z"), 1, inputs, semiring,
-                                EngineConfig(simd=False))
-            assert fast.data.tolist() == slow.data.tolist()
-            assert np.allclose(fast.annotations, slow.annotations)
-
-    def test_unary_over_out_variable_filters_and_scales(self):
-        edge = trie_of(PAIRS)
-        out_weights = unary_trie([0, 2], annotations=[10.0, 100.0])
-        inputs = [BagInput(edge, ("x", "z")),
-                  BagInput(out_weights, ("x",), annotated=True)]
-        result = self.evaluator(inputs).run()
-        got = dict(zip((r[0] for r in result.data.tolist()),
-                       result.annotations))
-        # x=1 filtered out; sums scaled by the out annotation.
-        assert got == {0: 2 * 10.0, 2: 2 * 100.0}
-
-    def test_does_not_fire_with_two_binary_atoms(self):
-        edge = trie_of(PAIRS)
-        inputs = [BagInput(edge, ("x", "z")),
-                  BagInput(trie_of(PAIRS), ("x", "z"))]
-        assert self.evaluator(inputs)._try_vectorized_two_level() is None
-
-    def test_does_not_fire_without_simd(self):
-        edge = trie_of(PAIRS)
-        inputs = [BagInput(edge, ("x", "z"))]
-        evaluator = self.evaluator(inputs, simd=False)
-        assert evaluator._try_vectorized_two_level() is None
-
-    def test_does_not_fire_on_annotated_binary(self):
-        edge = trie_of(PAIRS, annotations=np.arange(5, dtype=float))
-        inputs = [BagInput(edge, ("x", "z"), annotated=True)]
-        assert self.evaluator(inputs)._try_vectorized_two_level() is None
-
-    def test_empty_after_filter(self):
-        edge = trie_of(PAIRS)
-        nothing = unary_trie([99])
-        inputs = [BagInput(edge, ("x", "z")),
-                  BagInput(nothing, ("z",))]
-        result = self.evaluator(inputs).run()
-        assert result.cardinality == 0
-
-    def test_charges_cost_model(self):
-        edge = trie_of(PAIRS)
-        config = EngineConfig()
-        evaluate_bag(("x", "z"), 1, [BagInput(edge, ("x", "z"))], SUM,
-                     config)
-        assert config.counter.total_ops > 0
 
 
 class TestIdentityScan:

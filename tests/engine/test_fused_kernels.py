@@ -409,3 +409,117 @@ class TestSkewedCommonNeighbours:
         # levels x and y generate at most the Pair relation each
         assert db.counter.elements <= 2 * n_pairs + small_side \
             + self.PROBES + self.TARGETS
+
+
+# -- (e) the analytics shapes and the dense root probe ------------------------
+
+
+def analytics_tries(roots, with_v):
+    """Tries of ``Agg(x) :- B(x,z),U1(z),U2(z)[,V(x)]``: a fixed
+    unannotated ``B`` whose ``z`` values reach below, into and beyond
+    every root key set, and annotated unary inputs over ``roots``.
+    Weights are dyadic, so every product and partial sum is exact."""
+    from repro.storage import Relation, Trie
+    pairs = [(x, z) for x in range(40) for z in range(0, 70000, 997)
+             if (x * 31 + z) % 3]
+    zs = sorted({z for _, z in pairs})
+    u1, u2 = roots(zs)
+
+    def unary(name, keys):
+        keys = np.asarray(sorted(keys), dtype=np.uint32)
+        weights = (keys % 13) / 8.0 + 0.5
+        return Trie(Relation(name, keys.reshape(-1, 1), weights))
+
+    tries = [Trie(Relation("B", np.asarray(pairs, dtype=np.uint32))),
+             unary("U1", u1), unary("U2", u2)]
+    atoms = [("B", ("x", "z"), False), ("U1", ("z",), True),
+             ("U2", ("z",), True)]
+    if with_v:
+        tries.append(unary("V", range(3, 33)))
+        atoms.append(("V", ("x",), True))
+    return tries, atoms
+
+
+#: Root key sets of ``(U1, U2)`` from the ``z`` values ``B`` holds —
+#: dense ones become bitsets and answer through ``rank_of``.
+ANALYTICS_ROOTS = {
+    "dense": lambda zs: (range(20000, 40000), range(25000, 45000)),
+    "sparse": lambda zs: (zs[::2], zs[::3]),
+    "mixed": lambda zs: (range(20000, 40000), zs[::2]),
+    "disjoint": lambda zs: (range(20000, 30000), range(30000, 40000)),
+    "inside": lambda zs: (range(29000, 31000), range(29500, 30500)),
+}
+
+
+@pytest.mark.parametrize("with_v", [False, True], ids=["", "V(x)"])
+@pytest.mark.parametrize("roots", sorted(ANALYTICS_ROOTS))
+@pytest.mark.parametrize("name", FUSED_SEMIRINGS)
+class TestAnalyticsShapes:
+    """``Agg(x) :- B(x,z),U1(z),U2(z)`` (PageRank's and SSSP's round)
+    is evaluated by the block kernel alone, so it must equal the
+    interpreter bit for bit whichever way each root level is probed —
+    dense table or binary search — at every block size."""
+
+    def test_kernel_equals_interpreter(self, name, roots, with_v):
+        from repro.engine import EngineConfig
+        from repro.engine.generic_join import BagInput
+        tries, atoms = analytics_tries(ANALYTICS_ROOTS[roots], with_v)
+        dense = [trie.flat().rank_of is not None for trie in tries[1:3]]
+        assert dense == {"dense": [True, True], "sparse": [False, False],
+                         "mixed": [True, False], "disjoint": [True, True],
+                         "inside": [True, True]}[roots]
+        semiring = semiring_for(name)
+        specs = [InputSpec(n, v, annotated=a) for n, v, a in atoms]
+        inputs = [BagInput(trie, v, annotated=a, name=n)
+                  for trie, (n, v, a) in zip(tries, atoms)]
+        config = EngineConfig(execution_mode="compiled")
+        expected = BagEvaluator(("x", "z"), 1, inputs, semiring,
+                                config).run()
+        assert bool(expected.cardinality) == (roots != "disjoint")
+        kernel = generate_bag_plan(("x", "z"), 1, specs, semiring)
+        for rows in (1, 7, None):
+            got = kernel(tries, config if rows is None
+                         else blocked(config, rows))
+            assert np.array_equal(got.data, expected.data)
+            assert np.array_equal(got.annotations, expected.annotations)
+
+
+class TestAnalyticsShapeValues:
+    """Hand-checked answers on the two shapes (formerly asserted of the
+    interpreter's whole-bag shortcut, which the kernel replaced)."""
+
+    PAIRS = [(0, 1), (0, 2), (1, 2), (2, 0), (2, 3)]
+
+    def run(self, unary_vars, keys, weights):
+        from repro.storage import Relation, Trie
+        tries = [Trie(Relation("B", np.asarray(self.PAIRS,
+                                               dtype=np.uint32))),
+                 Trie(Relation("U", np.asarray(keys, dtype=np.uint32)
+                               .reshape(-1, 1), weights))]
+        specs = [InputSpec("B", ("x", "z")),
+                 InputSpec("U", unary_vars, annotated=True)]
+        kernel = generate_bag_plan(("x", "z"), 1, specs,
+                                   semiring_for("SUM"))
+        result = kernel(tries, kernel_db().config)
+        return dict(zip(result.data[:, 0].tolist(),
+                        result.annotations.tolist()))
+
+    def test_sums_the_weights_of_each_neighbourhood(self):
+        assert self.run(("z",), [0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0]) \
+            == {0: 2.0 + 4.0, 1: 4.0, 2: 1.0 + 8.0}
+
+    def test_unary_over_the_out_variable_filters_and_scales(self):
+        # x=1 filtered out; neighbour counts scaled by x's weight
+        assert self.run(("x",), [0, 2], [10.0, 100.0]) \
+            == {0: 2 * 10.0, 2: 2 * 100.0}
+
+    def test_bitset_only_layout_does_not_grow_a_sparse_table(self):
+        """``bitset_only`` stores even a sparse root as a bitset; the
+        density rule, not the layout kind, bounds ``rank_of``."""
+        from repro.sets import SetOptimizer
+        from repro.storage import Relation, Trie
+        keys = np.asarray([[5], [4000000000]], dtype=np.uint32)
+        trie = Trie(Relation("U", keys),
+                    optimizer=SetOptimizer("bitset_only"))
+        assert trie.root.set.kind == "bitset"
+        assert trie.flat().rank_of is None

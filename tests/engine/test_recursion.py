@@ -236,9 +236,198 @@ class TestRoundsRetireTheirTries:
 
     @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
     def test_union_fixpoint_cache_is_steady(self, mode):
-        # (The interpreted oracle re-plans per run and re-derives
-        # selection/projection relations each time, so the analytics
-        # programs above are only steady on the default engine; the
-        # closure has no derived relation and is steady on both.)
         sizes = self.steady_state(self.CLOSURE, execution_mode=mode)
         assert sizes[1] == sizes[9]
+
+    def test_interpreted_selection_tries_die_with_their_run(self):
+        """The oracle re-plans per run and re-derives the SSSP base
+        rule's ``Edge(0,x)`` selection each time; its trie must not
+        outlive the run that cut it."""
+        from repro.graphs import sssp_program
+        sizes = self.steady_state(sssp_program(0),
+                                  execution_mode="interpreted")
+        assert sizes[1] == sizes[9]
+
+
+def brute_force_fixpoint(base, step, better):
+    """Naive fixpoint with Python dicts: ``step(best)`` is one round's
+    ``{key: value}`` over the whole accumulated relation."""
+    best = dict(base)
+    while True:
+        changed = False
+        for key, value in step(best).items():
+            if key not in best or better(value, best[key]):
+                best[key] = value
+                changed = True
+        if not changed:
+            return best
+
+
+@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+class TestArraySeminaive:
+    """The driver keeps ``best`` and ``delta`` as sorted arrays; its
+    fixpoint must be the dict-based naive one for MIN and MAX, unary
+    and binary heads, ties, and nodes no round ever reaches."""
+
+    #: Two routes of equal length to 3 (ties), a long tail, and a
+    #: component {7, 8} unreachable from 0.
+    GRAPH = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6),
+             (7, 8)]
+    #: A DAG with short and long routes to the same node.
+    DAG = [(0, 1), (0, 2), (1, 2), (2, 3), (0, 3), (3, 4), (1, 4),
+           (6, 7)]
+
+    def db(self, mode, edges, undirected):
+        db = Database(ordering="identity", execution_mode=mode)
+        db.load_graph("Edge", edges, undirected=undirected)
+        return db
+
+    @staticmethod
+    def arcs(edges, undirected):
+        return set(edges) | ({(b, a) for a, b in edges} if undirected
+                             else set())
+
+    def test_min_unary_head(self, mode):
+        got = self.db(mode, self.GRAPH, True).query("""
+            S(x;y:int) :- Edge(0,x); y=1.
+            S(x;y:int)* :- Edge(w,x),S(w); y=<<MIN(w)>>+1.
+        """).to_dict()
+        arcs = self.arcs(self.GRAPH, True)
+
+        def step(best):
+            out = {}
+            for w, x in arcs:
+                if w in best:
+                    out[x] = min(out.get(x, np.inf), best[w] + 1)
+            return out
+        expected = brute_force_fixpoint(
+            {x: 1.0 for w, x in arcs if w == 0}, step,
+            lambda new, old: new < old)
+        assert got == expected
+        assert 7 not in got and 8 not in got and got[3] == 2.0
+
+    def test_max_unary_head(self, mode):
+        got = self.db(mode, self.DAG, False).query("""
+            L(x;y:int) :- Edge(0,x); y=1.
+            L(x;y:int)* :- Edge(w,x),L(w); y=<<MAX(w)>>+1.
+        """).to_dict()
+
+        def step(best):
+            out = {}
+            for w, x in self.DAG:
+                if w in best:
+                    out[x] = max(out.get(x, -np.inf), best[w] + 1)
+            return out
+        expected = brute_force_fixpoint(
+            {x: 1.0 for w, x in self.DAG if w == 0}, step,
+            lambda new, old: new > old)
+        assert got == expected
+        assert got[4] == 4.0 and 7 not in got
+
+    @pytest.mark.parametrize("op,edges,undirected", [
+        ("MIN", GRAPH, True), ("MAX", DAG, False)])
+    def test_binary_head(self, mode, op, edges, undirected):
+        got = self.db(mode, edges, undirected).query("""
+            D(x,y;d:int) :- Edge(x,y); d=1.
+            D(x,y;d:int)* :- Edge(x,z),D(z,y); d=<<%s(z)>>+1.
+        """ % op).to_dict()
+        arcs = self.arcs(edges, undirected)
+        pick, better = (min, lambda new, old: new < old) if op == "MIN" \
+            else (max, lambda new, old: new > old)
+
+        def step(best):
+            out = {}
+            for x, z in arcs:
+                for (z2, y), value in best.items():
+                    if z2 == z:
+                        out[x, y] = pick(out.get((x, y), value + 1),
+                                         value + 1)
+            return out
+        expected = brute_force_fixpoint({arc: 1.0 for arc in arcs}, step,
+                                        better)
+        assert got == expected
+        assert len(got) > len(arcs)
+
+    def test_round_cap_raises_and_restores_the_head(self, mode):
+        """MAX over a cycle improves forever: the cap raises, and the
+        delta the last round installed does not stay in the catalog."""
+        from repro.errors import ExecutionError
+        db = self.db(mode, [(0, 1), (1, 2), (2, 0)], False)
+        db.query("L(x;y:int) :- Edge(0,x); y=1.")
+        base = db.catalog["L"]
+        rule = parse_rule(
+            "L(x;y:int)* :- Edge(w,x),L(w); y=<<MAX(w)>>+1.")
+        with pytest.raises(ExecutionError, match="did not converge"):
+            execute_recursive(rule, db._executor, max_rounds=5)
+        assert db.catalog["L"] is base
+
+    def test_head_read_through_a_guard_is_not_rebound(self, mode):
+        """``S(0)`` is a selection of the head: the compiled rule
+        cannot take the new head's trie alone, so it recompiles — and
+        agrees with the oracle round for round."""
+        program = """
+            S(x;y:int) :- Edge(0,x); y=1.
+            S(x;y:int)*[i=3] :- Edge(w,x),S(w),S(1); y=<<MIN(w)>>+1.
+        """
+        expected = self.db("interpreted", self.GRAPH, True) \
+            .query(program).to_dict()
+        assert self.db(mode, self.GRAPH, True).query(program).to_dict() \
+            == expected
+
+
+class TestRoundsCompileOnce:
+    """A recursion's rounds differ only in the head relation, so only
+    the first compiles; the others re-bind the head's trie."""
+
+    EDGES = [(i, i + 1) for i in range(12)] + [(0, 5), (3, 9)]
+
+    def db(self):
+        db = Database(ordering="identity", execution_mode="compiled")
+        db.load_graph("Edge", self.EDGES, undirected=True)
+        return db
+
+    def test_bounded_recursion(self):
+        db = self.db()
+        db.query("V(x;a:float) :- Edge(x,z); a=1.")
+        rounds = 6
+        db.query("V(x;a:float)*[i=%d] :- Edge(x,z),V(z); "
+                 "a=0.5*<<SUM(z)>>." % rounds)
+        stats = db.last_stats
+        assert stats.recursion_rounds == rounds
+        assert stats.ghd_builds == 1 and stats.codegen_runs <= 1
+        assert (stats.plan_cache_misses, stats.plan_cache_hits) \
+            == (1, rounds - 1)
+        # one head trie per round (Edge's may be built here too)
+        assert rounds <= stats.trie_cache_misses <= rounds + 1
+        assert stats.compiled_bag_calls == rounds \
+            == stats.fused_blocks + stats.fused_fallbacks
+
+    def test_seminaive_recursion_and_its_repeat(self):
+        db = self.db()
+        program = """
+            S(x;y:int) :- Edge(0,x); y=1.
+            S(x;y:int)* :- Edge(w,x),S(w); y=<<MIN(w)>>+1.
+        """
+        first = db.query(program).to_dict()
+        stats = db.last_stats
+        rounds = stats.recursion_rounds
+        assert rounds >= 5
+        assert stats.ghd_builds == 2        # base rule + recursive rule
+        # the base rule's Edge selection and Edge, then a head per round
+        assert stats.trie_cache_misses <= rounds + 3
+        assert stats.compiled_bag_calls \
+            == stats.fused_blocks + stats.fused_fallbacks
+        # the program again: the head is the only relation that
+        # changed, so nothing compiles at all
+        assert db.query(program).to_dict() == first
+        again = db.last_stats
+        assert again.ghd_builds == 0 and again.plan_cache_misses == 0
+        assert again.recursion_rounds == rounds
+        assert again.trie_cache_misses <= rounds + 1
+
+    def test_interpreted_rounds_report_no_compiled_counters(self):
+        db = Database(ordering="identity", execution_mode="interpreted")
+        db.load_graph("Edge", self.EDGES, undirected=True)
+        db.query("V(x;a:float) :- Edge(x,z); a=1.")
+        db.query("V(x;a:float)*[i=2] :- Edge(x,z),V(z); a=<<SUM(z)>>.")
+        assert db.last_stats is None

@@ -269,6 +269,46 @@ class TestLayeringChecker:
         assert checker.check(str(tmp_path)) == []
 
 
+    @staticmethod
+    def engine_tree(tmp_path, **sources):
+        package = tmp_path / "repro" / "engine"
+        package.mkdir(parents=True)
+        for name, text in sources.items():
+            (package / (name + ".py")).write_text(text)
+        return str(tmp_path)
+
+    def test_kernels_may_share_result_types_with_the_oracle(self, tmp_path):
+        checker, _ = self.load_checker()
+        tree = self.engine_tree(
+            tmp_path,
+            fused="from .generic_join import BagResult, empty_bag_result\n",
+            codegen="from .fused import FusedBagKernel\n"
+                    "from repro.engine.generic_join import BagResult\n",
+            generic_join="from .semiring import EXISTS\n")
+        assert checker.check(tree) == []
+
+    @pytest.mark.parametrize("module,text,what", [
+        ("fused", "from .generic_join import BagEvaluator\n",
+         "BagEvaluator"),
+        ("fused", "def late():\n    from . import generic_join\n",
+         "the module"),
+        ("codegen", "import repro.engine.generic_join\n", "the module"),
+        ("generic_join", "from .fused import FusedBagKernel\n",
+         "FusedBagKernel"),
+        ("generic_join", "from .codegen import generate_bag_plan\n",
+         "generate_bag_plan"),
+    ])
+    def test_detects_kernel_and_oracle_sharing_code(self, tmp_path, module,
+                                                    text, what):
+        checker, _ = self.load_checker()
+        violations = checker.check(
+            self.engine_tree(tmp_path, **{module: text}))
+        assert len(violations) == 1
+        assert "repro.engine.%s imports %s" % (module, what) \
+            in violations[0]
+        assert "oracle independence" in violations[0]
+
+
 class TestValidationOrder:
     """Empty guards short-circuit before unbound-head errors (the old
     executor behaved this way; the split must preserve it)."""

@@ -247,6 +247,35 @@ class TestDatabaseIntegration:
         assert second["rows"] == 1
         assert second["status"] == "ok"
 
+    def test_recursive_program_reports_its_rounds(self, db, tmp_path):
+        """The recursion driver's rule executions land in the program's
+        stats — and from there in the record, the report and the
+        metrics — instead of vanishing with per-round stats objects."""
+        db.enable_metrics()
+        db.query("V(x;a:float) :- Edge(x,z); a=1.")
+        db.query("V(x;a:float)*[i=4] :- Edge(x,z),V(z); a=<<SUM(z)>>.")
+        stats = db.last_stats
+        assert stats.recursion_rounds == 4
+        assert stats.compiled_bag_calls == 4 \
+            == stats.fused_blocks + stats.fused_fallbacks
+        assert stats.trie_cache_misses >= 4   # a head trie per round
+        assert "recursion: 4 round(s)" in stats.describe()
+        assert db.metrics.counter("pipeline.recursion_rounds").value == 4
+        report = db.explain_analyze(
+            "V(x;a:float)*[i=2] :- Edge(x,z),V(z); a=<<SUM(z)>>.")
+        assert "recursion: 2 round(s)" in report
+        assert "2 generated bag call(s) (2 fused" in report
+        db.disable_telemetry()
+        count, problems = validate_query_log(
+            str(tmp_path / "queries.jsonl"))
+        assert problems == [] and count == 3
+        base, recursive, explained = read_query_log(
+            str(tmp_path / "queries.jsonl"))
+        assert "recursion_rounds" not in base
+        assert recursive["recursion_rounds"] == recursive["fused_blocks"] \
+            == 4
+        assert explained["recursion_rounds"] == 2
+
     def test_off_by_default_and_disable_detaches(self, tmp_path):
         db = Database()
         assert db.config.telemetry is None

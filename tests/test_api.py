@@ -111,6 +111,82 @@ class TestQuerying:
         assert db.counter.total_ops > 0
 
 
+class TestColumnarDecode:
+    """Results decode a column at a time; what comes out must be what
+    went in — Python ``int`` node ids (never numpy scalars), the very
+    objects of a mixed-type dictionary — with ``float`` annotations."""
+
+    DEGREE = "D(x;d:long) :- Edge(x,y); d=<<COUNT(*)>>."
+    PAIRS = "Q(x,y;v:int) :- Edge(x,y); v=7."
+
+    def test_int_dictionaries_decode_to_python_ints(self):
+        db = Database()
+        db.load_graph("Edge", [(10, 20), (20, 30), (10, 30), (30, 40)])
+        result = db.query(self.DEGREE)
+        as_dict = result.to_dict()
+        assert as_dict == {10: 2.0, 20: 2.0, 30: 3.0, 40: 1.0}
+        assert {type(k) for k in as_dict} == {int}
+        assert {type(v) for v in as_dict.values()} == {float}
+        assert {type(v) for row in result.tuples() for v in row} == {int}
+        assert {type(v) for row in result for v in row} == {int}
+        (node, degree), = result.top(1)
+        assert (node, degree) == (30, 3.0)
+        assert type(node) is int and type(degree) is float
+        pairs = db.query(self.PAIRS)
+        assert {type(v) for key in pairs.to_dict() for v in key} == {int}
+        assert pairs.top(2)[0][0] in pairs.to_dict()
+
+    def test_undictionaried_keys_decode_to_python_ints(self):
+        db = Database()
+        db.add_encoded("Edge", np.asarray([[1, 2], [2, 3]],
+                                          dtype=np.uint32))
+        rows = db.query("Q(x,y) :- Edge(x,y).").tuples()
+        assert rows == [(1, 2), (2, 3)]
+        assert {type(v) for row in rows for v in row} == {int}
+
+    def test_mixed_dictionaries_return_the_original_objects(self):
+        hub, leaf = ("hub", 1), frozenset([2])
+        db = Database()
+        db.add_relation("Edge", [(hub, leaf), (hub, 3), (leaf, "s")],
+                        annotations=[1.0, 2.0, 4.0])
+        decoded = db.query("Q(x;v:float) :- Edge(x,y); v=<<SUM(y)>>.") \
+            .to_dict()
+        assert decoded == {hub: 3.0, leaf: 4.0}
+        assert any(key is hub for key in decoded)
+        assert any(key is leaf for key in decoded)
+        values = {v for row in db.query("R(y) :- Edge(x,y).").tuples()
+                  for v in row}
+        assert values == {leaf, 3, "s"}
+
+    def test_a_new_value_after_a_decode_is_decoded_too(self):
+        """The int decode column is dropped when the dictionary grows
+        and is not rebuilt once a non-int arrives."""
+        db = Database()
+        db.add_relation("Edge", [(1, 2), (2, 3)])
+        assert db.query("Q(x,y) :- Edge(x,y).").tuples() \
+            == [(1, 2), (2, 3)]
+        db.append("Edge", [(3, 2 ** 70)])
+        assert (3, 2 ** 70) in db.query("Q(x,y) :- Edge(x,y).").tuples()
+        db.append("Edge", [(4, "four")])
+        assert (4, "four") in db.query("Q(x,y) :- Edge(x,y).").tuples()
+
+    def test_top_decodes_only_the_rows_it_returns(self, monkeypatch):
+        from repro.storage.dictionary import Dictionary
+        db = Database()
+        db.load_graph("Edge", [(i, i + 1) for i in range(50)])
+        result = db.query(self.DEGREE)
+        decoded = []
+        original = Dictionary.decode_many
+
+        def counting(self, keys):
+            decoded.append(len(keys))
+            return original(self, keys)
+        monkeypatch.setattr(Dictionary, "decode_many", counting)
+        top = result.top(3)
+        assert len(top) == 3 and decoded == [3]
+        assert {degree for _, degree in top} == {2.0}
+
+
 class TestConfiguration:
     def test_keyword_overrides(self):
         db = Database(layout_level="uint_only", simd=False)

@@ -16,6 +16,16 @@ This script fails (exit 1) when a forbidden import edge exists:
   * any module under ``repro.query`` importing ``repro.lir``
     (or ``repro.engine``, which is implied by the same boundary)
 
+and, inside the engine, when the default engine and its oracle stop
+being independent: the block kernels (``engine/fused.py``, lowered by
+``engine/codegen.py``) are differentially tested against the
+interpreter (``engine/generic_join.py``), which proves something only
+while neither evaluates bags with the other's code.  So
+
+  * ``fused`` and ``codegen`` may import from ``generic_join`` only the
+    result types (``BagResult``, ``empty_bag_result``)
+  * ``generic_join`` imports nothing from ``fused`` or ``codegen``
+
 Detection is by AST walk, so it sees ``import x``, ``from x import y``,
 and relative imports, including those nested inside functions.
 
@@ -30,6 +40,17 @@ import sys
 FORBIDDEN = {
     "repro.lir": ("repro.engine",),
     "repro.query": ("repro.lir", "repro.engine"),
+}
+
+
+_RESULT_TYPES = frozenset(["BagResult", "empty_bag_result"])
+
+#: importing module -> {imported module: the only names it may take}.
+ALLOWED_NAMES = {
+    "repro.engine.fused": {"repro.engine.generic_join": _RESULT_TYPES},
+    "repro.engine.codegen": {"repro.engine.generic_join": _RESULT_TYPES},
+    "repro.engine.generic_join": {"repro.engine.fused": frozenset(),
+                                  "repro.engine.codegen": frozenset()},
 }
 
 
@@ -57,21 +78,45 @@ def resolve_relative(module, level, target):
     return ".".join(base)
 
 
-def imported_modules(path, module):
-    """Every absolute module name ``module`` (at ``path``) imports."""
+def imported_names(path, module):
+    """``(absolute module, name)`` for everything ``module`` (at
+    ``path``) imports; ``name`` is ``None`` for ``import x``."""
     with open(path) as handle:
         tree = ast.parse(handle.read(), filename=path)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found.extend(alias.name for alias in node.names)
+            found.extend((alias.name, None) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                found.append(resolve_relative(module, node.level,
-                                              node.module or ""))
-            elif node.module:
-                found.append(node.module)
+            source = resolve_relative(module, node.level,
+                                      node.module or "") \
+                if node.level else node.module
+            if source:
+                found.extend((source, alias.name) for alias in node.names)
     return found
+
+
+def imported_modules(path, module):
+    """Every absolute module name ``module`` (at ``path``) imports."""
+    return [source for source, _ in imported_names(path, module)]
+
+
+def name_violations(path, module):
+    """Imports of ``module`` that take more than :data:`ALLOWED_NAMES`
+    grants: a name outside the allowed set, or the whole module
+    (``import x`` / ``from package import x``)."""
+    violations = []
+    for target, allowed in ALLOWED_NAMES.get(module, {}).items():
+        for source, name in imported_names(path, module):
+            whole = (source == target and name is None) \
+                or "%s.%s" % (source, name) == target
+            if whole or (source == target and name not in allowed):
+                violations.append(
+                    "%s imports %s from %s (oracle independence: only "
+                    "%s allowed)"
+                    % (module, "the module" if whole else name, target,
+                       ", ".join(sorted(allowed)) or "nothing"))
+    return violations
 
 
 def check(src_root):
@@ -83,6 +128,7 @@ def check(src_root):
                 continue
             path = os.path.join(directory, filename)
             module = module_name(path, src_root)
+            violations.extend(name_violations(path, module))
             rules = [banned for layer, banned in FORBIDDEN.items()
                      if module == layer or module.startswith(layer + ".")]
             if not rules:
@@ -112,7 +158,8 @@ def main(argv=None):
             print("  " + violation)
         return 1
     print("layering OK: repro.lir does not import repro.engine; "
-          "repro.query does not import repro.lir")
+          "repro.query does not import repro.lir; block kernels and "
+          "interpreter share result types only")
     return 0
 
 
