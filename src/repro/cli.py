@@ -299,6 +299,11 @@ def cmd_tune(args):
 def cmd_serve(args):
     """``repro serve``: run the long-lived query daemon."""
     from .serve import QueryService
+    # A daemon pays for its imports before it announces its port, never
+    # inside a request: these are what a mutation and a ``--workers``
+    # bag would otherwise load on first use.
+    from .engine import parallel  # noqa: F401
+    from .storage import delta  # noqa: F401
     if args.dataset or args.edges:
         db = _load_database(args)
     else:

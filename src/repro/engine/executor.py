@@ -328,10 +328,11 @@ class RuleExecutor:
         self.replans = 0
         self.last_mispredict_ratio = 0.0
         #: Banded GHD-plan memo shared across this executor's runs: the
-        #: LP-heavy decomposition search is skipped while a rule's shape
-        #: recurs and its input cardinalities stay in the same log2
-        #: band — the steady state of incremental view refreshes, where
-        #: every delta term replans the same tiny rule per mutation.
+        #: exhaustive decomposition search (every edge subset of every
+        #: subproblem) is skipped while a rule's shape recurs and its
+        #: input cardinalities stay in the same log2 band — the steady
+        #: state of incremental view refreshes, where every delta term
+        #: replans the same tiny rule per mutation.
         self.ghd_memo = {}
 
     def _options(self):

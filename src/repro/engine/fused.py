@@ -68,6 +68,18 @@ FUSED_SEMIRINGS = ("SUM", "COUNT", "MIN", "MAX", "EXISTS")
 #: in ``repro.tune.profile``, which sits below the engine.)
 BLOCK_ROWS = DEFAULT_FUSED_BLOCK_ROWS
 
+# One untouched 16 MiB allocation, freed at once.  A 16K-row block's
+# temporaries are 128 KiB each, which is glibc malloc's initial mmap
+# threshold: until the process happens to free a larger mmapped chunk
+# (the threshold then moves up to that chunk's size, at most 32 MiB),
+# every temporary is its own mmap/munmap and faults its pages in anew
+# — 3 800 minor faults per ``patterns`` block against 1 after this
+# line.  Which earlier free a process happened to make used to decide
+# that (an LP library's import, a trie's node tree); this makes it the
+# same for every process.  Never touched, so never resident; a no-op
+# for allocators without a dynamic threshold.
+np.empty(16 << 20, dtype=np.uint8)
+
 #: CSR-expansion : root-key-sweep candidate ratio past which a level
 #: takes the sweep.  The two routes break even near 2 on this substrate
 #: (a tie at 2x, the sweep 2x faster at 8x and 3.5x at 16x);

@@ -32,6 +32,9 @@ from .ghd import GHD, GHDNode, single_node_ghd
 #: Default symbolic relation size used when no sizes are provided.
 DEFAULT_SIZE = 1000
 
+#: Relative difference below which two plan costs are the same cost.
+COST_TOLERANCE = 1e-9
+
 
 class _Scored:
     """A candidate subtree with its DP score components."""
@@ -57,6 +60,20 @@ class _Scored:
         # established width/cost/depth decision.
         return (round(self.max_width, 6), self.cost, depth_term,
                 self.n_bags, self.icost)
+
+    def beats(self, other, prefer_deep_selections):
+        """Strictly better than ``other`` under :meth:`key`, with costs
+        within :data:`COST_TOLERANCE` of each other counted as tied:
+        symmetric plans (barbell's two triangles, K4's sub-bags) sum the
+        same bag costs in different orders, and the last bit of that sum
+        must not outrank selection depth, bag count and ``icost``."""
+        mine = self.key(prefer_deep_selections)
+        theirs = other.key(prefer_deep_selections)
+        if mine[0] != theirs[0]:
+            return mine[0] < theirs[0]
+        if not math.isclose(mine[1], theirs[1], rel_tol=COST_TOLERANCE):
+            return mine[1] < theirs[1]
+        return mine[2:] < theirs[2:]
 
 
 def _ordered_vars(edges, vertex_order):
@@ -130,21 +147,28 @@ class GHDSearch:
                 chi_set = frozenset().union(*[e.varset for e in subset])
                 if not interface <= chi_set:
                     continue
-                candidate = self._build_candidate(edges, subset, chi_set)
-                if candidate is None:
-                    continue
-                if best is None or candidate.key(
-                        self.prefer_deep_selections) \
-                        < best.key(self.prefer_deep_selections):
+                candidate = self._build_candidate(edges, subset, chi_set,
+                                                  best)
+                if candidate is not None and (
+                        best is None or candidate.beats(
+                            best, self.prefer_deep_selections)):
                     best = candidate
         assert best is not None, "some subset (all edges) always works"
         self._memo[memo_key] = best
         return best
 
-    def _build_candidate(self, edges, bag_edges, chi_set):
-        rest = [e for e in edges if e not in bag_edges]
+    def _build_candidate(self, edges, bag_edges, chi_set, incumbent):
+        """Score the subtree rooted at a bag of ``bag_edges``, or
+        ``None`` when the bag alone is already wider than the
+        ``incumbent`` subtree (the best so far, if any): width is the
+        first key component, so such a candidate cannot win and its
+        children need no search."""
         chi = _ordered_vars(bag_edges, self.vertex_order)
         width = self._bag_width(chi, bag_edges)
+        if incumbent is not None \
+                and round(width, 6) > round(incumbent.max_width, 6):
+            return None
+        rest = [e for e in edges if e not in bag_edges]
         cost = self._bag_cost(chi, bag_edges)
         icost = self._bag_icost(bag_edges)
         max_width = width

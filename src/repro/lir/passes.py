@@ -111,7 +111,7 @@ class OptimizerOptions:
     card_overrides: Optional[dict] = None
     #: Caller-owned dict the GHD choice pass memoizes decompositions in,
     #: keyed on rule structure plus log2 *cardinality bands* — repeated
-    #: planning of the same rule shape skips the LP-heavy search while
+    #: planning of the same rule shape skips the exhaustive search while
     #: relation sizes drift within a band.  ``None`` disables the memo.
     ghd_memo: Optional[dict] = None
 

@@ -135,7 +135,8 @@ def patched_trie(old_trie, relation, key_order, optimizer, entries):
             data, annotations = merge_sorted(data, annotations, rows, anns)
         else:
             data, annotations = subtract_sorted(data, annotations, rows)
-    touched = np.unique(np.concatenate(touched)) if touched \
+    # A bag of keys, not a sorted set: the trie only tests membership.
+    touched = np.concatenate(touched) if touched \
         else np.empty(0, dtype=np.uint32)
     return Trie(relation, key_order=key_order, optimizer=optimizer,
                 presorted=(data, annotations),

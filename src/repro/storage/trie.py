@@ -6,7 +6,15 @@ the *set* of ``a_i`` values extending that prefix.  Each set is stored in
 a physical layout chosen by the layout optimizer, which is where the
 engine's density-skew adaptivity lives.  Leaf sets optionally carry
 per-value semiring annotations.
+
+A trie is built *flat first*: the sorted tuple array, the level-0 index
+and the root set exist as soon as the constructor returns, which is all
+the default block engine reads (through :class:`FlatTrieView`).  The
+per-prefix node tree below the root — one layout object per distinct
+prefix — is built on the first descent into it.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -44,9 +52,11 @@ class FlatTrieView:
         Four bytes per value of the root key *range*, which the
         density decision bounds at 256x the key count.
 
-    All arrays alias :attr:`Trie.sorted_data` buffers where possible,
-    so the view costs one ``unique`` + one pack per trie and is cached
-    by :meth:`Trie.flat`.
+    All arrays alias :attr:`Trie.sorted_data` buffers where possible
+    and the level-0 index is the one the trie's root set was built
+    from, so the view costs one pack per trie and is cached by
+    :meth:`Trie.flat`.  It reads the root set's layout kind and nothing
+    below the root: building it never materializes the node tree.
     """
 
     __slots__ = ("arity", "keys", "offsets", "values", "packed", "ann",
@@ -66,7 +76,7 @@ class FlatTrieView:
             self.values = None
             self.packed = None
         else:
-            self._index_pairs(data)
+            self._index_pairs(data, *trie._level0)
         # ``bitset_only`` stores sparse roots as bitsets too, so the
         # kind alone does not bound the table: the density rule does
         # (and ranks must fit the table's int32).
@@ -75,10 +85,9 @@ class FlatTrieView:
             and choose_set_layout(
                 self.keys, trie.optimizer.density_threshold) == "bitset"
 
-    def _index_pairs(self, data):
+    def _index_pairs(self, data, keys, starts):
         col0 = np.ascontiguousarray(data[:, 0])
         col1 = np.ascontiguousarray(data[:, 1])
-        keys, starts = np.unique(col0, return_index=True)
         self.keys = keys
         self.offsets = np.append(starts, col0.size).astype(np.int64)
         self.values = col1
@@ -103,15 +112,27 @@ class TrieNode:
     ``children`` is a list parallel to the set's sorted order (``None`` at
     the leaf level); ``annotations`` is a float array parallel to sorted
     order (``None`` when the relation is unannotated or the level is not
-    the leaf).
+    the leaf).  A root node may be created with ``pending``, a
+    zero-argument builder of its children that runs on the first read of
+    ``children`` (and so on the first ``child``/``child_at``).
     """
 
-    __slots__ = ("set", "children", "annotations")
+    __slots__ = ("set", "annotations", "_children", "_pending")
 
-    def __init__(self, set_layout, children=None, annotations=None):
+    def __init__(self, set_layout, children=None, annotations=None,
+                 pending=None):
         self.set = set_layout
-        self.children = children
         self.annotations = annotations
+        self._children = children
+        self._pending = pending
+
+    @property
+    def children(self):
+        """Child nodes in sorted-value order, built on first use."""
+        if self._pending is not None:
+            self._children = self._pending()
+            self._pending = None
+        return self._children
 
     def child(self, value):
         """Child node for ``value``; raises ``KeyError`` when absent."""
@@ -130,11 +151,20 @@ class TrieNode:
     @property
     def is_leaf(self):
         """True at the deepest trie level (no child pointers)."""
-        return self.children is None
+        return self._children is None and self._pending is None
 
 
 class Trie:
     """A relation materialized as a trie under one attribute order.
+
+    Construction sorts and deduplicates, keeps the tuples as
+    :attr:`sorted_data`, indexes level 0 and builds the **root** set.
+    The node tree below the root (:attr:`materialized`) is built by the
+    first reader that descends — ``root.children``/``child``,
+    :meth:`lookup`, :meth:`contains`, :meth:`tuples`,
+    :meth:`level_sets`, :attr:`nbytes`, :meth:`layout_histogram` — which
+    the interpreter oracle, the forked scheduler and structural tests
+    do and the default block engine (:meth:`flat`) never does.
 
     Parameters
     ----------
@@ -200,57 +230,48 @@ class Trie:
         self.sorted_data = data
         self.sorted_annotations = annotations
         self._flat = None
-        if reuse is not None and self.arity > 1 and data.shape[0]:
-            self.root = self._patched_root(data, annotations, *reuse)
+        # Level-0 index (distinct keys, first row of each), shared with
+        # the flat view so neither recomputes the other's ``unique``.
+        keys, starts = self._level0 = np.unique(data[:, 0],
+                                                return_index=True)
+        root_set = self.optimizer.build(keys)
+        if self.arity == 1:
+            self.root = TrieNode(
+                root_set, None,
+                None if annotations is None else annotations[starts])
+        elif reuse is not None and reuse[0].materialized:
+            self.root = TrieNode(root_set, self._patched_children(*reuse))
         else:
-            self.root = self._build(data, annotations, 0)
+            # Holds the arrays and the optimizer, not the trie: a pending
+            # root must not tie trie and node into a reference cycle.
+            self.root = TrieNode(root_set, pending=partial(
+                _build_children, self.optimizer, data, annotations,
+                starts, 0))
 
-    def _build(self, data, annotations, depth):
-        column = data[:, depth]
-        values, starts = np.unique(column, return_index=True)
-        bounds = np.append(starts, column.shape[0])
-        set_layout = self.optimizer.build(values)
-        if depth == self.arity - 1:
-            leaf_annotations = None
-            if annotations is not None:
-                leaf_annotations = annotations[starts]
-            return TrieNode(set_layout, None, leaf_annotations)
-        children = [
-            self._build(data[bounds[i]:bounds[i + 1]],
-                        None if annotations is None
-                        else annotations[bounds[i]:bounds[i + 1]],
-                        depth + 1)
-            for i in range(values.size)
-        ]
-        return TrieNode(set_layout, children, None)
+    @property
+    def materialized(self):
+        """Whether the node tree below the root has been built."""
+        return self.root._pending is None
 
-    def _patched_root(self, data, annotations, old_trie, touched):
-        """Root build that reuses untouched subtrees of a stale trie.
+    def _patched_children(self, old_trie, touched):
+        """Root children that reuse untouched subtrees of a stale trie.
 
         ``touched`` is the set of level-0 key values the delta journal
         mentioned (already permuted into this trie's key order): only
         those groups' subtrees changed, so every other level-0 value
         keeps the old trie's child node — the build pass becomes
-        O(|Δ| log n) instead of O(distinct level-0 keys).  The root set
-        itself is always rebuilt (membership may have changed)."""
-        column = data[:, 0]
-        values, starts = np.unique(column, return_index=True)
-        bounds = np.append(starts, column.shape[0])
-        set_layout = self.optimizer.build(values)
+        O(|Δ| log n) instead of O(distinct level-0 keys).  Only a
+        materialized ``old_trie`` has subtrees to give; a patch of one
+        that never descended stays lazy like any fresh build."""
+        keys, starts = self._level0
         old_root = old_trie.root
-        touched = {int(v) for v in touched}
-        children = []
-        for index in range(values.size):
-            value = int(values[index])
+        touched = set(np.asarray(touched).tolist())
+        adopted = {}
+        for index, value in enumerate(keys.tolist()):
             if value not in touched and old_root.set.contains(value):
-                children.append(old_root.child(value))
-                continue
-            children.append(self._build(
-                data[bounds[index]:bounds[index + 1]],
-                None if annotations is None
-                else annotations[bounds[index]:bounds[index + 1]],
-                1))
-        return TrieNode(set_layout, children, None)
+                adopted[index] = old_root.child(value)
+        return _build_children(self.optimizer, self.sorted_data,
+                               self.sorted_annotations, starts, 0, adopted)
 
     def flat(self):
         """Cached :class:`FlatTrieView` for fused block execution."""
@@ -404,6 +425,33 @@ class Trie:
     def __repr__(self):
         return "Trie(%s, order=%s, %d tuples)" % (
             self.name, self.key_order, self.cardinality)
+
+
+def _build_node(optimizer, data, annotations, depth):
+    """The node (and subtree) over ``data``'s columns from ``depth``."""
+    values, starts = np.unique(data[:, depth], return_index=True)
+    set_layout = optimizer.build(values)
+    if depth == data.shape[1] - 1:
+        return TrieNode(set_layout, None, None if annotations is None
+                        else annotations[starts])
+    return TrieNode(set_layout, _build_children(
+        optimizer, data, annotations, starts, depth))
+
+
+def _build_children(optimizer, data, annotations, starts, depth,
+                    adopted=None):
+    """Child nodes of the ``depth`` node over ``data`` whose groups
+    begin at ``starts``; ``adopted`` maps a group's index to a
+    ready-made node that is used instead of building one."""
+    bounds = np.append(starts, data.shape[0])
+    return [
+        adopted[i] if adopted and i in adopted else
+        _build_node(optimizer, data[bounds[i]:bounds[i + 1]],
+                    None if annotations is None
+                    else annotations[bounds[i]:bounds[i + 1]],
+                    depth + 1)
+        for i in range(starts.size)
+    ]
 
 
 def _empty_set(optimizer):

@@ -22,6 +22,21 @@ untuned engine.
 """
 
 from .profile import PROFILE_VERSION, TuningProfile, load_profile
-from .calibrate import calibrate
+
+#: The calibration microbenchmarks; the engine only ever reads profiles.
+_DEFERRED = {"calibrate": ".calibrate"}
 
 __all__ = ["PROFILE_VERSION", "TuningProfile", "calibrate", "load_profile"]
+
+
+def __getattr__(name):
+    # PEP 562: the ``_DEFERRED`` exports load with their module on first
+    # use, so importing this package costs only what reading a profile
+    # needs.
+    if name not in _DEFERRED:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from importlib import import_module
+    value = getattr(import_module(_DEFERRED[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -1,15 +1,18 @@
 """Unit and property tests for AGM bounds (paper §2.1, Example 2.1)."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ghd import (agm_bound, cover_bound_value, fractional_cover,
+from repro.ghd import (agm, agm_bound, cover_bound_value, fractional_cover,
                        is_feasible_cover, rho_star)
 
 TRIANGLE = [{"x", "y"}, {"y", "z"}, {"x", "z"}]
+FOUR_CLIQUE = [{"x", "y"}, {"y", "z"}, {"x", "z"}, {"x", "w"},
+               {"y", "w"}, {"z", "w"}]
 
 
 class TestFractionalCover:
@@ -38,6 +41,95 @@ class TestFractionalCover:
     def test_path_query_integral_cover(self):
         edges = [{"a", "b"}, {"b", "c"}, {"c", "d"}]
         assert rho_star(["a", "b", "c", "d"], edges) == pytest.approx(2.0)
+
+
+class TestSolverClosedForms:
+    """The in-tree simplex against covers known in closed form."""
+
+    def test_five_cycle_is_five_halves(self):
+        cycle = [{i, (i + 1) % 5} for i in range(5)]
+        value, weights = fractional_cover(range(5), cycle)
+        assert value == pytest.approx(2.5, abs=1e-12)
+        assert weights == pytest.approx([0.5] * 5)
+
+    def test_star_needs_every_leaf_edge(self):
+        star = [{"c", "l%d" % i} for i in range(4)]
+        vertices = ["c"] + ["l%d" % i for i in range(4)]
+        value, weights = fractional_cover(vertices, star)
+        assert value == pytest.approx(4.0, abs=1e-12)
+        assert weights == pytest.approx([1.0] * 4)
+
+    def test_lopsided_triangle_avoids_the_huge_edge(self):
+        logs = [math.log(100), math.log(100), math.log(10 ** 9)]
+        value, weights = fractional_cover("xyz", TRIANGLE, logs)
+        assert value == pytest.approx(2 * math.log(100), rel=1e-12)
+        assert weights == pytest.approx([1.0, 1.0, 0.0])
+
+    def test_zero_cost_edges_pivot_degenerately(self):
+        """Size-1 relations cost log 1 = 0: every ratio test ties at
+        zero, which is where a simplex without Bland's rule cycles."""
+        logs = [0.0, 0.0, 0.0, math.log(50), 0.0, math.log(50)]
+        value, weights = fractional_cover("xyzw", FOUR_CLIQUE, logs)
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert is_feasible_cover(FOUR_CLIQUE, weights)
+        assert agm_bound(FOUR_CLIQUE, [1, 1, 1, 50, 1, 50]) \
+            == pytest.approx(1.0)
+
+    def test_weights_align_with_the_edges_given(self):
+        value, weights = fractional_cover(
+            "ab", [{"q"}, {"a", "b"}, {"a"}], [1.0, 3.0, 1.0])
+        assert value == pytest.approx(3.0)
+        assert weights[0] == 0.0
+        assert is_feasible_cover([{"q"}, {"a", "b"}, {"a"}], weights, "ab")
+
+    def test_uncoverable_vertex_gets_zero_weights(self):
+        value, weights = fractional_cover(["x", "q"], [{"x", "y"}])
+        assert value == math.inf and weights == [0.0]
+
+    def test_negative_cost_rejected(self):
+        with pytest.raises(ValueError):
+            fractional_cover("xy", [{"x", "y"}], [-1.0])
+
+
+class TestCanonicalCache:
+    """Bags that differ only in edge order or variable names are one
+    cache entry and one solve (``lru_cache``'s own miss counter)."""
+
+    def test_triangle_permutations_and_renaming_share_an_entry(self):
+        agm._cached_rho_star.cache_clear()
+        bags = [list(p) for p in itertools.permutations(TRIANGLE)]
+        bags.append([{"p", "q"}, {"q", "r"}, {"p", "r"}])
+        values = {rho_star(set().union(*bag), bag) for bag in bags}
+        assert values == {1.5}
+        info = agm._cached_rho_star.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits == len(bags) - 1
+
+    def test_uncovered_attributes_do_not_split_the_key(self):
+        """Only the attributes to cover reach the LP: the selected
+        ``s`` below is cut from its edge before the lookup."""
+        agm._cached_rho_star.cache_clear()
+        assert rho_star("xy", [{"x", "y"}]) == 1.0
+        assert rho_star("xy", [{"x", "y", "s"}, {"s"}]) == 1.0
+        assert agm._cached_rho_star.cache_info().misses == 1
+
+    def test_sizes_follow_their_edges_through_the_permutation(self):
+        agm._cached_agm_bound.cache_clear()
+        sizes = [100, 100, 10 ** 9]
+        bounds = {agm_bound([TRIANGLE[i] for i in order],
+                            [sizes[i] for i in order])
+                  for order in itertools.permutations(range(3))}
+        assert len(bounds) == 1
+        assert bounds.pop() == pytest.approx(100.0 * 100.0)
+        assert agm._cached_agm_bound.cache_info().misses == 1
+
+    def test_equal_sizes_are_answered_from_the_rho_star_cache(self):
+        agm._cached_rho_star.cache_clear()
+        agm._cached_agm_bound.cache_clear()
+        assert agm_bound(TRIANGLE, [64, 64, 64]) == pytest.approx(512.0)
+        assert agm_bound(FOUR_CLIQUE, [9] * 6) == pytest.approx(81.0)
+        assert agm._cached_agm_bound.cache_info().misses == 0
+        assert agm._cached_rho_star.cache_info().misses == 2
 
 
 class TestAGMBound:
@@ -109,3 +201,62 @@ def test_agm_inequality_holds_on_random_graphs(n_nodes, n_edges, seed):
               for w in adjacency.get(v, ())
               if w in adjacency.get(u, set()))
     assert out <= agm_bound(TRIANGLE, [m, m, m]) + 1e-6
+
+
+# -- the solver against scipy's HiGHS (test-only dependency) -----------------
+
+
+def _check_against_linprog(vertices, edges, log_sizes):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    value, weights = fractional_cover(vertices, edges, log_sizes)
+    covered = set().union(*edges) if edges else set()
+    if not set(vertices) <= covered:
+        assert value == math.inf
+        return
+    assert is_feasible_cover(edges, weights, vertices)
+    assert sum(w * c for w, c in zip(weights, log_sizes)) \
+        == pytest.approx(value, rel=1e-9, abs=1e-9)
+    if not vertices:
+        assert value == 0.0
+        return
+    matrix = [[-1.0 if v in e else 0.0 for e in edges] for v in vertices]
+    reference = linprog(c=log_sizes, A_ub=matrix,
+                        b_ub=[-1.0] * len(vertices),
+                        bounds=[(0, None)] * len(edges), method="highs")
+    assert reference.success
+    assert value == pytest.approx(reference.fun, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _hypergraphs(draw):
+    n_vertices = draw(st.integers(1, 6))
+    edges = draw(st.lists(
+        st.sets(st.integers(0, n_vertices - 1), min_size=1, max_size=3),
+        min_size=1, max_size=8))
+    sizes = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(edges),
+                          max_size=len(edges)))
+    cover = draw(st.sets(st.integers(0, n_vertices - 1)))
+    return sorted(cover), edges, [math.log(s) for s in sizes]
+
+
+@given(_hypergraphs())
+@settings(max_examples=200, deadline=None)
+def test_solver_matches_linprog_on_random_hypergraphs(case):
+    _check_against_linprog(*case)
+
+
+@given(seed=st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_solver_matches_linprog_on_fuzzer_bodies(seed):
+    """Every rule body ``repro.fuzz.gen`` emits, as the hypergraph the
+    GHD search would price, at the generated relations' sizes."""
+    from repro.fuzz.gen import generate_case
+    case = generate_case(seed)
+    sizes = {r.name: len(r.tuples) for r in case.relations}
+    for rule in case.rules:
+        atoms = [a for a in rule.body if a.variables]
+        edges = [set(a.variables) for a in atoms]
+        logs = [math.log(max(sizes.get(a.name, 1000), 1)) for a in atoms]
+        vertices = sorted(set().union(*edges)) if edges else []
+        _check_against_linprog(vertices, edges, logs)
+        _check_against_linprog(vertices, edges, [1.0] * len(edges))

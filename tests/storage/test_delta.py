@@ -228,10 +228,12 @@ class TestApplyDelete:
     def test_patched_trie_adopts_untouched_subtrees(self):
         """The surgical patch: only subtrees under journal-touched
         level-0 keys rebuild; every other child node is the stale
-        trie's object, verbatim."""
+        trie's object, verbatim.  (Only a stale trie whose node tree
+        was ever descended into has subtrees to adopt.)"""
         r = rel([[c, c + 1] for c in range(20)])
         r._canonicalize()
         old = Trie(r, key_order=(0, 1))
+        assert old.contains((3, 4)) and old.materialized
         assert r.apply_append([[5, 99], [30, 0]]) == 2
         assert r.apply_delete([[7, 8]]) == 1
         entries = r.delta.changes_since(0)

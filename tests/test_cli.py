@@ -99,3 +99,38 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert out.startswith("EXPLAIN ANALYZE")
         assert "cost-model error:" in out
+
+
+class TestImportBudget:
+    """``tools/check_layering.py``'s run-time rule: what a cold
+    ``repro query`` process imports before it does any work."""
+
+    @staticmethod
+    def load_checker():
+        import importlib.util
+        import os
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "check_layering",
+            os.path.join(root, "tools", "check_layering.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module, os.path.join(root, "src")
+
+    def test_cli_import_stays_inside_the_budget(self):
+        checker, src = self.load_checker()
+        assert checker.import_budget_violations(src) == []
+
+    def test_a_violating_import_fails_the_check(self, tmp_path, capsys):
+        checker, _ = self.load_checker()
+        package = tmp_path / "repro"
+        package.mkdir()
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(
+            "def later():\n    import asyncio\n"
+            "import multiprocessing\n")
+        violations = checker.import_budget_violations(str(tmp_path))
+        assert len(violations) >= 1
+        assert all("multiprocessing" in v for v in violations)
+        assert checker.main([str(tmp_path)]) == 1
+        assert "import budget" in capsys.readouterr().out

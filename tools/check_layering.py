@@ -29,11 +29,20 @@ while neither evaluates bags with the other's code.  So
 Detection is by AST walk, so it sees ``import x``, ``from x import y``,
 and relative imports, including those nested inside functions.
 
+A third rule is checked by running, not reading: the **import budget**.
+A cold ``repro query`` process pays for every module ``import
+repro.cli`` loads, so a fresh interpreter imports it and fails when
+``sys.modules`` then holds anything in :data:`IMPORT_BUDGET` — an LP
+library, the forked scheduler, the daemon, the fuzzer, the telemetry
+exporters.  Code that needs one imports it where it is used.
+
 Usage: ``python tools/check_layering.py [src_root]``
 """
 
 import ast
+import json
 import os
+import subprocess
 import sys
 
 #: lower layer -> modules it must never import (prefix match).
@@ -42,6 +51,14 @@ FORBIDDEN = {
     "repro.query": ("repro.lir", "repro.engine"),
 }
 
+
+#: Modules (and everything under them) ``import repro.cli`` must not load.
+IMPORT_BUDGET = (
+    "scipy", "multiprocessing", "concurrent.futures", "asyncio",
+    "repro.serve", "repro.fuzz", "repro.engine.parallel",
+    "repro.storage.arena", "repro.tune.calibrate", "repro.obs.telemetry",
+    "repro.obs.flight", "repro.obs.openmetrics", "repro.obs.export",
+)
 
 _RESULT_TYPES = frozenset(["BagResult", "empty_bag_result"])
 
@@ -147,11 +164,31 @@ def check(src_root):
     return violations
 
 
+def import_budget_violations(src_root, entry="repro.cli",
+                             banned=IMPORT_BUDGET):
+    """Violation strings for ``banned`` modules that a fresh
+    interpreter holds after ``import entry`` from ``src_root``."""
+    env = dict(os.environ, PYTHONPATH=src_root)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, %s; print(json.dumps(sorted(sys.modules)))"
+         % entry],
+        capture_output=True, text=True, env=env, timeout=120)
+    if done.returncode != 0:
+        return ["import budget: `import %s` failed: %s"
+                % (entry, (done.stderr.strip().splitlines() or ["?"])[-1])]
+    loaded = json.loads(done.stdout)
+    return ["import %s loads %s (import budget: a cold `repro query` "
+            "must not pay for %s)" % (entry, module, prefix)
+            for module in loaded for prefix in banned
+            if module == prefix or module.startswith(prefix + ".")]
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     src_root = argv[0] if argv else os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    violations = check(src_root)
+    violations = check(src_root) + import_budget_violations(src_root)
     if violations:
         print("layering violations:")
         for violation in violations:
@@ -159,7 +196,8 @@ def main(argv=None):
         return 1
     print("layering OK: repro.lir does not import repro.engine; "
           "repro.query does not import repro.lir; block kernels and "
-          "interpreter share result types only")
+          "interpreter share result types only; import repro.cli stays "
+          "inside its import budget")
     return 0
 
 
