@@ -42,7 +42,8 @@ class InputSpec:
         return (self.variables, self.annotated)
 
 
-def generate_bag_plan(eval_order, out_count, specs, semiring):
+def generate_bag_plan(eval_order, out_count, specs, semiring,
+                      out_attrs=None):
     """Lower one bag to its block kernel.
 
     Parameters
@@ -56,6 +57,10 @@ def generate_bag_plan(eval_order, out_count, specs, semiring):
         :class:`InputSpec` list, one per input trie.
     semiring:
         Fold for the aggregated suffix (and the zero of empty results).
+    out_attrs:
+        The emitted attributes when they are not the first
+        ``out_count`` of ``eval_order`` (a seminaive round's
+        delta-first order); needs an idempotent fold.
 
     Returns
     -------
@@ -63,7 +68,9 @@ def generate_bag_plan(eval_order, out_count, specs, semiring):
         Calling the kernel with ``(tries, config, restrict=None)`` —
         tries in spec order — returns the same
         :class:`~repro.engine.generic_join.BagResult` the interpreting
-        :class:`~repro.engine.generic_join.BagEvaluator` produces.
+        :class:`~repro.engine.generic_join.BagEvaluator` produces
+        (for ``out_attrs``: produces under the output-first order, up
+        to row and column order).
         ``None`` means the shape is not fusable and the caller must
         interpret the bag.
     """
@@ -73,4 +80,5 @@ def generate_bag_plan(eval_order, out_count, specs, semiring):
         raise PlanError("semiring must be a Semiring instance")
     if not fusable(eval_order, out_count, specs, semiring):
         return None
-    return FusedBagKernel(eval_order, out_count, specs, semiring)
+    return FusedBagKernel(eval_order, out_count, specs, semiring,
+                          out_attrs=out_attrs)

@@ -34,10 +34,11 @@ from ..lir import OptimizerOptions, optimize_rule, plan_rule
 from ..lir.build import normalize_atom  # noqa: F401  (compat re-export)
 from ..query.ast import Agg, BinOp, Num, Ref
 from ..sets.optimizer import SetOptimizer
+from ..storage.delta import row_keys
 from ..storage.relation import Relation, relation_columns
 from ..storage.trie import Trie
 from .codegen import InputSpec, generate_bag_plan
-from .fused import fusable
+from .fused import IDEMPOTENT_FOLDS, fusable
 from .generic_join import BagEvaluator, BagInput, BagResult, evaluate_bag
 from .memo import remap_memoized
 from .plan import BagPlan, PhysicalPlan
@@ -783,7 +784,7 @@ class RuleExecutor:
         with maybe_span(self.config.tracer, "plan_cache.lookup",
                         "cache") as span:
             compiled = self.plans.get_rule(key, self.catalog,
-                                           self._rebind_head)
+                                           self._rebind)
             if span is not None:
                 span.args["hit"] = compiled is not None
         tier = "miss" if compiled is None else "hit"
@@ -815,39 +816,51 @@ class RuleExecutor:
             self._adaptive_check(key)
         return result
 
-    def _rebind_head(self, compiled, stale):
-        """Bring a compiled rule up to date with a replaced head.
+    def _rebind(self, compiled, stale):
+        """Bring a compiled rule up to date with replaced relations.
 
-        A recursion round changes one thing about its rule: the
-        relation the rule's own head names (the previous round's
-        output, or its delta).  GHD, attribute orders and kernels do
-        not depend on that relation's contents, so instead of
-        recompiling, the atoms over it take the new relation and the
-        bags that read it take its trie.  Returns false — recompile —
-        when anything else changed or the head is read through a
-        selection, whose derived relation would have to be re-cut.
+        A rule whose inputs were re-derived — a recursion round's own
+        head (the previous round's output, or its delta), PageRank's
+        ``InvDeg`` on every run of its program — differs from its
+        compiled form in nothing but those relations' contents.  GHD,
+        attribute orders and kernels do not depend on contents, so
+        instead of recompiling, the atoms over a replaced relation
+        take the new one and the bags that read it take its trie.
+        Returns false — recompile — when a relation was mutated in
+        place rather than replaced, changed arity or annotatedness,
+        came back encoded through other dictionaries (a reload, which
+        re-plans, not a re-derivation), or is read through a selection
+        or a guard, whose derived relation would have to be re-cut.
         """
-        head = compiled.rule.head_name
-        relation = self.catalog.get(head)
         logical = compiled.logical
-        if compiled.kind != "plan" or relation is None \
-                or any(name != head for name in stale) \
-                or any(guard.name == head for guard in logical.guard_atoms):
+        if compiled.kind != "plan":
             return False
-        atoms = [atom for atom in logical.atoms if atom.name == head]
-        annotated = relation.annotations is not None
-        if any(atom.sig_name != head or atom.annotated != annotated
-               for atom in atoms):
-            return False
-        for atom in atoms:
-            atom.rebind(relation)
-        for cbag in compiled.bags.values():
-            for bag_input in cbag.base_inputs:
-                if bag_input.name == head:
-                    bag_input.trie = self.cache.get(
-                        relation, bag_input.trie.key_order,
-                        self.config.layout_level,
-                        self.config.density_threshold())
+        for name in stale:
+            relation = self.catalog.get(name)
+            atoms = [atom for atom in logical.atoms if atom.name == name]
+            if relation is None \
+                    or any(guard.name == name
+                           for guard in logical.guard_atoms) \
+                    or any(atom.source is relation
+                           or atom.sig_name != name
+                           or atom.source.arity != relation.arity
+                           or atom.annotated
+                           != (relation.annotations is not None)
+                           or _reencoded(atom.source, relation)
+                           for atom in atoms):
+                return False
+        for name in stale:
+            relation = self.catalog[name]
+            for atom in logical.atoms:
+                if atom.name == name:
+                    atom.rebind(relation)
+            for cbag in compiled.bags.values():
+                for bag_input in cbag.base_inputs:
+                    if bag_input.name == name:
+                        bag_input.trie = self.cache.get(
+                            relation, bag_input.trie.key_order,
+                            self.config.layout_level,
+                            self.config.density_threshold())
         compiled.guards = _relation_guards(logical)
         return True
 
@@ -909,13 +922,23 @@ class RuleExecutor:
                 for child in node.children:
                     keep |= node.chi_set & child.chi_set
             wanted = {a for a in node.chi if a in head or a in keep}
-            eval_order = tuple(bag_evaluation_order(node.chi, wanted,
-                                                    global_order))
-            # The kernel (like the interpreter's ``evaluate_bag``)
-            # emits columns as ``eval_order[:k]`` —
-            # record exactly that, or the baked pass-up key orders
+            # A seminaive round binds its delta's variables first
+            # (§3.3.2) in every bag whose kernel can group the then
+            # unordered outputs: an idempotent fold over inputs of
+            # arity <= 2.  Everything else stays output-first.
+            arities = [len(atoms[edge.index].variables)
+                       for edge in node.edges] \
+                + [len(node.chi_set.intersection(bags[id(c)].out_attrs))
+                   for c in node.children]
+            delta_vars = logical.delta_vars \
+                if semiring.name in IDEMPOTENT_FOLDS \
+                and max(arities) <= 2 else ()
+            eval_order = bag_evaluation_order(node.chi, wanted,
+                                              global_order, delta_vars)
+            # The kernel emits the wanted columns in evaluation order
+            # — record exactly that, or the baked pass-up key orders
             # would address permuted columns.
-            out_attrs = tuple(eval_order[:len(wanted)])
+            out_attrs = tuple(a for a in eval_order if a in wanted)
             signature = bag_signature(
                 node, out_attrs,
                 [signatures[id(c)] for c in node.children],
@@ -974,7 +997,7 @@ class RuleExecutor:
             input_names = [atoms[e.index].name for e in node.edges] \
                 + ["pass:%s" % ",".join(sorted(c.chi_set & node.chi_set))
                    for c in node.children]
-            bag_sig = ("bag", eval_order, len(out_attrs), semiring.name,
+            bag_sig = ("bag", eval_order, out_attrs, semiring.name,
                        tuple(spec.signature() for spec in specs))
             # An unfusable shape has no kernel to lower or cache: the
             # bag runs on the interpreter (a counted fallback).
@@ -986,7 +1009,8 @@ class RuleExecutor:
                     with maybe_span(self.config.tracer, "codegen",
                                     "compile", bag=",".join(node.chi)):
                         generated = generate_bag_plan(
-                            eval_order, len(out_attrs), specs, semiring)
+                            eval_order, len(out_attrs), specs, semiring,
+                            out_attrs=out_attrs)
                     self.plans.put_bag_code(bag_sig, generated)
                 else:
                     stats.bag_codegen_reuses += 1
@@ -1024,8 +1048,13 @@ class RuleExecutor:
         if self.config.parallel_workers > 1:
             best_size = -1
             for node in ghd.nodes_bottom_up():
-                size = sum(inp.trie.cardinality for inp
-                           in compiled.bags[id(node)].base_inputs)
+                cbag = compiled.bags[id(node)]
+                if cbag.generated is not None and cbag.generated.unordered:
+                    # morsels partition level 0, which must be an
+                    # output for their results to concatenate
+                    continue
+                size = sum(inp.trie.cardinality
+                           for inp in cbag.base_inputs)
                 if size > best_size:
                     parallel_node, best_size = id(node), size
         self._parallel_node = parallel_node
@@ -1135,10 +1164,13 @@ class RuleExecutor:
                     stats.fused_fallbacks += 1
         else:
             # Empty inputs and identity scans involve no join work, so
-            # no kernel (or loop nest) is entered for them.
+            # no kernel (or loop nest) is entered for them.  (The
+            # probe assumes prefix outputs; a kernel without them
+            # answers its own empty inputs and is never a scan.)
             probe = BagEvaluator(eval_order, out_count, inputs, semiring,
                                  self.config)
-            result = probe.try_fast_paths()
+            result = None if kernel is not None and kernel.unordered \
+                else probe.try_fast_paths()
             if result is None:
                 stats.compiled_bag_calls += 1
                 if kernel is None:
@@ -1277,6 +1309,13 @@ def _relation_guards(logical):
                  for a in list(logical.atoms) + list(logical.guard_atoms))
 
 
+def _reencoded(old, new):
+    """Whether both relations carry dictionaries and they differ."""
+    return old.dictionaries is not None and new.dictionaries is not None \
+        and any(a is not b
+                for a, b in zip(old.dictionaries, new.dictionaries))
+
+
 def _guard_annotation_factor(logical):
     """Product of the matched guard atoms' annotations.
 
@@ -1337,15 +1376,14 @@ def _finish_count_distinct(logical, distinct, env):
         value = eval_expression(logical.assignment,
                                 float(distinct.cardinality), env)
         return Relation.scalar(head_name, float(value))
-    keys = distinct.data[:, :-1]
-    order = np.lexsort(tuple(keys[:, c]
-                             for c in range(keys.shape[1] - 1, -1, -1)))
-    keys = keys[order]
+    # Canonical rows are grouped by their head prefix; the plan's own
+    # output already is canonical, which one linear pass confirms.
+    keys = distinct.deduplicated().data[:, :-1]
     new_group = np.ones(keys.shape[0], dtype=bool)
     new_group[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    group_ids = np.cumsum(new_group) - 1
-    counts = np.bincount(group_ids).astype(np.float64)
-    heads = keys[new_group]
+    starts = np.flatnonzero(new_group)
+    counts = np.diff(starts, append=keys.shape[0]).astype(np.float64)
+    heads = keys[starts]
     values = eval_expression(logical.assignment, counts, env)
     values = np.broadcast_to(np.asarray(values, dtype=np.float64),
                              (heads.shape[0],)).copy()
@@ -1402,7 +1440,7 @@ def _top_down_join(ghd, retained):
             annotations = None
         for child in node.children:
             child_data, child_attrs, child_ann = rec(child)
-            data, attrs, annotations = _hash_join(
+            data, attrs, annotations = _merge_join(
                 data, attrs, annotations,
                 child_data, child_attrs, child_ann)
         return data, attrs, annotations
@@ -1411,31 +1449,35 @@ def _top_down_join(ghd, retained):
     return data, attrs, annotations
 
 
-def _hash_join(left, left_attrs, left_ann, right, right_attrs, right_ann):
-    """Pairwise hash join used only for the acyclic top-down assembly."""
+def _merge_join(left, left_attrs, left_ann, right, right_attrs, right_ann):
+    """Pairwise sort-merge join for the acyclic top-down assembly.
+
+    Rows come out in left row order, the matches of one left row in
+    right row order (the right side is sorted stably, once);
+    annotations multiply left × right.
+    """
     shared = [a for a in left_attrs if a in right_attrs]
-    left_keys = [left_attrs.index(a) for a in shared]
-    right_keys = [right_attrs.index(a) for a in shared]
     right_extra = [i for i, a in enumerate(right_attrs) if a not in shared]
-    table = {}
-    for row_index in range(right.shape[0]):
-        key = tuple(int(right[row_index, c]) for c in right_keys)
-        table.setdefault(key, []).append(row_index)
-    out_rows = []
-    out_ann = []
-    for row_index in range(left.shape[0]):
-        key = tuple(int(left[row_index, c]) for c in left_keys)
-        for match in table.get(key, ()):
-            combined = list(left[row_index]) \
-                + [right[match, c] for c in right_extra]
-            out_rows.append(combined)
-            if left_ann is not None or right_ann is not None:
-                product = (left_ann[row_index]
-                           if left_ann is not None else 1.0) \
-                    * (right_ann[match] if right_ann is not None else 1.0)
-                out_ann.append(product)
     attrs = list(left_attrs) + [right_attrs[c] for c in right_extra]
-    data = np.asarray(out_rows, dtype=np.uint32).reshape(len(out_rows),
-                                                         len(attrs))
-    annotations = np.asarray(out_ann) if out_ann else None
+    left_keys = row_keys(left[:, [left_attrs.index(a) for a in shared]])
+    right_keys = row_keys(right[:, [right_attrs.index(a)
+                                      for a in shared]])
+    order = np.argsort(right_keys, kind="stable")
+    right_keys = right_keys[order]
+    first = np.searchsorted(right_keys, left_keys, side="left")
+    counts = np.searchsorted(right_keys, left_keys, side="right") - first
+    left_rows = np.repeat(np.arange(left.shape[0]), counts)
+    # the k-th match of a left row is the (first + k)-th sorted right row
+    ends = np.cumsum(counts)
+    right_rows = order[np.arange(left_rows.size)
+                       - np.repeat(ends - counts - first, counts)]
+    data = np.concatenate([left[left_rows],
+                           right[right_rows][:, right_extra]], axis=1)
+    annotations = None
+    if left_rows.size and left_ann is not None:
+        annotations = left_ann[left_rows]
+        if right_ann is not None:
+            annotations = annotations * right_ann[right_rows]
+    elif left_rows.size and right_ann is not None:
+        annotations = right_ann[right_rows]
     return data, attrs, annotations

@@ -30,7 +30,16 @@ level arrays (:meth:`repro.storage.trie.Trie.flat`):
 3. **Block aggregate folds.**  The aggregated suffix never materializes
    past the frontier: leaf contributions are folded per output prefix
    with ``reduceat`` segment reductions, and unannotated SUM/COUNT keeps
-   an exact ``int`` accumulator (a bare element count).
+   an exact ``int`` accumulator (a bare element count).  When the
+   output attributes are *not* a prefix of the order — a seminaive
+   round binds its delta first, so ``SSSP(x) :- Edge(w,x),SSSP(w)``
+   runs as ``[w, x]`` — the bindings of one output tuple are scattered
+   over the stream, and the last level folds them with an unordered
+   group-by instead: a ``ufunc.at`` scatter into an accumulator indexed
+   by the output columns' code, or a sort when that code space dwarfs
+   the work (:data:`DENSE_GROUPS`).  Only the idempotent folds (MIN,
+   MAX, EXISTS) group this way: their result does not depend on the
+   order bindings arrive in.
 
 **Bounded blocks.**  Every level generates its candidates in slices of
 at most :data:`BLOCK_ROWS` rows (cut on the cumulative fan-out, so a
@@ -47,6 +56,8 @@ order inside a fold, where grouping (and block boundaries) differ —
 the differential fuzzer's dyadic-rational value hygiene makes even
 those sums exact in practice.
 """
+
+import math
 
 import numpy as np
 
@@ -88,11 +99,24 @@ np.empty(16 << 20, dtype=np.uint8)
 #: few root keys would have answered.
 PROBE_CROSSOVER = 2.0
 
+#: Code-space size up to which an unordered group-by scatters into a
+#: dense accumulator whatever the block holds (nine bytes per code: a
+#: ``float64`` fold and a hit flag); beyond it the accumulator may be
+#: no larger than the candidates it folds, else the rows are sorted.
+#: Scatter wins whenever it applies — ``minimum.at`` over 150k rows is
+#: 0.4 ms where an ``argsort`` of them is 15 ms — so the limit only
+#: keeps a ten-row frontier from allocating a code space of millions.
+DENSE_GROUPS = 1 << 16
+
 _EMPTY_SCALAR_DATA = np.empty((0, 0), dtype=np.uint32)
 
 #: The ufunc behind each fold (EXISTS needs none: a witness suffices).
 _FOLD_UFUNC = {"SUM": np.add, "COUNT": np.add, "MIN": np.minimum,
                "MAX": np.maximum}
+
+#: Folds whose result is independent of the order (and multiplicity) in
+#: which bindings arrive — the ones an unordered group-by may serve.
+IDEMPOTENT_FOLDS = ("MIN", "MAX", "EXISTS")
 
 
 def fusable(eval_order, out_count, specs, semiring):
@@ -172,6 +196,16 @@ def _segment_starts(seg):
     return np.concatenate(([0], change))
 
 
+def _row_starts(columns):
+    """Start index of every run of equal rows, the rows given as one
+    non-empty sorted array per column."""
+    new_group = np.zeros(columns[0].size, dtype=bool)
+    new_group[0] = True
+    for column in columns:
+        new_group[1:] |= column[1:] != column[:-1]
+    return np.flatnonzero(new_group)
+
+
 class FusedBagKernel:
     """One bag lowered to a sequence of numpy block operations.
 
@@ -179,10 +213,13 @@ class FusedBagKernel:
     through the plan cache's bag-source tier.  Calling convention:
     ``kernel(tries, config, restrict=None)`` with tries in spec order
     and ``restrict`` the parallel executor's morsel hook (an extra set
-    intersected at level 0).
+    intersected at level 0).  ``out_attrs`` names the emitted
+    attributes when they are not the first ``out_count`` of
+    ``eval_order``; they are emitted in evaluation order either way.
     """
 
-    def __init__(self, eval_order, out_count, specs, semiring):
+    def __init__(self, eval_order, out_count, specs, semiring,
+                 out_attrs=None):
         if not fusable(eval_order, out_count, specs, semiring):
             raise PlanError("bag is not fusable")
         if not 0 <= out_count <= len(eval_order):
@@ -193,6 +230,26 @@ class FusedBagKernel:
         self.specs = list(specs)
         self.semiring = semiring
         self.n_levels = len(self.order)
+        wanted = set(self.order[:out_count] if out_attrs is None
+                     else out_attrs)
+        self.out_levels = tuple(level for level, attr
+                                in enumerate(self.order) if attr in wanted)
+        self.out_attrs = tuple(self.order[level]
+                               for level in self.out_levels)
+        if len(self.out_levels) != out_count:
+            raise PlanError("out_attrs %r are not %d attributes of %r"
+                            % (out_attrs, out_count, self.order))
+        #: Outputs are not an order prefix: the last level groups.
+        self.unordered = self.out_levels != tuple(range(out_count))
+        if self.unordered and semiring.name not in IDEMPOTENT_FOLDS:
+            raise PlanError("%s cannot fold an unordered group-by"
+                            % semiring.name)
+        # An input whose variables are all emitted multiplies into the
+        # output tuple's own annotation; any other into the values the
+        # fold ranges over (for prefix outputs: by the level its last
+        # variable binds at, as the interpreter's loop nest does).
+        self.to_prefix = [wanted.issuperset(spec.variables)
+                          for spec in specs]
         # Unannotated SUM/COUNT results are bare element counts, exact
         # in ``int`` (what the interpreter's cardinality path yields).
         self.int_fold = semiring.name in ("SUM", "COUNT") \
@@ -245,6 +302,9 @@ class FusedBagKernel:
                       for parent, offset in _blocks(counts, cum,
                                                     block_rows))
             if level == nl - 1 and oc < nl:
+                if self.unordered:
+                    return self._fold_groups(blocks, cols, pw, sw, flats,
+                                             total)
                 return self._fold_leaf(blocks, cols, pw, sw, frontier)
             parent, vals, new_ranks, factors = _concatenate(list(blocks))
             if parent.size == 0:
@@ -258,8 +318,8 @@ class FusedBagKernel:
             ranks = {index: rank[parent]
                      for index, rank in ranks.items()}
             ranks.update(new_ranks)
-            for factor in factors:
-                if level < oc:
+            for index, factor in sorted(factors.items()):
+                if self.to_prefix[index]:
                     pw = factor if pw is None else pw * factor
                 elif not exists:
                     # EXISTS ignores suffix annotations (the fold is a
@@ -272,7 +332,7 @@ class FusedBagKernel:
             metrics.observe("fused.block_rows", frontier)
         annotations = pw if pw is not None \
             else np.ones(frontier, dtype=np.float64)
-        return BagResult(self.order[:oc], np.stack(cols, axis=1),
+        return BagResult(self.out_attrs, np.stack(cols, axis=1),
                          annotations=annotations)
 
     # -- expansion ------------------------------------------------------------
@@ -341,9 +401,10 @@ class FusedBagKernel:
 
         Returns ``(parent, vals, new_ranks, factors)`` for the
         surviving candidates: frontier row, bound value, ranks of
-        inputs whose first variable binds here (by input index), and
-        the leaf-annotation factor arrays in input-index order — the
-        order the interpreter's left-associated products multiply in.
+        inputs whose first variable binds here and leaf-annotation
+        factor arrays of those whose last does (both by input index;
+        factors multiply in index order, as the interpreter's
+        left-associated products do).
         """
         vals = values[src]
         found = [(part, src if rank_of is None else rank_of[src])
@@ -364,14 +425,13 @@ class FusedBagKernel:
             vals = vals[keep]
             found = [(part, rank[keep]) for part, rank in found]
         new_ranks = {}
-        factors = []
+        factors = {}
         for part, rank in found:
             if not part.is_last:
                 new_ranks[part.index] = rank
             elif part.annotated and flats[part.index].ann is not None:
-                factors.append((part.index, flats[part.index].ann[rank]))
-        factors.sort(key=lambda item: item[0])
-        return parent, vals, new_ranks, [f for _, f in factors]
+                factors[part.index] = flats[part.index].ann[rank]
+        return parent, vals, new_ranks, factors
 
     # -- aggregated-leaf folds ------------------------------------------------
 
@@ -408,10 +468,9 @@ class FusedBagKernel:
                 else:               # MIN/MAX of a constant chain
                     leafv = 1.0
             else:
-                elem = sw[seg] if sw is not None \
-                    else np.ones(seg.size, dtype=np.float64)
-                for factor in factors:
-                    elem = elem * factor
+                elem = None if sw is None else sw[seg]
+                for _, factor in sorted(factors.items()):
+                    elem = factor if elem is None else elem * factor
                 leafv = fold.reduceat(elem, starts)
             acc[rows] = fold(acc[rows], leafv)
         rows = np.flatnonzero(hit)
@@ -426,25 +485,100 @@ class FusedBagKernel:
         # Group surviving rows by their output prefix (lexicographically
         # contiguous by construction) and reduce per group.
         prefix = [cols[level][rows] for level in range(oc)]
-        new_group = np.zeros(rows.size, dtype=bool)
-        new_group[0] = True
-        for column in prefix:
-            new_group[1:] |= column[1:] != column[:-1]
-        gstarts = np.flatnonzero(new_group)
+        gstarts = _row_starts(prefix)
         if fold is None:            # EXISTS: one witness per group
             gval = np.ones(gstarts.size, dtype=np.float64)
         else:
             gval = fold.reduceat(leafv, gstarts)
         annotations = gval if pw is None else pw[rows][gstarts] * gval
         data = np.stack([column[gstarts] for column in prefix], axis=1)
-        return BagResult(self.order[:oc], data,
+        return BagResult(self.out_attrs, data,
                          annotations=annotations.astype(np.float64,
                                                         copy=False))
+
+    def _fold_groups(self, blocks, cols, pw, sw, flats, total):
+        """Fold the deepest level per output tuple when the outputs
+        are not an order prefix (an *unordered group-by*).
+
+        The rows of one output tuple may sit anywhere in the level's
+        ``total`` candidates, in any block.  Its columns are coded as
+        one mixed-radix integer (each column's radix is one past the
+        largest value its level can bind) and every block scatters
+        into accumulators indexed by that code — a hit flag, the fold
+        of the suffix products (``ufunc.at``), the tuple's own
+        annotation; the set codes, ascending, are the result rows in
+        lexicographic order.  A code space too large for that
+        (:data:`DENSE_GROUPS`) sorts each block's rows and folds runs
+        instead, then the blocks' partial groups once more.
+        """
+        nl = self.n_levels
+        fold = _FOLD_UFUNC.get(self.semiring.name)      # None: EXISTS
+        bounds = [min(flats[part.index].bound(part.pos)
+                      for part in self.levels[level])
+                  for level in self.out_levels]
+        domain = math.prod(bounds)
+        dense = domain <= max(DENSE_GROUPS, total)
+        if dense:
+            hit = np.zeros(domain, dtype=bool)
+            acc = None if fold is None \
+                else np.full(domain, self.semiring.zero, dtype=np.float64)
+            pacc = None
+        partials = []
+        for parent, vals, _, factors in blocks:
+            if parent.size == 0:
+                continue
+            columns = [vals if level == nl - 1 else cols[level][parent]
+                       for level in self.out_levels]
+            pref = None if pw is None else pw[parent]
+            elem = None if sw is None else sw[parent]
+            for index, factor in sorted(factors.items()):
+                if self.to_prefix[index]:
+                    pref = factor if pref is None else pref * factor
+                elif fold is not None:
+                    elem = factor if elem is None else elem * factor
+            if not dense:
+                partials.append(_group_sorted(columns, bounds, elem, pref,
+                                              fold))
+                continue
+            code = _codes(columns, bounds)
+            hit[code] = True
+            if elem is not None:
+                fold.at(acc, code, elem)
+            elif fold is not None:      # MIN/MAX of a constant chain
+                acc[code] = 1.0
+            if pref is not None:
+                if pacc is None:
+                    pacc = np.empty(domain, dtype=np.float64)
+                pacc[code] = pref
+        if dense:
+            code = np.flatnonzero(hit)
+            gval = None if acc is None else acc[code]
+            pref = None if pacc is None else pacc[code]
+            columns = []
+            for bound in reversed(bounds):
+                code, column = np.divmod(code, bound)
+                columns.append(column)
+            columns.reverse()
+        elif partials:
+            columns, gvals, prefs = zip(*partials)
+            columns, gval, pref = _group_sorted(
+                [np.concatenate(column) for column in zip(*columns)],
+                bounds, _joined(gvals), _joined(prefs), fold)
+        else:
+            return self._empty()
+        if columns[0].size == 0:
+            return self._empty()
+        if gval is None:                # EXISTS: one witness per group
+            gval = np.ones(columns[0].size, dtype=np.float64)
+        annotations = gval if pref is None else pref * gval
+        data = np.stack(columns, axis=1).astype(np.uint32, copy=False)
+        return BagResult(self.out_attrs, data, annotations=annotations)
 
     def _empty(self):
         if self.out_count == 0 and self.int_fold:
             return BagResult((), _EMPTY_SCALAR_DATA, scalar=0)
-        return empty_bag_result(self.order, self.out_count, self.semiring)
+        return empty_bag_result(self.out_attrs, self.out_count,
+                                self.semiring)
 
 
 def _concatenate(blocks):
@@ -455,4 +589,39 @@ def _concatenate(blocks):
     return (np.concatenate(parents), np.concatenate(vals),
             {index: np.concatenate([r[index] for r in ranks])
              for index in ranks[0]},
-            [np.concatenate(column) for column in zip(*factors)])
+            {index: np.concatenate([f[index] for f in factors])
+             for index in factors[0]})
+
+
+def _joined(arrays):
+    """Concatenation of per-block arrays that are all ``None`` or not."""
+    return None if arrays[0] is None else np.concatenate(arrays)
+
+
+def _codes(columns, bounds):
+    """Mixed-radix code of every row of ``columns`` (one array per
+    column, radix ``bounds``): ascending codes are lexicographically
+    ascending rows.  ``None`` when the code space overflows 63 bits."""
+    code = columns[0].astype(np.int64)
+    space = bounds[0]
+    for column, bound in zip(columns[1:], bounds[1:]):
+        space *= bound
+        if space >= 1 << 63:
+            return None
+        code = code * bound + column
+    return code
+
+
+def _group_sorted(columns, bounds, elem, pref, fold):
+    """Sorted group-by of one batch of rows: returns the distinct rows
+    of ``columns`` in lexicographic order, the ``fold`` of ``elem``
+    over each one's occurrences and (constant per row) its ``pref`` —
+    ``None`` in, ``None`` out."""
+    code = _codes(columns, bounds)
+    order = np.argsort(code) if code is not None \
+        else np.lexsort(columns[::-1])
+    columns = [column[order] for column in columns]
+    starts = _row_starts(columns)
+    return ([column[starts] for column in columns],
+            None if elem is None else fold.reduceat(elem[order], starts),
+            None if pref is None else pref[order][starts])

@@ -9,11 +9,11 @@ make a repeated query's cost approach the pure join work:
 * **rule tier** — rule text → :class:`CompiledRule` (GHD choice, global
   order, per-bag block kernels, baked base tries), guarded by
   catalog relation *identity* so replacing a relation (a new load)
-  transparently invalidates — except when the only replaced relation
-  is the one the rule's own head names, which is what a recursion
-  round does: the executor then *re-binds* that atom's trie and the
-  entry lives on, so a recursion compiles once however many rounds
-  it runs;
+  transparently invalidates — except when the replaced relations
+  were merely re-derived: a recursion round's own head, an auxiliary
+  relation a program recomputes on every run.  The executor then
+  *re-binds* those atoms' tries and the entry lives on, so a
+  recursion compiles once however many rounds — and runs — it has;
 * **bag-source tier** — normalized bag signature (attribute order +
   head split + semiring + per-input annotation flags) →
   :class:`~repro.engine.fused.FusedBagKernel`, so structurally

@@ -5,26 +5,43 @@ strategy is chosen exactly as the paper describes:
 
 * a fixed iteration count (``*[i=k]``) unrolls the rule ``k`` times with
   *replace* semantics — PageRank's mode (naive recursion);
-* a monotone MIN/MAX aggregation runs **seminaive**: only the delta
-  (tuples whose value improved last round) feeds the recursive atom, and
-  improvements merge into the accumulated relation — SSSP's mode;
-* recursion without aggregation runs naive *union* iteration to a
-  fixpoint — transitive closure.
+* everything else runs to a fixpoint under one **seminaive** driver
+  (:func:`_fixpoint`): a monotone MIN/MAX aggregation (SSSP) or no
+  aggregation at all (transitive closure — EXISTS is just another
+  idempotent fold).  Only the *delta* — tuples that are new or whose
+  value strictly improved last round — feeds the recursive atom, and
+  each round's output merges into the accumulated relation.
+
+The driver marks the recursive atom of the rule it runs each round
+(``Rule.delta``), and the default engine orders every bag of that rule
+with the delta atom's variables first
+(:func:`~repro.ghd.attribute_order.bag_evaluation_order`), so the join
+*generates* from the delta instead of probing it: a round's work is
+proportional to the fan-out of what changed, and shrinks as distances
+settle — the property the paper relies on to stay within 3x of Galois.
+The interpreted oracle ignores the mark and stays output-first.
+
+A rule that reads its head more than once (``P(x,y) :- P(x,z),P(z,y)``)
+is not linear in the delta — a round over the delta alone would join
+delta with delta and miss delta with old — so its rounds read the whole
+accumulated relation instead: plain naive iteration under the same
+driver, converged when a round improves nothing.
 
 Every round is one ``executor.execute`` of the rule's non-recursive
 body against the catalog the round installed.  Under the default engine
 only the first round of a rule compiles: later rounds differ in nothing
 but the head relation, which the plan cache re-binds
-(:meth:`~repro.engine.executor.RuleExecutor._rebind_head`).  Between
-rounds the driver holds relations only — canonical (lexsorted,
-distinct) key arrays with aligned values — and merges them with sorts
-and vectorized compares, whatever the head's arity.
+(:meth:`~repro.engine.executor.RuleExecutor._rebind`).  Between rounds
+the driver holds relations only — canonical (lexsorted, distinct) key
+arrays with aligned values — and merges them with sorts and vectorized
+compares, whatever the head's arity.
 """
 
 import numpy as np
 
 from ..errors import ExecutionError, PlanError
 from ..query.ast import clone_rule
+from ..storage.delta import row_keys
 from ..storage.relation import Relation
 from .semiring import is_monotone
 
@@ -49,7 +66,17 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
                         % rule.head_name)
     aggregates = rule.aggregates
     op = aggregates[0].op if aggregates else None
-    body = clone_rule(rule, recursive=False, iterations=None)
+    reads = [index for index, atom in enumerate(rule.body)
+             if atom.name == rule.head_name]
+    fixpoint = rule.iterations is None
+    if fixpoint and op is not None and not is_monotone(op):
+        raise PlanError(
+            "recursion with non-monotone aggregate %r needs a fixed "
+            "iteration count (*[i=k])" % op)
+    # Seminaive needs the rule linear in its head (see module docstring).
+    seminaive = fixpoint and len(reads) == 1
+    body = clone_rule(rule, recursive=False, iterations=None,
+                      delta=reads[0] if seminaive else None)
 
     def run_round(relation):
         """Evaluate the body once with ``relation`` as the head."""
@@ -58,16 +85,11 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
             stats.recursion_rounds += 1
         return executor.execute(body, stats)
 
-    if rule.iterations is not None:
-        result = _naive_replace(rule, executor, run_round)
-    elif op is not None and is_monotone(op):
-        result = _seminaive(rule, executor, run_round, op, max_rounds)
-    elif op is None:
-        result = _naive_union(rule, executor, run_round, max_rounds)
+    if fixpoint:
+        result = _fixpoint(rule, executor, run_round, op, seminaive,
+                           max_rounds)
     else:
-        raise PlanError(
-            "recursion with non-monotone aggregate %r needs a fixed "
-            "iteration count (*[i=k])" % op)
+        result = _naive_replace(rule, executor, run_round)
     _install_round(executor, rule.head_name, result)
     return result
 
@@ -91,73 +113,63 @@ def _naive_replace(rule, executor, run_round):
     return current
 
 
-def _naive_union(rule, executor, run_round, max_rounds):
-    """Union iteration to fixpoint (transitive-closure style)."""
-    current = executor.catalog[rule.head_name].deduplicated()
-    for _ in range(max_rounds):
-        produced = run_round(current)
-        if not produced.cardinality:
-            return current
-        merged = Relation(
-            rule.head_name,
-            np.concatenate([current.data, produced.data])).deduplicated()
-        if merged.cardinality == current.cardinality:
-            return current
-        current = merged
-    raise ExecutionError("recursion on %r did not converge in %d rounds"
-                         % (rule.head_name, max_rounds))
+def _fixpoint(rule, executor, run_round, op, seminaive, max_rounds):
+    """Iterate to the fixpoint of a monotone MIN/MAX aggregation
+    (``op``; SSSP) or of a union (``op`` ``None``; transitive closure).
 
-
-def _seminaive(rule, executor, run_round, op, max_rounds):
-    """Seminaive evaluation for monotone MIN/MAX aggregation (SSSP).
-
-    Each round substitutes only the *delta* — keys whose value improved —
-    for the recursive atom, so work shrinks as distances settle, which is
-    the property the paper relies on to stay within 3x of Galois.
+    ``best`` accumulates; ``delta`` holds the rows the last round made
+    new or strictly better, and the fixpoint is reached when there are
+    none.  A ``seminaive`` round reads the delta through the recursive
+    atom, any other the whole of ``best``.
     """
-    combine, improves = ("min", np.less) if op == "MIN" \
-        else ("max", np.greater)
+    combine, improves = {None: ("last", None), "MIN": ("min", np.less),
+                         "MAX": ("max", np.greater)}[op]
     saved = executor.catalog[rule.head_name]
     best = delta = saved.deduplicated(combine=combine)
     try:
         for _ in range(max_rounds):
             if delta.cardinality == 0:
                 return best
-            produced = run_round(delta).deduplicated(combine=combine)
+            produced = run_round(delta if seminaive else best) \
+                .deduplicated(combine=combine)
             best, delta = _merge_improved(best, produced, improves)
     finally:
         _install_round(executor, rule.head_name, saved)
-    raise ExecutionError(
-        "seminaive recursion on %r did not converge in %d rounds"
-        % (rule.head_name, max_rounds))
+    raise ExecutionError("recursion on %r did not converge in %d rounds"
+                         % (rule.head_name, max_rounds))
 
 
 def _merge_improved(best, produced, improves):
     """Fold one round's output into the accumulated relation.
 
-    Both arguments are canonical, so after a stable sort of their
-    concatenation a key the round re-derived sits directly behind its
-    accumulated row.  Returns ``(best, delta)``, both canonical: the
-    accumulation with every improvement applied, and the rows that are
-    new or strictly better than before.
+    Both arguments are canonical, so every produced row is found in —
+    or placed into — the accumulation by binary search.  Returns
+    ``(best, delta)``, both canonical: the accumulation with every
+    improvement applied, and the rows that are new or —
+    ``improves(new, old)`` on annotated relations — strictly better
+    than before.
     """
     if not produced.cardinality:
         return best, produced
-    data = np.concatenate([best.data, produced.data])
-    values = np.concatenate([best.annotations, produced.annotations])
-    order = np.lexsort(tuple(data[:, c]
-                             for c in range(data.shape[1] - 1, -1, -1)))
-    data, values = data[order], values[order]
-    fresh = order >= best.cardinality
-    rederived = np.zeros(order.size, dtype=bool)
-    rederived[1:] = fresh[1:] & np.all(data[1:] == data[:-1], axis=1)
-    improved = fresh.copy()
-    improved[1:] &= ~rederived[1:] | improves(values[1:], values[:-1])
-    beaten = np.zeros(order.size, dtype=bool)
-    beaten[:-1] = rederived[1:] & improved[1:]
+    keys, found = row_keys(best.data), row_keys(produced.data)
+    slots = np.searchsorted(keys, found)
+    new = keys[np.minimum(slots, keys.size - 1)] != found
+    changed, values = new, None
+    if improves is not None:
+        known = ~new
+        rederived = produced.annotations[known]
+        better = improves(rederived, best.annotations[slots[known]])
+        values = best.annotations.copy()
+        values[slots[known][better]] = rederived[better]
+        changed = new.copy()
+        changed[known] = better
+        values = np.insert(values, slots[new], produced.annotations[new])
+    data = np.insert(best.data, slots[new], produced.data[new], axis=0)
 
-    def canonical(rows):
-        relation = Relation(best.name, data[rows], values[rows])
+    def canonical(data, values):
+        relation = Relation(best.name, data, values)
         relation._canonical = True
         return relation
-    return canonical(improved | ~(fresh | beaten)), canonical(improved)
+    return canonical(data, values), canonical(
+        produced.data[changed],
+        None if values is None else produced.annotations[changed])

@@ -293,7 +293,8 @@ def _generate_recursive_pair(rng, sources, domain, head_name, max_atoms):
                     annotation=None, recursive=False, iterations=None,
                     body=tuple(base_atoms), assignment=None)
         rec_atoms, rec_vars = _recursive_body(rng, sources, head_name,
-                                              head_arity, domain)
+                                              head_arity, domain,
+                                              nonlinear=True)
         if rec_vars is None:
             return None
         rec_head = tuple(rng.sample(rec_vars, min(head_arity,
@@ -316,9 +317,13 @@ def _generate_recursive_pair(rng, sources, domain, head_name, max_atoms):
                 iterations=None, body=tuple(base_atoms),
                 assignment=Agg(op, arg))
     unannotated_only = mode == "monotone" and op == "MAX"
+    # A second head atom multiplies two head values: under MIN over
+    # annotations >= 1 that still converges; under MAX it would grow
+    # without bound, and replace-mode SUMs would leave exact floats.
     rec_atoms, rec_vars = _recursive_body(
         rng, sources, head_name, head_arity, domain,
-        unannotated_only=unannotated_only)
+        unannotated_only=unannotated_only,
+        nonlinear=mode == "monotone" and op == "MIN")
     if rec_vars is None:
         return None
     rec_head = tuple(rng.sample(rec_vars, min(head_arity,
@@ -358,9 +363,11 @@ def _generate_recursive_pair(rng, sources, domain, head_name, max_atoms):
 
 
 def _recursive_body(rng, sources, head_name, head_arity, domain,
-                    unannotated_only=False):
+                    unannotated_only=False, nonlinear=False):
     """Body for a recursive rule: one atom over the head plus one or two
-    source atoms sharing variables with it."""
+    source atoms sharing variables with it — and, for a quarter of the
+    ``nonlinear`` bodies, a second head atom, which a seminaive round
+    over the delta alone would get wrong."""
     candidates = [name for name, (arity, annotated) in sources.items()
                   if arity >= 1 and not (unannotated_only and annotated)]
     if not candidates:
@@ -368,9 +375,11 @@ def _recursive_body(rng, sources, head_name, head_arity, domain,
     head_atom_vars = list(rng.sample(VARIABLE_POOL, head_arity))
     atoms = [Atom(head_name, tuple(Variable(v) for v in head_atom_vars))]
     used = list(head_atom_vars)
-    for _ in range(rng.randint(1, 2)):
-        name = rng.choice(candidates)
-        arity = sources[name][0]
+    names = [rng.choice(candidates) for _ in range(rng.randint(1, 2))]
+    if nonlinear and rng.random() < 0.25:
+        names.append(head_name)
+    for name in names:
+        arity = head_arity if name == head_name else sources[name][0]
         terms = []
         for _ in range(arity):
             if used and rng.random() < 0.7:

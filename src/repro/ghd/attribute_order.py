@@ -29,7 +29,7 @@ def global_attribute_order(ghd, selected_vars=(), head_vars=()):
     return tuple(order)
 
 
-def bag_evaluation_order(bag_chi, out_attrs, global_order):
+def bag_evaluation_order(bag_chi, out_attrs, global_order, delta_attrs=()):
     """Evaluation order for one bag's generic join.
 
     The bag's *output* attributes (those retained for its parent or the
@@ -37,7 +37,18 @@ def bag_evaluation_order(bag_chi, out_attrs, global_order):
     can fold at each loop level without materializing the full join —
     the early-aggregation property that GHD plans buy (paper §3.1.1).
     Within each class, attributes follow the global order.
+
+    ``delta_attrs`` — the variables of the atom a seminaive round reads
+    its delta through (paper §3.3.2) — go ahead of both classes, so the
+    join generates from the few tuples that changed last round instead
+    of probing them with everything else.  The outputs are then no
+    longer a prefix of the order; only a caller that can group an
+    unordered stream of bindings (the block kernel, for idempotent
+    folds) may pass them.
     """
-    out = [a for a in global_order if a in bag_chi and a in out_attrs]
-    rest = [a for a in global_order if a in bag_chi and a not in out_attrs]
-    return tuple(out + rest)
+    in_bag = [a for a in global_order if a in bag_chi]
+    delta = [a for a in in_bag if a in delta_attrs]
+    out = [a for a in in_bag if a in out_attrs and a not in delta_attrs]
+    rest = [a for a in in_bag
+            if a not in out_attrs and a not in delta_attrs]
+    return tuple(delta + out + rest)

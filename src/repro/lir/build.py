@@ -86,7 +86,10 @@ def build_rule(rule, catalog, trace=None):
     normalized = [normalize_atom(atom, catalog) for atom in rule.body]
     atoms = [a for a in normalized if a.variables]
     guards = [a for a in normalized if not a.variables]
-    logical = LogicalRule(rule, atoms, guards, trace=trace)
+    delta_vars = () if rule.delta is None \
+        else normalized[rule.delta].variables
+    logical = LogicalRule(rule, atoms, guards, trace=trace,
+                          delta_vars=delta_vars)
     if trace is not None:
         selections = sum(1 for a in normalized if a.is_selection)
         trace.record(

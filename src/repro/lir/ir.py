@@ -164,9 +164,10 @@ class LogicalRule:
     __slots__ = ("rule", "head_name", "head_vars", "annotation",
                  "assignment", "atoms", "guard_atoms", "aggregate",
                  "unbound_head", "too_many_aggregates", "ghd", "duplicates",
-                 "selected_vars", "global_order", "trace")
+                 "selected_vars", "global_order", "trace", "delta_vars")
 
-    def __init__(self, rule, atoms, guard_atoms, trace=None):
+    def __init__(self, rule, atoms, guard_atoms, trace=None,
+                 delta_vars=()):
         self.rule = rule
         self.head_name = rule.head_name
         self.head_vars = tuple(rule.head_vars)
@@ -187,6 +188,9 @@ class LogicalRule:
         self.selected_vars = frozenset()
         self.global_order = ()
         self.trace = trace
+        #: Variables of the atom that reads a seminaive round's delta
+        #: (``rule.delta``); bags bind them first.  Empty otherwise.
+        self.delta_vars = tuple(delta_vars)
 
     # -- derived facts -------------------------------------------------------
 
@@ -214,9 +218,8 @@ class LogicalRule:
         from ..query.ast import clone_rule
         pseudo = clone_rule(self.rule, head_vars=tuple(head_vars),
                             annotation=annotation, assignment=assignment)
-        copy = LogicalRule(pseudo, self.atoms, self.guard_atoms,
-                           trace=self.trace)
-        return copy
+        return LogicalRule(pseudo, self.atoms, self.guard_atoms,
+                           trace=self.trace, delta_vars=self.delta_vars)
 
     # -- canonical identity --------------------------------------------------
 
@@ -228,8 +231,9 @@ class LogicalRule:
         queries that differ only in variable names share one plan-cache
         entry.  Everything that affects the compiled plan appears:
         head name, annotation declaration, canonicalized assignment
-        expression, and each atom's selection-aware ``sig_name`` with
-        canonical variable indexes.
+        expression, each atom's selection-aware ``sig_name`` with
+        canonical variable indexes, and the delta variables a
+        seminaive round orders first.
         """
         rename = {}
 
@@ -247,8 +251,9 @@ class LogicalRule:
             if self.annotation is not None else None
         assignment = _canonical_expression(self.assignment, rename) \
             if self.assignment is not None else None
+        delta = tuple(rename[v] for v in self.delta_vars if v in rename)
         return (self.head_name, head, annotation, assignment, body, guards,
-                bool(self.rule.recursive))
+                bool(self.rule.recursive), delta)
 
     def describe(self):
         """One-line rendering of the current (rewritten) body."""

@@ -155,6 +155,10 @@ class Rule:
         The conjunctive body atoms.
     assignment:
         Expression tree assigned to the annotation variable, or ``None``.
+    delta:
+        Index of the body atom that reads a seminaive round's *delta*
+        (set by the recursion driver on the rule it runs each round;
+        ``None`` everywhere else).  Not part of the rule's text.
     """
 
     head_name: str
@@ -164,6 +168,7 @@ class Rule:
     iterations: Optional[int]
     body: Tuple[Atom, ...]
     assignment: Optional[object]
+    delta: Optional[int] = None
 
     @property
     def body_variables(self):
@@ -219,7 +224,7 @@ def clone_rule(rule, **changes):
     values = dict(head_name=rule.head_name, head_vars=rule.head_vars,
                   annotation=rule.annotation, recursive=rule.recursive,
                   iterations=rule.iterations, body=rule.body,
-                  assignment=rule.assignment)
+                  assignment=rule.assignment, delta=rule.delta)
     values.update(changes)
     return Rule(**values)
 

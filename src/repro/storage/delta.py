@@ -49,6 +49,22 @@ def row_view(data):
     ).ravel()
 
 
+def row_keys(data):
+    """One sortable key per row, in the cheapest form the width
+    allows: the column itself, two columns packed into a ``uint64``,
+    :func:`row_view` beyond (and a constant for zero columns, where
+    all rows are equal).  Keys of equal-width matrices compare as
+    their rows do."""
+    width = data.shape[1]
+    if width == 1:
+        return data[:, 0]
+    if width == 2:
+        return (data[:, 0].astype(np.uint64) << np.uint64(32)) | data[:, 1]
+    if width == 0:
+        return np.zeros(data.shape[0], dtype=np.uint8)
+    return row_view(data)
+
+
 def rows_in(view, sorted_view):
     """Membership mask of ``view`` rows inside ``sorted_view`` rows.
 

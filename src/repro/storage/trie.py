@@ -60,7 +60,7 @@ class FlatTrieView:
     """
 
     __slots__ = ("arity", "keys", "offsets", "values", "packed", "ann",
-                 "_dense_root", "_rank_of")
+                 "_dense_root", "_rank_of", "_value_bound")
 
     def __init__(self, trie):
         if trie.arity not in (1, 2):
@@ -70,6 +70,7 @@ class FlatTrieView:
         data = trie.sorted_data
         self.ann = trie.sorted_annotations
         self._rank_of = None
+        self._value_bound = None
         if trie.arity == 1:
             self.keys = np.ascontiguousarray(data[:, 0])
             self.offsets = None
@@ -93,6 +94,15 @@ class FlatTrieView:
         self.values = col1
         self.packed = (col0.astype(np.uint64) << np.uint64(32)) \
             | col1.astype(np.uint64)
+
+    def bound(self, pos):
+        """One past the largest value stored at level ``pos`` of a
+        non-empty trie (the child level's maximum is found once)."""
+        if pos == 0:
+            return int(self.keys[-1]) + 1
+        if self._value_bound is None:
+            self._value_bound = int(self.values.max()) + 1
+        return self._value_bound
 
     @property
     def rank_of(self):

@@ -523,3 +523,165 @@ class TestAnalyticsShapeValues:
                     optimizer=SetOptimizer("bitset_only"))
         assert trie.root.set.kind == "bitset"
         assert trie.flat().rank_of is None
+
+
+# -- (f) delta-first orders: the unordered group-by ---------------------------
+
+
+def ordered_bag(atoms, order):
+    """``(specs, tries, inputs)`` of one bag under ``order``: every
+    ``(name, variables, data, weights)`` atom keyed by the order's
+    restriction to its variables."""
+    from repro.engine.generic_join import BagInput
+    from repro.storage import Relation, Trie
+    specs, tries, inputs = [], [], []
+    for name, variables, data, weights in atoms:
+        ordered = tuple(a for a in order if a in variables)
+        trie = Trie(Relation(name, np.asarray(data, dtype=np.uint32),
+                             weights),
+                    key_order=tuple(variables.index(a) for a in ordered))
+        annotated = weights is not None
+        specs.append(InputSpec(name, ordered, annotated=annotated))
+        tries.append(trie)
+        inputs.append(BagInput(trie, ordered, annotated=annotated,
+                               name=name))
+    return specs, tries, inputs
+
+
+def rows_of(result):
+    """``{output binding (by attribute name): annotation}``."""
+    attrs = sorted(result.out_attrs)
+    columns = [result.data[:, result.out_attrs.index(a)].tolist()
+               for a in attrs]
+    return dict(zip(zip(*columns), result.annotations.tolist()))
+
+
+def dyadic(keys, salt):
+    """Exact-in-float weights in [-2, 2] that vary with the row."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
+    return ((keys.sum(axis=1) * 7 + salt) % 17 - 8) / 4.0
+
+
+@pytest.mark.parametrize("name", fused.IDEMPOTENT_FOLDS)
+class TestDeltaFirst:
+    """A seminaive round orders a bag delta-first, so its outputs are
+    not a prefix of the order and the last level groups an unordered
+    stream of bindings.  Whatever route the group-by takes — a dense
+    scatter, packed or lexicographic sorts — and however the level is
+    cut into blocks, the rows must be the interpreter's under the
+    output-first order, annotations bit for bit (negative weights
+    included: the fold ranges over the suffix products only, and the
+    output tuple's own weight multiplies the folded value)."""
+
+    #: scale 1 keeps codes dense; 60 000 001 pushes a column pair past
+    #: 2^32 codes and a column triple past 2^63
+    SCALES = {"dense": 1, "sorted": 60000001}
+
+    def check(self, name, atoms, out, delta, scale):
+        from repro.engine import EngineConfig
+        from repro.ghd.attribute_order import bag_evaluation_order
+        atoms = [(n, v, np.asarray(d, dtype=np.int64) * scale, w)
+                 for n, v, d, w in atoms]
+        chi = []
+        for _, variables, _, _ in atoms:
+            chi.extend(v for v in variables if v not in chi)
+        semiring = semiring_for(name)
+        config = EngineConfig(execution_mode="compiled")
+        out_first = bag_evaluation_order(chi, out, chi)
+        _, _, inputs = ordered_bag(atoms, out_first)
+        expected = BagEvaluator(out_first, len(out), inputs, semiring,
+                                config).run()
+        delta_first = bag_evaluation_order(chi, out, chi, delta)
+        assert delta_first[:len(out)] != out_first[:len(out)]
+        specs, tries, _ = ordered_bag(atoms, delta_first)
+        kernel = generate_bag_plan(delta_first, len(out), specs, semiring,
+                                   out_attrs=out)
+        assert kernel.unordered
+        for rows in (1, 7, None):
+            got = kernel(tries, config if rows is None
+                         else blocked(config, rows))
+            assert got.out_attrs == tuple(a for a in delta_first
+                                          if a in out)
+            assert rows_of(got) == rows_of(expected)
+            # canonical rows: lexicographically increasing
+            listed = list(map(tuple, got.data.tolist()))
+            assert listed == sorted(set(listed))
+        return expected.cardinality
+
+    EDGES = [(w, x) for w in range(12) for x in range(12)
+             if (w * 5 + x * 3) % 4 == 0 and w != x]
+    REACHED = [(w,) for w in (0, 2, 3, 7, 11)]
+
+    @pytest.mark.parametrize("route", sorted(SCALES))
+    @pytest.mark.parametrize("weighted_edges", [False, True])
+    @pytest.mark.parametrize("with_v", [False, True])
+    def test_unary_head(self, name, route, weighted_edges, with_v):
+        """``S(x) :- E(w,x),S(w)[,V(x)]`` as ``[w, x]``."""
+        atoms = [("E", ("w", "x"), self.EDGES,
+                  dyadic(self.EDGES, 1) if weighted_edges else None),
+                 ("S", ("w",), self.REACHED, dyadic(self.REACHED, 2))]
+        if with_v:
+            keys = [(x,) for x in range(1, 11)]
+            atoms.append(("V", ("x",), keys, dyadic(keys, 3)))
+        assert self.check(name, atoms, ("x",), ("w",), self.SCALES[route])
+
+    @pytest.mark.parametrize("route", sorted(SCALES))
+    def test_plain_inputs_and_empty_results(self, name, route):
+        """Without a weight anywhere the fold is of a constant 1; a
+        ``V`` that no reached ``x`` is in leaves nothing to group."""
+        atoms = [("E", ("w", "x"), self.EDGES, None),
+                 ("S", ("w",), self.REACHED, None)]
+        assert self.check(name, atoms, ("x",), ("w",), self.SCALES[route])
+        atoms.append(("V", ("x",), [(40,), (41,)], None))
+        assert not self.check(name, atoms, ("x",), ("w",),
+                              self.SCALES[route])
+
+    @pytest.mark.parametrize("route", sorted(SCALES))
+    def test_binary_head(self, name, route):
+        """``D(x,y) :- E(x,z),D(z,y),F(x,y)`` as ``[z, y, x]``: ``F``
+        ranges over outputs only, so it weighs the tuple, not the
+        fold."""
+        paths = [(z, y) for z in (1, 4, 6, 9) for y in range(0, 12, 3)]
+        pairs = [(x, y) for x in range(12) for y in range(0, 12, 3)
+                 if (x + y) % 5]
+        atoms = [("E", ("x", "z"), self.EDGES, dyadic(self.EDGES, 4)),
+                 ("D", ("z", "y"), paths, dyadic(paths, 5)),
+                 ("F", ("x", "y"), pairs, dyadic(pairs, 6))]
+        assert self.check(name, atoms, ("x", "y"), ("z", "y"),
+                          self.SCALES[route])
+
+    @pytest.mark.parametrize("route", sorted(SCALES))
+    def test_three_output_columns(self, name, route):
+        """``T(a,b,c) :- A(d,a),B(d,b),C(d,c),S(d)`` as
+        ``[d, a, b, c]``; at the large scale the code space overflows
+        63 bits and the rows sort lexicographically."""
+        spokes = [(d, v) for d in range(6) for v in range(5)
+                  if (d + v) % 3]
+        seeds = [(d,) for d in (0, 2, 3, 5)]
+        atoms = [("A", ("d", "a"), spokes, dyadic(spokes, 7)),
+                 ("B", ("d", "b"), spokes, None),
+                 ("C", ("d", "c"), spokes, dyadic(spokes, 8)),
+                 ("S", ("d",), seeds, dyadic(seeds, 9))]
+        assert self.check(name, atoms, ("a", "b", "c"), ("d",),
+                          self.SCALES[route])
+
+    def test_group_by_routes(self, name):
+        """The scales above do take the routes they are named for."""
+        for scale, bounds, coded in [(1, [12], True),
+                                     (60000001, [12 * 60000001] * 2, True),
+                                     (60000001, [5 * 60000001] * 3,
+                                      False)]:
+            columns = [np.arange(3, dtype=np.uint32) * scale] * len(bounds)
+            assert (fused._codes(columns, bounds) is not None) == coded
+        assert 12 <= fused.DENSE_GROUPS < (12 * 60000001) ** 2
+
+    def test_sum_cannot_group_unordered(self, name):
+        specs = [InputSpec("E", ("w", "x")),
+                 InputSpec("S", ("w",), annotated=True)]
+        for order_sensitive in ("SUM", "COUNT"):
+            with pytest.raises(fused.PlanError, match="unordered"):
+                generate_bag_plan(("w", "x"), 1, specs,
+                                  semiring_for(order_sensitive),
+                                  out_attrs=("x",))
+        assert not generate_bag_plan(("w", "x"), 1, specs,
+                                     semiring_for(name)).unordered

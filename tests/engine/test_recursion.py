@@ -431,3 +431,281 @@ class TestRoundsCompileOnce:
         db.query("V(x;a:float) :- Edge(x,z); a=1.")
         db.query("V(x;a:float)*[i=2] :- Edge(x,z),V(z); a=<<SUM(z)>>.")
         assert db.last_stats is None
+
+    def test_repeated_pagerank_compiles_nothing(self):
+        """PageRank re-derives ``N`` and ``InvDeg`` on every run of its
+        program; the recursive rule's plan takes the new ``InvDeg``
+        the way it takes a new head, so a repeat compiles nothing."""
+        from repro.graphs import pagerank_program
+        db = self.db()
+        program = pagerank_program(iterations=4)
+        first = db.query(program).to_dict()
+        assert db.last_stats.plan_cache_misses == 4     # one per rule
+        assert db.query(program).to_dict() == first
+        again = db.last_stats
+        assert again.plan_cache_misses == 0 and again.ghd_builds == 0
+        assert again.recursion_rounds == 4
+        assert again.plan_cache_hits == 3 + 4
+
+    def test_a_reloaded_relation_still_recompiles(self):
+        """Re-binding is for re-derived relations; a reload arrives
+        through new dictionaries and re-plans."""
+        db = self.db()
+        program = "V(x;a:float) :- Edge(x,z); a=1."
+        db.query(program)
+        db.load_graph("Edge", self.EDGES[:6], undirected=True)
+        db.query(program)
+        assert db.last_stats.plan_cache_misses == 1
+
+
+def dict_fixpoint(base, step, better):
+    """Seminaive fixpoint with Python dicts and sets: ``step(delta)``
+    is one round's ``{key: value}`` derived from the changed rows."""
+    best, delta = dict(base), dict(base)
+    while delta:
+        changed = {}
+        for key, value in step(delta).items():
+            if key not in best or better(value, best[key]):
+                best[key] = changed[key] = value
+        delta = changed
+    return best
+
+
+def blocked_db(mode, rows):
+    """A database of ``mode`` whose kernels cut blocks of ``rows``."""
+    from repro.tune.profile import TuningProfile
+    if rows is None:
+        return Database(ordering="identity", execution_mode=mode)
+    return Database(ordering="identity", execution_mode=mode,
+                    adaptive=True,
+                    tuning=TuningProfile(fused_block_rows=rows))
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+class TestDeltaFirst:
+    """A seminaive round of the default engine binds the delta atom's
+    variables first and groups its unordered outputs; the fixpoint
+    must be the interpreter's (output-first) and a dict fixpoint's,
+    value for value — MIN, MAX and union, unary and binary heads,
+    weighted and plain edges, one- and two-bag bodies, every block
+    size, with ties and an unreachable component in the data."""
+
+    #: Two equal-length routes to 3 (ties), a tail, and {7, 8} apart.
+    GRAPH = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6),
+             (7, 8)]
+    #: A DAG with short and long routes to the same node.
+    DAG = [(0, 1), (0, 2), (1, 2), (2, 3), (0, 3), (3, 4), (1, 4),
+           (6, 7)]
+    MARKED = (1, 3, 4, 5, 6, 8)
+
+    def load(self, db, edges, undirected, weighted):
+        arcs = sorted(set(edges) | ({(b, a) for a, b in edges}
+                                    if undirected else set()))
+        weights = {arc: float(1 + (arc[0] + 2 * arc[1]) % 3)
+                   for arc in arcs} if weighted else None
+        db.add_relation("Edge", arcs, annotations=None if weights is None
+                        else [weights[arc] for arc in arcs])
+        db.add_relation("Mark", [(node,) for node in self.MARKED])
+        return arcs, weights or dict.fromkeys(arcs, 1.0)
+
+    def both(self, rows, program, edges, undirected, weighted=False):
+        """``(default, arcs, weights)`` after checking the default
+        engine against the oracle, annotations bit for bit."""
+        answers = []
+        for mode in ("compiled", "interpreted"):
+            db = blocked_db(mode, rows)
+            arcs, weights = self.load(db, edges, undirected, weighted)
+            result = db.query(program)
+            answers.append(result.to_dict()
+                           if result.relation.annotations is not None
+                           else set(result.tuples()))
+            if mode == "compiled":
+                assert db.last_stats.fused_fallbacks == 0
+        assert answers[0] == answers[1]
+        return answers[0], arcs, weights
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("op,edges,undirected", [
+        ("MIN", GRAPH, True), ("MAX", DAG, False)])
+    def test_unary_head(self, rows, op, edges, undirected, weighted):
+        got, arcs, weights = self.both(rows, """
+            S(x;y:float) :- Edge(0,x); y=1.
+            S(x;y:float)* :- Edge(w,x),S(w); y=<<%s(w)>>+1.
+        """ % op, edges, undirected, weighted)
+        pick, better = (min, lambda new, old: new < old) if op == "MIN" \
+            else (max, lambda new, old: new > old)
+
+        def step(delta):
+            out = {}
+            for (w, x), weight in weights.items():
+                if w in delta:
+                    value = weight * delta[w] + 1
+                    out[x] = pick(out.get(x, value), value)
+            return out
+        assert got == dict_fixpoint({x: 1.0 for w, x in arcs if w == 0},
+                                    step, better)
+        assert 7 not in got and 8 not in got
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("op,edges,undirected", [
+        ("MIN", GRAPH, True), ("MAX", DAG, False)])
+    def test_binary_head(self, rows, op, edges, undirected, weighted):
+        got, arcs, weights = self.both(rows, """
+            D(x,y;d:float) :- Edge(x,y); d=1.
+            D(x,y;d:float)* :- Edge(x,z),D(z,y); d=<<%s(z)>>+1.
+        """ % op, edges, undirected, weighted)
+        pick, better = (min, lambda new, old: new < old) if op == "MIN" \
+            else (max, lambda new, old: new > old)
+
+        def step(delta):
+            out = {}
+            for (x, z), weight in weights.items():
+                for (z2, y), value in delta.items():
+                    if z2 == z:
+                        value = weight * value + 1
+                        out[x, y] = pick(out.get((x, y), value), value)
+            return out
+        assert got == dict_fixpoint({arc: 1.0 for arc in arcs}, step,
+                                    better)
+        assert len(got) > len(arcs)
+
+    def test_two_bag_body(self, rows):
+        """``Edge(x,u),Mark(u)`` is a bag of its own under the bag
+        that reads the delta: nodes with a marked neighbour only."""
+        got, arcs, _ = self.both(rows, """
+            S(x;y:int) :- Edge(0,x); y=1.
+            S(x;y:int)* :- Edge(w,x),S(w),Edge(x,u),Mark(u);
+                           y=<<MIN(w)>>+1.
+        """, self.GRAPH, True)
+        keeps = {x for x, u in arcs if u in self.MARKED}
+
+        def step(delta):
+            out = {}
+            for w, x in arcs:
+                if w in delta and x in keeps:
+                    out[x] = min(out.get(x, np.inf), delta[w] + 1)
+            return out
+        assert got == dict_fixpoint({x: 1.0 for w, x in arcs if w == 0},
+                                    step, lambda new, old: new < old)
+
+    @pytest.mark.parametrize("program,arity", [
+        ("R(x) :- Edge(0,x). R(x)* :- Edge(w,x),R(w).", 1),
+        ("P(x,y) :- Edge(x,y). P(x,y)* :- Edge(x,z),P(z,y).", 2)])
+    def test_union(self, rows, program, arity):
+        """Reachability (one bag, EXISTS groups ``x``) and transitive
+        closure (two bags and a top-down join)."""
+        got, arcs, _ = self.both(rows, program, self.GRAPH, True)
+
+        def step(delta):
+            if arity == 1:
+                return {(x,): 1 for w, x in arcs if (w,) in delta}
+            return {(x, y): 1 for x, z in arcs
+                    for z2, y in delta if z2 == z}
+        base = {(x,): 1 for w, x in arcs if w == 0} if arity == 1 \
+            else dict.fromkeys(arcs, 1)
+        assert got == set(dict_fixpoint(base, step,
+                                        lambda new, old: False))
+        assert (7,) not in got and (0, 7) not in got
+
+
+class TestNonLinearRecursion:
+    """A body that reads its head twice is not linear in the delta: a
+    round over the delta alone joins delta with delta and never delta
+    with old.  Such rules iterate naively, on both engines."""
+
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_chain_distances_by_doubling(self, mode):
+        db = Database(ordering="identity", execution_mode=mode)
+        db.load_graph("Edge", [(i, i + 1) for i in range(9)],
+                      undirected=False)
+        got = db.query("""
+            P(x,y;d:int) :- Edge(x,y); d=1.
+            P(x,y;d:int)* :- P(x,z),P(z,y); d=<<MIN(z)>>+1.
+        """).to_dict()
+        # the fuzz oracle's naive fixpoint: a path of k arcs joins its
+        # two halves, so it costs the cheaper split's sum plus one
+        cost = {1: 1.0}
+        for k in range(2, 10):
+            cost[k] = min(cost[a] * cost[k - a] for a in range(1, k)) + 1
+        assert got == {(x, y): cost[y - x]
+                       for x in range(10) for y in range(x + 1, 10)}
+        assert len(got) == 45
+
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_non_linear_union(self, mode):
+        db = Database(ordering="identity", execution_mode=mode)
+        db.load_graph("Edge", [(i, i + 1) for i in range(9)],
+                      undirected=False)
+        got = set(db.query("""
+            P(x,y) :- Edge(x,y).
+            P(x,y)* :- P(x,z),P(z,y).
+        """).tuples())
+        assert got == {(x, y) for x in range(10)
+                       for y in range(x + 1, 10)}
+
+
+def default_engine_only(test):
+    """Skip under ``REPRO_EXECUTION_MODE=interpreted``: the assertion
+    is about the work the default engine charges."""
+    from repro.engine import EngineConfig
+    return pytest.mark.skipif(
+        EngineConfig().execution_mode != "compiled",
+        reason="work bound of the default engine")(test)
+
+
+class TestWorkBound:
+    """Work per round follows the delta, not the relation: the lane
+    ops of a fixpoint sum to the fan-out of everything that ever
+    changed — the edge list, about once — however many rounds it
+    takes.  Asserted on counters and row counts, never on time."""
+
+    @default_engine_only
+    def test_path_graphs_charge_linear_lane_ops(self):
+        n = 2000
+        db = Database(ordering="identity")
+        db.load_graph("Edge", [(i, i + 1) for i in range(n - 1)],
+                      undirected=False)
+        before = db.counter.total_ops
+        distances = db.query("""
+            S(x;y:int) :- Edge(0,x); y=1.
+            S(x;y:int)* :- Edge(w,x),S(w); y=<<MIN(w)>>+1.
+        """).to_dict()
+        assert distances == {i: float(i) for i in range(1, n)}
+        assert db.last_stats.recursion_rounds == n - 1
+        # n^2/2 when every round expanded every edge
+        assert db.counter.total_ops - before <= 10 * n
+        n = 200
+        db = Database(ordering="identity")
+        db.load_graph("Edge", [(i, i + 1) for i in range(n - 1)],
+                      undirected=False)
+        before = db.counter.total_ops
+        closure = db.query("""
+            Path(x,y) :- Edge(x,y).
+            Path(x,y)* :- Edge(x,z),Path(z,y).
+        """).tuples()
+        assert len(closure) == n * (n - 1) // 2
+        assert db.counter.total_ops - before <= len(closure)
+
+    def test_closure_rounds_join_only_the_delta(self, monkeypatch):
+        """Round ``r`` of the closure of a directed path extends the
+        ``n - r`` paths of ``r`` arcs found the round before — those,
+        not the closure so far, enter the top-down join."""
+        from repro.engine import executor
+        joined = []
+        real = executor._merge_join
+
+        def recording(left, left_attrs, left_ann, right, *rest):
+            joined.append((left.shape[0], right.shape[0]))
+            return real(left, left_attrs, left_ann, right, *rest)
+        monkeypatch.setattr(executor, "_merge_join", recording)
+        n = 200
+        db = Database(ordering="identity")
+        db.load_graph("Edge", [(i, i + 1) for i in range(n - 1)],
+                      undirected=False)
+        db.query("""
+            Path(x,y) :- Edge(x,y).
+            Path(x,y)* :- Edge(x,z),Path(z,y).
+        """)
+        assert [right for _, right in joined] \
+            == [n - r for r in range(1, n)]
+        assert all(left <= right for left, right in joined)

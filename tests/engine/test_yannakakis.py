@@ -104,3 +104,92 @@ class TestChildPassUp:
             ordered_triangles_at[x] * ordered_triangles_at[p]
             for x in adjacency for p in adjacency[x])
         assert got == expected
+
+
+def hash_join_reference(left, left_attrs, left_ann, right, right_attrs,
+                        right_ann):
+    """The per-tuple hash join the top-down pass used to run, kept as
+    the reference for its vectorized replacement."""
+    shared = [a for a in left_attrs if a in right_attrs]
+    left_keys = [left_attrs.index(a) for a in shared]
+    right_keys = [right_attrs.index(a) for a in shared]
+    right_extra = [i for i, a in enumerate(right_attrs) if a not in shared]
+    table = {}
+    for row_index in range(right.shape[0]):
+        key = tuple(int(right[row_index, c]) for c in right_keys)
+        table.setdefault(key, []).append(row_index)
+    out_rows = []
+    out_ann = []
+    for row_index in range(left.shape[0]):
+        key = tuple(int(left[row_index, c]) for c in left_keys)
+        for match in table.get(key, ()):
+            combined = list(left[row_index]) \
+                + [right[match, c] for c in right_extra]
+            out_rows.append(combined)
+            if left_ann is not None or right_ann is not None:
+                product = (left_ann[row_index]
+                           if left_ann is not None else 1.0) \
+                    * (right_ann[match] if right_ann is not None else 1.0)
+                out_ann.append(product)
+    attrs = list(left_attrs) + [right_attrs[c] for c in right_extra]
+    data = np.asarray(out_rows, dtype=np.uint32).reshape(len(out_rows),
+                                                         len(attrs))
+    annotations = np.asarray(out_ann) if out_ann else None
+    return data, attrs, annotations
+
+
+class TestMergeJoin:
+    """The top-down assembly's join is a numpy sort-merge; it must
+    emit what the per-tuple hash join did, in the same order: left row
+    order, the matches of a left row in right row order, annotations
+    multiplied left × right."""
+
+    @staticmethod
+    def side(rng, rows, attrs, annotated, high=6):
+        data = rng.integers(0, high, size=(rows, len(attrs))) \
+            .astype(np.uint32)
+        weights = rng.integers(1, 9, size=rows) / 4.0 if annotated \
+            else None
+        return data, list(attrs), weights
+
+    @pytest.mark.parametrize("left_annotated", [False, True])
+    @pytest.mark.parametrize("right_annotated", [False, True])
+    @pytest.mark.parametrize("left_attrs,right_attrs", [
+        ("ab", "bc"),       # one shared column
+        ("abc", "cbd"),     # two, in another order on the right
+        ("abcd", "dcba"),   # four: nothing new on the right
+        ("ab", "cd"),       # none: a cross product
+        ("a", "a"),         # a semijoin
+        ("", "ab"),         # a zero-column identity row on the left
+    ])
+    def test_same_rows_same_order(self, left_attrs, right_attrs,
+                                  left_annotated, right_annotated):
+        from repro.engine.executor import _merge_join
+        rng = np.random.default_rng(len(left_attrs) * 7
+                                    + len(right_attrs))
+        for left_rows, right_rows in [(40, 30), (1, 25), (30, 0), (0, 5)]:
+            if not left_attrs:
+                left_rows = min(left_rows, 1)
+            left = self.side(rng, left_rows, left_attrs, left_annotated)
+            right = self.side(rng, right_rows, right_attrs,
+                              right_annotated)
+            data, attrs, ann = _merge_join(*left, *right)
+            want_data, want_attrs, want_ann = hash_join_reference(*left,
+                                                                  *right)
+            assert attrs == want_attrs
+            assert data.dtype == want_data.dtype == np.uint32
+            assert data.shape == want_data.shape
+            assert np.array_equal(data, want_data)
+            assert (ann is None) == (want_ann is None)
+            if ann is not None:
+                assert np.array_equal(ann, want_ann)
+
+    def test_large_keys_do_not_collide(self):
+        from repro.engine.executor import _merge_join
+        big = 2 ** 32 - 1
+        left = np.asarray([[big, 0], [0, big], [big, big]], dtype=np.uint32)
+        right = np.asarray([[0, big, 7], [big, big, 8]], dtype=np.uint32)
+        data, attrs, ann = _merge_join(left, ["a", "b"], None,
+                                       right, ["a", "b", "c"], None)
+        assert attrs == ["a", "b", "c"] and ann is None
+        assert data.tolist() == [[0, big, 7], [big, big, 8]]

@@ -206,6 +206,30 @@ def test_every_case_is_pinned(captured):
     assert sorted(captured) == sorted(GOLDEN)
 
 
+def test_sssp_round_binds_the_delta_first():
+    """The GHD and global order of an SSSP round are the golden ones
+    above; what a seminaive round adds is the *bag* order: the delta
+    atom's ``w`` ahead of the output ``x``, which reads ``Edge`` in
+    its natural key order — the trie PageRank builds too — and never
+    the transposed one."""
+    degree = _degrees(_edges())
+    hub = min(range(NODES), key=lambda n: (-degree[n], n))
+    db = _database()
+    db.query(SSSP % hub)
+    (bag,) = db._executor.last_plan.bags
+    assert bag.eval_order == ("w", "x") and bag.out_attrs == ("x",)
+    (round_rule,) = [compiled for compiled
+                     in db._plan_cache._rules.values()
+                     if compiled.rule.delta is not None]
+    (compiled_bag,) = round_rule.bags.values()
+    assert {bag_input.name: bag_input.trie.key_order
+            for bag_input in compiled_bag.base_inputs} \
+        == {"Edge": (0, 1), "SSSP": (0,)}
+    assert compiled_bag.generated.unordered
+    key_orders = {key[2] for key in db._trie_cache._tries}
+    assert (1, 0) not in key_orders and (0, 1) in key_orders
+
+
 if __name__ == "__main__":
     import pprint
     pprint.pprint(capture(), width=76, sort_dicts=True)
