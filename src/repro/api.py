@@ -23,7 +23,7 @@ from .engine.incremental import (MaterializedView, mark_stale,
                                  refresh_stale_views)
 from .engine.memo import BagMemo
 from .engine.plan_cache import PlanCache, config_signature
-from .engine.recursion import execute_recursive
+from .engine.recursion import execute_recursive, round_body
 from .engine.stats import ExecStats
 from .errors import SchemaError, UnknownRelationError
 from .obs.metrics import MetricsRegistry, TIME_BUCKETS
@@ -693,10 +693,13 @@ class Database:
         Returns a :class:`~repro.engine.plan.PhysicalPlan`.  Earlier
         rules in the program are *not* run, so intermediate relations
         they would create must already exist for the last rule to
-        compile.
+        compile.  A recursive rule is described as the round the
+        recursion driver runs (a seminaive round binds its delta
+        first).
         """
-        program = parse(text)
-        return self._executor.compile(program.rules[-1])
+        rule = parse(text).rules[-1]
+        return self._executor.compile(round_body(rule) if rule.recursive
+                                      else rule)
 
     def explain(self, text):
         """Compile-only plan description for a program's last rule:

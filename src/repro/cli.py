@@ -43,6 +43,7 @@ import sys
 import time
 
 from .api import Database
+from .errors import EmptyHeadedError, UnknownRelationError
 from .graphs.datasets import DATASETS, dataset_profile, load_dataset, \
     read_edgelist
 from .graphs.patterns import TRIANGLE_COUNT
@@ -218,7 +219,15 @@ def cmd_top(args):
 def cmd_explain(args):
     """``repro explain``: print the compiled plan."""
     db = _load_database(args)
-    print(db.explain(args.query))
+    try:
+        print(db.explain(args.query))
+    except UnknownRelationError as error:
+        from .query.parser import parse
+        if error.name not in {rule.head_name
+                              for rule in parse(args.query).rules}:
+            raise
+        return _fail("%s; intermediate heads are not computed by "
+                     "`explain`; use `query --explain-analyze`" % error)
     return 0
 
 
@@ -477,6 +486,13 @@ def build_parser():
     return parser
 
 
+def _fail(message):
+    """Answer a user's mistake (syntax, unknown relation, unplannable
+    rule) in one line on stderr, not with a traceback; exit code 2."""
+    print("repro: error: %s" % message, file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     """CLI entry point; returns the process exit code."""
     if argv is None:
@@ -487,7 +503,10 @@ def main(argv=None):
         from .fuzz.__main__ import main as fuzz_main
         return fuzz_main(argv[1:])
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EmptyHeadedError as error:
+        return _fail(error)
 
 
 if __name__ == "__main__":

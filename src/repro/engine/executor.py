@@ -234,8 +234,10 @@ class TrieCache:
         if trie is None:
             return
         self.arena_waste += getattr(trie, "_shm_bytes", 0)
-        dropped = {id(trie.root.set)}
-        stale_memo = [k for k in self._level0 if dropped & set(k[0])]
+        root_set = trie.root.built_set
+        if root_set is None:        # never read: in no memo entry
+            return
+        stale_memo = [k for k in self._level0 if id(root_set) in k[0]]
         for memo_key in stale_memo:
             del self._level0[memo_key]
 
@@ -426,22 +428,24 @@ class RuleExecutor:
         plan = PhysicalPlan(rule=rule, ghd=ghd,
                             global_order=logical.global_order,
                             aggregate_mode=aggregate_mode)
+        compiled = self.config.execution_mode != "interpreted"
+        semiring = semiring_for(logical.aggregate.op) if aggregate_mode \
+            else EXISTS
         parents = ghd.parent_map()
-        head = frozenset(logical.head_vars)
+        child_outs = {}
         for node in ghd.nodes_bottom_up():
-            parent = parents[node]
-            shared = node.chi_set & parent.chi_set if parent is not None \
-                else frozenset()
-            keep = set(shared)
-            if not aggregate_mode:
-                for child in node.children:
-                    keep |= node.chi_set & child.chi_set
-            out_attrs = [a for a in node.chi if a in head or a in keep]
-            eval_order = bag_evaluation_order(node.chi, out_attrs,
-                                              logical.global_order)
+            wanted = _wanted_attrs(logical, node, parents[node])
+            if compiled:
+                eval_order, out_attrs = _kernel_bag_order(
+                    logical, node, wanted, semiring, child_outs)
+            else:
+                out_attrs = tuple(a for a in node.chi if a in wanted)
+                eval_order = bag_evaluation_order(node.chi, out_attrs,
+                                                  logical.global_order)
+            child_outs[id(node)] = out_attrs
             plan.bags.append(BagPlan(
                 chi=tuple(node.chi), eval_order=tuple(eval_order),
-                out_attrs=tuple(out_attrs),
+                out_attrs=out_attrs,
                 inputs=[atoms[e.index].name for e in node.edges],
                 width=node.width()))
         return plan
@@ -490,7 +494,6 @@ class RuleExecutor:
                            self.cache.level0_hits,
                            self.cache.level0_misses)
         parents = ghd.parent_map()
-        head = frozenset(logical.head_vars)
         retained = {}
         signatures = {}
         memo = {}
@@ -499,16 +502,8 @@ class RuleExecutor:
                             aggregate_mode=aggregate_mode)
         self.last_plan = plan
         for node in ghd.nodes_bottom_up():
-            parent = parents[node]
-            shared = node.chi_set & parent.chi_set if parent is not None \
-                else frozenset()
-            keep = set(shared)
-            if not aggregate_mode:
-                # The top-down pass joins retained results on the
-                # child-shared attributes, so they must survive here.
-                for child in node.children:
-                    keep |= node.chi_set & child.chi_set
-            out_attrs = [a for a in node.chi if a in head or a in keep]
+            wanted = _wanted_attrs(logical, node, parents[node])
+            out_attrs = [a for a in node.chi if a in wanted]
             signature = bag_signature(
                 node, out_attrs,
                 [signatures[id(c)] for c in node.children],
@@ -910,35 +905,14 @@ class RuleExecutor:
         sig_names = logical.sig_names()
         semiring = semiring_for(agg.op) if aggregate_mode else EXISTS
         parents = ghd.parent_map()
-        head = frozenset(logical.head_vars)
         bags = {}
+        child_outs = {}
         signatures = {}
         for node in ghd.nodes_bottom_up():
-            parent = parents[node]
-            shared = node.chi_set & parent.chi_set if parent is not None \
-                else frozenset()
-            keep = set(shared)
-            if not aggregate_mode:
-                for child in node.children:
-                    keep |= node.chi_set & child.chi_set
-            wanted = {a for a in node.chi if a in head or a in keep}
-            # A seminaive round binds its delta's variables first
-            # (§3.3.2) in every bag whose kernel can group the then
-            # unordered outputs: an idempotent fold over inputs of
-            # arity <= 2.  Everything else stays output-first.
-            arities = [len(atoms[edge.index].variables)
-                       for edge in node.edges] \
-                + [len(node.chi_set.intersection(bags[id(c)].out_attrs))
-                   for c in node.children]
-            delta_vars = logical.delta_vars \
-                if semiring.name in IDEMPOTENT_FOLDS \
-                and max(arities) <= 2 else ()
-            eval_order = bag_evaluation_order(node.chi, wanted,
-                                              global_order, delta_vars)
-            # The kernel emits the wanted columns in evaluation order
-            # — record exactly that, or the baked pass-up key orders
-            # would address permuted columns.
-            out_attrs = tuple(a for a in eval_order if a in wanted)
+            wanted = _wanted_attrs(logical, node, parents[node])
+            eval_order, out_attrs = child_outs[id(node)] = \
+                _kernel_bag_order(logical, node, wanted, semiring,
+                                  child_outs)
             signature = bag_signature(
                 node, out_attrs,
                 [signatures[id(c)] for c in node.children],
@@ -1214,7 +1188,12 @@ class RuleExecutor:
         final = eval_expression(logical.assignment, annotations, env)
         final = np.broadcast_to(np.asarray(final, dtype=np.float64),
                                 (data.shape[0],)).copy()
-        return Relation(rule.head_name, data, final)
+        relation = Relation(rule.head_name, data, final)
+        # A kernel's rows arrive lexsorted and distinct; in its own
+        # column order the head is canonical as it stands.
+        relation._canonical = root_result.canonical \
+            and order == list(range(len(order)))
+        return relation
 
     def _finish_materialize(self, logical, ghd, retained, root_result):
         env = dict(self.env)
@@ -1296,6 +1275,41 @@ class RuleExecutor:
 # -- helpers ------------------------------------------------------------------
 
 
+def _wanted_attrs(logical, node, parent):
+    """Attributes a bag must emit: those of the head, those it shares
+    with its parent and — when rows are materialized, whose top-down
+    pass joins retained results on them — with its children."""
+    keep = set(node.chi_set & parent.chi_set) if parent is not None \
+        else set()
+    if not logical.aggregate_mode:
+        for child in node.children:
+            keep |= node.chi_set & child.chi_set
+    head = frozenset(logical.head_vars)
+    return {a for a in node.chi if a in head or a in keep}
+
+
+def _kernel_bag_order(logical, node, wanted, semiring, child_outs):
+    """``(eval_order, out_attrs)`` of one bag under the default engine
+    (``child_outs``: the children's ``out_attrs`` by node id).
+
+    A seminaive round binds its delta's variables first (§3.3.2) in
+    every bag whose kernel can group the then unordered outputs: an
+    idempotent fold over inputs of arity <= 2.  Everything else stays
+    output-first.  The kernel emits the wanted columns in evaluation
+    order — ``out_attrs`` records exactly that, or the baked pass-up
+    key orders would address permuted columns.
+    """
+    arities = [len(logical.atoms[edge.index].variables)
+               for edge in node.edges] \
+        + [len(node.chi_set.intersection(child_outs[id(child)]))
+           for child in node.children]
+    delta_vars = logical.delta_vars \
+        if semiring.name in IDEMPOTENT_FOLDS and max(arities) <= 2 else ()
+    eval_order = bag_evaluation_order(node.chi, wanted,
+                                      logical.global_order, delta_vars)
+    return eval_order, tuple(a for a in eval_order if a in wanted)
+
+
 def _relation_guards(logical):
     """``(name, relation, version)`` pins for every catalog relation a
     rule's body resolved to (plan-cache and bag-memo validation).
@@ -1336,19 +1350,19 @@ def _input_profiles(inputs):
     """Cheap per-input profiles for EXPLAIN ANALYZE's cost prediction.
 
     O(#inputs) attribute reads — root cardinality, tuple count, and the
-    optimizer's chosen root-set layout kind — captured at the moment
-    the bag's inputs (base tries plus pass-ups) are assembled.
+    layout kind the optimizer gives the root set (asked, not built) —
+    captured at the moment the bag's inputs (base tries plus pass-ups)
+    are assembled.
     """
     profiles = []
     for bag_input in inputs:
         trie = bag_input.trie
-        root_set = trie.root.set
         profiles.append({
             "name": bag_input.name,
             "variables": tuple(bag_input.variables),
-            "root_card": int(root_set.cardinality),
+            "root_card": trie.root_cardinality,
             "cardinality": int(trie.cardinality),
-            "kind": root_set.kind,
+            "kind": trie.root_kind,
         })
     return profiles
 

@@ -15,18 +15,33 @@ level arrays (:meth:`repro.storage.trie.Trie.flat`):
    smallest — the block form of the paper's min property (Algorithm 2
    intersects from the smaller set).  Relation size cannot decide this:
    every atom of a pattern query is the same ``Edge`` relation.
+   *Abutting runs need no expansion*: when the frontier's CSR ranges
+   abut (``first[r] + counts[r] == first[r + 1]``, one O(frontier)
+   check per level; true whenever a level expands a relation's whole
+   root in order, as every analytics round and every pattern's second
+   level does), the trie's flat level *is* the candidate array — a
+   block's candidates are the view ``values[f0 + a:f0 + b]``, the
+   generator's own ranks are that ``arange`` (made only if read) and
+   the row boundaries are the counts already in hand.
 2. **Batched membership probes.**  Every other participant filters the
    expanded candidates in one sweep.  Root levels probe by layout, as
-   the paper's uint∩bitset kernel does (§4.2): a root set the layout
-   optimizer stored as a bitset answers through its dense
-   ``rank_of`` table — one gather — and a sparse one through a
-   ``searchsorted`` of its sorted keys.  Child levels probe a 64-bit
-   packed ``(parent << 32) | child`` array.  A million bindings cost
-   a handful of numpy calls either way.  When even the cheapest CSR
-   expansion dwarfs tiling the level's root-key candidates across the
-   frontier (by :data:`PROBE_CROSSOVER`), the level is generated from
-   those root keys instead and every child-level input is probed (the
-   *sweep*).
+   the paper's uint∩bitset kernel does (§4.2), and the denser the set
+   the less there is to do.  A *full-range* root — its keys are every
+   code of ``[k0, k1]``, what dictionary encoding gives any total
+   relation — has ``rank = v - k0`` with no table, and when the
+   generator's value range (cached on its flat view) lies inside
+   ``[k0, k1]`` every candidate is a member: no probe, no mask, and an
+   annotated unary input contributes ``ann[vals - k0]`` directly.  A
+   dense root *with holes*, which the layout optimizer stores as a
+   bitset, answers through its ``rank_of`` table — one gather — and a
+   sparse one through a ``searchsorted`` of its sorted keys.  Child
+   levels probe a 64-bit packed ``(parent << 32) | child`` array.  A
+   million bindings cost a handful of numpy calls either way, and a
+   block whose probes all hit compacts nothing (*no filter without a
+   miss*).  When even the cheapest CSR expansion dwarfs tiling the
+   level's root-key candidates across the frontier (by
+   :data:`PROBE_CROSSOVER`), the level is generated from those root
+   keys instead and every child-level input is probed (the *sweep*).
 3. **Block aggregate folds.**  The aggregated suffix never materializes
    past the frontier: leaf contributions are folded per output prefix
    with ``reduceat`` segment reductions, and unannotated SUM/COUNT keeps
@@ -48,7 +63,19 @@ concatenated into the next frontier; leaf slices fold into per-row
 accumulators.  Transient memory per level is therefore a constant
 number of block-sized arrays no matter how skewed the fan-out is, and
 no input size makes the kernel give up — the only bags that run on the
-interpreter instead are the shapes :func:`fusable` rejects.
+interpreter instead are the shapes :func:`fusable` rejects.  Blocks are
+*lazy*: a block is its row range and clipped row counts, and the
+per-candidate frontier row (``np.repeat``) and the re-found segment
+boundaries exist only for a reader — a packed child probe, a filter
+that dropped rows, a non-leaf level, the unordered group-by.  Ranks
+are gathered through a filter only for inputs that bind further
+variables or carry annotations.  A PageRank round is thus two gathers,
+a multiply and a ``reduceat`` per block.
+
+None of this changes what is computed: block boundaries, product order
+and ``reduceat`` segments are where the general path puts them, so the
+routes agree bit for bit (floats included) and charge the same lane
+ops.
 
 Annotation products multiply in the same input order as the
 interpreter, so results agree bit-for-bit except for float *summation*
@@ -148,13 +175,19 @@ def _probe(flat, vals, pos=0):
     Returns ``(rank, member)``: where ``member`` holds, ``rank`` is the
     value's index in the level — the trie-node rank for root keys, the
     leaf row (hence the annotation index) for packed pairs.  Elsewhere
-    ``rank`` is meaningless (callers filter by ``member`` first).
+    ``rank`` is meaningless, possibly out of range (callers filter by
+    ``member`` first).
     """
+    if pos == 0 and flat.full:
+        # Every code of the key range is a key: the rank is the offset
+        # into the range (values below it wrap around, past its end).
+        rank = _full_rank(vals, int(flat.keys[0]))
+        return rank, rank < flat.keys.size
     table = flat.rank_of if pos == 0 else None
     if table is not None:
-        # Dense root: out-of-range values (below wrap around) clamp to
-        # the table's trailing -1 slot.
-        rank = table[np.minimum(vals - flat.keys[0], table.size - 1)]
+        # Dense root with holes: out-of-range values (below wrap
+        # around) clamp to the table's trailing -1 slot.
+        rank = table.take(np.minimum(vals - flat.keys[0], table.size - 1))
         return rank, rank >= 0
     keys = flat.keys if pos == 0 else flat.packed
     if keys.size == 0:
@@ -165,19 +198,27 @@ def _probe(flat, vals, pos=0):
     return rank, keys[rank] == vals
 
 
+def _full_rank(vals, k0):
+    """Ranks of ``vals`` in a root whose keys are all of ``[k0, k1]``:
+    dense is the identity."""
+    return vals - vals.dtype.type(k0) if k0 else vals
+
+
 def _blocks(counts, cum, size):
     """Cut a level's candidate space into blocks of at most ``size``.
 
     ``counts[r]`` candidates hang off frontier row ``r`` (``cum`` is
     their running total); candidate ``j`` of the level is the ``j``-th
-    in row order.  Yields ``(parent, offset)`` per block — the frontier
-    row and the level-wide index of each candidate — cutting inside a
-    row when one row alone exceeds the block.  An empty level yields
-    one empty block.
+    in row order.  Yields ``(lo, a, b, clipped)`` per block: candidates
+    ``a .. b - 1`` of the level, which hang off the frontier rows from
+    ``lo`` on, ``clipped[i]`` of them off row ``lo + i`` — cutting
+    inside a row when one row alone exceeds the block (the first and
+    last rows of a block are never empty).  An empty level yields one
+    empty block.
     """
     total = int(cum[-1])
     if total <= size:
-        yield np.repeat(np.arange(counts.size), counts), np.arange(total)
+        yield 0, 0, total, counts
         return
     starts = cum - counts
     for a in range(0, total, size):
@@ -187,13 +228,72 @@ def _blocks(counts, cum, size):
         clipped = counts[lo:hi].copy()
         clipped[0] -= a - starts[lo]
         clipped[-1] -= cum[hi - 1] - b
-        yield np.repeat(np.arange(lo, hi), clipped), np.arange(a, b)
+        yield lo, a, b, clipped
 
 
-def _segment_starts(seg):
-    """Start index of every run of equal values in sorted ``seg``."""
-    change = np.flatnonzero(seg[1:] != seg[:-1]) + 1
-    return np.concatenate(([0], change))
+class _Block:
+    """One block's surviving candidates.
+
+    What every consumer needs is here — their number, the bound values,
+    the ranks and annotation factors they carry forward — and what only
+    some need is derived from the block's row counts when asked for:
+    the frontier row of every survivor (:attr:`parent`), the runs of
+    survivors per row (:meth:`segments`).
+    """
+
+    __slots__ = ("lo", "counts", "keep", "size", "vals", "new_ranks",
+                 "factors", "_parent")
+
+    def __init__(self, lo, counts, keep, parent, vals, new_ranks, factors):
+        self.lo = lo
+        self.counts = counts            # candidates per frontier row
+        self.keep = keep                # survivor mask, None: all
+        self._parent = parent           # of the survivors, if built
+        self.size = int(vals.size)
+        self.vals = vals
+        self.new_ranks = new_ranks
+        self.factors = factors
+
+    @property
+    def parent(self):
+        """Frontier row of every surviving candidate (sorted)."""
+        if self._parent is None:
+            parent = _parents(self.lo, self.counts)
+            self._parent = parent if self.keep is None \
+                else parent[self.keep]
+        return self._parent
+
+    def segments(self):
+        """``(rows, starts)``: the frontier rows with a survivor and
+        where each one's run starts among the survivors.  ``rows`` is a
+        slice when that is every row of the block."""
+        if self.keep is not None:
+            # The filter moved the boundaries: find them again.
+            seg = self.parent
+            starts = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+            starts = np.concatenate(([0], starts))
+            return seg[starts], starts
+        counts = self.counts
+        starts = np.cumsum(counts) - counts
+        if counts.all():
+            return slice(self.lo, self.lo + counts.size), starts
+        rows = np.flatnonzero(counts)
+        return rows + self.lo, starts[rows]
+
+
+def _parents(lo, counts):
+    """Frontier row of each candidate of a block (see :func:`_blocks`)."""
+    return np.repeat(np.arange(lo, lo + counts.size), counts)
+
+
+def _kept(rank, keep):
+    """Ranks of the surviving candidates: ``rank`` — an array, or the
+    slice a run of consecutive ranks is — through the mask ``keep``."""
+    if keep is None:
+        return rank
+    if isinstance(rank, slice):
+        return np.flatnonzero(keep) + rank.start
+    return rank[keep]
 
 
 def _row_starts(columns):
@@ -295,12 +395,17 @@ class FusedBagKernel:
             config.counter.charge(
                 "fused_sweep" if sweep else "fused_block",
                 simd=-(-total // 4), elements=total)
+            # Candidate j of the level is values[base[row of j] + j].
+            # Where the rows' runs abut — a relation's whole root
+            # expanded in order — that is one number, and a block's
+            # candidates are a slice of ``values``.
             base = first - (cum - counts)
-            blocks = (self._expand_block(parent, base[parent] + offset,
-                                         values, settled, probed, flats,
-                                         cols)
-                      for parent, offset in _blocks(counts, cum,
-                                                    block_rows))
+            if (base == base[0]).all():
+                base = int(base[0])
+            blocks = (self._expand_block(lo, a, b, clipped, base, values,
+                                         settled, probed, flats, cols)
+                      for lo, a, b, clipped in _blocks(counts, cum,
+                                                       block_rows))
             if level == nl - 1 and oc < nl:
                 if self.unordered:
                     return self._fold_groups(blocks, cols, pw, sw, flats,
@@ -330,10 +435,11 @@ class FusedBagKernel:
         metrics = getattr(config, "metrics", None)
         if metrics is not None:
             metrics.observe("fused.block_rows", frontier)
-        annotations = pw if pw is not None \
+        # (copied: a lone factor may be a view of its trie's annotations)
+        annotations = np.array(pw) if pw is not None \
             else np.ones(frontier, dtype=np.float64)
         return BagResult(self.out_attrs, np.stack(cols, axis=1),
-                         annotations=annotations)
+                         annotations=annotations, canonical=True)
 
     # -- expansion ------------------------------------------------------------
 
@@ -344,10 +450,13 @@ class FusedBagKernel:
         Returns ``(counts, first, values, settled, probed, sweep)``:
         frontier row ``r`` owns the ``counts[r]`` candidates
         ``values[first[r]:first[r] + counts[r]]``.  ``settled`` lists
-        ``(part, rank_of)`` for participants whose membership the
-        generation itself guarantees — the candidate read from
-        ``values[p]`` has rank ``rank_of[p]`` in that part (``None``:
-        ``p`` itself); ``probed`` are the parts that still filter
+        ``(part, rank_of)`` for participants every candidate is known
+        to be a member of: the generating ones — the candidate read
+        from ``values[p]`` has rank ``rank_of[p]`` in that part
+        (``None``: ``p`` itself) — and every full-range root that
+        covers the generator's values (``rank_of`` is the root's first
+        key ``k0``, an ``int``: the candidate ``v`` has rank
+        ``v - k0``).  ``probed`` are the parts that still filter
         candidates; ``sweep`` says the skew sweep was taken.
         """
         child_parts = [part for part in parts if part.pos == 1]
@@ -359,7 +468,7 @@ class FusedBagKernel:
             for part in child_parts:
                 offsets = flats[part.index].offsets
                 row = ranks[part.index]
-                fanout = offsets[row + 1] - offsets[row]
+                fanout = offsets.take(row + 1) - offsets.take(row)
                 fanout_total = int(fanout.sum())
                 if total is None or fanout_total < total:
                     gen, counts, total = part, fanout, fanout_total
@@ -367,9 +476,11 @@ class FusedBagKernel:
             if not root_parts or total <= crossover * frontier * min(
                     flats[part.index].keys.size for part in root_parts):
                 flat = flats[gen.index]
-                return (counts, flat.offsets[ranks[gen.index]],
-                        flat.values, [(gen, None)],
-                        [part for part in parts if part is not gen],
+                settled, probed = _settle(
+                    [part for part in parts if part is not gen], flats,
+                    flat)
+                return (counts, flat.offsets.take(ranks[gen.index]),
+                        flat.values, [(gen, None)] + settled, probed,
                         False)
             # Skew sweep: expanding even the cheapest generator dwarfs
             # tiling the level's root-key candidates, so generate from
@@ -384,91 +495,122 @@ class FusedBagKernel:
             candidates = min((flats[part.index].keys
                               for part in generating),
                              key=lambda keys: keys.size)
-        keep = np.ones(candidates.size, dtype=bool)
+        keep = None
         found = []
         for part in generating:
-            rank, member = _probe(flats[part.index], candidates)
-            keep &= member
+            flat = flats[part.index]
+            if flat.keys is candidates:     # its own keys, in place
+                found.append((part, None))
+                continue
+            rank, member = _probe(flat, candidates)
+            keep = member if keep is None else keep & member
             found.append((part, rank))
-        values = candidates[keep]
-        return (np.full(frontier, values.size, dtype=np.int64), 0, values,
-                [(part, rank[keep]) for part, rank in found], probed,
-                bool(probed))
+        if keep is not None and not keep.all():
+            candidates = candidates[keep]
+            found = [(part, _kept(slice(0, keep.size) if rank is None
+                                  else rank, keep))
+                     for part, rank in found]
+        return (np.full(frontier, candidates.size, dtype=np.int64), 0,
+                candidates, found, probed, bool(probed))
 
-    def _expand_block(self, parent, src, values, settled, probed, flats,
-                      cols):
-        """Evaluate one block of a level's candidates.
+    def _expand_block(self, lo, a, b, counts, base, values, settled,
+                      probed, flats, cols):
+        """Evaluate one block of a level's candidates (the block as
+        :func:`_blocks` cut it; ``base`` as the driver derived it).
 
-        Returns ``(parent, vals, new_ranks, factors)`` for the
-        surviving candidates: frontier row, bound value, ranks of
-        inputs whose first variable binds here and leaf-annotation
-        factor arrays of those whose last does (both by input index;
-        factors multiply in index order, as the interpreter's
-        left-associated products do).
+        Returns the :class:`_Block` of the surviving candidates: bound
+        value, ranks of inputs whose first variable binds here and
+        leaf-annotation factor arrays of those whose last does (both by
+        input index; factors multiply in index order, as the
+        interpreter's left-associated products do).  The candidates'
+        frontier rows are built only if something here reads them.
         """
+        parent = None
+        if isinstance(base, int):       # abutting runs: a slice
+            src = slice(base + a, base + b)
+        else:
+            parent = _parents(lo, counts)
+            src = base[parent] + np.arange(a, b)
         vals = values[src]
-        found = [(part, src if rank_of is None else rank_of[src])
-                 for part, rank_of in settled]
+        found = []
+        for part, rank_of in settled:
+            if rank_of is None:
+                found.append((part, src))
+            elif isinstance(rank_of, int):
+                found.append((part, _full_rank(vals, rank_of)))
+            else:
+                found.append((part, rank_of[src]))
         keep = None
         for part in probed:
             other = flats[part.index]
             if part.pos == 0:
                 rank, member = _probe(other, vals)
             else:
+                if parent is None:
+                    parent = _parents(lo, counts)
                 bound = cols[part.var0_level][parent]
                 rank, member = _probe(
                     other, (bound.astype(np.uint64) << 32) | vals, pos=1)
             found.append((part, rank))
             keep = member if keep is None else keep & member
-        if keep is not None and not keep.all():
-            parent = parent[keep]
+        if keep is not None and keep.all():
+            keep = None
+        if keep is not None:
             vals = vals[keep]
-            found = [(part, rank[keep]) for part, rank in found]
+            if parent is not None:
+                parent = parent[keep]
         new_ranks = {}
         factors = {}
         for part, rank in found:
-            if not part.is_last:
-                new_ranks[part.index] = rank
-            elif part.annotated and flats[part.index].ann is not None:
-                factors[part.index] = flats[part.index].ann[rank]
-        return parent, vals, new_ranks, factors
+            ann = flats[part.index].ann if part.annotated else None
+            if part.is_last and ann is None:
+                continue    # ranks nobody reads are not gathered (or made)
+            rank = _kept(rank, keep)
+            if part.is_last:
+                # (ranks may be the uint32 values themselves, which
+                # ``take`` reads 2.5x faster than ``[]`` does)
+                factors[part.index] = ann[rank] if isinstance(rank, slice) \
+                    else ann.take(rank)
+            else:
+                new_ranks[part.index] = np.arange(rank.start, rank.stop) \
+                    if isinstance(rank, slice) else rank
+        return _Block(lo, counts, keep, parent, vals, new_ranks, factors)
 
     # -- aggregated-leaf folds ------------------------------------------------
 
     def _fold_leaf(self, blocks, cols, pw, sw, frontier):
         """Fold the deepest level per frontier row without expanding it.
 
-        Each block's surviving parents are sorted (rows expand in
-        order), so per-row reductions are ``reduceat`` segment ops;
-        rows a block boundary splits combine through the per-row
-        accumulator, and groups of rows sharing an output prefix reduce
-        once at the end.
+        Each block's survivors are in row order, so per-row reductions
+        are ``reduceat`` segment ops over runs the block reads off its
+        row counts (or, after a filter, re-finds); rows a block
+        boundary splits combine through the per-row accumulator, and
+        groups of rows sharing an output prefix reduce once at the end.
         """
         name = self.semiring.name
         oc = self.out_count
         if oc == 0 and self.int_fold:
             return BagResult((), _EMPTY_SCALAR_DATA,
-                             scalar=sum(int(block[0].size)
-                                        for block in blocks))
+                             scalar=sum(block.size for block in blocks))
         hit = np.zeros(frontier, dtype=bool)
         fold = _FOLD_UFUNC.get(name)
         acc = None if fold is None \
             else np.full(frontier, self.semiring.zero, dtype=np.float64)
-        for seg, _, _, factors in blocks:
-            if seg.size == 0:
+        for block in blocks:
+            if block.size == 0:
                 continue
-            starts = _segment_starts(seg)
-            rows = seg[starts]
+            rows, starts = block.segments()
             hit[rows] = True
             if fold is None:        # EXISTS: one witness per row
                 continue
+            factors = block.factors
             if sw is None and not factors:
                 if fold is np.add:  # bare element counts
-                    leafv = np.diff(starts, append=seg.size)
+                    leafv = np.diff(starts, append=block.size)
                 else:               # MIN/MAX of a constant chain
                     leafv = 1.0
             else:
-                elem = None if sw is None else sw[seg]
+                elem = None if sw is None else sw[block.parent]
                 for _, factor in sorted(factors.items()):
                     elem = factor if elem is None else elem * factor
                 leafv = fold.reduceat(elem, starts)
@@ -494,7 +636,8 @@ class FusedBagKernel:
         data = np.stack([column[gstarts] for column in prefix], axis=1)
         return BagResult(self.out_attrs, data,
                          annotations=annotations.astype(np.float64,
-                                                        copy=False))
+                                                        copy=False),
+                         canonical=True)
 
     def _fold_groups(self, blocks, cols, pw, sw, flats, total):
         """Fold the deepest level per output tuple when the outputs
@@ -524,10 +667,12 @@ class FusedBagKernel:
                 else np.full(domain, self.semiring.zero, dtype=np.float64)
             pacc = None
         partials = []
-        for parent, vals, _, factors in blocks:
-            if parent.size == 0:
+        for block in blocks:
+            if block.size == 0:
                 continue
-            columns = [vals if level == nl - 1 else cols[level][parent]
+            parent, factors = block.parent, block.factors
+            columns = [block.vals if level == nl - 1
+                       else cols[level][parent]
                        for level in self.out_levels]
             pref = None if pw is None else pw[parent]
             elem = None if sw is None else sw[parent]
@@ -572,7 +717,8 @@ class FusedBagKernel:
             gval = np.ones(columns[0].size, dtype=np.float64)
         annotations = gval if pref is None else pref * gval
         data = np.stack(columns, axis=1).astype(np.uint32, copy=False)
-        return BagResult(self.out_attrs, data, annotations=annotations)
+        return BagResult(self.out_attrs, data, annotations=annotations,
+                         canonical=True)
 
     def _empty(self):
         if self.out_count == 0 and self.int_fold:
@@ -582,15 +728,37 @@ class FusedBagKernel:
 
 
 def _concatenate(blocks):
-    """Join non-leaf blocks' survivors into the next frontier."""
+    """Join non-leaf blocks' survivors into the next frontier:
+    ``(parent, vals, new_ranks, factors)``."""
+    first = blocks[0]
     if len(blocks) == 1:
-        return blocks[0]
-    parents, vals, ranks, factors = zip(*blocks)
-    return (np.concatenate(parents), np.concatenate(vals),
-            {index: np.concatenate([r[index] for r in ranks])
-             for index in ranks[0]},
-            {index: np.concatenate([f[index] for f in factors])
-             for index in factors[0]})
+        return first.parent, first.vals, first.new_ranks, first.factors
+    return (np.concatenate([block.parent for block in blocks]),
+            np.concatenate([block.vals for block in blocks]),
+            {index: np.concatenate([block.new_ranks[index]
+                                    for block in blocks])
+             for index in first.new_ranks},
+            {index: np.concatenate([block.factors[index]
+                                    for block in blocks])
+             for index in first.factors})
+
+
+def _settle(parts, flats, generator):
+    """Split a CSR level's non-generating ``parts`` into ``(settled,
+    probed)``: a root whose keys are the whole of a range that holds
+    every value ``generator`` can produce filters nothing, and its
+    ranks are the values themselves less the range's start."""
+    settled, probed = [], []
+    for part in parts:
+        flat = flats[part.index]
+        if part.pos == 0 and flat.full:
+            k0, k1 = flat.span(0)
+            low, high = generator.span(1)
+            if k0 <= low and high <= k1:
+                settled.append((part, k0))
+                continue
+        probed.append(part)
+    return settled, probed
 
 
 def _joined(arrays):

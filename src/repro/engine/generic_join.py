@@ -53,15 +53,20 @@ class BagResult:
     ``data`` is an ``(n, k)`` uint32 matrix over ``out_attrs``;
     ``annotations`` is a parallel float array (or ``None``);
     0-attribute aggregates expose the folded value as :attr:`scalar`.
+    ``canonical`` is the producer's word that the rows are lexsorted
+    and distinct in ``out_attrs`` order (a re-mapped copy starts over
+    at ``False``).
     """
 
-    __slots__ = ("out_attrs", "data", "annotations", "scalar")
+    __slots__ = ("out_attrs", "data", "annotations", "scalar", "canonical")
 
-    def __init__(self, out_attrs, data, annotations=None, scalar=None):
+    def __init__(self, out_attrs, data, annotations=None, scalar=None,
+                 canonical=False):
         self.out_attrs = tuple(out_attrs)
         self.data = data
         self.annotations = annotations
         self.scalar = scalar
+        self.canonical = canonical
 
     @property
     def cardinality(self):

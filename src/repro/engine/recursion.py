@@ -66,17 +66,13 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
                         % rule.head_name)
     aggregates = rule.aggregates
     op = aggregates[0].op if aggregates else None
-    reads = [index for index, atom in enumerate(rule.body)
-             if atom.name == rule.head_name]
     fixpoint = rule.iterations is None
     if fixpoint and op is not None and not is_monotone(op):
         raise PlanError(
             "recursion with non-monotone aggregate %r needs a fixed "
             "iteration count (*[i=k])" % op)
-    # Seminaive needs the rule linear in its head (see module docstring).
-    seminaive = fixpoint and len(reads) == 1
-    body = clone_rule(rule, recursive=False, iterations=None,
-                      delta=reads[0] if seminaive else None)
+    body = round_body(rule)
+    seminaive = body.delta is not None
 
     def run_round(relation):
         """Evaluate the body once with ``relation`` as the head."""
@@ -92,6 +88,21 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
         result = _naive_replace(rule, executor, run_round)
     _install_round(executor, rule.head_name, result)
     return result
+
+
+def round_body(rule):
+    """The non-recursive rule one round of recursive ``rule`` runs —
+    what the driver executes and what ``Database.plan`` describes.
+
+    A fixpoint rule that is linear in its head (see module docstring)
+    iterates seminaively: its one recursive atom is marked as the
+    delta, which the default engine binds first.
+    """
+    reads = [index for index, atom in enumerate(rule.body)
+             if atom.name == rule.head_name]
+    seminaive = rule.iterations is None and len(reads) == 1
+    return clone_rule(rule, recursive=False, iterations=None,
+                      delta=reads[0] if seminaive else None)
 
 
 def _install_round(executor, name, relation):

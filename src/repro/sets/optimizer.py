@@ -99,6 +99,15 @@ class SetOptimizer:
         self.decision_seconds = 0.0
         self.histogram = {}
 
+    def kind_of(self, values):
+        """The layout kind :meth:`build` would give ``values``, decided
+        without materializing anything (and so without a histogram
+        entry or decision time: those record sets that were built)."""
+        if self.level == "set":
+            return choose_set_layout(values, self.density_threshold)
+        return {"relation": "uint", "uint_only": "uint",
+                "bitset_only": "bitset", "block": "block"}[self.level]
+
     def build(self, values):
         """Choose a layout for ``values`` and materialize it."""
         start = time.perf_counter()

@@ -7,11 +7,12 @@ a physical layout chosen by the layout optimizer, which is where the
 engine's density-skew adaptivity lives.  Leaf sets optionally carry
 per-value semiring annotations.
 
-A trie is built *flat first*: the sorted tuple array, the level-0 index
-and the root set exist as soon as the constructor returns, which is all
-the default block engine reads (through :class:`FlatTrieView`).  The
-per-prefix node tree below the root — one layout object per distinct
-prefix — is built on the first descent into it.
+A trie is built *flat first*: the sorted tuple array and the level-0
+index exist as soon as the constructor returns, which is all the
+default block engine reads (through :class:`FlatTrieView`).  The set
+layouts — the root's on the first read of ``root.set``, the per-prefix
+node tree below it on the first descent — are built by whoever reads
+them: the interpreter oracle, the forked scheduler, structural readers.
 """
 
 from functools import partial
@@ -41,26 +42,32 @@ class FlatTrieView:
     ``ann``
         Leaf annotations aligned with ``keys`` (unary) or with
         ``values``/``packed`` rows (binary); ``None`` if unannotated.
+    ``full``
+        Whether the root keys are *every* value of ``[keys[0],
+        keys[-1]]`` — what dictionary codes give any total relation.
+        The rank of ``v`` is then ``v - keys[0]`` and membership a
+        range test: the dense set at its limit, no table needed.
     ``rank_of``
-        Dense root-rank table, built on first use and only when the
-        layout optimizer stored the root set as a bitset (its density
-        decision, paper Algorithm 3): ``rank_of[v - keys[0]]`` is the
-        index of ``v`` in ``keys`` or ``-1``, with one trailing ``-1``
-        slot that out-of-range probes clamp to.  A root-level
-        membership probe is then one gather instead of a binary search
-        — the uint∩bitset kernel of §4.2.  ``None`` for sparse roots.
-        Four bytes per value of the root key *range*, which the
-        density decision bounds at 256x the key count.
+        Dense root-rank table for dense roots *with holes*, built on
+        first use and only when the layout optimizer stores the root
+        set as a bitset (its density decision, paper Algorithm 3):
+        ``rank_of[v - keys[0]]`` is the index of ``v`` in ``keys`` or
+        ``-1``, with one trailing ``-1`` slot that out-of-range probes
+        clamp to.  A root-level membership probe is then one gather
+        instead of a binary search — the uint∩bitset kernel of §4.2.
+        ``None`` for sparse roots and for ``full`` ones.  Four bytes
+        per value of the root key *range*, which the density decision
+        bounds at 256x the key count.
 
     All arrays alias :attr:`Trie.sorted_data` buffers where possible
-    and the level-0 index is the one the trie's root set was built
-    from, so the view costs one pack per trie and is cached by
-    :meth:`Trie.flat`.  It reads the root set's layout kind and nothing
-    below the root: building it never materializes the node tree.
+    and the level-0 index is the trie's own, so the view costs one pack
+    per trie and is cached by :meth:`Trie.flat`.  It asks the optimizer
+    which layout kind the root set *would* get and builds no set: not
+    the root's, and nothing below it.
     """
 
     __slots__ = ("arity", "keys", "offsets", "values", "packed", "ann",
-                 "_dense_root", "_rank_of", "_value_bound")
+                 "full", "_dense_root", "_rank_of", "_value_span")
 
     def __init__(self, trie):
         if trie.arity not in (1, 2):
@@ -70,7 +77,7 @@ class FlatTrieView:
         data = trie.sorted_data
         self.ann = trie.sorted_annotations
         self._rank_of = None
-        self._value_bound = None
+        self._value_span = None
         if trie.arity == 1:
             self.keys = np.ascontiguousarray(data[:, 0])
             self.offsets = None
@@ -78,13 +85,17 @@ class FlatTrieView:
             self.packed = None
         else:
             self._index_pairs(data, *trie._level0)
+        keys = self.keys
+        self.full = bool(keys.size) \
+            and int(keys[-1]) - int(keys[0]) + 1 == keys.size
         # ``bitset_only`` stores sparse roots as bitsets too, so the
         # kind alone does not bound the table: the density rule does
         # (and ranks must fit the table's int32).
-        self._dense_root = trie.root.set.kind == "bitset" \
-            and self.keys.size < np.iinfo(np.int32).max \
+        self._dense_root = not self.full \
+            and trie.root_kind == "bitset" \
+            and keys.size < np.iinfo(np.int32).max \
             and choose_set_layout(
-                self.keys, trie.optimizer.density_threshold) == "bitset"
+                keys, trie.optimizer.density_threshold) == "bitset"
 
     def _index_pairs(self, data, keys, starts):
         col0 = np.ascontiguousarray(data[:, 0])
@@ -95,18 +106,24 @@ class FlatTrieView:
         self.packed = (col0.astype(np.uint64) << np.uint64(32)) \
             | col1.astype(np.uint64)
 
-    def bound(self, pos):
-        """One past the largest value stored at level ``pos`` of a
-        non-empty trie (the child level's maximum is found once)."""
+    def span(self, pos):
+        """``(smallest, largest)`` value stored at level ``pos`` of a
+        non-empty trie (the child level's are found once)."""
         if pos == 0:
-            return int(self.keys[-1]) + 1
-        if self._value_bound is None:
-            self._value_bound = int(self.values.max()) + 1
-        return self._value_bound
+            return int(self.keys[0]), int(self.keys[-1])
+        if self._value_span is None:
+            self._value_span = (int(self.values.min()),
+                                int(self.values.max()))
+        return self._value_span
+
+    def bound(self, pos):
+        """One past the largest value stored at level ``pos``."""
+        return self.span(pos)[1] + 1
 
     @property
     def rank_of(self):
-        """The dense root-rank table, or ``None`` for a sparse root."""
+        """The dense root-rank table, or ``None`` for a sparse root
+        and for a ``full`` one (whose ranks need no table)."""
         if self._rank_of is None and self._dense_root:
             keys = self.keys
             span = int(keys[-1]) - int(keys[0]) + 1
@@ -124,17 +141,30 @@ class TrieNode:
     order (``None`` when the relation is unannotated or the level is not
     the leaf).  A root node may be created with ``pending``, a
     zero-argument builder of its children that runs on the first read of
-    ``children`` (and so on the first ``child``/``child_at``).
+    ``children`` (and so on the first ``child``/``child_at``), and with
+    ``pending_set``, a zero-argument builder of its set layout that
+    runs on the first read of ``set``.
     """
 
-    __slots__ = ("set", "annotations", "_children", "_pending")
+    __slots__ = ("built_set", "annotations", "_children", "_pending",
+                 "_pending_set")
 
     def __init__(self, set_layout, children=None, annotations=None,
-                 pending=None):
-        self.set = set_layout
+                 pending=None, pending_set=None):
+        #: The set layout if it has been built, else ``None``.
+        self.built_set = set_layout
+        self._pending_set = pending_set
         self.annotations = annotations
         self._children = children
         self._pending = pending
+
+    @property
+    def set(self):
+        """The node's set layout, built on first use."""
+        if self._pending_set is not None:
+            self.built_set = self._pending_set()
+            self._pending_set = None
+        return self.built_set
 
     @property
     def children(self):
@@ -168,13 +198,14 @@ class Trie:
     """A relation materialized as a trie under one attribute order.
 
     Construction sorts and deduplicates, keeps the tuples as
-    :attr:`sorted_data`, indexes level 0 and builds the **root** set.
-    The node tree below the root (:attr:`materialized`) is built by the
-    first reader that descends — ``root.children``/``child``,
-    :meth:`lookup`, :meth:`contains`, :meth:`tuples`,
-    :meth:`level_sets`, :attr:`nbytes`, :meth:`layout_histogram` — which
-    the interpreter oracle, the forked scheduler and structural tests
-    do and the default block engine (:meth:`flat`) never does.
+    :attr:`sorted_data` and indexes level 0.  The root's set layout is
+    built by the first read of ``root.set`` and the node tree below the
+    root (:attr:`materialized`) by the first reader that descends —
+    ``root.children``/``child``, :meth:`lookup`, :meth:`contains`,
+    :meth:`tuples`, :meth:`level_sets`, :attr:`nbytes`,
+    :meth:`layout_histogram` — which the interpreter oracle, the forked
+    scheduler and structural tests do and the default block engine
+    (:meth:`flat`) never does.
 
     Parameters
     ----------
@@ -205,6 +236,7 @@ class Trie:
         # (share_into); the TrieCache charges this as arena waste when
         # the entry is retired, driving whole-arena compaction.
         self._shm_bytes = 0
+        self._root_kind = None
         if relation.arity == 0:
             self.root = TrieNode(_empty_set(self.optimizer))
             self.scalar = (float(relation.annotations[0])
@@ -241,27 +273,49 @@ class Trie:
         self.sorted_annotations = annotations
         self._flat = None
         # Level-0 index (distinct keys, first row of each), shared with
-        # the flat view so neither recomputes the other's ``unique``.
-        keys, starts = self._level0 = np.unique(data[:, 0],
-                                                return_index=True)
-        root_set = self.optimizer.build(keys)
+        # the flat view.  The column is sorted: runs change where
+        # neighbours differ.
+        col0 = data[:, 0]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], col0[1:] != col0[:-1]))) if col0.size \
+            else np.empty(0, dtype=np.intp)
+        keys = col0[starts]
+        self._level0 = keys, starts
+        # The builders hold the arrays and the optimizer, not the trie:
+        # a pending root must not tie trie and node into a reference
+        # cycle.
+        root_set = partial(self.optimizer.build, keys)
         if self.arity == 1:
             self.root = TrieNode(
-                root_set, None,
-                None if annotations is None else annotations[starts])
+                None, None,
+                None if annotations is None else annotations[starts],
+                pending_set=root_set)
         elif reuse is not None and reuse[0].materialized:
-            self.root = TrieNode(root_set, self._patched_children(*reuse))
+            self.root = TrieNode(None, self._patched_children(*reuse),
+                                 pending_set=root_set)
         else:
-            # Holds the arrays and the optimizer, not the trie: a pending
-            # root must not tie trie and node into a reference cycle.
-            self.root = TrieNode(root_set, pending=partial(
+            self.root = TrieNode(None, pending=partial(
                 _build_children, self.optimizer, data, annotations,
-                starts, 0))
+                starts, 0), pending_set=root_set)
 
     @property
     def materialized(self):
         """Whether the node tree below the root has been built."""
         return self.root._pending is None
+
+    @property
+    def root_kind(self):
+        """Layout kind of the root set, asked of the optimizer (once)
+        without building the set."""
+        if self._root_kind is None:
+            self._root_kind = self.optimizer.kind_of(self._level0[0]) \
+                if self.arity else self.root.set.kind
+        return self._root_kind
+
+    @property
+    def root_cardinality(self):
+        """Number of distinct level-0 values."""
+        return int(self._level0[0].size) if self.arity else 0
 
     def _patched_children(self, old_trie, touched):
         """Root children that reuse untouched subtrees of a stale trie.

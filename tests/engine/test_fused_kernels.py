@@ -440,14 +440,38 @@ def analytics_tries(roots, with_v):
     return tries, atoms
 
 
-#: Root key sets of ``(U1, U2)`` from the ``z`` values ``B`` holds —
-#: dense ones become bitsets and answer through ``rank_of``.
+def holed(start, stop):
+    """A dense key range with holes: a bitset, but not full."""
+    return [v for v in range(start, stop) if v % 7]
+
+
+def probe_route(trie):
+    """How the kernel probes ``trie``'s root: ``full`` (rank is value
+    less first key), dense ``table`` (``rank_of``) or binary
+    ``search``."""
+    flat = trie.flat()
+    return "full" if flat.full else \
+        "table" if flat.rank_of is not None else "search"
+
+
+#: Root key sets of ``(U1, U2)`` from the ``z`` values ``B`` holds, and
+#: the route each is probed by.
 ANALYTICS_ROOTS = {
-    "dense": lambda zs: (range(20000, 40000), range(25000, 45000)),
-    "sparse": lambda zs: (zs[::2], zs[::3]),
-    "mixed": lambda zs: (range(20000, 40000), zs[::2]),
-    "disjoint": lambda zs: (range(20000, 30000), range(30000, 40000)),
-    "inside": lambda zs: (range(29000, 31000), range(29500, 30500)),
+    "dense": (lambda zs: (range(20000, 40000), range(25000, 45000)),
+              ["full", "full"]),
+    "holed": (lambda zs: (holed(20000, 40000), holed(25000, 45000)),
+              ["table", "table"]),
+    "sparse": (lambda zs: (zs[::2], zs[::3]), ["search", "search"]),
+    "mixed": (lambda zs: (holed(20000, 40000), zs[::2]),
+              ["table", "search"]),
+    "covering": (lambda zs: (range(0, 70000), range(0, zs[-1] + 1)),
+                 ["full", "full"]),
+    "short": (lambda zs: (range(0, zs[-1]), holed(20000, 40000)),
+              ["full", "table"]),
+    "disjoint": (lambda zs: (range(20000, 30000), range(30000, 40000)),
+                 ["full", "full"]),
+    "inside": (lambda zs: (range(29000, 31000), holed(29500, 30500)),
+               ["full", "table"]),
 }
 
 
@@ -458,16 +482,15 @@ class TestAnalyticsShapes:
     """``Agg(x) :- B(x,z),U1(z),U2(z)`` (PageRank's and SSSP's round)
     is evaluated by the block kernel alone, so it must equal the
     interpreter bit for bit whichever way each root level is probed —
-    dense table or binary search — at every block size."""
+    range arithmetic, dense table or binary search — at every block
+    size."""
 
     def test_kernel_equals_interpreter(self, name, roots, with_v):
         from repro.engine import EngineConfig
         from repro.engine.generic_join import BagInput
-        tries, atoms = analytics_tries(ANALYTICS_ROOTS[roots], with_v)
-        dense = [trie.flat().rank_of is not None for trie in tries[1:3]]
-        assert dense == {"dense": [True, True], "sparse": [False, False],
-                         "mixed": [True, False], "disjoint": [True, True],
-                         "inside": [True, True]}[roots]
+        make_roots, routes = ANALYTICS_ROOTS[roots]
+        tries, atoms = analytics_tries(make_roots, with_v)
+        assert [probe_route(trie) for trie in tries[1:3]] == routes
         semiring = semiring_for(name)
         specs = [InputSpec(n, v, annotated=a) for n, v, a in atoms]
         inputs = [BagInput(trie, v, annotated=a, name=n)
@@ -685,3 +708,216 @@ class TestDeltaFirst:
                                   out_attrs=("x",))
         assert not generate_bag_plan(("w", "x"), 1, specs,
                                      semiring_for(name)).unordered
+
+
+# -- (g) what the data states is not re-derived -------------------------------
+
+
+def routes_bag(roots, shift=0, weighted=False, out=1):
+    """``Agg(x) :- B(x,z),U1(z),U2(z)`` over a directed graph on the
+    codes ``shift .. shift + 199``: every node below 160 has out-edges
+    (``B``'s root is that whole range), node ``50`` is a hub with 150 of
+    them — more than a 64-row block — and the nodes from 160 up are
+    sinks.  ``roots`` names the key sets of the annotated unary inputs.
+    Returns ``(order, specs, tries, inputs)`` with ``out`` outputs."""
+    pairs = {(x, (x * 7 + k * 13) % 200)
+             for x in range(160) for k in range(1 + x % 5)}
+    pairs |= {(50, z) for z in range(20, 170)}
+    pairs = sorted((x + shift, z + shift) for x, z in pairs)
+    keys = {"all": range(shift, shift + 200),
+            "wide": range(max(shift - 3, 0), shift + 260),
+            "sources": range(shift, shift + 160),     # InvDeg: no sinks
+            "holed": [v + shift for v in range(200) if v % 7],
+            "sparse": [v * 9001 + shift for v in range(200)]
+            + [z for _, z in pairs[::3]],
+            "none": []}
+    atoms = [("B", ("x", "z"), pairs,
+              dyadic(pairs, 1) if weighted else None)]
+    for name, which in zip(("U1", "U2"), roots):
+        rows = [(v,) for v in sorted(set(keys[which]))]
+        atoms.append((name, ("z",), np.asarray(rows, dtype=np.uint32)
+                      .reshape(-1, 1), dyadic(rows, len(name))
+                      if rows else np.empty(0)))
+    return (("x", "z"),) + ordered_bag(atoms, ("x", "z"))
+
+
+class RouteSpy:
+    """Counts what a kernel call derived instead of reading: per-block
+    probes and parent-row expansions."""
+
+    def __init__(self, monkeypatch):
+        self.probes = self.parents = 0
+        probe, parents = fused._probe, fused._parents
+
+        def counted_probe(*args, **kwargs):
+            self.probes += 1
+            return probe(*args, **kwargs)
+
+        def counted_parents(*args):
+            self.parents += 1
+            return parents(*args)
+        monkeypatch.setattr(fused, "_probe", counted_probe)
+        monkeypatch.setattr(fused, "_parents", counted_parents)
+
+
+BLOCK_ROWS = (1, 7, 64, None)
+
+
+def level0_blocks(keys):
+    """Blocks a level-0 frontier of ``keys`` values is cut into, summed
+    over :data:`BLOCK_ROWS` — each builds its parent rows, as every
+    non-leaf block must."""
+    return sum(-(-keys // (rows or keys)) for rows in BLOCK_ROWS)
+
+
+def assert_same_bag(kernel, tries, expected, config, restrict=None):
+    """The kernel's answer at every block size is ``expected`` bit for
+    bit: rows, annotations and (for ``out = 0``) the scalar's type."""
+    for rows in BLOCK_ROWS:
+        got = kernel(tries, config if rows is None
+                     else blocked(config, rows), restrict)
+        assert np.array_equal(got.data, expected.data)
+        if expected.annotations is None:
+            assert got.annotations is None
+        else:
+            assert np.array_equal(got.annotations, expected.annotations)
+        assert got.scalar == expected.scalar
+        assert type(got.scalar) is type(expected.scalar)
+
+
+@pytest.mark.parametrize("name", FUSED_SEMIRINGS)
+class TestDataDrivenRoutes:
+    """Abutting CSR runs are read as slices, blocks build their parent
+    rows only for a reader, and a full-range root that covers the
+    generator's values is neither probed nor masked — each decided
+    from the data, each bit-identical to the interpreter at every
+    block size."""
+
+    def run(self, name, roots, out=1, restrict=None, **graph):
+        from repro.engine import EngineConfig
+        order, specs, tries, inputs = routes_bag(roots, **graph)
+        semiring = semiring_for(name)
+        config = EngineConfig(execution_mode="compiled")
+        expected = BagEvaluator(order, out, inputs, semiring, config,
+                                restrict_level0=restrict).run()
+        kernel = generate_bag_plan(order, out, specs, semiring)
+        assert_same_bag(kernel, tries, expected, config, restrict)
+        return expected, tries
+
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["", "weighted"])
+    @pytest.mark.parametrize("shift", [0, 11])
+    def test_covering_roots_are_read_not_probed(self, name, shift,
+                                                weighted, monkeypatch):
+        """PageRank's round: the hub row is split across blocks, a
+        weighted ``B`` multiplies through an annotation *view*, the
+        roots start at ``k0 = shift``."""
+        spy = RouteSpy(monkeypatch)
+        expected, tries = self.run(name, ("all", "wide"), shift=shift,
+                                   weighted=weighted)
+        assert expected.cardinality == 160
+        assert [probe_route(trie) for trie in tries] == ["full"] * 3
+        assert all(trie.flat()._rank_of is None for trie in tries)
+        # nothing probed, and no parent rows below level 0
+        assert spy.probes == 0 and spy.parents == level0_blocks(160)
+
+    def test_a_root_that_misses_values_filters_again(self, name,
+                                                     monkeypatch):
+        """``InvDeg`` of a directed graph lacks the sinks: a full-range
+        root that does not cover what ``B`` can produce must mask."""
+        spy = RouteSpy(monkeypatch)
+        covered, _ = self.run(name, ("all", "all"), shift=11)
+        assert spy.probes == 0
+        expected, tries = self.run(name, ("all", "sources"), shift=11)
+        assert probe_route(tries[2]) == "full"
+        assert spy.probes > 0 and spy.parents > 2 * level0_blocks(160)
+        if name in ("SUM", "COUNT"):
+            assert not np.array_equal(expected.annotations,
+                                      covered.annotations)
+
+    def test_table_and_search_in_one_bag(self, name):
+        expected, tries = self.run(name, ("holed", "sparse"))
+        assert [probe_route(trie) for trie in tries[1:]] \
+            == ["table", "search"]
+        assert expected.cardinality
+
+    @pytest.mark.parametrize("morsel", ["run", "strided"])
+    def test_restricted_morsels(self, name, morsel, monkeypatch):
+        """A contiguous morsel's runs abut but start past offset 0 (and
+        hold the hub); a strided one's do not abut at all."""
+        spy = RouteSpy(monkeypatch)
+        keys = np.arange(51, 131, dtype=np.uint32) if morsel == "run" \
+            else np.arange(11, 171, 3, dtype=np.uint32)
+        expected, _ = self.run(name, ("all", "wide"), shift=11,
+                               restrict=UintSet.from_sorted(keys))
+        assert expected.cardinality == keys.size
+        assert (spy.parents == level0_blocks(keys.size)) \
+            == (morsel == "run")
+
+    @pytest.mark.parametrize("out", [0, 2])
+    def test_scalar_and_materializing_bags(self, name, out):
+        for roots in (("all", "wide"), ("all", "sources"),
+                      ("holed", "sparse")):
+            self.run(name, roots, out=out, shift=11)
+
+    def test_empty_input_and_empty_result(self, name):
+        expected, _ = self.run(name, ("all", "none"))
+        assert expected.cardinality == 0
+        # keys far from every z value: all inputs non-empty, no match
+        order, specs, tries, inputs = routes_bag(("all", "sparse"))
+        far = np.asarray([[900000], [900001]], dtype=np.uint32)
+        from repro.engine import EngineConfig
+        from repro.engine.generic_join import BagInput
+        from repro.storage import Relation, Trie
+        tries[2] = Trie(Relation("U2", far, np.ones(2)))
+        inputs[2] = BagInput(tries[2], ("z",), annotated=True, name="U2")
+        semiring = semiring_for(name)
+        config = EngineConfig(execution_mode="compiled")
+        expected = BagEvaluator(order, 1, inputs, semiring, config).run()
+        assert expected.cardinality == 0
+        assert_same_bag(generate_bag_plan(order, 1, specs, semiring),
+                        tries, expected, config)
+
+
+class TestPageRankIsBitStable:
+    """The analytics program end to end: floats equal — not close — to
+    the values of the commit before the routes above existed, for the
+    same simulated work."""
+
+    #: ``undirected -> (ranked nodes, sha256 of their ranks as
+    #: little-endian float64 in node order, a few ranks spelled out,
+    #: counter.total_ops)``, measured at the parent commit (PR 19).
+    #: Directed, ``InvDeg`` lacks the sinks and the round filters;
+    #: undirected, its full-range root covers every neighbour.
+    PINNED = {
+        True: (1932, "08c360e61d98d883f6081d9ca02c5247"
+                     "f5132282c3e12310e850f7b912837ffa",
+               {0: 38.54166711363489, 1: 23.113134463892973,
+                966: 0.3876192771899827, 1999: 0.18459484948377916},
+               29898),
+        False: (182, "cf892c027681eedd2c41e347acfe06cc"
+                     "dfee0f766a8db4e9a62cecbfbd4ad1a9",
+                {0: 4.684887731436106, 1: 4.008172473972671,
+                 93: 0.271559575959498, 414: 0.3105826125735961},
+                14880),
+    }
+
+    @pytest.mark.parametrize("undirected", [True, False],
+                             ids=["undirected", "directed"])
+    def test_ranks_and_work_are_the_parents(self, undirected):
+        import hashlib
+        from repro.graphs.analytics import pagerank_program
+        count, digest, spelled, total_ops = self.PINNED[undirected]
+        edges = [tuple(e) for e in chung_lu_graph(2000, 9000,
+                                                  exponent=2.1, seed=5)]
+        db = kernel_db()
+        db.load_graph("Edge", edges, undirected=undirected)
+        ranks = db.query(pagerank_program(iterations=5)).to_dict()
+        nodes = sorted(ranks)
+        assert len(nodes) == count
+        assert {node: ranks[node] for node in spelled} == spelled
+        packed = np.asarray([ranks[node] for node in nodes],
+                            dtype="<f8").tobytes()
+        assert hashlib.sha256(packed).hexdigest() == digest
+        assert db.counter.total_ops == total_ops
+        assert db.last_stats.fused_fallbacks == 0

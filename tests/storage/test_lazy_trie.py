@@ -1,5 +1,6 @@
-"""Flat-first tries: the node tree below the root is built by the
-first reader that descends, and never by the default block engine.
+"""Flat-first tries: the root's set layout is built by the first read
+of ``root.set`` and the node tree below the root by the first reader
+that descends — neither by the default block engine.
 
 The structural numbers in :data:`HEAD` were measured at the commit
 before tries became lazy (every node built in the constructor), so the
@@ -88,6 +89,55 @@ class TestReadersMaterialize:
         _input_profiles([BagInput(trie, ("x", "y"))])
         assert not trie.materialized
 
+    def test_the_root_set_waits_for_its_first_reader(self):
+        """What stays eager: the sorted tuples and the level-0 index.
+        The flat view and the plan profiles ask the optimizer for the
+        root's layout *kind* and build no set."""
+        trie = _trie()
+        assert trie.sorted_data.shape[0] == len(_edges())
+        assert trie.root.built_set is None
+        flat = trie.flat()
+        profile, = _input_profiles([BagInput(trie, ("x", "y"))])
+        assert trie.root.built_set is None
+        assert trie.optimizer.histogram == {}
+        assert trie.optimizer.decision_seconds == 0.0
+        root_set = trie.root.set
+        assert trie.root.built_set is root_set is trie.root.set
+        assert root_set.to_array().tolist() == flat.keys.tolist()
+        assert profile["kind"] == trie.root_kind == root_set.kind
+        assert profile["root_card"] == root_set.cardinality
+
+    @pytest.mark.parametrize("level", ["set", "uint_only", "bitset_only",
+                                       "block", "relation"])
+    def test_the_kind_is_known_without_the_set(self, level):
+        for key_order in ((0, 1), (1, 0)):
+            trie = Trie(_relation(), key_order=key_order,
+                        optimizer=SetOptimizer(level))
+            kind = trie.root_kind
+            assert trie.root.built_set is None
+            assert kind == trie.root.set.kind
+
+    def test_optimizer_statistics_read_the_same_once_touched(self):
+        """A structural reader leaves the optimizer's histogram and
+        decision clock as an eager build left them: every set counted
+        once, the root's included."""
+        lazy = _trie()
+        lazy.flat()
+        assert lazy.layout_histogram() == HEAD[(0, 1)][1]
+        assert lazy.optimizer.histogram == HEAD[(0, 1)][1]
+        assert lazy.optimizer.decision_seconds > 0.0
+        lazy.root.set
+        assert lazy.optimizer.histogram == HEAD[(0, 1)][1]
+
+    def test_level0_index_matches_unique(self):
+        for key_order in ((0, 1), (1, 0)):
+            trie = _trie(key_order)
+            keys, starts = np.unique(trie.sorted_data[:, 0],
+                                     return_index=True)
+            assert np.array_equal(trie._level0[0], keys)
+            assert np.array_equal(trie._level0[1], starts)
+            assert trie._level0[0].dtype == keys.dtype
+
     def test_membership_agrees_with_the_tuples(self):
         trie, stored = _trie(), set(_edges())
         assert all(trie.contains(edge) for edge in stored)
@@ -139,9 +189,21 @@ class TestDefaultEngineStaysFlat:
     def test_recursion_rounds_stay_flat_too(self):
         db = Database(execution_mode="compiled")
         db.load_graph("Edge", _edges())
+        built = []
+        retire = db._trie_cache._drop_entry
+
+        def watch(key):
+            built.append(db._trie_cache._tries[key].root.built_set)
+            retire(key)
+        db._trie_cache._drop_entry = watch
         db.query(pagerank_program(iterations=3))
         db.query(sssp_program(_edges()[0][0]))
         assert not any(t.materialized for t in _cached_tries(db))
+        # no round's head trie — retired since or still cached — ever
+        # built the root set nobody reads
+        assert built and all(root_set is None for root_set in built)
+        assert all(t.root.built_set is None
+                   for t in db._trie_cache._tries.values())
 
     def test_retiring_an_entry_does_not_build_it(self):
         db = Database(execution_mode="compiled")

@@ -65,6 +65,55 @@ class TestCommands:
         assert capsys.readouterr().out.strip().startswith("1.0")
 
 
+class TestUserErrors:
+    """A user's mistake is one ``repro: error:`` line and exit code 2,
+    never a traceback."""
+
+    def failed(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+        return lines[0]
+
+    def test_unknown_relation(self, edge_file, capsys):
+        line = self.failed(
+            ["query", "--edges", edge_file,
+             "T(;w:long) :- Edgy(x,y); w=<<COUNT(*)>>."], capsys)
+        assert "unknown relation 'Edgy'" in line
+
+    def test_syntax_error(self, edge_file, capsys):
+        line = self.failed(
+            ["query", "--edges", edge_file,
+             "T(;w:long) :- Edge(x,y; w=<<COUNT(*)>>."], capsys)
+        assert "expected ')'" in line
+
+    @pytest.mark.parametrize("program", ["sssp", "pagerank"])
+    def test_explain_of_a_program_whose_last_rule_reads_a_head(
+            self, program, edge_file, capsys):
+        from repro.graphs.analytics import pagerank_program, sssp_program
+        text = sssp_program(0) if program == "sssp" \
+            else pagerank_program(iterations=2)
+        line = self.failed(["explain", "--edges", edge_file, text], capsys)
+        assert "unknown relation" in line
+        assert "intermediate heads are not computed by `explain`" in line
+        assert "query --explain-analyze" in line
+
+    def test_explain_of_a_plain_unknown_relation_has_no_hint(
+            self, edge_file, capsys):
+        line = self.failed(["explain", "--edges", edge_file,
+                            "Q(x) :- Missing(x,y)."], capsys)
+        assert "intermediate heads" not in line
+
+    def test_the_suggested_command_answers(self, edge_file, capsys):
+        from repro.graphs.analytics import sssp_program
+        assert main(["query", "--edges", edge_file, "--explain-analyze",
+                     "--execution-mode", "compiled", sssp_program(0)]) == 0
+        assert "eval=(w,x)" in capsys.readouterr().out
+
+
 class TestObservabilityFlags:
     TRIANGLES = TestCommands.TRIANGLES
 

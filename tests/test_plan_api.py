@@ -55,3 +55,43 @@ class TestPlanAPI:
         from repro import UnknownRelationError
         with pytest.raises(UnknownRelationError):
             db.plan("Q(x) :- Missing(x,y).")
+
+
+class TestRecursivePlans:
+    """``plan``/``explain`` describe the round the recursion driver
+    runs, not the rule as written."""
+
+    def test_sssp_plan_is_the_order_that_ran(self):
+        from repro.graphs.analytics import sssp_program
+        database = Database(execution_mode="compiled")
+        database.load_graph("Edge", [(0, 1), (1, 2), (0, 2), (2, 3)])
+        text = sssp_program(0)
+        database.query(text)            # installs the base case too
+        ran = database._executor.last_plan
+        planned = database.plan(text)
+        assert [bag.eval_order for bag in planned.bags] \
+            == [bag.eval_order for bag in ran.bags] == [("w", "x")]
+        assert [bag.out_attrs for bag in planned.bags] \
+            == [bag.out_attrs for bag in ran.bags] == [("x",)]
+        assert "eval=(w,x) out=(x)" in database.explain(text)
+
+    def test_the_oracle_stays_output_first(self):
+        from repro.graphs.analytics import sssp_program
+        database = Database(execution_mode="interpreted")
+        database.load_graph("Edge", [(0, 1), (1, 2), (0, 2), (2, 3)])
+        text = sssp_program(0)
+        database.query(text)
+        assert database.plan(text).bags[0].eval_order \
+            == database._executor.last_plan.bags[0].eval_order \
+            == ("x", "w")
+
+    def test_fixed_iteration_rounds_have_no_delta(self):
+        from repro.graphs.analytics import pagerank_program
+        database = Database(execution_mode="compiled")
+        database.load_graph("Edge", [(0, 1), (1, 2), (0, 2), (2, 3)])
+        text = pagerank_program(iterations=2)
+        database.query(text)
+        assert [bag.eval_order for bag in database.plan(text).bags] \
+            == [bag.eval_order
+                for bag in database._executor.last_plan.bags] \
+            == [("x", "z")]

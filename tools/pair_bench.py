@@ -1,0 +1,224 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change runs of the end-to-end benchmark.
+
+Every performance claim in ``EXPERIMENTS.md`` rests on the same
+protocol (``choosing-metrics`` §8): ten pairs of runs of
+``benchmarks/e2e/run.py``, one of the parent commit and one of the
+change, each from its own directory, the side that runs first
+alternating, then a verdict per metric from medians, quartiles and
+pairs won.  This script is that protocol::
+
+    python tools/pair_bench.py --parent <sha> \\
+        [--workload W ...] [--seed S] [--pairs 10] [--change <sha>]
+
+The parent (and a ``--change`` commit) is exported with ``git archive``
+into a temporary directory; without ``--change`` the change side is a
+copy of the working tree's tracked and untracked-but-not-ignored files,
+so uncommitted work can be measured.  Nothing is written to the
+repository (no ``git worktree`` state is left behind either) and
+``benchmarks/e2e/run.py`` runs unmodified, with ``--trace 0``, from the
+root of each copy.  Output: the markdown tables ``EXPERIMENTS.md`` uses —
+per workload and metric the two medians with their quartiles, the
+ratio, pairs won and the verdict — then every run's ``op_ms`` in pair
+order.  Bounds come from ``BENCHMARK.json``.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+
+def quantile(values, q):
+    """Linear-interpolation quantile of ``values`` (numpy's default)."""
+    ordered = sorted(values)
+    position = q * (len(ordered) - 1)
+    below = int(position)
+    above = min(below + 1, len(ordered) - 1)
+    return ordered[below] \
+        + (position - below) * (ordered[above] - ordered[below])
+
+
+def summary(values):
+    """``(median, q1, q3)``."""
+    return quantile(values, 0.5), quantile(values, 0.25), \
+        quantile(values, 0.75)
+
+
+def verdict(parent, change, bound, better="lower"):
+    """Judge one metric from paired runs (``parent[i]`` and
+    ``change[i]`` ran back to back).  Returns ``(verdict, pairs won)``.
+
+    * ``better``: the change wins at least nine tenths of the pairs
+      (ties count for neither side) **and** the medians differ, in the
+      good direction, by more than the distance between the quartiles
+      of the parent's own runs;
+    * ``within bound``: otherwise, the change's median is no worse than
+      the parent's by more than ``bound`` (a fraction of the parent's);
+    * ``unresolved``: it is beyond the bound, but a side's own
+      interquartile distance is wider than the bound — these runs
+      cannot tell;
+    * ``worse``: beyond the bound, and the spread does not excuse it.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(sign * c < sign * p for p, c in zip(parent, change))
+    p_median, p_q1, p_q3 = summary(parent)
+    c_median, c_q1, c_q3 = summary(change)
+    gain = sign * (p_median - c_median)
+    if won >= 0.9 * len(parent) and gain > p_q3 - p_q1:
+        return "better", won
+    allowed = bound * abs(p_median)
+    if -gain <= allowed:
+        return "within bound", won
+    if max(p_q3 - p_q1, c_q3 - c_q1) > allowed:
+        return "unresolved", won
+    return "worse", won
+
+
+def number(value):
+    return "%.4g" % value
+
+
+def table(results, metrics):
+    """The summary table: ``results[workload][side]`` is the list of
+    parsed ``run.py`` reports, ``metrics`` the ``end_to_end`` entries
+    of ``BENCHMARK.json``."""
+    lines = ["| workload | metric | parent median (q1-q3) | change median "
+             "(q1-q3) | change/parent | pairs won | verdict |",
+             "|---|---|---|---|---|---|---|"]
+    for workload, sides in results.items():
+        for metric in metrics:
+            parent, change = ([run["metrics"][metric["name"]]["value"]
+                               for run in sides[side]]
+                              for side in ("parent", "change"))
+            judged, won = verdict(parent, change, metric["bound"],
+                                  metric["better"])
+            p_summary, c_summary = summary(parent), summary(change)
+            cells = ["%s (%s-%s)" % tuple(map(number, side))
+                     for side in (p_summary, c_summary)]
+            ratio = c_summary[0] / p_summary[0] if p_summary[0] \
+                else float("nan")
+            lines.append("| %s | %s | %s | %s | %.3f | %d/%d | %s |" % (
+                workload, metric["name"], cells[0], cells[1], ratio, won,
+                len(parent), judged))
+        lines.append("| %s | failed | %d | %d | | | |" % (
+            workload, *(sum(run["failed"] for run in sides[side])
+                        for side in ("parent", "change"))))
+    return "\n".join(lines)
+
+
+def runs_table(results, metric="op_ms"):
+    """Every run's ``metric``, in pair order."""
+    lines = ["| workload | side | `%s` of the runs |" % metric,
+             "|---|---|---|"]
+    for workload, sides in results.items():
+        for side in ("parent", "change"):
+            lines.append("| %s | %s | %s |" % (workload, side, " ".join(
+                number(run["metrics"][metric]["value"])
+                for run in sides[side])))
+    return "\n".join(lines)
+
+
+# -- the two copies -----------------------------------------------------------
+
+
+def git(root, *args):
+    return subprocess.run(("git", "-C", root) + args, check=True,
+                          stdout=subprocess.PIPE).stdout
+
+
+def export_commit(root, commit, target):
+    """The committed files of ``commit`` under ``target``."""
+    os.makedirs(target)
+    archive = subprocess.Popen(("git", "-C", root, "archive", commit),
+                               stdout=subprocess.PIPE)
+    subprocess.run(("tar", "-x", "-C", target), stdin=archive.stdout,
+                   check=True)
+    if archive.wait():
+        raise SystemExit("git archive %s failed" % commit)
+
+
+def export_working_tree(root, target):
+    """The working tree's tracked and untracked-but-not-ignored files."""
+    listed = git(root, "ls-files", "-co", "--exclude-standard", "-z")
+    for name in filter(None, listed.decode().split("\0")):
+        source = os.path.join(root, name)
+        if os.path.isfile(source):      # a deleted tracked file is gone
+            copy = os.path.join(target, name)
+            os.makedirs(os.path.dirname(copy), exist_ok=True)
+            shutil.copy2(source, copy)
+
+
+def run_once(checkout, workload, seed):
+    """One ``run.py`` report (its last stdout line)."""
+    command = [sys.executable, "benchmarks/e2e/run.py", "--workload",
+               workload, "--trace", "0"]
+    if seed is not None:
+        command += ["--seed", str(seed)]
+    done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    report["exit"] = done.returncode
+    return report
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="commit the change is measured against")
+    parser.add_argument("--change", help="commit to measure (default: "
+                        "the working tree, uncommitted files included)")
+    parser.add_argument("--workload", action="append",
+                        help="repeatable; default: every workload of "
+                        "BENCHMARK.json")
+    parser.add_argument("--seed", type=int,
+                        help="input seed (held-out: 20160701)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", help="also write every report here")
+    args = parser.parse_args(argv)
+    root = git(os.path.dirname(os.path.abspath(__file__)), "rev-parse",
+               "--show-toplevel").decode().strip()
+    with open(os.path.join(root, "BENCHMARK.json")) as handle:
+        contract = json.load(handle)
+    workloads = args.workload \
+        or [entry["name"] for entry in contract["workloads"]]
+    scratch = tempfile.mkdtemp(prefix="pair_bench_")
+    try:
+        checkouts = {side: os.path.join(scratch, side)
+                     for side in ("parent", "change")}
+        export_commit(root, args.parent, checkouts["parent"])
+        if args.change:
+            export_commit(root, args.change, checkouts["change"])
+        else:
+            export_working_tree(root, checkouts["change"])
+        results = {}
+        for turn, workload in enumerate(workloads):
+            sides = results[workload] = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if (pair + turn) % 2 == 0 \
+                    else ("change", "parent")
+                for side in order:
+                    report = run_once(checkouts[side], workload, args.seed)
+                    sides[side].append(report)
+                    print("%s pair %d %s: op_ms %s failed %d exit %d" % (
+                        workload, pair, side,
+                        number(report["metrics"]["op_ms"]["value"]),
+                        report["failed"], report["exit"]),
+                        file=sys.stderr, flush=True)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    if args.json:
+        with open(args.json, "w") as handle:
+            json.dump({"parent": args.parent, "change": args.change,
+                       "seed": args.seed, "results": results}, handle)
+    print(table(results, contract["end_to_end"]))
+    print()
+    print(runs_table(results))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
