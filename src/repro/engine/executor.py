@@ -262,6 +262,25 @@ class TrieCache:
         return len(self._tries)
 
 
+class RoundPlan:
+    """The compiled rule the rounds of one recursion share.
+
+    A recursion driver hands one to every round's
+    :meth:`RuleExecutor.execute`.  The first round runs the normal path
+    and, when the rule reads its head only through plain atoms, pins
+    its compiled rule here; every later round re-runs that rule with
+    nothing but the head re-bound — no optimizer pass, no plan-cache
+    key or lookup, and a head trie built straight from the round's
+    canonical relation instead of through the trie cache, so nothing a
+    round builds outlives it.  Lives as long as the recursion does.
+    """
+
+    __slots__ = ("compiled", "key", "head_atoms", "head_inputs")
+
+    def __init__(self):
+        self.compiled = None
+
+
 def eval_expression(expr, agg_value, env):
     """Evaluate an annotation expression tree.
 
@@ -349,7 +368,7 @@ class RuleExecutor:
 
     # -- public ---------------------------------------------------------------
 
-    def execute(self, rule, stats=None):
+    def execute(self, rule, stats=None, rounds=None):
         """Run ``rule`` and return the result :class:`Relation`.
 
         The result carries the head's columns in head-variable order and,
@@ -357,10 +376,12 @@ class RuleExecutor:
         engine only) carries program-level counters when
         ``Database.query`` drives a multi-rule program; a fresh
         :class:`~repro.engine.stats.ExecStats` is created otherwise.
+        ``rounds``, a :class:`RoundPlan`, marks the execution as a
+        round of a recursion over ``rule``'s head (default engine only).
         """
         mode = self.config.execution_mode
         if mode == "compiled":
-            return self._execute_compiled(rule, stats)
+            return self._execute_compiled(rule, stats, rounds)
         if mode != "interpreted":
             raise ExecutionError("unknown execution_mode %r" % (mode,))
         # The interpreted oracle: plans rebuilt per run, every bag on
@@ -753,7 +774,7 @@ class RuleExecutor:
         benchmark instruments."""
         return self._execute_compiled(rule, stats)
 
-    def _execute_compiled(self, rule, stats=None):
+    def _execute_compiled(self, rule, stats=None, rounds=None):
         """The default engine (§3.3): compile once, run block kernels.
 
         The rule is compiled at most once per catalog state: the plan
@@ -762,13 +783,18 @@ class RuleExecutor:
         variable renaming, so alpha-renamed queries share one entry)
         plus the result-affecting config switches, and revalidates by
         relation identity, so a repeated query skips GHD search and
-        bag lowering entirely.
+        bag lowering entirely.  A recursion round after the first skips
+        even that (:class:`RoundPlan`).
         """
         if stats is None:
             stats = ExecStats(execution_mode="compiled",
                               strategy=self.config.parallel_strategy,
                               workers=self.config.parallel_workers)
         self.last_stats = stats
+        if rounds is not None and rounds.compiled is not None:
+            result = self._next_round(rounds, stats)
+            if result is not None:
+                return result
         # trie-cache traffic of the whole execution: tries are built
         # when a rule compiles or re-binds its head, not when it runs
         marks = (self.cache.hits, self.cache.misses,
@@ -807,8 +833,52 @@ class RuleExecutor:
         # next call re-plans with the harvested cardinality feedback.
         # (Statically-empty rules never ran a plan — ``last_plan`` would
         # be a previous query's.)
-        if compiled.kind != "empty":
-            self._adaptive_check(key)
+        if compiled.kind != "empty" and not self._adaptive_check(key) \
+                and rounds is not None:
+            self._pin_round(rounds, compiled, key)
+        return result
+
+    def _pin_round(self, rounds, compiled, key):
+        """Pin ``compiled`` for a recursion's later rounds when its head
+        can be re-bound the way :meth:`_rebind` would."""
+        name = compiled.rule.head_name
+        atoms = _plain_reads(compiled.logical, name)
+        if compiled.kind != "plan" or atoms is None:
+            return
+        rounds.compiled, rounds.key, rounds.head_atoms = compiled, key, atoms
+        rounds.head_inputs = [bag_input for cbag in compiled.bags.values()
+                              for bag_input in cbag.base_inputs
+                              if bag_input.name == name]
+
+    def _next_round(self, rounds, stats):
+        """A later round of a recursion: the pinned rule re-run with the
+        head the driver installed, its trie built from the round's
+        canonical relation and owned by no cache.  ``None`` when the
+        head changed annotatedness (a union round's delta drops the
+        base case's values), which the plan must be rebuilt for."""
+        compiled = rounds.compiled
+        relation = self.catalog[compiled.rule.head_name]
+        if any(atom.annotated != (relation.annotations is not None)
+               for atom in rounds.head_atoms):
+            rounds.compiled = None
+            return None
+        for atom in rounds.head_atoms:
+            atom.rebind(relation)
+        optimizer = SetOptimizer(self.config.layout_level,
+                                 self.config.density_threshold())
+        for bag_input in rounds.head_inputs:
+            bag_input.trie = Trie(relation, key_order=bag_input.trie.key_order,
+                                  optimizer=optimizer)
+        # the plan cache's entry is this object: its guards must name
+        # what it is bound to, or a restored head would pass for it
+        compiled.guards = _relation_guards(compiled.logical)
+        stats.plan_cache_hits += 1
+        if self.config.metrics is not None:
+            self.config.metrics.inc("plan_cache.lookups",
+                                    labels={"tier": "hit"})
+        result = self._run_compiled_plan(compiled, stats)
+        if self._adaptive_check(rounds.key):
+            rounds.compiled = None
         return result
 
     def _rebind(self, compiled, stale):
@@ -832,12 +902,9 @@ class RuleExecutor:
             return False
         for name in stale:
             relation = self.catalog.get(name)
-            atoms = [atom for atom in logical.atoms if atom.name == name]
-            if relation is None \
-                    or any(guard.name == name
-                           for guard in logical.guard_atoms) \
+            atoms = _plain_reads(logical, name)
+            if relation is None or atoms is None \
                     or any(atom.source is relation
-                           or atom.sig_name != name
                            or atom.source.arity != relation.arity
                            or atom.annotated
                            != (relation.annotations is not None)
@@ -910,9 +977,9 @@ class RuleExecutor:
         signatures = {}
         for node in ghd.nodes_bottom_up():
             wanted = _wanted_attrs(logical, node, parents[node])
-            eval_order, out_attrs = child_outs[id(node)] = \
-                _kernel_bag_order(logical, node, wanted, semiring,
-                                  child_outs)
+            eval_order, out_attrs = _kernel_bag_order(
+                logical, node, wanted, semiring, child_outs)
+            child_outs[id(node)] = out_attrs
             signature = bag_signature(
                 node, out_attrs,
                 [signatures[id(c)] for c in node.children],
@@ -1141,10 +1208,10 @@ class RuleExecutor:
             # no kernel (or loop nest) is entered for them.  (The
             # probe assumes prefix outputs; a kernel without them
             # answers its own empty inputs and is never a scan.)
-            probe = BagEvaluator(eval_order, out_count, inputs, semiring,
-                                 self.config)
-            result = None if kernel is not None and kernel.unordered \
-                else probe.try_fast_paths()
+            probe = None if kernel is not None and kernel.unordered \
+                else BagEvaluator(eval_order, out_count, inputs, semiring,
+                                  self.config)
+            result = None if probe is None else probe.try_fast_paths()
             if result is None:
                 stats.compiled_bag_calls += 1
                 if kernel is None:
@@ -1294,20 +1361,38 @@ def _kernel_bag_order(logical, node, wanted, semiring, child_outs):
 
     A seminaive round binds its delta's variables first (§3.3.2) in
     every bag whose kernel can group the then unordered outputs: an
-    idempotent fold over inputs of arity <= 2.  Everything else stays
-    output-first.  The kernel emits the wanted columns in evaluation
-    order — ``out_attrs`` records exactly that, or the baked pass-up
-    key orders would address permuted columns.
+    idempotent fold over inputs of arity <= 2.  So does every bag above
+    the delta atom — what a child whose subtree holds it passes up is
+    *delta-reached*, as few rows as the delta fans out to — or a bag
+    that shares no variable with the delta atom would expand its whole
+    input every round.  Everything else stays output-first.  The
+    kernel emits the wanted columns in evaluation order —
+    ``out_attrs`` records exactly that, or the baked pass-up key orders
+    would address permuted columns.
     """
     arities = [len(logical.atoms[edge.index].variables)
                for edge in node.edges] \
         + [len(node.chi_set.intersection(child_outs[id(child)]))
            for child in node.children]
-    delta_vars = logical.delta_vars \
-        if semiring.name in IDEMPOTENT_FOLDS and max(arities) <= 2 else ()
+    delta_vars = ()
+    if logical.delta_vars and semiring.name in IDEMPOTENT_FOLDS \
+            and max(arities) <= 2:
+        delta_vars = set(logical.delta_vars)
+        for child in node.children:
+            if _holds_delta(logical, child):
+                delta_vars |= node.chi_set.intersection(
+                    child_outs[id(child)])
     eval_order = bag_evaluation_order(node.chi, wanted,
                                       logical.global_order, delta_vars)
     return eval_order, tuple(a for a in eval_order if a in wanted)
+
+
+def _holds_delta(logical, node):
+    """Whether the GHD subtree under ``node`` reads the round's delta
+    (the one atom over the head a seminaive body has)."""
+    return any(logical.atoms[edge.index].name == logical.rule.head_name
+               for edge in node.edges) \
+        or any(_holds_delta(logical, child) for child in node.children)
 
 
 def _relation_guards(logical):
@@ -1321,6 +1406,17 @@ def _relation_guards(logical):
     """
     return tuple((a.name, a.source, getattr(a.source, "version", 0))
                  for a in list(logical.atoms) + list(logical.guard_atoms))
+
+
+def _plain_reads(logical, name):
+    """The atoms a rule reads relation ``name`` through, or ``None``
+    when one is a selection, projection or guard — a derived relation
+    that would have to be re-cut, not re-bound."""
+    atoms = [atom for atom in logical.atoms if atom.name == name]
+    if any(guard.name == name for guard in logical.guard_atoms) \
+            or any(atom.sig_name != name for atom in atoms):
+        return None
+    return atoms
 
 
 def _reencoded(old, new):

@@ -60,6 +60,9 @@ class PhysicalPlan:
     bags: List[BagPlan] = field(default_factory=list)
     aggregate_mode: bool = False
     used_top_down: bool = False
+    #: Rounds of the recursion whose last round this plan ran (its bag
+    #: actuals are that round's alone); 0 outside a recursion.
+    rounds: int = 0
 
     def describe(self):
         lines = [

@@ -14,7 +14,8 @@ strategy is chosen exactly as the paper describes:
 
 The driver marks the recursive atom of the rule it runs each round
 (``Rule.delta``), and the default engine orders every bag of that rule
-with the delta atom's variables first
+— the one holding the delta atom and every bag above it — with the
+delta-reached variables first
 (:func:`~repro.ghd.attribute_order.bag_evaluation_order`), so the join
 *generates* from the delta instead of probing it: a round's work is
 proportional to the fan-out of what changed, and shrinks as distances
@@ -28,14 +29,28 @@ accumulated relation instead: plain naive iteration under the same
 driver, converged when a round improves nothing.
 
 Every round is one ``executor.execute`` of the rule's non-recursive
-body against the catalog the round installed.  Under the default engine
-only the first round of a rule compiles: later rounds differ in nothing
-but the head relation, which the plan cache re-binds
-(:meth:`~repro.engine.executor.RuleExecutor._rebind`).  Between rounds
-the driver holds relations only — canonical (lexsorted, distinct) key
-arrays with aligned values — and merges them with sorts and vectorized
-compares, whatever the head's arity.
+body against the catalog the round installed, and a round after the
+first is a flat-array step:
+
+* **Compiled once.**  Under the default engine the first round plans
+  and compiles (or hits the plan cache); later rounds re-run that
+  compiled rule with only the head re-bound, its trie built straight
+  from the round's relation (:class:`~repro.engine.executor.RoundPlan`)
+  — no optimizer pass, no plan-cache lookup, nothing cached per round.
+* **Dense accumulation.**  Every value the head can ever hold lies
+  between the smallest and largest of its base case and the other
+  body relations.  When the mixed-radix code space of that range is no
+  larger than ``max(DENSE_GROUPS, rows)`` — the rule the kernel's
+  unordered group-by scatters by — ``best`` is a value array and a
+  presence mask indexed by code (:class:`_DenseBest`): a round's
+  improvement is one
+  gather and compare, its delta the rows that improved (canonical as
+  the round produced them), and the final relation is built once.
+  Wider or sparser heads merge canonical relations by binary search
+  (:func:`_merge_improved`).  The two routes agree bit for bit.
 """
+
+import time
 
 import numpy as np
 
@@ -43,6 +58,8 @@ from ..errors import ExecutionError, PlanError
 from ..query.ast import clone_rule
 from ..storage.delta import row_keys
 from ..storage.relation import Relation
+from .executor import RoundPlan
+from .fused import DENSE_GROUPS, _codes
 from .semiring import is_monotone
 
 #: Safety cap for fixpoint loops: recursion that has not converged after
@@ -59,7 +76,8 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
     non-recursive rule).  Returns the final relation, which is also
     installed back into the catalog.  ``stats`` is the program's
     :class:`~repro.engine.stats.ExecStats`: every round accumulates
-    into it, as a non-recursive rule's one execution would.
+    into it, as a non-recursive rule's one execution would, and leaves
+    one :class:`~repro.engine.stats.RoundStat` row.
     """
     if executor.catalog.get(rule.head_name) is None:
         raise PlanError("recursive rule %r has no base case in the catalog"
@@ -73,19 +91,30 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
             "iteration count (*[i=k])" % op)
     body = round_body(rule)
     seminaive = body.delta is not None
+    plan = RoundPlan()
+    counter = executor.config.counter
+    ran = 0
 
     def run_round(relation):
         """Evaluate the body once with ``relation`` as the head."""
+        nonlocal ran
+        ran += 1
         _install_round(executor, rule.head_name, relation)
+        ops, start = counter.total_ops, time.perf_counter()
+        produced = executor.execute(body, stats, plan)
         if stats is not None:
-            stats.recursion_rounds += 1
-        return executor.execute(body, stats)
+            stats.record_round(relation.cardinality, produced.cardinality,
+                               counter.total_ops - ops,
+                               time.perf_counter() - start)
+        return produced
 
     if fixpoint:
         result = _fixpoint(rule, executor, run_round, op, seminaive,
-                           max_rounds)
+                           max_rounds, stats)
     else:
         result = _naive_replace(rule, executor, run_round)
+    if ran and executor.last_plan is not None:
+        executor.last_plan.rounds = ran
     _install_round(executor, rule.head_name, result)
     return result
 
@@ -107,9 +136,9 @@ def round_body(rule):
 
 def _install_round(executor, name, relation):
     """Put ``relation`` under ``name`` and retire the relation it
-    replaces.  Every round's head is a new relation object, and the
-    trie cache keys on a per-object uid, so a replaced head's tries
-    (and level-0 memo entries) would otherwise stay cached forever."""
+    replaces.  A round's head is a new relation object, and the trie
+    cache keys on a per-object uid, so a replaced head the cache did
+    build for (a first round's) would otherwise stay cached forever."""
     old = executor.catalog.get(name)
     if old is not None and old is not relation:
         executor.cache.invalidate(old)
@@ -124,30 +153,49 @@ def _naive_replace(rule, executor, run_round):
     return current
 
 
-def _fixpoint(rule, executor, run_round, op, seminaive, max_rounds):
+def _fixpoint(rule, executor, run_round, op, seminaive, max_rounds,
+              stats=None):
     """Iterate to the fixpoint of a monotone MIN/MAX aggregation
     (``op``; SSSP) or of a union (``op`` ``None``; transitive closure).
 
-    ``best`` accumulates; ``delta`` holds the rows the last round made
-    new or strictly better, and the fixpoint is reached when there are
-    none.  A ``seminaive`` round reads the delta through the recursive
-    atom, any other the whole of ``best``.
+    ``best`` accumulates — densely when the head's code space allows,
+    which the first round that produces anything decides — and
+    ``delta`` holds the rows the last round made new or strictly
+    better; the fixpoint is reached when there are none.  A
+    ``seminaive`` round reads the delta through the recursive atom,
+    any other the whole of ``best``.
     """
     combine, improves = {None: ("last", None), "MIN": ("min", np.less),
                          "MAX": ("max", np.greater)}[op]
     saved = executor.catalog[rule.head_name]
     best = delta = saved.deduplicated(combine=combine)
+    dense = None
     try:
-        for _ in range(max_rounds):
+        for count in range(max_rounds):
             if delta.cardinality == 0:
-                return best
-            produced = run_round(delta if seminaive else best) \
-                .deduplicated(combine=combine)
-            best, delta = _merge_improved(best, produced, improves)
+                return best if dense is None else dense.relation()
+            head = delta if seminaive \
+                else best if dense is None else dense.relation()
+            produced = run_round(head).deduplicated(combine=combine)
+            if count == 0 and produced.cardinality:
+                dense = _DenseBest.fitting(rule, executor.catalog, best,
+                                           improves)
+            if dense is None:
+                best, delta = _merge_improved(best, produced, improves)
+            else:
+                delta = dense.merge(produced)
+            if stats is not None:
+                stats.rounds[-1].changed = delta.cardinality
     finally:
         _install_round(executor, rule.head_name, saved)
     raise ExecutionError("recursion on %r did not converge in %d rounds"
                          % (rule.head_name, max_rounds))
+
+
+def _canonical(name, data, values):
+    relation = Relation(name, data, values)
+    relation._canonical = True
+    return relation
 
 
 def _merge_improved(best, produced, improves):
@@ -176,11 +224,86 @@ def _merge_improved(best, produced, improves):
         changed[known] = better
         values = np.insert(values, slots[new], produced.annotations[new])
     data = np.insert(best.data, slots[new], produced.data[new], axis=0)
-
-    def canonical(data, values):
-        relation = Relation(best.name, data, values)
-        relation._canonical = True
-        return relation
-    return canonical(data, values), canonical(
-        produced.data[changed],
+    return _canonical(best.name, data, values), _canonical(
+        best.name, produced.data[changed],
         None if values is None else produced.annotations[changed])
+
+
+class _DenseBest:
+    """The accumulated relation of a fixpoint as arrays indexed by the
+    mixed-radix code of its rows: a presence mask and, under MIN/MAX,
+    the value of every present row.  Codes ascend as rows do, so
+    decoding the present codes yields the canonical relation.  Every
+    column shares one radix, ``size`` codes from ``low``."""
+
+    def __init__(self, base, low, size, improves):
+        self.name, self.arity = base.name, base.arity
+        self.low, self.size = low, size
+        space = size ** self.arity
+        self.improves = improves
+        self.present = np.zeros(space, dtype=bool)
+        self.values = None if improves is None \
+            else np.zeros(space, dtype=np.float64)
+        code = self._code(base.data)
+        self.present[code] = True
+        if self.values is not None:
+            self.values[code] = base.annotations
+
+    @classmethod
+    def fitting(cls, rule, catalog, base, improves):
+        """The dense accumulator of a non-empty ``base`` when the head's
+        code space is at most ``max(DENSE_GROUPS, rows)``, ``rows`` the
+        largest relation a round reads; else ``None``.
+
+        A round derives every head value from a body column — another
+        relation's or, through the head, one the base case and earlier
+        rounds filled — so the hull of the base case's and the other
+        body relations' columns holds every value the head ever will.
+        """
+        if not base.arity:
+            return None
+        relations = [base] + [catalog[atom.name] for atom in rule.body
+                              if atom.name != rule.head_name]
+        spans = [span for relation in relations
+                 for span in map(relation.span, range(relation.arity))
+                 if span is not None]
+        low = min(span[0] for span in spans)
+        size = max(span[1] for span in spans) - low + 1
+        rows = max(relation.cardinality for relation in relations)
+        if size ** base.arity > max(DENSE_GROUPS, rows):
+            return None
+        return cls(base, low, size, improves)
+
+    def _code(self, data):
+        return _codes([data[:, column].astype(np.int64) - self.low
+                       if self.low else data[:, column]
+                       for column in range(self.arity)],
+                      [self.size] * self.arity)
+
+    def merge(self, produced):
+        """Fold one round's canonical output in; returns the delta."""
+        code = self._code(produced.data)
+        changed = ~self.present[code]
+        if self.values is not None:
+            changed |= self.improves(produced.annotations,
+                                     self.values[code])
+        # (row indexes, not masks: a 2-D mask gather is 6x slower)
+        rows = np.flatnonzero(changed)
+        code = code[rows]
+        self.present[code] = True
+        values = None       # a union's rows carry none
+        if self.values is not None:
+            values = self.values[code] = produced.annotations[rows]
+        return _canonical(self.name, produced.data.take(rows, axis=0),
+                          values)
+
+    def relation(self):
+        """The accumulation as a canonical relation."""
+        code = np.flatnonzero(self.present)
+        values = None if self.values is None else self.values[code]
+        columns = []
+        for _ in range(self.arity):
+            code, column = np.divmod(code, self.size)
+            columns.append(column + self.low)
+        data = np.stack(columns[::-1], axis=1).astype(np.uint32)
+        return _canonical(self.name, data, values)

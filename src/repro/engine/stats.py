@@ -54,6 +54,33 @@ class MorselStat:
 
 
 @dataclass
+class RoundStat:
+    """One recursion round's record.
+
+    Attributes
+    ----------
+    delta_in:
+        Rows of the head relation the round read (the delta, or the
+        whole accumulation of a round that cannot read a delta).
+    produced:
+        Rows the round's rule execution produced.
+    lane_ops:
+        Simulated lane ops the execution charged.
+    seconds:
+        Wall-clock seconds of the execution.
+    changed:
+        Rows the round made new or strictly better — the next round's
+        delta; ``None`` for a ``*[i=k]`` round, which replaces the head.
+    """
+
+    delta_in: int
+    produced: int
+    lane_ops: int
+    seconds: float
+    changed: object = None
+
+
+@dataclass
 class ExecStats:
     """Aggregated execution statistics of one (possibly parallel) query.
 
@@ -108,6 +135,8 @@ class ExecStats:
     #: Rounds the recursion driver ran (one rule execution each, all
     #: accumulated into these counters); 0 for non-recursive programs.
     recursion_rounds: int = 0
+    #: One :class:`RoundStat` per round, in order.
+    rounds: list = field(default_factory=list)
     #: Payload bytes of trie/dictionary arrays served from the
     #: database's shared-memory arena during this execution (0 when
     #: ``shared_tries`` is off).
@@ -120,6 +149,11 @@ class ExecStats:
         """Append one morsel's record."""
         self.morsels.append(MorselStat(index, worker, size, cost,
                                        seconds, lane_ops, stolen, started))
+
+    def record_round(self, delta_in, produced, lane_ops, seconds):
+        """Count one recursion round and append its record."""
+        self.recursion_rounds += 1
+        self.rounds.append(RoundStat(delta_in, produced, lane_ops, seconds))
 
     # -- derived numbers ----------------------------------------------------
 

@@ -137,7 +137,7 @@ def _render_phases(lines, tracer):
         lines.append("  %-18s %10s" % ("execute", _format_ms(execute)))
 
 
-def _render_bag(lines, index, bag, stats, simd):
+def _render_bag(lines, index, bag, stats, simd, rounds=0):
     lines.append("  bag %d: %s" % (index, bag.describe()))
     if bag.input_profiles:
         layouts = ", ".join(
@@ -152,8 +152,9 @@ def _render_bag(lines, index, bag, stats, simd):
         lines.append("      actual: not evaluated")
         return
     actual_ops = bag.actual_ops or 0
-    lines.append("      actual: %s, %d lane ops"
-                 % (_format_ms(bag.actual_seconds), actual_ops))
+    lines.append("      actual%s: %s, %d lane ops"
+                 % (" (last of %d rounds)" % rounds if rounds else "",
+                    _format_ms(bag.actual_seconds), actual_ops))
     predicted = predict_bag_ops(bag.eval_order, bag.input_profiles,
                                 simd=simd)
     lines.append("      predicted: %d lane ops (repro.sets.cost model)"
@@ -175,6 +176,35 @@ def _render_bag(lines, index, bag, stats, simd):
             "busy ratio %.2f"
             % (stats.mode, stats.n_morsels, stats.steals,
                stats.busy_ratio()))
+
+
+#: Rounds shown at each end of a longer round table.
+ROUND_ROWS = 10
+
+
+def _render_rounds(lines, rounds):
+    """One row per recursion round — the head rows it read, the rows
+    it produced and changed (``-``: a ``*[i=k]`` round replaces the
+    head), its lane ops and time — and the total; a long run shows its
+    first and last :data:`ROUND_ROWS` rounds."""
+    row = "  %6s %10s %10s %10s %10s %10s"
+    lines.append(row % ("round", "delta in", "produced", "changed",
+                        "lane ops", "time"))
+    shown = list(enumerate(rounds, 1))
+    if len(shown) > 2 * ROUND_ROWS:
+        hidden = len(shown) - 2 * ROUND_ROWS
+        shown = shown[:ROUND_ROWS] + [None] + shown[-ROUND_ROWS:]
+    for entry in shown:
+        if entry is None:
+            lines.append("  %6s (%d rounds not shown)" % ("...", hidden))
+            continue
+        number, r = entry
+        lines.append(row % (number, r.delta_in, r.produced,
+                            "-" if r.changed is None else r.changed,
+                            r.lane_ops, _format_ms(r.seconds)))
+    lines.append(row % ("total", "", "", "",
+                        sum(r.lane_ops for r in rounds),
+                        _format_ms(sum(r.seconds for r in rounds))))
 
 
 def render_explain_analyze(plan, stats, tracer, config, result=None,
@@ -204,7 +234,8 @@ def render_explain_analyze(plan, stats, tracer, config, result=None,
                  % (plan.ghd.width(), plan.ghd.n_nodes,
                     list(plan.global_order)))
     for index, bag in enumerate(plan.bags):
-        _render_bag(lines, index, bag, stats, simd=config.simd)
+        _render_bag(lines, index, bag, stats, simd=config.simd,
+                    rounds=plan.rounds)
     lines.append("top-down pass: %s"
                  % ("ran" if plan.used_top_down else "elided (App. B.2)"))
     if stats is not None:
@@ -227,6 +258,7 @@ def render_explain_analyze(plan, stats, tracer, config, result=None,
                 lines.append("recursion: %d round(s), counters above "
                              "summed over all of them"
                              % stats.recursion_rounds)
+                _render_rounds(lines, stats.rounds)
     if tuning is not None:
         profile = tuning.get("profile")
         lines.append("adaptive: %s"

@@ -69,6 +69,8 @@ class Relation:
         #: projection slices the optimizer derives from a catalog
         #: relation; ``None`` on everything else.
         self.derived_from = None
+        # ``(version, {column: (smallest, largest)})`` for span()
+        self._spans = None
 
     # -- constructors -----------------------------------------------------
 
@@ -121,6 +123,19 @@ class Relation:
     def column(self, index):
         """One column as a ``uint32`` array."""
         return self.data[:, index]
+
+    def span(self, index):
+        """``(smallest, largest)`` key of one column, ``None`` when the
+        relation is empty; found once per :attr:`version`, which is
+        what every cache of the relation's contents keys on."""
+        if self._spans is None or self._spans[0] != self.version:
+            self._spans = (self.version, {})
+        spans = self._spans[1]
+        if index not in spans:
+            column = self.data[:, index]
+            spans[index] = (int(column.min()), int(column.max())) \
+                if column.size else None
+        return spans[index]
 
     def is_scalar(self):
         """True for 0-ary relations (a bare annotation value)."""

@@ -113,3 +113,56 @@ class TestCostPrediction:
         assert cost.predict_intersection_ops((16, 8)) == pair
         three = cost.predict_intersection_ops((16, 8, 64))
         assert three >= pair
+
+
+class TestRecursionRounds:
+    """A recursion's plan is its last round's; the report says so and
+    adds one row per round, whose lane ops are the query's."""
+
+    @pytest.mark.parametrize("program", ["sssp", "pagerank"])
+    def test_round_table_sums_to_the_query_charge(self, program):
+        from repro.graphs import (highest_degree_node, pagerank_program,
+                                  sssp_program)
+        edges = random_undirected_edges(30, 90, seed=3)
+        db = Database(execution_mode="compiled")
+        db.load_graph("Edge", edges)
+        text = sssp_program(highest_degree_node(edges)) \
+            if program == "sssp" else pagerank_program(iterations=4)
+        before = db.counter.total_ops
+        report = db.explain_analyze(text)
+        rounds = db.last_stats.rounds
+        assert len(rounds) == db.last_stats.recursion_rounds >= 2
+        lines = report.splitlines()
+        table = lines.index(next(line for line in lines
+                                 if line.split()[:2] == ["round", "delta"]))
+        rows = [line.split() for line in lines[table + 1:table + 1
+                                               + len(rounds)]]
+        assert [int(row[0]) for row in rows] == list(range(1, len(rounds)
+                                                           + 1))
+        assert sum(int(row[4]) for row in rows) \
+            == sum(r.lane_ops for r in rounds)
+        total = lines[table + 1 + len(rounds)].split()
+        assert total[0] == "total"
+        if program == "sssp":       # the base rule charges nothing
+            assert int(total[1]) == db.counter.total_ops - before
+            assert [row[3] for row in rows][-1] == "0"
+        else:
+            assert {row[3] for row in rows} == {"-"}
+        assert "actual (last of %d rounds):" % len(rounds) in report
+        # a later non-recursive rule's plan is not labelled
+        report = db.explain_analyze(TRIANGLE_COUNT)
+        assert "last of" not in report and "delta in" not in report
+
+    def test_long_runs_show_both_ends(self):
+        db = Database(execution_mode="compiled", ordering="identity")
+        db.load_graph("Edge", [(i, i + 1) for i in range(40)],
+                      undirected=False)
+        report = db.explain_analyze(
+            "S(x;y:int) :- Edge(0,x); y=1.\n"
+            "S(x;y:int)* :- Edge(w,x),S(w); y=<<MIN(w)>>+1.")
+        assert "(20 rounds not shown)" in report
+        table = report.split("lane ops       time\n")[1].splitlines()
+        numbers = [line.split()[0] for line in table
+                   if line.split()[0].isdigit()]
+        assert numbers == [str(n) for n in list(range(1, 11))
+                           + list(range(31, 41))]

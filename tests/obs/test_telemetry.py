@@ -258,7 +258,9 @@ class TestDatabaseIntegration:
         assert stats.recursion_rounds == 4
         assert stats.compiled_bag_calls == 4 \
             == stats.fused_blocks + stats.fused_fallbacks
-        assert stats.trie_cache_misses >= 4   # a head trie per round
+        # the first round's head trie; later rounds' are not cached
+        assert stats.trie_cache_misses >= 1
+        assert [r.changed for r in stats.rounds] == [None] * 4
         assert "recursion: 4 round(s)" in stats.describe()
         assert db.metrics.counter("pipeline.recursion_rounds").value == 4
         report = db.explain_analyze(

@@ -84,3 +84,36 @@ class TestTables:
         assert lines[3] == "| analytics | failed | 0 | 0 | | | |"
         runs = pair_bench.runs_table(results).splitlines()
         assert runs[2].startswith("| analytics | parent | 33.7 35 33.4 ")
+
+    def test_traced_table_covers_every_layer_metric_but_zero_rows(
+            self, pair_bench):
+        """``--traced``: one traced pass per side, as ``report.json``
+        records it; every ``per_layer`` metric in contract order, a row
+        only where a side reads non-zero."""
+        per_layer = [{"name": name, "unit": "ms", "better": "lower"}
+                     for name in ("lir.optimize_ms", "serve.codec_ms",
+                                  "storage.trie_builds", "op.sssp_ms",
+                                  "sets.lane_ops")]
+        parent = {"failed": 0, "metrics": {
+            "lir.optimize_ms": 0.39, "serve.codec_ms": 0.0,
+            "storage.trie_builds": 5.333, "op.sssp_ms": 9.61,
+            "sets.lane_ops": 145981.0}}
+        change = {"failed": 0, "metrics": {
+            "lir.optimize_ms": 0.1, "serve.codec_ms": 0.0,
+            "storage.trie_builds": 0.0, "op.sssp_ms": 6.4,
+            "sets.lane_ops": 145981.33}}
+        lines = pair_bench.traced_table(
+            {"analytics": {"parent": parent, "change": change}},
+            per_layer).splitlines()
+        assert lines[2:] == [
+            "| analytics | `lir.optimize_ms` | 0.39 | 0.1 | 0.256 |",
+            "| analytics | `storage.trie_builds` | 5.333 | 0 | 0.000 |",
+            "| analytics | `op.sssp_ms` | 9.61 | 6.4 | 0.666 |",
+            "| analytics | `sets.lane_ops` | 145981 | 145981.3 | 1.000 |",
+            "| analytics | failed | 0 | 0 | |"]
+        # a metric only one side reports is a zero on the other
+        del parent["metrics"]["lir.optimize_ms"]
+        lines = pair_bench.traced_table(
+            {"analytics": {"parent": parent, "change": change}},
+            per_layer).splitlines()
+        assert lines[2] == "| analytics | `lir.optimize_ms` | 0 | 0.1 |  |"

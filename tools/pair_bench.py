@@ -21,6 +21,12 @@ root of each copy.  Output: the markdown tables ``EXPERIMENTS.md`` uses —
 per workload and metric the two medians with their quartiles, the
 ratio, pairs won and the verdict — then every run's ``op_ms`` in pair
 order.  Bounds come from ``BENCHMARK.json``.
+
+``--traced`` runs one ``--trace 1`` pass per side and workload instead,
+reads each side's ``benchmarks/e2e/out/report.json`` from its copy and
+prints the parent-vs-change table of every ``per_layer`` metric of
+``BENCHMARK.json`` that is not zero on both sides — where a change of
+``op_ms`` went, layer by layer.
 """
 
 import argparse
@@ -82,6 +88,15 @@ def number(value):
     return "%.4g" % value
 
 
+def full_number(value):
+    """``value`` without rounding away what a per-layer comparison
+    reads: whole numbers in full (lane ops must read identical), four
+    significant digits below 10 000, one decimal above."""
+    if float(value).is_integer():
+        return "%d" % value
+    return number(value) if abs(value) < 1e4 else "%.1f" % value
+
+
 def table(results, metrics):
     """The summary table: ``results[workload][side]`` is the list of
     parsed ``run.py`` reports, ``metrics`` the ``end_to_end`` entries
@@ -107,6 +122,29 @@ def table(results, metrics):
         lines.append("| %s | failed | %d | %d | | | |" % (
             workload, *(sum(run["failed"] for run in sides[side])
                         for side in ("parent", "change"))))
+    return "\n".join(lines)
+
+
+def traced_table(results, metrics):
+    """The per-layer table: ``results[workload][side]`` is one traced
+    pass of ``report.json`` (its ``failed`` count and ``metrics``
+    values), ``metrics`` the ``per_layer`` entries of
+    ``BENCHMARK.json``.  Rows that read zero on both sides are left
+    out."""
+    lines = ["| workload | layer metric | parent | change | change/parent |",
+             "|---|---|---|---|---|"]
+    for workload, sides in results.items():
+        for metric in metrics:
+            parent, change = (sides[side]["metrics"].get(metric["name"], 0)
+                              for side in ("parent", "change"))
+            if not parent and not change:
+                continue
+            lines.append("| %s | `%s` | %s | %s | %s |" % (
+                workload, metric["name"], full_number(parent),
+                full_number(change),
+                "%.3f" % (change / parent) if parent else ""))
+        lines.append("| %s | failed | %d | %d | |" % (
+            workload, sides["parent"]["failed"], sides["change"]["failed"]))
     return "\n".join(lines)
 
 
@@ -152,17 +190,34 @@ def export_working_tree(root, target):
             shutil.copy2(source, copy)
 
 
-def run_once(checkout, workload, seed):
-    """One ``run.py`` report (its last stdout line)."""
+def command_for(workload, seed, trace):
     command = [sys.executable, "benchmarks/e2e/run.py", "--workload",
-               workload, "--trace", "0"]
+               workload, "--trace", str(trace)]
     if seed is not None:
         command += ["--seed", str(seed)]
-    done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
+    return command
+
+
+def run_once(checkout, workload, seed):
+    """One ``run.py`` report (its last stdout line)."""
+    done = subprocess.run(command_for(workload, seed, 0), cwd=checkout,
+                          stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     report = json.loads(done.stdout.strip().splitlines()[-1])
     report["exit"] = done.returncode
     return report
+
+
+def run_traced(checkout, workload, seed):
+    """The traced pass of one ``run.py --trace 1``, as the copy's
+    ``benchmarks/e2e/out/report.json`` records it."""
+    subprocess.run(command_for(workload, seed, 1), cwd=checkout,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    path = os.path.join(checkout, "benchmarks", "e2e", "out", "report.json")
+    with open(path) as handle:
+        (traced,) = [run for run in json.load(handle)["passes"]
+                     if run["workload"] == workload and run["traced"]]
+    return traced
 
 
 def main(argv=None):
@@ -177,6 +232,9 @@ def main(argv=None):
     parser.add_argument("--seed", type=int,
                         help="input seed (held-out: 20160701)")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--traced", action="store_true",
+                        help="one --trace 1 pass per side instead: the "
+                        "per-layer table")
     parser.add_argument("--json", help="also write every report here")
     args = parser.parse_args(argv)
     root = git(os.path.dirname(os.path.abspath(__file__)), "rev-parse",
@@ -196,6 +254,13 @@ def main(argv=None):
             export_working_tree(root, checkouts["change"])
         results = {}
         for turn, workload in enumerate(workloads):
+            if args.traced:
+                order = ("parent", "change") if turn % 2 == 0 \
+                    else ("change", "parent")
+                results[workload] = {
+                    side: run_traced(checkouts[side], workload, args.seed)
+                    for side in order}
+                continue
             sides = results[workload] = {"parent": [], "change": []}
             for pair in range(args.pairs):
                 order = ("parent", "change") if (pair + turn) % 2 == 0 \
@@ -214,6 +279,9 @@ def main(argv=None):
         with open(args.json, "w") as handle:
             json.dump({"parent": args.parent, "change": args.change,
                        "seed": args.seed, "results": results}, handle)
+    if args.traced:
+        print(traced_table(results, contract["per_layer"]))
+        return 0
     print(table(results, contract["end_to_end"]))
     print()
     print(runs_table(results))
