@@ -43,11 +43,11 @@ first is a flat-array step:
   larger than ``max(DENSE_GROUPS, rows)`` — the rule the kernel's
   unordered group-by scatters by — ``best`` is a value array and a
   presence mask indexed by code (:class:`_DenseBest`): a round's
-  improvement is one
-  gather and compare, its delta the rows that improved (canonical as
-  the round produced them), and the final relation is built once.
-  Wider or sparser heads merge canonical relations by binary search
-  (:func:`_merge_improved`).  The two routes agree bit for bit.
+  improvement is one gather and compare, its delta the rows that
+  improved (canonical as the round produced them), and the final
+  relation is built once.  Wider or sparser heads merge canonical
+  relations by binary search (:func:`_merge_improved`).  The two
+  routes agree bit for bit.
 """
 
 import time

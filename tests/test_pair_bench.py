@@ -117,3 +117,20 @@ class TestTables:
             {"analytics": {"parent": parent, "change": change}},
             per_layer).splitlines()
         assert lines[2] == "| analytics | `lir.optimize_ms` | 0 | 0.1 |  |"
+
+    def test_run_traced_reads_its_copys_report_never_a_stale_one(
+            self, pair_bench, tmp_path):
+        script = tmp_path / "benchmarks" / "e2e" / "run.py"
+        script.parent.mkdir(parents=True)
+        script.write_text(
+            "import json, os\n"
+            "os.makedirs('benchmarks/e2e/out', exist_ok=True)\n"
+            "json.dump({'passes': [{'workload': 'analytics', "
+            "'traced': True, 'failed': 0, "
+            "'metrics': {'op.sssp_ms': 6.0}}]},\n"
+            "          open('benchmarks/e2e/out/report.json', 'w'))\n")
+        traced = pair_bench.run_traced(str(tmp_path), "analytics", None)
+        assert traced["metrics"] == {"op.sssp_ms": 6.0}
+        script.write_text("raise SystemExit('boom')\n")
+        with pytest.raises(SystemExit, match="wrote no report"):
+            pair_bench.run_traced(str(tmp_path), "analytics", 7)

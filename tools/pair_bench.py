@@ -211,9 +211,15 @@ def run_once(checkout, workload, seed):
 def run_traced(checkout, workload, seed):
     """The traced pass of one ``run.py --trace 1``, as the copy's
     ``benchmarks/e2e/out/report.json`` records it."""
-    subprocess.run(command_for(workload, seed, 1), cwd=checkout,
-                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     path = os.path.join(checkout, "benchmarks", "e2e", "out", "report.json")
+    if os.path.exists(path):            # an earlier workload's
+        os.remove(path)
+    done = subprocess.run(command_for(workload, seed, 1), cwd=checkout,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    if not os.path.exists(path):
+        raise SystemExit("run.py --trace 1 wrote no report in %s:\n%s"
+                         % (checkout, done.stderr[-2000:]))
     with open(path) as handle:
         (traced,) = [run for run in json.load(handle)["passes"]
                      if run["workload"] == workload and run["traced"]]
