@@ -10,11 +10,12 @@ level arrays (:meth:`repro.storage.trie.Trie.flat`):
    matrix (one array per level, rows in lexicographic order).  A level
    is expanded by one CSR gather over the generating input's flat child
    arrays (``offsets``/``values``) — ``np.repeat`` + cumulative-sum
-   arithmetic, no per-row Python.  The generator is the child-level
-   participant whose *summed fan-out over the actual frontier* is
-   smallest — the block form of the paper's min property (Algorithm 2
-   intersects from the smaller set).  Relation size cannot decide this:
-   every atom of a pattern query is the same ``Edge`` relation.
+   arithmetic, no per-row Python.  Each frontier row expands from its
+   smallest child list, the paper's min property (Algorithm 2
+   intersects from the smaller set): among child-level inputs over one
+   flat view — all of a pattern query's, every atom being ``Edge`` —
+   row ``r`` takes the smallest fan-out, sharing the view's
+   ``values``; across views the smallest total generates.
    *Abutting runs need no expansion*: when the frontier's CSR ranges
    abut (``first[r] + counts[r] == first[r + 1]``, one O(frontier)
    check per level; true whenever a level expands a relation's whole
@@ -35,7 +36,11 @@ level arrays (:meth:`repro.storage.trie.Trie.flat`):
    dense root *with holes*, which the layout optimizer stores as a
    bitset, answers through its ``rank_of`` table — one gather — and a
    sparse one through a ``searchsorted`` of its sorted keys.  Child
-   levels probe a 64-bit packed ``(parent << 32) | child`` array.  A
+   levels probe by layout too: a dense pair level (the same density
+   rule) answers an unannotated input from its flat view's bit table
+   — a byte gather, a shift and an AND per candidate — and a sparse
+   one, or an annotated input, which needs the leaf row, by a
+   ``searchsorted`` of the packed ``(parent << 32) | child`` pairs.  A
    million bindings cost a handful of numpy calls either way, and a
    block whose probes all hit compacts nothing (*no filter without a
    miss*).  When even the cheapest CSR expansion dwarfs tiling the
@@ -66,7 +71,7 @@ no input size makes the kernel give up — the only bags that run on the
 interpreter instead are the shapes :func:`fusable` rejects.  Blocks are
 *lazy*: a block is its row range and clipped row counts, and the
 per-candidate frontier row (``np.repeat``) and the re-found segment
-boundaries exist only for a reader — a packed child probe, a filter
+boundaries exist only for a reader — a child-level probe, a filter
 that dropped rows, a non-leaf level, the unordered group-by.  Ranks
 are gathered through a filter only for inputs that bind further
 variables or carry annotations.  A PageRank round is thus two gathers,
@@ -99,11 +104,12 @@ FUSED_SEMIRINGS = ("SUM", "COUNT", "MIN", "MAX", "EXISTS")
 #: about ten arrays of this length (parent ids, gathered values, packed
 #: keys, probe ranks, masks), and at 16K rows — roughly a megabyte in
 #: all — they stay cache-resident between the numpy calls that produce
-#: and consume them.  Measured on the ``patterns`` benchmark queries,
-#: 8K-32K rows are within 3% of each other, 4K pays numpy's per-call
-#: overhead (+8%) and 64K, 128K and 256K rows are 13%, 29% and 44%
-#: slower; transient memory grows in proportion throughout.  (Defined
-#: in ``repro.tune.profile``, which sits below the engine.)
+#: and consume them.  On the ``patterns`` queries (best of 15, both
+#: benchmark seeds), 8K rows are 5-13% slower, 4K +24-28% (numpy's
+#: per-call overhead), and 32K-256K 1-6% faster — their child levels,
+#: per-row minimal, now fit one block — at a transient memory that
+#: grows in proportion.  (Defined in ``repro.tune.profile``, which
+#: sits below the engine.)
 BLOCK_ROWS = DEFAULT_FUSED_BLOCK_ROWS
 
 # One untouched 16 MiB allocation, freed at once.  A 16K-row block's
@@ -119,8 +125,10 @@ BLOCK_ROWS = DEFAULT_FUSED_BLOCK_ROWS
 np.empty(16 << 20, dtype=np.uint8)
 
 #: CSR-expansion : root-key-sweep candidate ratio past which a level
-#: takes the sweep.  The two routes break even near 2 on this substrate
-#: (a tie at 2x, the sweep 2x faster at 8x and 3.5x at 16x);
+#: takes the sweep.  On the ``patterns`` graph's closing level
+#: (``Edge(w,x),Edge(x,y),T(y)``, 185K CSR candidates, both benchmark
+#: seeds) the routes tie near 1.2x, and the sweep, whose child probes
+#: are bit gathers, is 1.5x faster at 2x and 3.8x at 8.5x;
 #: ``repro.tune`` refines the constant per machine, and the built-in
 #: value means an untuned engine never expands a hub frontier that a
 #: few root keys would have answered.
@@ -167,29 +175,35 @@ class _Part:
         self.var0_level = var0_level    # bag level of the input's first var
 
 
-def _probe(flat, vals, pos=0):
+def _probe(flat, vals, heads=None, bits=False):
     """Batched membership probe of ``vals`` in one level of ``flat``:
-    its root keys (``pos == 0``) or, with ``vals`` packed as
-    ``(parent << 32) | child``, its stored pairs.
+    its root keys, or — given ``heads``, each candidate's parent as
+    :func:`_child_probes` encoded it — its stored pairs.
 
     Returns ``(rank, member)``: where ``member`` holds, ``rank`` is the
     value's index in the level — the trie-node rank for root keys, the
-    leaf row (hence the annotation index) for packed pairs.  Elsewhere
+    leaf row (hence the annotation index) for pairs.  Elsewhere
     ``rank`` is meaningless, possibly out of range (callers filter by
-    ``member`` first).
+    ``member`` first).  A pair probe through the bit table (``bits``)
+    answers membership only: its rank is ``None``.
     """
-    if pos == 0 and flat.full:
+    if heads is not None:
+        if bits:
+            return None, flat.pair_member(heads, vals)
+        keys, vals = flat.packed, heads | vals
+    elif flat.full:
         # Every code of the key range is a key: the rank is the offset
         # into the range (values below it wrap around, past its end).
         rank = _full_rank(vals, int(flat.keys[0]))
         return rank, rank < flat.keys.size
-    table = flat.rank_of if pos == 0 else None
-    if table is not None:
+    elif flat.rank_of is not None:
         # Dense root with holes: out-of-range values (below wrap
         # around) clamp to the table's trailing -1 slot.
+        table = flat.rank_of
         rank = table.take(np.minimum(vals - flat.keys[0], table.size - 1))
         return rank, rank >= 0
-    keys = flat.keys if pos == 0 else flat.packed
+    else:
+        keys = flat.keys
     if keys.size == 0:
         zero = np.zeros(vals.size, dtype=np.intp)
         return zero, np.zeros(vals.size, dtype=bool)
@@ -387,7 +401,7 @@ class FusedBagKernel:
         frontier = 1
         for level in range(nl):
             counts, first, values, settled, probed, sweep = \
-                self._plan_level(self.levels[level], flats, ranks,
+                self._plan_level(self.levels[level], flats, ranks, cols,
                                  frontier, crossover,
                                  restrict if level == 0 else None)
             cum = np.cumsum(counts)
@@ -403,7 +417,7 @@ class FusedBagKernel:
             if (base == base[0]).all():
                 base = int(base[0])
             blocks = (self._expand_block(lo, a, b, clipped, base, values,
-                                         settled, probed, flats, cols)
+                                         settled, probed, flats)
                       for lo, a, b, clipped in _blocks(counts, cum,
                                                        block_rows))
             if level == nl - 1 and oc < nl:
@@ -443,45 +457,53 @@ class FusedBagKernel:
 
     # -- expansion ------------------------------------------------------------
 
-    def _plan_level(self, parts, flats, ranks, frontier, crossover,
+    def _plan_level(self, parts, flats, ranks, cols, frontier, crossover,
                     restrict):
         """Decide how one level generates its candidates.
 
         Returns ``(counts, first, values, settled, probed, sweep)``:
         frontier row ``r`` owns the ``counts[r]`` candidates
-        ``values[first[r]:first[r] + counts[r]]``.  ``settled`` lists
-        ``(part, rank_of)`` for participants every candidate is known
-        to be a member of: the generating ones — the candidate read
-        from ``values[p]`` has rank ``rank_of[p]`` in that part
-        (``None``: ``p`` itself) — and every full-range root that
-        covers the generator's values (``rank_of`` is the root's first
-        key ``k0``, an ``int``: the candidate ``v`` has rank
-        ``v - k0``).  ``probed`` are the parts that still filter
-        candidates; ``sweep`` says the skew sweep was taken.
+        ``values[first[r]:first[r] + counts[r]]``.  A CSR level expands
+        each row from its smallest child list (Algorithm 2's min rule,
+        per row): when rows disagree on which input that is — possible
+        only among inputs over one flat view, whose ``values`` they
+        share — no input generates every row, and each child-level
+        input is probed instead.  ``settled`` lists ``(part, rank_of)``
+        for participants every candidate is known to be a member of:
+        the generating ones — the candidate read from ``values[p]`` has
+        rank ``rank_of[p]`` in that part (``None``: ``p`` itself) — and
+        every full-range root that covers the generator's values
+        (``rank_of`` is the root's first key ``k0``, an ``int``: the
+        candidate ``v`` has rank ``v - k0``).  ``probed`` are the
+        parts that still filter candidates, as :func:`_child_probes`
+        prepares them; ``sweep`` says the skew sweep was taken.
         """
         child_parts = [part for part in parts if part.pos == 1]
         generating, probed = parts, []
         if child_parts:
-            # CSR expansion through the participant with the smallest
-            # fan-out over this frontier (the min property).
-            gen = counts = total = None
+            # CSR expansion from the smallest fan-out (the min
+            # property): per frontier row among inputs that read one
+            # flat view, then the view whose total is smallest.
+            groups = {}         # by the flat view they read
             for part in child_parts:
-                offsets = flats[part.index].offsets
-                row = ranks[part.index]
-                fanout = offsets.take(row + 1) - offsets.take(row)
-                fanout_total = int(fanout.sum())
-                if total is None or fanout_total < total:
-                    gen, counts, total = part, fanout, fanout_total
+                groups.setdefault(id(flats[part.index]), []).append(part)
+            view, gen, counts, first = min(
+                (_min_fanout(group, flats, ranks)
+                 for group in groups.values()),
+                key=lambda plan: plan[2].sum())
+            total = int(counts.sum())
             root_parts = [part for part in parts if part.pos == 0]
             if not root_parts or total <= crossover * frontier * min(
                     flats[part.index].keys.size for part in root_parts):
-                flat = flats[gen.index]
+                # Rows that generate from different inputs probe every
+                # child-level one, their own included (it always hits).
                 settled, probed = _settle(
                     [part for part in parts if part is not gen], flats,
-                    flat)
-                return (counts, flat.offsets.take(ranks[gen.index]),
-                        flat.values, [(gen, None)] + settled, probed,
-                        False)
+                    view)
+                if gen is not None:
+                    settled.insert(0, (gen, None))
+                return (counts, first, view.values, settled,
+                        _child_probes(probed, flats, cols), False)
             # Skew sweep: expanding even the cheapest generator dwarfs
             # tiling the level's root-key candidates, so generate from
             # those and probe every child-level input instead.  Same
@@ -511,10 +533,11 @@ class FusedBagKernel:
                                   else rank, keep))
                      for part, rank in found]
         return (np.full(frontier, candidates.size, dtype=np.int64), 0,
-                candidates, found, probed, bool(probed))
+                candidates, found, _child_probes(probed, flats, cols),
+                bool(probed))
 
     def _expand_block(self, lo, a, b, counts, base, values, settled,
-                      probed, flats, cols):
+                      probed, flats):
         """Evaluate one block of a level's candidates (the block as
         :func:`_blocks` cut it; ``base`` as the driver derived it).
 
@@ -541,16 +564,14 @@ class FusedBagKernel:
             else:
                 found.append((part, rank_of[src]))
         keep = None
-        for part in probed:
-            other = flats[part.index]
-            if part.pos == 0:
-                rank, member = _probe(other, vals)
+        for part, heads, bits in probed:
+            if heads is None:
+                rank, member = _probe(flats[part.index], vals)
             else:
                 if parent is None:
                     parent = _parents(lo, counts)
-                bound = cols[part.var0_level][parent]
-                rank, member = _probe(
-                    other, (bound.astype(np.uint64) << 32) | vals, pos=1)
+                rank, member = _probe(flats[part.index], vals,
+                                      heads[parent], bits)
             found.append((part, rank))
             keep = member if keep is None else keep & member
         if keep is not None and keep.all():
@@ -759,6 +780,49 @@ def _settle(parts, flats, generator):
                 continue
         probed.append(part)
     return settled, probed
+
+
+def _min_fanout(group, flats, ranks):
+    """``(view, gen, counts, first)`` of expanding each frontier row
+    from the smallest of the child lists that ``group``'s inputs bind
+    in their one flat ``view``: row ``r`` owns
+    ``view.values[first[r]:first[r] + counts[r]]``.  ``gen`` is the
+    input every row takes its list from (the first one on a tie), or
+    ``None`` when the rows differ."""
+    view = flats[group[0].index]
+    starts = [view.offsets.take(ranks[part.index]) for part in group]
+    fanouts = [view.offsets.take(ranks[part.index] + 1) - start
+               for part, start in zip(group, starts)]
+    index = 0
+    if len(group) > 1:
+        pick = np.argmin(fanouts, axis=0)
+        if (pick != pick[0]).any():
+            rows = np.arange(pick.size)
+            return (view, None, np.stack(fanouts)[pick, rows],
+                    np.stack(starts)[pick, rows])
+        index = int(pick[0])
+    return view, group[index], fanouts[index], starts[index]
+
+
+def _child_probes(parts, flats, cols):
+    """``(part, heads, bits)`` per probed part.  ``heads`` is ``None``
+    for a root; at a child level it holds, per frontier row, the bound
+    parent as the pair probe reads it: the first code of the parent's
+    row of the view's bit table (``bits``) for an unannotated input
+    over a dense level, else ``parent << 32`` for a ``searchsorted``
+    of the packed pairs, which also finds an annotated input's leaf
+    row."""
+    probes = []
+    for part in parts:
+        heads = bits = None
+        if part.pos == 1:
+            flat = flats[part.index]
+            column = cols[part.var0_level]
+            bits = not part.annotated and flat.pairs is not None
+            heads = flat.pair_heads(column) if bits \
+                else column.astype(np.uint64) << np.uint64(32)
+        probes.append((part, heads, bits))
+    return probes
 
 
 def _joined(arrays):

@@ -17,7 +17,7 @@ integers).
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from ..query.ast import (Agg, Atom, BinOp, Constant, HeadAnnotation, Num,
@@ -28,6 +28,10 @@ VARIABLE_POOL = ("a", "b", "c", "d", "e", "f")
 
 #: Aggregate operators the generator emits.
 AGG_OPS = ("SUM", "MIN", "MAX", "COUNT")
+
+#: Every ``WIDE_EVERY``-th case seed is *wide* (:func:`_widened`): its
+#: values lie ``WIDE_DOMAIN`` dictionary codes apart.
+WIDE_EVERY, WIDE_DOMAIN = 2, 40
 
 
 @dataclass
@@ -97,13 +101,43 @@ class FuzzCase:
 
 def generate_case(seed, max_relations=3, max_rules=3, max_atoms=4,
                   max_tuples=18, max_domain=7):
-    """Generate one :class:`FuzzCase` deterministically from ``seed``."""
+    """Generate one :class:`FuzzCase` deterministically from ``seed``
+    (every :data:`WIDE_EVERY`-th one widened)."""
     rng = random.Random(seed)
     domain = rng.randint(2, max_domain)
     relations = _generate_relations(rng, domain, max_relations,
                                     max_tuples)
     rules = _generate_rules(rng, relations, domain, max_rules, max_atoms)
-    return FuzzCase(seed, relations, rules)
+    case = FuzzCase(seed, relations, rules)
+    if seed % WIDE_EVERY == WIDE_EVERY - 1:
+        case = _widened(case, domain)
+    return case
+
+
+def _widened(case, domain):
+    """``case`` with every value ``v`` (stored or constant) relabelled
+    ``v * WIDE_DOMAIN`` plus — loaded first, read by no rule — a unary
+    relation of every value below ``domain * WIDE_DOMAIN``, so that
+    dictionary codes, assigned in order of first appearance, keep the
+    spread.  Small domains' dense codes make every binary level dense;
+    here a relation's few pairs sit in a code space hundreds of times
+    their number, so child-level probes search the packed pairs
+    instead of a bit table.  Values only compare equal: the results
+    are the narrow case's, relabelled."""
+    def widen(term):
+        return Constant(term.value * WIDE_DOMAIN) \
+            if isinstance(term, Constant) else term
+
+    relations = [FuzzRelation("Domain", 1, [(value,) for value in
+                                            range(domain * WIDE_DOMAIN)])]
+    relations += [FuzzRelation(
+        r.name, r.arity,
+        [tuple(v * WIDE_DOMAIN for v in row) for row in r.tuples],
+        r.annotations) for r in case.relations]
+    rules = [replace(rule, body=tuple(
+        Atom(atom.name, tuple(map(widen, atom.terms)))
+        for atom in rule.body)) for rule in case.rules]
+    return FuzzCase(case.seed, relations, rules)
 
 
 def _generate_relations(rng, domain, max_relations, max_tuples):

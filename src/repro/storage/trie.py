@@ -20,6 +20,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import SchemaError
+from ..sets.cost import SIMD_REGISTER_BITS
 from ..sets.optimizer import SetOptimizer, choose_set_layout
 from .relation import Relation
 
@@ -38,7 +39,9 @@ class FlatTrieView:
     ``packed``
         ``(parent << 32) | child`` as sorted ``uint64``, one entry per
         stored pair, enabling batched membership probes of bound pairs
-        with a single ``searchsorted``.  ``None`` for unary.
+        with a single ``searchsorted`` that also finds each pair's leaf
+        row — the probe of sparse levels and of annotated inputs.
+        ``None`` for unary.
     ``ann``
         Leaf annotations aligned with ``keys`` (unary) or with
         ``values``/``packed`` rows (binary); ``None`` if unannotated.
@@ -58,6 +61,17 @@ class FlatTrieView:
         ``None`` for sparse roots and for ``full`` ones.  Four bytes
         per value of the root key *range*, which the density decision
         bounds at 256x the key count.
+    ``pairs``
+        The binary level as a bitset, one bit per code: pair ``(p, c)``
+        is bit ``(p - keys[0]) * width + c``, ``width = bound(1) + 1``
+        so that the last column is empty and larger child values clamp
+        into it (as root probes clamp to ``rank_of``'s trailing slot).
+        Built on first use and only when the optimizer would store
+        that code space as a bitset, so at most ``density_threshold /
+        8`` bytes (32 by default) per stored pair.  An unannotated
+        child-level probe is then a byte gather, a shift and an AND
+        (:meth:`pair_heads`, :meth:`pair_member`).  ``None`` for a
+        sparse level and for unary tries.
 
     All arrays alias :attr:`Trie.sorted_data` buffers where possible
     and the level-0 index is the trie's own, so the view costs one pack
@@ -67,7 +81,8 @@ class FlatTrieView:
     """
 
     __slots__ = ("arity", "keys", "offsets", "values", "packed", "ann",
-                 "full", "_dense_root", "_rank_of", "_value_span")
+                 "full", "_dense_root", "_rank_of", "_value_span",
+                 "_optimizer", "_pairs")
 
     def __init__(self, trie):
         if trie.arity not in (1, 2):
@@ -78,6 +93,9 @@ class FlatTrieView:
         self.ann = trie.sorted_annotations
         self._rank_of = None
         self._value_span = None
+        self._optimizer = trie.optimizer
+        # None until asked for; then the table, or False for none
+        self._pairs = None if trie.arity == 2 else False
         if trie.arity == 1:
             self.keys = np.ascontiguousarray(data[:, 0])
             self.offsets = None
@@ -131,6 +149,46 @@ class FlatTrieView:
             table[keys - keys[0]] = np.arange(keys.size, dtype=np.int32)
             self._rank_of = table
         return self._rank_of
+
+    @property
+    def pairs(self):
+        """The pair bit table, or ``None`` for a sparse binary level
+        (and for unary tries)."""
+        if self._pairs is None:
+            self._pairs = self._pair_table()
+        return None if self._pairs is False else self._pairs
+
+    def _pair_table(self):
+        k0, width = int(self.keys[0]), self.bound(1) + 1
+        space = (int(self.keys[-1]) - k0 + 1) * width
+        threshold = self._optimizer.density_threshold
+        if space >= (SIMD_REGISTER_BITS if threshold is None
+                     else threshold) * self.values.size:
+            return False
+        codes = ((self.packed >> np.uint64(32)) - np.uint64(k0)) \
+            * np.uint64(width) + self.values
+        if self._optimizer.kind_of(codes) != "bitset":
+            return False
+        table = np.zeros((space + 7) >> 3, dtype=np.uint8)
+        np.bitwise_or.at(table, codes >> np.uint64(3), (np.uint64(1) << (
+            codes & np.uint64(7))).astype(np.uint8))
+        return table
+
+    def pair_heads(self, parents):
+        """Per bound level-0 value in ``parents`` (each one a key), the
+        first code of its row of :attr:`pairs` — ``uint32`` when every
+        code fits."""
+        code = np.uint32 if self._pairs.size <= 1 << 29 else np.uint64
+        return (parents.astype(code) - code(self.keys[0])) \
+            * code(self.bound(1) + 1)
+
+    def pair_member(self, heads, vals):
+        """Whether each ``(parent, vals[i])`` is a stored pair, the
+        parent given by its row's :meth:`pair_heads` value."""
+        code = heads + np.minimum(vals, heads.dtype.type(self.bound(1)))
+        byte = self._pairs.take(code >> 3)
+        code &= 7
+        return (byte >> code.astype(np.uint8) & 1).view(bool)
 
 
 class TrieNode:

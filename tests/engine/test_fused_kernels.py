@@ -505,6 +505,8 @@ class TestAnalyticsShapes:
                          else blocked(config, rows))
             assert np.array_equal(got.data, expected.data)
             assert np.array_equal(got.annotations, expected.annotations)
+        # one child-level input, so no pair is probed: no bit table
+        assert tries[0].flat()._pairs is None
 
 
 class TestAnalyticsShapeValues:
@@ -546,6 +548,205 @@ class TestAnalyticsShapeValues:
                     optimizer=SetOptimizer("bitset_only"))
         assert trie.root.set.kind == "bitset"
         assert trie.flat().rank_of is None
+
+
+# -- (e') child levels: per-row generators and bit-table probes ---------------
+
+
+def spread_pairs(scale=1, shift=0, n=24, seed=11):
+    """A symmetric graph on ``n`` nodes — a hub adjacent to all, random
+    chords — with node ``v`` coded ``v * scale + shift``: every pair
+    level's inverse density grows with ``scale ** 2``."""
+    rng = np.random.default_rng(seed)
+    pairs = {(0, v) for v in range(1, n)}
+    pairs |= {(int(a), int(b)) for a, b in rng.integers(1, n, (2 * n, 2))
+              if a != b}
+    pairs |= {(b, a) for a, b in pairs}
+    return sorted((a * scale + shift, b * scale + shift) for a, b in pairs)
+
+
+def inverse_density(pairs):
+    """Codes per stored pair of the pair table's code space."""
+    parents = [p for p, _ in pairs]
+    rows = max(parents) - min(parents) + 1
+    return rows * (max(c for _, c in pairs) + 2) / len(pairs)
+
+
+def pair_trie(name, pairs, weighted=False, level="set", threshold=None):
+    from repro.sets import SetOptimizer
+    from repro.storage import Relation, Trie
+    data = np.asarray(pairs, dtype=np.uint32)
+    return Trie(Relation(name, data, dyadic(data, len(name))
+                         if weighted else None),
+                optimizer=SetOptimizer(level, density_threshold=threshold))
+
+
+def pair_route(trie):
+    """What the kernel asked of ``trie``'s pair level: a bit ``table``,
+    ``none`` (asked; the level is sparse or not a bitset under the
+    trie's optimizer) or nothing (``unasked``: it generated, or was
+    probed for leaf rows by the packed search)."""
+    pairs = trie.flat()._pairs
+    return "unasked" if pairs is None else \
+        "none" if pairs is False else "table"
+
+
+def triangle(closing_y, closing_x, edge=None):
+    """Atoms of ``Agg(x) :- E(x,y),B(y,z),C(x,z)``, each trie given as
+    ``(name, trie, annotated)``; ``E`` defaults to ``closing_y``."""
+    edge = edge or closing_y
+    return [(name, variables, trie, annotated)
+            for (name, trie, annotated), variables in
+            zip((edge, closing_y, closing_x),
+                (("x", "y"), ("y", "z"), ("x", "z")))]
+
+
+def self_triangle(trie, annotated=False):
+    return triangle((trie.name, trie, annotated),
+                    (trie.name, trie, annotated))
+
+
+def past_width():
+    """``G`` lists two ``z`` up to 59 per ``y``, ``F`` sixteen below 24
+    per ``x``: ``G`` generates and most of its values lie past ``F``'s
+    table width, so they clamp to its empty column."""
+    edge = pair_trie("E", spread_pairs())
+    narrow = pair_trie("F", [(x, z) for x in range(24) for z in range(24)
+                             if (x + z) % 3])
+    far = pair_trie("G", sorted({(y, (7 * y + k * 29) % 60)
+                                 for y in range(24) for k in (0, 1)}))
+    return (triangle(("G", far, False), ("F", narrow, False),
+                     edge=("E", edge, False)),
+            {"E": "unasked", "G": "unasked", "F": "table"})
+
+
+def at_threshold(factor):
+    pairs = spread_pairs(scale=3)
+    trie = pair_trie("E", pairs, threshold=inverse_density(pairs) * factor)
+    return self_triangle(trie), {"E": "table" if factor > 1 else "none"}
+
+
+#: Bag shapes whose closing level ``z`` probes pair levels, and what
+#: each trie's pair level was asked for.
+CHILD_SHAPES = {
+    "dense": lambda: (self_triangle(pair_trie("E", spread_pairs())),
+                      {"E": "table"}),
+    "sparse": lambda: (self_triangle(pair_trie("E", spread_pairs(40))),
+                       {"E": "none"}),
+    "k0": lambda: (self_triangle(pair_trie("E", spread_pairs(shift=300))),
+                   {"E": "table"}),
+    "past-width": past_width,
+    "below-threshold": lambda: at_threshold(0.99),
+    "above-threshold": lambda: at_threshold(1.01),
+    # An annotated input needs its leaf row: it searches the packed
+    # pairs whether or not the level is dense.
+    "annotated": lambda: (triangle(
+        ("E", pair_trie("E", spread_pairs()), False),
+        ("W", pair_trie("W", spread_pairs(), weighted=True), True)),
+        {"E": "unasked", "W": "unasked"}),
+    "annotated-per-row": lambda: (self_triangle(
+        pair_trie("W", spread_pairs(), weighted=True), annotated=True),
+        {"W": "unasked"}),
+    "bitset_only-dense": lambda: (self_triangle(pair_trie(
+        "E", spread_pairs(), level="bitset_only")), {"E": "table"}),
+    "bitset_only-sparse": lambda: (self_triangle(pair_trie(
+        "E", spread_pairs(40), level="bitset_only")), {"E": "none"}),
+    "uint_only-dense": lambda: (self_triangle(pair_trie(
+        "E", spread_pairs(), level="uint_only")), {"E": "none"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CHILD_SHAPES))
+@pytest.mark.parametrize("name", FUSED_SEMIRINGS)
+class TestChildLevelProbes:
+    """``Agg(x) :- E(x,y),B(y,z),C(x,z)``: its closing level probes
+    ``B`` and ``C`` by a gather from the view's bit table or by a
+    search of its packed pairs — decided by the layout optimizer's
+    density rule and by whether the input is annotated — and, when
+    both read one view, expands each row from the smaller list.  Every
+    route equals the interpreter bit for bit at every block size."""
+
+    def test_kernel_equals_interpreter(self, name, shape):
+        from repro.engine import EngineConfig
+        from repro.engine.generic_join import BagInput
+        atoms, routes = CHILD_SHAPES[shape]()
+        tries = [trie for _, _, trie, _ in atoms]
+        specs = [InputSpec(n, v, annotated=a) for n, v, _, a in atoms]
+        inputs = [BagInput(trie, v, annotated=a, name=n)
+                  for n, v, trie, a in atoms]
+        semiring = semiring_for(name)
+        config = EngineConfig(execution_mode="compiled")
+        order = ("x", "y", "z")
+        expected = BagEvaluator(order, 1, inputs, semiring, config).run()
+        assert expected.cardinality
+        kernel = generate_bag_plan(order, 1, specs, semiring)
+        for rows in (1, 7, None):
+            got = kernel(tries, config if rows is None
+                         else blocked(config, rows))
+            assert np.array_equal(got.data, expected.data)
+            assert np.array_equal(got.annotations, expected.annotations)
+        assert {n: pair_route(trie) for n, _, trie, _ in atoms} == routes
+        if shape == "k0":
+            assert tries[0].flat().keys[0] == 300
+
+
+class TestPerRowGenerator:
+    """The min rule per frontier row, as a work bound: on one hub
+    joined to ``LEAVES`` leaves plus a small clique through the hub,
+    every level charges exactly the sum over its frontier rows of the
+    smallest child list, where the smaller *summed* side — the rule
+    applied per level — expands the hub's list once per leaf."""
+
+    LEAVES, CLIQUE = 200, 5
+
+    def graph(self):
+        clique = [0] + list(range(self.LEAVES + 1,
+                                  self.LEAVES + self.CLIQUE))
+        return [(0, leaf) for leaf in range(1, self.LEAVES + 1)] \
+            + [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
+
+    @staticmethod
+    def per_row_bound(adjacency, k):
+        """Elements charged per level when every row expands its
+        smallest list, found set-at-a-time; and the per-level rule's
+        cheapest side at the last level."""
+        keys = sorted(adjacency)
+        charged, frontier = [len(keys)], [(x,) for x in keys]
+        for level in range(1, k):
+            fanouts = [[len(adjacency[v]) for v in row] for row in frontier]
+            charged.append(sum(min(row) for row in fanouts))
+            summed = min(map(sum, zip(*fanouts)))
+            frontier = [row + (value,) for row in frontier
+                        for value in sorted(set.intersection(
+                            *(adjacency[v] for v in row)))
+                        if level == k - 1 or value in adjacency]
+        return charged, summed
+
+    @pytest.mark.parametrize("k", [3, 4], ids=["triangle", "4-clique"])
+    def test_each_row_expands_its_smallest_list(self, k, monkeypatch):
+        db = kernel_db()
+        db.load_graph("Edge", self.graph())
+        order = ("x", "y", "z", "u")[:k]
+        specs, tries, inputs = bag_inputs(db, clique_atoms(order))
+        kernel = generate_bag_plan(order, 0, specs, COUNT)
+        adjacency = {}
+        for src, dst in db.catalog["Edge"].data.tolist():
+            adjacency.setdefault(src, set()).add(dst)
+        expected, summed = self.per_row_bound(adjacency, k)
+        charged = []
+        charge = db.counter.charge
+
+        def recorded(algorithm, **work):
+            charged.append((algorithm, work["elements"]))
+            return charge(algorithm, **work)
+        monkeypatch.setattr(db.counter, "charge", recorded)
+        got = kernel(tries, db.config).scalar
+        assert charged == [("fused_block", count) for count in expected]
+        assert got == evaluate_bag(order, 0, inputs, COUNT,
+                                   db.config).scalar > 0
+        if k == 3:
+            # the hub's rows: the leaf's one neighbour, not its 204
+            assert 20 * expected[-1] < summed
 
 
 # -- (f) delta-first orders: the unordered group-by ---------------------------

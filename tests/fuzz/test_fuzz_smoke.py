@@ -7,7 +7,9 @@ from repro.engine.config import enumerate_config_matrix
 from repro.fuzz import (evaluate_case, generate_case, load_corpus,
                        run_case, run_fuzz, save_case, validate_case)
 from repro.fuzz.corpus import case_from_dict, case_to_dict
+from repro.fuzz.gen import WIDE_DOMAIN
 from repro.fuzz.runner import case_seed
+from repro.storage.trie import FlatTrieView
 from tests import reference
 
 
@@ -75,11 +77,37 @@ def test_oracle_agrees_with_reference_evaluator():
     assert checked >= 30
 
 
-def test_run_fuzz_smoke():
+def test_run_fuzz_smoke(monkeypatch):
+    """A quick run passes, and its child-level probes take both routes:
+    the bit table of a dense pair level and the packed search of a
+    sparse one (the wide cases')."""
+    routes = []
+    build = FlatTrieView._pair_table
+
+    def recorded(view):
+        table = build(view)
+        routes.append("packed" if table is False else "table")
+        return table
+    monkeypatch.setattr(FlatTrieView, "_pair_table", recorded)
     report = run_fuzz(seed=0, budget=25,
                       matrix=enumerate_config_matrix())
     assert report.ok, report.describe()
     assert report.executed == 25
+    assert set(routes) == {"packed", "table"}
+
+
+def test_wide_cases_relabel_values_apart():
+    narrow = generate_case(2)
+    wide = generate_case(3)
+    assert [r.name for r in narrow.relations][0] != "Domain"
+    domain, *relations = wide.relations
+    assert domain.name == "Domain" and domain.arity == 1
+    assert validate_case(wide)
+    for relation in relations:
+        assert all(v % WIDE_DOMAIN == 0 and (v,) in domain.tuples
+                   for row in relation.tuples for v in row)
+    assert not any(atom.name == "Domain" for rule in wide.rules
+                   for atom in rule.body)
 
 
 def test_case_seed_is_stable():
