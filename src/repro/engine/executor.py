@@ -943,11 +943,10 @@ class RuleExecutor:
         self._validate(logical)
         agg = logical.aggregate
         if agg is not None and agg.op == "COUNT" and agg.arg != "*":
-            if agg.arg in logical.head_vars:
-                raise PlanError("COUNT argument %r is a head variable"
-                                % agg.arg)
-            pseudo_head = tuple(logical.head_vars) + (agg.arg,)
-            pseudo = logical.with_head(pseudo_head)
+            pseudo = _distinct_head(logical, agg.arg)
+            if _counts_bindings(logical, agg.arg):
+                # the plan folds COUNT by the rule's op alone: COUNT(*)
+                return self._compile_plan(logical, guards, stats)
             inner = self._compile_plan(pseudo, guards, stats)
             return CompiledRule("count_distinct", logical.rule, guards,
                                 inner=inner, logical=logical)
@@ -1314,12 +1313,7 @@ class RuleExecutor:
         """``<<COUNT(v)>>`` counts *distinct* bindings of ``v`` per head
         tuple (the paper's ``N(;w) :- Edge(x,y); w=<<COUNT(x)>>`` counts
         nodes, not edges)."""
-        if agg.arg in logical.head_vars:
-            raise PlanError("COUNT argument %r is a head variable"
-                            % agg.arg)
-        pseudo_head = tuple(logical.head_vars) + (agg.arg,)
-        pseudo = logical.with_head(pseudo_head)
-        distinct = self._execute_plan(pseudo)
+        distinct = self._execute_plan(_distinct_head(logical, agg.arg))
         return _finish_count_distinct(logical, distinct, dict(self.env))
 
     def _empty_output(self, rule):
@@ -1474,6 +1468,23 @@ def _largest_bag_node(ghd, atoms):
         if size > best_size:
             best, best_size = node, size
     return id(best) if best is not None else None
+
+
+def _distinct_head(logical, arg):
+    """``logical`` materializing its head and ``arg``: the pseudo head
+    whose rows ``<<COUNT(arg)>>`` counts per head tuple."""
+    if arg in logical.head_vars:
+        raise PlanError("COUNT argument %r is a head variable" % arg)
+    return logical.with_head(tuple(logical.head_vars) + (arg,))
+
+
+def _counts_bindings(logical, arg):
+    """Whether ``<<COUNT(arg)>>`` of ``logical`` is its ``COUNT(*)``: an
+    unannotated body whose variables are exactly the head's and
+    ``arg`` binds each distinct ``(head, arg)`` row once."""
+    body = {var for atom in logical.atoms for var in atom.variables}
+    return body == set(logical.head_vars) | {arg} and not any(
+        atom.annotated for atom in logical.atoms + logical.guard_atoms)
 
 
 def _finish_count_distinct(logical, distinct, env):

@@ -50,7 +50,13 @@ level arrays (:meth:`repro.storage.trie.Trie.flat`):
 3. **Block aggregate folds.**  The aggregated suffix never materializes
    past the frontier: leaf contributions are folded per output prefix
    with ``reduceat`` segment reductions, and unannotated SUM/COUNT keeps
-   an exact ``int`` accumulator (a bare element count).  When the
+   an exact ``int`` accumulator (a bare element count).  A CSR leaf
+   that *nothing probes* folds from the trie's arrays: its leading
+   settled unary factors become one weight vector per call, so a block
+   is one gather and one ``reduceat`` (a PageRank round), and a leaf
+   nothing weighs either is its row counts (EXISTS, unannotated
+   COUNT/SUM, MIN/MAX of a constant chain), folded with no block and
+   no lane op charged.  When the
    output attributes are *not* a prefix of the order — a seminaive
    round binds its delta first, so ``SSSP(x) :- Edge(w,x),SSSP(w)``
    runs as ``[w, x]`` — the bindings of one output tuple are scattered
@@ -72,15 +78,16 @@ interpreter instead are the shapes :func:`fusable` rejects.  Blocks are
 *lazy*: a block is its row range and clipped row counts, and the
 per-candidate frontier row (``np.repeat``) and the re-found segment
 boundaries exist only for a reader — a child-level probe, a filter
-that dropped rows, a non-leaf level, the unordered group-by.  Ranks
-are gathered through a filter only for inputs that bind further
-variables or carry annotations.  A PageRank round is thus two gathers,
-a multiply and a ``reduceat`` per block.
+that dropped rows, a non-leaf level, the unordered group-by; an
+unfiltered block slices its segment starts off the level's.  Ranks
+are made and gathered only for inputs that bind further variables or
+carry annotations.
 
 None of this changes what is computed: block boundaries, product order
 and ``reduceat`` segments are where the general path puts them, so the
 routes agree bit for bit (floats included) and charge the same lane
-ops.
+ops — but for the leaves folded from their counts alone, which charge
+none, as a settled root is not charged.
 
 Annotation products multiply in the same input order as the
 interpreter, so results agree bit-for-bit except for float *summation*
@@ -89,6 +96,8 @@ the differential fuzzer's dyadic-rational value hygiene makes even
 those sums exact in practice.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -245,6 +254,129 @@ def _blocks(counts, cum, size):
         yield lo, a, b, clipped
 
 
+class _Level:
+    """One level's candidates as :meth:`FusedBagKernel._plan_level`
+    planned them, expanded block by block on demand.
+
+    Frontier row ``r`` owns the ``counts[r]`` candidates from
+    ``starts[r]`` on, candidate ``j`` read from ``values[base + j]`` —
+    ``base`` one number where the rows' runs abut (a relation's whole
+    root expanded in order: a block is a slice of ``values``), else one
+    per row.  ``csr``: the candidates are child lists, not root keys.
+    ``weight`` replaces leading unary factors (:meth:`premultiply`)."""
+
+    __slots__ = ("counts", "cum", "starts", "total", "base", "values",
+                 "csr", "settled", "probed", "sweep", "flats", "size",
+                 "weight")
+
+    def __init__(self, counts, first, values, settled, probed, sweep,
+                 flats, size):
+        self.counts = counts
+        self.cum = cum = np.cumsum(counts)
+        self.starts = cum - counts
+        self.total = int(cum[-1])
+        base = first - self.starts
+        self.base = int(base[0]) if (base == base[0]).all() else base
+        self.values = values
+        self.csr = not isinstance(first, int)
+        self.settled, self.probed, self.sweep = settled, probed, sweep
+        self.flats, self.size = flats, size
+        self.weight = None
+
+    def charge(self, counter):
+        counter.charge("fused_sweep" if self.sweep else "fused_block",
+                       simd=-(-self.total // 4), elements=self.total)
+
+    def blocks(self):
+        """The level's :class:`_Block` s, one per :func:`_blocks` cut."""
+        for lo, a, b, clipped in _blocks(self.counts, self.cum, self.size):
+            yield self._expand(lo, a, b, clipped)
+
+    def premultiply(self, factors):
+        """Multiply the leading full-range unary factors of a leaf that
+        nothing probes into one vector over the generator's value span
+        when that span is no longer than the level.  ``factors`` are
+        the annotated settled ``(part, rank_of)`` in input order: only
+        the first may pre-multiply, the interpreter's product being
+        left-associated."""
+        lead = list(itertools.takewhile(lambda found: isinstance(
+            found[1], int), factors))
+        gen = next(part for part, rank_of in self.settled if rank_of is None)
+        low, high = self.flats[gen.index].span(1)
+        if lead and high - low < self.total:
+            self.weight = (low, functools.reduce(np.multiply, [
+                self.flats[part.index].ann[low - k0:high - k0 + 1]
+                for part, k0 in lead]), [part.index for part, _ in lead])
+
+    def _expand(self, lo, a, b, counts):
+        """Evaluate one block of the level's candidates (the block as
+        :func:`_blocks` cut it).
+
+        Returns the :class:`_Block` of the surviving candidates: bound
+        value, ranks of inputs whose first variable binds here and
+        leaf-annotation factor arrays of those whose last does (both by
+        input index; factors multiply in index order, as the
+        interpreter's left-associated products do).  The candidates'
+        frontier rows are built only if something here reads them.
+        """
+        flats, base = self.flats, self.base
+        parent = None
+        if isinstance(base, int):       # abutting runs: a slice
+            src = slice(base + a, base + b)
+        else:
+            parent = _parents(lo, counts)
+            src = base[parent] + np.arange(a, b)
+        vals = self.values[src]
+        folded = ()
+        factors = {}
+        if self.weight is not None:
+            low, weight, folded = self.weight
+            factors[folded[0]] = weight.take(_full_rank(vals, low))
+        found = []
+        for part, rank_of in self.settled:
+            if part.is_last and (not part.annotated or part.index in folded):
+                continue    # ranks nobody reads are not made
+            if rank_of is None:
+                found.append((part, src))
+            elif isinstance(rank_of, int):
+                found.append((part, _full_rank(vals, rank_of)))
+            else:
+                found.append((part, rank_of[src]))
+        keep = None
+        for part, heads, bits in self.probed:
+            if heads is None:
+                rank, member = _probe(flats[part.index], vals)
+            else:
+                if parent is None:
+                    parent = _parents(lo, counts)
+                rank, member = _probe(flats[part.index], vals,
+                                      heads[parent], bits)
+            found.append((part, rank))
+            keep = member if keep is None else keep & member
+        if keep is not None and keep.all():
+            keep = None
+        if keep is not None:
+            vals = vals[keep]
+            if parent is not None:
+                parent = parent[keep]
+        new_ranks = {}
+        for part, rank in found:
+            ann = flats[part.index].ann if part.annotated else None
+            if part.is_last and ann is None:
+                continue    # ranks nobody reads are not gathered
+            rank = _kept(rank, keep)
+            if part.is_last:
+                # (ranks may be the uint32 values themselves, which
+                # ``take`` reads 2.5x faster than ``[]`` does)
+                factors[part.index] = ann[rank] if isinstance(rank, slice) \
+                    else ann.take(rank)
+            else:
+                new_ranks[part.index] = np.arange(rank.start, rank.stop) \
+                    if isinstance(rank, slice) else rank
+        return _Block(lo, counts, (self.starts, a), keep, parent, vals,
+                      new_ranks, factors)
+
+
 class _Block:
     """One block's surviving candidates.
 
@@ -255,12 +387,14 @@ class _Block:
     survivors per row (:meth:`segments`).
     """
 
-    __slots__ = ("lo", "counts", "keep", "size", "vals", "new_ranks",
-                 "factors", "_parent")
+    __slots__ = ("lo", "counts", "runs", "keep", "size", "vals",
+                 "new_ranks", "factors", "_parent")
 
-    def __init__(self, lo, counts, keep, parent, vals, new_ranks, factors):
+    def __init__(self, lo, counts, runs, keep, parent, vals, new_ranks,
+                 factors):
         self.lo = lo
         self.counts = counts            # candidates per frontier row
+        self.runs = runs                # (level's row starts, block's a)
         self.keep = keep                # survivor mask, None: all
         self._parent = parent           # of the survivors, if built
         self.size = int(vals.size)
@@ -287,8 +421,9 @@ class _Block:
             starts = np.flatnonzero(seg[1:] != seg[:-1]) + 1
             starts = np.concatenate(([0], starts))
             return seg[starts], starts
-        counts = self.counts
-        starts = np.cumsum(counts) - counts
+        counts, (starts, a) = self.counts, self.runs
+        starts = starts[self.lo:self.lo + counts.size] - a
+        starts[0] = 0           # the first row's run may start before a
         if counts.all():
             return slice(self.lo, self.lo + counts.size), starts
         rows = np.flatnonzero(counts)
@@ -400,32 +535,17 @@ class FusedBagKernel:
         ranks = {}          # spec index -> rank of its bound first var
         frontier = 1
         for level in range(nl):
-            counts, first, values, settled, probed, sweep = \
-                self._plan_level(self.levels[level], flats, ranks, cols,
-                                 frontier, crossover,
-                                 restrict if level == 0 else None)
-            cum = np.cumsum(counts)
-            total = int(cum[-1])
-            config.counter.charge(
-                "fused_sweep" if sweep else "fused_block",
-                simd=-(-total // 4), elements=total)
-            # Candidate j of the level is values[base[row of j] + j].
-            # Where the rows' runs abut — a relation's whole root
-            # expanded in order — that is one number, and a block's
-            # candidates are a slice of ``values``.
-            base = first - (cum - counts)
-            if (base == base[0]).all():
-                base = int(base[0])
-            blocks = (self._expand_block(lo, a, b, clipped, base, values,
-                                         settled, probed, flats)
-                      for lo, a, b, clipped in _blocks(counts, cum,
-                                                       block_rows))
+            plan = _Level(*self._plan_level(
+                self.levels[level], flats, ranks, cols, frontier, crossover,
+                restrict if level == 0 else None), flats, block_rows)
+            if level == nl - 1 and oc < nl and not self.unordered:
+                return self._fold_leaf(plan, cols, pw, sw, frontier,
+                                       config.counter)
+            plan.charge(config.counter)
             if level == nl - 1 and oc < nl:
-                if self.unordered:
-                    return self._fold_groups(blocks, cols, pw, sw, flats,
-                                             total)
-                return self._fold_leaf(blocks, cols, pw, sw, frontier)
-            parent, vals, new_ranks, factors = _concatenate(list(blocks))
+                return self._fold_groups(plan, cols, pw, sw)
+            parent, vals, new_ranks, factors = \
+                _concatenate(list(plan.blocks()))
             if parent.size == 0:
                 return self._empty()
             cols = [column[parent] for column in cols]
@@ -536,131 +656,96 @@ class FusedBagKernel:
                 candidates, found, _child_probes(probed, flats, cols),
                 bool(probed))
 
-    def _expand_block(self, lo, a, b, counts, base, values, settled,
-                      probed, flats):
-        """Evaluate one block of a level's candidates (the block as
-        :func:`_blocks` cut it; ``base`` as the driver derived it).
-
-        Returns the :class:`_Block` of the surviving candidates: bound
-        value, ranks of inputs whose first variable binds here and
-        leaf-annotation factor arrays of those whose last does (both by
-        input index; factors multiply in index order, as the
-        interpreter's left-associated products do).  The candidates'
-        frontier rows are built only if something here reads them.
-        """
-        parent = None
-        if isinstance(base, int):       # abutting runs: a slice
-            src = slice(base + a, base + b)
-        else:
-            parent = _parents(lo, counts)
-            src = base[parent] + np.arange(a, b)
-        vals = values[src]
-        found = []
-        for part, rank_of in settled:
-            if rank_of is None:
-                found.append((part, src))
-            elif isinstance(rank_of, int):
-                found.append((part, _full_rank(vals, rank_of)))
-            else:
-                found.append((part, rank_of[src]))
-        keep = None
-        for part, heads, bits in probed:
-            if heads is None:
-                rank, member = _probe(flats[part.index], vals)
-            else:
-                if parent is None:
-                    parent = _parents(lo, counts)
-                rank, member = _probe(flats[part.index], vals,
-                                      heads[parent], bits)
-            found.append((part, rank))
-            keep = member if keep is None else keep & member
-        if keep is not None and keep.all():
-            keep = None
-        if keep is not None:
-            vals = vals[keep]
-            if parent is not None:
-                parent = parent[keep]
-        new_ranks = {}
-        factors = {}
-        for part, rank in found:
-            ann = flats[part.index].ann if part.annotated else None
-            if part.is_last and ann is None:
-                continue    # ranks nobody reads are not gathered (or made)
-            rank = _kept(rank, keep)
-            if part.is_last:
-                # (ranks may be the uint32 values themselves, which
-                # ``take`` reads 2.5x faster than ``[]`` does)
-                factors[part.index] = ann[rank] if isinstance(rank, slice) \
-                    else ann.take(rank)
-            else:
-                new_ranks[part.index] = np.arange(rank.start, rank.stop) \
-                    if isinstance(rank, slice) else rank
-        return _Block(lo, counts, keep, parent, vals, new_ranks, factors)
-
     # -- aggregated-leaf folds ------------------------------------------------
 
-    def _fold_leaf(self, blocks, cols, pw, sw, frontier):
+    def _fold_leaf(self, level, cols, pw, sw, frontier, counter):
         """Fold the deepest level per frontier row without expanding it.
 
         Each block's survivors are in row order, so per-row reductions
-        are ``reduceat`` segment ops over runs the block reads off its
-        row counts (or, after a filter, re-finds); rows a block
-        boundary splits combine through the per-row accumulator, and
-        groups of rows sharing an output prefix reduce once at the end.
+        are ``reduceat`` segment ops over the runs the block slices off
+        the level's row starts (or, after a filter, re-finds); rows a
+        block boundary splits combine through the per-row accumulator,
+        and groups of rows sharing an output prefix reduce once at the
+        end.  A CSR leaf that nothing probes keeps every candidate, and
+        folds from the trie's arrays: through one weight vector
+        (:meth:`_Level.premultiply`), or, when nothing weighs it, from
+        its counts alone — no block, no candidate touched, so no
+        charge, as a settled root has none.
         """
-        name = self.semiring.name
         oc = self.out_count
-        if oc == 0 and self.int_fold:
-            return BagResult((), _EMPTY_SCALAR_DATA,
-                             scalar=sum(block.size for block in blocks))
-        hit = np.zeros(frontier, dtype=bool)
-        fold = _FOLD_UFUNC.get(name)
-        acc = None if fold is None \
-            else np.full(frontier, self.semiring.zero, dtype=np.float64)
-        for block in blocks:
-            if block.size == 0:
-                continue
-            rows, starts = block.segments()
-            hit[rows] = True
-            if fold is None:        # EXISTS: one witness per row
-                continue
-            factors = block.factors
-            if sw is None and not factors:
-                if fold is np.add:  # bare element counts
-                    leafv = np.diff(starts, append=block.size)
-                else:               # MIN/MAX of a constant chain
-                    leafv = 1.0
-            else:
-                elem = None if sw is None else sw[block.parent]
-                for _, factor in sorted(factors.items()):
-                    elem = factor if elem is None else elem * factor
-                leafv = fold.reduceat(elem, starts)
-            acc[rows] = fold(acc[rows], leafv)
-        rows = np.flatnonzero(hit)
+        fold = _FOLD_UFUNC.get(self.semiring.name)      # None: EXISTS
+        counts = level.counts
+        open_leaf = level.csr and not level.probed
+        factors = [] if fold is None or not open_leaf else sorted(
+            ((part, rank_of) for part, rank_of in level.settled
+             if part.annotated), key=lambda found: found[0].index)
+        if open_leaf and sw is None and not factors:
+            if oc == 0 and self.int_fold:
+                return BagResult((), _EMPTY_SCALAR_DATA, scalar=level.total)
+            rows = np.flatnonzero(counts)
+            leafv = counts[rows].astype(np.float64) if fold is np.add \
+                else np.ones(rows.size, dtype=np.float64)
+        else:
+            level.charge(counter)
+            if oc == 0 and self.int_fold:
+                return BagResult((), _EMPTY_SCALAR_DATA, scalar=sum(
+                    block.size for block in level.blocks()))
+            if open_leaf and sw is None and isinstance(level.base, int):
+                level.premultiply(factors)
+            hit = None if open_leaf else np.zeros(frontier, dtype=bool)
+            acc = None if fold is None \
+                else np.full(frontier, self.semiring.zero, dtype=np.float64)
+            for block in level.blocks():
+                if block.size == 0:
+                    continue
+                rows, starts = block.segments()
+                if hit is not None:
+                    hit[rows] = True
+                if fold is None:        # EXISTS: one witness per row
+                    continue
+                if sw is None and not block.factors:
+                    if fold is np.add:  # bare element counts
+                        leafv = np.diff(starts, append=block.size)
+                    else:               # MIN/MAX of a constant chain
+                        leafv = 1.0
+                else:
+                    elem = None if sw is None else sw[block.parent]
+                    for _, factor in sorted(block.factors.items()):
+                        elem = factor if elem is None else elem * factor
+                    leafv = fold.reduceat(elem, starts)
+                if isinstance(rows, slice):     # in place, through a view
+                    view = acc[rows]
+                    fold(view, leafv, out=view)
+                else:
+                    acc[rows] = fold(acc[rows], leafv)
+            rows = np.flatnonzero(counts if hit is None else hit)
+            leafv = acc[rows] if fold is not None \
+                else np.ones(rows.size, dtype=np.float64)
         if rows.size == 0:
             return self._empty()
-        leafv = acc[rows] if fold is not None \
-            else np.ones(rows.size, dtype=np.float64)
         if oc == 0:
             scalar = 1.0 if fold is None \
                 else float(fold.reduce(leafv))
             return BagResult((), _EMPTY_SCALAR_DATA, scalar=scalar)
         # Group surviving rows by their output prefix (lexicographically
-        # contiguous by construction) and reduce per group.
-        prefix = [cols[level][rows] for level in range(oc)]
-        gstarts = _row_starts(prefix)
-        if fold is None:            # EXISTS: one witness per group
-            gval = np.ones(gstarts.size, dtype=np.float64)
-        else:
-            gval = fold.reduceat(leafv, gstarts)
-        annotations = gval if pw is None else pw[rows][gstarts] * gval
-        data = np.stack([column[gstarts] for column in prefix], axis=1)
-        return BagResult(self.out_attrs, data,
+        # contiguous by construction) and reduce per group — unless the
+        # leaf is the only level past the outputs: rows are then
+        # distinct prefixes, each its own group.
+        prefix = [column[rows] for column in cols[:oc]]
+        weights = None if pw is None else pw[rows]
+        if oc < self.n_levels - 1:
+            gstarts = _row_starts(prefix)
+            prefix = [column[gstarts] for column in prefix]
+            leafv = np.ones(gstarts.size) if fold is None \
+                else fold.reduceat(leafv, gstarts)
+            weights = None if weights is None else weights[gstarts]
+        annotations = leafv if weights is None else weights * leafv
+        return BagResult(self.out_attrs, np.stack(prefix, axis=1),
                          annotations=annotations.astype(np.float64,
                                                         copy=False),
                          canonical=True)
 
-    def _fold_groups(self, blocks, cols, pw, sw, flats, total):
+    def _fold_groups(self, level, cols, pw, sw):
         """Fold the deepest level per output tuple when the outputs
         are not an order prefix (an *unordered group-by*).
 
@@ -677,24 +762,23 @@ class FusedBagKernel:
         """
         nl = self.n_levels
         fold = _FOLD_UFUNC.get(self.semiring.name)      # None: EXISTS
-        bounds = [min(flats[part.index].bound(part.pos)
-                      for part in self.levels[level])
-                  for level in self.out_levels]
+        bounds = [min(level.flats[part.index].bound(part.pos)
+                      for part in self.levels[out])
+                  for out in self.out_levels]
         domain = math.prod(bounds)
-        dense = domain <= max(DENSE_GROUPS, total)
+        dense = domain <= max(DENSE_GROUPS, level.total)
         if dense:
             hit = np.zeros(domain, dtype=bool)
             acc = None if fold is None \
                 else np.full(domain, self.semiring.zero, dtype=np.float64)
             pacc = None
         partials = []
-        for block in blocks:
+        for block in level.blocks():
             if block.size == 0:
                 continue
             parent, factors = block.parent, block.factors
-            columns = [block.vals if level == nl - 1
-                       else cols[level][parent]
-                       for level in self.out_levels]
+            columns = [block.vals if out == nl - 1 else cols[out][parent]
+                       for out in self.out_levels]
             pref = None if pw is None else pw[parent]
             elem = None if sw is None else sw[parent]
             for index, factor in sorted(factors.items()):

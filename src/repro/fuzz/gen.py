@@ -33,6 +33,10 @@ AGG_OPS = ("SUM", "MIN", "MAX", "COUNT")
 #: values lie ``WIDE_DOMAIN`` dictionary codes apart.
 WIDE_EVERY, WIDE_DOMAIN = 2, 40
 
+#: Every ``PAGERANK_EVERY``-th case seed is PageRank-shaped
+#: (:func:`_pagerank_shaped`); half of those are wide too.
+PAGERANK_EVERY = 5
+
 
 @dataclass
 class FuzzRelation:
@@ -105,9 +109,13 @@ def generate_case(seed, max_relations=3, max_rules=3, max_atoms=4,
     (every :data:`WIDE_EVERY`-th one widened)."""
     rng = random.Random(seed)
     domain = rng.randint(2, max_domain)
-    relations = _generate_relations(rng, domain, max_relations,
-                                    max_tuples)
-    rules = _generate_rules(rng, relations, domain, max_rules, max_atoms)
+    if seed % PAGERANK_EVERY == PAGERANK_EVERY - 1:
+        relations, rules = _pagerank_shaped(rng, domain, max_tuples)
+    else:
+        relations = _generate_relations(rng, domain, max_relations,
+                                        max_tuples)
+        rules = _generate_rules(rng, relations, domain, max_rules,
+                                max_atoms)
     case = FuzzCase(seed, relations, rules)
     if seed % WIDE_EVERY == WIDE_EVERY - 1:
         case = _widened(case, domain)
@@ -138,6 +146,52 @@ def _widened(case, domain):
         Atom(atom.name, tuple(map(widen, atom.terms)))
         for atom in rule.body)) for rule in case.rules]
     return FuzzCase(case.seed, relations, rules)
+
+
+def _pagerank_shaped(rng, domain, max_tuples):
+    """``(relations, rules)`` of a PageRank round's shape: a binary
+    ``R0`` joined on its second variable with one to three unary
+    annotated relations whose keys cover its values (a cycle through
+    every value makes the head's and ``H0``'s, its neighbour count, do
+    too), folded per first variable by SUM, MIN or MAX — a plain rule,
+    or a ``*[i=k]`` recursion's body.  Atom order and ``R0``'s
+    annotations vary: only unary factors that come first pre-multiply."""
+    def weights(rows):
+        return [float(rng.randint(1, 9)) for _ in rows]
+
+    def rule(name, body, assignment, iterations=None):
+        return Rule(head_name=name, head_vars=("a",),
+                    annotation=HeadAnnotation("w", "float"),
+                    recursive=iterations is not None, iterations=iterations,
+                    body=tuple(body), assignment=assignment)
+
+    pairs = {(v, (v + 1) % domain) for v in range(domain)}
+    pairs |= {(rng.randrange(domain), rng.randrange(domain))
+              for _ in range(rng.randint(0, max_tuples))}
+    edge = sorted(pairs)
+    relations = [FuzzRelation("R0", 2, edge,
+                              weights(edge) if rng.random() < 0.4 else None)]
+    keys = [(v,) for v in range(domain)]
+    relations += [FuzzRelation("R%d" % index, 1, keys, weights(keys))
+                  for index in range(1, rng.randint(2, 3))]
+    unary = [relation.name for relation in relations[1:]]
+    edge_atom = Atom("R0", (Variable("a"), Variable("b")))
+    rules = []
+    if rng.random() < 0.5:
+        unary.append("H0")
+        rules.append(rule("H0", [edge_atom], _wrap_aggregate(
+            rng, Agg("COUNT", "b"), [])))
+    unary = rng.sample(unary, rng.randint(1, min(3, len(unary))))
+    iterations = None
+    if rng.random() < 0.5:
+        iterations = rng.randint(1, 3)
+        unary = ["H1"] + unary[:2]
+        rules.append(rule("H1", [edge_atom], _constant_expression(rng, [])))
+    body = [edge_atom] + [Atom(name, (Variable("b"),)) for name in unary]
+    rng.shuffle(body)
+    rules.append(rule("H1", body, _wrap_aggregate(rng, Agg(rng.choice(
+        ("SUM", "MIN", "MAX")), "b"), []), iterations))
+    return relations, rules
 
 
 def _generate_relations(rng, domain, max_relations, max_tuples):

@@ -50,6 +50,27 @@ def clique_atoms(order, reverse=False):
     return [("Edge", pair, False) for pair in pairs]
 
 
+def record_leaf_folds(monkeypatch):
+    """A list that, from now on, names how each kernel's prefix-output
+    leaf folded: ``weighted`` (pre-multiplied unary factors),
+    ``counts`` (the level's row counts alone, which charge no lane
+    op) or ``blocks`` (block by block, as any leaf may)."""
+    from repro.engine import fused
+    folds = []
+    fold_leaf = fused.FusedBagKernel._fold_leaf
+
+    def recorded(kernel, level, *args):
+        counter = args[-1]
+        charges = counter.intersections
+        result = fold_leaf(kernel, level, *args)
+        folds.append("weighted" if level.weight is not None
+                     else "blocks" if counter.intersections > charges
+                     else "counts")
+        return result
+    monkeypatch.setattr(fused.FusedBagKernel, "_fold_leaf", recorded)
+    return folds
+
+
 def brute_force_triangles(edges):
     """Reference triangle count over undirected edges."""
     adjacency = {}

@@ -181,6 +181,54 @@ class TestPlanCache:
         assert result.scalar == 6.0 * brute_force_triangles(EDGES)
 
 
+#: ``<<COUNT(v)>>`` rules and the kind the default engine compiles them
+#: to.
+COUNT_RULES = [
+    ("InvDeg(x;d:float) :- Edge(x,z); d=1/<<COUNT(z)>>.", "plan"),
+    ("C(x;w:float) :- Edge(x,z),Edge(z,x); w=<<COUNT(z)>>.", "plan"),
+    ("C(x;w:float) :- Edge(x,z),Edge(z,3); w=<<COUNT(z)>>.", "plan"),
+    ("C(x;w:float) :- Edge(x,z); w=2*<<COUNT(z)>>+1.", "plan"),
+    ("C(x,y;w:float) :- Edge(x,z),Edge(z,y); w=<<COUNT(z)>>.", "plan"),
+    ("N(;w:float) :- Edge(x,y); w=<<COUNT(x)>>.", "count_distinct"),
+    ("C(x;w:float) :- Edge(x,z),Edge(z,y); w=<<COUNT(z)>>.",
+     "count_distinct"),
+    ("C(x;w:float) :- W(x,z); w=<<COUNT(z)>>.", "count_distinct"),
+]
+
+
+class TestCountBindings:
+    """``<<COUNT(v)>>`` counts distinct ``v`` per head tuple.  Over an
+    unannotated body that binds nothing but the head and ``v``, every
+    binding is a distinct ``(head, v)`` row, so the default engine
+    compiles the rule as ``COUNT(*)`` — a ``plan``, whose leaf reads
+    the CSR's counts — where a body binding more, or weighing its
+    bindings, keeps the pseudo head and its distinct count.  Either
+    way the answer is the interpreter's bit for bit, and the fuzzer's
+    oracle's."""
+
+    EDGE = sorted(set(EDGES) | {(v, u) for u, v in EDGES})
+
+    @pytest.mark.parametrize("rule,kind", COUNT_RULES)
+    def test_compiled_kind_and_answer(self, rule, kind):
+        from repro.fuzz import run_case
+        from repro.fuzz.gen import FuzzCase, FuzzRelation
+        relations = [FuzzRelation("Edge", 2, self.EDGE),
+                     FuzzRelation("W", 2, WEIGHTED, WEIGHTS)]
+        assert run_case(FuzzCase(0, relations, [parse_rule(rule)])) is None
+        answers = []
+        for mode in ("interpreted", "compiled"):
+            db = Database(execution_mode=mode)
+            for relation in relations:
+                db.add_relation(relation.name, relation.tuples,
+                                annotations=relation.annotations)
+            answers.append(db.query(rule).relation)
+        assert answers[1].cardinality > 0
+        assert np.array_equal(answers[0].data, answers[1].data)
+        assert np.array_equal(answers[0].annotations, answers[1].annotations)
+        assert [compiled.kind for compiled
+                in db._executor.plans._rules.values()] == [kind]
+
+
 class TestLoweredBags:
     """Kernels built straight from specs agree with the interpreter's
     ``evaluate_bag`` on the same tries, in value *and* in type."""

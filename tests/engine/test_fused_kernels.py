@@ -27,7 +27,7 @@ from repro.graphs import (BARBELL_COUNT, FOUR_CLIQUE_COUNT, chung_lu_graph,
                           uniform_graph)
 from repro.sets import UintSet
 from repro.tune.profile import TuningProfile
-from tests.conftest import bag_inputs, clique_atoms
+from tests.conftest import bag_inputs, clique_atoms, record_leaf_folds
 
 TRIANGLES = ("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
              "w=<<COUNT(*)>>.")
@@ -914,17 +914,18 @@ class TestDeltaFirst:
 # -- (g) what the data states is not re-derived -------------------------------
 
 
-def routes_bag(roots, shift=0, weighted=False, out=1):
+def routes_bag(roots, shift=0, weighted=False, edge_at=0, plain=False,
+               extra=()):
     """``Agg(x) :- B(x,z),U1(z),U2(z)`` over a directed graph on the
     codes ``shift .. shift + 199``: every node below 160 has out-edges
     (``B``'s root is that whole range), node ``50`` is a hub with 150 of
     them — more than a 64-row block — and the nodes from 160 up are
-    sinks.  ``roots`` names the key sets of the annotated unary inputs.
-    Returns ``(order, specs, tries, inputs)`` with ``out`` outputs."""
-    pairs = {(x, (x * 7 + k * 13) % 200)
-             for x in range(160) for k in range(1 + x % 5)}
-    pairs |= {(50, z) for z in range(20, 170)}
-    pairs = sorted((x + shift, z + shift) for x, z in pairs)
+    sinks.  ``roots`` names the key sets of the unary inputs ``U1``,
+    ``U2``, ``U3`` (annotated unless ``plain``), ``B`` is input
+    ``edge_at`` and ``extra`` atoms follow.  Returns ``(order, specs,
+    tries, inputs)``, the order ``x, z`` or — when an extra atom binds
+    ``y`` — ``x, y, z``."""
+    pairs = sorted((x + shift, z + shift) for x, z in graph_pairs())
     keys = {"all": range(shift, shift + 200),
             "wide": range(max(shift - 3, 0), shift + 260),
             "sources": range(shift, shift + 160),     # InvDeg: no sinks
@@ -932,22 +933,37 @@ def routes_bag(roots, shift=0, weighted=False, out=1):
             "sparse": [v * 9001 + shift for v in range(200)]
             + [z for _, z in pairs[::3]],
             "none": []}
-    atoms = [("B", ("x", "z"), pairs,
-              dyadic(pairs, 1) if weighted else None)]
-    for name, which in zip(("U1", "U2"), roots):
+    atoms = []
+    for index, which in enumerate(roots):
         rows = [(v,) for v in sorted(set(keys[which]))]
-        atoms.append((name, ("z",), np.asarray(rows, dtype=np.uint32)
-                      .reshape(-1, 1), dyadic(rows, len(name))
+        atoms.append(("U%d" % (index + 1), ("z",),
+                      np.asarray(rows, dtype=np.uint32).reshape(-1, 1),
+                      None if plain else dyadic(rows, 2 + index)
                       if rows else np.empty(0)))
-    return (("x", "z"),) + ordered_bag(atoms, ("x", "z"))
+    atoms.insert(edge_at, ("B", ("x", "z"), pairs,
+                           dyadic(pairs, 1) if weighted else None))
+    atoms += extra
+    order = ("x", "y", "z") if any("y" in variables
+                                   for _, variables, _, _ in atoms) \
+        else ("x", "z")
+    return (order,) + ordered_bag(atoms, order)
+
+
+def graph_pairs():
+    """``routes_bag``'s graph, on the codes ``0 .. 199``."""
+    pairs = {(x, (x * 7 + k * 13) % 200)
+             for x in range(160) for k in range(1 + x % 5)}
+    return sorted(pairs | {(50, z) for z in range(20, 170)})
 
 
 class RouteSpy:
     """Counts what a kernel call derived instead of reading: per-block
-    probes and parent-row expansions."""
+    probes and parent-row expansions — and lists how each leaf folded
+    (:func:`tests.conftest.record_leaf_folds`)."""
 
     def __init__(self, monkeypatch):
         self.probes = self.parents = 0
+        self.leaves = record_leaf_folds(monkeypatch)
         probe, parents = fused._probe, fused._parents
 
         def counted_probe(*args, **kwargs):
@@ -971,9 +987,11 @@ def level0_blocks(keys):
     return sum(-(-keys // (rows or keys)) for rows in BLOCK_ROWS)
 
 
-def assert_same_bag(kernel, tries, expected, config, restrict=None):
+def assert_same_bag(kernel, tries, expected, config, restrict=None,
+                    typed=True):
     """The kernel's answer at every block size is ``expected`` bit for
-    bit: rows, annotations and (for ``out = 0``) the scalar's type."""
+    bit: rows, annotations and (for ``out = 0``, if ``typed``) the
+    scalar's type."""
     for rows in BLOCK_ROWS:
         got = kernel(tries, config if rows is None
                      else blocked(config, rows), restrict)
@@ -983,7 +1001,7 @@ def assert_same_bag(kernel, tries, expected, config, restrict=None):
         else:
             assert np.array_equal(got.annotations, expected.annotations)
         assert got.scalar == expected.scalar
-        assert type(got.scalar) is type(expected.scalar)
+        assert type(got.scalar) is type(expected.scalar) or not typed
 
 
 @pytest.mark.parametrize("name", FUSED_SEMIRINGS)
@@ -994,7 +1012,7 @@ class TestDataDrivenRoutes:
     from the data, each bit-identical to the interpreter at every
     block size."""
 
-    def run(self, name, roots, out=1, restrict=None, **graph):
+    def run(self, name, roots, out=1, restrict=None, typed=True, **graph):
         from repro.engine import EngineConfig
         order, specs, tries, inputs = routes_bag(roots, **graph)
         semiring = semiring_for(name)
@@ -1002,7 +1020,7 @@ class TestDataDrivenRoutes:
         expected = BagEvaluator(order, out, inputs, semiring, config,
                                 restrict_level0=restrict).run()
         kernel = generate_bag_plan(order, out, specs, semiring)
-        assert_same_bag(kernel, tries, expected, config, restrict)
+        assert_same_bag(kernel, tries, expected, config, restrict, typed)
         return expected, tries
 
     @pytest.mark.parametrize("weighted", [False, True],
@@ -1042,18 +1060,141 @@ class TestDataDrivenRoutes:
             == ["table", "search"]
         assert expected.cardinality
 
-    @pytest.mark.parametrize("morsel", ["run", "strided"])
+    @pytest.mark.parametrize("morsel", ["run", "strided", "short"])
     def test_restricted_morsels(self, name, morsel, monkeypatch):
         """A contiguous morsel's runs abut but start past offset 0 (and
-        hold the hub); a strided one's do not abut at all."""
+        hold the hub); a strided one's do not abut at all, so its leaf
+        blocks gather through their parent rows; a short one's five
+        candidates are fewer than the 200 codes of the generator's
+        value span, too few to pay for a weight vector over it.  Under
+        EXISTS, which ignores the weights, nothing probes or weighs the
+        leaf, which folds from the row counts without a block."""
         spy = RouteSpy(monkeypatch)
-        keys = np.arange(51, 131, dtype=np.uint32) if morsel == "run" \
-            else np.arange(11, 171, 3, dtype=np.uint32)
+        keys = {"run": np.arange(51, 131), "strided": np.arange(11, 171, 3),
+                "short": np.arange(62, 64)}[morsel].astype(np.uint32)
         expected, _ = self.run(name, ("all", "wide"), shift=11,
                                restrict=UintSet.from_sorted(keys))
         assert expected.cardinality == keys.size
         assert (spy.parents == level0_blocks(keys.size)) \
-            == (morsel == "run")
+            == (morsel != "strided" or name == "EXISTS")
+        assert set(spy.leaves) == {"counts" if name == "EXISTS"
+                                   else "weighted" if morsel == "run"
+                                   else "blocks"}
+
+    @pytest.mark.parametrize("edge_at", ["first", "last"])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["", "weighted"])
+    @pytest.mark.parametrize("roots", [("all",), ("wide", "all"),
+                                       ("all", "wide", "wide")],
+                             ids=["1", "2", "3"])
+    def test_settled_unary_factors_fold_as_one_weight(
+            self, name, roots, weighted, edge_at, monkeypatch):
+        """A leaf nothing probes multiplies its leading full-range unary
+        factors (roots at ``k0`` 11 and 8) into one vector over the
+        generator's value span, once per call, and gathers it per
+        block.  Only factors ahead of every other may: an annotated
+        ``B`` before them keeps the per-block product, which the
+        interpreter's left-associated one needs; after them it
+        multiplies into the gathered weight."""
+        spy = RouteSpy(monkeypatch)
+        at = 0 if edge_at == "first" else len(roots)
+        expected, tries = self.run(name, roots, shift=11,
+                                   weighted=weighted, edge_at=at)
+        assert expected.cardinality == 160
+        assert [probe_route(trie) for trie in tries] == ["full"] * len(tries)
+        assert spy.probes == 0
+        assert set(spy.leaves) == {
+            "counts" if name == "EXISTS"
+            else "blocks" if weighted and at == 0 else "weighted"}
+
+    def test_a_prefix_chain_keeps_the_weight(self, name, monkeypatch):
+        """``V(x)`` weighs the output tuple, not the values the leaf
+        folds: the leaf still folds through its weight."""
+        spy = RouteSpy(monkeypatch)
+        rows = [(v,) for v in range(30, 120)]
+        expected, _ = self.run(name, ("all", "wide"), shift=11, extra=[
+            ("V", ("x",), rows, dyadic(rows, 9))])
+        assert expected.cardinality == 90
+        assert set(spy.leaves) == {"counts" if name == "EXISTS"
+                                   else "weighted"}
+
+    @pytest.mark.parametrize("annotated", [False, True],
+                             ids=["", "annotated"])
+    def test_a_suffix_chain_keeps_the_blocks(self, name, annotated,
+                                             monkeypatch):
+        """``A(x,y)``, one ``y`` per ``x`` so that ``B``'s runs still
+        abut: annotated, its factor rides in the suffix chain, which
+        the per-block product must multiply first — no weight."""
+        spy = RouteSpy(monkeypatch)
+        rows = [(x, (x * 3) % 50) for x in range(11, 171)]
+        expected, _ = self.run(name, ("all", "wide"), shift=11, extra=[
+            ("A", ("x", "y"), rows, dyadic(rows, 5) if annotated else None)])
+        assert expected.cardinality == 160
+        assert set(spy.leaves) == {
+            "counts" if name == "EXISTS"
+            else "blocks" if annotated else "weighted"}
+
+    @pytest.mark.parametrize("out", [0, 1, 2])
+    def test_unweighted_leaves_fold_from_their_counts(self, name, out,
+                                                      monkeypatch):
+        """Plain roots weigh nothing: COUNT and SUM fold bare element
+        counts (an exact ``int`` with no output), MIN and MAX a constant
+        chain, EXISTS a witness — all read off ``B``'s counts, with no
+        block and no lane op for the leaf's candidates.  Two outputs
+        bind ``y`` through ``A(x,y)``, which repeats ``B``'s runs."""
+        from repro.engine import EngineConfig
+        spy = RouteSpy(monkeypatch)
+        rows = [(x, (x * 3 + k) % 50) for x in range(11, 171)
+                for k in range(1 + x % 2)]
+        extra = [("A", ("x", "y"), rows, None)] if out == 2 else []
+        # (the interpreter's bare count is a float, the kernel's an int)
+        expected, tries = self.run(name, ("all", "wide"), out=out,
+                                   shift=11, plain=True, extra=extra,
+                                   typed=False)
+        assert set(spy.leaves) == {"counts"}
+        order, specs, _, _ = routes_bag(("all", "wide"), shift=11,
+                                        plain=True, extra=extra)
+        config = EngineConfig(execution_mode="compiled")
+        got = generate_bag_plan(order, out, specs, semiring_for(name))(
+            tries, config)
+        assert config.counter.intersections == len(order) - 1
+        if out == 0 and name in ("SUM", "COUNT"):
+            assert type(got.scalar) is int
+
+    def test_rows_without_candidates(self, name):
+        """No trie gives a CSR row no candidates — every key of a
+        binary trie has a child — but the fold does not assume it: a
+        level whose zero-count rows sit beside and between ``B``'s
+        rows 49, 50 (the hub, split across blocks) and 51 folds those
+        three rows, whether through the weight, from the counts or
+        block by block (a suffix chain of ones), at every block size."""
+        from repro.engine import EngineConfig
+        from repro.sets.cost import OpCounter
+        order, specs, tries, inputs = routes_bag(("all", "wide"), shift=11)
+        semiring = semiring_for(name)
+        config = EngineConfig(execution_mode="compiled")
+        keys = np.arange(60, 63, dtype=np.uint32)
+        expected = BagEvaluator(order, 1, inputs, semiring, config,
+                                restrict_level0=UintSet.from_sorted(
+                                    keys)).run()
+        kernel = generate_bag_plan(order, 1, specs, semiring)
+        flats = [trie.flat() for trie in tries]
+        offsets = flats[0].offsets
+        ranks = np.asarray([49, 50, 50, 51, 51, 51])
+        counts = np.diff(offsets)[ranks] * [1, 0, 1, 0, 0, 1]
+        gen, *unary = kernel.levels[1]
+        settled = [(gen, None)] + [(part, int(flats[part.index].keys[0]))
+                                   for part in unary]
+        for rows in BLOCK_ROWS:
+            for sw in (None, np.ones(ranks.size)):
+                level = fused._Level(counts, offsets[ranks],
+                                     flats[0].values, settled, [], False,
+                                     flats, rows or fused.BLOCK_ROWS)
+                got = kernel._fold_leaf(level, [ranks + 11], None, sw,
+                                        ranks.size, OpCounter())
+                assert np.array_equal(got.data, expected.data)
+                assert np.array_equal(got.annotations,
+                                      expected.annotations)
 
     @pytest.mark.parametrize("out", [0, 2])
     def test_scalar_and_materializing_bags(self, name, out):
@@ -1087,20 +1228,34 @@ class TestPageRankIsBitStable:
 
     #: ``undirected -> (ranked nodes, sha256 of their ranks as
     #: little-endian float64 in node order, a few ranks spelled out,
-    #: counter.total_ops)``, measured at the parent commit (PR 19).
-    #: Directed, ``InvDeg`` lacks the sinks and the round filters;
-    #: undirected, its full-range root covers every neighbour.
+    #: counter.total_ops)``; ranks as measured at PR 19.  Directed,
+    #: ``InvDeg`` lacks the sinks and the round filters; undirected,
+    #: its full-range root covers every neighbour.
+    #:
+    #: The lane ops moved when leaves that nothing probes or weighs
+    #: began to fold from their counts, uncharged: 29 898 and 14 880
+    #: before, with ``E`` stored ``Edge`` rows and ``K`` root keys
+    #: (18 000 / 1 932 undirected, 9 000 / 920 directed), minus
+    #: ``N``'s EXISTS leaf over all of ``Edge`` (``ceil(E / 4)``: 4 500
+    #: / 2 250), plus ``InvDeg``'s level-0 scan of the root keys
+    #: (``ceil(K / 4)``: 483 / 230) — its ``COUNT(z)`` now compiles as
+    #: ``COUNT(*)``, a kernel, where its pseudo head ``(x, z)`` was an
+    #: uncharged identity scan; its leaf is a counts-only one.  The
+    #: rounds' weighted leaves touch every candidate and charge as
+    #: before, and ``PageRank``'s base rule projects ``z`` away and
+    #: stays an identity scan.  29 898 − 4 500 + 483 = 25 881;
+    #: 14 880 − 2 250 + 230 = 12 860.
     PINNED = {
         True: (1932, "08c360e61d98d883f6081d9ca02c5247"
                      "f5132282c3e12310e850f7b912837ffa",
                {0: 38.54166711363489, 1: 23.113134463892973,
                 966: 0.3876192771899827, 1999: 0.18459484948377916},
-               29898),
+               25881),
         False: (182, "cf892c027681eedd2c41e347acfe06cc"
                      "dfee0f766a8db4e9a62cecbfbd4ad1a9",
                 {0: 4.684887731436106, 1: 4.008172473972671,
                  93: 0.271559575959498, 414: 0.3105826125735961},
-                14880),
+                12860),
     }
 
     @pytest.mark.parametrize("undirected", [True, False],

@@ -687,6 +687,29 @@ class TestWorkBound:
         assert len(closure) == n * (n - 1) // 2
         assert db.counter.total_ops - before <= len(closure)
 
+    @default_engine_only
+    def test_a_counts_only_leaf_charges_its_level_0_scan(self):
+        """A leaf that nothing probes or weighs folds from the CSR's
+        counts and touches none of its candidates: over a path, the
+        out-degrees — ``COUNT(*)``, or ``InvDeg``'s ``COUNT(z)``, which
+        compiles as ``COUNT(*)`` — and the node count's EXISTS leaf
+        charge their scan of the ``n - 1`` sources, not one lane op
+        more for the edges."""
+        n = 2000
+        db = Database(ordering="identity")
+        db.load_graph("Edge", [(i, i + 1) for i in range(n - 1)],
+                      undirected=False)
+        degrees = {i: 1.0 for i in range(n - 1)}
+        for rule, answer in [
+                ("D(x;d:long) :- Edge(x,y); d=<<COUNT(*)>>.", degrees),
+                ("D(x;d:float) :- Edge(x,z); d=1/<<COUNT(z)>>.", degrees),
+                ("N(;w:int) :- Edge(x,y); w=<<COUNT(x)>>.", n - 1.0)]:
+            before = db.counter.total_ops
+            got = db.query(rule)
+            assert (got.scalar if isinstance(answer, float)
+                    else got.to_dict()) == answer
+            assert db.counter.total_ops - before == -(-(n - 1) // 4)
+
     TWO_HOP = """
         S(x;y:int) :- Edge(0,x); y=1.
         S(x;y:int)* :- Edge(w,v),Edge(v,x),S(w); y=<<MIN(w)>>+2.

@@ -3,6 +3,7 @@ corpus round-trip, and the config matrix."""
 
 import pytest
 
+from repro.engine import executor
 from repro.engine.config import enumerate_config_matrix
 from repro.fuzz import (evaluate_case, generate_case, load_corpus,
                        run_case, run_fuzz, save_case, validate_case)
@@ -11,6 +12,7 @@ from repro.fuzz.gen import WIDE_DOMAIN
 from repro.fuzz.runner import case_seed
 from repro.storage.trie import FlatTrieView
 from tests import reference
+from tests.conftest import record_leaf_folds
 
 
 def test_generator_is_deterministic():
@@ -78,9 +80,13 @@ def test_oracle_agrees_with_reference_evaluator():
 
 
 def test_run_fuzz_smoke(monkeypatch):
-    """A quick run passes, and its child-level probes take both routes:
+    """A quick run passes, its child-level probes take both routes —
     the bit table of a dense pair level and the packed search of a
-    sparse one (the wide cases')."""
+    sparse one (the wide cases') — and its leaves every fold route: a
+    leaf nothing probes folds from pre-multiplied unary weights
+    (the PageRank-shaped cases') or from its row counts alone, others
+    block by block, and a ``COUNT(v)`` that counts bindings compiles
+    as ``COUNT(*)``."""
     routes = []
     build = FlatTrieView._pair_table
 
@@ -89,11 +95,22 @@ def test_run_fuzz_smoke(monkeypatch):
         routes.append("packed" if table is False else "table")
         return table
     monkeypatch.setattr(FlatTrieView, "_pair_table", recorded)
+    leaves = record_leaf_folds(monkeypatch)
+    counts = set()
+    counts_bindings = executor._counts_bindings
+
+    def compiled(logical, arg):
+        star = counts_bindings(logical, arg)
+        counts.add(star)
+        return star
+    monkeypatch.setattr(executor, "_counts_bindings", compiled)
     report = run_fuzz(seed=0, budget=25,
                       matrix=enumerate_config_matrix())
     assert report.ok, report.describe()
     assert report.executed == 25
     assert set(routes) == {"packed", "table"}
+    assert set(leaves) == {"weighted", "counts", "blocks"}
+    assert counts == {True, False}
 
 
 def test_wide_cases_relabel_values_apart():
