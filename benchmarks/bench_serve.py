@@ -93,8 +93,7 @@ def start_service(scale, telemetry=False, telemetry_dir=None, **kwargs):
     db = fresh_db(scale)
     if telemetry:
         db.enable_telemetry(directory=telemetry_dir)
-    service = QueryService(db, **kwargs).start()
-    return db, service
+    return QueryService(db, **kwargs).start()
 
 
 def percentile(samples, q):
@@ -113,12 +112,8 @@ def head_variant(index):
 
 
 def cold_request(scale):
-    """The no-daemon baseline: one full construct-query-teardown."""
-    db = fresh_db(scale)
-    try:
-        return db.query(TRIANGLES).relation.scalar_value
-    finally:
-        db.close()
+    """The no-daemon baseline: one full construct-and-query."""
+    return fresh_db(scale).query(TRIANGLES).relation.scalar_value
 
 
 def measure_cold(scale, requests):
@@ -134,7 +129,7 @@ def measure_cold(scale, requests):
 
 def measure_warm(scale, requests):
     """(hit latencies, miss latencies, value) through a live daemon."""
-    db, service = start_service(scale)
+    service = start_service(scale)
     try:
         with ServeClient(port=service.port) as client:
             first = client.query(TRIANGLES, check=True)
@@ -151,7 +146,6 @@ def measure_warm(scale, requests):
             return hits, misses, first["result"]["value"]
     finally:
         service.stop()
-        db.close()
 
 
 def measure_mixed(scale, clients=MIX_CLIENTS, requests=MIX_REQUESTS):
@@ -161,7 +155,7 @@ def measure_mixed(scale, clients=MIX_CLIENTS, requests=MIX_REQUESTS):
     failures)`` — the QPS denominator is the wall clock of the whole
     storm, so admission queueing shows up in the number.
     """
-    db, service = start_service(scale, max_inflight=clients * 2)
+    service = start_service(scale, max_inflight=clients * 2)
     reads, writes, failures = [], [], []
     lock = threading.Lock()
 
@@ -197,7 +191,6 @@ def measure_mixed(scale, clients=MIX_CLIENTS, requests=MIX_REQUESTS):
         wall = time.perf_counter() - wall
     finally:
         service.stop()
-        db.close()
     return reads, writes, wall, failures
 
 
@@ -210,7 +203,7 @@ def invalidation_proof(scale):
     the daemon's cache counters plus the telemetry tier counters —
     two independent witnesses of the same tier sequence.
     """
-    db, service = start_service(scale, telemetry=True)
+    service = start_service(scale, telemetry=True)
     try:
         with ServeClient(port=service.port) as client:
             tiers = []
@@ -223,7 +216,7 @@ def invalidation_proof(scale):
             invalidated = client.query(TRIANGLES, check=True)
             tiers.append(invalidated["cached"])
             tiers.append(client.query(TRIANGLES, check=True)["cached"])
-            counters = db.metrics.snapshot()["counters"]
+            counters = service.db.metrics.snapshot()["counters"]
             return {
                 "tiers": tiers,
                 "cache": service.cache.snapshot(),
@@ -234,7 +227,6 @@ def invalidation_proof(scale):
             }
     finally:
         service.stop()
-        db.close()
 
 
 def check_invalidation(evidence):
@@ -274,7 +266,7 @@ def test_cold_per_request_construction(benchmark):
 def test_warm_daemon_round_trip(benchmark, row):
     from conftest import run_or_timeout
     benchmark.group = "serve:triangle-latency"
-    db, service = start_service(FULL_SCALE)
+    service = start_service(FULL_SCALE)
     counter = iter(range(10 ** 6))
     try:
         with ServeClient(port=service.port) as client:
@@ -294,7 +286,6 @@ def test_warm_daemon_round_trip(benchmark, row):
             benchmark.extra_info["result"] = result
     finally:
         service.stop()
-        db.close()
 
 
 # -- shape assertions ---------------------------------------------------------
@@ -304,7 +295,6 @@ def test_shape_warm_results_match_direct_execution():
     """The daemon's answers — hit or miss — equal a direct query."""
     db = fresh_db(SMOKE_SCALE)
     expected = db.query(TRIANGLES).relation.scalar_value
-    db.close()
     hits, misses, value = measure_warm(SMOKE_SCALE, requests=3)
     assert value == expected
     assert len(hits) == len(misses) == 3
@@ -384,13 +374,12 @@ def main(argv=None):
           % (["hit" if t else "miss" for t in evidence["tiers"]],
              evidence["telemetry_hits"], evidence["telemetry_misses"]))
     if args.telemetry:
-        db, service = start_service(scale, telemetry=True,
-                                    telemetry_dir=args.telemetry)
+        service = start_service(scale, telemetry=True,
+                                telemetry_dir=args.telemetry)
         with ServeClient(port=service.port) as client:
             client.query(TRIANGLES, check=True)
             client.query(TRIANGLES, check=True)
         service.stop()
-        db.close()
         print("  telemetry artifacts in %s" % args.telemetry)
 
     if args.json:

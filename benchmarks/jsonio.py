@@ -1,12 +1,12 @@
 """Shared JSON emission for the standalone benchmark smoke reports.
 
-Both smoke benchmarks (``bench_codegen.py --json``,
-``bench_parallel_scaling.py --json``) write their rows through
-:func:`write_results` in the same shape pytest-benchmark dumps
+The smoke benchmarks (``bench_codegen.py --json``, ``bench_serve.py
+--json``, ...) write their rows through :func:`write_results` in the
+same shape pytest-benchmark dumps
 (``{"benchmarks": [{name, group, stats: {mean}, extra_info}]}``), so
 ``report.py`` renders and diffs either source.  Writes merge by
 experiment: rows whose group belongs to the writing experiment are
-replaced, everything else is preserved — the two smoke benchmarks can
+replaced, everything else is preserved — the smoke benchmarks can
 therefore share one baseline file
 (``benchmarks/baselines/bench_results.json``).
 """

@@ -19,7 +19,9 @@ Perf-diff mode::
 
 Compares the *speedup ratios* each smoke benchmark stamps into
 ``extra_info["speedup"]`` (wall time relative to that group's baseline
-row — ``interpreted`` for codegen, ``serial`` for parallel scaling).
+row — e.g. ``interpreted`` for codegen).  Rows present on only one
+side (a retired benchmark's, such as the ``parallel:*`` rows the
+committed baselines still hold) are listed and never fail the diff.
 Ratios are machine-relative, so a committed baseline from one host is
 comparable with a CI run on another: absolute times shift together,
 the ratio between rows should not.  Exits nonzero when any row's

@@ -127,13 +127,6 @@ class Database:
         self._env = {}
         self._dictionary = Dictionary()  # shared by add_relation calls
         self._trie_cache = TrieCache()
-        self._arena = None
-        if self.config.shared_tries:
-            from .storage.arena import (SharedTrieArena,
-                                        shared_memory_available)
-            if shared_memory_available():
-                self._arena = SharedTrieArena()
-                self._trie_cache.attach_arena(self._arena)
         self._plan_cache = PlanCache()
         #: Materialized views by head name
         #: (:class:`~repro.engine.incremental.MaterializedView`).
@@ -252,8 +245,6 @@ class Database:
         n_nodes = len(dictionary)
         permutation = order_nodes(data, n_nodes, scheme=scheme, seed=seed)
         dictionary.remap(permutation)
-        if self._arena is not None and not self._arena.closed:
-            dictionary.share_into(self._arena)
         data = apply_order(data, permutation)
         if undirected:
             data = np.concatenate([data, data[:, ::-1]])
@@ -277,12 +268,6 @@ class Database:
             mark_stale(self._views, name)
 
     # -- mutation -------------------------------------------------------------
-
-    #: Retired arena-pinned trie bytes must exceed this fraction of the
-    #: arena's placed bytes — and the absolute floor below — before a
-    #: mutation triggers whole-arena compaction.
-    _COMPACT_WASTE_RATIO = 0.5
-    _COMPACT_MIN_WASTE = 1 << 20
 
     def append(self, name, tuples, annotations=None, combine="last"):
         """Append tuples to a stored relation *in place*.
@@ -412,50 +397,12 @@ class Database:
             -1, relation.arity)
 
     def _note_mutation(self, name, relation, kind):
-        """Post-mutation bookkeeping: views, metrics, arena hygiene."""
+        """Post-mutation bookkeeping: views and metrics."""
         if self._views:
             mark_stale(self._views, name)
         metrics = self.config.metrics
         if metrics is not None:
             metrics.inc("mutation.batches", labels={"kind": kind})
-        self._maybe_compact_arena()
-
-    def _maybe_compact_arena(self):
-        """Compact the shared arena once retired-trie waste dominates.
-
-        The arena is a bump allocator — retiring a version-stale trie
-        cannot free its pages individually, so the trie cache charges
-        them to ``arena_waste``.  When waste crosses the ratio (and the
-        absolute floor), every live trie and integer dictionary decode
-        column is re-placed into a fresh arena and the old one is
-        released.  Only called from mutation paths, never while forked
-        workers hold the old segments.
-        """
-        arena = self._arena
-        cache = self._trie_cache
-        if arena is None or arena.closed:
-            return
-        waste = cache.arena_waste
-        if waste < self._COMPACT_MIN_WASTE \
-                or waste < self._COMPACT_WASTE_RATIO * arena.nbytes:
-            return
-        from .storage.arena import SharedTrieArena
-        replacement = SharedTrieArena()
-        for trie in cache._tries.values():
-            trie.share_into(replacement)
-        shared = set()
-        for relation in self.catalog.values():
-            for dictionary in (relation.dictionaries or ()):
-                if dictionary is None or id(dictionary) in shared:
-                    continue
-                shared.add(id(dictionary))
-                if dictionary._id_array is not None:
-                    dictionary.share_into(replacement)
-        cache.attach_arena(replacement)  # resets arena_waste
-        # The level-0 memo may hold intersections aliasing old pages.
-        cache._level0.clear()
-        self._arena = replacement
-        arena.close()
 
     # -- querying -------------------------------------------------------------
 
@@ -591,10 +538,6 @@ class Database:
             record["fused_fallbacks"] = stats.fused_fallbacks
             if stats.recursion_rounds:
                 record["recursion_rounds"] = stats.recursion_rounds
-            if stats.morsels:
-                record["morsels"] = stats.n_morsels
-                record["steals"] = stats.steals
-                record["workers"] = stats.workers
         else:
             record["plan_cache"] = "n/a"
         if self.config.adaptive:
@@ -641,9 +584,7 @@ class Database:
         compiled = self.config.execution_mode != "interpreted"
         stats = rules = None
         if compiled:
-            stats = ExecStats(execution_mode="compiled",
-                              strategy=self.config.parallel_strategy,
-                              workers=self.config.parallel_workers)
+            stats = ExecStats(execution_mode="compiled")
             key = (text, config_signature(self.config))
             rules = self._plan_cache.get_program(key)
         if rules is None:
@@ -775,8 +716,8 @@ class Database:
         """Calibrate the engine's dispatch constants on this machine.
 
         Runs the :mod:`repro.tune` microbenchmarks (galloping
-        crossover, layout density threshold, parallel fork threshold,
-        fused block budget, fused probe crossover), installs the
+        crossover, layout density threshold, fused block budget, fused
+        probe crossover), installs the
         resulting :class:`~repro.tune.profile.TuningProfile` on the
         config, and switches ``adaptive`` on so every dispatch site
         reads the calibrated constants.
@@ -834,38 +775,6 @@ class Database:
         self._executor.card_feedback.clear()
 
     @property
-    def arena(self):
-        """The shared-memory trie arena (``None`` unless the database
-        was created with ``shared_tries=True``)."""
-        return self._arena
-
-    def close(self):
-        """Release held OS resources — today, the shared-memory arena.
-
-        Safe to call on any database (no-op without an arena) and
-        idempotent.  The arena also self-releases at interpreter exit,
-        so calling this is only needed for deterministic reclamation of
-        ``/dev/shm`` space mid-process.  After closing, shared tries
-        become invalid: the trie cache is cleared so later queries
-        rebuild private tries.
-        """
-        if self._arena is None or self._arena.closed:
-            return
-        for relation in self.catalog.values():
-            self._trie_cache.invalidate(relation)
-            for dictionary in (relation.dictionaries or ()):
-                if dictionary is not None:
-                    dictionary._id_array = None
-        self._trie_cache.attach_arena(None)
-        self._arena.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    @property
     def counter(self):
         """The engine's simulated-SIMD op counter."""
         return self.config.counter
@@ -874,9 +783,7 @@ class Database:
     def last_stats(self):
         """Execution statistics of the latest query: plan-cache,
         compilation and kernel/fallback counters under the default
-        engine, plus per-morsel timings, steal counts and cache hit
-        rates when the parallel executor engaged.  ``None`` after a
-        purely serial *interpreted* query.  See
+        engine.  ``None`` after an *interpreted* query.  See
         :class:`~repro.engine.stats.ExecStats`.
         """
         return self._executor.last_stats
@@ -1012,8 +919,6 @@ class Database:
             metrics.set_gauge("plan_cache.%s" % tier, size)
         metrics.set_gauge("trie_cache.entries", len(self._trie_cache))
         metrics.set_gauge("trie_cache.patches", self._trie_cache.patches)
-        metrics.set_gauge("trie_cache.arena_waste_bytes",
-                          self._trie_cache.arena_waste)
 
     def explain_analyze(self, text):
         """Run the query under a private tracer and render the GHD plan

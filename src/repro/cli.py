@@ -53,14 +53,11 @@ def _build_database(args):
     """Construct a :class:`Database` from the shared loader flags
     (no data loaded — ``repro serve`` can start with an empty catalog
     and let clients populate it over the wire)."""
-    overrides = dict(parallel_workers=args.workers,
-                     parallel_strategy=args.parallel_strategy)
+    overrides = {}
     if getattr(args, "execution_mode", None):
         # Only override when the flag is given, so the
         # REPRO_EXECUTION_MODE environment default still applies.
         overrides["execution_mode"] = args.execution_mode
-    if getattr(args, "shared_tries", False):
-        overrides["shared_tries"] = True
     if getattr(args, "no_incremental_views", False):
         overrides["incremental_views"] = False
     if getattr(args, "adaptive", False):
@@ -112,13 +109,6 @@ def _add_loader_flags(parser):
                         help="force single-node GHD plans")
     parser.add_argument("--no-simd", action="store_true",
                         help="scalar intersection kernels")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="forked worker processes for the largest "
-                             "bag (default: 1 = serial)")
-    parser.add_argument("--parallel-strategy", default="steal",
-                        choices=["steal", "static"],
-                        help="morsel scheduling: work stealing (default) "
-                             "or one static chunk per worker")
     parser.add_argument("--execution-mode", default=None,
                         choices=["interpreted", "compiled"],
                         help="bag execution: block kernels with plan "
@@ -126,9 +116,6 @@ def _add_loader_flags(parser):
                              "generic interpreter, the oracle and home "
                              "of the layout/SIMD ablations (also: "
                              "REPRO_EXECUTION_MODE)")
-    parser.add_argument("--shared-tries", action="store_true",
-                        help="place tries in shared memory so forked "
-                             "workers map them zero-copy")
     parser.add_argument("--no-incremental-views", action="store_true",
                         help="refresh stale materialized views by "
                              "re-running their defining program "
@@ -254,8 +241,6 @@ def cmd_bench(args):
     interpreted = {"execution_mode": "interpreted"}
     configurations = [
         ("default engine", {}),
-        ("4 workers (steal)", {"parallel_workers": 4,
-                               "parallel_threshold": 0}),
         ("-GHD (single bag)", {"use_ghd": False}),
         ("interpreted", interpreted),
         ("  -R (uint only)", dict(interpreted, layout_level="uint_only")),
@@ -309,9 +294,8 @@ def cmd_serve(args):
     """``repro serve``: run the long-lived query daemon."""
     from .serve import QueryService
     # A daemon pays for its imports before it announces its port, never
-    # inside a request: these are what a mutation and a ``--workers``
-    # bag would otherwise load on first use.
-    from .engine import parallel  # noqa: F401
+    # inside a request: this is what a mutation would otherwise load on
+    # first use.
     from .storage import delta  # noqa: F401
     if args.dataset or args.edges:
         db = _load_database(args)
@@ -343,7 +327,6 @@ def cmd_serve(args):
     finally:
         if metrics_server is not None:
             metrics_server.shutdown()
-        db.close()
     return 0
 
 

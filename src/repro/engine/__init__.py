@@ -13,12 +13,7 @@ from .plan_cache import (CompiledBag, CompiledRule, PlanCache,
 from .recursion import execute_recursive
 from .semiring import (COUNT, EXISTS, MAX, MIN, SUM, Semiring, is_monotone,
                        semiring_for)
-from .stats import ExecStats, MorselStat
-
-#: Forked-scheduler exports (``multiprocessing`` and the morsel
-#: machinery): only ``parallel_workers > 1`` reaches them.
-_DEFERRED = {"evaluate_bag_parallel": ".parallel",
-             "parallel_count": ".parallel"}
+from .stats import ExecStats
 
 __all__ = [
     "EngineConfig",
@@ -28,21 +23,9 @@ __all__ = [
     "BagPlan", "PhysicalPlan",
     "FusedBagKernel", "InputSpec", "generate_bag_plan",
     "CompiledBag", "CompiledRule", "PlanCache", "config_signature",
-    "evaluate_bag_parallel", "parallel_count",
-    "ExecStats", "MorselStat",
+    "ExecStats",
     "execute_recursive",
     "COUNT", "EXISTS", "MAX", "MIN", "SUM", "Semiring", "is_monotone",
     "semiring_for",
 ]
 
-
-def __getattr__(name):
-    # PEP 562: the ``_DEFERRED`` exports load with their module on first
-    # use, so importing this package costs only what a serial query runs.
-    if name not in _DEFERRED:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    from importlib import import_module
-    value = getattr(import_module(_DEFERRED[name], __name__), name)
-    globals()[name] = value
-    return value

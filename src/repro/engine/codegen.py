@@ -65,7 +65,7 @@ def generate_bag_plan(eval_order, out_count, specs, semiring,
     Returns
     -------
     FusedBagKernel or None
-        Calling the kernel with ``(tries, config, restrict=None)`` —
+        Calling the kernel with ``(tries, config)`` —
         tries in spec order — returns the same
         :class:`~repro.engine.generic_join.BagResult` the interpreting
         :class:`~repro.engine.generic_join.BagEvaluator` produces

@@ -82,36 +82,6 @@ class EngineConfig:
         re-plans per run: the differential oracle, and the mode the
         layout/SIMD/algorithm ablations are measured in.  The default
         honors the ``REPRO_EXECUTION_MODE`` environment variable.
-    shared_tries:
-        Place cache-built tries' bulk arrays (and integer dictionary
-        decode columns) into ``multiprocessing.shared_memory`` via a
-        per-database :class:`~repro.storage.arena.SharedTrieArena`, so
-        forked parallel workers map them zero-copy instead of paying
-        refcount-driven copy-on-write churn.  Changes scheduling cost,
-        never results or plans — like the ``parallel_*`` knobs it stays
-        out of ``config_signature``.
-    parallel_workers:
-        Forked worker processes for the generic join's outermost loop
-        (the paper runs every benchmark on 48 threads).  ``1`` (default)
-        keeps everything in-process; ``> 1`` makes ``Database.query``
-        route the largest bag of every plan through the skew-aware
-        work-stealing executor in ``repro.engine.parallel``.
-    parallel_threshold:
-        Minimum number of level-0 candidate values before forking is
-        worth the setup cost; smaller bags run serially even when
-        ``parallel_workers > 1``.  Deliberately counted in raw
-        candidate values, *not* the degree-weighted costs morsel
-        construction uses: the threshold gates whether forking pays for
-        itself at all (a fixed per-fork overhead against per-candidate
-        work), while degree weights only balance candidates *across*
-        workers once forking happens.
-    parallel_strategy:
-        ``"steal"`` (default) drains cost-weighted morsels from a shared
-        queue; ``"static"`` reproduces the one-chunk-per-worker
-        partitioning the prototype used, kept for the skew benchmarks.
-    parallel_morsels_per_worker:
-        Target morsel count per worker under ``"steal"``; more morsels
-        mean finer-grained stealing at slightly higher queue overhead.
     counter:
         Simulated-SIMD op counter every kernel charges into.
     tracer:
@@ -163,7 +133,7 @@ class EngineConfig:
         (insert-only, journal intact, delta-capable rule shape); off,
         every refresh recomputes the view from scratch.  Results are
         identical either way — the switch only trades refresh cost —
-        so like ``shared_tries`` it stays out of ``config_signature``
+        so it stays out of ``config_signature``
         and doubles as a differential-fuzzing axis.
     """
 
@@ -179,11 +149,6 @@ class EngineConfig:
     cross_rule_cse: bool = True
     uint_algorithm: Optional[str] = None
     execution_mode: str = field(default_factory=_default_execution_mode)
-    shared_tries: bool = False
-    parallel_workers: int = 1
-    parallel_threshold: int = 64
-    parallel_strategy: str = "steal"
-    parallel_morsels_per_worker: int = 8
     counter: OpCounter = field(default_factory=OpCounter)
     tracer: Optional[object] = None
     metrics: Optional[object] = None
@@ -233,12 +198,6 @@ class EngineConfig:
         sweep, or ``None`` for ``repro.engine.fused.PROBE_CROSSOVER``."""
         return self._tuned("fused_probe_crossover")
 
-    def effective_parallel_threshold(self):
-        """The parallel gate actually in force: the tuned threshold when
-        adaptive, else the configured ``parallel_threshold``."""
-        value = self._tuned("parallel_threshold")
-        return self.parallel_threshold if value is None else int(value)
-
 
 def _fuzz_profile():
     """Aggressively non-default constants: an early galloping switch, a
@@ -248,17 +207,9 @@ def _fuzz_profile():
     identical results."""
     return TuningProfile(galloping_crossover=4.0,
                          density_threshold=64.0,
-                         parallel_threshold=1,
                          fused_block_rows=5,
                          fused_probe_crossover=1.0,
                          source="fuzz-matrix")
-
-
-#: ``parallel_threshold=0`` forces the executor to engage even on
-#: fuzz-sized inputs.
-_STEAL = dict(parallel_workers=4, parallel_threshold=0,
-              parallel_strategy="steal")
-_STATIC = dict(_STEAL, parallel_strategy="static")
 
 
 def enumerate_config_matrix(full=False):
@@ -267,11 +218,11 @@ def enumerate_config_matrix(full=False):
 
     The first entry, ``interp``, is the oracle every other config is
     diffed against.  The default is a one-factor-at-a-time covering
-    set: the default engine serial, work-stealing and over shared
-    tries, every optimizer pass and set-layout level, and the tuned /
-    re-planning variants (about a dozen configs).  ``full=True``
-    returns the cross product of the high-impact axes (execution mode ×
-    parallelism × optimizer bundle × layout) for deep/nightly runs.
+    set: the default engine, every optimizer pass and set-layout level,
+    and the tuned / re-planning variants (twelve configs).
+    ``full=True`` returns the cross product of the high-impact axes
+    (execution mode × optimizer bundle × layout, sixteen configs) for
+    deep/nightly runs.
     """
     def cfg(**overrides):
         return EngineConfig().ablated(**overrides)
@@ -286,11 +237,6 @@ def enumerate_config_matrix(full=False):
         return [
             ("interp", interp()),
             ("default", default()),
-            ("interp-steal", interp(**_STEAL)),
-            ("interp-static", interp(**_STATIC)),
-            ("default-steal", default(**_STEAL)),
-            ("shared-tries", interp(shared_tries=True, **_STEAL)),
-            ("default-shared", default(shared_tries=True, **_STEAL)),
             ("no-prune", default(prune_attributes=False)),
             ("no-fold", default(fold_constants=False)),
             ("no-cse", default(cross_rule_cse=False,
@@ -310,25 +256,18 @@ def enumerate_config_matrix(full=False):
         ]
     matrix = []
     for mode in ("interpreted", "compiled"):
-        for par_label, par in (("serial", {}), ("steal", _STEAL),
-                               ("static", _STATIC)):
-            for opt_label, opt in (
-                    ("opt", {}),
-                    ("noopt", dict(prune_attributes=False,
-                                   fold_constants=False,
-                                   cross_rule_cse=False,
-                                   eliminate_redundant_bags=False,
-                                   push_selections=False,
-                                   skip_top_down=False))):
-                for layout in ("set", "uint_only", "bitset_only",
-                               "block"):
-                    label = "%s-%s-%s-%s" % (mode, par_label, opt_label,
-                                             layout)
-                    # The compiled rows also run over shared tries: the
-                    # full default-path stack in one axis.
-                    matrix.append((label, cfg(
-                        execution_mode=mode, layout_level=layout,
-                        shared_tries=mode == "compiled", **par, **opt)))
+        for opt_label, opt in (
+                ("opt", {}),
+                ("noopt", dict(prune_attributes=False,
+                               fold_constants=False,
+                               cross_rule_cse=False,
+                               eliminate_redundant_bags=False,
+                               push_selections=False,
+                               skip_top_down=False))):
+            for layout in ("set", "uint_only", "bitset_only", "block"):
+                label = "%s-%s-%s" % (mode, opt_label, layout)
+                matrix.append((label, cfg(
+                    execution_mode=mode, layout_level=layout, **opt)))
     return matrix
 
 
@@ -340,10 +279,9 @@ def enumerate_mutation_matrix():
     an interleaved op *sequence* per config, so each config is several
     times the work of a one-shot case — but it still spans the axes
     incremental maintenance interacts with: the interpreted oracle vs
-    the default engine (versioned plan guards), serial vs work-stealing
-    (delta terms through the parallel executor), shared tries (the
-    arena patch/re-place path), and ``incremental_views=False`` (the
-    full-recompute route as its own differential axis).
+    the default engine (versioned plan guards), and
+    ``incremental_views=False`` (the full-recompute route as its own
+    differential axis).
     """
     def cfg(**overrides):
         return EngineConfig().ablated(**overrides)
@@ -351,11 +289,6 @@ def enumerate_mutation_matrix():
     return [
         ("interp", cfg(execution_mode="interpreted")),
         ("default", cfg(execution_mode="compiled")),
-        ("interp-steal", cfg(execution_mode="interpreted", **_STEAL)),
-        ("default-steal", cfg(execution_mode="compiled", **_STEAL)),
-        ("default-shared", cfg(execution_mode="compiled",
-                               shared_tries=True,
-                               **dict(_STEAL, parallel_workers=2))),
         ("full-recompute", cfg(execution_mode="interpreted",
                                incremental_views=False)),
     ]

@@ -78,46 +78,15 @@ class TrieCache:
     planned with it (:meth:`invalidate` with the selection: the plan
     cache's eviction hook, or the end of an interpreted run).
 
-    The cache doubles as the parallel engine's *process-shared read
-    path*: every trie a query needs is built here, in the parent, before
-    any worker forks — children then read the structures copy-on-write
-    and never build tries themselves.  On top of the tries it memoizes
-    level-0 intersections (keyed by the participating sets' identities),
-    so repeated queries over the same relations skip the outermost
-    intersection too.  Hit/miss counters feed
-    :class:`~repro.engine.stats.ExecStats`.
-
-    Arena-pinned tries cannot be freed individually (the arena is a
-    bump allocator), so retiring one charges its placed bytes to
-    :attr:`arena_waste`; ``Database`` compacts the whole arena once
-    waste dominates.
+    Hit/miss counters feed :class:`~repro.engine.stats.ExecStats`.
     """
 
     def __init__(self):
         self._tries = {}
-        self._level0 = {}
         self.hits = 0
         self.misses = 0
-        self.level0_hits = 0
-        self.level0_misses = 0
         #: Stale-entry rebuilds served by journal replay (vs full sorts).
         self.patches = 0
-        #: Bytes of retired arena-pinned tries still occupying the arena.
-        self.arena_waste = 0
-        #: Optional SharedTrieArena every cache-built trie's bulk arrays
-        #: are placed into (:meth:`attach_arena`); pinned tries then
-        #: stay warm in shared memory across queries and forks.
-        self.arena = None
-
-    def attach_arena(self, arena):
-        """Route future trie builds through ``arena`` shared memory.
-
-        Already-cached tries keep their private arrays (sharing them
-        retroactively would race against live readers); only misses
-        from here on are placed into the arena.
-        """
-        self.arena = arena
-        self.arena_waste = 0
 
     @staticmethod
     def _uid(relation):
@@ -158,9 +127,6 @@ class TrieCache:
                 self.patches += 1
         if trie is None:
             trie = Trie(relation, key_order=key_order, optimizer=optimizer)
-        trie._cache_owned = True
-        if self.arena is not None and not self.arena.closed:
-            trie.share_into(self.arena)
         if stale_key is not None:
             self._drop_entry(stale_key)
         self._tries[key] = trie
@@ -195,57 +161,15 @@ class TrieCache:
         return patched_trie(stale_trie, relation, key_order, optimizer,
                             entries)
 
-    def level0_intersection(self, sets, config):
-        """Memoized intersection of trie root sets, as a sorted array.
-
-        ``sets`` must be root sets of *cache-owned* tries (the memo
-        keeps strong references, so their identities stay valid for the
-        cache's lifetime).  Keyed by set identities plus the config
-        switches that change the result-independent charging — results
-        are identical across algorithms, so only identities matter for
-        correctness, but keeping the switches in the key makes op
-        accounting reproducible per configuration.
-        """
-        from ..sets.intersect import _config_crossover, intersect_many
-        crossover = _config_crossover(config)
-        key = (tuple(sorted(id(s) for s in sets)),
-               config.uint_algorithm, config.adaptive_algorithms,
-               config.simd, crossover)
-        entry = self._level0.get(key)
-        if entry is not None:
-            kept_sets, values = entry
-            self.level0_hits += 1
-            return values
-        self.level0_misses += 1
-        if len(sets) == 1:
-            values = sets[0].to_array()
-        else:
-            values = intersect_many(
-                sets, counter=config.counter,
-                algorithm=config.uint_algorithm,
-                adaptive=config.adaptive_algorithms,
-                simd=config.simd, crossover=crossover).to_array()
-        self._level0[key] = (tuple(sets), values)
-        return values
-
     def _drop_entry(self, key):
-        """Retire one cached trie: charge arena waste, clean the memo."""
-        trie = self._tries.pop(key, None)
-        if trie is None:
-            return
-        self.arena_waste += getattr(trie, "_shm_bytes", 0)
-        root_set = trie.root.built_set
-        if root_set is None:        # never read: in no memo entry
-            return
-        stale_memo = [k for k in self._level0 if id(root_set) in k[0]]
-        for memo_key in stale_memo:
-            del self._level0[memo_key]
+        """Retire one cached trie."""
+        del self._tries[key]
 
     def invalidate(self, relation, selection=None):
-        """Drop every cached trie (and level-0 memo entry) of
-        ``relation``, across all cached versions: those of the
-        relation itself and of every relation derived from it, or,
-        given a ``selection``, of that derived relation only."""
+        """Drop every cached trie of ``relation``, across all cached
+        versions: those of the relation itself and of every relation
+        derived from it, or, given a ``selection``, of that derived
+        relation only."""
         uid = getattr(relation, "_trie_uid", None)
         if uid is None:
             return
@@ -333,13 +257,12 @@ class RuleExecutor:
         self.plans.on_retire = \
             lambda compiled: self._retire_derived(compiled.logical)
         self.last_plan = None  # PhysicalPlan of the latest execution
-        self.last_stats = None  # ExecStats of the latest parallel run
+        self.last_stats = None  # ExecStats of the latest compiled run
         self.last_logical = None  # LogicalRule of the latest execution
         #: Program-scoped cross-rule bag memo (a
         #: :class:`~repro.engine.memo.BagMemo`), installed by
         #: ``Database.query`` for the duration of a program.
         self.program_memo = None
-        self._parallel_node = None  # id() of the bag chosen for forking
         #: Adaptive re-planning state (active when ``config.adaptive``).
         #: ``card_hints`` are caller-supplied cardinality overrides
         #: (``Database.set_cardinality_hint``); ``card_feedback`` is
@@ -502,18 +425,6 @@ class RuleExecutor:
         global_order = logical.global_order
         sig_names = logical.sig_names()
         semiring = semiring_for(agg.op) if aggregate_mode else EXISTS
-        # Multi-bag parallelism: fork only the largest bag (it dominates
-        # the runtime; the rest evaluate serially in the parent).
-        self._parallel_node = None
-        cache_marks = None
-        if self.config.parallel_workers > 1:
-            self._parallel_node = _largest_bag_node(ghd, atoms)
-            self.last_stats = ExecStats(
-                strategy=self.config.parallel_strategy,
-                workers=self.config.parallel_workers)
-            cache_marks = (self.cache.hits, self.cache.misses,
-                           self.cache.level0_hits,
-                           self.cache.level0_misses)
         parents = ghd.parent_map()
         retained = {}
         signatures = {}
@@ -549,8 +460,6 @@ class RuleExecutor:
                 retained[id(node)] = reused
                 signatures[id(node)] = signature
                 continue
-            bag_plan.parallelized = self._parallel_node is not None \
-                and id(node) == self._parallel_node
             result = self._timed_bag(
                 bag_plan,
                 lambda: self._evaluate_bag(node, atoms, out_attrs,
@@ -561,16 +470,6 @@ class RuleExecutor:
             signatures[id(node)] = signature
             self._memo_store(memo, signature, result, canonical_out,
                              logical)
-        if cache_marks is not None:
-            hits0, misses0, l0_hits0, l0_misses0 = cache_marks
-            self.last_stats.trie_cache_hits = self.cache.hits - hits0
-            self.last_stats.trie_cache_misses = self.cache.misses - misses0
-            self.last_stats.level0_cache_hits = \
-                self.cache.level0_hits - l0_hits0
-            self.last_stats.level0_cache_misses = \
-                self.cache.level0_misses - l0_misses0
-            if self.cache.arena is not None:
-                self.last_stats.shm_bytes_mapped = self.cache.arena.nbytes
         root_result = retained[id(ghd.root)]
         if aggregate_mode:
             return self._finish_aggregate(logical, root_result)
@@ -585,8 +484,7 @@ class RuleExecutor:
         start = time.perf_counter()
         with maybe_span(self.config.tracer,
                         "bag:%s" % ",".join(bag_plan.chi), "execute",
-                        width=bag_plan.width,
-                        parallel=bag_plan.parallelized):
+                        width=bag_plan.width):
             result = evaluate()
         bag_plan.actual_seconds = time.perf_counter() - start
         bag_plan.actual_ops = counter.total_ops - ops_before
@@ -722,15 +620,8 @@ class RuleExecutor:
             return BagResult(out_attrs,
                              np.empty((0, out_count), dtype=np.uint32),
                              annotations=np.empty(0), scalar=semiring.zero)
-        if self._parallel_node is not None \
-                and id(node) == self._parallel_node:
-            from .parallel import evaluate_bag_parallel
-            result = evaluate_bag_parallel(
-                eval_order, out_count, inputs, semiring, self.config,
-                cache=self.cache, stats=self.last_stats)
-        else:
-            result = evaluate_bag(eval_order, out_count, inputs, semiring,
-                                  self.config)
+        result = evaluate_bag(eval_order, out_count, inputs, semiring,
+                              self.config)
         if aggregate_mode and scalar_factor != 1.0:
             if result.scalar is not None:
                 result.scalar *= scalar_factor
@@ -787,9 +678,7 @@ class RuleExecutor:
         even that (:class:`RoundPlan`).
         """
         if stats is None:
-            stats = ExecStats(execution_mode="compiled",
-                              strategy=self.config.parallel_strategy,
-                              workers=self.config.parallel_workers)
+            stats = ExecStats(execution_mode="compiled")
         self.last_stats = stats
         if rounds is not None and rounds.compiled is not None:
             result = self._next_round(rounds, stats)
@@ -797,8 +686,7 @@ class RuleExecutor:
                 return result
         # trie-cache traffic of the whole execution: tries are built
         # when a rule compiles or re-binds its head, not when it runs
-        marks = (self.cache.hits, self.cache.misses,
-                 self.cache.level0_hits, self.cache.level0_misses)
+        marks = (self.cache.hits, self.cache.misses)
         logical = optimize_rule(rule, self.catalog, self._options())
         self.last_logical = logical
         key = (logical.cache_key(), config_signature(self.config))
@@ -824,10 +712,6 @@ class RuleExecutor:
         result = self.run_compiled(compiled, stats)
         stats.trie_cache_hits += self.cache.hits - marks[0]
         stats.trie_cache_misses += self.cache.misses - marks[1]
-        stats.level0_cache_hits += self.cache.level0_hits - marks[2]
-        stats.level0_cache_misses += self.cache.level0_misses - marks[3]
-        if self.cache.arena is not None:
-            stats.shm_bytes_mapped = self.cache.arena.nbytes
         # Mispredict check runs after every compiled execution; on
         # divergence it evicts exactly this rule's cache entry, so the
         # next call re-plans with the harvested cardinality feedback.
@@ -1082,22 +966,6 @@ class RuleExecutor:
         ghd = compiled.ghd
         semiring = compiled.semiring
         aggregate_mode = compiled.aggregate_mode
-        # The parallel knobs deliberately stay out of the cache key, so
-        # the forked bag is re-chosen per run from the baked tries.
-        parallel_node = None
-        if self.config.parallel_workers > 1:
-            best_size = -1
-            for node in ghd.nodes_bottom_up():
-                cbag = compiled.bags[id(node)]
-                if cbag.generated is not None and cbag.generated.unordered:
-                    # morsels partition level 0, which must be an
-                    # output for their results to concatenate
-                    continue
-                size = sum(inp.trie.cardinality
-                           for inp in cbag.base_inputs)
-                if size > best_size:
-                    parallel_node, best_size = id(node), size
-        self._parallel_node = parallel_node
         retained = {}
         memo = {}
         plan = PhysicalPlan(rule=compiled.rule, ghd=ghd,
@@ -1117,8 +985,6 @@ class RuleExecutor:
             if reused is not None:
                 retained[id(node)] = reused
                 continue
-            bag_plan.parallelized = parallel_node is not None \
-                and id(node) == parallel_node
             result = self._timed_bag(
                 bag_plan,
                 lambda: self._run_compiled_bag(node, cbag, semiring,
@@ -1189,19 +1055,6 @@ class RuleExecutor:
                                np.empty((0, out_count), dtype=np.uint32),
                                annotations=np.empty(0),
                                scalar=semiring.zero)
-        elif self._parallel_node is not None \
-                and id(node) == self._parallel_node:
-            from .parallel import evaluate_bag_parallel
-            result = evaluate_bag_parallel(
-                eval_order, out_count, inputs, semiring, self.config,
-                cache=self.cache, stats=stats,
-                kernel=None if kernel is None else (kernel, tries))
-            # counted as in the serial branch: only when no whole-bag
-            # fast path answered
-            if stats.mode != "fast-path":
-                stats.compiled_bag_calls += 1
-                if kernel is None:
-                    stats.fused_fallbacks += 1
         else:
             # Empty inputs and identity scans involve no join work, so
             # no kernel (or loop nest) is entered for them.  (The
@@ -1455,19 +1308,6 @@ def _input_profiles(inputs):
             "kind": trie.root_kind,
         })
     return profiles
-
-
-def _largest_bag_node(ghd, atoms):
-    """``id()`` of the GHD node with the most input tuples — the bag
-    worth forking for (everything else stays serial in the parent)."""
-    best = None
-    best_size = -1
-    for node in ghd.nodes_bottom_up():
-        size = sum(atoms[edge.index].relation.cardinality
-                   for edge in node.edges)
-        if size > best_size:
-            best, best_size = node, size
-    return id(best) if best is not None else None
 
 
 def _distinct_head(logical, arg):

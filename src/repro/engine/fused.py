@@ -460,11 +460,10 @@ class FusedBagKernel:
 
     Built by :func:`repro.engine.codegen.generate_bag_plan` and cached
     through the plan cache's bag-source tier.  Calling convention:
-    ``kernel(tries, config, restrict=None)`` with tries in spec order
-    and ``restrict`` the parallel executor's morsel hook (an extra set
-    intersected at level 0).  ``out_attrs`` names the emitted
-    attributes when they are not the first ``out_count`` of
-    ``eval_order``; they are emitted in evaluation order either way.
+    ``kernel(tries, config)`` with tries in spec order.  ``out_attrs``
+    names the emitted attributes when they are not the first
+    ``out_count`` of ``eval_order``; they are emitted in evaluation
+    order either way.
     """
 
     def __init__(self, eval_order, out_count, specs, semiring,
@@ -519,7 +518,7 @@ class FusedBagKernel:
 
     # -- driver ---------------------------------------------------------------
 
-    def __call__(self, tries, config, restrict=None):
+    def __call__(self, tries, config):
         """Evaluate the bag over root tries (in spec order)."""
         flats = [trie.flat() for trie in tries]
         if any(flat.keys.size == 0 for flat in flats):
@@ -536,8 +535,8 @@ class FusedBagKernel:
         frontier = 1
         for level in range(nl):
             plan = _Level(*self._plan_level(
-                self.levels[level], flats, ranks, cols, frontier, crossover,
-                restrict if level == 0 else None), flats, block_rows)
+                self.levels[level], flats, ranks, cols, frontier, crossover),
+                flats, block_rows)
             if level == nl - 1 and oc < nl and not self.unordered:
                 return self._fold_leaf(plan, cols, pw, sw, frontier,
                                        config.counter)
@@ -577,8 +576,7 @@ class FusedBagKernel:
 
     # -- expansion ------------------------------------------------------------
 
-    def _plan_level(self, parts, flats, ranks, cols, frontier, crossover,
-                    restrict):
+    def _plan_level(self, parts, flats, ranks, cols, frontier, crossover):
         """Decide how one level generates its candidates.
 
         Returns ``(counts, first, values, settled, probed, sweep)``:
@@ -631,12 +629,8 @@ class FusedBagKernel:
             generating, probed = root_parts, child_parts
         # Row-independent root keys: one intersection, tiled across the
         # frontier (a Cartesian expansion).
-        if restrict is not None:
-            candidates = restrict.to_array()
-        else:
-            candidates = min((flats[part.index].keys
-                              for part in generating),
-                             key=lambda keys: keys.size)
+        candidates = min((flats[part.index].keys for part in generating),
+                         key=lambda keys: keys.size)
         keep = None
         found = []
         for part in generating:

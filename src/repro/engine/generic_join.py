@@ -144,8 +144,7 @@ class BagEvaluator:
         intersection switches and op counter.
     """
 
-    def __init__(self, eval_order, out_count, inputs, semiring, config,
-                 restrict_level0=None):
+    def __init__(self, eval_order, out_count, inputs, semiring, config):
         self.order = tuple(eval_order)
         self.out_count = out_count
         self.inputs = list(inputs)
@@ -153,10 +152,6 @@ class BagEvaluator:
         if not isinstance(self.semiring, Semiring):
             raise ExecutionError("semiring must be a Semiring instance")
         self.config = config
-        #: Optional extra set intersected at level 0 — the hook the
-        #: parallel driver uses to partition the outermost loop across
-        #: workers (the paper's multi-core strategy).
-        self.restrict_level0 = restrict_level0
         self.n_levels = len(self.order)
         # Precompute, per level, which inputs participate and at which of
         # their own levels the attribute sits.
@@ -203,15 +198,10 @@ class BagEvaluator:
         Returns a finished :class:`BagResult` when an input is empty or
         the bag is an identity scan, else ``None``: every bag with
         something to intersect goes through the loop nest (or, in the
-        default engine, its block kernel).  The parallel driver calls
-        this before morselizing — both answers are cheaper than any
-        fork, and the scan does not compose with ``restrict_level0``
-        partitioning.
+        default engine, its block kernel).
         """
         if any(inp.trie.cardinality == 0 for inp in self.inputs):
             return self._empty_result()
-        if self.restrict_level0 is not None:
-            return None
         return self._try_identity_scan()
 
     # -- identity scan fast path ----------------------------------------------
@@ -243,8 +233,6 @@ class BagEvaluator:
 
     def _intersect(self, level):
         sets = self._level_sets(level)
-        if level == 0 and self.restrict_level0 is not None:
-            sets = sets + [self.restrict_level0]
         if len(sets) == 1:
             return sets[0]
         tracer = self._trace

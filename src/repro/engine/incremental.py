@@ -14,7 +14,7 @@ changes, the new tuples Δ are substituted into the rule body one
 position at a time against the full (already-updated) versions of the
 other atoms — the semi-naive step datalog engines use, evaluated with
 the very same executor machinery as ordinary rules, so every delta term
-benefits from the plan cache, fused kernels, and the parallel executor.
+benefits from the plan cache and the fused kernels.
 The terms combine with the old view contents per semiring:
 
 * set semantics (no annotation): old ∪ ⋃ᵢ eval(Δ at position i) —

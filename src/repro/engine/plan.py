@@ -20,7 +20,6 @@ class BagPlan:
     inputs: List[str] = field(default_factory=list)
     width: float = 0.0
     reused_from_signature: bool = False
-    parallelized: bool = False
     #: Observability (EXPLAIN ANALYZE): wall seconds and simulated lane
     #: ops this bag's evaluation actually took.  Recorded by the
     #: executor on every run (cheap: two clock reads and one counter
@@ -43,11 +42,10 @@ class BagPlan:
         """One-line rendering for explain output."""
         reuse = "  [reused identical bag result]" \
             if self.reused_from_signature else ""
-        parallel = "  [parallel outer loop]" if self.parallelized else ""
-        return ("bag chi=(%s) eval=(%s) out=(%s) width=%.2f inputs=[%s]%s%s"
+        return ("bag chi=(%s) eval=(%s) out=(%s) width=%.2f inputs=[%s]%s"
                 % (",".join(self.chi), ",".join(self.eval_order),
                    ",".join(self.out_attrs), self.width,
-                   ", ".join(self.inputs), reuse, parallel))
+                   ", ".join(self.inputs), reuse))
 
 
 @dataclass

@@ -31,8 +31,7 @@ def config_signature(config):
     """The :class:`~repro.engine.config.EngineConfig` switches a cached
     plan depends on.  Anything that alters plan shape, kernel choice,
     or result layout must appear here; the op counter and the
-    scheduling-only knobs (``parallel_*``, ``shared_tries`` — which
-    change where plans run, not what they compute) must not."""
+    observation hooks must not."""
     adaptive = getattr(config, "adaptive", False)
     tuning = getattr(config, "tuning", None)
     # Tuned constants change layout choices and generated dispatch, so a

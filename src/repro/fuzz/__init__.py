@@ -1,11 +1,11 @@
 """Differential query fuzzer: randomized datalog programs cross-checked
 over every execution path.
 
-The engine has four independently-built execution paths — interpreted vs
-compiled, serial vs work-stealing parallel, optimizer passes on vs off —
-multiplied by the set-layout levels.  They are provably equivalent on
-paper (the GHD plan is equivalent to the logical query); this package
-earns that confidence empirically:
+The engine has independently-built execution paths — interpreted vs
+compiled, optimizer passes on vs off — multiplied by the set-layout
+levels.  They are provably equivalent on paper (the GHD plan is
+equivalent to the logical query); this package earns that confidence
+empirically:
 
 * :mod:`repro.fuzz.gen` — a seeded random generator of schemas, data,
   and datalog programs (multi-way joins, self-joins, selections,

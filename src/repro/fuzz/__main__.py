@@ -36,7 +36,7 @@ def build_parser():
     parser.add_argument("--shrink", action="store_true",
                         help="minimize failures before reporting them")
     parser.add_argument("--full-matrix", action="store_true",
-                        help="full config cross product (48 configs) "
+                        help="full config cross product (16 configs) "
                              "instead of the covering set")
     parser.add_argument("--save-corpus", action="store_true",
                         help="write (shrunk) failures to the corpus "

@@ -372,28 +372,24 @@ def _run_mutation_ops(case, config):
     """
     db = Database(config=config.ablated())
     outcomes = []
+    for relation in case.relations:
+        db.add_relation(relation.name, relation.tuples,
+                        annotations=relation.annotations,
+                        arity=relation.arity)
     try:
-        for relation in case.relations:
-            db.add_relation(relation.name, relation.tuples,
-                            annotations=relation.annotations,
-                            arity=relation.arity)
-        try:
-            for name, rule in case.views:
-                db.materialize(name, str(rule))
-        except EmptyHeadedError as error:
-            outcomes.append(("setup-error", type(error).__name__))
-            return outcomes
-        outcomes.append(("setup-ok", None))
-        for op in case.ops:
-            if op.kind == "append":
-                db.append(op.target, op.tuples,
-                          annotations=op.annotations)
-            elif op.kind == "delete":
-                db.delete(op.target, op.tuples)
-            else:
-                outcomes.append(_query_snapshot(db, case))
-    finally:
-        db.close()
+        for name, rule in case.views:
+            db.materialize(name, str(rule))
+    except EmptyHeadedError as error:
+        outcomes.append(("setup-error", type(error).__name__))
+        return outcomes
+    outcomes.append(("setup-ok", None))
+    for op in case.ops:
+        if op.kind == "append":
+            db.append(op.target, op.tuples, annotations=op.annotations)
+        elif op.kind == "delete":
+            db.delete(op.target, op.tuples)
+        else:
+            outcomes.append(_query_snapshot(db, case))
     return outcomes
 
 
@@ -429,13 +425,10 @@ def _oracle_outcomes(case):
     mirror = initial_mirror(case.relations)
     db = _oracle_db(case, mirror)
     try:
-        try:
-            for _, rule in case.views:
-                db.query(str(rule))
-        except EmptyHeadedError as error:
-            return [("setup-error", type(error).__name__)]
-    finally:
-        db.close()
+        for _, rule in case.views:
+            db.query(str(rule))
+    except EmptyHeadedError as error:
+        return [("setup-error", type(error).__name__)]
     outcomes = [("setup-ok", None)]
     for op in case.ops:
         if op.kind != "query":
@@ -443,20 +436,17 @@ def _oracle_outcomes(case):
             continue
         db = _oracle_db(case, mirror)
         try:
-            try:
-                for _, rule in case.views:
-                    db.query(str(rule))
-                db.query(case.query_text)
-            except EmptyHeadedError as error:
-                outcomes.append(("error", type(error).__name__))
-                continue
-            results = {}
-            for name in case.head_names:
-                results[name] = _normalize_relation(db.relation(name),
-                                                    db._dictionary)
-            outcomes.append(("ok", results))
-        finally:
-            db.close()
+            for _, rule in case.views:
+                db.query(str(rule))
+            db.query(case.query_text)
+        except EmptyHeadedError as error:
+            outcomes.append(("error", type(error).__name__))
+            continue
+        results = {}
+        for name in case.head_names:
+            results[name] = _normalize_relation(db.relation(name),
+                                                db._dictionary)
+        outcomes.append(("ok", results))
     return outcomes
 
 
@@ -585,7 +575,6 @@ def _serve_mutation_ops(case, config):
                     outcomes.append(_serve_query_snapshot(client, case))
     finally:
         service.stop()
-        db.close()
     return outcomes
 
 

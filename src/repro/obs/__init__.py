@@ -4,8 +4,7 @@ Cooperating pieces, all optional and all free when disabled:
 
 * :mod:`repro.obs.trace` — hierarchical span tracer over the query
   lifecycle (parse → GHD search → attribute ordering → codegen →
-  plan-cache lookup → bags → morsels → intersections), with per-worker
-  lane attribution.
+  plan-cache lookup → bags → intersections), with lane attribution.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON export
   (``chrome://tracing`` / Perfetto) and schema validation.
 * :mod:`repro.obs.metrics` — cross-query counters/gauges/histograms

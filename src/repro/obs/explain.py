@@ -4,8 +4,7 @@
 re-renders the same plan with what actually happened — per-phase wall
 time from the span tracer, per-bag measured seconds and simulated lane
 ops, the cost model's *predicted* lane ops with the prediction error,
-the set layouts the optimizer chose, cache outcomes, and parallel
-executor behaviour.
+the set layouts the optimizer chose, and cache outcomes.
 
 The prediction deliberately comes from
 :func:`repro.sets.cost.predict_intersection_ops` — the same module whose
@@ -45,7 +44,7 @@ def phase_totals(tracer):
 def category_seconds(tracer, cat):
     """Total seconds of top-of-category spans with category ``cat``.
 
-    Spans of one category may nest (a bag span around morsel spans);
+    Spans of one category may nest (a bag span around other spans);
     only depth-minimal spans per category are summed so nothing is
     double-counted.
     """
@@ -137,7 +136,7 @@ def _render_phases(lines, tracer):
         lines.append("  %-18s %10s" % ("execute", _format_ms(execute)))
 
 
-def _render_bag(lines, index, bag, stats, simd, rounds=0):
+def _render_bag(lines, index, bag, simd, rounds=0):
     lines.append("  bag %d: %s" % (index, bag.describe()))
     if bag.input_profiles:
         layouts = ", ".join(
@@ -170,12 +169,6 @@ def _render_bag(lines, index, bag, stats, simd, rounds=0):
             "      planner estimate: %d lane ops, mispredict %.2fx "
             "(actual/estimate)"
             % (bag.predicted_ops, actual_ops / float(bag.predicted_ops)))
-    if bag.parallelized and stats is not None and stats.morsels:
-        lines.append(
-            "      parallel: mode=%s, %d morsel(s), %d steal(s), "
-            "busy ratio %.2f"
-            % (stats.mode, stats.n_morsels, stats.steals,
-               stats.busy_ratio()))
 
 
 #: Rounds shown at each end of a longer round table.
@@ -234,16 +227,14 @@ def render_explain_analyze(plan, stats, tracer, config, result=None,
                  % (plan.ghd.width(), plan.ghd.n_nodes,
                     list(plan.global_order)))
     for index, bag in enumerate(plan.bags):
-        _render_bag(lines, index, bag, stats, simd=config.simd,
+        _render_bag(lines, index, bag, simd=config.simd,
                     rounds=plan.rounds)
     lines.append("top-down pass: %s"
                  % ("ran" if plan.used_top_down else "elided (App. B.2)"))
     if stats is not None:
         lines.append(
-            "caches: trie %d/%d hit/miss, level-0 memo %d/%d, "
-            "plan %d/%d"
+            "caches: trie %d/%d hit/miss, plan %d/%d"
             % (stats.trie_cache_hits, stats.trie_cache_misses,
-               stats.level0_cache_hits, stats.level0_cache_misses,
                stats.plan_cache_hits, stats.plan_cache_misses))
         if stats.execution_mode == "compiled":
             lines.append(

@@ -4,7 +4,7 @@ Converts a :class:`repro.obs.trace.Tracer`'s span records into the JSON
 Array Format understood by ``chrome://tracing`` and Perfetto
 (https://ui.perfetto.dev): one ``"X"`` (complete) event per span with
 microsecond timestamps relative to the tracer's epoch, one thread per
-lane (``tid`` 0 is the main lane, forked workers get their own rows),
+lane (``tid`` 0 is the main lane, any other lane gets its own row),
 and ``"M"`` (metadata) events naming the process and threads.
 
 :func:`validate_chrome_trace` checks a payload against the parts of the

@@ -6,9 +6,9 @@ Absorbs and supersedes the scattered per-query counters in
 ``Database.last_stats``).  The engine feeds it from two directions:
 
 * ``Database`` calls :meth:`MetricsRegistry.record_exec_stats` after
-  every query, folding the ExecStats counters plus morsel-latency and
-  lane-ops histograms into the registry, along with layout-dispatch
-  counts derived from the simulated-SIMD :class:`repro.sets.cost.OpCounter`.
+  every query, folding the ExecStats counters into the registry, along
+  with layout-dispatch counts derived from the simulated-SIMD
+  :class:`repro.sets.cost.OpCounter`.
 * hot paths (interpretation's intersection loop, the compiled runtime
   helpers) hold ``config.metrics`` — ``None`` unless enabled, so the
   disabled cost is one ``is not None`` check — and observe
@@ -24,10 +24,8 @@ keep their plain-name series.
 
 Registries serialize to a plain-data form (:meth:`MetricsRegistry.
 to_state`) that merges losslessly into another registry
-(:meth:`MetricsRegistry.merge_state`) — how forked morsel workers ship
-their observations back to the parent (``repro.engine.parallel``) and
-how the telemetry hub folds per-query snapshots into process-lifetime
-series.
+(:meth:`MetricsRegistry.merge_state`) — how the telemetry hub folds
+per-query snapshots into process-lifetime series.
 
 Registries are **thread-safe**: a single re-entrant ``lock`` guards
 instrument creation and every mutator, because the query service
@@ -85,7 +83,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-set value (e.g. cache sizes, worker counts)."""
+    """Last-set value (e.g. cache sizes)."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -297,8 +295,6 @@ class MetricsRegistry:
     def _record_exec_stats_locked(self, stats):
         self.inc("cache.trie.hits", stats.trie_cache_hits)
         self.inc("cache.trie.misses", stats.trie_cache_misses)
-        self.inc("cache.level0.hits", stats.level0_cache_hits)
-        self.inc("cache.level0.misses", stats.level0_cache_misses)
         self.inc("cache.plan.hits", stats.plan_cache_hits)
         self.inc("cache.plan.misses", stats.plan_cache_misses)
         self.inc("pipeline.parses", stats.parses)
@@ -308,14 +304,6 @@ class MetricsRegistry:
         self.inc("pipeline.compiled_bag_calls", stats.compiled_bag_calls)
         self.inc("pipeline.fused_fallbacks", stats.fused_fallbacks)
         self.inc("pipeline.recursion_rounds", stats.recursion_rounds)
-        if stats.morsels:
-            self.inc("parallel.morsels", stats.n_morsels)
-            self.inc("parallel.steals", stats.steals)
-            self.inc("parallel.stranded_workers", stats.stranded_workers)
-            self.set_gauge("parallel.workers", stats.workers)
-            for morsel in stats.morsels:
-                self.observe("morsel.seconds", morsel.seconds, TIME_BUCKETS)
-                self.observe("morsel.lane_ops", morsel.lane_ops)
 
     def record_counter_delta(self, before, after):
         """Fold an :class:`~repro.sets.cost.OpCounter` snapshot delta in.
@@ -341,10 +329,9 @@ class MetricsRegistry:
     def to_state(self):
         """Lossless plain-data form of every instrument.
 
-        Pickle/JSON-safe (lists, dicts, numbers, strings only): forked
-        workers ship it over a result queue, the telemetry hub folds
-        per-query states into lifetime series.  Merge with
-        :meth:`merge_state`.
+        Pickle/JSON-safe (lists, dicts, numbers, strings only): the
+        telemetry hub folds per-query states into lifetime series.
+        Merge with :meth:`merge_state`.
         """
         with self.lock:
             return {

@@ -12,7 +12,7 @@ a long-lived query service runs on.  Four cooperating pieces:
 * a :class:`TelemetryHub` that aggregates every query's outcome into
   **labeled process-lifetime series** in a
   :class:`~repro.obs.metrics.MetricsRegistry` (latency histograms per
-  execution mode, plan-cache tier counters, fused/steal counters) —
+  execution mode, plan-cache tier counters, fused-block counters) —
   exported as OpenMetrics text by :mod:`repro.obs.openmetrics`;
 * a :class:`~repro.obs.flight.FlightRecorder` ring of recent records
   with a write-ahead in-flight journal and post-mortem dumps;
@@ -66,6 +66,8 @@ QUERY_RECORD_FIELDS = {
     "fused_blocks": (False, (int,)),
     "fused_fallbacks": (False, (int,)),
     "recursion_rounds": (False, (int,)),
+    # No longer written (they counted forked-scheduler morsels); kept
+    # so version-1 logs that carry them still validate.
     "morsels": (False, (int,)),
     "steals": (False, (int,)),
     "workers": (False, (int,)),
@@ -257,7 +259,6 @@ class TelemetryHub:
     ``telemetry.fused_blocks``        —
     ``telemetry.fused_fallbacks``     —
     ``telemetry.recursion_rounds``    —
-    ``telemetry.morsels``/``steals``  —
     ``telemetry.slow_queries``        —
     ``telemetry.replans``             —
     ``telemetry.result_cache``        ``tier`` (``hit``/``miss``/``bypass``)
@@ -404,9 +405,7 @@ class TelemetryHub:
         for field, series in (
                 ("fused_blocks", "telemetry.fused_blocks"),
                 ("fused_fallbacks", "telemetry.fused_fallbacks"),
-                ("recursion_rounds", "telemetry.recursion_rounds"),
-                ("morsels", "telemetry.morsels"),
-                ("steals", "telemetry.steals")):
+                ("recursion_rounds", "telemetry.recursion_rounds")):
             value = record.get(field)
             if value:
                 self._counter(field, series).inc(value)
@@ -607,15 +606,9 @@ def render_top(records, now=None, window=60.0):
                      % (", ".join("%s=%d" % item
                                   for item in sorted(tiers.items())),
                         100.0 * tiers.get("hit", 0) / total_tiers))
-    morsels = sum(r.get("morsels") or 0 for r in recent)
-    steals = sum(r.get("steals") or 0 for r in recent)
     fused = sum(r.get("fused_blocks") or 0 for r in recent)
-    workers = max((r.get("workers") or 1 for r in recent), default=1)
-    if morsels or fused:
-        steal_rate = 100.0 * steals / morsels if morsels else 0.0
-        lines.append("  lanes: workers<=%d  morsels %d  steals %d "
-                     "(%.0f%%)  fused blocks %d"
-                     % (workers, morsels, steals, steal_rate, fused))
+    if fused:
+        lines.append("  lanes: fused blocks %d" % fused)
     slow = sorted((r for r in recent
                    if isinstance(r.get("elapsed_seconds"), (int, float))),
                   key=lambda r: -r["elapsed_seconds"])[:3]

@@ -4,12 +4,9 @@ The paper reports only end-to-end runtimes; this module makes the
 pipeline's internal anatomy observable.  A :class:`Tracer` records
 *spans* — named, timed intervals arranged in a tree — covering the full
 query lifecycle: parse → GHD search → attribute ordering → codegen →
-plan-cache lookup → per-bag execution → per-morsel → (optionally)
-per-intersection.  Spans on the main lane nest by context-manager
-discipline; morsels executed by forked workers are attributed to
-per-worker lanes from timestamps the workers ship back with their
-results (``time.perf_counter`` is CLOCK_MONOTONIC on Linux, so child
-timestamps are directly comparable with the parent's).
+plan-cache lookup → per-bag execution → (optionally) per-intersection.
+Spans on the main lane nest by context-manager discipline; an interval
+timed elsewhere can be recorded onto its own lane (:meth:`Tracer.record`).
 
 The recorded spans export to Chrome ``trace_event`` JSON
 (:mod:`repro.obs.export`), loadable in ``chrome://tracing`` or Perfetto.
@@ -117,9 +114,7 @@ class Tracer:
     ----------
     capture_intersections:
         Record one span per set intersection.  Off by default: the
-        per-intersection volume dwarfs every other level and (under the
-        parallel executor) would be paid inside forked children whose
-        records are lost to copy-on-write anyway.  Morsel, bag, and
+        per-intersection volume dwarfs every other level.  Bag and
         compile-phase spans are always captured.
     """
 
@@ -144,7 +139,7 @@ class Tracer:
         return _Span(self, name, cat, args)
 
     def record(self, name, cat, start, end, lane=MAIN_LANE, args=None):
-        """Record an already-timed interval (e.g. a worker's morsel).
+        """Record an already-timed interval.
 
         Main-lane records adopt the current nesting depth; other lanes
         are flat sequences of non-overlapping intervals.

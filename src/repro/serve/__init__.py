@@ -4,9 +4,9 @@ EmptyHeaded's compiled-query design (parse → GHD → codegen amortized
 across runs, §3.3) only pays off when plans and tries stay warm across
 many requests.  This package keeps them warm: :class:`~repro.serve.
 server.QueryService` holds a single :class:`~repro.api.Database` —
-with its plan cache, trie cache, GHD band memo, and shared-memory
-arena — behind a newline-delimited-JSON socket protocol
-(:mod:`repro.serve.protocol`), adds an admission-controlled request
+with its plan cache, trie cache, and GHD band memo — behind a
+newline-delimited-JSON socket protocol (:mod:`repro.serve.protocol`),
+adds an admission-controlled request
 queue with per-query timeouts and 429-style backpressure, layers a
 keyed **result cache** on top (:mod:`repro.serve.cache`, invalidated
 surgically by the PR 9 versioned-catalog mutation path), and drains

@@ -75,8 +75,8 @@ class QueryService:
     Parameters
     ----------
     db:
-        The database to serve.  Its plan cache, trie cache, and arena
-        stay warm across every request.
+        The database to serve.  Its plan cache and trie cache stay
+        warm across every request.
     host / port:
         Bind address; port 0 picks a free port (read ``service.port``
         after :meth:`start`).

@@ -117,27 +117,19 @@ def patched_trie(old_trie, relation, key_order, optimizer, entries):
     The merge-rebuild half of the delta-store design: instead of
     re-sorting the whole relation, take ``old_trie``'s sorted arrays
     (already permuted into ``key_order``), union the Δ+ batches in and
-    subtract the Δ− batches at C speed, then rebuild only the trie
-    subtrees under level-0 keys the journal touched — every other
-    subtree is adopted from the stale trie (``Trie._patched_root``).
-    ``entries`` is the output of
+    subtract the Δ− batches at C speed, and build a fresh lazy trie
+    over the merged arrays.  ``entries`` is the output of
     ``relation.delta.changes_since(old_version)`` in commit order.
     """
     from .delta import merge_sorted, sort_rows, subtract_sorted
     data = old_trie.sorted_data
     annotations = old_trie.sorted_annotations
     order = list(key_order)
-    touched = []
     for entry in entries:
         rows, anns = sort_rows(entry.data[:, order], entry.annotations)
-        touched.append(rows[:, 0])
         if entry.kind == "+":
             data, annotations = merge_sorted(data, annotations, rows, anns)
         else:
             data, annotations = subtract_sorted(data, annotations, rows)
-    # A bag of keys, not a sorted set: the trie only tests membership.
-    touched = np.concatenate(touched) if touched \
-        else np.empty(0, dtype=np.uint32)
     return Trie(relation, key_order=key_order, optimizer=optimizer,
-                presorted=(data, annotations),
-                reuse=(old_trie, touched))
+                presorted=(data, annotations))

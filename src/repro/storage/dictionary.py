@@ -33,9 +33,7 @@ class Dictionary:
         # Decode column: an int64 array with _id_array[id] == value,
         # valid only while every stored value is a plain int (node
         # ids).  Built on the first columnar decode and dropped when a
-        # new value arrives; share_into places it in shared memory, so
-        # forked workers decode from the shared pages instead of
-        # duplicating the Python list.
+        # new value arrives.
         self._id_array = None
         # Set once a value that is not a plain int64 was seen: no
         # later value can make the column representable again.
@@ -106,20 +104,6 @@ class Dictionary:
                 except OverflowError:
                     self._mixed = True
         return self._id_array
-
-    def share_into(self, arena):
-        """Place the decode column into ``arena`` shared memory.
-
-        Only applies when every stored value is a plain ``int`` (the
-        graph-loader case — node ids); mixed-type dictionaries keep
-        their private Python list and this is a no-op.  Returns the
-        number of payload bytes shared.
-        """
-        column = self._int_column()
-        if column is None:
-            return 0
-        self._id_array = arena.place(column)
-        return int(column.nbytes)
 
     def remap(self, permutation):
         """Apply a node-ordering permutation in place.

@@ -12,7 +12,7 @@ index exist as soon as the constructor returns, which is all the
 default block engine reads (through :class:`FlatTrieView`).  The set
 layouts — the root's on the first read of ``root.set``, the per-prefix
 node tree below it on the first descent — are built by whoever reads
-them: the interpreter oracle, the forked scheduler, structural readers.
+them: the interpreter oracle and structural readers.
 """
 
 from functools import partial
@@ -261,9 +261,9 @@ class Trie:
     root (:attr:`materialized`) by the first reader that descends —
     ``root.children``/``child``, :meth:`lookup`, :meth:`contains`,
     :meth:`tuples`, :meth:`level_sets`, :attr:`nbytes`,
-    :meth:`layout_histogram` — which the interpreter oracle, the forked
-    scheduler and structural tests do and the default block engine
-    (:meth:`flat`) never does.
+    :meth:`layout_histogram` — which the interpreter oracle and
+    structural tests do and the default block engine (:meth:`flat`)
+    never does.
 
     Parameters
     ----------
@@ -278,7 +278,7 @@ class Trie:
     """
 
     def __init__(self, relation, key_order=None, optimizer=None,
-                 presorted=None, reuse=None):
+                 presorted=None):
         if key_order is None:
             key_order = tuple(range(relation.arity))
         if sorted(key_order) != list(range(relation.arity)):
@@ -290,10 +290,6 @@ class Trie:
             else SetOptimizer("set")
         self.name = relation.name
         self.arity = relation.arity
-        # Payload bytes this trie has placed into a SharedTrieArena
-        # (share_into); the TrieCache charges this as arena waste when
-        # the entry is retired, driving whole-arena compaction.
-        self._shm_bytes = 0
         self._root_kind = None
         if relation.arity == 0:
             self.root = TrieNode(_empty_set(self.optimizer))
@@ -348,9 +344,6 @@ class Trie:
                 None, None,
                 None if annotations is None else annotations[starts],
                 pending_set=root_set)
-        elif reuse is not None and reuse[0].materialized:
-            self.root = TrieNode(None, self._patched_children(*reuse),
-                                 pending_set=root_set)
         else:
             self.root = TrieNode(None, pending=partial(
                 _build_children, self.optimizer, data, annotations,
@@ -375,71 +368,11 @@ class Trie:
         """Number of distinct level-0 values."""
         return int(self._level0[0].size) if self.arity else 0
 
-    def _patched_children(self, old_trie, touched):
-        """Root children that reuse untouched subtrees of a stale trie.
-
-        ``touched`` is the set of level-0 key values the delta journal
-        mentioned (already permuted into this trie's key order): only
-        those groups' subtrees changed, so every other level-0 value
-        keeps the old trie's child node — the build pass becomes
-        O(|Δ| log n) instead of O(distinct level-0 keys).  Only a
-        materialized ``old_trie`` has subtrees to give; a patch of one
-        that never descended stays lazy like any fresh build."""
-        keys, starts = self._level0
-        old_root = old_trie.root
-        touched = set(np.asarray(touched).tolist())
-        adopted = {}
-        for index, value in enumerate(keys.tolist()):
-            if value not in touched and old_root.set.contains(value):
-                adopted[index] = old_root.child(value)
-        return _build_children(self.optimizer, self.sorted_data,
-                               self.sorted_annotations, starts, 0, adopted)
-
     def flat(self):
         """Cached :class:`FlatTrieView` for fused block execution."""
         if self._flat is None:
             self._flat = FlatTrieView(self)
         return self._flat
-
-    # -- sharing -----------------------------------------------------------
-
-    def share_into(self, arena):
-        """Move the trie's bulk arrays into ``arena`` shared memory.
-
-        Rebinds :attr:`sorted_data`, :attr:`sorted_annotations`, the flat
-        view's arrays, and the root set's backing array (when it is a
-        plain ``uint`` layout) to views over the arena's segments, so
-        forked workers inherit them as zero-copy mappings instead of
-        re-paying copy-on-write churn per process.  Node-level structures
-        beyond the root keep their private copies — the hot paths (fused
-        blocks, vectorized fast paths, level-0 candidate intersection)
-        only touch the rebound arrays.  Returns ``self`` for chaining.
-        """
-        if self.arity == 0 or self.sorted_data.size == 0:
-            return self
-        placed_before = arena.nbytes
-        self.sorted_data = arena.place(self.sorted_data)
-        if self.sorted_annotations is not None:
-            self.sorted_annotations = arena.place(self.sorted_annotations)
-        shared_keys = None
-        if self.arity in (1, 2):
-            flat = self.flat()
-            flat.keys = arena.place(flat.keys)
-            if flat.ann is not None:
-                flat.ann = self.sorted_annotations
-            if flat.arity == 2:
-                flat.offsets = arena.place(flat.offsets)
-                flat.values = arena.place(flat.values)
-                flat.packed = arena.place(flat.packed)
-            shared_keys = flat.keys
-        root_values = getattr(self.root.set, "_values", None)
-        if root_values is not None and self.root.set.kind == "uint":
-            self.root.set._values = shared_keys \
-                if shared_keys is not None \
-                and shared_keys.size == root_values.size \
-                else arena.place(root_values)
-        self._shm_bytes = int(arena.nbytes - placed_before)
-        return self
 
     # -- traversal ---------------------------------------------------------
 
@@ -560,14 +493,11 @@ def _build_node(optimizer, data, annotations, depth):
         optimizer, data, annotations, starts, depth))
 
 
-def _build_children(optimizer, data, annotations, starts, depth,
-                    adopted=None):
+def _build_children(optimizer, data, annotations, starts, depth):
     """Child nodes of the ``depth`` node over ``data`` whose groups
-    begin at ``starts``; ``adopted`` maps a group's index to a
-    ready-made node that is used instead of building one."""
+    begin at ``starts``."""
     bounds = np.append(starts, data.shape[0])
     return [
-        adopted[i] if adopted and i in adopted else
         _build_node(optimizer, data[bounds[i]:bounds[i + 1]],
                     None if annotations is None
                     else annotations[bounds[i]:bounds[i + 1]],

@@ -2,8 +2,8 @@
 
 The engine's dispatch constants — the galloping crossover
 (:data:`repro.sets.cost.GALLOPING_CROSSOVER`), the uint-vs-bitset layout
-density threshold, ``parallel_threshold``, the fused block budget — are
-the paper's hard-coded guesses for 2016 hardware.  This package closes
+density threshold, the fused block budget — are the paper's hard-coded
+guesses for 2016 hardware.  This package closes
 the observe→adapt loop the ROADMAP names:
 
 * :class:`TuningProfile` (:mod:`repro.tune.profile`) — a versioned,

@@ -13,8 +13,6 @@ one field of the :class:`~repro.tune.profile.TuningProfile`:
   exists to correct.
 * ``density_threshold`` — the inverse-density (range/cardinality) below
   which bitset blocks beat sorted-uint arrays.
-* ``parallel_threshold`` — candidate count where forking workers
-  amortizes; derived from fork overhead vs per-candidate serial cost.
 * ``fused_block_rows`` — candidate rows per kernel block: the smallest
   block whose per-row cost is within 10% of the best measured (past
   the cache-resident size bigger blocks only cost memory).
@@ -27,7 +25,6 @@ fake monotone counter and assert two runs produce identical profiles.
 All fits clamp into the sanity bounds of :mod:`repro.tune.profile`.
 """
 
-import os
 import time
 
 import numpy as np
@@ -113,35 +110,6 @@ def _fit_density_threshold(rng, timer, reps):
         t_bits = _best_of(timer, reps, intersect_bitsets, bs_a, bs_b)
         bitset_wins.append(t_bits <= t_uint)
     return _flip_point(inverse_densities, bitset_wins)
-
-
-def _fit_parallel_threshold(timer, reps):
-    """Candidate count where forking a worker pool amortizes.
-
-    Forks are priced directly (``os.fork`` + wait on POSIX, skipped
-    elsewhere); per-candidate serial cost comes from a small timed
-    probe loop.  threshold ≈ fork_overhead / per_candidate_cost."""
-    probe = np.arange(4096, dtype=np.uint32)
-    per_candidate = _best_of(
-        timer, reps, lambda: np.searchsorted(probe, probe).sum())
-    per_candidate = max(per_candidate / probe.size, 1e-9)
-    fork_cost = None
-    if hasattr(os, "fork"):
-        try:
-            for _ in range(reps):
-                start = timer()
-                pid = os.fork()
-                if pid == 0:
-                    os._exit(0)
-                os.waitpid(pid, 0)
-                elapsed = timer() - start
-                if fork_cost is None or elapsed < fork_cost:
-                    fork_cost = elapsed
-        except OSError:
-            fork_cost = None
-    if fork_cost is None:
-        return None
-    return int(fork_cost / per_candidate)
 
 
 def _fit_fused_block_rows(timer, reps):
@@ -281,7 +249,6 @@ def calibrate(seed=0, timer=None, quick=False, dataset_sets=None):
     defaults = TuningProfile()
     crossover = _fit_galloping_crossover(rng, timer, reps)
     density = _fit_density_threshold(rng, timer, reps)
-    par_threshold = _fit_parallel_threshold(timer, reps)
     block_rows = _fit_fused_block_rows(timer, reps)
     probe_crossover = _fit_fused_probe_crossover(rng, timer, reps)
     source = "calibrated"
@@ -296,8 +263,6 @@ def calibrate(seed=0, timer=None, quick=False, dataset_sets=None):
                              if crossover is None else crossover),
         density_threshold=(defaults.density_threshold
                            if density is None else density),
-        parallel_threshold=(defaults.parallel_threshold
-                            if par_threshold is None else par_threshold),
         fused_block_rows=(defaults.fused_block_rows
                           if block_rows is None else block_rows),
         fused_probe_crossover=probe_crossover,

@@ -13,7 +13,6 @@ A profile is a plain JSON file::
       "fingerprint": {"platform": "...", "python": "...", ...},
       "galloping_crossover": 8.0,
       "density_threshold": 256.0,
-      "parallel_threshold": 128,
       "fused_block_rows": 16384,
       "fused_probe_crossover": 16.0
     }
@@ -39,7 +38,6 @@ PROFILE_VERSION = 1
 #: definition: ``repro.engine.fused.BLOCK_ROWS`` imports it.
 DEFAULT_GALLOPING_CROSSOVER = 32.0
 DEFAULT_DENSITY_THRESHOLD = 256.0      # sets.cost.SIMD_REGISTER_BITS
-DEFAULT_PARALLEL_THRESHOLD = 64        # engine.config default
 DEFAULT_FUSED_BLOCK_ROWS = 1 << 14    # see engine.fused.BLOCK_ROWS
 DEFAULT_FUSED_PROBE_CROSSOVER = None   # None = engine.fused.PROBE_CROSSOVER
 
@@ -49,7 +47,6 @@ DEFAULT_FUSED_PROBE_CROSSOVER = None   # None = engine.fused.PROBE_CROSSOVER
 _BOUNDS = {
     "galloping_crossover": (1.0, 4096.0),
     "density_threshold": (1.0, 1 << 20),
-    "parallel_threshold": (2, 1 << 24),
     "fused_block_rows": (1 << 12, 1 << 28),
     "fused_probe_crossover": (1.0, 4096.0),
 }
@@ -85,7 +82,6 @@ class TuningProfile:
 
     galloping_crossover: float = DEFAULT_GALLOPING_CROSSOVER
     density_threshold: float = DEFAULT_DENSITY_THRESHOLD
-    parallel_threshold: int = DEFAULT_PARALLEL_THRESHOLD
     fused_block_rows: int = DEFAULT_FUSED_BLOCK_ROWS
     fused_probe_crossover: float = DEFAULT_FUSED_PROBE_CROSSOVER
     source: str = "default"
@@ -98,7 +94,6 @@ class TuningProfile:
         return (self.version,
                 self.galloping_crossover,
                 self.density_threshold,
-                self.parallel_threshold,
                 self.fused_block_rows,
                 self.fused_probe_crossover)
 
@@ -109,7 +104,6 @@ class TuningProfile:
             "fingerprint": dict(self.fingerprint),
             "galloping_crossover": self.galloping_crossover,
             "density_threshold": self.density_threshold,
-            "parallel_threshold": self.parallel_threshold,
             "fused_block_rows": self.fused_block_rows,
             "fused_probe_crossover": self.fused_probe_crossover,
         }
@@ -117,7 +111,8 @@ class TuningProfile:
     @classmethod
     def from_dict(cls, data):
         """Rebuild a profile from a dict, or ``None`` when the payload
-        is not a usable version-``PROFILE_VERSION`` profile."""
+        is not a usable version-``PROFILE_VERSION`` profile.  Keys this
+        version does not read (e.g. a retired field) are ignored."""
         if not isinstance(data, dict):
             return None
         if data.get("version") != PROFILE_VERSION:
@@ -129,10 +124,10 @@ class TuningProfile:
                 value = data.get(name)
                 kwargs[name] = (None if value is None
                                 else _clamp(name, float(value)))
-            for name in ("parallel_threshold", "fused_block_rows"):
-                value = data.get(name)
-                kwargs[name] = (None if value is None
-                                else int(_clamp(name, int(value))))
+            value = data.get("fused_block_rows")
+            kwargs["fused_block_rows"] = (
+                None if value is None
+                else int(_clamp("fused_block_rows", int(value))))
             return cls(source=str(data.get("source", "loaded")),
                        fingerprint=dict(data.get("fingerprint") or {}),
                        **kwargs)
@@ -150,8 +145,7 @@ class TuningProfile:
         lines = ["tuning profile (version %d, source=%s)"
                  % (self.version, self.source)]
         for name in ("galloping_crossover", "density_threshold",
-                     "parallel_threshold", "fused_block_rows",
-                     "fused_probe_crossover"):
+                     "fused_block_rows", "fused_probe_crossover"):
             lines.append("  %-22s %s" % (name, getattr(self, name)))
         host = self.fingerprint or {}
         if host:

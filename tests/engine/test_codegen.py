@@ -66,19 +66,6 @@ class TestLoweredKernel:
         kernel(tries, db.config)
         assert db.counter.total_ops > before
 
-    def test_restrict_partitions_the_outermost_level(self):
-        """``restrict`` (the parallel morsel hook) splits level 0: the
-        parts' counts add up to the whole."""
-        from repro.sets import UintSet
-        db = pruned_db(random_undirected_edges(30, 120, 4))
-        kernel, tries = clique_kernel(db, ("x", "y", "z"))
-        keys = tries[0].flat().keys
-        halves = [UintSet.from_sorted(keys[:keys.size // 2]),
-                  UintSet.from_sorted(keys[keys.size // 2:])]
-        whole = kernel(tries, db.config).scalar
-        assert sum(kernel(tries, db.config, restrict=half).scalar
-                   for half in halves) == whole
-
 
 class TestScope:
     def test_arity_three_input_has_no_kernel(self):

@@ -52,9 +52,8 @@ QUERIES = [
 ]
 
 
-def make_db(mode, layout="set", workers=1):
-    db = Database(execution_mode=mode, layout_level=layout,
-                  parallel_workers=workers, parallel_threshold=4)
+def make_db(mode, layout="set"):
+    db = Database(execution_mode=mode, layout_level=layout)
     db.load_graph("Edge", EDGES)
     db.add_relation("W", WEIGHTED, annotations=WEIGHTS)
     return db
@@ -75,13 +74,6 @@ class TestParityMatrix:
     def test_layouts_serial(self, layout, query):
         interpreted = make_db("interpreted", layout)
         compiled = make_db("compiled", layout)
-        assert_identical(interpreted.query(query),
-                         compiled.query(query), query)
-
-    @pytest.mark.parametrize("query", QUERIES)
-    def test_four_workers(self, query):
-        interpreted = make_db("interpreted", workers=4)
-        compiled = make_db("compiled", workers=4)
         assert_identical(interpreted.query(query),
                          compiled.query(query), query)
 
@@ -149,7 +141,7 @@ class TestPlanCache:
         assert config_signature(base.config) \
             != config_signature(base.config.ablated(simd=False))
         assert config_signature(base.config) \
-            == config_signature(base.config.ablated(parallel_workers=8))
+            == config_signature(base.config.ablated(incremental_views=False))
 
     def test_rule_tier_evicts_oldest(self):
         cache = PlanCache(max_entries=2)
@@ -319,11 +311,10 @@ class TestLoweredBags:
         assert stats.codegen_runs == stats.bag_codegen_reuses == 0
         assert db._plan_cache.sizes()["bag_code"] == 0
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_fast_path_answer_is_not_a_fallback(self, workers):
+    def test_fast_path_answer_is_not_a_fallback(self):
         """An unfusable bag that a whole-bag fast path answers never
-        reached the interpreter: not counted, serial or parallel."""
-        db = make_db("compiled", workers=workers)
+        reached the interpreter: not counted."""
+        db = make_db("compiled")
         db.add_relation("R3", [(a, b, a ^ b) for a in range(6)
                                for b in range(6)])
         db.query("Q(a,b,c) :- R3(a,b,c).")

@@ -1,5 +1,10 @@
 """Unit tests for EngineConfig and ablation plumbing."""
 
+from dataclasses import fields
+
+import pytest
+
+from repro.cli import main
 from repro.engine import EngineConfig
 
 
@@ -33,3 +38,25 @@ class TestConfig:
 
     def test_counters_start_clean(self):
         assert EngineConfig().counter.total_ops == 0
+
+
+class TestSurface:
+    """The configuration surface is pinned: a new knob, or one that
+    comes back, is a visible edit to this file."""
+
+    def test_field_names(self):
+        assert [f.name for f in fields(EngineConfig)] == [
+            "layout_level", "adaptive_algorithms", "simd", "use_ghd",
+            "push_selections", "eliminate_redundant_bags",
+            "skip_top_down", "prune_attributes", "fold_constants",
+            "cross_rule_cse", "uint_algorithm", "execution_mode",
+            "counter", "tracer", "metrics", "telemetry",
+            "slow_query_seconds", "adaptive", "tuning", "replan_factor",
+            "incremental_views"]
+
+    def test_cli_rejects_worker_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--dataset", "googleplus", "--workers", "2",
+                  "T(;w:long) :- Edge(x,y); w=<<COUNT(*)>>."])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err

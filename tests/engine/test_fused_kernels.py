@@ -25,7 +25,6 @@ from repro.engine.generic_join import BagEvaluator, evaluate_bag
 from repro.engine.semiring import COUNT, semiring_for
 from repro.graphs import (BARBELL_COUNT, FOUR_CLIQUE_COUNT, chung_lu_graph,
                           uniform_graph)
-from repro.sets import UintSet
 from repro.tune.profile import TuningProfile
 from tests.conftest import bag_inputs, clique_atoms, record_leaf_folds
 
@@ -199,8 +198,6 @@ def slicing_db():
     return db
 
 
-@pytest.mark.parametrize("restricted", [False, True],
-                         ids=["whole", "restrict"])
 @pytest.mark.parametrize("out_count", [0, 1, 3],
                          ids=["scalar", "grouped", "materializing"])
 @pytest.mark.parametrize("name", FUSED_SEMIRINGS)
@@ -212,20 +209,15 @@ class TestSlicing:
              ("W", ("x", "z"), True)]
     ORDER = ("x", "y", "z")
 
-    def test_block_sizes_agree_bit_for_bit(self, name, out_count,
-                                           restricted):
+    def test_block_sizes_agree_bit_for_bit(self, name, out_count):
         db = slicing_db()
         semiring = semiring_for(name)
         specs, tries, inputs = bag_inputs(db, self.ATOMS)
-        keys = tries[0].flat().keys
-        restrict = UintSet.from_sorted(keys[keys.size // 3:]) \
-            if restricted else None
         kernel = generate_bag_plan(self.ORDER, out_count, specs, semiring)
-        results = [kernel(tries, blocked(db.config, rows), restrict)
+        results = [kernel(tries, blocked(db.config, rows))
                    for rows in (UNBOUNDED, 1, 7, 1 << 16)]
         results.append(BagEvaluator(self.ORDER, out_count, inputs,
-                                    semiring, db.config,
-                                    restrict_level0=restrict).run())
+                                    semiring, db.config).run())
         reference = results[0]
         assert reference.cardinality or reference.scalar is not None
         for other in results[1:]:
@@ -987,14 +979,13 @@ def level0_blocks(keys):
     return sum(-(-keys // (rows or keys)) for rows in BLOCK_ROWS)
 
 
-def assert_same_bag(kernel, tries, expected, config, restrict=None,
-                    typed=True):
+def assert_same_bag(kernel, tries, expected, config, typed=True):
     """The kernel's answer at every block size is ``expected`` bit for
     bit: rows, annotations and (for ``out = 0``, if ``typed``) the
     scalar's type."""
     for rows in BLOCK_ROWS:
         got = kernel(tries, config if rows is None
-                     else blocked(config, rows), restrict)
+                     else blocked(config, rows))
         assert np.array_equal(got.data, expected.data)
         if expected.annotations is None:
             assert got.annotations is None
@@ -1012,15 +1003,15 @@ class TestDataDrivenRoutes:
     from the data, each bit-identical to the interpreter at every
     block size."""
 
-    def run(self, name, roots, out=1, restrict=None, typed=True, **graph):
+    def run(self, name, roots, out=1, typed=True, **graph):
         from repro.engine import EngineConfig
         order, specs, tries, inputs = routes_bag(roots, **graph)
         semiring = semiring_for(name)
         config = EngineConfig(execution_mode="compiled")
-        expected = BagEvaluator(order, out, inputs, semiring, config,
-                                restrict_level0=restrict).run()
+        expected = BagEvaluator(order, out, inputs, semiring,
+                                config).run()
         kernel = generate_bag_plan(order, out, specs, semiring)
-        assert_same_bag(kernel, tries, expected, config, restrict, typed)
+        assert_same_bag(kernel, tries, expected, config, typed)
         return expected, tries
 
     @pytest.mark.parametrize("weighted", [False, True],
@@ -1059,27 +1050,6 @@ class TestDataDrivenRoutes:
         assert [probe_route(trie) for trie in tries[1:]] \
             == ["table", "search"]
         assert expected.cardinality
-
-    @pytest.mark.parametrize("morsel", ["run", "strided", "short"])
-    def test_restricted_morsels(self, name, morsel, monkeypatch):
-        """A contiguous morsel's runs abut but start past offset 0 (and
-        hold the hub); a strided one's do not abut at all, so its leaf
-        blocks gather through their parent rows; a short one's five
-        candidates are fewer than the 200 codes of the generator's
-        value span, too few to pay for a weight vector over it.  Under
-        EXISTS, which ignores the weights, nothing probes or weighs the
-        leaf, which folds from the row counts without a block."""
-        spy = RouteSpy(monkeypatch)
-        keys = {"run": np.arange(51, 131), "strided": np.arange(11, 171, 3),
-                "short": np.arange(62, 64)}[morsel].astype(np.uint32)
-        expected, _ = self.run(name, ("all", "wide"), shift=11,
-                               restrict=UintSet.from_sorted(keys))
-        assert expected.cardinality == keys.size
-        assert (spy.parents == level0_blocks(keys.size)) \
-            == (morsel != "strided" or name == "EXISTS")
-        assert set(spy.leaves) == {"counts" if name == "EXISTS"
-                                   else "weighted" if morsel == "run"
-                                   else "blocks"}
 
     @pytest.mark.parametrize("edge_at", ["first", "last"])
     @pytest.mark.parametrize("weighted", [False, True],
@@ -1174,9 +1144,10 @@ class TestDataDrivenRoutes:
         semiring = semiring_for(name)
         config = EngineConfig(execution_mode="compiled")
         keys = np.arange(60, 63, dtype=np.uint32)
-        expected = BagEvaluator(order, 1, inputs, semiring, config,
-                                restrict_level0=UintSet.from_sorted(
-                                    keys)).run()
+        whole = BagEvaluator(order, 1, inputs, semiring, config).run()
+        keep = np.isin(whole.data[:, 0], keys)
+        expected_data = whole.data[keep]
+        expected_annotations = whole.annotations[keep]
         kernel = generate_bag_plan(order, 1, specs, semiring)
         flats = [trie.flat() for trie in tries]
         offsets = flats[0].offsets
@@ -1192,9 +1163,9 @@ class TestDataDrivenRoutes:
                                      flats, rows or fused.BLOCK_ROWS)
                 got = kernel._fold_leaf(level, [ranks + 11], None, sw,
                                         ranks.size, OpCounter())
-                assert np.array_equal(got.data, expected.data)
+                assert np.array_equal(got.data, expected_data)
                 assert np.array_equal(got.annotations,
-                                      expected.annotations)
+                                      expected_annotations)
 
     @pytest.mark.parametrize("out", [0, 2])
     def test_scalar_and_materializing_bags(self, name, out):

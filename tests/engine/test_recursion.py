@@ -133,19 +133,12 @@ class TestSeminaive:
 
 
 class TestRecursionAcrossModes:
-    """Recursion parity under the compiled pipeline and the parallel
-    executors — combinations the per-mode suites above never cross.
-    Every variant must reproduce the serial interpreter's fixpoint."""
+    """Recursion parity under the compiled pipeline — a combination
+    the per-mode suites above never cross.  Every variant must
+    reproduce the interpreter's fixpoint."""
 
     MODES = {
         "compiled": dict(execution_mode="compiled"),
-        "steal": dict(parallel_workers=4, parallel_threshold=0,
-                      parallel_strategy="steal"),
-        "static": dict(parallel_workers=4, parallel_threshold=0,
-                       parallel_strategy="static"),
-        "compiled-steal": dict(execution_mode="compiled",
-                               parallel_workers=4, parallel_threshold=0,
-                               parallel_strategy="steal"),
     }
 
     EDGES = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 0), (2, 5)]
@@ -205,7 +198,7 @@ class TestRoundsRetireTheirTries:
 
     @staticmethod
     def steady_state(program, execution_mode="compiled", **overrides):
-        """(trie cache size, level-0 memo size) after each of 10 runs."""
+        """Trie cache size after each of 10 runs."""
         from repro.graphs import uniform_graph
         db = Database(execution_mode=execution_mode, **overrides)
         db.load_graph("Edge", [tuple(e) for e
@@ -213,8 +206,7 @@ class TestRoundsRetireTheirTries:
         sizes = []
         for _ in range(10):
             db.query(program)
-            sizes.append((len(db._trie_cache),
-                          len(db._trie_cache._level0)))
+            sizes.append(len(db._trie_cache))
         return sizes
 
     def test_pagerank_cache_is_steady(self):
@@ -225,13 +217,6 @@ class TestRoundsRetireTheirTries:
     def test_sssp_cache_is_steady(self):
         from repro.graphs import sssp_program
         sizes = self.steady_state(sssp_program(0))
-        assert sizes[1] == sizes[9]
-
-    def test_parallel_level0_memo_is_steady(self):
-        from repro.graphs import pagerank_program
-        sizes = self.steady_state(pagerank_program(iterations=3),
-                                  parallel_workers=2,
-                                  parallel_threshold=0)
         assert sizes[1] == sizes[9]
 
     @pytest.mark.parametrize("mode", ["compiled", "interpreted"])

@@ -1,4 +1,4 @@
-"""ExecStats regressions: stranded workers and honest describe() output."""
+"""ExecStats regressions: honest describe() output."""
 
 from repro import Database
 from repro.engine.stats import ExecStats
@@ -9,61 +9,15 @@ TRIANGLES = ("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
              "w=<<COUNT(*)>>.")
 
 
-class TestStrandedWorkers:
-    def test_one_busy_worker_keeps_ratio_finite(self):
-        """Regression: when every morsel lands on one worker of a
-        multi-worker run, the busy ratio used to divide the lone
-        worker's time by the 1e-9 floor and report ~1e9."""
-        stats = ExecStats(workers=4, mode="forked")
-        for index in range(5):
-            stats.record_morsel(index, 0, 10, 1.0, 0.02, lane_ops=100)
-        assert stats.busy_ratio() == 1.0
-        assert stats.stranded_workers == 3
-
-    def test_stranded_workers_reported_in_describe(self):
-        stats = ExecStats(workers=4, mode="forked")
-        stats.record_morsel(0, 0, 10, 1.0, 0.02)
-        text = stats.describe()
-        assert "stranded workers: 3 of 4" in text
-        assert "excluded from busy ratio" in text
-
-    def test_no_stranding_on_single_worker_runs(self):
-        stats = ExecStats(workers=1, mode="inline")
-        stats.record_morsel(0, 0, 10, 1.0, 0.02)
-        assert stats.stranded_workers == 0
-        assert "stranded" not in stats.describe()
-
-    def test_balanced_run_ratio_unchanged(self):
-        stats = ExecStats(workers=2, mode="forked")
-        stats.record_morsel(0, 0, 10, 1.0, 0.04)
-        stats.record_morsel(1, 1, 10, 1.0, 0.02)
-        assert stats.busy_ratio() == 2.0
-        assert stats.stranded_workers == 0
-
-
 class TestDescribeHonesty:
     def test_serial_run_omits_parallel_fields(self):
         """Regression: describe() used to claim strategy=steal even for
-        runs that never engaged the parallel executor."""
-        stats = ExecStats(mode="serial")
+        runs that never engaged a parallel executor."""
+        stats = ExecStats()
         text = stats.describe()
         assert text.startswith("execution mode: interpreted")
         assert "strategy" not in text
         assert "morsels" not in text
-
-    def test_fast_path_named_explicitly(self):
-        stats = ExecStats(mode="fast-path")
-        text = stats.describe()
-        assert "fast path" in text
-        assert "strategy" not in text
-
-    def test_parallel_run_keeps_parallel_fields(self):
-        stats = ExecStats(strategy="steal", workers=2, mode="forked")
-        stats.record_morsel(0, 0, 10, 1.0, 0.02)
-        stats.record_morsel(1, 1, 10, 1.0, 0.02)
-        text = stats.describe()
-        assert "strategy=steal" in text
-        assert "morsels: 2" in text
 
     def test_compiled_serial_run_mentions_mode_not_strategy(self):
         db = Database(execution_mode="compiled")
@@ -73,19 +27,4 @@ class TestDescribeHonesty:
         text = db.last_stats.describe()
         assert "execution mode: compiled" in text
         assert "plan cache" in text
-        if not db.last_stats.morsels:
-            assert "strategy" not in text
-
-    def test_end_to_end_stranded_scenario(self):
-        """A 3-worker run over a single-morsel bag strands two workers;
-        the ratio must stay 1.0 and the stranding must be reported."""
-        db = Database(parallel_workers=3, parallel_threshold=0,
-                      parallel_morsels_per_worker=1)
-        db.load_graph("Edge", [(0, 1), (1, 2), (0, 2)], prune=True)
-        db.query(TRIANGLES)
-        stats = db.last_stats
-        if stats is not None and stats.morsels and \
-                len(stats.worker_busy) < stats.workers:
-            assert stats.busy_ratio() < 1e6
-            assert stats.stranded_workers >= 1
-            assert "stranded" in stats.describe()
+        assert "strategy" not in text

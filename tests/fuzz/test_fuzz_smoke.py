@@ -4,7 +4,8 @@ corpus round-trip, and the config matrix."""
 import pytest
 
 from repro.engine import executor
-from repro.engine.config import enumerate_config_matrix
+from repro.engine.config import (enumerate_config_matrix,
+                                 enumerate_mutation_matrix)
 from repro.fuzz import (evaluate_case, generate_case, load_corpus,
                        run_case, run_fuzz, save_case, validate_case)
 from repro.fuzz.corpus import case_from_dict, case_to_dict
@@ -152,8 +153,9 @@ def test_config_matrix_labels_are_unique():
     labels = [label for label, _ in covering]
     assert len(labels) == len(set(labels))
     assert labels[0] == "interp"            # the oracle comes first
-    assert {"default", "default-steal", "shared-tries", "default-shared",
-            "adaptive"} <= set(labels)
+    assert labels == ["interp", "default", "no-prune", "no-fold", "no-cse",
+                      "no-ghd", "uint-only", "bitset-only", "block",
+                      "adaptive", "adaptive-interp", "adaptive-replan"]
     assert all(config.execution_mode in ("interpreted", "compiled")
                for _, config in covering)
     # The tuned rows run kernel blocks of a handful of rows, so fuzz
@@ -161,9 +163,11 @@ def test_config_matrix_labels_are_unique():
     adaptive = dict(covering)["adaptive"]
     assert adaptive.fused_block_rows() < 16
     full = enumerate_config_matrix(full=True)
-    # 2 modes (interpreted/compiled) x 3 parallel x 2 opt x 4 layouts
-    assert len(full) == 48
-    assert len({label for label, _ in full}) == 48
+    # 2 modes (interpreted/compiled) x 2 opt x 4 layouts
+    assert len(full) == 16
+    assert len({label for label, _ in full}) == 16
+    assert [label for label, _ in enumerate_mutation_matrix()] == \
+        ["interp", "default", "full-recompute"]
 
 
 def test_run_case_reports_a_planted_oracle_disagreement(monkeypatch):

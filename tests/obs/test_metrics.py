@@ -187,20 +187,6 @@ class TestStateTransport:
 
 
 class TestExecStatsAbsorption:
-    def test_morsel_histograms_and_counters(self):
-        stats = ExecStats(workers=2, mode="forked")
-        stats.record_morsel(0, 0, 10, 1.0, 0.01, lane_ops=50)
-        stats.record_morsel(1, 1, 10, 1.0, 0.02, lane_ops=70,
-                            stolen=True)
-        registry = MetricsRegistry()
-        registry.record_exec_stats(stats)
-        snap = registry.snapshot()
-        assert snap["counters"]["parallel.morsels"] == 2
-        assert snap["counters"]["parallel.steals"] == 1
-        assert snap["gauges"]["parallel.workers"] == 2
-        assert snap["histograms"]["morsel.seconds"]["count"] == 2
-        assert snap["histograms"]["morsel.lane_ops"]["max"] == 70
-
     def test_none_stats_is_a_noop(self):
         registry = MetricsRegistry()
         registry.record_exec_stats(None)

@@ -17,7 +17,7 @@ def populated_registry():
                  labels={"mode": "compiled", "status": "ok"})
     registry.inc("telemetry.queries",
                  labels={"mode": "interpreted", "status": "ok"})
-    registry.set_gauge("parallel.workers", 4)
+    registry.set_gauge("trie_cache.entries", 4)
     for value in (0.001, 0.01, 0.01, 0.5):
         registry.observe("telemetry.query_seconds", value, TIME_BUCKETS,
                          labels={"mode": "compiled"})

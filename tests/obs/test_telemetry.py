@@ -58,6 +58,12 @@ class TestSchema:
         assert any("surprise" in p for p in
                    validate_query_record(record))
 
+    def test_log_with_worker_fields_still_validates(self):
+        """A version-1 log written while the forked scheduler existed
+        carries ``morsels``/``steals``/``workers``; it still reads."""
+        record = make_record(morsels=8, steals=2, workers=4)
+        assert validate_query_record(record) == []
+
     def test_inflight_form_may_omit_post_execution_fields(self):
         record = make_record(status="inflight")
         del record["elapsed_seconds"]
@@ -210,7 +216,8 @@ class TestRenderTop:
         frame = render_top(records, now=1010.0, window=60.0)
         assert "qps" in frame and "p95" in frame
         assert "plan cache" in frame and "hit rate 100%" in frame
-        assert "lanes" in frame and "steals" in frame
+        assert "lanes: fused blocks 30" in frame
+        assert "steals" not in frame and "workers" not in frame
         assert "slowest" in frame
 
     def test_empty_log(self):

@@ -120,34 +120,6 @@ class TestQueryTracing:
 
 
 class TestLaneAttribution:
-    @pytest.fixture
-    def parallel_edges(self):
-        return random_undirected_edges(120, 600, seed=7)
-
-    def test_static_strategy_uses_distinct_lanes(self, parallel_edges):
-        db = Database(parallel_workers=3, parallel_strategy="static",
-                      parallel_threshold=0)
-        db.load_graph("Edge", parallel_edges, prune=True)
-        tracer = db.enable_tracing()
-        db.query(TRIANGLES)
-        morsels = [s for s in tracer.spans
-                   if s.name.startswith("morsel:")]
-        lanes = {s.lane for s in morsels}
-        assert len(morsels) >= 3
-        assert len(lanes) >= 2          # forked workers ran concurrently
-        assert validate_chrome_trace(to_chrome(tracer)) == []
-
-    def test_lanes_match_stats_workers(self, parallel_edges):
-        db = Database(parallel_workers=3, parallel_threshold=0)
-        db.load_graph("Edge", parallel_edges, prune=True)
-        tracer = db.enable_tracing()
-        db.query(TRIANGLES)
-        lanes = {s.lane for s in tracer.spans
-                 if s.name.startswith("morsel:")}
-        expected = {"worker-%d" % w
-                    for w in db.last_stats.worker_busy}
-        assert lanes == expected
-
     def test_lane_tids_are_stable(self):
         assert lane_tids(["main", "worker-2", "worker-0"]) == \
             {"main": 0, "worker-0": 1, "worker-2": 2}
@@ -197,16 +169,13 @@ class TestEnvVar:
 
 
 class TestDisabledTracerZeroAllocation:
-    """Micro-benchmark for the morsel hot loop's tracing overhead.
+    """Micro-benchmark for the engine's tracing overhead.
 
-    ``_run_inline`` in ``repro.engine.parallel`` hoists the
-    tracer-enabled check out of the per-morsel loop, and every engine
-    instrumentation point goes through ``maybe_span`` whose disabled
-    path returns the shared ``NULL_SPAN``.  With tracing off, a full
-    parallel query must therefore allocate *zero* bytes inside
+    Every engine instrumentation point goes through ``maybe_span``
+    whose disabled path returns the shared ``NULL_SPAN``.  With tracing
+    off, a full query must therefore allocate *zero* bytes inside
     ``repro/obs/trace.py`` — asserted here with ``tracemalloc``
-    filtered to that file.  (Referenced from the hoist comment in
-    ``parallel._run_inline``.)
+    filtered to that file.
     """
 
     @staticmethod
@@ -215,7 +184,7 @@ class TestDisabledTracerZeroAllocation:
 
         from repro.obs import trace as trace_module
         trace_file = trace_module.__file__
-        db.query(query)  # warm tries, plan caches, morsel runners
+        db.query(query)  # warm tries and plan caches
         tracemalloc.start()
         try:
             tracemalloc.clear_traces()
@@ -227,20 +196,18 @@ class TestDisabledTracerZeroAllocation:
             [tracemalloc.Filter(True, trace_file)]).statistics("filename")
         return sum(stat.size for stat in stats)
 
-    def test_untraced_parallel_query_allocates_nothing(self):
-        db = Database(parallel_workers=2, parallel_threshold=0)
+    def test_untraced_query_allocates_nothing(self):
+        db = Database()
         db.load_graph("Edge", random_undirected_edges(40, 160, seed=6),
                       prune=True)
         assert db.tracer is None
         assert self._trace_module_bytes(db, TRIANGLES) == 0
-        assert db.last_stats.mode in ("inline", "forked")
-        assert db.last_stats.n_morsels > 1
 
     def test_enabled_tracer_is_visible_to_the_probe(self):
         """Sanity for the measurement: the same probe reports nonzero
         span allocations once tracing is on, proving the zero above is
         a real zero and not a filtering artifact."""
-        db = Database(parallel_workers=2, parallel_threshold=0)
+        db = Database()
         db.load_graph("Edge", random_undirected_edges(40, 160, seed=6),
                       prune=True)
         db.enable_tracing()

@@ -70,7 +70,6 @@ def _oracle_payloads():
             relation = db.query(text).relation
             row[text] = payload_from_relation(relation, db._dictionary)
         expected.append(row)
-    db.close()
     return expected
 
 
@@ -80,7 +79,6 @@ def service():
     svc = QueryService(db, max_inflight=64, debug=True).start()
     yield svc
     svc.stop()
-    db.close()
 
 
 def test_phased_mixed_load_matches_serial_replay(service):
@@ -247,4 +245,3 @@ def test_backpressure_rejects_with_retry_after():
         assert replies[0]["status"] == "ok"
     finally:
         service.stop()
-        db.close()

@@ -36,7 +36,6 @@ def service(tmp_path):
                        telemetry_dir=str(tmp_path / "telemetry")).start()
     yield svc
     svc.stop()
-    db.close()
 
 
 def test_slow_query_times_out_with_structured_error(service):
@@ -122,7 +121,6 @@ def test_per_request_timeout_overrides_default():
             assert reply["code"] == "timeout"
     finally:
         service.stop()
-        db.close()
 
 
 def _repo_paths():

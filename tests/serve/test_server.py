@@ -31,7 +31,6 @@ def service():
     svc = QueryService(db, debug=True).start()
     yield svc
     svc.stop()
-    db.close()
 
 
 @pytest.fixture
@@ -295,4 +294,3 @@ def test_shutdown_op_drains():
         assert ack["draining"] is True
     service._thread.join(timeout=30)
     assert not service._thread.is_alive()
-    db.close()

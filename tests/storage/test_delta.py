@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SchemaError
-from repro.storage.builder import patched_trie
 from repro.storage.delta import (JOURNAL_LIMIT, DeltaStore, merge_sorted,
                                  row_view, rows_in, sort_rows,
                                  subtract_sorted)
 from repro.storage.relation import Relation
-from repro.storage.trie import Trie
 
 
 def rel(rows, annotations=None, name="R"):
@@ -224,30 +222,6 @@ class TestApplyDelete:
         assert np.array_equal(r.data, resorted)
         keys = row_view(r.data)
         assert keys.size == np.unique(keys).size
-
-    def test_patched_trie_adopts_untouched_subtrees(self):
-        """The surgical patch: only subtrees under journal-touched
-        level-0 keys rebuild; every other child node is the stale
-        trie's object, verbatim.  (Only a stale trie whose node tree
-        was ever descended into has subtrees to adopt.)"""
-        r = rel([[c, c + 1] for c in range(20)])
-        r._canonicalize()
-        old = Trie(r, key_order=(0, 1))
-        assert old.contains((3, 4)) and old.materialized
-        assert r.apply_append([[5, 99], [30, 0]]) == 2
-        assert r.apply_delete([[7, 8]]) == 1
-        entries = r.delta.changes_since(0)
-        patched = patched_trie(old, r, (0, 1), old.optimizer, entries)
-        assert set(patched.tuples()) == {
-            tuple(int(v) for v in row) for row in r.data}
-        # Key 3 was never journalled: its subtree is adopted.
-        assert patched.root.child(3) is old.root.child(3)
-        # Keys 5 (insert) and 30 (new) were rebuilt fresh.
-        assert patched.root.child(5) is not old.root.child(5)
-        assert patched.root.child(5).set.cardinality == 2
-        assert patched.root.child(30).set.cardinality == 1
-        # Key 7 was deleted outright: absent from the patched root.
-        assert not patched.root.set.contains(7)
 
     def test_merge_threshold_trims_journal(self):
         r = rel([[c, c] for c in range(8)])

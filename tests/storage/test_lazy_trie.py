@@ -19,7 +19,6 @@ from repro.graphs.analytics import pagerank_program, sssp_program
 from repro.graphs.patterns import PATTERN_QUERIES
 from repro.sets.optimizer import SetOptimizer
 from repro.storage import Relation, Trie
-from repro.storage.arena import SharedTrieArena, shared_memory_available
 
 NODES = 90
 
@@ -150,15 +149,6 @@ class TestReadersMaterialize:
         empty = Trie(Relation("E", np.empty((0, 2), dtype=np.uint32)))
         assert list(empty.tuples()) == [] and empty.root.children == []
 
-    @pytest.mark.skipif(not shared_memory_available(),
-                        reason="POSIX shared memory unavailable")
-    def test_share_into_keeps_the_tree_pending_and_the_tuples(self):
-        trie = _trie()
-        with SharedTrieArena() as arena:
-            trie.share_into(arena)
-            assert not trie.materialized
-            assert _checksum(trie.tuples()) == HEAD[(0, 1)][3]
-
 
 def _cached_tries(db):
     """The cached tries that have a level below the root."""
@@ -221,8 +211,8 @@ class TestPatchPath:
     @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
     def test_append_and_delete_then_query(self, mode):
         """A patched trie answers like a rebuilt one, in both engines;
-        under the default engine the patch has no subtree to adopt and
-        the patched trie stays as flat as the one it replaced."""
+        under the default engine the patched trie stays as flat as the
+        one it replaced."""
         query = PATTERN_QUERIES["lollipop"]
         db = Database(execution_mode=mode)
         db.load_graph("Edge", _edges())

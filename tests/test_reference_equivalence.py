@@ -4,9 +4,9 @@ Random small relations, random conjunctive patterns (cyclic and
 acyclic), all four aggregate modes — the engine's GHD/WCOJ pipeline must
 match the exponential reference evaluator exactly.  The hypothesis
 suite runs on the default configuration; the seeded suite at the bottom
-re-checks every pattern across execution mode × parallel strategy ×
-optimizer toggles, so the reference oracle constrains every execution
-path, not just the default one.
+re-checks every pattern across execution mode × optimizer toggles, so
+the reference oracle constrains every execution path, not just the
+default one.
 """
 
 import random
@@ -132,13 +132,6 @@ def test_annotated_aggregates_match_reference(rows, pattern, op):
 
 ENGINE_CONFIGS = {
     "compiled": dict(execution_mode="compiled"),
-    "steal": dict(parallel_workers=4, parallel_threshold=0,
-                  parallel_strategy="steal"),
-    "static": dict(parallel_workers=4, parallel_threshold=0,
-                   parallel_strategy="static"),
-    "compiled-steal": dict(execution_mode="compiled", parallel_workers=4,
-                           parallel_threshold=0,
-                           parallel_strategy="steal"),
     "no-optimizer": dict(prune_attributes=False, fold_constants=False,
                          cross_rule_cse=False,
                          eliminate_redundant_bags=False,

@@ -21,7 +21,6 @@ EDGES = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 0)]
 def sample_profile():
     return TuningProfile(galloping_crossover=5.5,
                          density_threshold=96.0,
-                         parallel_threshold=300,
                          fused_block_rows=1 << 20,
                          fused_probe_crossover=2.0,
                          source="calibrated")
@@ -75,6 +74,17 @@ class TestTolerantLoading:
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
         assert load_profile(str(path)) is None
+
+    def test_retired_field_is_ignored(self, tmp_path):
+        """A profile saved while ``parallel_threshold`` was a tuned
+        constant still loads, with the same version and constants."""
+        record = sample_profile().to_dict()
+        record["parallel_threshold"] = 300
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(record))
+        loaded = load_profile(str(path))
+        assert loaded is not None
+        assert loaded.signature() == sample_profile().signature()
 
     def test_wrong_types_rejected(self):
         record = sample_profile().to_dict()

@@ -33,7 +33,7 @@ A third rule is checked by running, not reading: the **import budget**.
 A cold ``repro query`` process pays for every module ``import
 repro.cli`` loads, so a fresh interpreter imports it and fails when
 ``sys.modules`` then holds anything in :data:`IMPORT_BUDGET` — an LP
-library, the forked scheduler, the daemon, the fuzzer, the telemetry
+library, ``multiprocessing``, the daemon, the fuzzer, the telemetry
 exporters.  Code that needs one imports it where it is used.
 
 Usage: ``python tools/check_layering.py [src_root]``
@@ -55,9 +55,9 @@ FORBIDDEN = {
 #: Modules (and everything under them) ``import repro.cli`` must not load.
 IMPORT_BUDGET = (
     "scipy", "multiprocessing", "concurrent.futures", "asyncio",
-    "repro.serve", "repro.fuzz", "repro.engine.parallel",
-    "repro.storage.arena", "repro.tune.calibrate", "repro.obs.telemetry",
-    "repro.obs.flight", "repro.obs.openmetrics", "repro.obs.export",
+    "repro.serve", "repro.fuzz", "repro.tune.calibrate",
+    "repro.obs.telemetry", "repro.obs.flight", "repro.obs.openmetrics",
+    "repro.obs.export",
 )
 
 _RESULT_TYPES = frozenset(["BagResult", "empty_bag_result"])
