@@ -3,7 +3,7 @@
 The default (compiled) execution path must be *bit-identical* to the
 interpreting :class:`~repro.engine.generic_join.BagEvaluator` — same
 tuples, same annotation arrays, same scalars — across set layouts,
-semirings, head modes, and worker counts.  On top of parity, the plan
+semirings, head modes, and kernel block sizes.  On top of parity, the plan
 cache must make a repeated query skip parse, GHD search, and bag
 lowering entirely, which the ``ExecStats`` counters prove.
 """
@@ -18,6 +18,7 @@ from repro.engine.plan_cache import PlanCache, config_signature
 from repro.engine.semiring import COUNT, EXISTS, SUM
 from repro.errors import ExecutionError
 from repro.query import parse_rule
+from repro.tune.profile import TuningProfile
 from tests.conftest import (bag_inputs, brute_force_triangles,
                             random_undirected_edges)
 
@@ -52,8 +53,8 @@ QUERIES = [
 ]
 
 
-def make_db(mode, layout="set"):
-    db = Database(execution_mode=mode, layout_level=layout)
+def make_db(mode, layout="set", **overrides):
+    db = Database(execution_mode=mode, layout_level=layout, **overrides)
     db.load_graph("Edge", EDGES)
     db.add_relation("W", WEIGHTED, annotations=WEIGHTS)
     return db
@@ -74,6 +75,17 @@ class TestParityMatrix:
     def test_layouts_serial(self, layout, query):
         interpreted = make_db("interpreted", layout)
         compiled = make_db("compiled", layout)
+        assert_identical(interpreted.query(query),
+                         compiled.query(query), query)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_small_blocks(self, rows, query):
+        """Cutting every bag into blocks of a row or a few changes no
+        row, annotation or scalar of any head shape."""
+        interpreted = make_db("interpreted")
+        compiled = make_db("compiled", adaptive=True,
+                           tuning=TuningProfile(fused_block_rows=rows))
         assert_identical(interpreted.query(query),
                          compiled.query(query), query)
 

@@ -8,6 +8,7 @@ from repro.engine import EngineConfig, RuleExecutor, execute_recursive
 from repro.errors import PlanError
 from repro.query import parse_rule
 from repro.storage import Relation
+from repro.tune.profile import TuningProfile
 
 
 def executor_with(catalog):
@@ -133,12 +134,27 @@ class TestSeminaive:
 
 
 class TestRecursionAcrossModes:
-    """Recursion parity under the compiled pipeline — a combination
-    the per-mode suites above never cross.  Every variant must
-    reproduce the interpreter's fixpoint."""
+    """Recursion parity under the compiled pipeline, its block sizes,
+    the interpreter's layout ablations and the optimizer toggles —
+    combinations the per-mode suites above never cross.  Every variant
+    must reproduce the interpreter's fixpoint."""
 
     MODES = {
         "compiled": dict(execution_mode="compiled"),
+        "compiled-rows-1": dict(execution_mode="compiled", adaptive=True,
+                                tuning=TuningProfile(fused_block_rows=1)),
+        "compiled-rows-7": dict(execution_mode="compiled", adaptive=True,
+                                tuning=TuningProfile(fused_block_rows=7)),
+        "interpreted-uint-only": dict(execution_mode="interpreted",
+                                      layout_level="uint_only",
+                                      adaptive_algorithms=False),
+        "interpreted-bitset": dict(execution_mode="interpreted",
+                                   layout_level="bitset_only"),
+        "no-optimizer": dict(prune_attributes=False, fold_constants=False,
+                             cross_rule_cse=False,
+                             eliminate_redundant_bags=False,
+                             push_selections=False, skip_top_down=False),
+        "no-ghd": dict(use_ghd=False),
     }
 
     EDGES = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 0), (2, 5)]
@@ -166,19 +182,22 @@ class TestRecursionAcrossModes:
         return request.param
 
     def test_union_fixpoint_parity(self, mode):
-        expected = set(self._db().query(self.CLOSURE).tuples())
+        expected = set(self._db(execution_mode="interpreted")
+                       .query(self.CLOSURE).tuples())
         got = set(self._db(**self.MODES[mode]).query(self.CLOSURE)
                   .tuples())
         assert got == expected
 
     def test_monotone_seminaive_parity(self, mode):
-        expected = self._db().query(self.SSSP).to_dict()
+        expected = self._db(execution_mode="interpreted") \
+            .query(self.SSSP).to_dict()
         got = self._db(**self.MODES[mode]).query(self.SSSP).to_dict()
         assert got == expected
 
     def test_bounded_replace_parity(self, mode):
         loop_edges = [(0, 0), (0, 1), (1, 1)]
-        baseline = Database(ordering="identity")
+        baseline = Database(ordering="identity",
+                            execution_mode="interpreted")
         baseline.load_graph("Edge", loop_edges, undirected=False)
         baseline.query(self.REPLACE_BASE)
         expected = baseline.query(self.REPLACE).to_dict()
@@ -459,7 +478,6 @@ def dict_fixpoint(base, step, better):
 
 def blocked_db(mode, rows):
     """A database of ``mode`` whose kernels cut blocks of ``rows``."""
-    from repro.tune.profile import TuningProfile
     if rows is None:
         return Database(ordering="identity", execution_mode=mode)
     return Database(ordering="identity", execution_mode=mode,

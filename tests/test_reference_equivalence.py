@@ -4,9 +4,10 @@ Random small relations, random conjunctive patterns (cyclic and
 acyclic), all four aggregate modes — the engine's GHD/WCOJ pipeline must
 match the exponential reference evaluator exactly.  The hypothesis
 suite runs on the default configuration; the seeded suite at the bottom
-re-checks every pattern across execution mode × optimizer toggles, so
-the reference oracle constrains every execution path, not just the
-default one.
+re-checks every pattern across execution mode × optimizer toggles ×
+the interpreter's layout and algorithm ablations × the kernels' block
+size, so the reference oracle constrains every execution path, not
+just the default one.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
+from repro.tune.profile import TuningProfile
 from tests.reference import evaluate_conjunctive, evaluate_program
 
 #: Candidate query shapes: (atom variable tuples, head variables).
@@ -132,6 +134,20 @@ def test_annotated_aggregates_match_reference(rows, pattern, op):
 
 ENGINE_CONFIGS = {
     "compiled": dict(execution_mode="compiled"),
+    "compiled-rows-1": dict(execution_mode="compiled", adaptive=True,
+                            tuning=TuningProfile(fused_block_rows=1)),
+    "adaptive": dict(execution_mode="compiled", adaptive=True),
+    "interpreted": dict(execution_mode="interpreted"),
+    "interpreted-uint-only": dict(execution_mode="interpreted",
+                                  layout_level="uint_only",
+                                  adaptive_algorithms=False),
+    "interpreted-bitset": dict(execution_mode="interpreted",
+                               layout_level="bitset_only"),
+    "interpreted-block": dict(execution_mode="interpreted",
+                              layout_level="block"),
+    "interpreted-no-simd": dict(execution_mode="interpreted", simd=False),
+    "interpreted-galloping": dict(execution_mode="interpreted",
+                                  uint_algorithm="galloping"),
     "no-optimizer": dict(prune_attributes=False, fold_constants=False,
                          cross_rule_cse=False,
                          eliminate_redundant_bags=False,
