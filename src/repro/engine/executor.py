@@ -766,28 +766,45 @@ class RuleExecutor:
         return result
 
     def _rebind(self, compiled, stale):
-        """Bring a compiled rule up to date with replaced relations.
+        """Bring a compiled rule up to date with changed relations.
 
-        A rule whose inputs were re-derived — a recursion round's own
-        head (the previous round's output, or its delta), PageRank's
-        ``InvDeg`` on every run of its program — differs from its
-        compiled form in nothing but those relations' contents.  GHD,
-        attribute orders and kernels do not depend on contents, so
-        instead of recompiling, the atoms over a replaced relation
-        take the new one and the bags that read it take its trie.
-        Returns false — recompile — when a relation was mutated in
-        place rather than replaced, changed arity or annotatedness,
-        came back encoded through other dictionaries (a reload, which
-        re-plans, not a re-derivation), or is read through a selection
-        or a guard, whose derived relation would have to be re-cut.
+        GHD, attribute orders and kernels do not depend on a relation's
+        contents beyond the log2 band of its cardinality (the GHD
+        memo's reuse rule), so two kinds of change leave a compiled
+        rule sound.  A relation *replaced* by a re-derivation — a
+        recursion round's own head, PageRank's ``InvDeg`` on every run
+        of its program — gives its atoms the new object.  A relation
+        *mutated in place* (``Database.append`` / ``delete``) is still
+        the object its atoms read: they only drop the slices they cut
+        from it, so a selection is cut again from the mutated source.
+        Either way the bags that read it re-fetch its tries from the
+        trie cache, which patches a mutated relation's tries from its
+        journal.
+
+        Returns false — recompile — for a rule that is not a ``plan``
+        or reads the relation through a guard (whether a guard is empty
+        is decided at compile time), for an in-place mutation that
+        moved an atom's cardinality band, and for a replacement that
+        changed arity or annotatedness, came back encoded through other
+        dictionaries (a reload, which re-plans, not a re-derivation),
+        or is read through a selection or projection.
         """
         logical = compiled.logical
         if compiled.kind != "plan":
             return False
+        mutated = set()
         for name in stale:
             relation = self.catalog.get(name)
+            if relation is None \
+                    or any(guard.name == name
+                           for guard in logical.guard_atoms):
+                return False
+            if all(atom.source is relation for atom in logical.atoms
+                   if atom.name == name):
+                mutated.add(name)
+                continue
             atoms = _plain_reads(logical, name)
-            if relation is None or atoms is None \
+            if atoms is None \
                     or any(atom.source is relation
                            or atom.source.arity != relation.arity
                            or atom.annotated
@@ -795,18 +812,22 @@ class RuleExecutor:
                            or _reencoded(atom.source, relation)
                            for atom in atoms):
                 return False
-        for name in stale:
-            relation = self.catalog[name]
-            for atom in logical.atoms:
-                if atom.name == name:
-                    atom.rebind(relation)
-            for cbag in compiled.bags.values():
-                for bag_input in cbag.base_inputs:
-                    if bag_input.name == name:
-                        bag_input.trie = self.cache.get(
-                            relation, bag_input.trie.key_order,
-                            self.config.layout_level,
-                            self.config.density_threshold())
+        for atom in logical.atoms:
+            if atom.name in stale:
+                atom.rebind(self.catalog[atom.name])
+        if any(atom.name in mutated
+               and int(atom.relation.cardinality).bit_length() != band
+               for atom, band in zip(logical.atoms, compiled.bands)):
+            return False
+        for node in compiled.ghd.nodes_bottom_up():
+            cbag = compiled.bags[id(node)]
+            for edge, bag_input in zip(node.edges, cbag.base_inputs):
+                atom = logical.atoms[edge.index]
+                if atom.name in stale:
+                    bag_input.trie = self.cache.get(
+                        atom.relation, bag_input.trie.key_order,
+                        self.config.layout_level,
+                        self.config.density_threshold())
         compiled.guards = _relation_guards(logical)
         return True
 
@@ -947,7 +968,9 @@ class RuleExecutor:
                             duplicates=duplicates,
                             global_order=global_order, semiring=semiring,
                             aggregate_mode=aggregate_mode, bags=bags,
-                            logical=logical)
+                            logical=logical,
+                            bands=tuple(int(atom.relation.cardinality)
+                                        .bit_length() for atom in atoms))
 
     def run_compiled(self, compiled, stats):
         """Execute a :class:`CompiledRule` against the current catalog."""

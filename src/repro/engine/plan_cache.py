@@ -8,12 +8,15 @@ make a repeated query's cost approach the pure join work:
   ``Database.query`` call skips the parser entirely;
 * **rule tier** — rule text → :class:`CompiledRule` (GHD choice, global
   order, per-bag block kernels, baked base tries), guarded by
-  catalog relation *identity* so replacing a relation (a new load)
-  transparently invalidates — except when the replaced relations
-  were merely re-derived: a recursion round's own head, an auxiliary
-  relation a program recomputes on every run.  The executor then
-  *re-binds* those atoms' tries and the entry lives on, so a
-  recursion compiles once however many rounds — and runs — it has;
+  catalog relation *identity* and *version* so replacing a relation
+  (a new load) transparently invalidates — except when the replaced
+  relations were merely re-derived (a recursion round's own head, an
+  auxiliary relation a program recomputes on every run) or mutated in
+  place without leaving their atoms' cardinality bands
+  (``Database.append`` / ``delete``).  The executor then *re-binds*
+  those atoms and their tries and the entry lives on, so a recursion
+  compiles once however many rounds — and runs — it has, and a write
+  costs the rules that read it a trie patch, not a recompile;
 * **bag-source tier** — normalized bag signature (attribute order +
   head split + semiring + per-input annotation flags) →
   :class:`~repro.engine.fused.FusedBagKernel`, so structurally
@@ -101,15 +104,18 @@ class CompiledRule:
     the optimized :class:`~repro.lir.ir.LogicalRule` the plan was
     lowered from — the finalizers read the *rewritten* assignment
     expression and head from it, not from the raw AST rule.
+    ``bands`` holds each of its atoms' log2 cardinality band at compile
+    time: a plan re-binds across an in-place mutation only while the
+    bands of the mutated relation's atoms hold.
     """
 
     __slots__ = ("kind", "rule", "guards", "ghd", "duplicates",
                  "global_order", "semiring", "aggregate_mode", "bags",
-                 "inner", "logical")
+                 "inner", "logical", "bands")
 
     def __init__(self, kind, rule, guards, ghd=None, duplicates=(),
                  global_order=(), semiring=None, aggregate_mode=False,
-                 bags=None, inner=None, logical=None):
+                 bags=None, inner=None, logical=None, bands=()):
         self.kind = kind
         self.rule = rule
         self.guards = tuple(guards)
@@ -121,6 +127,7 @@ class CompiledRule:
         self.bags = bags if bags is not None else {}
         self.inner = inner
         self.logical = logical
+        self.bands = bands
 
     def stale_guards(self, catalog):
         """Names of the relations the compilation saw that are no
@@ -130,7 +137,8 @@ class CompiledRule:
         The identity check catches wholesale replacement (rule heads,
         recursion rounds); the version check catches in-place mutation
         (``Database.append`` / ``delete``), whose baked tries would
-        otherwise serve stale contents.
+        otherwise serve stale contents.  Either is offered to the
+        executor's re-bind before the entry is dropped.
         """
         return [name for name, relation, version in self.guards
                 if catalog.get(name) is not relation

@@ -118,9 +118,11 @@ class LogicalAtom:
         return derived
 
     def rebind(self, source):
-        """Point this (selection-free) atom at a replacement of its
-        source relation with the same shape — a recursion round's new
-        head."""
+        """Point this atom at ``source`` and drop its cut slice: a
+        selection-free atom takes a replacement of its source with the
+        same shape (a recursion round's new head), any atom takes its
+        own source after an in-place mutation, and the next read of
+        :attr:`relation` cuts the slice again."""
         self.source = source
         self._relation = None
 

@@ -31,14 +31,22 @@ every mutation; the event loop consults a memo and, when that memo is
 cold, defers the whole decision to the worker, which probes the cache
 at its FIFO position (where every earlier op has applied its effects
 and nothing later has run — a hit there is trivially bit-identical to
-serial replay).  Completed ops apply their *effects* on the event loop
+serial replay).  The memo is stamped with an identity epoch that only
+ops able to change an identity bump: a new relation, a materialize,
+and an append that grew one of the relation's dictionaries (identity
+reads the catalog through name resolution and constant encodings
+alone, and an absent constant encodes the same however the relation's
+rows change).  Completed ops apply their *effects* on the event loop
 in completion (= admission) order: mutations bump the mutated
 relation's epoch and evict entries stamped with it; executed queries
 bump their installed heads' epochs and store their payload.  A query
 arriving while a mutation (or an overlapping execution) is pending on
 one of its relations *bypasses* the memo fast path and executes FIFO
 instead — a loop-side hit is only served when nothing that could
-change its answer is in flight.
+change its answer is in flight.  A query whose identity is not
+memoized marks the heads its text names (parsing reads no catalog),
+so it blocks only the hits that read or install those heads; a
+materialize still blocks every hit.
 
 **Drain.**  ``shutdown`` (the op, SIGTERM, or SIGINT) stops admitting
 (new requests are rejected with ``code="shutting_down"``), waits up to
@@ -62,11 +70,15 @@ import time
 
 from ..engine.plan_cache import config_signature
 from ..errors import EmptyHeadedError
+from ..query.parser import parse
 from . import protocol
 from .cache import ResultCache, program_identity
 
 #: Pending-mark token for mutations (see ``QueryService._pending``).
 _MUTATION = "__mutation__"
+#: Pending-mark token for the heads of a query whose identity is not
+#: known yet: it equals no cache key, so it is foreign to every hit.
+_DEFERRED = "__deferred__"
 
 
 class QueryService:
@@ -122,7 +134,8 @@ class QueryService:
         #: mutations and query head installs; result-cache validity.
         self._epochs = {}
         #: Coarse epoch for the program-identity memo: bumped by any
-        #: op that can change name resolution or dictionary encodings.
+        #: op that can change name resolution or dictionary encodings
+        #: (an append only when it grew a dictionary).
         self._identity_epoch = 0
         self._identity_memo = {}  # text -> (identity_epoch, identity)
         #: ``{relation name: {token: count}}`` of admitted-but-
@@ -131,7 +144,8 @@ class QueryService:
         #: their heads with their own cache key, so a *same-program*
         #: request can still be served from the cache (its concurrent
         #: execution installs identical content) while foreign readers
-        #: of the head bypass to FIFO execution.
+        #: of the head bypass to FIFO execution.  A query whose key is
+        #: not known yet marks its heads with :data:`_DEFERRED`.
         self._pending = {}
         self._pending_global = 0
         self._connections = set()  # open client writers, loop-owned
@@ -509,18 +523,18 @@ class QueryService:
         memo = self._identity_memo.get(text)
         if memo is None or memo[0] != self._identity_epoch:
             # Identity unknown (first sight, or invalidated by a
-            # mutation).  program_identity parses and optimizes against
-            # the live catalog, which the worker thread may be mutating
+            # catalog change).  program_identity optimizes against the
+            # live catalog, which the worker thread may be mutating
             # right now — so it must never run on the event loop.  The
             # worker computes it at this request's FIFO position
             # (serialized with every mutation), probes the cache there,
-            # and executes on a miss.  Heads are unknown until then, so
-            # a global pending mark blocks every fast-path hit for the
-            # duration.
+            # and executes on a miss.  The cache key is unknown until
+            # then, but the heads the execution may install are not:
+            # they are marked as foreign to every key.
             worker = self._deferred_query_worker(text, admitted,
                                                  debug_sleep)
-            return await self._run_on_worker(worker, timeout, base,
-                                             pending_global=True)
+            return await self._run_on_worker(
+                worker, timeout, base, pending_marks=_deferred_marks(text))
         identity = memo[1]
         tier = "miss"
         if identity is not None and debug_sleep is None:
@@ -551,11 +565,11 @@ class QueryService:
         change the answer — or the catalog state a hit implicitly
         promises — is pending: a materialize anywhere, any pending op
         on a relation the program *reads*, or a **foreign** program
-        (different cache key) about to install one of this program's
-        heads.  A pending execution of the *same* program does not
-        block: its install is identical to what a re-execution of this
-        request would produce, so the hit stays bit-identical to
-        serial replay.
+        (different or not yet known cache key) about to install one of
+        this program's heads.  A pending execution of the *same*
+        program does not block: its install is identical to what a
+        re-execution of this request would produce, so the hit stays
+        bit-identical to serial replay.
         """
         if self._pending_global:
             return True
@@ -728,6 +742,13 @@ class QueryService:
 
         def run():
             start = time.perf_counter()
+            # Only new dictionary entries can change a program's
+            # identity, and a delete never adds one.
+            sizes = _dictionary_sizes(self.db, name)
+
+            def grew():
+                return op == "append" \
+                    and _dictionary_sizes(self.db, name) != sizes
             try:
                 if op == "append":
                     changed = self.db.append(name, tuples,
@@ -736,14 +757,16 @@ class QueryService:
                 else:
                     changed = self.db.delete(name, tuples)
             except EmptyHeadedError as error:
+                # a batch rejected mid-way may have encoded its earlier
+                # rows' values already
                 return {"status": "error", "code": "mutation_error",
                         "error": str(error),
                         "error_class": type(error).__name__,
                         "elapsed_seconds": time.perf_counter() - start,
-                        "_effects": {"identity": True}}
+                        "_effects": {"identity": grew()}}
             return {"status": "ok", "changed": int(changed),
                     "elapsed_seconds": time.perf_counter() - start,
-                    "_effects": {"identity": True,
+                    "_effects": {"identity": grew(),
                                  "bump": [name] if changed else []}}
         return run
 
@@ -805,6 +828,28 @@ class QueryService:
                     "elapsed_seconds": time.perf_counter() - start,
                     "result": payload}
         return run
+
+
+def _dictionary_sizes(db, name):
+    """Entry counts of relation ``name``'s column dictionaries (empty
+    for an unknown or dictionary-free relation)."""
+    relation = db.catalog.get(name)
+    dictionaries = getattr(relation, "dictionaries", None) or ()
+    return [len(d) for d in dictionaries if d is not None]
+
+
+def _deferred_marks(text):
+    """Pending marks for a query whose identity is not memoized: each
+    head its text names, with the :data:`_DEFERRED` token.  Parsing
+    reads no catalog, so this is safe on the event loop; a program
+    that does not parse installs nothing and marks nothing."""
+    try:
+        rules = parse(text).rules
+    except EmptyHeadedError:
+        return ()
+    return tuple((head, _DEFERRED)
+                 for head in dict.fromkeys(rule.head_name
+                                           for rule in rules))
 
 
 def main(argv=None):

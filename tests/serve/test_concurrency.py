@@ -192,6 +192,43 @@ def test_no_stale_hits_when_racing_a_mutation(service):
         assert reply["result"] in (pre, post), reply
 
 
+def test_pending_unknown_program_blocks_only_readers_of_its_heads(
+        service):
+    # A program the daemon has never seen runs with its identity still
+    # unknown; it marks the heads it installs, so hits on programs that
+    # neither read nor install them stay on the fast path.
+    head_count = "HC(;w:long) :- P(x,y); w=<<COUNT(*)>>."
+    reinstall = "P(x,y) :- Edge(y,x)."
+    with ServeClient(port=service.port) as client:
+        for text in (TAG_COUNT, EDGE_PAIRS, head_count):
+            client.query(text)
+        assert client.query(TAG_COUNT)["cached"] is True
+        assert client.query(head_count)["cached"] is True
+    reply_box = {}
+
+    def slow_writer():
+        with ServeClient(port=service.port) as client:
+            reply_box["slow"] = client.query(reinstall, debug_sleep=0.5)
+
+    thread = threading.Thread(target=slow_writer)
+    thread.start()
+    import time
+    time.sleep(0.15)  # let the slow query enter execution
+    with ServeClient(port=service.port) as client:
+        assert "P" in service._pending
+        hit = client.query(TAG_COUNT)
+        assert hit["cached"] is True
+        assert "slow" not in reply_box
+        bypasses = service.cache.bypasses
+        blocked = client.query(head_count)
+        assert blocked["cached"] is False
+        assert service.cache.bypasses == bypasses + 1
+        assert blocked["result"]["value"] == 8.0
+    thread.join(timeout=30)
+    assert reply_box["slow"]["status"] == "ok"
+    assert reply_box["slow"]["rows"] == 8
+
+
 def test_drain_answers_inflight_then_rejects(service):
     # A slow query in flight when shutdown begins still gets its
     # answer; requests arriving during the drain are rejected.
