@@ -77,19 +77,6 @@ EXPECTATIONS = {
         "beats no-cse on the two-rule shared-triangle program because "
         "the second rule's bag is a memo hit (cse.bag_hits in "
         "metrics).  Results are identical across all variants."),
-    "adaptive": (
-        "Adaptive self-tuning (repro.tune): the tuned rows run with a "
-        "live machine calibration installed, so on the skewed "
-        "common-neighbour workload the galloping kernel engages at "
-        "this substrate's real crossover instead of the paper's 32:1 "
-        "constant — tuned should beat default by >= 1.3x at full "
-        "scale (both interpreted), and the fused rows run the default "
-        "engine without and with the calibrated block size and sweep "
-        "crossover: both expand the small side of every skewed pair, "
-        "so they sit close together and far ahead of the interpreted "
-        "rows.  All four rows return bit-identical results; "
-        "extra_info carries the calibrated crossover and the "
-        "workload's skew ratio."),
     "telemetry": (
         "Continuous telemetry (repro.obs.telemetry): running the full "
         "pipeline — write-ahead in-flight journal, rotating JSONL "

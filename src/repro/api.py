@@ -159,15 +159,6 @@ class Database:
                                                           "on") \
                 else telemetry_env
             self.enable_telemetry(directory=directory)
-        tuning_env = os.environ.get("REPRO_TUNING_PROFILE")
-        if tuning_env and self.config.tuning is None:
-            # A saved calibration profile; unreadable or stale files
-            # load as None, leaving the engine on paper defaults.
-            from .tune.profile import load_profile
-            profile = load_profile(tuning_env)
-            if profile is not None:
-                self.config.tuning = profile
-                self.config.adaptive = True
 
     # -- loading --------------------------------------------------------------
 
@@ -540,10 +531,6 @@ class Database:
                 record["recursion_rounds"] = stats.recursion_rounds
         else:
             record["plan_cache"] = "n/a"
-        if self.config.adaptive:
-            record["replans"] = self._executor.replans
-            record["mispredict_ratio"] = \
-                float(self._executor.last_mispredict_ratio)
         tracer = own_tracer if own_tracer is not None else previous_tracer
         if tracer is not None and tracer.enabled and len(tracer):
             record["phases"] = tracer.phase_seconds()
@@ -683,96 +670,32 @@ class Database:
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
-        """Persist every stored relation to a ``.npz`` file.
-
-        A calibrated tuning profile on the config rides along in the
-        manifest, so :meth:`load` restarts warm (already tuned).
-        """
+        """Persist every stored relation to a ``.npz`` file."""
         from .storage.persistence import save_catalog
-        save_catalog(path, self.catalog, tuning=self.config.tuning)
+        save_catalog(path, self.catalog)
 
     @classmethod
     def load(cls, path, **kwargs):
         """Reconstruct a database saved with :meth:`save`.
 
         Engine configuration is *not* persisted (pass the usual
-        constructor keywords), with one exception: a tuning profile
-        saved alongside the relations is restored onto the config —
-        it only engages when ``adaptive=True``.  A stale or
-        missing profile is silently ignored (paper defaults apply).
+        constructor keywords).
         """
-        from .storage.persistence import load_catalog, load_tuning
+        from .storage.persistence import load_catalog
         db = cls(**kwargs)
         for name, relation in load_catalog(path).items():
             db._install(name, relation)
-        if db.config.tuning is None:
-            db.config.tuning = load_tuning(path)
         return db
-
-    # -- adaptive tuning ----------------------------------------------------
-
-    def calibrate(self, seed=None, quick=True, save=None, timer=None,
-                  use_dataset=True):
-        """Calibrate the engine's dispatch constants on this machine.
-
-        Runs the :mod:`repro.tune` microbenchmarks (galloping
-        crossover, layout density threshold, fused block budget, fused
-        probe crossover), installs the
-        resulting :class:`~repro.tune.profile.TuningProfile` on the
-        config, and switches ``adaptive`` on so every dispatch site
-        reads the calibrated constants.
-
-        Parameters
-        ----------
-        seed:
-            Seed for the synthetic microbenchmark inputs (defaults to
-            the database seed).
-        quick:
-            Fewer repetitions per timed point (default; pass
-            ``False`` for the full fit).
-        save:
-            Optional path to also write the profile as JSON
-            (loadable via ``REPRO_TUNING_PROFILE`` or ``--tuning-profile``).
-        timer:
-            Injectable clock for deterministic tests.
-        use_dataset:
-            Also sample loaded relations' root sets and re-fit the
-            galloping crossover on the dataset's real skew.
-        """
-        from .tune.calibrate import calibrate as run_calibration
-        dataset_sets = None
-        if use_dataset and self.catalog:
-            dataset_sets = [
-                np.unique(relation.data[:, 0]).astype(np.uint32)
-                for relation in self.catalog.values()
-                if relation.arity and relation.cardinality]
-            dataset_sets = dataset_sets or None
-        profile = run_calibration(
-            seed=self.seed if seed is None else seed, timer=timer,
-            quick=quick, dataset_sets=dataset_sets)
-        self.config.tuning = profile
-        self.config.adaptive = True
-        if save is not None:
-            profile.save(save)
-        return profile
-
-    @property
-    def tuning(self):
-        """The installed tuning profile, or ``None`` (paper defaults)."""
-        return self.config.tuning
 
     def set_cardinality_hint(self, name, cardinality):
         """Override the planner's cardinality estimate for relation
-        ``name`` (GHD costing and the adaptive mispredict baseline).
-        With ``adaptive=True`` a hint that proves badly wrong at run
-        time triggers re-planning from observed cardinalities."""
+        ``name`` in GHD costing."""
         self._executor.card_hints[name] = int(cardinality)
 
     def clear_cardinality_hints(self):
-        """Drop all cardinality hints and accumulated re-planning
-        feedback; the planner reverts to catalog cardinalities."""
+        """Drop all cardinality hints; the planner reverts to catalog
+        cardinalities."""
         self._executor.card_hints.clear()
-        self._executor.card_feedback.clear()
 
     @property
     def counter(self):
@@ -934,20 +857,10 @@ class Database:
             result = self.query(text)
         finally:
             self.config.tracer = previous
-        tuning_state = None
-        if self.config.adaptive:
-            profile = self.config.tuning
-            tuning_state = {
-                "profile": ("on (tuning profile: source=%s, version=%d)"
-                            % (profile.source, profile.version)
-                            if profile is not None else None),
-                "replans": self._executor.replans,
-                "mispredict_ratio": self._executor.last_mispredict_ratio,
-            }
         return render_explain_analyze(
             self._executor.last_plan, self._executor.last_stats, own,
             self.config, result=result.relation,
-            logical=self._executor.last_logical, tuning=tuning_state)
+            logical=self._executor.last_logical)
 
     def _head_dictionaries(self, rule):
         """Column dictionaries for the head, looked up from the body

@@ -60,19 +60,6 @@ def _build_database(args):
         overrides["execution_mode"] = args.execution_mode
     if getattr(args, "no_incremental_views", False):
         overrides["incremental_views"] = False
-    if getattr(args, "adaptive", False):
-        overrides["adaptive"] = True
-    profile_path = getattr(args, "tuning_profile", None)
-    if profile_path:
-        from .tune.profile import load_profile
-        profile = load_profile(profile_path)
-        if profile is None:
-            print("warning: tuning profile %r is missing or stale; "
-                  "running with default constants" % profile_path,
-                  file=sys.stderr)
-        else:
-            overrides["tuning"] = profile
-            overrides["adaptive"] = True
     return Database(ordering=args.ordering,
                     layout_level=args.layout_level,
                     use_ghd=not args.no_ghd,
@@ -120,14 +107,6 @@ def _add_loader_flags(parser):
                         help="refresh stale materialized views by "
                              "re-running their defining program "
                              "instead of semi-naive delta evaluation")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="adaptive execution: tuned dispatch "
-                             "constants and mispredict-driven "
-                             "re-planning")
-    parser.add_argument("--tuning-profile", metavar="FILE",
-                        help="calibration profile from 'repro tune' "
-                             "(implies --adaptive; stale profiles are "
-                             "ignored with a warning)")
 
 
 def cmd_query(args):
@@ -262,34 +241,6 @@ def cmd_bench(args):
     return 0
 
 
-def cmd_tune(args):
-    """``repro tune``: calibrate dispatch constants on this machine."""
-    dataset_sets = None
-    if args.dataset or args.edges:
-        import numpy as np
-        if args.dataset:
-            edges = load_dataset(args.dataset)
-        else:
-            edges = read_edgelist(args.edges)
-        edges = np.asarray([tuple(e) for e in edges], dtype=np.int64)
-        # Per-source adjacency sizes give the dataset's real skew; the
-        # dataset fitter pairs small sets against large ones.
-        sources, counts = np.unique(edges[:, 0], return_counts=True)
-        order = np.argsort(counts)
-        picks = list(sources[order[:2]]) + list(sources[order[-4:]])
-        dataset_sets = [
-            np.unique(edges[edges[:, 0] == s, 1]).astype(np.uint32)
-            for s in picks]
-    from .tune.calibrate import calibrate
-    profile = calibrate(seed=args.seed, quick=args.quick,
-                        dataset_sets=dataset_sets)
-    print(profile.describe())
-    if args.out:
-        profile.save(args.out)
-        print("profile written to %s" % args.out, file=sys.stderr)
-    return 0
-
-
 def cmd_serve(args):
     """``repro serve``: run the long-lived query daemon."""
     from .serve import QueryService
@@ -404,24 +355,6 @@ def build_parser():
     bench.add_argument("--dataset", choices=sorted(DATASETS),
                        default="patents")
     bench.set_defaults(func=cmd_bench)
-
-    tune = sub.add_parser("tune",
-                          help="calibrate dispatch constants (machine "
-                               "and optionally dataset) into a tuning "
-                               "profile")
-    tune.add_argument("--out", metavar="FILE",
-                      help="write the profile JSON here (use with "
-                           "--tuning-profile or REPRO_TUNING_PROFILE)")
-    tune.add_argument("--seed", type=int, default=0,
-                      help="seed for the synthetic microbenchmarks")
-    tune.add_argument("--quick", action="store_true",
-                      help="fewer repetitions per timed point")
-    tune.add_argument("--dataset", choices=sorted(DATASETS),
-                      help="also fit the galloping crossover on this "
-                           "built-in dataset's real skew")
-    tune.add_argument("--edges", help="whitespace edge-list file for "
-                                      "the dataset fit")
-    tune.set_defaults(func=cmd_tune)
 
     serve = sub.add_parser(
         "serve",

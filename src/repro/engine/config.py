@@ -13,6 +13,10 @@ flat sorted arrays and are indifferent to them (they still shape the
 tries the interpreter's fast paths and fallbacks see), so the paper's
 layout/SIMD/algorithm ablations are measured with
 ``execution_mode="interpreted"``.
+
+Dispatch constants are not switches: the kernel reads
+``repro.engine.fused.BLOCK_ROWS`` and ``PROBE_CROSSOVER`` on every
+call, as the paper's optimizer reads its fixed crossovers.
 """
 
 import os
@@ -20,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..sets.cost import OpCounter
-from ..tune.profile import TuningProfile
 
 
 def _default_execution_mode():
@@ -106,27 +109,6 @@ class EngineConfig:
         query exceeding it is re-executed fully traced on its next run
         and the trace archived.  ``None`` disables promotion.  Also
         signature-exempt.
-    adaptive:
-        Adaptive self-tuning execution (:mod:`repro.tune`).  When on,
-        (a) dispatch sites read calibrated constants from ``tuning``
-        instead of the hard-coded defaults, and (b) the executor
-        compares predicted vs actual per-bag lane ops after every query
-        and re-plans cached entries whose actuals blow past the
-        prediction by more than ``replan_factor`` (feeding observed
-        cardinalities back into GHD choice).  Off (default) the engine
-        is bit-identical to the untuned paths.
-    tuning:
-        The :class:`repro.tune.TuningProfile` supplying calibrated
-        constants; ``None`` (even with ``adaptive=True``) keeps every
-        constant at its default — re-planning still runs.  Participates
-        in ``config_signature`` via ``TuningProfile.signature()``
-        because tuned constants change generated plans and layouts.
-    replan_factor:
-        Mispredict tolerance: a cached plan is evicted and re-planned
-        when a bag's actual lane ops exceed ``replan_factor x`` the cost
-        model's prediction.  The prediction is an upper bound, so only
-        the actual>predicted direction signals a bad plan (the other
-        direction is ordinary model pessimism).
     incremental_views:
         Maintain materialized views (``Database.materialize``) by
         semi-naive delta evaluation when the mutation history permits
@@ -154,62 +136,12 @@ class EngineConfig:
     metrics: Optional[object] = None
     telemetry: Optional[object] = None
     slow_query_seconds: Optional[float] = None
-    adaptive: bool = False
-    tuning: Optional[TuningProfile] = None
-    replan_factor: float = 8.0
     incremental_views: bool = True
 
     def ablated(self, **changes):
         """Copy of this config with some switches flipped."""
         from dataclasses import replace
         return replace(self, counter=OpCounter(), **changes)
-
-    # -- adaptive accessors -------------------------------------------------
-    #
-    # Dispatch sites call these instead of reading module constants, and
-    # every one returns ``None`` (= "use the hard-coded default") unless
-    # adaptive tuning is on AND a profile is attached AND the profile
-    # carries a value.  That triple gate is what makes "profile absent or
-    # stale ⇒ bit-identical to defaults" hold by construction.
-
-    def _tuned(self, name):
-        if not self.adaptive or self.tuning is None:
-            return None
-        return getattr(self.tuning, name, None)
-
-    def galloping_crossover(self):
-        """Tuned galloping crossover ratio, or ``None`` for the live
-        ``repro.sets.cost.GALLOPING_CROSSOVER`` default."""
-        return self._tuned("galloping_crossover")
-
-    def density_threshold(self):
-        """Tuned uint-vs-bitset inverse-density threshold, or ``None``
-        for the ``SIMD_REGISTER_BITS`` default."""
-        return self._tuned("density_threshold")
-
-    def fused_block_rows(self):
-        """Tuned candidate rows per kernel block, or ``None`` for
-        ``repro.engine.fused.BLOCK_ROWS``."""
-        value = self._tuned("fused_block_rows")
-        return None if value is None else int(value)
-
-    def fused_probe_crossover(self):
-        """Tuned skew ratio past which a kernel level takes the probe
-        sweep, or ``None`` for ``repro.engine.fused.PROBE_CROSSOVER``."""
-        return self._tuned("fused_probe_crossover")
-
-
-def _fuzz_profile():
-    """Aggressively non-default constants: an early galloping switch, a
-    much denser bitset bar, kernel blocks of a handful of rows (every
-    level is cut into many slices, rows split mid-fan-out), and a
-    hair-trigger probe sweep — tuned plans must still produce
-    identical results."""
-    return TuningProfile(galloping_crossover=4.0,
-                         density_threshold=64.0,
-                         fused_block_rows=5,
-                         fused_probe_crossover=1.0,
-                         source="fuzz-matrix")
 
 
 def enumerate_config_matrix(full=False):
@@ -219,7 +151,9 @@ def enumerate_config_matrix(full=False):
     The first entry, ``interp``, is the oracle every other config is
     diffed against.  The default is a one-factor-at-a-time covering
     set: the default engine, every optimizer pass and set-layout level,
-    and the tuned / re-planning variants (twelve configs).
+    and ``small-blocks`` — the default engine, which the fuzz runner
+    executes with the kernel's block constants forced tiny (ten
+    configs).
     ``full=True`` returns the cross product of the high-impact axes
     (execution mode × optimizer bundle × layout, sixteen configs) for
     deep/nightly runs.
@@ -247,12 +181,7 @@ def enumerate_config_matrix(full=False):
                                  adaptive_algorithms=False)),
             ("bitset-only", interp(layout_level="bitset_only")),
             ("block", interp(layout_level="block")),
-            ("adaptive", default(adaptive=True, tuning=_fuzz_profile())),
-            ("adaptive-interp", interp(adaptive=True,
-                                       tuning=_fuzz_profile())),
-            ("adaptive-replan", default(adaptive=True,
-                                        tuning=_fuzz_profile(),
-                                        replan_factor=1e-6)),
+            ("small-blocks", default()),
         ]
     matrix = []
     for mode in ("interpreted", "compiled"):

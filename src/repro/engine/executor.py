@@ -104,20 +104,15 @@ class TrieCache:
         return (uid if selection is None else (uid, selection),
                 getattr(source, "version", 0))
 
-    def get(self, relation, key_order, layout_level,
-            density_threshold=None):
-        """Fetch (building on miss) the trie for a relation/order/layout.
-
-        ``density_threshold`` is the tuned uint/bitset crossover (part
-        of the key: tuned and default layouts are distinct tries)."""
-        key = self._identity(relation) \
-            + (tuple(key_order), layout_level, density_threshold)
+    def get(self, relation, key_order, layout_level):
+        """Fetch (building on miss) the trie for a relation/order/layout."""
+        key = self._identity(relation) + (tuple(key_order), layout_level)
         trie = self._tries.get(key)
         if trie is not None:
             self.hits += 1
             return trie
         self.misses += 1
-        optimizer = SetOptimizer(layout_level, density_threshold)
+        optimizer = SetOptimizer(layout_level)
         stale_key, stale_trie = self._stale_entry(key)
         trie = None
         if stale_trie is not None:
@@ -134,9 +129,9 @@ class TrieCache:
 
     def _stale_entry(self, key):
         """The cached entry differing from ``key`` only by version."""
-        uid, _, order, layout, density = key
+        uid, _, order, layout = key
         for k in self._tries:
-            if k[0] == uid and k[2:] == (order, layout, density):
+            if k[0] == uid and k[2:] == (order, layout):
                 return k, self._tries[k]
         return None, None
 
@@ -199,7 +194,7 @@ class RoundPlan:
     round builds outlives it.  Lives as long as the recursion does.
     """
 
-    __slots__ = ("compiled", "key", "head_atoms", "head_inputs")
+    __slots__ = ("compiled", "head_atoms", "head_inputs")
 
     def __init__(self):
         self.compiled = None
@@ -263,29 +258,22 @@ class RuleExecutor:
         #: :class:`~repro.engine.memo.BagMemo`), installed by
         #: ``Database.query`` for the duration of a program.
         self.program_memo = None
-        #: Adaptive re-planning state (active when ``config.adaptive``).
-        #: ``card_hints`` are caller-supplied cardinality overrides
-        #: (``Database.set_cardinality_hint``); ``card_feedback`` is
-        #: what mispredicted executions observed.  Both feed GHD choice
-        #: as ``{atom name: cardinality}`` — feedback wins.
+        #: Caller-supplied cardinality overrides
+        #: (``Database.set_cardinality_hint``), fed to GHD choice as
+        #: ``{atom name: cardinality}``.
         self.card_hints = {}
-        self.card_feedback = {}
-        self.replans = 0
-        self.last_mispredict_ratio = 0.0
         #: Banded GHD-plan memo shared across this executor's runs: the
         #: exhaustive decomposition search (every edge subset of every
         #: subproblem) is skipped while a rule's shape recurs and its
         #: input cardinalities stay in the same log2 band — the steady
         #: state of incremental view refreshes, where every delta term
-        #: replans the same tiny rule per mutation.
+        #: plans the same tiny rule again per mutation.
         self.ghd_memo = {}
 
     def _options(self):
         options = OptimizerOptions.from_config(self.config)
-        if self.card_hints or self.card_feedback:
-            merged = dict(self.card_hints)
-            merged.update(self.card_feedback)
-            options.card_overrides = merged
+        if self.card_hints:
+            options.card_overrides = dict(self.card_hints)
         options.ghd_memo = self.ghd_memo
         return options
 
@@ -324,10 +312,6 @@ class RuleExecutor:
         finally:
             # the plan dies with the run, and its derived tries with it
             self._retire_derived(logical)
-        # Interpreted plans are rebuilt per run, so a mispredict feeds
-        # observed cardinalities straight into the next planning pass
-        # (there is no cache entry to evict).
-        self._adaptive_check()
         return result
 
     def _retire_derived(self, logical):
@@ -488,81 +472,7 @@ class RuleExecutor:
             result = evaluate()
         bag_plan.actual_seconds = time.perf_counter() - start
         bag_plan.actual_ops = counter.total_ops - ops_before
-        if self.config.adaptive:
-            bag_plan.predicted_ops = self._predict_bag_ops(bag_plan)
         return result
-
-    def _predict_bag_ops(self, bag_plan):
-        """Op-model prediction for one bag *as the planner saw it*.
-
-        Input profiles hold the true runtime cardinalities; when the
-        planner worked from hints (or prior feedback) we substitute
-        those estimates back in, so the prediction diverges from
-        ``actual_ops`` exactly when the planner's cardinalities were
-        wrong — that divergence is the re-planning trigger.
-        """
-        profiles = bag_plan.input_profiles
-        if not profiles or not bag_plan.eval_order:
-            return None
-        estimates = dict(self.card_hints)
-        estimates.update(self.card_feedback)
-        if estimates:
-            adjusted = []
-            for profile in profiles:
-                est = estimates.get(profile["name"])
-                if est is None:
-                    adjusted.append(profile)
-                    continue
-                est = max(1, int(est))
-                card = max(1, int(profile["cardinality"]))
-                root = max(1, int(profile["root_card"]))
-                # Scale the root fan-out proportionally with the
-                # cardinality estimate; the root set can never exceed
-                # the total tuple count.
-                scaled_root = min(est, max(1, int(round(root * est / card))))
-                profile = dict(profile)
-                profile["cardinality"] = est
-                profile["root_card"] = scaled_root
-                adjusted.append(profile)
-            profiles = adjusted
-        from ..obs.explain import predict_bag_ops
-        return predict_bag_ops(bag_plan.eval_order, profiles,
-                               simd=self.config.simd,
-                               crossover=self.config.galloping_crossover())
-
-    def _adaptive_check(self, key=None):
-        """Mispredict detection (tentpole part 2): compare the op-model
-        prediction against the charged ops of each bag of the last
-        plan.  When a bag overshoots the prediction by more than
-        ``replan_factor``, harvest the observed base-relation
-        cardinalities as planner feedback and surgically evict the
-        compiled rule (when ``key`` names one) so the next execution
-        re-plans with ground truth.  Returns whether an entry was
-        evicted."""
-        if not self.config.adaptive or self.last_plan is None:
-            return False
-        worst = 0.0
-        for bag in self.last_plan.bags:
-            if not bag.predicted_ops or not bag.actual_ops:
-                continue
-            worst = max(worst, bag.actual_ops / bag.predicted_ops)
-        self.last_mispredict_ratio = worst
-        metrics = self.config.metrics
-        if metrics is not None:
-            metrics.set_gauge("tuning.mispredict_ratio", worst)
-        if worst <= self.config.replan_factor:
-            return False
-        for bag in self.last_plan.bags:
-            for profile in bag.input_profiles or ():
-                name = profile.get("name") or ""
-                if name.startswith("pass:"):
-                    continue  # pass-up inputs are not planner estimates
-                self.card_feedback[name] = int(profile["cardinality"])
-        evicted = key is not None and self.plans.evict_rule(key)
-        self.replans += 1
-        if metrics is not None:
-            metrics.inc("tuning.replans")
-        return evicted
 
     def _evaluate_bag(self, node, atoms, out_attrs, global_order, semiring,
                       aggregate_mode, retained, duplicates,
@@ -575,8 +485,7 @@ class RuleExecutor:
             key_order = tuple(atom.variables.index(a)
                               for a in ordered_vars)
             trie = self.cache.get(atom.relation, key_order,
-                                  self.config.layout_level,
-                                  self.config.density_threshold())
+                                  self.config.layout_level)
             is_duplicate = (id(node), edge.index) in duplicates
             inputs.append(BagInput(
                 trie, ordered_vars,
@@ -608,8 +517,7 @@ class RuleExecutor:
             key_order = tuple(relation_columns(relation).index(a)
                               for a in ordered_vars)
             trie = Trie(relation, key_order=key_order,
-                        optimizer=SetOptimizer(self.config.layout_level,
-                                               self.config.density_threshold()))
+                        optimizer=SetOptimizer(self.config.layout_level))
             inputs.append(BagInput(trie, ordered_vars,
                                    annotated=annotated,
                                    name=relation.name))
@@ -712,24 +620,18 @@ class RuleExecutor:
         result = self.run_compiled(compiled, stats)
         stats.trie_cache_hits += self.cache.hits - marks[0]
         stats.trie_cache_misses += self.cache.misses - marks[1]
-        # Mispredict check runs after every compiled execution; on
-        # divergence it evicts exactly this rule's cache entry, so the
-        # next call re-plans with the harvested cardinality feedback.
-        # (Statically-empty rules never ran a plan — ``last_plan`` would
-        # be a previous query's.)
-        if compiled.kind != "empty" and not self._adaptive_check(key) \
-                and rounds is not None:
-            self._pin_round(rounds, compiled, key)
+        if rounds is not None:
+            self._pin_round(rounds, compiled)
         return result
 
-    def _pin_round(self, rounds, compiled, key):
+    def _pin_round(self, rounds, compiled):
         """Pin ``compiled`` for a recursion's later rounds when its head
         can be re-bound the way :meth:`_rebind` would."""
         name = compiled.rule.head_name
         atoms = _plain_reads(compiled.logical, name)
         if compiled.kind != "plan" or atoms is None:
             return
-        rounds.compiled, rounds.key, rounds.head_atoms = compiled, key, atoms
+        rounds.compiled, rounds.head_atoms = compiled, atoms
         rounds.head_inputs = [bag_input for cbag in compiled.bags.values()
                               for bag_input in cbag.base_inputs
                               if bag_input.name == name]
@@ -748,8 +650,7 @@ class RuleExecutor:
             return None
         for atom in rounds.head_atoms:
             atom.rebind(relation)
-        optimizer = SetOptimizer(self.config.layout_level,
-                                 self.config.density_threshold())
+        optimizer = SetOptimizer(self.config.layout_level)
         for bag_input in rounds.head_inputs:
             bag_input.trie = Trie(relation, key_order=bag_input.trie.key_order,
                                   optimizer=optimizer)
@@ -760,10 +661,7 @@ class RuleExecutor:
         if self.config.metrics is not None:
             self.config.metrics.inc("plan_cache.lookups",
                                     labels={"tier": "hit"})
-        result = self._run_compiled_plan(compiled, stats)
-        if self._adaptive_check(rounds.key):
-            rounds.compiled = None
-        return result
+        return self._run_compiled_plan(compiled, stats)
 
     def _rebind(self, compiled, stale):
         """Bring a compiled rule up to date with changed relations.
@@ -826,8 +724,7 @@ class RuleExecutor:
                 if atom.name in stale:
                     bag_input.trie = self.cache.get(
                         atom.relation, bag_input.trie.key_order,
-                        self.config.layout_level,
-                        self.config.density_threshold())
+                        self.config.layout_level)
         compiled.guards = _relation_guards(logical)
         return True
 
@@ -901,8 +798,7 @@ class RuleExecutor:
                 key_order = tuple(atom.variables.index(a)
                                   for a in ordered_vars)
                 trie = self.cache.get(atom.relation, key_order,
-                                      self.config.layout_level,
-                                      self.config.density_threshold())
+                                      self.config.layout_level)
                 annotated = atom.annotated \
                     and (id(node), edge.index) not in duplicates
                 base_inputs.append(BagInput(trie, ordered_vars,
@@ -1064,8 +960,7 @@ class RuleExecutor:
                 if annotated != spec_annotated:
                     kernel = None
             trie = Trie(relation, key_order=key_order,
-                        optimizer=SetOptimizer(self.config.layout_level,
-                                               self.config.density_threshold()))
+                        optimizer=SetOptimizer(self.config.layout_level))
             inputs.append(BagInput(trie, ordered_vars,
                                    annotated=annotated,
                                    name=relation.name))

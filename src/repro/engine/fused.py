@@ -103,7 +103,6 @@ import math
 import numpy as np
 
 from ..errors import PlanError
-from ..tune.profile import DEFAULT_FUSED_BLOCK_ROWS
 from .generic_join import BagResult, empty_bag_result
 
 #: Semirings the block folds implement.
@@ -117,9 +116,9 @@ FUSED_SEMIRINGS = ("SUM", "COUNT", "MIN", "MAX", "EXISTS")
 #: benchmark seeds), 8K rows are 5-13% slower, 4K +24-28% (numpy's
 #: per-call overhead), and 32K-256K 1-6% faster — their child levels,
 #: per-row minimal, now fit one block — at a transient memory that
-#: grows in proportion.  (Defined in ``repro.tune.profile``, which
-#: sits below the engine.)
-BLOCK_ROWS = DEFAULT_FUSED_BLOCK_ROWS
+#: grows in proportion.  A constant, not a setting: the kernel reads
+#: it (and :data:`PROBE_CROSSOVER`) from this module on every call.
+BLOCK_ROWS = 1 << 14
 
 # One untouched 16 MiB allocation, freed at once.  A 16K-row block's
 # temporaries are 128 KiB each, which is glibc malloc's initial mmap
@@ -137,10 +136,9 @@ np.empty(16 << 20, dtype=np.uint8)
 #: takes the sweep.  On the ``patterns`` graph's closing level
 #: (``Edge(w,x),Edge(x,y),T(y)``, 185K CSR candidates, both benchmark
 #: seeds) the routes tie near 1.2x, and the sweep, whose child probes
-#: are bit gathers, is 1.5x faster at 2x and 3.8x at 8.5x;
-#: ``repro.tune`` refines the constant per machine, and the built-in
-#: value means an untuned engine never expands a hub frontier that a
-#: few root keys would have answered.
+#: are bit gathers, is 1.5x faster at 2x and 3.8x at 8.5x, so the
+#: engine never expands a hub frontier that a few root keys would have
+#: answered.
 PROBE_CROSSOVER = 2.0
 
 #: Code-space size up to which an unordered group-by scatters into a
@@ -523,9 +521,6 @@ class FusedBagKernel:
         flats = [trie.flat() for trie in tries]
         if any(flat.keys.size == 0 for flat in flats):
             return self._empty()
-        # the tuned constants are None without an active profile
-        block_rows = max(1, config.fused_block_rows() or BLOCK_ROWS)
-        crossover = config.fused_probe_crossover() or PROBE_CROSSOVER
         oc, nl = self.out_count, self.n_levels
         exists = self.semiring.name == "EXISTS"
         cols = []           # bound value column per level, len F each
@@ -535,8 +530,8 @@ class FusedBagKernel:
         frontier = 1
         for level in range(nl):
             plan = _Level(*self._plan_level(
-                self.levels[level], flats, ranks, cols, frontier, crossover),
-                flats, block_rows)
+                self.levels[level], flats, ranks, cols, frontier),
+                flats, BLOCK_ROWS)
             if level == nl - 1 and oc < nl and not self.unordered:
                 return self._fold_leaf(plan, cols, pw, sw, frontier,
                                        config.counter)
@@ -576,7 +571,7 @@ class FusedBagKernel:
 
     # -- expansion ------------------------------------------------------------
 
-    def _plan_level(self, parts, flats, ranks, cols, frontier, crossover):
+    def _plan_level(self, parts, flats, ranks, cols, frontier):
         """Decide how one level generates its candidates.
 
         Returns ``(counts, first, values, settled, probed, sweep)``:
@@ -611,7 +606,7 @@ class FusedBagKernel:
                 key=lambda plan: plan[2].sum())
             total = int(counts.sum())
             root_parts = [part for part in parts if part.pos == 0]
-            if not root_parts or total <= crossover * frontier * min(
+            if not root_parts or total <= PROBE_CROSSOVER * frontier * min(
                     flats[part.index].keys.size for part in root_parts):
                 # Rows that generate from different inputs probe every
                 # child-level one, their own included (it always hits).

@@ -22,7 +22,7 @@ them: the only answers given without the loop nest
 import numpy as np
 
 from ..errors import ExecutionError
-from ..sets.intersect import _config_crossover, intersect_many
+from ..sets.intersect import intersect_many
 from .semiring import EXISTS, Semiring
 
 
@@ -241,8 +241,7 @@ class BagEvaluator:
             sets, counter=self.config.counter,
             algorithm=self.config.uint_algorithm,
             adaptive=self.config.adaptive_algorithms,
-            simd=self.config.simd,
-            crossover=_config_crossover(self.config))
+            simd=self.config.simd)
         if tracer is not None:
             tracer.record(
                 "intersect:L%d" % level, "intersect", start, tracer.now(),

@@ -27,11 +27,6 @@ class BagPlan:
     #: results, plain ``explain``).
     actual_seconds: float = None
     actual_ops: int = None
-    #: Cost-model prediction captured at evaluation time under the
-    #: planner's cardinality estimates (hints/feedback substituted).
-    #: Only recorded when ``config.adaptive`` — the mispredict check in
-    #: the executor compares it against ``actual_ops``.
-    predicted_ops: int = None
     #: Per-input profiles captured when the bag's inputs were assembled:
     #: ``{"name", "variables", "root_card", "cardinality", "kind"}``
     #: dicts feeding the cost-model prediction in

@@ -35,20 +35,11 @@ def config_signature(config):
     plan depends on.  Anything that alters plan shape, kernel choice,
     or result layout must appear here; the op counter and the
     observation hooks must not."""
-    adaptive = getattr(config, "adaptive", False)
-    tuning = getattr(config, "tuning", None)
-    # Tuned constants change layout choices and generated dispatch, so a
-    # tuned config must never share plans with the default config (the
-    # fuzzer runs both in one process).  Re-planning alone (adaptive
-    # with no profile) changes constants not at all, but the adaptive
-    # flag still participates so evictions never bleed across configs.
-    tuning_sig = (tuning.signature()
-                  if adaptive and tuning is not None else None)
     return (config.layout_level, config.adaptive_algorithms, config.simd,
             config.use_ghd, config.push_selections,
             config.eliminate_redundant_bags, config.skip_top_down,
             config.uint_algorithm, config.prune_attributes,
-            config.fold_constants, adaptive, tuning_sig)
+            config.fold_constants)
 
 
 class CompiledBag:
@@ -198,12 +189,9 @@ class PlanCache:
         self._rules[key] = compiled
 
     def evict_rule(self, key):
-        """Surgically drop one compiled rule (mispredict-driven
-        re-planning): the next execution re-plans from scratch with
-        whatever cardinality feedback the executor has accumulated.
-        Every way out of the rule tier ends here, so ``on_retire``
-        sees each departing rule once.  Returns whether an entry was
-        present."""
+        """Drop one compiled rule.  Every way out of the rule tier ends
+        here, so ``on_retire`` sees each departing rule once.  Returns
+        whether an entry was present."""
         compiled = self._rules.pop(key, None)
         if compiled is not None and self.on_retire is not None:
             self.on_retire(compiled)

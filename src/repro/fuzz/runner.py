@@ -18,10 +18,12 @@ results exact in practice.
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..api import Database
+from ..engine import fused
 from ..engine.config import (enumerate_config_matrix,
                              enumerate_mutation_matrix)
 from ..errors import EmptyHeadedError
@@ -30,11 +32,25 @@ from .gen import (apply_op_to_mirror, generate_case,
 from .oracle import OracleError, evaluate_case
 
 #: Config labels that additionally execute a warm (plan-cache hit)
-#: re-run of the same program on the same database.  The
-#: ``adaptive-replan`` config (replan_factor ~ 0) evicts its plan after
-#: every run, so its warm re-run differentially checks that a
-#: mispredict-triggered re-plan never changes results.
-WARM_LABELS = ("interp", "default", "adaptive-replan")
+#: re-run of the same program on the same database.
+WARM_LABELS = ("interp", "default")
+
+
+@contextmanager
+def _kernel_constants(label):
+    """Run ``label``'s executions under its kernel constants.  The
+    ``small-blocks`` row cuts blocks of five candidate rows (every
+    level cut into many slices, rows split mid-fan-out) and sweeps at
+    any skew; the constants are restored afterwards."""
+    if label != "small-blocks":
+        yield
+        return
+    saved = fused.BLOCK_ROWS, fused.PROBE_CROSSOVER
+    fused.BLOCK_ROWS, fused.PROBE_CROSSOVER = 5, 1.0
+    try:
+        yield
+    finally:
+        fused.BLOCK_ROWS, fused.PROBE_CROSSOVER = saved
 
 
 @dataclass
@@ -248,10 +264,12 @@ def run_case(case, matrix=None, check_oracle=True, check_reference=True,
     outcomes = []
     for label, config in matrix:
         try:
-            db = _load_case(case, config)
-            outcomes.append((label, _run_engine(case, db)))
-            if label in WARM_LABELS and outcomes[-1][1][0] == "ok":
-                outcomes.append((label + "+warm", _run_engine(case, db)))
+            with _kernel_constants(label):
+                db = _load_case(case, config)
+                outcomes.append((label, _run_engine(case, db)))
+                if label in WARM_LABELS and outcomes[-1][1][0] == "ok":
+                    outcomes.append((label + "+warm",
+                                     _run_engine(case, db)))
         except Exception as error:  # noqa: BLE001 - crash = finding
             if metrics is not None:
                 metrics.inc("fuzz.crashes")

@@ -106,8 +106,8 @@ class OptimizerOptions:
     tracer: Optional[object] = None
     metrics: Optional[object] = None
     #: ``{atom name: cardinality}`` overrides for GHD costing — user
-    #: hints and the adaptive executor's mispredict feedback.  The
-    #: catalog's cardinalities are used for atoms not listed.
+    #: hints (``Database.set_cardinality_hint``).  The catalog's
+    #: cardinalities are used for atoms not listed.
     card_overrides: Optional[dict] = None
     #: Caller-owned dict the GHD choice pass memoizes decompositions in,
     #: keyed on rule structure plus log2 *cardinality bands* — repeated
@@ -334,9 +334,9 @@ _GHD_MEMO_LIMIT = 512
 def _ghd_memo_key(logical, atoms, sizes, selection_edges, options):
     """Memo identity of one GHD choice: the rule's join structure, the
     log2 band of every input cardinality, and everything else the
-    search consults.  Exact cardinality overrides (hints, adaptive
-    mispredict feedback) join the key verbatim, so new feedback always
-    re-plans; only organic size drift within a band reuses a plan."""
+    search consults.  Exact cardinality overrides (hints) join the key
+    verbatim, so a new hint always re-plans; only organic size drift
+    within a band reuses a plan."""
     overrides = options.card_overrides or {}
     return (
         tuple((atom.name, tuple(atom.variables), atom.is_selection)

@@ -164,11 +164,6 @@ def _render_bag(lines, index, bag, simd, rounds=0):
     else:
         lines.append("      cost-model error: n/a (no lane ops charged "
                      "— empty input or identity scan)")
-    if bag.predicted_ops:
-        lines.append(
-            "      planner estimate: %d lane ops, mispredict %.2fx "
-            "(actual/estimate)"
-            % (bag.predicted_ops, actual_ops / float(bag.predicted_ops)))
 
 
 #: Rounds shown at each end of a longer round table.
@@ -201,15 +196,13 @@ def _render_rounds(lines, rounds):
 
 
 def render_explain_analyze(plan, stats, tracer, config, result=None,
-                           logical=None, tuning=None):
+                           logical=None):
     """Render the annotated plan; every input may be ``None``-ish.
 
     ``logical``, when given, is the optimized
     :class:`~repro.lir.ir.LogicalRule` of the last-executed rule; its
     pass trace is rendered as the pass-by-pass logical plan between the
-    rule text and the physical plan.  ``tuning``, when given, is the
-    adaptive-execution state dict (``profile``, ``replans``,
-    ``mispredict_ratio``) rendered as a footer.
+    rule text and the physical plan.
     """
     lines = ["EXPLAIN ANALYZE"]
     if plan is None:
@@ -250,14 +243,6 @@ def render_explain_analyze(plan, stats, tracer, config, result=None,
                              "summed over all of them"
                              % stats.recursion_rounds)
                 _render_rounds(lines, stats.rounds)
-    if tuning is not None:
-        profile = tuning.get("profile")
-        lines.append("adaptive: %s"
-                     % (profile if profile else "on (no tuning profile — "
-                        "paper-default constants)"))
-        lines.append("  tuning.replans: %d   tuning.mispredict_ratio: %.2fx"
-                     % (tuning.get("replans", 0),
-                        tuning.get("mispredict_ratio", 0.0)))
     if result is not None:
         cardinality = getattr(result, "cardinality", None)
         if cardinality is not None:

@@ -61,8 +61,6 @@ QUERY_RECORD_FIELDS = {
     "plan_cache_hits": (False, (int,)),
     "plan_cache_misses": (False, (int,)),
     "phases": (False, (dict,)),
-    "mispredict_ratio": (False, (int, float)),
-    "replans": (False, (int,)),
     "fused_blocks": (False, (int,)),
     "fused_fallbacks": (False, (int,)),
     "recursion_rounds": (False, (int,)),
@@ -71,6 +69,10 @@ QUERY_RECORD_FIELDS = {
     "morsels": (False, (int,)),
     "steals": (False, (int,)),
     "workers": (False, (int,)),
+    # No longer written either (the self-tuner's plan-eviction count
+    # and worst predicted/actual ratio); kept for the same reason.
+    "mispredict_ratio": (False, (int, float)),
+    "replans": (False, (int,)),
     "promoted": (False, (bool,)),
     "trace_path": (False, (str,)),
     "error": (False, (str,)),
@@ -260,7 +262,6 @@ class TelemetryHub:
     ``telemetry.fused_fallbacks``     —
     ``telemetry.recursion_rounds``    —
     ``telemetry.slow_queries``        —
-    ``telemetry.replans``             —
     ``telemetry.result_cache``        ``tier`` (``hit``/``miss``/``bypass``)
     ``telemetry.queue_seconds``       — (histogram, time buckets)
     ================================  =======================================
@@ -409,9 +410,6 @@ class TelemetryHub:
             value = record.get(field)
             if value:
                 self._counter(field, series).inc(value)
-        replans = record.get("replans")
-        if replans:
-            self._gauge("replans", "telemetry.replans").set(replans)
 
     def fail_query(self, record, error):
         """Record a query that raised: flight ring + sink + series, and

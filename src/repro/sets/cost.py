@@ -131,10 +131,9 @@ def predict_pair_ops(card_a, card_b, simd=True, crossover=None):
     """Predicted total lane ops for one two-set intersection.
 
     Mirrors the adaptive uint dispatch: past the
-    :data:`GALLOPING_CROSSOVER` cardinality ratio (or the tuned
-    ``crossover`` override when a :class:`repro.tune.TuningProfile` is
-    active) the galloping family runs (``O(small log large)``); below it
-    the shuffling/merge family runs (``O(small + large)``).  The
+    :data:`GALLOPING_CROSSOVER` cardinality ratio (or an explicit
+    ``crossover``) the galloping family runs (``O(small log large)``);
+    below it the shuffling/merge family runs (``O(small + large)``).  The
     shuffling output term is bounded by the smaller input, making this
     an upper-bound prediction.
     """

@@ -37,27 +37,18 @@ from .variant import VariantSet
 def _live_crossover():
     """The current galloping crossover, read from :mod:`repro.sets.cost`
     at *call* time so overrides (tests monkeypatching
-    ``cost.GALLOPING_CROSSOVER``, tuned profiles installing a calibrated
-    value) take effect without re-importing this module.  An import-time
-    ``GALLOPING_THRESHOLD = GALLOPING_CROSSOVER`` snapshot silently froze
-    the dispatch at 32 even when the model side moved."""
+    ``cost.GALLOPING_CROSSOVER``) take effect without re-importing this
+    module.  An import-time ``GALLOPING_THRESHOLD = GALLOPING_CROSSOVER``
+    snapshot silently froze the dispatch at 32 even when the model side
+    moved."""
     return _cost.GALLOPING_CROSSOVER
-
-
-def _config_crossover(config):
-    """Effective crossover for a config object, or ``None`` for the
-    module default.  Duck-typed: engine configs expose a
-    ``galloping_crossover()`` accessor returning the tuned value when
-    adaptive tuning is active."""
-    accessor = getattr(config, "galloping_crossover", None)
-    return accessor() if callable(accessor) else None
 
 
 #: The paper's default 32:1 ratio, kept as a public alias for reporting
 #: and tests.  Dispatch does **not** read this name — it calls
 #: :func:`_live_crossover` (or takes an explicit ``crossover=``), so
-#: overriding ``cost.GALLOPING_CROSSOVER`` or installing a tuned profile
-#: changes kernel choice immediately.
+#: overriding ``cost.GALLOPING_CROSSOVER`` changes kernel choice
+#: immediately.
 GALLOPING_THRESHOLD = GALLOPING_CROSSOVER
 
 #: Algorithm names accepted by the ``algorithm`` parameter.
@@ -263,9 +254,9 @@ _UINT_KERNELS = {
 
 def choose_uint_algorithm(size_a, size_b, adaptive=True, crossover=None):
     """The paper's Algorithm 2: SIMDGalloping past the crossover ratio
-    (32:1 by default, calibrated when a tuning profile is active), else
-    SIMDShuffling.  With ``adaptive=False`` (the "-A" half of the "-RA"
-    ablation) always returns shuffling."""
+    (32:1 unless ``crossover`` overrides it), else SIMDShuffling.  With
+    ``adaptive=False`` (the "-A" half of the "-RA" ablation) always
+    returns shuffling."""
     if not adaptive:
         return "shuffling"
     if crossover is None:

@@ -30,8 +30,8 @@ def choose_set_layout(values, density_threshold=None):
 
     ``values`` may be a sorted array or any iterable; returns the kind
     string (``"uint"`` or ``"bitset"``).  ``density_threshold``
-    overrides the ``SIMD_REGISTER_BITS`` inverse-density bar when a
-    tuning profile has calibrated the real uint/bitset crossover.
+    overrides the ``SIMD_REGISTER_BITS`` inverse-density bar (tests
+    drive it; the engine always uses the default).
     """
     arr = np.asarray(values)
     if arr.size == 0:
@@ -55,8 +55,8 @@ def build_set(values, level="set", density_threshold=None):
         * ``"set"`` — per-set Algorithm 3 decision (the engine default).
         * ``"block"`` — the composite block layout.
     density_threshold:
-        Tuned inverse-density crossover for the ``"set"`` decision;
-        ``None`` keeps the paper's ``SIMD_REGISTER_BITS`` bar.
+        Inverse-density crossover for the ``"set"`` decision; ``None``
+        keeps the paper's ``SIMD_REGISTER_BITS`` bar.
     """
     if level in ("relation", "uint_only"):
         return UintSet(values)

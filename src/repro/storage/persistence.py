@@ -20,19 +20,10 @@ from .relation import Relation
 FORMAT_VERSION = 1
 
 
-def save_catalog(path, catalog, tuning=None):
-    """Write ``{name: Relation}`` to ``path`` (``.npz``).
-
-    ``tuning``, when given, is a
-    :class:`~repro.tune.profile.TuningProfile` stored inside the
-    manifest so a reloaded database starts with the calibrated
-    constants (warm restarts start tuned).  Old readers ignore the
-    extra manifest key; ``FORMAT_VERSION`` is unchanged.
-    """
+def save_catalog(path, catalog):
+    """Write ``{name: Relation}`` to ``path`` (``.npz``)."""
     arrays = {}
     manifest = {"version": FORMAT_VERSION, "relations": {}}
-    if tuning is not None:
-        manifest["tuning"] = tuning.to_dict()
     dictionary_ids = {}
     dictionary_count = 0
     for name, relation in catalog.items():
@@ -66,7 +57,11 @@ def save_catalog(path, catalog, tuning=None):
 
 
 def load_catalog(path):
-    """Read a saved catalog back into ``{name: Relation}``."""
+    """Read a saved catalog back into ``{name: Relation}``.
+
+    Manifest keys other than ``version`` and ``relations`` are ignored,
+    so files that carry extra records (older versions stored a
+    ``tuning`` record) still load."""
     with np.load(path, allow_pickle=False) as archive:
         manifest = json.loads(str(archive["manifest"]))
         if manifest.get("version") != FORMAT_VERSION:
@@ -95,23 +90,3 @@ def load_catalog(path):
             catalog[name] = Relation(name, data, annotations,
                                      column_dictionaries)
     return catalog
-
-
-def load_tuning(path):
-    """Tuning profile stored in a saved database, or ``None``.
-
-    Tolerant by design: a file without the manifest key, written by an
-    older version, or carrying a stale/garbled profile (profile-version
-    mismatch) yields ``None`` — the engine then runs with the paper's
-    default constants, bit-identical to an untuned session.
-    """
-    from ..tune.profile import TuningProfile
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            manifest = json.loads(str(archive["manifest"]))
-    except (OSError, ValueError, KeyError):
-        return None
-    record = manifest.get("tuning")
-    if not isinstance(record, dict):
-        return None
-    return TuningProfile.from_dict(record)

@@ -1,7 +1,7 @@
 """Whole-query parity of the block kernels at every block size.
 
 The default engine cuts each bag's level-0 candidates into blocks of
-``TuningProfile.fused_block_rows`` rows.  Whatever the cut, a query
+``repro.engine.fused.BLOCK_ROWS`` rows.  Whatever the cut, a query
 must answer exactly what the interpreter answers: the same scalar, the
 same keyed values, and a materialized head's rows in the same order,
 on a uniform graph and on a power-law one whose hubs straddle block
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro import Database
+from repro.engine import fused
 from repro.graphs import chung_lu_graph, uniform_graph
-from repro.tune.profile import TuningProfile
 
 TRIANGLES = ("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
              "w=<<COUNT(*)>>.")
@@ -31,25 +31,24 @@ UNIFORM = [tuple(e) for e in uniform_graph(120, 700, seed=11)]
 POWER_LAW = [tuple(e) for e in chung_lu_graph(200, 1400, exponent=1.7,
                                               seed=7)]
 
-#: Block sizes from one row per block (every candidate its own block)
-#: up to blocks larger than any level of these graphs.
-BLOCK_ROWS = [1, 2, 7, 64]
+#: Kernel constants ``(BLOCK_ROWS, PROBE_CROSSOVER)``: block sizes from
+#: one row per block (every candidate its own block) up to blocks larger
+#: than any level of these graphs, and the fuzzer's ``small-blocks``
+#: shape — five-row blocks with a sweep at any skew.
+KERNEL_CONSTANTS = [(1, None), (2, None), (7, None), (64, None),
+                    (5, 1.0)]
 
 
-def make_db(edges, mode, rows=None):
-    if rows is None:
-        db = Database(execution_mode=mode)
-    else:
-        db = Database(execution_mode=mode, adaptive=True,
-                      tuning=TuningProfile(fused_block_rows=rows))
+def make_db(edges, mode):
+    db = Database(execution_mode=mode)
     db.load_graph("Edge", edges, prune=True)
     return db
 
 
-def annotated_db(edges, mode, rows=None):
+def annotated_db(edges, mode):
     pairs = [(int(a), int(b)) for a, b in edges[:400]]
     weights = [float((i * 3) % 17 + 1) for i in range(len(pairs))]
-    db = make_db([], mode, rows)
+    db = make_db([], mode)
     db.add_relation("W", pairs, annotations=weights, combine="max")
     return db
 
@@ -64,10 +63,20 @@ def oracle(edge_set):
     return make_db(edge_set, "interpreted")
 
 
-@pytest.fixture(scope="module", params=BLOCK_ROWS,
-                ids=["rows%d" % rows for rows in BLOCK_ROWS])
+@pytest.fixture(scope="module", params=KERNEL_CONSTANTS,
+                ids=["rows%d" % rows + ("" if crossover is None
+                                        else "-sweep%g" % crossover)
+                     for rows, crossover in KERNEL_CONSTANTS])
 def blocked_db(request, edge_set):
-    return make_db(edge_set, "compiled", request.param)
+    """A default-engine database; its kernel runs with the
+    ``request.param`` constants while the fixture is live (``None``:
+    the built-in crossover)."""
+    rows, crossover = request.param
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fused, "BLOCK_ROWS", rows)
+        if crossover is not None:
+            patch.setattr(fused, "PROBE_CROSSOVER", crossover)
+        yield make_db(edge_set, "compiled")
 
 
 class TestParity:
@@ -107,10 +116,9 @@ class TestParity:
 
     @pytest.mark.parametrize("op", ["SUM", "MIN", "MAX"])
     def test_annotated_aggregates(self, op, edge_set, blocked_db):
-        rows = blocked_db.config.tuning.fused_block_rows
         query = "S(;w:float) :- W(a,b); w=<<%s(*)>>." % op
         expected = annotated_db(edge_set, "interpreted").query(query)
-        got = annotated_db(edge_set, "compiled", rows).query(query)
+        got = annotated_db(edge_set, "compiled").query(query)
         assert got.scalar == expected.scalar
 
 

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from repro import Database
+from repro.engine import fused
 from repro.engine.codegen import InputSpec, generate_bag_plan
 from repro.engine.generic_join import evaluate_bag
 from repro.engine.plan_cache import PlanCache, config_signature
 from repro.engine.semiring import COUNT, EXISTS, SUM
 from repro.errors import ExecutionError
 from repro.query import parse_rule
-from repro.tune.profile import TuningProfile
 from tests.conftest import (bag_inputs, brute_force_triangles,
                             random_undirected_edges)
 
@@ -80,12 +80,12 @@ class TestParityMatrix:
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("query", QUERIES)
-    def test_small_blocks(self, rows, query):
+    def test_small_blocks(self, rows, query, monkeypatch):
         """Cutting every bag into blocks of a row or a few changes no
         row, annotation or scalar of any head shape."""
+        monkeypatch.setattr(fused, "BLOCK_ROWS", rows)
         interpreted = make_db("interpreted")
-        compiled = make_db("compiled", adaptive=True,
-                           tuning=TuningProfile(fused_block_rows=rows))
+        compiled = make_db("compiled")
         assert_identical(interpreted.query(query),
                          compiled.query(query), query)
 

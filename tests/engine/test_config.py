@@ -51,8 +51,8 @@ class TestSurface:
             "skip_top_down", "prune_attributes", "fold_constants",
             "cross_rule_cse", "uint_algorithm", "execution_mode",
             "counter", "tracer", "metrics", "telemetry",
-            "slow_query_seconds", "adaptive", "tuning", "replan_factor",
-            "incremental_views"]
+            "slow_query_seconds", "incremental_views"]
+        assert len(fields(EngineConfig)) == 18
 
     def test_cli_rejects_worker_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -60,3 +60,18 @@ class TestSurface:
                   "T(;w:long) :- Edge(x,y); w=<<COUNT(*)>>."])
         assert exit_info.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["query", "--dataset", "googleplus", "--adaptive",
+          "T(;w:long) :- Edge(x,y); w=<<COUNT(*)>>."], "--adaptive"),
+        (["query", "--dataset", "googleplus", "--tuning-profile", "f",
+          "T(;w:long) :- Edge(x,y); w=<<COUNT(*)>>."], "--tuning-profile"),
+        (["tune"], "tune"),
+    ], ids=["adaptive", "tuning-profile", "tune"])
+    def test_cli_rejects_tuner_surface(self, capsys, argv, flag):
+        """The kernel's constants are not settings: no flag, profile or
+        subcommand reaches them."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err

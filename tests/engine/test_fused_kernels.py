@@ -9,10 +9,11 @@ four properties that make it safe as the default: it generates each
 level from the cheapest participant *for the actual frontier*, it cuts
 every level into bounded blocks without changing a bit of the result,
 its transient memory follows the block size and not the data, and it
-takes the skew sweep without anyone installing a tuning profile.
+takes the skew sweep with its built-in constants.
 """
 
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from repro.engine.generic_join import BagEvaluator, evaluate_bag
 from repro.engine.semiring import COUNT, semiring_for
 from repro.graphs import (BARBELL_COUNT, FOUR_CLIQUE_COUNT, chung_lu_graph,
                           uniform_graph)
-from repro.tune.profile import TuningProfile
 from tests.conftest import bag_inputs, clique_atoms, record_leaf_folds
 
 TRIANGLES = ("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
@@ -61,10 +61,13 @@ def kernel_db(**overrides):
     return Database(execution_mode="compiled", **overrides)
 
 
-def blocked(config, rows):
-    """``config`` with the kernel block size pinned to ``rows``."""
-    return config.ablated(adaptive=True,
-                          tuning=TuningProfile(fused_block_rows=rows))
+def blocked(kernel, tries, config, rows):
+    """``kernel(tries, config)`` with its blocks cut at ``rows`` rows
+    (``None``: the built-in :data:`repro.engine.fused.BLOCK_ROWS`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(fused, "BLOCK_ROWS", rows)
+        return kernel(tries, config)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -214,7 +217,7 @@ class TestSlicing:
         semiring = semiring_for(name)
         specs, tries, inputs = bag_inputs(db, self.ATOMS)
         kernel = generate_bag_plan(self.ORDER, out_count, specs, semiring)
-        results = [kernel(tries, blocked(db.config, rows))
+        results = [blocked(kernel, tries, db.config, rows)
                    for rows in (UNBOUNDED, 1, 7, 1 << 16)]
         results.append(BagEvaluator(self.ORDER, out_count, inputs,
                                     semiring, db.config).run())
@@ -237,19 +240,19 @@ class TestSlicingIntFold:
         order = ("x", "y", "z")
         specs, tries, inputs = bag_inputs(db, clique_atoms(order))
         kernel = generate_bag_plan(order, 0, specs, COUNT)
-        counts = [kernel(tries, blocked(db.config, rows)).scalar
+        counts = [blocked(kernel, tries, db.config, rows).scalar
                   for rows in (UNBOUNDED, 1, 7, 1 << 16)]
         assert all(type(count) is int for count in counts)
         assert len(set(counts)) == 1 and counts[0] > 0
         assert counts[0] == evaluate_bag(("x", "y", "z"), 0, inputs,
                                          COUNT, db.config).scalar
 
-    def test_no_size_makes_the_kernel_give_up(self):
+    def test_no_size_makes_the_kernel_give_up(self, monkeypatch):
         """There is no expansion budget left to exceed: a one-row block
         on a query with hundreds of thousands of candidates still runs
         on the kernel."""
-        db = kernel_db(adaptive=True,
-                       tuning=TuningProfile(fused_block_rows=64))
+        monkeypatch.setattr(fused, "BLOCK_ROWS", 64)
+        db = kernel_db()
         db.load_graph("Edge", POWER_LAW, prune=True)
         db.query(FOUR_CLIQUE)
         stats = db.last_stats
@@ -288,15 +291,16 @@ class TestBoundedMemory:
     def test_peak_follows_the_block_size(self, query, prune):
         peaks = {}
         for rows in (1 << 10, UNBOUNDED):
-            db = kernel_db(adaptive=True,
-                           tuning=TuningProfile(fused_block_rows=rows))
-            db.load_graph("Edge", PATTERNS_EDGES, prune=prune)
-            peaks[rows] = traced_peak(db, query)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fused, "BLOCK_ROWS", rows)
+                db = kernel_db()
+                db.load_graph("Edge", PATTERNS_EDGES, prune=prune)
+                peaks[rows] = traced_peak(db, query)
         assert peaks[1 << 10] < SMALL_BLOCK_CEILING
         assert peaks[UNBOUNDED] > 2 * peaks[1 << 10]
 
 
-# -- (d) skew without a profile -----------------------------------------------
+# -- (d) skew with the built-in crossover -------------------------------------
 
 
 class TestSkewSweep:
@@ -307,7 +311,7 @@ class TestSkewSweep:
     the kernel tiles ``T``'s keys instead of materializing ``S``'s full
     expansion.  Contract: same results, a ``fused_sweep`` charge
     instead of a ``fused_block`` one — and the built-in crossover
-    applies with no tuning profile installed.
+    applies.
     """
 
     QUERY = "Q(;w:long) :- R(x),S(x,y),T(y); w=<<COUNT(*)>>."
@@ -325,48 +329,53 @@ class TestSkewSweep:
         return db
 
     @staticmethod
+    @contextmanager
     def never_sweep():
-        return dict(adaptive=True,
-                    tuning=TuningProfile(fused_probe_crossover=4096.0))
+        """A crossover no level here reaches, while the block runs."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fused, "PROBE_CROSSOVER", 4096.0)
+            yield
 
     def test_sweeps_without_a_profile(self):
         db = self.load(kernel_db())
-        assert db.config.tuning is None
+        assert not hasattr(db.config, "tuning")
         db.query(self.QUERY)
         assert "fused_sweep" in db.counter.by_algorithm
         # the sweep's candidates, not the expansion's
         assert db.counter.elements < self.XS * self.FANOUT
 
-    def test_a_profile_refines_the_crossover(self):
-        db = self.load(kernel_db(**self.never_sweep()))
-        db.query(self.QUERY)
+    def test_a_higher_crossover_disables_the_sweep(self):
+        db = self.load(kernel_db())
+        with self.never_sweep():
+            db.query(self.QUERY)
         assert "fused_sweep" not in db.counter.by_algorithm
         assert "fused_block" in db.counter.by_algorithm
 
     def test_sweep_results_bit_identical(self):
         swept = self.load(kernel_db())
-        plain = self.load(kernel_db(**self.never_sweep()))
+        plain = self.load(kernel_db())
         interp = self.load(Database(execution_mode="interpreted"))
         expected = interp.query(self.QUERY).scalar
-        assert plain.query(self.QUERY).scalar == expected
+        with self.never_sweep():
+            assert plain.query(self.QUERY).scalar == expected
         assert swept.query(self.QUERY).scalar == expected
 
     def test_sweep_parity_on_materialized_rows(self):
         query = "Q(x,y) :- R(x),S(x,y),T(y)."
         swept = self.load(kernel_db())
-        plain = self.load(kernel_db(**self.never_sweep()))
-        assert sorted(plain.query(query).tuples()) \
-            == sorted(swept.query(query).tuples())
+        plain = self.load(kernel_db())
+        with self.never_sweep():
+            rows = sorted(plain.query(query).tuples())
+        assert rows == sorted(swept.query(query).tuples())
         assert "fused_sweep" in swept.counter.by_algorithm
 
 
 class TestSkewedCommonNeighbours:
-    """The ``bench_adaptive`` shape at test scale: every (probe, target)
-    pair intersects a small adjacency with one 24x larger.  Its level
-    has no root participant, so the sweep cannot apply; what used to
-    make the untuned kernel 12x slower than the per-tuple loop was
-    expanding the *target's* side, which the min-fan-out generator no
-    longer does — with no profile installed."""
+    """Every (probe, target) pair intersects a small adjacency with one
+    24x larger.  Its level has no root participant, so the sweep cannot
+    apply; what once made the kernel 12x slower than the per-tuple loop
+    was expanding the *target's* side, which the min-fan-out generator
+    no longer does."""
 
     QUERY = ("T(;w:long) :- Pair(x,y),Edge(y,z),Edge(x,z); "
              "w=<<COUNT(*)>>.")
@@ -391,7 +400,7 @@ class TestSkewedCommonNeighbours:
 
     def test_expands_the_probe_side_without_a_profile(self):
         db = self.load(kernel_db())
-        assert db.config.tuning is None
+        assert not hasattr(db.config, "tuning")
         interp = self.load(Database(execution_mode="interpreted"))
         assert db.query(self.QUERY).scalar \
             == interp.query(self.QUERY).scalar
@@ -493,8 +502,7 @@ class TestAnalyticsShapes:
         assert bool(expected.cardinality) == (roots != "disjoint")
         kernel = generate_bag_plan(("x", "z"), 1, specs, semiring)
         for rows in (1, 7, None):
-            got = kernel(tries, config if rows is None
-                         else blocked(config, rows))
+            got = blocked(kernel, tries, config, rows)
             assert np.array_equal(got.data, expected.data)
             assert np.array_equal(got.annotations, expected.annotations)
         # one child-level input, so no pair is probed: no bit table
@@ -673,8 +681,7 @@ class TestChildLevelProbes:
         assert expected.cardinality
         kernel = generate_bag_plan(order, 1, specs, semiring)
         for rows in (1, 7, None):
-            got = kernel(tries, config if rows is None
-                         else blocked(config, rows))
+            got = blocked(kernel, tries, config, rows)
             assert np.array_equal(got.data, expected.data)
             assert np.array_equal(got.annotations, expected.annotations)
         assert {n: pair_route(trie) for n, _, trie, _ in atoms} == routes
@@ -814,8 +821,7 @@ class TestDeltaFirst:
                                    out_attrs=out)
         assert kernel.unordered
         for rows in (1, 7, None):
-            got = kernel(tries, config if rows is None
-                         else blocked(config, rows))
+            got = blocked(kernel, tries, config, rows)
             assert got.out_attrs == tuple(a for a in delta_first
                                           if a in out)
             assert rows_of(got) == rows_of(expected)
@@ -984,8 +990,7 @@ def assert_same_bag(kernel, tries, expected, config, typed=True):
     bit: rows, annotations and (for ``out = 0``, if ``typed``) the
     scalar's type."""
     for rows in BLOCK_ROWS:
-        got = kernel(tries, config if rows is None
-                     else blocked(config, rows))
+        got = blocked(kernel, tries, config, rows)
         assert np.array_equal(got.data, expected.data)
         if expected.annotations is None:
             assert got.annotations is None

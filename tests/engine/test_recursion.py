@@ -5,10 +5,10 @@ import pytest
 
 from repro import Database
 from repro.engine import EngineConfig, RuleExecutor, execute_recursive
+from repro.engine import fused
 from repro.errors import PlanError
 from repro.query import parse_rule
 from repro.storage import Relation
-from repro.tune.profile import TuningProfile
 
 
 def executor_with(catalog):
@@ -141,10 +141,8 @@ class TestRecursionAcrossModes:
 
     MODES = {
         "compiled": dict(execution_mode="compiled"),
-        "compiled-rows-1": dict(execution_mode="compiled", adaptive=True,
-                                tuning=TuningProfile(fused_block_rows=1)),
-        "compiled-rows-7": dict(execution_mode="compiled", adaptive=True,
-                                tuning=TuningProfile(fused_block_rows=7)),
+        "compiled-rows-1": dict(execution_mode="compiled"),
+        "compiled-rows-7": dict(execution_mode="compiled"),
         "interpreted-uint-only": dict(execution_mode="interpreted",
                                       layout_level="uint_only",
                                       adaptive_algorithms=False),
@@ -156,6 +154,8 @@ class TestRecursionAcrossModes:
                              push_selections=False, skip_top_down=False),
         "no-ghd": dict(use_ghd=False),
     }
+    #: Kernel block rows of the modes that cut small blocks.
+    BLOCK_ROWS = {"compiled-rows-1": 1, "compiled-rows-7": 7}
 
     EDGES = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 0), (2, 5)]
 
@@ -178,7 +178,10 @@ class TestRecursionAcrossModes:
         return db
 
     @pytest.fixture(params=sorted(MODES), name="mode")
-    def _mode(self, request):
+    def _mode(self, request, monkeypatch):
+        if request.param in self.BLOCK_ROWS:
+            monkeypatch.setattr(fused, "BLOCK_ROWS",
+                                self.BLOCK_ROWS[request.param])
         return request.param
 
     def test_union_fixpoint_parity(self, mode):
@@ -476,15 +479,6 @@ def dict_fixpoint(base, step, better):
     return best
 
 
-def blocked_db(mode, rows):
-    """A database of ``mode`` whose kernels cut blocks of ``rows``."""
-    if rows is None:
-        return Database(ordering="identity", execution_mode=mode)
-    return Database(ordering="identity", execution_mode=mode,
-                    adaptive=True,
-                    tuning=TuningProfile(fused_block_rows=rows))
-
-
 @pytest.mark.parametrize("rows", [1, 7, None])
 class TestDeltaFirst:
     """A seminaive round of the default engine binds the delta atom's
@@ -502,6 +496,13 @@ class TestDeltaFirst:
            (6, 7)]
     MARKED = (1, 3, 4, 5, 6, 8)
 
+    @pytest.fixture(autouse=True)
+    def _blocks(self, rows, monkeypatch):
+        """The default engine's kernels cut blocks of ``rows`` rows
+        (``None``: the built-in size)."""
+        if rows is not None:
+            monkeypatch.setattr(fused, "BLOCK_ROWS", rows)
+
     def load(self, db, edges, undirected, weighted):
         arcs = sorted(set(edges) | ({(b, a) for a, b in edges}
                                     if undirected else set()))
@@ -512,12 +513,12 @@ class TestDeltaFirst:
         db.add_relation("Mark", [(node,) for node in self.MARKED])
         return arcs, weights or dict.fromkeys(arcs, 1.0)
 
-    def both(self, rows, program, edges, undirected, weighted=False):
+    def both(self, program, edges, undirected, weighted=False):
         """``(default, arcs, weights)`` after checking the default
         engine against the oracle, annotations bit for bit."""
         answers = []
         for mode in ("compiled", "interpreted"):
-            db = blocked_db(mode, rows)
+            db = Database(ordering="identity", execution_mode=mode)
             arcs, weights = self.load(db, edges, undirected, weighted)
             result = db.query(program)
             answers.append(result.to_dict()
@@ -532,7 +533,7 @@ class TestDeltaFirst:
     @pytest.mark.parametrize("op,edges,undirected", [
         ("MIN", GRAPH, True), ("MAX", DAG, False)])
     def test_unary_head(self, rows, op, edges, undirected, weighted):
-        got, arcs, weights = self.both(rows, """
+        got, arcs, weights = self.both("""
             S(x;y:float) :- Edge(0,x); y=1.
             S(x;y:float)* :- Edge(w,x),S(w); y=<<%s(w)>>+1.
         """ % op, edges, undirected, weighted)
@@ -554,7 +555,7 @@ class TestDeltaFirst:
     @pytest.mark.parametrize("op,edges,undirected", [
         ("MIN", GRAPH, True), ("MAX", DAG, False)])
     def test_binary_head(self, rows, op, edges, undirected, weighted):
-        got, arcs, weights = self.both(rows, """
+        got, arcs, weights = self.both("""
             D(x,y;d:float) :- Edge(x,y); d=1.
             D(x,y;d:float)* :- Edge(x,z),D(z,y); d=<<%s(z)>>+1.
         """ % op, edges, undirected, weighted)
@@ -576,7 +577,7 @@ class TestDeltaFirst:
     def test_two_bag_body(self, rows):
         """``Edge(x,u),Mark(u)`` is a bag of its own under the bag
         that reads the delta: nodes with a marked neighbour only."""
-        got, arcs, _ = self.both(rows, """
+        got, arcs, _ = self.both("""
             S(x;y:int) :- Edge(0,x); y=1.
             S(x;y:int)* :- Edge(w,x),S(w),Edge(x,u),Mark(u);
                            y=<<MIN(w)>>+1.
@@ -598,7 +599,7 @@ class TestDeltaFirst:
     def test_union(self, rows, program, arity):
         """Reachability (one bag, EXISTS groups ``x``) and transitive
         closure (two bags and a top-down join)."""
-        got, arcs, _ = self.both(rows, program, self.GRAPH, True)
+        got, arcs, _ = self.both(program, self.GRAPH, True)
 
         def step(delta):
             if arity == 1:

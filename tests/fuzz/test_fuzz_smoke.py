@@ -3,7 +3,7 @@ corpus round-trip, and the config matrix."""
 
 import pytest
 
-from repro.engine import executor
+from repro.engine import executor, fused
 from repro.engine.config import (enumerate_config_matrix,
                                  enumerate_mutation_matrix)
 from repro.fuzz import (evaluate_case, generate_case, load_corpus,
@@ -155,19 +155,37 @@ def test_config_matrix_labels_are_unique():
     assert labels[0] == "interp"            # the oracle comes first
     assert labels == ["interp", "default", "no-prune", "no-fold", "no-cse",
                       "no-ghd", "uint-only", "bitset-only", "block",
-                      "adaptive", "adaptive-interp", "adaptive-replan"]
+                      "small-blocks"]
     assert all(config.execution_mode in ("interpreted", "compiled")
                for _, config in covering)
-    # The tuned rows run kernel blocks of a handful of rows, so fuzz
-    # cases exercise slicing (there is no size fallback to exercise).
-    adaptive = dict(covering)["adaptive"]
-    assert adaptive.fused_block_rows() < 16
     full = enumerate_config_matrix(full=True)
     # 2 modes (interpreted/compiled) x 2 opt x 4 layouts
     assert len(full) == 16
     assert len({label for label, _ in full}) == 16
     assert [label for label, _ in enumerate_mutation_matrix()] == \
         ["interp", "default", "full-recompute"]
+
+
+def test_small_blocks_label_runs_tiny_blocks(monkeypatch):
+    """The ``small-blocks`` row runs kernel blocks of a handful of rows,
+    so fuzz cases exercise slicing (there is no size fallback to
+    exercise), and the kernel's constants are restored afterwards."""
+    defaults = fused.BLOCK_ROWS, fused.PROBE_CROSSOVER
+    seen = []
+    call = fused.FusedBagKernel.__call__
+
+    def spy(self, tries, config):
+        seen.append((fused.BLOCK_ROWS, fused.PROBE_CROSSOVER))
+        return call(self, tries, config)
+
+    monkeypatch.setattr(fused.FusedBagKernel, "__call__", spy)
+    matrix = [(label, config) for label, config in enumerate_config_matrix()
+              if label in ("interp", "small-blocks")]
+    for seed in range(20):
+        assert run_case(generate_case(seed), matrix=matrix) is None
+    assert seen
+    assert all(rows < 16 for rows, _ in seen)
+    assert (fused.BLOCK_ROWS, fused.PROBE_CROSSOVER) == defaults
 
 
 def test_run_case_reports_a_planted_oracle_disagreement(monkeypatch):

@@ -189,8 +189,8 @@ class TestGHDBandMemo:
         assert len(memo) == 2
 
     def test_cardinality_overrides_join_the_key(self):
-        # Adaptive mispredict feedback must always force a fresh plan,
-        # even when the real cardinalities stayed in band.
+        # A cardinality hint must always force a fresh plan, even when
+        # the real cardinalities stayed in band.
         catalog = catalog_with_edges([[0, 1], [0, 2], [1, 2]])
         memo = {}
         optimize(self.TRIANGLE, catalog, ghd_memo=memo)

@@ -64,6 +64,12 @@ class TestSchema:
         record = make_record(morsels=8, steals=2, workers=4)
         assert validate_query_record(record) == []
 
+    def test_log_with_tuner_fields_still_validates(self):
+        """A version-1 log written while the self-tuner existed carries
+        ``replans``/``mispredict_ratio``; it still reads."""
+        record = make_record(replans=1, mispredict_ratio=9.5)
+        assert validate_query_record(record) == []
+
     def test_inflight_form_may_omit_post_execution_fields(self):
         record = make_record(status="inflight")
         del record["elapsed_seconds"]

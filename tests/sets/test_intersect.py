@@ -88,7 +88,7 @@ class TestHybridDispatcher:
 
     def test_crossover_override_changes_dispatch(self):
         # 100 vs 800 is an 8:1 ratio: shuffling under the paper's 32:1,
-        # galloping under a tuned crossover of 4.
+        # galloping under an explicit crossover of 4.
         assert choose_uint_algorithm(100, 800) == "shuffling"
         assert choose_uint_algorithm(100, 800,
                                      crossover=4.0) == "simd_galloping"
@@ -98,7 +98,7 @@ class TestHybridDispatcher:
     def test_dispatch_reads_live_cost_constant(self, monkeypatch):
         # Regression: GALLOPING_THRESHOLD used to be an import-time
         # snapshot of cost.GALLOPING_CROSSOVER, so overriding the cost
-        # constant (as a calibration or an experiment might) silently
+        # constant (as an experiment might) silently
         # did nothing.  Dispatch must read the live value.
         from repro.sets import cost
         assert choose_uint_algorithm(100, 800) == "shuffling"

@@ -84,6 +84,29 @@ class TestRoundTrip:
         with pytest.raises(SchemaError):
             Database.load(path)
 
+    def test_file_with_a_tuning_record_still_loads(self, path):
+        """Files saved while the engine had a self-tuner carry a
+        ``tuning`` record in their manifest; it is ignored."""
+        import json
+        db = Database()
+        db.load_graph("Edge", [(0, 1), (1, 2), (0, 2)], prune=True)
+        query = ("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
+                 "w=<<COUNT(*)>>.")
+        expected = db.query(query).scalar
+        db.save(path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        manifest = json.loads(str(arrays["manifest"]))
+        assert "tuning" not in manifest
+        manifest["tuning"] = {
+            "version": 1, "source": "machine", "fingerprint": {},
+            "galloping_crossover": 5.5, "density_threshold": 64.0,
+            "fused_block_rows": 4096, "fused_probe_crossover": 1.5}
+        arrays["manifest"] = np.asarray(json.dumps(manifest))
+        np.savez(path, **arrays)
+        loaded = Database.load(path)
+        assert loaded.query(query).scalar == expected
+
     def test_raw_catalog_functions(self, path):
         db = Database()
         db.load_graph("Edge", [(0, 1)])

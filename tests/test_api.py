@@ -5,6 +5,7 @@ import pytest
 
 from repro import (Database, EngineConfig, QuerySyntaxError, SchemaError,
                    UnknownRelationError)
+from repro.graphs import chung_lu_graph
 
 
 class TestLoading:
@@ -203,3 +204,31 @@ class TestConfiguration:
         db.load_graph("Edge", [(5, 3)], undirected=False)
         # identity ordering: first-seen value gets id 0
         assert db.relation("Edge").data.tolist() == [[0, 1]]
+
+
+class TestCardinalityHints:
+    """A hint steers GHD costing only: a wildly wrong one changes no
+    answer, and clearing hints empties them."""
+
+    TRIANGLES = ("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
+                 "w=<<COUNT(*)>>.")
+
+    @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+    def test_wrong_hint_keeps_the_answer(self, mode):
+        edges = [tuple(e) for e in chung_lu_graph(200, 1500, exponent=1.7,
+                                                  seed=5)]
+        plain = Database(execution_mode=mode)
+        hinted = Database(execution_mode=mode)
+        for db in (plain, hinted):
+            db.load_graph("Edge", edges, prune=True)
+        hinted.set_cardinality_hint("Edge", 4)
+        expected = plain.query(self.TRIANGLES).scalar
+        assert expected > 0
+        assert hinted.query(self.TRIANGLES).scalar == expected
+        assert hinted.query(self.TRIANGLES).scalar == expected
+
+    def test_clear_drops_every_hint(self):
+        db = Database()
+        db.set_cardinality_hint("Edge", 4)
+        db.clear_cardinality_hints()
+        assert not db._executor.card_hints

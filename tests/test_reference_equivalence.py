@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
-from repro.tune.profile import TuningProfile
+from repro.engine import fused
 from tests.reference import evaluate_conjunctive, evaluate_program
 
 #: Candidate query shapes: (atom variable tuples, head variables).
@@ -134,9 +134,9 @@ def test_annotated_aggregates_match_reference(rows, pattern, op):
 
 ENGINE_CONFIGS = {
     "compiled": dict(execution_mode="compiled"),
-    "compiled-rows-1": dict(execution_mode="compiled", adaptive=True,
-                            tuning=TuningProfile(fused_block_rows=1)),
-    "adaptive": dict(execution_mode="compiled", adaptive=True),
+    "compiled-rows-1": dict(execution_mode="compiled"),
+    "compiled-rows-7": dict(execution_mode="compiled"),
+    "compiled-small-blocks": dict(execution_mode="compiled"),
     "interpreted": dict(execution_mode="interpreted"),
     "interpreted-uint-only": dict(execution_mode="interpreted",
                                   layout_level="uint_only",
@@ -155,6 +155,23 @@ ENGINE_CONFIGS = {
     "no-ghd": dict(use_ghd=False),
 }
 
+#: Kernel constants ``(BLOCK_ROWS, PROBE_CROSSOVER)`` of the configs
+#: that cut small blocks; ``compiled-small-blocks`` is the fuzzer's
+#: ``small-blocks`` row: five-row blocks and a hair-trigger sweep.
+KERNEL_CONSTANTS = {"compiled-rows-1": (1, fused.PROBE_CROSSOVER),
+                    "compiled-rows-7": (7, fused.PROBE_CROSSOVER),
+                    "compiled-small-blocks": (5, 1.0)}
+
+
+def engine_db(config, monkeypatch):
+    """A database of ``config``; its kernels run with that config's
+    constants for the rest of the test."""
+    if config in KERNEL_CONSTANTS:
+        rows, crossover = KERNEL_CONSTANTS[config]
+        monkeypatch.setattr(fused, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(fused, "PROBE_CROSSOVER", crossover)
+    return Database(**ENGINE_CONFIGS[config])
+
 
 def seeded_edges(seed, n=24, domain=7):
     rng = random.Random(seed)
@@ -166,11 +183,11 @@ def seeded_edges(seed, n=24, domain=7):
                          ids=sorted(ENGINE_CONFIGS))
 @pytest.mark.parametrize("pattern", PATTERNS,
                          ids=lambda p: ",".join("".join(v) for v in p[0]))
-def test_set_semantics_across_configs(config, pattern):
+def test_set_semantics_across_configs(config, pattern, monkeypatch):
     atom_vars, head_vars = pattern
     for seed in (0, 1):
         rows = seeded_edges(seed)
-        db = Database(**ENGINE_CONFIGS[config])
+        db = engine_db(config, monkeypatch)
         tuples = load(db, rows)
         got = set(db.query(query_text(atom_vars, head_vars)).tuples())
         expected = evaluate_conjunctive(
@@ -181,10 +198,10 @@ def test_set_semantics_across_configs(config, pattern):
 @pytest.mark.parametrize("config", sorted(ENGINE_CONFIGS),
                          ids=sorted(ENGINE_CONFIGS))
 @pytest.mark.parametrize("op", ["COUNT(*)", "SUM", "MIN", "MAX"])
-def test_aggregates_across_configs(config, op):
+def test_aggregates_across_configs(config, op, monkeypatch):
     atom_vars, head_vars = PATTERNS[1]  # triangle
     rows = seeded_edges(2, n=30)
-    db = Database(**ENGINE_CONFIGS[config])
+    db = engine_db(config, monkeypatch)
     data = np.asarray(rows, dtype=np.uint32).reshape(-1, 2)
     db.add_encoded("W", data,
                    annotations=(data[:, 0] * 8 + data[:, 1]
@@ -215,13 +232,13 @@ def test_aggregates_across_configs(config, op):
 
 @pytest.mark.parametrize("config", sorted(ENGINE_CONFIGS),
                          ids=sorted(ENGINE_CONFIGS))
-def test_recursive_program_across_configs(config):
+def test_recursive_program_across_configs(config, monkeypatch):
     """Union-fixpoint transitive closure vs the reference fixpoint."""
     from repro.query.parser import parse
     edges = seeded_edges(5, n=12, domain=6)
     program = ("Path(x,y) :- Edge(x,y).\n"
                "Path(x,y)* :- Edge(x,z),Path(z,y).")
-    db = Database(**ENGINE_CONFIGS[config])
+    db = engine_db(config, monkeypatch)
     db.add_relation("Edge", edges, arity=2)
     got = set(db.query(program).tuples())
     expected = evaluate_program({"Edge": (edges, None)},

@@ -55,7 +55,7 @@ FORBIDDEN = {
 #: Modules (and everything under them) ``import repro.cli`` must not load.
 IMPORT_BUDGET = (
     "scipy", "multiprocessing", "concurrent.futures", "asyncio",
-    "repro.serve", "repro.fuzz", "repro.tune.calibrate",
+    "repro.serve", "repro.fuzz",
     "repro.obs.telemetry", "repro.obs.flight", "repro.obs.openmetrics",
     "repro.obs.export",
 )
