@@ -1,9 +1,12 @@
-"""Shared benchmark infrastructure.
+"""Shared infrastructure of the cross-engine table modules.
 
-Benchmarks mirror the paper's §5 evaluation at laptop scale: every table
-and figure has one ``bench_*`` module whose pytest-benchmark groups
-reproduce the table's rows.  Engines that exceed :data:`TIMEOUT_SECONDS`
-are reported as "t/o", matching the paper's 30-minute convention.
+Tables 5-8 of the paper's §5 evaluation compare EmptyHeaded with other
+engine classes; each has one ``bench_*`` module whose pytest-benchmark
+groups reproduce the table's rows at laptop scale
+(``pytest benchmarks/ --benchmark-only``).  Engines that exceed
+:data:`TIMEOUT_SECONDS` are reported as "t/o", matching the paper's
+30-minute convention.  The paper's other tables and figures are
+shape tests in ``tests/paper/``.
 
 Datasets and databases are cached per session — the paper likewise
 excludes loading/index time from all measurements (§5.1.3).

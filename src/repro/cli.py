@@ -9,10 +9,6 @@ Commands
     Show the compiled plan (GHD, widths, attribute orders) for a query.
 ``datasets``
     List the built-in Table 3 analog datasets with their profiles.
-``bench``
-    Quick triangle-count timing across engine configurations on one
-    dataset — the default engine, and a taste of the paper's ablation
-    tables on the interpreted oracle.
 ``top``
     Live monitor over a telemetry query log (``--telemetry DIR``):
     QPS, latency quantiles, plan-cache tiers, worker lanes.
@@ -35,7 +31,6 @@ Examples
     python -m repro explain --dataset higgs \
         "B(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,p),\
 Edge(p,q),Edge(q,r),Edge(p,r); w=<<COUNT(*)>>."
-    python -m repro bench --dataset googleplus
 """
 
 import argparse
@@ -46,7 +41,6 @@ from .api import Database
 from .errors import EmptyHeadedError, UnknownRelationError
 from .graphs.datasets import DATASETS, dataset_profile, load_dataset, \
     read_edgelist
-from .graphs.patterns import TRIANGLE_COUNT
 
 
 def _build_database(args):
@@ -212,35 +206,6 @@ def cmd_datasets(args):
     return 0
 
 
-def cmd_bench(args):
-    """``repro bench``: quick ablation timings on one dataset."""
-    # The set-level ablations (-R, -S) change how the *interpreter*
-    # intersects sets; the default engine's block kernels do not
-    # perform set intersections, so those rows run the oracle.
-    interpreted = {"execution_mode": "interpreted"}
-    configurations = [
-        ("default engine", {}),
-        ("-GHD (single bag)", {"use_ghd": False}),
-        ("interpreted", interpreted),
-        ("  -R (uint only)", dict(interpreted, layout_level="uint_only")),
-        ("  -S (no simd)", dict(interpreted, simd=False)),
-    ]
-    edges = load_dataset(args.dataset)
-    print("triangle counting on %s (%d edges, pruned):"
-          % (args.dataset, edges.shape[0]))
-    for label, overrides in configurations:
-        db = Database(**overrides)
-        db.load_graph("Edge", [tuple(e) for e in edges], prune=True)
-        db.query(TRIANGLE_COUNT)       # warm tries
-        db.counter.reset()
-        start = time.perf_counter()
-        count = db.query(TRIANGLE_COUNT).scalar
-        elapsed = time.perf_counter() - start
-        print("  %-18s %8.3fs  %10d ops  (%d triangles)"
-              % (label, elapsed, db.counter.total_ops, count))
-    return 0
-
-
 def cmd_serve(args):
     """``repro serve``: run the long-lived query daemon."""
     from .serve import QueryService
@@ -349,12 +314,6 @@ def build_parser():
     top.add_argument("--once", action="store_true",
                      help="render one frame and exit (no clear-screen)")
     top.set_defaults(func=cmd_top)
-
-    bench = sub.add_parser("bench",
-                           help="quick ablation timing on one dataset")
-    bench.add_argument("--dataset", choices=sorted(DATASETS),
-                       default="patents")
-    bench.set_defaults(func=cmd_bench)
 
     serve = sub.add_parser(
         "serve",

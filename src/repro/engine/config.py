@@ -1,18 +1,18 @@
 """Engine configuration: the feature switches the paper ablates.
 
 Every optimization the paper measures can be toggled here, which is how
-the benchmark harness reproduces the "-R", "-RA", "-S", and "-GHD"
-columns of Tables 8, 11, and 13.
+``benchmarks/bench_table08_patterns.py`` reproduces the "-R", "-RA" and
+"-GHD" columns of Table 8, and the tests the ablations of Tables 4, 11
+and 13 ("-S", push-down off).
 
 The planner switches (``use_ghd``, ``push_selections``, the rewrite
 passes) apply to both execution modes.  The set-level switches —
-``layout_level``, ``adaptive_algorithms``, ``simd``,
-``uint_algorithm`` — decide how the *interpreter* lays out and
-intersects sets; the default engine's block kernels read the tries'
-flat sorted arrays and are indifferent to them (they still shape the
-tries the interpreter's fast paths and fallbacks see), so the paper's
-layout/SIMD/algorithm ablations are measured with
-``execution_mode="interpreted"``.
+``layout_level``, ``adaptive_algorithms`` and ``simd`` — decide how
+the *interpreter* lays out and intersects sets; the default engine's
+block kernels read the tries' flat sorted arrays and are indifferent
+to them (they still shape the tries the interpreter's fast paths and
+fallbacks see), so the paper's layout/SIMD/algorithm ablations are
+measured with ``execution_mode="interpreted"``.
 
 Dispatch constants are not switches: the kernel reads
 ``repro.engine.fused.BLOCK_ROWS`` and ``PROBE_CROSSOVER`` on every
@@ -70,9 +70,6 @@ class EngineConfig:
         Extend redundant-bag elimination across the rules of one program
         via a program-scoped :class:`~repro.engine.memo.BagMemo`; only
         effective while ``eliminate_redundant_bags`` is on.
-    uint_algorithm:
-        Force one uint∩uint kernel by name (``None`` = adaptive
-        dispatch); used by the micro-benchmarks.
     execution_mode:
         ``"compiled"`` (default) is the engine: every bag is lowered
         once to a :class:`~repro.engine.fused.FusedBagKernel` (paper
@@ -129,7 +126,6 @@ class EngineConfig:
     prune_attributes: bool = True
     fold_constants: bool = True
     cross_rule_cse: bool = True
-    uint_algorithm: Optional[str] = None
     execution_mode: str = field(default_factory=_default_execution_mode)
     counter: OpCounter = field(default_factory=OpCounter)
     tracer: Optional[object] = None

@@ -239,7 +239,6 @@ class BagEvaluator:
         start = tracer.now() if tracer is not None else 0.0
         result = intersect_many(
             sets, counter=self.config.counter,
-            algorithm=self.config.uint_algorithm,
             adaptive=self.config.adaptive_algorithms,
             simd=self.config.simd)
         if tracer is not None:

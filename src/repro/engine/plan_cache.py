@@ -38,8 +38,7 @@ def config_signature(config):
     return (config.layout_level, config.adaptive_algorithms, config.simd,
             config.use_ghd, config.push_selections,
             config.eliminate_redundant_bags, config.skip_top_down,
-            config.uint_algorithm, config.prune_attributes,
-            config.fold_constants)
+            config.prune_attributes, config.fold_constants)
 
 
 class CompiledBag:

@@ -12,7 +12,7 @@ keyed **result cache** on top (:mod:`repro.serve.cache`, invalidated
 surgically by the PR 9 versioned-catalog mutation path), and drains
 gracefully on shutdown.  :class:`~repro.serve.client.ServeClient` is
 the blocking client the tests, the fuzzer's ``--serve`` oracle, and
-``benchmarks/bench_serve.py`` all use.
+the ``serve_mixed`` workload of ``benchmarks/e2e`` all use.
 
 Start one from the CLI (``repro serve --dataset patents``), or
 in-process::

@@ -4,7 +4,7 @@ One :class:`ServeClient` is one TCP connection speaking the
 newline-delimited-JSON protocol of :mod:`repro.serve.protocol`.  It is
 deliberately synchronous — one request, one reply, in order — because
 every consumer in this repo (the concurrency tests, the fuzzer's
-``--serve`` oracle, ``bench_serve``) wants per-request latencies and
+``--serve`` oracle, ``benchmarks/e2e``) wants per-request latencies and
 deterministic interleaving; concurrency comes from running many
 clients, not from pipelining one.
 

@@ -18,7 +18,6 @@ class TestConfig:
         assert config.push_selections
         assert config.eliminate_redundant_bags
         assert config.skip_top_down
-        assert config.uint_algorithm is None
 
     def test_ablated_copies(self):
         base = EngineConfig()
@@ -49,10 +48,10 @@ class TestSurface:
             "layout_level", "adaptive_algorithms", "simd", "use_ghd",
             "push_selections", "eliminate_redundant_bags",
             "skip_top_down", "prune_attributes", "fold_constants",
-            "cross_rule_cse", "uint_algorithm", "execution_mode",
-            "counter", "tracer", "metrics", "telemetry",
-            "slow_query_seconds", "incremental_views"]
-        assert len(fields(EngineConfig)) == 18
+            "cross_rule_cse", "execution_mode", "counter", "tracer",
+            "metrics", "telemetry", "slow_query_seconds",
+            "incremental_views"]
+        assert len(fields(EngineConfig)) == 17
 
     def test_cli_rejects_worker_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

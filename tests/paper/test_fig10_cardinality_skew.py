@@ -1,37 +1,22 @@
 """Figure 10: uint algorithms vs cardinality ratio (the 32:1 crossover).
 
 Fixed 1M range, one set pinned at 64 values, the other swept upward.
-Paper shape: shuffling/BMiss win while cardinalities are similar;
-galloping takes over past the ~32:1 ratio (it alone satisfies the min
-property), by >5x at extreme skew — exactly the dispatch rule of
-Algorithm 2.
+Paper shape: shuffling wins while cardinalities are similar; galloping
+takes over past the ~32:1 ratio, by >5x at extreme skew — exactly the
+dispatch rule of Algorithm 2.
 """
 
-import pytest
-
 from repro.graphs import synthetic_set
-from repro.sets import OpCounter, UINT_ALGORITHMS, UintSet, intersect
+from repro.sets import OpCounter, UintSet, intersect
 
 RANGE = 1_000_000
 SMALL = 64
-RATIOS = (1, 8, 32, 256, 2048)
 
 
 def pair(ratio):
     a = UintSet(synthetic_set(SMALL, RANGE, seed=5))
     b = UintSet(synthetic_set(SMALL * ratio, RANGE, seed=6))
     return a, b
-
-
-@pytest.mark.parametrize("ratio", RATIOS)
-@pytest.mark.parametrize("algorithm", UINT_ALGORITHMS)
-def test_algorithms_by_ratio(benchmark, ratio, algorithm):
-    benchmark.group = "fig10:ratio=%d" % ratio
-    a, b = pair(ratio)
-    benchmark.extra_info["model_ops"] = model_ops(ratio, algorithm)
-    benchmark.pedantic(
-        lambda: intersect(a, b, OpCounter(), algorithm=algorithm),
-        rounds=3, iterations=1, warmup_rounds=1)
 
 
 def model_ops(ratio, algorithm):
@@ -41,7 +26,7 @@ def model_ops(ratio, algorithm):
     return counter.total_ops
 
 
-def test_shape_crossover_at_32():
+def test_crossover_at_32():
     assert model_ops(1, "shuffling") < model_ops(1, "simd_galloping")
     assert model_ops(8, "shuffling") < model_ops(8, "simd_galloping")
     assert model_ops(256, "simd_galloping") < model_ops(256, "shuffling")
@@ -49,13 +34,12 @@ def test_shape_crossover_at_32():
         < model_ops(2048, "shuffling")
 
 
-def test_shape_hybrid_tracks_the_winner():
-    """Adaptive dispatch must match the better algorithm at both ends."""
+def test_hybrid_tracks_the_winner():
+    """Adaptive dispatch matches the better algorithm at both ends."""
     for ratio in (1, 2048):
         a, b = pair(ratio)
         counter = OpCounter()
         intersect(a, b, counter)  # adaptive
-        adaptive = counter.total_ops
         best = min(model_ops(ratio, "shuffling"),
                    model_ops(ratio, "simd_galloping"))
-        assert adaptive <= best * 1.01
+        assert counter.total_ops <= best * 1.01

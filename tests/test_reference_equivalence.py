@@ -146,8 +146,6 @@ ENGINE_CONFIGS = {
     "interpreted-block": dict(execution_mode="interpreted",
                               layout_level="block"),
     "interpreted-no-simd": dict(execution_mode="interpreted", simd=False),
-    "interpreted-galloping": dict(execution_mode="interpreted",
-                                  uint_algorithm="galloping"),
     "no-optimizer": dict(prune_attributes=False, fold_constants=False,
                          cross_rule_cse=False,
                          eliminate_redundant_bags=False,
