@@ -526,7 +526,6 @@ class Database:
             record["plan_cache_hits"] = hits
             record["plan_cache_misses"] = misses
             record["fused_blocks"] = stats.fused_blocks
-            record["fused_fallbacks"] = stats.fused_fallbacks
             if stats.recursion_rounds:
                 record["recursion_rounds"] = stats.recursion_rounds
         else:
@@ -705,7 +704,7 @@ class Database:
     @property
     def last_stats(self):
         """Execution statistics of the latest query: plan-cache,
-        compilation and kernel/fallback counters under the default
+        compilation and kernel counters under the default
         engine.  ``None`` after an *interpreted* query.  See
         :class:`~repro.engine.stats.ExecStats`.
         """

@@ -10,16 +10,16 @@ bag as numpy block operations on every execution.  Kernels are cached
 through the plan cache (:mod:`repro.engine.plan_cache`) and keyed on
 the bag's shape, so structurally identical bags share one.
 
-Bag shapes the block kernel does not cover (an input of arity above
-two, a semiring without a block fold) have no compiled form:
-:func:`generate_bag_plan` returns ``None`` and the executor runs them
-on the interpreter (:class:`~repro.engine.generic_join.BagEvaluator`),
-which is also the reference implementation every kernel is
-differentially tested against.
+Every bag the planner produces has a kernel: its inputs may have any
+arity (the kernel reads k-level flat tries) and its fold is one of the
+language's semirings.  The interpreter
+(:class:`~repro.engine.generic_join.BagEvaluator`) is only the
+reference implementation every kernel is differentially tested
+against; the default engine never runs it.
 """
 
 from ..errors import PlanError
-from .fused import FusedBagKernel, fusable
+from .fused import FusedBagKernel
 from .semiring import Semiring
 
 
@@ -64,21 +64,24 @@ def generate_bag_plan(eval_order, out_count, specs, semiring,
 
     Returns
     -------
-    FusedBagKernel or None
+    FusedBagKernel
         Calling the kernel with ``(tries, config)`` —
         tries in spec order — returns the same
         :class:`~repro.engine.generic_join.BagResult` the interpreting
         :class:`~repro.engine.generic_join.BagEvaluator` produces
         (for ``out_attrs``: produces under the output-first order, up
         to row and column order).
-        ``None`` means the shape is not fusable and the caller must
-        interpret the bag.
+
+    Raises
+    ------
+    PlanError
+        For a zero-attribute bag, an attribute no input covers, or a
+        semiring without a block fold
+        (:data:`~repro.engine.fused.FUSED_SEMIRINGS`).
     """
     if not eval_order:
         raise PlanError("cannot lower a zero-attribute bag")
     if not isinstance(semiring, Semiring):
         raise PlanError("semiring must be a Semiring instance")
-    if not fusable(eval_order, out_count, specs, semiring):
-        return None
     return FusedBagKernel(eval_order, out_count, specs, semiring,
                           out_attrs=out_attrs)

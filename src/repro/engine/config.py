@@ -8,10 +8,11 @@ and 13 ("-S", push-down off).
 The planner switches (``use_ghd``, ``push_selections``, the rewrite
 passes) apply to both execution modes.  The set-level switches —
 ``layout_level``, ``adaptive_algorithms`` and ``simd`` — decide how
-the *interpreter* lays out and intersects sets; the default engine's
-block kernels read the tries' flat sorted arrays and are indifferent
-to them (they still shape the tries the interpreter's fast paths and
-fallbacks see), so the paper's layout/SIMD/algorithm ablations are
+the *interpreter* lays out and intersects sets.  The default engine's
+block kernels read the tries' flat sorted arrays: ``layout_level``
+only picks their probe routes (a bitset root answers through a rank
+table, a dense child level through a bit table), never the answer or
+the op count, so the paper's layout/SIMD/algorithm ablations are
 measured with ``execution_mode="interpreted"``.
 
 Dispatch constants are not switches: the kernel reads
@@ -76,8 +77,7 @@ class EngineConfig:
         §3.3) that evaluates it as numpy block operations, and parsed
         programs, plans and kernels are cached across executions —
         repeated queries skip parse, GHD search, and lowering entirely.
-        Bag shapes the kernels do not cover fall back, counted, to the
-        interpreter.  ``"interpreted"`` walks every bag with the
+        ``"interpreted"`` walks every bag with the
         generic :class:`~repro.engine.generic_join.BagEvaluator` and
         re-plans per run: the differential oracle, and the mode the
         layout/SIMD/algorithm ablations are measured in.  The default

@@ -7,8 +7,8 @@ in :mod:`repro.lir`; the executor receives an optimized
 :class:`~repro.lir.ir.LogicalRule` and
 
 1. lowers it to per-bag physical plans (evaluation orders, inputs,
-   pass-up shapes) — block kernels by default, the interpreter as
-   oracle and for the bag shapes the kernels do not cover;
+   pass-up shapes) — a block kernel for every bag by default, the
+   interpreter as the oracle;
 2. runs Yannakakis' **bottom-up** pass: every bag is evaluated with the
    generic worst-case optimal join, aggregating away attributes its
    parent does not need (early aggregation) and passing the result up as
@@ -38,8 +38,9 @@ from ..storage.delta import row_keys
 from ..storage.relation import Relation, relation_columns
 from ..storage.trie import Trie
 from .codegen import InputSpec, generate_bag_plan
-from .fused import IDEMPOTENT_FOLDS, fusable
-from .generic_join import BagEvaluator, BagInput, BagResult, evaluate_bag
+from .fused import IDEMPOTENT_FOLDS
+from .generic_join import BagInput, BagResult, empty_bag_result, \
+    evaluate_bag
 from .memo import remap_memoized
 from .plan import BagPlan, PhysicalPlan
 from .plan_cache import CompiledBag, CompiledRule, PlanCache, \
@@ -840,21 +841,17 @@ class RuleExecutor:
                    for c in node.children]
             bag_sig = ("bag", eval_order, out_attrs, semiring.name,
                        tuple(spec.signature() for spec in specs))
-            # An unfusable shape has no kernel to lower or cache: the
-            # bag runs on the interpreter (a counted fallback).
-            generated = None
-            if fusable(eval_order, len(out_attrs), specs, semiring):
-                generated = self.plans.get_bag_code(bag_sig)
-                if generated is None:
-                    stats.codegen_runs += 1
-                    with maybe_span(self.config.tracer, "codegen",
-                                    "compile", bag=",".join(node.chi)):
-                        generated = generate_bag_plan(
-                            eval_order, len(out_attrs), specs, semiring,
-                            out_attrs=out_attrs)
-                    self.plans.put_bag_code(bag_sig, generated)
-                else:
-                    stats.bag_codegen_reuses += 1
+            generated = self.plans.get_bag_code(bag_sig)
+            if generated is None:
+                stats.codegen_runs += 1
+                with maybe_span(self.config.tracer, "codegen",
+                                "compile", bag=",".join(node.chi)):
+                    generated = generate_bag_plan(
+                        eval_order, len(out_attrs), specs, semiring,
+                        out_attrs=out_attrs)
+                self.plans.put_bag_code(bag_sig, generated)
+            else:
+                stats.bag_codegen_reuses += 1
             bags[id(node)] = CompiledBag(
                 eval_order, out_attrs, base_inputs, passups, generated,
                 chi=node.chi, width=node.width(),
@@ -921,15 +918,11 @@ class RuleExecutor:
                           retained, stats, bag_plan=None):
         """Evaluate one bag through its block kernel.
 
-        Child pass-ups are built exactly as in :meth:`_evaluate_bag`.
-        A bag without a kernel (a shape :func:`~repro.engine.fused.
-        fusable` rejects) — or whose pass-up's runtime shape disagrees
-        with the baked spec, which the current planner cannot produce —
-        is a *fallback*: the interpreter evaluates the same inputs and
-        ``stats.fused_fallbacks`` counts it.
+        Child pass-ups are built exactly as in :meth:`_evaluate_bag`,
+        in the shapes the compiled bag baked in; a pass-up whose
+        runtime shape disagrees is a :class:`PlanError`.
         """
         inputs = list(cbag.base_inputs)
-        tries = [bag_input.trie for bag_input in cbag.base_inputs]
         scalar_factor = 1.0
         dead = False
         kernel = cbag.generated
@@ -942,54 +935,35 @@ class RuleExecutor:
                 elif aggregate_mode:
                     scalar_factor *= _child_scalar(child_result, semiring)
                 continue
-            passed = self._pass_up(child_result, node.chi_set,
-                                   aggregate_mode, semiring)
-            if passed is None:
-                kernel = None
-                continue
-            relation, annotated = passed
-            spec = next(passups, None)
-            if spec is None:
-                kernel = None
-                cols = relation_columns(relation)
-                ordered_vars = tuple(a for a in cbag.eval_order
-                                     if a in cols)
-                key_order = tuple(cols.index(a) for a in ordered_vars)
-            else:
-                ordered_vars, key_order, spec_annotated = spec
-                if annotated != spec_annotated:
-                    kernel = None
+            relation, annotated = self._pass_up(
+                child_result, node.chi_set, aggregate_mode, semiring)
+            ordered_vars, key_order, spec_annotated = next(
+                passups, (None, None, None))
+            if ordered_vars is None or annotated != spec_annotated:
+                raise PlanError("pass-up %s does not match bag %s's "
+                                "compiled shape" % (relation.name,
+                                                    ",".join(cbag.chi)))
             trie = Trie(relation, key_order=key_order,
                         optimizer=SetOptimizer(self.config.layout_level))
             inputs.append(BagInput(trie, ordered_vars,
                                    annotated=annotated,
                                    name=relation.name))
-            tries.append(trie)
         if bag_plan is not None:
             bag_plan.input_profiles = _input_profiles(inputs)
-        eval_order, out_count = cbag.eval_order, cbag.out_count
+        out_count = cbag.out_count
         if dead:
             result = BagResult(cbag.out_attrs,
                                np.empty((0, out_count), dtype=np.uint32),
                                annotations=np.empty(0),
                                scalar=semiring.zero)
         else:
-            # Empty inputs and identity scans involve no join work, so
-            # no kernel (or loop nest) is entered for them.  (The
-            # probe assumes prefix outputs; a kernel without them
-            # answers its own empty inputs and is never a scan.)
-            probe = None if kernel is not None and kernel.unordered \
-                else BagEvaluator(eval_order, out_count, inputs, semiring,
-                                  self.config)
-            result = None if probe is None else probe.try_fast_paths()
+            result = None if kernel.unordered \
+                else _no_join_result(cbag, inputs, semiring)
             if result is None:
                 stats.compiled_bag_calls += 1
-                if kernel is None:
-                    stats.fused_fallbacks += 1
-                    result = probe.run()
-                else:
-                    stats.fused_blocks += 1
-                    result = kernel(tries, self.config)
+                stats.fused_blocks += 1
+                result = kernel([bag_input.trie for bag_input in inputs],
+                                self.config)
         if aggregate_mode and scalar_factor != 1.0:
             if result.scalar is not None:
                 result.scalar *= scalar_factor
@@ -1205,6 +1179,24 @@ def _guard_annotation_factor(logical):
         if relation.annotations is not None and relation.cardinality:
             factor *= float(np.prod(relation.annotations))
     return factor
+
+
+def _no_join_result(cbag, inputs, semiring):
+    """The result of a compiled bag that involves no join work — an
+    empty input, or one input whose attributes are all emitted in
+    order (an identity scan of its sorted tuples) — else ``None``.  No
+    kernel is entered for these (a kernel without prefix outputs
+    answers its own empty inputs and is never a scan)."""
+    order, out_count = cbag.eval_order, cbag.out_count
+    if any(bag_input.trie.cardinality == 0 for bag_input in inputs):
+        return empty_bag_result(order, out_count, semiring)
+    if len(inputs) != 1 or out_count != len(order) \
+            or inputs[0].variables != order:
+        return None
+    trie = inputs[0].trie
+    annotations = np.array(trie.sorted_annotations) if inputs[0].annotated \
+        else np.ones(trie.cardinality, dtype=np.float64)
+    return BagResult(order, trie.sorted_data, annotations=annotations)
 
 
 def _input_profiles(inputs):

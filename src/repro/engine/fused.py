@@ -1,10 +1,14 @@
 """Fused block execution: the generic join as numpy block ops.
 
-This is the engine's default executor for the bag shapes graph queries
-compile to (every input of arity 1 or 2).  Instead of one Python-level
-loop iteration per binding, the whole bag is evaluated as a short,
-fixed sequence of vectorized *block operations* over the tries' flat
-level arrays (:meth:`repro.storage.trie.Trie.flat`):
+This is the default engine's only executor: every bag runs here,
+whatever its inputs' arity.  Instead of one Python-level loop
+iteration per binding, the whole bag is evaluated as a short, fixed
+sequence of vectorized *block operations* over the tries' flat level
+arrays (:meth:`repro.storage.trie.Trie.flat`).  Level ``pos`` of a
+k-ary input's view is keyed by the rows of level ``pos - 1``, so an
+input that binds its ``pos``-th variable reads that level from the
+rank it carried out of the level above — expanding its child lists or
+probing its packed prefixes, as a binary input does at level 1:
 
 1. **Frontier expansion.**  The bag's bound prefixes live in a column
    matrix (one array per level, rows in lexicographic order).  A level
@@ -37,10 +41,12 @@ level arrays (:meth:`repro.storage.trie.Trie.flat`):
    bitset, answers through its ``rank_of`` table — one gather — and a
    sparse one through a ``searchsorted`` of its sorted keys.  Child
    levels probe by layout too: a dense pair level (the same density
-   rule) answers an unannotated input from its flat view's bit table
-   — a byte gather, a shift and an AND per candidate — and a sparse
-   one, or an annotated input, which needs the leaf row, by a
-   ``searchsorted`` of the packed ``(parent << 32) | child`` pairs.  A
+   rule) answers the unannotated last level of a binary input from its
+   flat view's bit table — a byte gather, a shift and an AND per
+   candidate — and a sparse one, an annotated input, which needs the
+   leaf row, or a level with more below it, which needs the row its
+   next level is keyed by, by a ``searchsorted`` of the packed
+   ``(parent << 32) | child`` prefixes.  A
    million bindings cost a handful of numpy calls either way, and a
    block whose probes all hit compacts nothing (*no filter without a
    miss*).  When even the cheapest CSR expansion dwarfs tiling the
@@ -73,8 +79,7 @@ single hub row is split too).  Surviving rows of non-leaf slices are
 concatenated into the next frontier; leaf slices fold into per-row
 accumulators.  Transient memory per level is therefore a constant
 number of block-sized arrays no matter how skewed the fan-out is, and
-no input size makes the kernel give up — the only bags that run on the
-interpreter instead are the shapes :func:`fusable` rejects.  Blocks are
+no input size or shape makes the kernel give up.  Blocks are
 *lazy*: a block is its row range and clipped row counts, and the
 per-candidate frontier row (``np.repeat``) and the re-found segment
 boundaries exist only for a reader — a child-level probe, a filter
@@ -161,14 +166,6 @@ _FOLD_UFUNC = {"SUM": np.add, "COUNT": np.add, "MIN": np.minimum,
 IDEMPOTENT_FOLDS = ("MIN", "MAX", "EXISTS")
 
 
-def fusable(eval_order, out_count, specs, semiring):
-    """True when the bag shape is coverable by the block evaluator:
-    every input unary or binary, a supported semiring fold."""
-    if not eval_order or semiring.name not in FUSED_SEMIRINGS:
-        return False
-    return all(1 <= len(spec.variables) <= 2 for spec in specs)
-
-
 class _Part:
     """One input's participation at one level (resolved at plan time)."""
 
@@ -182,14 +179,16 @@ class _Part:
         self.var0_level = var0_level    # bag level of the input's first var
 
 
-def _probe(flat, vals, heads=None, bits=False):
+def _probe(flat, vals, heads=None, bits=False, pos=1):
     """Batched membership probe of ``vals`` in one level of ``flat``:
     its root keys, or — given ``heads``, each candidate's parent as
-    :func:`_child_probes` encoded it — its stored pairs.
+    :func:`_child_probes` encoded it — the packed prefixes of level
+    ``pos``.
 
     Returns ``(rank, member)``: where ``member`` holds, ``rank`` is the
     value's index in the level — the trie-node rank for root keys, the
-    leaf row (hence the annotation index) for pairs.  Elsewhere
+    prefix's row (at the last level the annotation index) for child
+    levels.  Elsewhere
     ``rank`` is meaningless, possibly out of range (callers filter by
     ``member`` first).  A pair probe through the bit table (``bits``)
     answers membership only: its rank is ``None``.
@@ -197,7 +196,7 @@ def _probe(flat, vals, heads=None, bits=False):
     if heads is not None:
         if bits:
             return None, flat.pair_member(heads, vals)
-        keys, vals = flat.packed, heads | vals
+        keys, vals = flat.levels[pos][2], heads | vals
     elif flat.full:
         # Every code of the key range is a key: the rank is the offset
         # into the range (values below it wrap around, past its end).
@@ -300,7 +299,7 @@ class _Level:
         lead = list(itertools.takewhile(lambda found: isinstance(
             found[1], int), factors))
         gen = next(part for part, rank_of in self.settled if rank_of is None)
-        low, high = self.flats[gen.index].span(1)
+        low, high = self.flats[gen.index].span(gen.pos)
         if lead and high - low < self.total:
             self.weight = (low, functools.reduce(np.multiply, [
                 self.flats[part.index].ann[low - k0:high - k0 + 1]
@@ -348,7 +347,7 @@ class _Level:
                 if parent is None:
                     parent = _parents(lo, counts)
                 rank, member = _probe(flats[part.index], vals,
-                                      heads[parent], bits)
+                                      heads[parent], bits, part.pos)
             found.append((part, rank))
             keep = member if keep is None else keep & member
         if keep is not None and keep.all():
@@ -466,8 +465,9 @@ class FusedBagKernel:
 
     def __init__(self, eval_order, out_count, specs, semiring,
                  out_attrs=None):
-        if not fusable(eval_order, out_count, specs, semiring):
-            raise PlanError("bag is not fusable")
+        if semiring.name not in FUSED_SEMIRINGS:
+            raise PlanError("no block fold for the %s semiring"
+                            % semiring.name)
         if not 0 <= out_count <= len(eval_order):
             raise PlanError("out_count %d outside [0, %d]"
                             % (out_count, len(eval_order)))
@@ -526,7 +526,7 @@ class FusedBagKernel:
         cols = []           # bound value column per level, len F each
         pw = None           # output-prefix annotation chain (float64[F])
         sw = None           # aggregated-suffix annotation chain
-        ranks = {}          # spec index -> rank of its bound first var
+        ranks = {}          # spec index -> rank at its last bound level
         frontier = 1
         for level in range(nl):
             plan = _Level(*self._plan_level(
@@ -578,32 +578,37 @@ class FusedBagKernel:
         frontier row ``r`` owns the ``counts[r]`` candidates
         ``values[first[r]:first[r] + counts[r]]``.  A CSR level expands
         each row from its smallest child list (Algorithm 2's min rule,
-        per row): when rows disagree on which input that is — possible
-        only among inputs over one flat view, whose ``values`` they
-        share — no input generates every row, and each child-level
-        input is probed instead.  ``settled`` lists ``(part, rank_of)``
-        for participants every candidate is known to be a member of:
-        the generating ones — the candidate read from ``values[p]`` has
-        rank ``rank_of[p]`` in that part (``None``: ``p`` itself) — and
-        every full-range root that covers the generator's values
-        (``rank_of`` is the root's first key ``k0``, an ``int``: the
-        candidate ``v`` has rank ``v - k0``).  ``probed`` are the
-        parts that still filter candidates, as :func:`_child_probes`
-        prepares them; ``sweep`` says the skew sweep was taken.
+        per row), an input at position ``pos`` reading level ``pos``
+        of its view from the rank it carried out of level ``pos - 1``:
+        when rows disagree on which input that is — possible only
+        among inputs over one level of one flat view, whose ``values``
+        they share — no input generates every row, and each
+        child-level input is probed instead.  ``settled`` lists
+        ``(part, rank_of)`` for participants every candidate is known
+        to be a member of: the generating ones — the candidate read
+        from ``values[p]`` has rank ``rank_of[p]`` in that part
+        (``None``: ``p`` itself) — and every full-range root that
+        covers the generator's values (``rank_of`` is the root's first
+        key ``k0``, an ``int``: the candidate ``v`` has rank ``v -
+        k0``).  ``probed`` are the parts that still filter candidates,
+        as :func:`_child_probes` prepares them; ``sweep`` says the
+        skew sweep was taken.
         """
-        child_parts = [part for part in parts if part.pos == 1]
+        child_parts = [part for part in parts if part.pos]
         generating, probed = parts, []
         if child_parts:
             # CSR expansion from the smallest fan-out (the min
             # property): per frontier row among inputs that read one
-            # flat view, then the view whose total is smallest.
-            groups = {}         # by the flat view they read
+            # level of one flat view, then the level whose total is
+            # smallest.
+            groups = {}         # by the flat level they read
             for part in child_parts:
-                groups.setdefault(id(flats[part.index]), []).append(part)
-            view, gen, counts, first = min(
+                groups.setdefault((id(flats[part.index]), part.pos),
+                                  []).append(part)
+            view, pos, gen, counts, first = min(
                 (_min_fanout(group, flats, ranks)
                  for group in groups.values()),
-                key=lambda plan: plan[2].sum())
+                key=lambda plan: plan[3].sum())
             total = int(counts.sum())
             root_parts = [part for part in parts if part.pos == 0]
             if not root_parts or total <= PROBE_CROSSOVER * frontier * min(
@@ -612,11 +617,11 @@ class FusedBagKernel:
                 # child-level one, their own included (it always hits).
                 settled, probed = _settle(
                     [part for part in parts if part is not gen], flats,
-                    view)
+                    view.span(pos))
                 if gen is not None:
                     settled.insert(0, (gen, None))
-                return (counts, first, view.values, settled,
-                        _child_probes(probed, flats, cols), False)
+                return (counts, first, view.levels[pos][1], settled,
+                        _child_probes(probed, flats, cols, ranks), False)
             # Skew sweep: expanding even the cheapest generator dwarfs
             # tiling the level's root-key candidates, so generate from
             # those and probe every child-level input instead.  Same
@@ -642,8 +647,8 @@ class FusedBagKernel:
                                   else rank, keep))
                      for part, rank in found]
         return (np.full(frontier, candidates.size, dtype=np.int64), 0,
-                candidates, found, _child_probes(probed, flats, cols),
-                bool(probed))
+                candidates, found,
+                _child_probes(probed, flats, cols, ranks), bool(probed))
 
     # -- aggregated-leaf folds ------------------------------------------------
 
@@ -837,17 +842,17 @@ def _concatenate(blocks):
              for index in first.factors})
 
 
-def _settle(parts, flats, generator):
+def _settle(parts, flats, span):
     """Split a CSR level's non-generating ``parts`` into ``(settled,
     probed)``: a root whose keys are the whole of a range that holds
-    every value ``generator`` can produce filters nothing, and its
+    the generating level's ``span`` of values filters nothing, and its
     ranks are the values themselves less the range's start."""
     settled, probed = [], []
+    low, high = span
     for part in parts:
         flat = flats[part.index]
         if part.pos == 0 and flat.full:
             k0, k1 = flat.span(0)
-            low, high = generator.span(1)
             if k0 <= low and high <= k1:
                 settled.append((part, k0))
                 continue
@@ -856,44 +861,49 @@ def _settle(parts, flats, generator):
 
 
 def _min_fanout(group, flats, ranks):
-    """``(view, gen, counts, first)`` of expanding each frontier row
-    from the smallest of the child lists that ``group``'s inputs bind
-    in their one flat ``view``: row ``r`` owns
-    ``view.values[first[r]:first[r] + counts[r]]``.  ``gen`` is the
-    input every row takes its list from (the first one on a tie), or
-    ``None`` when the rows differ."""
-    view = flats[group[0].index]
-    starts = [view.offsets.take(ranks[part.index]) for part in group]
-    fanouts = [view.offsets.take(ranks[part.index] + 1) - start
+    """``(view, pos, gen, counts, first)`` of expanding each frontier
+    row from the smallest of the child lists that ``group``'s inputs
+    bind in level ``pos`` of their one flat ``view``: row ``r`` owns
+    ``values[first[r]:first[r] + counts[r]]`` of that level.  ``gen``
+    is the input every row takes its list from (the first one on a
+    tie), or ``None`` when the rows differ."""
+    view, pos = flats[group[0].index], group[0].pos
+    offsets = view.levels[pos][0]
+    starts = [offsets.take(ranks[part.index]) for part in group]
+    fanouts = [offsets.take(ranks[part.index] + 1) - start
                for part, start in zip(group, starts)]
     index = 0
     if len(group) > 1:
         pick = np.argmin(fanouts, axis=0)
         if (pick != pick[0]).any():
             rows = np.arange(pick.size)
-            return (view, None, np.stack(fanouts)[pick, rows],
+            return (view, pos, None, np.stack(fanouts)[pick, rows],
                     np.stack(starts)[pick, rows])
         index = int(pick[0])
-    return view, group[index], fanouts[index], starts[index]
+    return view, pos, group[index], fanouts[index], starts[index]
 
 
-def _child_probes(parts, flats, cols):
+def _child_probes(parts, flats, cols, ranks):
     """``(part, heads, bits)`` per probed part.  ``heads`` is ``None``
     for a root; at a child level it holds, per frontier row, the bound
-    parent as the pair probe reads it: the first code of the parent's
-    row of the view's bit table (``bits``) for an unannotated input
-    over a dense level, else ``parent << 32`` for a ``searchsorted``
-    of the packed pairs, which also finds an annotated input's leaf
-    row."""
+    parent as the probe reads it: the first code of the parent's row
+    of the view's bit table (``bits``) for the unannotated last level
+    of a binary input over a dense level, else ``parent << 32`` for a
+    ``searchsorted`` of the level's packed prefixes, which also finds
+    the row that an annotated input's leaf or a deeper level reads —
+    ``parent`` the bound level-0 value at level 1, deeper the rank the
+    input carried out of the level above."""
     probes = []
     for part in parts:
         heads = bits = None
-        if part.pos == 1:
+        if part.pos:
             flat = flats[part.index]
-            column = cols[part.var0_level]
-            bits = not part.annotated and flat.pairs is not None
-            heads = flat.pair_heads(column) if bits \
-                else column.astype(np.uint64) << np.uint64(32)
+            parent = cols[part.var0_level] if part.pos == 1 \
+                else ranks[part.index]
+            bits = part.pos == 1 and part.is_last \
+                and not part.annotated and flat.pairs is not None
+            heads = flat.pair_heads(parent) if bits \
+                else parent.astype(np.uint64) << np.uint64(32)
         probes.append((part, heads, bits))
     return probes
 

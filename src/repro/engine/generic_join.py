@@ -15,8 +15,9 @@ vectorized: unannotated counting uses set cardinalities directly, and
 annotated folds gather annotation vectors with one ``searchsorted``.
 This module is the differential oracle of the block kernels
 (:mod:`repro.engine.fused`), so it shares no evaluation route with
-them: the only answers given without the loop nest
-(:meth:`BagEvaluator.try_fast_paths`) involve no join work.
+them: the default engine never constructs a :class:`BagEvaluator`, and
+the only answers given without the loop nest (an empty input, an
+identity scan) involve no join work.
 """
 
 import numpy as np
@@ -181,28 +182,21 @@ class BagEvaluator:
     # -- public -------------------------------------------------------------
 
     def run(self):
-        """Evaluate the bag and return a :class:`BagResult`."""
-        fast = self.try_fast_paths()
-        if fast is not None:
-            return fast
+        """Evaluate the bag and return a :class:`BagResult`.
+
+        An empty input or an identity scan is answered without
+        entering the loop nest."""
+        if any(inp.trie.cardinality == 0 for inp in self.inputs):
+            return self._empty_result()
+        scan = self._try_identity_scan()
+        if scan is not None:
+            return scan
         if self.out_count == 0:
             scalar, _ = self._fold(0, 1.0)
             return BagResult((), np.empty((0, 0), dtype=np.uint32),
                              scalar=scalar)
         self._emit(0, 1.0)
         return self._assemble()
-
-    def try_fast_paths(self):
-        """Probe the serial short-circuits without entering the loop nest.
-
-        Returns a finished :class:`BagResult` when an input is empty or
-        the bag is an identity scan, else ``None``: every bag with
-        something to intersect goes through the loop nest (or, in the
-        default engine, its block kernel).
-        """
-        if any(inp.trie.cardinality == 0 for inp in self.inputs):
-            return self._empty_result()
-        return self._try_identity_scan()
 
     # -- identity scan fast path ----------------------------------------------
 

@@ -42,10 +42,9 @@ def config_signature(config):
 
 
 class CompiledBag:
-    """One GHD bag lowered to its block kernel (``generated``; ``None``
-    when only the interpreter covers the shape) plus its runtime
-    wiring: the baked base-relation tries (in spec order), the static
-    shape of every child pass-up input, and the bag-equivalence
+    """One GHD bag lowered to its block kernel (``generated``) plus its
+    runtime wiring: the baked base-relation tries (in spec order), the
+    static shape of every child pass-up input, and the bag-equivalence
     signature the redundant-bag elimination memoizes on."""
 
     __slots__ = ("eval_order", "out_attrs", "out_count", "base_inputs",

@@ -61,10 +61,6 @@ class ExecStats:
     #: :class:`~repro.engine.fused.FusedBagKernel`) — bag invocations,
     #: not the bounded slices a kernel cuts a level into.
     fused_blocks: int = 0
-    #: Bags the default engine handed to the interpreter because the
-    #: kernel does not cover their *shape* (an input of arity above
-    #: two, a semiring without a block fold).  Size never causes one.
-    fused_fallbacks: int = 0
     #: Rounds the recursion driver ran (one rule execution each, all
     #: accumulated into these counters); 0 for non-recursive programs.
     recursion_rounds: int = 0
@@ -93,10 +89,8 @@ class ExecStats:
                 % (self.plan_cache_hits, self.plan_cache_misses,
                    self.parses, self.ghd_builds, self.codegen_runs,
                    self.bag_codegen_reuses, self.compiled_bag_calls))
-            lines.append(
-                "  fused block kernels: %d invocation(s), "
-                "%d interpreter fallback(s)"
-                % (self.fused_blocks, self.fused_fallbacks))
+            lines.append("  fused block kernels: %d invocation(s)"
+                         % self.fused_blocks)
             if self.recursion_rounds:
                 lines.append("  recursion: %d round(s)"
                              % self.recursion_rounds)

@@ -197,7 +197,7 @@ def _pagerank_shaped(rng, domain, max_tuples):
 def _generate_relations(rng, domain, max_relations, max_tuples):
     relations = []
     for index in range(rng.randint(1, max_relations)):
-        arity = rng.choices((1, 2, 3), weights=(2, 6, 2))[0]
+        arity = rng.choices((1, 2, 3, 4), weights=(2, 6, 1, 1))[0]
         space = domain ** arity
         # Occasionally empty: the engine's empty-trie / empty-guard
         # paths are exactly the kind of corner differential testing is
@@ -319,8 +319,9 @@ def _generate_rule(rng, sources, scalar_heads, domain, head_name,
                     annotation=annotation, recursive=False,
                     iterations=None, body=tuple(atoms),
                     assignment=assignment)
-    # Aggregation.
-    k = rng.randint(0, min(2, len(body_vars)))
+    # Aggregation (a three-column head read by a later rule is a
+    # ternary annotated input there).
+    k = rng.randint(0, min(3, len(body_vars)))
     head_vars = tuple(rng.sample(body_vars, k))
     op = rng.choice(AGG_OPS)
     non_head = [v for v in body_vars if v not in head_vars]

@@ -233,11 +233,10 @@ def render_explain_analyze(plan, stats, tracer, config, result=None,
             lines.append(
                 "compiled pipeline: %d parse(s), %d GHD build(s), "
                 "%d codegen run(s), %d source reuse(s), "
-                "%d generated bag call(s) (%d fused, "
-                "%d interpreter fallback(s))"
+                "%d generated bag call(s) (%d fused)"
                 % (stats.parses, stats.ghd_builds, stats.codegen_runs,
                    stats.bag_codegen_reuses, stats.compiled_bag_calls,
-                   stats.fused_blocks, stats.fused_fallbacks))
+                   stats.fused_blocks))
             if stats.recursion_rounds:
                 lines.append("recursion: %d round(s), counters above "
                              "summed over all of them"

@@ -302,7 +302,6 @@ class MetricsRegistry:
         self.inc("pipeline.codegen_runs", stats.codegen_runs)
         self.inc("pipeline.bag_codegen_reuses", stats.bag_codegen_reuses)
         self.inc("pipeline.compiled_bag_calls", stats.compiled_bag_calls)
-        self.inc("pipeline.fused_fallbacks", stats.fused_fallbacks)
         self.inc("pipeline.recursion_rounds", stats.recursion_rounds)
 
     def record_counter_delta(self, before, after):

@@ -62,7 +62,6 @@ QUERY_RECORD_FIELDS = {
     "plan_cache_misses": (False, (int,)),
     "phases": (False, (dict,)),
     "fused_blocks": (False, (int,)),
-    "fused_fallbacks": (False, (int,)),
     "recursion_rounds": (False, (int,)),
     # No longer written (they counted forked-scheduler morsels); kept
     # so version-1 logs that carry them still validate.
@@ -73,6 +72,9 @@ QUERY_RECORD_FIELDS = {
     # and worst predicted/actual ratio); kept for the same reason.
     "mispredict_ratio": (False, (int, float)),
     "replans": (False, (int,)),
+    # No longer written (bags the default engine handed to the
+    # interpreter; every bag now has a kernel); kept the same way.
+    "fused_fallbacks": (False, (int,)),
     "promoted": (False, (bool,)),
     "trace_path": (False, (str,)),
     "error": (False, (str,)),
@@ -259,7 +261,6 @@ class TelemetryHub:
     ``telemetry.rows``                —
     ``telemetry.plan_cache``          ``tier`` (``hit``/``partial``/…)
     ``telemetry.fused_blocks``        —
-    ``telemetry.fused_fallbacks``     —
     ``telemetry.recursion_rounds``    —
     ``telemetry.slow_queries``        —
     ``telemetry.result_cache``        ``tier`` (``hit``/``miss``/``bypass``)
@@ -405,7 +406,6 @@ class TelemetryHub:
                             TIME_BUCKETS).observe(queued)
         for field, series in (
                 ("fused_blocks", "telemetry.fused_blocks"),
-                ("fused_fallbacks", "telemetry.fused_fallbacks"),
                 ("recursion_rounds", "telemetry.recursion_rounds")):
             value = record.get(field)
             if value:

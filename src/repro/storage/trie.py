@@ -26,25 +26,31 @@ from .relation import Relation
 
 
 class FlatTrieView:
-    """Columnar (CSR-style) view of a unary or binary trie.
+    """Columnar (CSR-style) view of a trie of any arity.
 
     The fused block executor (:mod:`repro.engine.fused`) never walks
-    trie nodes — it sweeps flat arrays.  This view exposes them:
+    trie nodes — it sweeps flat arrays.  Level ``i`` of the view holds
+    the distinct prefixes of length ``i + 1`` of the sorted tuples, one
+    row each, keyed by the level above:
 
     ``keys``
         Sorted distinct level-0 values (the root set).
-    ``offsets`` / ``values``
-        CSR child arrays for binary tries: the children of ``keys[i]``
-        are ``values[offsets[i]:offsets[i + 1]]``.  ``None`` for unary.
-    ``packed``
-        ``(parent << 32) | child`` as sorted ``uint64``, one entry per
-        stored pair, enabling batched membership probes of bound pairs
-        with a single ``searchsorted`` that also finds each pair's leaf
-        row — the probe of sparse levels and of annotated inputs.
-        ``None`` for unary.
+    ``levels``
+        ``(offsets, values, packed)`` per level (level 0's are
+        ``(None, keys, None)``).  The children of row ``j`` of level
+        ``i - 1`` are ``values[offsets[j]:offsets[j + 1]]`` of level
+        ``i``.  ``packed`` is ``(parent << 32) | child`` as sorted
+        ``uint64``, one entry per row, enabling batched membership
+        probes of bound prefixes with a single ``searchsorted`` that
+        also finds each one's row — the probe of sparse levels, of
+        annotated inputs and of every level an input binds further
+        variables below.  ``parent`` is the bound level-0 *value* at
+        level 1 and the parent's *row* deeper down.
+    ``offsets`` / ``values`` / ``packed``
+        Level 1's arrays; ``None`` for unary tries.
     ``ann``
-        Leaf annotations aligned with ``keys`` (unary) or with
-        ``values``/``packed`` rows (binary); ``None`` if unannotated.
+        Leaf annotations aligned with the last level's rows (the sorted
+        tuples); ``None`` if unannotated.
     ``full``
         Whether the root keys are *every* value of ``[keys[0],
         keys[-1]]`` — what dictionary codes give any total relation.
@@ -62,48 +68,44 @@ class FlatTrieView:
         per value of the root key *range*, which the density decision
         bounds at 256x the key count.
     ``pairs``
-        The binary level as a bitset, one bit per code: pair ``(p, c)``
-        is bit ``(p - keys[0]) * width + c``, ``width = bound(1) + 1``
-        so that the last column is empty and larger child values clamp
+        Level 1 as a bitset, one bit per code: pair ``(p, c)`` is bit
+        ``(p - keys[0]) * width + c``, ``width = bound(1) + 1`` so
+        that the last column is empty and larger child values clamp
         into it (as root probes clamp to ``rank_of``'s trailing slot).
         Built on first use and only when the optimizer would store
         that code space as a bitset, so at most ``density_threshold /
         8`` bytes (32 by default) per stored pair.  An unannotated
-        child-level probe is then a byte gather, a shift and an AND
-        (:meth:`pair_heads`, :meth:`pair_member`).  ``None`` for a
-        sparse level and for unary tries.
+        probe of a binary input's last level is then a byte gather, a
+        shift and an AND (:meth:`pair_heads`, :meth:`pair_member`).
+        ``None`` for a sparse level and for unary tries.
 
     All arrays alias :attr:`Trie.sorted_data` buffers where possible
     and the level-0 index is the trie's own, so the view costs one pack
-    per trie and is cached by :meth:`Trie.flat`.  It asks the optimizer
-    which layout kind the root set *would* get and builds no set: not
-    the root's, and nothing below it.
+    per level and is cached by :meth:`Trie.flat`.  It asks the
+    optimizer which layout kind the root set *would* get and builds no
+    set: not the root's, and nothing below it.
     """
 
-    __slots__ = ("arity", "keys", "offsets", "values", "packed", "ann",
-                 "full", "_dense_root", "_rank_of", "_value_span",
+    __slots__ = ("arity", "keys", "levels", "offsets", "values", "packed",
+                 "ann", "full", "_dense_root", "_rank_of", "_spans",
                  "_optimizer", "_pairs")
 
     def __init__(self, trie):
-        if trie.arity not in (1, 2):
-            raise SchemaError("flat views cover arity 1-2 tries only, "
-                              "got arity %d" % trie.arity)
+        if trie.arity < 1:
+            raise SchemaError("flat views need a trie of arity 1 or "
+                              "more, got arity %d" % trie.arity)
         self.arity = trie.arity
-        data = trie.sorted_data
         self.ann = trie.sorted_annotations
         self._rank_of = None
-        self._value_span = None
+        self._spans = {}
         self._optimizer = trie.optimizer
         # None until asked for; then the table, or False for none
-        self._pairs = None if trie.arity == 2 else False
-        if trie.arity == 1:
-            self.keys = np.ascontiguousarray(data[:, 0])
-            self.offsets = None
-            self.values = None
-            self.packed = None
-        else:
-            self._index_pairs(data, *trie._level0)
-        keys = self.keys
+        self._pairs = None if trie.arity > 1 else False
+        self.keys = keys = trie._level0[0]
+        self.levels = [(None, keys, None)]
+        self._index_levels(trie.sorted_data, trie._level0[1])
+        self.offsets, self.values, self.packed = self.levels[1] \
+            if trie.arity > 1 else (None, None, None)
         self.full = bool(keys.size) \
             and int(keys[-1]) - int(keys[0]) + 1 == keys.size
         # ``bitset_only`` stores sparse roots as bitsets too, so the
@@ -115,24 +117,35 @@ class FlatTrieView:
             and choose_set_layout(
                 keys, trie.optimizer.density_threshold) == "bitset"
 
-    def _index_pairs(self, data, keys, starts):
-        col0 = np.ascontiguousarray(data[:, 0])
-        col1 = np.ascontiguousarray(data[:, 1])
-        self.keys = keys
-        self.offsets = np.append(starts, col0.size).astype(np.int64)
-        self.values = col1
-        self.packed = (col0.astype(np.uint64) << np.uint64(32)) \
-            | col1.astype(np.uint64)
+    def _index_levels(self, data, starts):
+        """Append levels ``1 ..`` over ``data``'s sorted rows, the
+        level-0 prefixes beginning at rows ``starts``.  A prefix begins
+        where it or its parent changes; the last level's prefixes are
+        the (distinct) rows themselves."""
+        for pos in range(1, self.arity):
+            values = np.ascontiguousarray(data[:, pos])
+            rows, offsets = slice(None), starts
+            if pos < self.arity - 1:
+                fresh = np.zeros(values.size, dtype=bool)
+                fresh[starts] = True
+                fresh[1:] |= values[1:] != values[:-1]
+                rows = starts = np.flatnonzero(fresh)
+                offsets, values = np.searchsorted(rows, offsets), values[rows]
+            offsets = np.append(offsets, values.size).astype(np.int64)
+            parent = data[rows, 0] if pos == 1 else np.repeat(
+                np.arange(offsets.size - 1), np.diff(offsets))
+            self.levels.append((offsets, values, (parent.astype(
+                np.uint64) << np.uint64(32)) | values.astype(np.uint64)))
 
     def span(self, pos):
         """``(smallest, largest)`` value stored at level ``pos`` of a
-        non-empty trie (the child level's are found once)."""
+        non-empty trie (a child level's are found once)."""
         if pos == 0:
             return int(self.keys[0]), int(self.keys[-1])
-        if self._value_span is None:
-            self._value_span = (int(self.values.min()),
-                                int(self.values.max()))
-        return self._value_span
+        if pos not in self._spans:
+            values = self.levels[pos][1]
+            self._spans[pos] = int(values.min()), int(values.max())
+        return self._spans[pos]
 
     def bound(self, pos):
         """One past the largest value stored at level ``pos``."""

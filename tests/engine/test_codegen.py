@@ -68,14 +68,32 @@ class TestLoweredKernel:
 
 
 class TestScope:
-    def test_arity_three_input_has_no_kernel(self):
-        specs = [InputSpec("R", ("x", "y", "z"))]
-        assert generate_bag_plan(("x", "y", "z"), 0, specs, COUNT) is None
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_k_ary_input_has_a_kernel(self, arity):
+        """A k-ary input is a chain of flat levels: its kernel counts,
+        and lists, what the interpreter does."""
+        from repro.engine.generic_join import BagInput, evaluate_bag
+        from repro.storage import Relation, Trie
+        rng = np.random.RandomState(arity)
+        order = ("x", "y", "z", "u")[:arity]
+        trie = Trie(Relation("R", rng.randint(0, 4, size=(40, arity))
+                             .astype(np.uint32)))
+        specs = [InputSpec("R", order)]
+        config = Database(execution_mode="compiled").config
+        for out in (0, 1, arity):
+            kernel = generate_bag_plan(order, out, specs, COUNT)
+            got = kernel([trie], config)
+            expected = evaluate_bag(order, out, [BagInput(trie, order)],
+                                    COUNT, config)
+            assert got.scalar == expected.scalar
+            assert np.array_equal(got.data, expected.data)
+            assert np.array_equal(got.annotations, expected.annotations)
 
-    def test_unknown_semiring_has_no_kernel(self):
+    def test_unknown_semiring_is_a_plan_error(self):
         product = Semiring("PRODUCT", 1.0, lambda a, b: a * b, np.prod)
         specs = [InputSpec("E", ("x", "y"))]
-        assert generate_bag_plan(("x", "y"), 0, specs, product) is None
+        with pytest.raises(PlanError):
+            generate_bag_plan(("x", "y"), 0, specs, product)
 
     def test_zero_levels_rejected(self):
         with pytest.raises(PlanError):

@@ -292,9 +292,9 @@ class TestLoweredBags:
              ("Edge", ("x", "z"), False)], COUNT)
         assert got.scalar == expected.scalar
 
-    def test_unfusable_bag_falls_back_and_is_counted(self):
-        """An arity-3 input has no flat view: the default engine hands
-        the bag to the interpreter and says so."""
+    def test_ternary_bag_runs_on_the_kernel(self):
+        """An arity-3 input reads a three-level flat view: the default
+        engine answers the bag with a kernel, as the interpreter does."""
         rows = [(a, b, (a + b) % 5) for a in range(6) for b in range(6)]
         query = "Q(a;c:long) :- R3(a,b,c2),Edge(a,b); c=<<COUNT(*)>>."
         results = {}
@@ -304,31 +304,39 @@ class TestLoweredBags:
             results[mode] = db.query(query)
             if mode == "compiled":
                 stats = db.last_stats
-                assert stats.fused_fallbacks >= 1
-                assert stats.fused_fallbacks \
-                    == stats.compiled_bag_calls - stats.fused_blocks
-                assert "interpreter fallback" in stats.describe()
+                assert stats.fused_blocks == stats.compiled_bag_calls >= 1
+                assert "fallback" not in stats.describe()
         assert_identical(results["compiled"], results["interpreted"],
                          query)
 
-    def test_unfusable_bag_skips_the_bag_code_tier(self):
-        """No kernel means nothing to lower or cache: an unfusable bag
-        is neither a codegen run nor a cached ``None``."""
+    def test_ternary_bag_is_lowered_once_and_cached(self):
+        """A ternary bag's kernel is one codegen run and one bag-code
+        entry; the repeat compiles nothing."""
         db = make_db("compiled")
         db.add_relation("R3", [(a, b, a ^ b) for a in range(6)
                                for b in range(6)])
-        db.query("Q(;c:long) :- R3(a,b,c2); c=<<COUNT(*)>>.")
+        query = "Q(;c:long) :- R3(a,b,c2),R3(b,a,c2); c=<<COUNT(*)>>."
+        first = db.query(query).scalar
         stats = db.last_stats
-        assert stats.fused_fallbacks == 1
-        assert stats.codegen_runs == stats.bag_codegen_reuses == 0
-        assert db._plan_cache.sizes()["bag_code"] == 0
+        assert stats.codegen_runs == stats.fused_blocks == 1
+        assert db._plan_cache.sizes()["bag_code"] == 1
+        assert db.query(query).scalar == first == 36
+        assert db.last_stats.codegen_runs == 0
 
-    def test_fast_path_answer_is_not_a_fallback(self):
-        """An unfusable bag that a whole-bag fast path answers never
-        reached the interpreter: not counted."""
-        db = make_db("compiled")
-        db.add_relation("R3", [(a, b, a ^ b) for a in range(6)
-                               for b in range(6)])
-        db.query("Q(a,b,c) :- R3(a,b,c).")
-        stats = db.last_stats
-        assert stats.compiled_bag_calls == stats.fused_fallbacks == 0
+    def test_ternary_identity_scan_enters_no_kernel(self):
+        """A bag that only lists one ternary relation is its sorted
+        tuples: no kernel call, no lane op, the interpreter's rows."""
+        rows = [(a, b, a ^ b) for a in range(6) for b in range(6)]
+        query = "Q(a,b,c) :- R3(a,b,c)."
+        results = {}
+        for mode in ("compiled", "interpreted"):
+            db = make_db(mode)
+            db.add_relation("R3", rows)
+            before = db.counter.total_ops
+            results[mode] = db.query(query)
+            assert db.counter.total_ops == before
+            if mode == "compiled":
+                stats = db.last_stats
+                assert stats.compiled_bag_calls == stats.fused_blocks == 0
+        assert_identical(results["compiled"], results["interpreted"],
+                         query)

@@ -284,7 +284,9 @@ class TestLayeringChecker:
             fused="from .generic_join import BagResult, empty_bag_result\n",
             codegen="from .fused import FusedBagKernel\n"
                     "from repro.engine.generic_join import BagResult\n",
-            generic_join="from .semiring import EXISTS\n")
+            generic_join="from .semiring import EXISTS\n",
+            executor="from .generic_join import BagInput, BagResult, "
+                     "empty_bag_result, evaluate_bag\n")
         assert checker.check(tree) == []
 
     @pytest.mark.parametrize("module,text,what", [
@@ -297,6 +299,8 @@ class TestLayeringChecker:
          "FusedBagKernel"),
         ("generic_join", "from .codegen import generate_bag_plan\n",
          "generate_bag_plan"),
+        ("executor", "from .generic_join import BagEvaluator\n",
+         "BagEvaluator"),
     ])
     def test_detects_kernel_and_oracle_sharing_code(self, tmp_path, module,
                                                     text, what):

@@ -70,6 +70,21 @@ class TestSchema:
         record = make_record(replans=1, mispredict_ratio=9.5)
         assert validate_query_record(record) == []
 
+    def test_log_with_fused_fallbacks_still_validates(self, tmp_path):
+        """A version-1 log written while the default engine could hand a
+        bag to the interpreter carries ``fused_fallbacks``; it still
+        reads, and nothing writes it any more."""
+        record = make_record(fused_blocks=2, fused_fallbacks=1)
+        assert validate_query_record(record) == []
+        db = Database(execution_mode="compiled")
+        db.load_graph("Edge", [(0, 1), (1, 2), (0, 2)])
+        db.enable_telemetry(directory=str(tmp_path))
+        db.query(TRIANGLES)
+        db.disable_telemetry()
+        written, = read_query_log(str(tmp_path / "queries.jsonl"))
+        assert written["fused_blocks"] == 1
+        assert "fused_fallbacks" not in written
+
     def test_inflight_form_may_omit_post_execution_fields(self):
         record = make_record(status="inflight")
         del record["elapsed_seconds"]
@@ -269,8 +284,7 @@ class TestDatabaseIntegration:
         db.query("V(x;a:float)*[i=4] :- Edge(x,z),V(z); a=<<SUM(z)>>.")
         stats = db.last_stats
         assert stats.recursion_rounds == 4
-        assert stats.compiled_bag_calls == 4 \
-            == stats.fused_blocks + stats.fused_fallbacks
+        assert stats.compiled_bag_calls == 4 == stats.fused_blocks
         # the first round's head trie; later rounds' are not cached
         assert stats.trie_cache_misses >= 1
         assert [r.changed for r in stats.rounds] == [None] * 4

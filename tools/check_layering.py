@@ -25,6 +25,10 @@ while neither evaluates bags with the other's code.  So
   * ``fused`` and ``codegen`` may import from ``generic_join`` only the
     result types (``BagResult``, ``empty_bag_result``)
   * ``generic_join`` imports nothing from ``fused`` or ``codegen``
+  * ``executor``, which runs both engines, takes from ``generic_join``
+    the result types, the input wrapper (``BagInput``) and the
+    oracle's entry point (``evaluate_bag``), never ``BagEvaluator``:
+    the default engine reaches the interpreter through no other door
 
 Detection is by AST walk, so it sees ``import x``, ``from x import y``,
 and relative imports, including those nested inside functions.
@@ -68,6 +72,8 @@ ALLOWED_NAMES = {
     "repro.engine.codegen": {"repro.engine.generic_join": _RESULT_TYPES},
     "repro.engine.generic_join": {"repro.engine.fused": frozenset(),
                                   "repro.engine.codegen": frozenset()},
+    "repro.engine.executor": {"repro.engine.generic_join": _RESULT_TYPES
+                              | {"BagInput", "evaluate_bag"}},
 }
 
 
@@ -196,8 +202,9 @@ def main(argv=None):
         return 1
     print("layering OK: repro.lir does not import repro.engine; "
           "repro.query does not import repro.lir; block kernels and "
-          "interpreter share result types only; import repro.cli stays "
-          "inside its import budget")
+          "interpreter share result types only; the executor never "
+          "takes BagEvaluator; import repro.cli stays inside its import "
+          "budget")
     return 0
 
 
