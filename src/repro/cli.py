@@ -69,7 +69,7 @@ def _load_database(args):
         edges = read_edgelist(args.edges)
     else:
         raise SystemExit("provide --dataset <name> or --edges <file>")
-    db.load_graph("Edge", [tuple(e) for e in edges], prune=args.prune,
+    db.load_graph("Edge", edges.tolist(), prune=args.prune,
                   undirected=not args.directed)
     return db
 

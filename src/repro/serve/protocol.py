@@ -41,6 +41,11 @@ against direct :class:`~repro.api.Database` execution is lossless:
 * ``{"kind": "set", "rows": [[v, ...], ...]}`` — decoded tuples;
 * ``{"kind": "map", "items": [[[v, ...], float], ...]}`` — decoded
   tuples with annotations.
+
+Rows and items follow the relation's canonical order (by encoded key,
+not decoded value), so compare payloads as sets
+(:func:`payload_to_outcome`).  A payload is serialized once
+(:class:`Payload`): the executing reply and every hit carry its bytes.
 """
 
 import json
@@ -60,10 +65,36 @@ EXECUTED_OPS = ("query", "append", "delete", "add_relation",
 IMMEDIATE_OPS = ("ping", "status", "shutdown")
 
 
+class Payload(dict):
+    """A result payload whose JSON fragment the first
+    :func:`encode_message` that carries it memoizes for every later
+    reply (cache hits included)."""
+
+    fragment = None
+
+
+#: Messages are never circular: skip the per-container cycle check.
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True,
+                           check_circular=False).encode
+
+#: Stands in for a memoized payload while the rest of a reply is dumped.
+_MARK = "\x00payload\x00"
+_MARK_JSON = _encode(_MARK)
+
+
 def encode_message(message):
-    """One JSON line, ready to write to the socket."""
-    return (json.dumps(message, separators=(",", ":"), sort_keys=True)
-            + "\n").encode("utf-8")
+    """One JSON line, ready to write to the socket.  A :class:`Payload`
+    under ``result`` is spliced in from its memoized fragment; the line
+    is byte-identical to dumping the whole message."""
+    payload = message.get("result")
+    if type(payload) is Payload:
+        if payload.fragment is None:
+            payload.fragment = _encode(payload)
+        head, mark, tail = _encode(dict(message, result=_MARK)) \
+            .partition(_MARK_JSON)
+        if mark and _MARK_JSON not in tail:  # no other value holds it
+            return (head + payload.fragment + tail + "\n").encode("utf-8")
+    return (_encode(message) + "\n").encode("utf-8")
 
 
 def decode_message(line):
@@ -75,48 +106,25 @@ def decode_message(line):
     return message
 
 
-def _plain(value):
-    """JSON-safe form of one decoded tuple element (numpy scalars
-    collapse to their Python value; everything else passes through)."""
-    item = getattr(value, "item", None)
-    if item is not None and not isinstance(value, (str, bytes)):
-        return item()
-    return value
-
-
-def normalize_relation(relation, fallback_dictionary):
-    """Collapse a stored :class:`~repro.storage.relation.Relation` to
-    an engine-independent ``(kind, value)`` — decoded tuples, plain
-    floats — matching the fuzzer's normalization."""
+def payload_from_relation(relation, fallback_dictionary):
+    """Normalized JSON payload of a relation (see module docstring),
+    decoded column by column, rows in canonical order: sorted by
+    encoded key and duplicate-free (a result that arrives that way is
+    not re-sorted)."""
     if relation.arity == 0:
         if relation.annotations is not None:
-            return "scalar", float(relation.annotations[0])
-        return "exists", relation.cardinality > 0
-    dictionaries = relation.dictionaries
-    if dictionaries is None:
-        dictionaries = [fallback_dictionary] * relation.arity
-    rows = list(zip(*([_plain(value) for value in column]
-                      for column in relation.decoded_columns(
-                          dictionaries=dictionaries))))
-    if relation.annotations is not None:
-        return "map", dict(zip(rows, relation.annotations.tolist()))
-    return "set", frozenset(rows)
-
-
-def payload_from_relation(relation, fallback_dictionary):
-    """Normalized JSON payload of a relation (see module docstring)."""
-    kind, value = normalize_relation(relation, fallback_dictionary)
-    if kind == "scalar":
-        return {"kind": "scalar", "value": value}
-    if kind == "exists":
-        return {"kind": "exists", "value": value}
-    if kind == "set":
-        return {"kind": "set",
-                "rows": sorted((list(row) for row in value), key=repr)}
-    return {"kind": "map",
-            "items": sorted(([list(row), annotation]
-                             for row, annotation in value.items()),
-                            key=repr)}
+            return Payload(kind="scalar",
+                           value=float(relation.annotations[0]))
+        return Payload(kind="exists", value=relation.cardinality > 0)
+    relation = relation.deduplicated()
+    dictionaries = relation.dictionaries \
+        or [fallback_dictionary] * relation.arity
+    rows = list(map(list, zip(*relation.decoded_columns(
+        dictionaries=dictionaries))))
+    if relation.annotations is None:
+        return Payload(kind="set", rows=rows)
+    return Payload(kind="map", items=list(map(
+        list, zip(rows, relation.annotations.tolist()))))
 
 
 def payload_to_outcome(payload):

@@ -64,12 +64,14 @@ schema-valid record on the event loop (the hub is thread-safe).
 
 import asyncio
 import concurrent.futures
+import os
 import sys
 import threading
 import time
 
 from ..engine.plan_cache import config_signature
 from ..errors import EmptyHeadedError
+from ..obs.telemetry import QUERY_LOG_VERSION, key_digest, text_digest
 from ..query.parser import parse
 from . import protocol
 from .cache import ResultCache, program_identity
@@ -156,6 +158,7 @@ class QueryService:
         self.requests = 0
         self.rejected = 0
         self.timeouts = 0
+        self._counters = {}  # series -> (registry dict, Counter)
         self.started = time.time()
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve")
@@ -310,7 +313,7 @@ class QueryService:
         if "id" in request:
             base["id"] = request["id"]
         self.requests += 1
-        self.db.metrics.inc("serve.requests", labels={"op": str(op)})
+        self._count(("serve.requests", str(op)))
         if op == "ping":
             return dict(base, status="ok", pong=True)
         if op == "status":
@@ -345,10 +348,23 @@ class QueryService:
         if isinstance(elapsed, (int, float)):
             self._ewma_seconds = (0.8 * self._ewma_seconds
                                   + 0.2 * max(elapsed, 1e-4))
-        self.db.metrics.inc("serve.responses",
-                            labels={"op": str(op),
-                                    "status": reply.get("status", "ok")})
+        self._count(("serve.responses", str(op),
+                     reply.get("status", "ok")))
         return reply
+
+    def _count(self, series):
+        """Bump ``(name, op[, status])`` through a counter handle
+        memoized as ``TelemetryHub._counter`` memoizes its own."""
+        metrics = self.db.metrics
+        if not metrics.enabled:
+            return
+        entry = self._counters.get(series)
+        if entry is None or entry[0] is not metrics.counters:
+            labels = dict(zip(("op", "status"), series[1:]))
+            entry = self._counters[series] = (
+                metrics.counters, metrics.counter(series[0], labels))
+        with metrics.lock:
+            entry[1].inc()
 
     def _retry_after(self):
         backlog = self._inflight + 1
@@ -420,8 +436,11 @@ class QueryService:
         ``pending_marks`` is a tuple of ``(relation name, token)``
         pairs taken *now* (admission) and released by :meth:`_finish`
         when the worker actually completes — which also applies the
-        worker's effects on the loop, in completion order.  A timeout
-        answers early but never cancels a running worker.
+        worker's effects on the loop, in completion order.  The job
+        wakes the loop once: one ``call_soon_threadsafe`` callback runs
+        :meth:`_finish` and resolves the awaited future.  A timeout
+        answers early; a job still queued then never runs, a running
+        one is never cancelled.
         """
         for name, token in pending_marks:
             bucket = self._pending.setdefault(name, {})
@@ -430,19 +449,32 @@ class QueryService:
             self._pending_global += 1
         self._outstanding += 1
         loop = asyncio.get_running_loop()
-        future = self._pool.submit(worker)
+        done = loop.create_future()
         marks = tuple(pending_marks)
 
-        def completed(f):
+        def settle(reply, error):
             try:
-                loop.call_soon_threadsafe(
-                    self._finish, f, marks, pending_global)
+                self._finish(reply, marks, pending_global)
+            finally:
+                if not done.done():  # else the request timed out
+                    if error is None:
+                        done.set_result(reply)
+                    else:
+                        done.set_exception(error)
+
+        def job():
+            reply = error = None
+            try:
+                reply = worker()
+            except BaseException as caught:  # raised to the request
+                error = caught
+            try:
+                loop.call_soon_threadsafe(settle, reply, error)
             except RuntimeError:  # pragma: no cover - loop closed
                 pass  # post-drain zombie; nothing left to account for
-        future.add_done_callback(completed)
-        wrapped = asyncio.wrap_future(future, loop=loop)
+        queued = self._pool.submit(job)
         try:
-            reply = await asyncio.wait_for(wrapped, timeout)
+            reply = await asyncio.wait_for(done, timeout)
         except asyncio.TimeoutError:
             self.timeouts += 1
             self.db.metrics.inc("serve.timeouts")
@@ -451,21 +483,24 @@ class QueryService:
                               "(the admission slot is released; the "
                               "operation may still complete "
                               "server-side)" % timeout)
-        except concurrent.futures.CancelledError:
-            return dict(base, status="error", code="cancelled",
-                        error="request was cancelled before execution")
         except Exception as error:  # pragma: no cover - defensive
             return dict(base, status="error", code="internal",
                         error="%s: %s" % (type(error).__name__, error),
                         error_class=type(error).__name__)
+        finally:
+            if done.cancelled() and queued.cancel():
+                # Never started: it applies no effects, but its marks
+                # and its outstanding count are released.
+                self._finish(None, marks, pending_global)
         reply.pop("_effects", None)  # applied by _finish
         reply.update(base)
         return reply
 
-    def _finish(self, future, pending_marks, pending_global):
+    def _finish(self, reply, pending_marks, pending_global):
         """Completion bookkeeping, on the event loop, in completion
         (= admission) order: release pending marks, then apply the
-        worker's effects — epoch bumps, invalidation, cache stores."""
+        worker's effects — epoch bumps, invalidation, cache stores.
+        ``reply`` is ``None`` for a job that raised or never ran."""
         self._outstanding -= 1
         for name, token in pending_marks:
             bucket = self._pending.get(name)
@@ -480,12 +515,9 @@ class QueryService:
                 self._pending.pop(name, None)
         if pending_global:
             self._pending_global -= 1
-        if future.cancelled():
+        if reply is None:
             return
-        error = future.exception()
-        if error is not None:
-            return
-        effects = future.result().get("_effects")
+        effects = reply.get("_effects")
         if not effects:
             return
         if effects.get("identity"):
@@ -680,10 +712,6 @@ class QueryService:
         hub = self.hub
         if hub is None:
             return
-        import os
-
-        from ..obs.telemetry import (QUERY_LOG_VERSION, key_digest,
-                                     text_digest)
         signature = config_signature(self.db.config)
         digest = self.db._signature_memo.get(signature)
         if digest is None:

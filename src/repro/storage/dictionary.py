@@ -46,13 +46,17 @@ class Dictionary:
         return value in self._value_to_id
 
     def encode(self, value):
-        """Return the id for ``value``, assigning a fresh one on miss."""
+        """Return the id for ``value``, assigning a fresh one on miss; a
+        numpy scalar is stored as its Python value (decoding stays
+        columnar and JSON-safe)."""
         existing = self._value_to_id.get(value)
         if existing is not None:
             return existing
         new_id = len(self._id_to_value)
         if new_id > 2 ** 32 - 1:
             raise SchemaError("dictionary exceeded the 32-bit key space")
+        if isinstance(value, np.generic):  # equal hash: lookups still hit
+            value = value.item()
         self._value_to_id[value] = new_id
         self._id_to_value.append(value)
         self._id_array = None

@@ -75,3 +75,37 @@ class TestRemap:
         d = identity_dictionary(4)
         assert [d.decode(i) for i in range(4)] == [0, 1, 2, 3]
         assert d.encode(2) == 2
+
+
+class TestNumpyScalars:
+    def test_numpy_scalars_are_stored_as_python_values(self):
+        d = Dictionary()
+        ids = [d.encode(v) for v in np.array([7, 3, 7], dtype=np.int64)]
+        assert ids == [0, 1, 0]
+        assert d._int_column() is not None
+        values = d.decode_many([1, 0])
+        assert values == [3, 7]
+        assert all(type(v) is int for v in values)
+        assert type(d.decode(0)) is int
+
+    def test_lookups_by_numpy_scalars_still_hit(self):
+        d = Dictionary()
+        d.encode(np.int64(5))
+        d.encode(np.float64(2.5))
+        d.encode(np.str_("x"))
+        assert d.lookup(np.int64(5)) == d.lookup(5) == 0
+        assert d.encode(np.int32(5)) == 0
+        assert d.lookup(np.float64(2.5)) == d.lookup(2.5) == 1
+        assert np.int64(5) in d and "x" in d
+        assert len(d) == 3
+        assert [type(v) for v in d.decode_many([0, 1, 2])] \
+            == [int, float, str]
+
+    def test_graph_loaded_from_a_numpy_array_decodes_to_ints(self):
+        from repro import Database
+        db = Database()
+        db.load_graph("Edge", np.array([[0, 1], [1, 2], [0, 2]]))
+        dictionary = db.relation("Edge").dictionaries[0]
+        assert dictionary._int_column() is not None
+        columns = db.relation("Edge").decoded_columns()
+        assert all(type(v) is int for column in columns for v in column)
