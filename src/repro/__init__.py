@@ -14,6 +14,7 @@ skew-adaptive set layouts and intersection kernels.
 1.0
 """
 
+from .ablation import Ablation
 from .api import Database, Result
 from .engine.config import EngineConfig
 from .errors import (EmptyHeadedError, ExecutionError, LayoutError,
@@ -23,7 +24,7 @@ from .errors import (EmptyHeadedError, ExecutionError, LayoutError,
 __version__ = "1.0.0"
 
 __all__ = [
-    "Database", "Result", "EngineConfig",
+    "Ablation", "Database", "Result", "EngineConfig",
     "EmptyHeadedError", "ExecutionError", "LayoutError", "PlanError",
     "QuerySyntaxError", "SchemaError", "UnknownRelationError",
     "__version__",

@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from .engine.config import EngineConfig
-from .engine.executor import RuleExecutor, TrieCache
+from .engine.executor import TrieCache
+from .engine.oracle import executor_for
 from .engine.incremental import (MaterializedView, mark_stale,
                                  refresh_stale_views)
 from .engine.memo import BagMemo
@@ -132,7 +133,7 @@ class Database:
         #: (:class:`~repro.engine.incremental.MaterializedView`).
         self._views = {}
         self._refreshing = False
-        self._executor = RuleExecutor(self.catalog, self.config,
+        self._executor = executor_for(self.catalog, self.config,
                                       self._trie_cache, self._env,
                                       plan_cache=self._plan_cache)
         self._metrics = MetricsRegistry(enabled=False)
@@ -548,8 +549,7 @@ class Database:
         same selections and aggregation) reuses the earlier rule's
         result instead of re-joining.
         """
-        if self.config.eliminate_redundant_bags \
-                and self.config.cross_rule_cse:
+        if self.config.ablation.eliminate_redundant_bags:
             return BagMemo()
         return None
 

@@ -14,6 +14,7 @@ gap measured against it is attributable to the paper's contributions
 rather than to implementation quality differences.
 """
 
+from ..ablation import Ablation
 from ..api import Database
 from ..engine.config import EngineConfig
 
@@ -22,14 +23,14 @@ class LogicBloxLike:
     """Database façade locked to the LogicBlox-style configuration."""
 
     def __init__(self, **overrides):
-        config = EngineConfig(
+        config = EngineConfig(ablation=Ablation(
             use_ghd=False,              # single-node GHD plans only
             push_selections=False,      # no selection push-down across bags
             eliminate_redundant_bags=False,
             layout_level="uint_only",   # one homogeneous layout
             simd=False,                 # scalar merge/leapfrog intersections
             adaptive_algorithms=True,   # LFTJ does obey the min property
-        )
+        ))
         self.db = Database(config=config, **overrides)
 
     def load_graph(self, name, edges, **kwargs):

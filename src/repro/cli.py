@@ -37,6 +37,7 @@ import argparse
 import sys
 import time
 
+from .ablation import LEVELS
 from .api import Database
 from .errors import EmptyHeadedError, UnknownRelationError
 from .graphs.datasets import DATASETS, dataset_profile, load_dataset, \
@@ -84,7 +85,7 @@ def _add_loader_flags(parser):
                         help="do not mirror edges")
     parser.add_argument("--ordering", default="degree",
                         help="node ordering scheme (default: degree)")
-    parser.add_argument("--layout-level", default="set",
+    parser.add_argument("--layout-level", default="set", choices=LEVELS,
                         help="layout optimizer granularity")
     parser.add_argument("--no-ghd", action="store_true",
                         help="force single-node GHD plans")

@@ -5,8 +5,8 @@ from .config import EngineConfig
 from .fused import FusedBagKernel
 from ..lir.build import normalize_atom
 from .executor import RuleExecutor, TrieCache, eval_expression
-from .generic_join import (BagEvaluator, BagInput, BagResult,
-                           assemble_chunks, evaluate_bag)
+from .generic_join import BagEvaluator, BagInput, BagResult, \
+    assemble_chunks
 from .plan import BagPlan, PhysicalPlan
 from .plan_cache import (CompiledBag, CompiledRule, PlanCache,
                          config_signature)
@@ -19,7 +19,6 @@ __all__ = [
     "EngineConfig",
     "RuleExecutor", "TrieCache", "eval_expression", "normalize_atom",
     "BagEvaluator", "BagInput", "BagResult", "assemble_chunks",
-    "evaluate_bag",
     "BagPlan", "PhysicalPlan",
     "FusedBagKernel", "InputSpec", "generate_bag_plan",
     "CompiledBag", "CompiledRule", "PlanCache", "config_signature",

@@ -1,19 +1,23 @@
-"""Engine configuration: the feature switches the paper ablates.
+"""Engine configuration: the ablation switches plus the run's hooks.
 
-Every optimization the paper measures can be toggled here, which is how
-``benchmarks/bench_table08_patterns.py`` reproduces the "-R", "-RA" and
-"-GHD" columns of Table 8, and the tests the ablations of Tables 4, 11
-and 13 ("-S", push-down off).
+An :class:`EngineConfig` holds one :class:`~repro.ablation.Ablation` —
+the nine plan and kernel switches the paper ablates, frozen, and the
+plan cache's config signature as it stands — next to what is not a
+switch: the execution mode, the op counter, the observation hooks and
+the view-maintenance route.  ``EngineConfig.ablated`` and
+``Database(**overrides)`` take the switches by their flat names
+(``layout_level="uint_only"``) and route them into the value.
 
 The planner switches (``use_ghd``, ``push_selections``, the rewrite
-passes) apply to both execution modes.  The set-level switches —
+passes) apply to both engines.  The set-level switches —
 ``layout_level``, ``adaptive_algorithms`` and ``simd`` — decide how
-the *interpreter* lays out and intersects sets.  The default engine's
-block kernels read the tries' flat sorted arrays: ``layout_level``
-only picks their probe routes (a bitset root answers through a rank
-table, a dense child level through a bit table), never the answer or
-the op count, so the paper's layout/SIMD/algorithm ablations are
-measured with ``execution_mode="interpreted"``.
+the *interpreter* (:mod:`repro.engine.oracle`) lays out and intersects
+sets.  The default engine's block kernels read the tries' flat sorted
+arrays: ``layout_level`` only picks their probe routes (a bitset root
+answers through a rank table, a dense child level through a bit
+table), never the answer or the op count, so the paper's
+layout/SIMD/algorithm ablations are measured with
+``execution_mode="interpreted"``.
 
 Dispatch constants are not switches: the kernel reads
 ``repro.engine.fused.BLOCK_ROWS`` and ``PROBE_CROSSOVER`` on every
@@ -21,10 +25,19 @@ call, as the paper's optimizer reads its fixed crossovers.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
+from ..ablation import Ablation
+from ..errors import ExecutionError
 from ..sets.cost import OpCounter
+
+#: The two engines: the default one and the interpreted oracle.
+EXECUTION_MODES = ("compiled", "interpreted")
+
+#: Flat keyword names :meth:`EngineConfig.ablated` routes into
+#: :attr:`EngineConfig.ablation`.
+SWITCHES = frozenset(f.name for f in fields(Ablation))
 
 
 def _default_execution_mode():
@@ -35,51 +48,23 @@ def _default_execution_mode():
 
 @dataclass
 class EngineConfig:
-    """Feature switches for one database / query execution.
+    """Switches and hooks for one database / query execution.
 
     Attributes
     ----------
-    layout_level:
-        Granularity of the layout optimizer: ``"set"`` (paper default),
-        ``"relation"``/``"uint_only"`` (the "-R" ablation), ``"block"``,
-        or ``"bitset_only"``.
-    adaptive_algorithms:
-        Cardinality-skew algorithm switching (paper Algorithm 2); turning
-        it off together with ``layout_level="uint_only"`` is the "-RA"
-        ablation.
-    simd:
-        Vectorized kernels; ``False`` is the "-S" ablation (scalar merge
-        loops).
-    use_ghd:
-        GHD query plans; ``False`` forces the single-node GHD
-        (the Table 8 "-GHD" ablation, LogicBlox-style).
-    push_selections:
-        Push selections across GHD nodes (Appendix B.1.1); ``False`` is
-        the Table 13 "-GHD" ablation.
-    eliminate_redundant_bags:
-        Reuse results of structurally identical bags (Appendix B.2).
-    skip_top_down:
-        Elide Yannakakis' top-down pass when the root already holds every
-        head attribute (Appendix B.2).
-    prune_attributes:
-        Project away purely existential body attributes before GHD
-        search (the :class:`repro.lir` attribute-pruning rewrite pass).
-    fold_constants:
-        Fold constant subexpressions of annotation assignments at
-        optimization time (the constant-folding rewrite pass).
-    cross_rule_cse:
-        Extend redundant-bag elimination across the rules of one program
-        via a program-scoped :class:`~repro.engine.memo.BagMemo`; only
-        effective while ``eliminate_redundant_bags`` is on.
+    ablation:
+        The plan and kernel switches (:class:`~repro.ablation.Ablation`);
+        code reads them as ``config.ablation.<name>``.
     execution_mode:
         ``"compiled"`` (default) is the engine: every bag is lowered
         once to a :class:`~repro.engine.fused.FusedBagKernel` (paper
         §3.3) that evaluates it as numpy block operations, and parsed
         programs, plans and kernels are cached across executions —
         repeated queries skip parse, GHD search, and lowering entirely.
-        ``"interpreted"`` walks every bag with the
-        generic :class:`~repro.engine.generic_join.BagEvaluator` and
-        re-plans per run: the differential oracle, and the mode the
+        ``"interpreted"`` runs :class:`~repro.engine.oracle.
+        OracleExecutor`, which walks every bag with the generic
+        :class:`~repro.engine.generic_join.BagEvaluator` and re-plans
+        per run: the differential oracle, and the mode the
         layout/SIMD/algorithm ablations are measured in.  The default
         honors the ``REPRO_EXECUTION_MODE`` environment variable.
     counter:
@@ -87,45 +72,35 @@ class EngineConfig:
     tracer:
         :class:`repro.obs.trace.Tracer` recording lifecycle spans, or
         ``None`` (default).  Hot paths gate on ``is not None``, so a
-        disabled tracer costs nothing.  Not part of the plan-cache
-        ``config_signature`` — tracing never changes results.
+        disabled tracer costs nothing.
     metrics:
         :class:`repro.obs.metrics.MetricsRegistry` absorbing counters
-        and histograms, or ``None`` (default).  Same gating and
-        signature exemption as ``tracer``.
+        and histograms, or ``None`` (default).  Same gating as
+        ``tracer``.
     telemetry:
         :class:`repro.obs.telemetry.TelemetryHub` receiving one query
         record per execution, or ``None`` (default).  ``Database.query``
         checks it once per query (never inside the execution loops) and
         takes its untouched fast path when unset, so telemetry off is
-        free.  Like ``tracer``/``metrics`` it is excluded from
-        ``config_signature`` — observation never changes plans or
-        results.
+        free.
     slow_query_seconds:
         Latency budget for slow-query promotion: a telemetry-recorded
         query exceeding it is re-executed fully traced on its next run
-        and the trace archived.  ``None`` disables promotion.  Also
-        signature-exempt.
+        and the trace archived.  ``None`` disables promotion.
     incremental_views:
         Maintain materialized views (``Database.materialize``) by
         semi-naive delta evaluation when the mutation history permits
         (insert-only, journal intact, delta-capable rule shape); off,
         every refresh recomputes the view from scratch.  Results are
         identical either way — the switch only trades refresh cost —
-        so it stays out of ``config_signature``
-        and doubles as a differential-fuzzing axis.
+        and it doubles as a differential-fuzzing axis.
+
+    Nothing but ``ablation`` enters the plan cache's
+    ``config_signature``: observation and refresh routes never change
+    plans or results.
     """
 
-    layout_level: str = "set"
-    adaptive_algorithms: bool = True
-    simd: bool = True
-    use_ghd: bool = True
-    push_selections: bool = True
-    eliminate_redundant_bags: bool = True
-    skip_top_down: bool = True
-    prune_attributes: bool = True
-    fold_constants: bool = True
-    cross_rule_cse: bool = True
+    ablation: Ablation = Ablation()
     execution_mode: str = field(default_factory=_default_execution_mode)
     counter: OpCounter = field(default_factory=OpCounter)
     tracer: Optional[object] = None
@@ -134,9 +109,19 @@ class EngineConfig:
     slow_query_seconds: Optional[float] = None
     incremental_views: bool = True
 
+    def __post_init__(self):
+        if self.execution_mode not in EXECUTION_MODES:
+            raise ExecutionError("unknown execution_mode %r"
+                                 % (self.execution_mode,))
+
     def ablated(self, **changes):
-        """Copy of this config with some switches flipped."""
-        from dataclasses import replace
+        """Copy of this config with some switches flipped and a fresh
+        counter; :data:`SWITCHES` names go into the ablation."""
+        switches = {name: changes.pop(name) for name in SWITCHES
+                    if name in changes}
+        if switches:
+            changes["ablation"] = replace(
+                changes.get("ablation", self.ablation), **switches)
         return replace(self, counter=OpCounter(), **changes)
 
 
@@ -169,8 +154,7 @@ def enumerate_config_matrix(full=False):
             ("default", default()),
             ("no-prune", default(prune_attributes=False)),
             ("no-fold", default(fold_constants=False)),
-            ("no-cse", default(cross_rule_cse=False,
-                               eliminate_redundant_bags=False)),
+            ("no-cse", default(eliminate_redundant_bags=False)),
             ("no-ghd", default(use_ghd=False, push_selections=False,
                                skip_top_down=False)),
             ("uint-only", interp(layout_level="uint_only", simd=False,
@@ -185,7 +169,6 @@ def enumerate_config_matrix(full=False):
                 ("opt", {}),
                 ("noopt", dict(prune_attributes=False,
                                fold_constants=False,
-                               cross_rule_cse=False,
                                eliminate_redundant_bags=False,
                                push_selections=False,
                                skip_top_down=False))):

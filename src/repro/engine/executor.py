@@ -1,4 +1,4 @@
-"""Physical planning and GHD plan execution (paper §3.3).
+"""Physical planning and the Yannakakis driver (paper §3.3).
 
 This module is the bottom half of the four-layer pipeline (see
 ``docs/architecture.md``): the logical work — atom normalization,
@@ -7,18 +7,23 @@ in :mod:`repro.lir`; the executor receives an optimized
 :class:`~repro.lir.ir.LogicalRule` and
 
 1. lowers it to per-bag physical plans (evaluation orders, inputs,
-   pass-up shapes) — a block kernel for every bag by default, the
-   interpreter as the oracle;
-2. runs Yannakakis' **bottom-up** pass: every bag is evaluated with the
-   generic worst-case optimal join, aggregating away attributes its
-   parent does not need (early aggregation) and passing the result up as
-   an additional input relation — with structurally identical bags
+   pass-up shapes, a block kernel per bag), cached across runs;
+2. runs Yannakakis' **bottom-up** pass: every bag is evaluated with a
+   worst-case optimal join, aggregating away attributes its parent
+   does not need (early aggregation) and passing the result up as an
+   additional input relation — with structurally identical bags
    evaluated once (Appendix B.2), within a rule and (through the
    program-scoped :class:`~repro.engine.memo.BagMemo`) across rules;
 3. when head attributes span several bags in a materialization query,
    runs the **top-down** pass joining the retained bag results; the pass
    is elided when the root already covers the head (Appendix B.2);
 4. applies the rule's annotation expression (e.g. ``0.15 + 0.85*<<SUM>>``).
+
+:class:`RuleExecutor` is the default engine, and its driver (the
+lowering, the bottom-up walk, the finalizers) is the only one: the
+interpreted oracle, :class:`repro.engine.oracle.OracleExecutor`, runs
+the same walk and differs only in how a bag is ordered, gets its
+inputs and is evaluated.  This module never imports the oracle.
 """
 
 import itertools
@@ -31,16 +36,14 @@ from ..obs.trace import maybe_span
 from ..ghd.attribute_order import bag_evaluation_order
 from ..ghd.equivalence import bag_signature, canonical_attr_indexes
 from ..lir import OptimizerOptions, optimize_rule, plan_rule
-from ..lir.build import normalize_atom  # noqa: F401  (compat re-export)
 from ..query.ast import Agg, BinOp, Num, Ref
 from ..sets.optimizer import SetOptimizer
 from ..storage.delta import row_keys
-from ..storage.relation import Relation, relation_columns
+from ..storage.relation import Relation
 from ..storage.trie import Trie
 from .codegen import InputSpec, generate_bag_plan
 from .fused import IDEMPOTENT_FOLDS
-from .generic_join import BagInput, BagResult, empty_bag_result, \
-    evaluate_bag
+from .generic_join import BagInput, BagResult, empty_bag_result
 from .memo import remap_memoized
 from .plan import BagPlan, PhysicalPlan
 from .plan_cache import CompiledBag, CompiledRule, PlanCache, \
@@ -235,12 +238,15 @@ def eval_expression(expr, agg_value, env):
 
 
 class RuleExecutor:
-    """Executes one optimized, non-recursive rule against a catalog.
+    """Executes one optimized, non-recursive rule against a catalog:
+    the default engine.
 
     All logical planning is delegated to :mod:`repro.lir`; this class
     owns only physical concerns — tries, bag evaluation, Yannakakis
     passes, finalization — plus the plan cache keyed on the canonical
-    (alpha-invariant) optimized IR.
+    (alpha-invariant) optimized IR.  It runs block kernels whatever
+    ``config.execution_mode`` says: ``Database`` constructs the
+    oracle subclass for ``"interpreted"``.
     """
 
     def __init__(self, catalog, config, trie_cache=None, env=None,
@@ -284,36 +290,21 @@ class RuleExecutor:
         """Run ``rule`` and return the result :class:`Relation`.
 
         The result carries the head's columns in head-variable order and,
-        for aggregation rules, an annotation column.  ``stats`` (default
-        engine only) carries program-level counters when
-        ``Database.query`` drives a multi-rule program; a fresh
+        for aggregation rules, an annotation column.  ``stats`` carries
+        program-level counters when ``Database.query`` drives a
+        multi-rule program; a fresh
         :class:`~repro.engine.stats.ExecStats` is created otherwise.
         ``rounds``, a :class:`RoundPlan`, marks the execution as a
-        round of a recursion over ``rule``'s head (default engine only).
+        round of a recursion over ``rule``'s head.
         """
-        mode = self.config.execution_mode
-        if mode == "compiled":
-            return self._execute_compiled(rule, stats, rounds)
-        if mode != "interpreted":
-            raise ExecutionError("unknown execution_mode %r" % (mode,))
-        # The interpreted oracle: plans rebuilt per run, every bag on
-        # the set-at-a-time generic join.
-        self.last_stats = None
-        logical = optimize_rule(rule, self.catalog, self._options())
-        self.last_logical = logical
-        if logical.has_empty_guard:
-            return self._empty_output(rule)
-        self._validate(logical)
-        agg = logical.aggregate
-        try:
-            if agg is not None and agg.op == "COUNT" and agg.arg != "*":
-                result = self._execute_count_distinct(logical, agg)
-            else:
-                result = self._execute_plan(logical)
-        finally:
-            # the plan dies with the run, and its derived tries with it
-            self._retire_derived(logical)
-        return result
+        return self._execute_compiled(rule, stats, rounds)
+
+    def execute_compiled_mode(self, rule, stats=None):
+        """Run ``rule`` through the default compiled pipeline whatever
+        engine this executor is.  :meth:`execute` is the entry point
+        the engine itself calls; this name is part of the surface the
+        end-to-end benchmark instruments."""
+        return self._execute_compiled(rule, stats)
 
     def _retire_derived(self, logical):
         """Drop the cached tries of a plan's derived relations (the
@@ -351,39 +342,34 @@ class RuleExecutor:
         logical = optimize_rule(rule, self.catalog, self._options())
         self.last_logical = logical
         plan_rule(logical, self._options())
-        atoms = logical.atoms
-        ghd = logical.ghd
-        aggregate_mode = logical.aggregate_mode
-        plan = PhysicalPlan(rule=rule, ghd=ghd,
+        plan = PhysicalPlan(rule=rule, ghd=logical.ghd,
                             global_order=logical.global_order,
-                            aggregate_mode=aggregate_mode)
-        compiled = self.config.execution_mode != "interpreted"
-        semiring = semiring_for(logical.aggregate.op) if aggregate_mode \
-            else EXISTS
-        parents = ghd.parent_map()
-        child_outs = {}
-        for node in ghd.nodes_bottom_up():
-            wanted = _wanted_attrs(logical, node, parents[node])
-            if compiled:
-                eval_order, out_attrs = _kernel_bag_order(
-                    logical, node, wanted, semiring, child_outs)
-            else:
-                out_attrs = tuple(a for a in node.chi if a in wanted)
-                eval_order = bag_evaluation_order(node.chi, out_attrs,
-                                                  logical.global_order)
-            child_outs[id(node)] = out_attrs
+                            aggregate_mode=logical.aggregate_mode)
+        for node, eval_order, out_attrs in self._bag_shapes(logical):
             plan.bags.append(BagPlan(
                 chi=tuple(node.chi), eval_order=tuple(eval_order),
                 out_attrs=out_attrs,
-                inputs=[atoms[e.index].name for e in node.edges],
+                inputs=[logical.atoms[e.index].name for e in node.edges],
                 width=node.width()))
         return plan
+
+    def _bag_shapes(self, logical):
+        """``(node, eval_order, out_attrs)`` of every bag, bottom-up."""
+        semiring = _semiring(logical)
+        parents = logical.ghd.parent_map()
+        child_outs = {}
+        for node in logical.ghd.nodes_bottom_up():
+            eval_order, out_attrs = self._bag_order(
+                logical, node, _wanted_attrs(logical, node, parents[node]),
+                semiring, child_outs)
+            child_outs[id(node)] = out_attrs
+            yield node, eval_order, out_attrs
 
     # -- cross-rule memo ------------------------------------------------------
 
     def _memo_probe(self, memo, signature, canonical_out, out_attrs):
         """Check the per-rule memo, then the program-scoped one."""
-        if not self.config.eliminate_redundant_bags:
+        if not self.config.ablation.eliminate_redundant_bags:
             return None
         entry = memo.get(signature)
         if entry is None and self.program_memo is not None:
@@ -398,181 +384,7 @@ class RuleExecutor:
             self.program_memo.put(signature, result, canonical_out,
                                   _relation_guards(logical))
 
-    # -- execution ------------------------------------------------------------
-
-    def _execute_plan(self, logical):
-        agg = logical.aggregate
-        aggregate_mode = logical.aggregate_mode
-        plan_rule(logical, self._options())
-        atoms = logical.atoms
-        ghd = logical.ghd
-        duplicates = logical.duplicates
-        global_order = logical.global_order
-        sig_names = logical.sig_names()
-        semiring = semiring_for(agg.op) if aggregate_mode else EXISTS
-        parents = ghd.parent_map()
-        retained = {}
-        signatures = {}
-        memo = {}
-        plan = PhysicalPlan(rule=logical.rule, ghd=ghd,
-                            global_order=global_order,
-                            aggregate_mode=aggregate_mode)
-        self.last_plan = plan
-        for node in ghd.nodes_bottom_up():
-            wanted = _wanted_attrs(logical, node, parents[node])
-            out_attrs = [a for a in node.chi if a in wanted]
-            signature = bag_signature(
-                node, out_attrs,
-                [signatures[id(c)] for c in node.children],
-                aggregation_sig=(semiring.name, aggregate_mode),
-                edge_names=sig_names)
-            canonical_out = canonical_attr_indexes(node.edges, out_attrs,
-                                                   edge_names=sig_names)
-            reused = self._memo_probe(memo, signature, canonical_out,
-                                      out_attrs)
-            eval_order = bag_evaluation_order(node.chi, out_attrs,
-                                              global_order)
-            bag_plan = BagPlan(
-                chi=tuple(node.chi), eval_order=tuple(eval_order),
-                out_attrs=tuple(out_attrs),
-                inputs=[atoms[e.index].name for e in node.edges]
-                + ["pass:%s" % ",".join(sorted(c.chi_set & node.chi_set))
-                   for c in node.children],
-                width=node.width(),
-                reused_from_signature=reused is not None)
-            plan.bags.append(bag_plan)
-            if reused is not None:
-                retained[id(node)] = reused
-                signatures[id(node)] = signature
-                continue
-            result = self._timed_bag(
-                bag_plan,
-                lambda: self._evaluate_bag(node, atoms, out_attrs,
-                                           global_order, semiring,
-                                           aggregate_mode, retained,
-                                           duplicates, bag_plan))
-            retained[id(node)] = result
-            signatures[id(node)] = signature
-            self._memo_store(memo, signature, result, canonical_out,
-                             logical)
-        root_result = retained[id(ghd.root)]
-        if aggregate_mode:
-            return self._finish_aggregate(logical, root_result)
-        return self._finish_materialize(logical, ghd, retained, root_result)
-
-    def _timed_bag(self, bag_plan, evaluate):
-        """Evaluate one bag, recording wall time, charged lane ops, and
-        (when tracing) a ``bag:`` span.  The always-on part is two
-        clock reads and one counter delta per bag — bags are few."""
-        counter = self.config.counter
-        ops_before = counter.total_ops
-        start = time.perf_counter()
-        with maybe_span(self.config.tracer,
-                        "bag:%s" % ",".join(bag_plan.chi), "execute",
-                        width=bag_plan.width):
-            result = evaluate()
-        bag_plan.actual_seconds = time.perf_counter() - start
-        bag_plan.actual_ops = counter.total_ops - ops_before
-        return result
-
-    def _evaluate_bag(self, node, atoms, out_attrs, global_order, semiring,
-                      aggregate_mode, retained, duplicates,
-                      bag_plan=None):
-        eval_order = bag_evaluation_order(node.chi, out_attrs, global_order)
-        inputs = []
-        for edge in node.edges:
-            atom = atoms[edge.index]
-            ordered_vars = [a for a in eval_order if a in atom.variables]
-            key_order = tuple(atom.variables.index(a)
-                              for a in ordered_vars)
-            trie = self.cache.get(atom.relation, key_order,
-                                  self.config.layout_level)
-            is_duplicate = (id(node), edge.index) in duplicates
-            inputs.append(BagInput(
-                trie, ordered_vars,
-                annotated=atom.annotated and not is_duplicate,
-                name=atom.name))
-        scalar_factor = 1.0
-        dead = False
-        for child in node.children:
-            child_result = retained[id(child)]
-            if _is_disconnected_child(child_result, node.chi_set):
-                # Disconnected child (no shared attributes): an empty
-                # one admits no bindings, so the whole bag is dead; in
-                # aggregate mode a live one's fold multiplies in as a
-                # scalar (distributivity over the cross product); in
-                # materialize mode any columns it carries re-enter in
-                # the top-down pass.
-                if not _bag_alive(child_result, semiring.zero):
-                    dead = True
-                elif aggregate_mode:
-                    scalar_factor *= _child_scalar(child_result, semiring)
-                continue
-            passed = self._pass_up(child_result, node.chi_set,
-                                   aggregate_mode, semiring)
-            if passed is None:
-                continue
-            relation, annotated = passed
-            ordered_vars = [a for a in eval_order
-                            if a in relation_columns(relation)]
-            key_order = tuple(relation_columns(relation).index(a)
-                              for a in ordered_vars)
-            trie = Trie(relation, key_order=key_order,
-                        optimizer=SetOptimizer(self.config.layout_level))
-            inputs.append(BagInput(trie, ordered_vars,
-                                   annotated=annotated,
-                                   name=relation.name))
-        if bag_plan is not None:
-            bag_plan.input_profiles = _input_profiles(inputs)
-        out_count = len(out_attrs)
-        if dead:
-            return BagResult(out_attrs,
-                             np.empty((0, out_count), dtype=np.uint32),
-                             annotations=np.empty(0), scalar=semiring.zero)
-        result = evaluate_bag(eval_order, out_count, inputs, semiring,
-                              self.config)
-        if aggregate_mode and scalar_factor != 1.0:
-            if result.scalar is not None:
-                result.scalar *= scalar_factor
-            if result.annotations is not None:
-                result.annotations = result.annotations * scalar_factor
-        return result
-
-    def _pass_up(self, child_result, parent_chi, aggregate_mode, semiring):
-        """Turn a child's retained result into the parent's input relation.
-
-        Aggregate mode: the child result (already aggregated onto its out
-        attributes, all of which the parent can see) flows up annotated.
-        Materialize mode: only the shared columns flow up, as an
-        unannotated semijoin filter (annotations re-enter in the
-        top-down pass).
-        """
-        attrs = list(child_result.out_attrs)
-        if not attrs:
-            return None  # scalar children contribute via the guard check
-        if aggregate_mode:
-            relation = Relation("pass:" + ",".join(attrs),
-                                child_result.data,
-                                child_result.annotations)
-            relation.attr_names = tuple(attrs)
-            return relation, child_result.annotations is not None
-        shared_cols = [i for i, a in enumerate(attrs) if a in parent_chi]
-        shared_attrs = [attrs[i] for i in shared_cols]
-        data = child_result.data[:, shared_cols]
-        relation = Relation("pass:" + ",".join(shared_attrs),
-                            data).deduplicated()
-        relation.attr_names = tuple(shared_attrs)
-        return relation, False
-
-    # -- compiled execution ---------------------------------------------------
-
-    def execute_compiled_mode(self, rule, stats=None):
-        """Run ``rule`` through the default compiled pipeline whatever
-        ``config.execution_mode`` says.  :meth:`execute` is the entry
-        point that honors the configuration and the one the engine
-        itself calls; this name is part of the surface the end-to-end
-        benchmark instruments."""
-        return self._execute_compiled(rule, stats)
+    # -- the default engine ---------------------------------------------------
 
     def _execute_compiled(self, rule, stats=None, rounds=None):
         """The default engine (§3.3): compile once, run block kernels.
@@ -581,10 +393,10 @@ class RuleExecutor:
         cache keys on the *optimized logical IR's* canonical form
         (:meth:`repro.lir.ir.LogicalRule.cache_key` — invariant under
         variable renaming, so alpha-renamed queries share one entry)
-        plus the result-affecting config switches, and revalidates by
-        relation identity, so a repeated query skips GHD search and
-        bag lowering entirely.  A recursion round after the first skips
-        even that (:class:`RoundPlan`).
+        plus the config's :class:`~repro.ablation.Ablation`, and
+        revalidates by relation identity, so a repeated query skips GHD
+        search and bag lowering entirely.  A recursion round after the
+        first skips even that (:class:`RoundPlan`).
         """
         if stats is None:
             stats = ExecStats(execution_mode="compiled")
@@ -651,7 +463,7 @@ class RuleExecutor:
             return None
         for atom in rounds.head_atoms:
             atom.rebind(relation)
-        optimizer = SetOptimizer(self.config.layout_level)
+        optimizer = SetOptimizer(self.config.ablation.layout_level)
         for bag_input in rounds.head_inputs:
             bag_input.trie = Trie(relation, key_order=bag_input.trie.key_order,
                                   optimizer=optimizer)
@@ -662,7 +474,7 @@ class RuleExecutor:
         if self.config.metrics is not None:
             self.config.metrics.inc("plan_cache.lookups",
                                     labels={"tier": "hit"})
-        return self._run_compiled_plan(compiled, stats)
+        return self._run_plan(compiled, stats)
 
     def _rebind(self, compiled, stale):
         """Bring a compiled rule up to date with changed relations.
@@ -725,7 +537,7 @@ class RuleExecutor:
                 if atom.name in stale:
                     bag_input.trie = self.cache.get(
                         atom.relation, bag_input.trie.key_order,
-                        self.config.layout_level)
+                        self.config.ablation.layout_level)
         compiled.guards = _relation_guards(logical)
         return True
 
@@ -733,11 +545,10 @@ class RuleExecutor:
         """Lower one optimized non-recursive rule to a
         :class:`CompiledRule`.
 
-        Performs the same validation and plan choice as :meth:`execute`
-        but stops before touching any tuples beyond trie construction:
-        the result pins the catalog relations it read (``guards``) and
-        holds one block kernel per GHD bag (``None`` for the shapes
-        only the interpreter covers).
+        Performs the validation and plan choice of a run but stops
+        before touching any tuples beyond trie construction: the result
+        pins the catalog relations it read (``guards``) and holds one
+        block kernel per GHD bag.
         """
         guards = _relation_guards(logical)
         if logical.has_empty_guard:
@@ -749,48 +560,129 @@ class RuleExecutor:
             pseudo = _distinct_head(logical, agg.arg)
             if _counts_bindings(logical, agg.arg):
                 # the plan folds COUNT by the rule's op alone: COUNT(*)
-                return self._compile_plan(logical, guards, stats)
-            inner = self._compile_plan(pseudo, guards, stats)
+                return self._lower(logical, guards, stats)
+            inner = self._lower(pseudo, guards, stats)
             return CompiledRule("count_distinct", logical.rule, guards,
                                 inner=inner, logical=logical)
-        return self._compile_plan(logical, guards, stats)
+        return self._lower(logical, guards, stats)
 
-    def _compile_plan(self, logical, guards, stats):
-        """Choose the GHD and lower every bag to its block kernel.
+    def run_compiled(self, compiled, stats):
+        """Execute a :class:`CompiledRule` against the current catalog."""
+        if compiled.kind == "empty":
+            return self._empty_output(compiled.rule)
+        if compiled.kind == "count_distinct":
+            distinct = self._run_plan(compiled.inner, stats)
+            return _finish_count_distinct(compiled.logical, distinct,
+                                          dict(self.env))
+        return self._run_plan(compiled, stats)
 
-        Structurally identical bags (same evaluation order, head split,
-        semiring, and per-input annotation flags) share one kernel via
-        the plan cache's bag-source tier — lowering runs once per
-        shape, not once per bag.
-        """
-        agg = logical.aggregate
-        aggregate_mode = logical.aggregate_mode
+    # -- what the two engines do differently ----------------------------------
+
+    def _bag_order(self, logical, node, wanted, semiring, child_outs):
+        """``(eval_order, out_attrs)`` of one bag: the kernel's order
+        (:func:`_kernel_bag_order`)."""
+        return _kernel_bag_order(logical, node, wanted, semiring,
+                                 child_outs)
+
+    def _lower_kernel(self, node, cbag, bags, semiring, aggregate_mode,
+                      stats):
+        """Give ``cbag`` the static shape of every child pass-up and the
+        block kernel over them and its base inputs.  Structurally
+        identical bags (same evaluation order, head split, semiring,
+        and per-input annotation flags) share one kernel via the plan
+        cache's bag-source tier — lowering runs once per shape, not
+        once per bag."""
+        eval_order, out_attrs = cbag.eval_order, cbag.out_attrs
+        specs = [InputSpec(bag_input.name, bag_input.variables,
+                           annotated=bag_input.annotated)
+                 for bag_input in cbag.base_inputs]
+        # Pass-up inputs have statically known shapes: the child's
+        # out attributes are fixed by the GHD, and aggregate-mode
+        # results always carry annotations (materialize-mode
+        # pass-ups are unannotated semijoin filters).
+        for child in node.children:
+            child_out = bags[id(child)].out_attrs
+            if not child_out:
+                continue
+            if aggregate_mode:
+                up_attrs = list(child_out)
+                annotated = True
+            else:
+                up_attrs = [a for a in child_out if a in node.chi_set]
+                if not up_attrs:
+                    # Disconnected child: nothing flows up as a
+                    # semijoin filter; it acts as an existence guard at
+                    # runtime and its columns re-enter in the top-down
+                    # pass.
+                    continue
+                annotated = False
+            ordered_vars = tuple(a for a in eval_order if a in up_attrs)
+            key_order = tuple(up_attrs.index(a) for a in ordered_vars)
+            cbag.passups.append((ordered_vars, key_order, annotated))
+            specs.append(InputSpec("pass:" + ",".join(up_attrs),
+                                   ordered_vars, annotated=annotated))
+        bag_sig = ("bag", eval_order, out_attrs, semiring.name,
+                   tuple(spec.signature() for spec in specs))
+        generated = self.plans.get_bag_code(bag_sig)
+        if generated is None:
+            stats.codegen_runs += 1
+            with maybe_span(self.config.tracer, "codegen", "compile",
+                            bag=",".join(node.chi)):
+                generated = generate_bag_plan(
+                    eval_order, len(out_attrs), specs, semiring,
+                    out_attrs=out_attrs)
+            self.plans.put_bag_code(bag_sig, generated)
+        else:
+            stats.bag_codegen_reuses += 1
+        cbag.generated = generated
+
+    def _pass_up_input(self, cbag, index, relation, annotated):
+        """The :class:`BagInput` of a bag's ``index``-th pass-up, in the
+        shape the compiled bag baked in; a pass-up whose runtime shape
+        disagrees is a :class:`PlanError`."""
+        spec = cbag.passups[index] if index < len(cbag.passups) else None
+        if spec is None or annotated != spec[2]:
+            raise PlanError("pass-up %s does not match bag %s's "
+                            "compiled shape" % (relation.name,
+                                                ",".join(cbag.chi)))
+        ordered_vars, key_order, _ = spec
+        return BagInput(self._pass_up_trie(relation, key_order),
+                        ordered_vars, annotated=annotated,
+                        name=relation.name)
+
+    def _pass_up_trie(self, relation, key_order):
+        """A pass-up's trie, owned by no cache: it lives for one bag."""
+        return Trie(relation, key_order=key_order,
+                    optimizer=SetOptimizer(self.config.ablation.layout_level))
+
+    def _evaluate(self, cbag, inputs, semiring, stats):
+        """One live bag's result: its block kernel, unless no join work
+        is involved (:func:`_no_join_result`)."""
+        result = None if cbag.generated.unordered \
+            else _no_join_result(cbag, inputs, semiring)
+        if result is None:
+            stats.compiled_bag_calls += 1
+            stats.fused_blocks += 1
+            result = cbag.generated([bag_input.trie for bag_input in inputs],
+                                    self.config)
+        return result
+
+    # -- the Yannakakis driver ------------------------------------------------
+
+    def _lower(self, logical, guards, stats):
+        """Choose the GHD and lower every bag: its orders, its base
+        inputs over tries from the trie cache, its bag-equivalence
+        signature, and what :meth:`_lower_kernel` adds."""
         stats.ghd_builds += 1
         plan_rule(logical, self._options())
+        aggregate_mode = logical.aggregate_mode
         atoms = logical.atoms
-        ghd = logical.ghd
         duplicates = logical.duplicates
-        global_order = logical.global_order
         sig_names = logical.sig_names()
-        semiring = semiring_for(agg.op) if aggregate_mode else EXISTS
-        parents = ghd.parent_map()
+        semiring = _semiring(logical)
+        layout_level = self.config.ablation.layout_level
         bags = {}
-        child_outs = {}
-        signatures = {}
-        for node in ghd.nodes_bottom_up():
-            wanted = _wanted_attrs(logical, node, parents[node])
-            eval_order, out_attrs = _kernel_bag_order(
-                logical, node, wanted, semiring, child_outs)
-            child_outs[id(node)] = out_attrs
-            signature = bag_signature(
-                node, out_attrs,
-                [signatures[id(c)] for c in node.children],
-                aggregation_sig=(semiring.name, aggregate_mode),
-                edge_names=sig_names)
-            signatures[id(node)] = signature
-            canonical_out = canonical_attr_indexes(node.edges, out_attrs,
-                                                   edge_names=sig_names)
-            specs = []
+        for node, eval_order, out_attrs in self._bag_shapes(logical):
             base_inputs = []
             for edge in node.edges:
                 atom = atoms[edge.index]
@@ -798,86 +690,40 @@ class RuleExecutor:
                                      if a in atom.variables)
                 key_order = tuple(atom.variables.index(a)
                                   for a in ordered_vars)
-                trie = self.cache.get(atom.relation, key_order,
-                                      self.config.layout_level)
-                annotated = atom.annotated \
-                    and (id(node), edge.index) not in duplicates
-                base_inputs.append(BagInput(trie, ordered_vars,
-                                            annotated=annotated,
-                                            name=atom.name))
-                specs.append(InputSpec(atom.name, ordered_vars,
-                                       annotated=annotated))
-            # Pass-up inputs have statically known shapes: the child's
-            # out attributes are fixed by the GHD, and aggregate-mode
-            # results always carry annotations (materialize-mode
-            # pass-ups are unannotated semijoin filters).
-            passups = []
-            for child in node.children:
-                child_out = bags[id(child)].out_attrs
-                if not child_out:
-                    continue
-                if aggregate_mode:
-                    up_attrs = list(child_out)
-                    annotated = True
-                else:
-                    up_attrs = [a for a in child_out
-                                if a in node.chi_set]
-                    if not up_attrs:
-                        # Disconnected child: nothing flows up as a
-                        # semijoin filter; it acts as an existence
-                        # guard at runtime and its columns re-enter in
-                        # the top-down pass.
-                        continue
-                    annotated = False
-                ordered_vars = tuple(a for a in eval_order
-                                     if a in up_attrs)
-                key_order = tuple(up_attrs.index(a)
-                                  for a in ordered_vars)
-                passups.append((ordered_vars, key_order, annotated))
-                specs.append(InputSpec("pass:" + ",".join(up_attrs),
-                                       ordered_vars, annotated=annotated))
-            input_names = [atoms[e.index].name for e in node.edges] \
-                + ["pass:%s" % ",".join(sorted(c.chi_set & node.chi_set))
-                   for c in node.children]
-            bag_sig = ("bag", eval_order, out_attrs, semiring.name,
-                       tuple(spec.signature() for spec in specs))
-            generated = self.plans.get_bag_code(bag_sig)
-            if generated is None:
-                stats.codegen_runs += 1
-                with maybe_span(self.config.tracer, "codegen",
-                                "compile", bag=",".join(node.chi)):
-                    generated = generate_bag_plan(
-                        eval_order, len(out_attrs), specs, semiring,
-                        out_attrs=out_attrs)
-                self.plans.put_bag_code(bag_sig, generated)
-            else:
-                stats.bag_codegen_reuses += 1
-            bags[id(node)] = CompiledBag(
-                eval_order, out_attrs, base_inputs, passups, generated,
+                base_inputs.append(BagInput(
+                    self.cache.get(atom.relation, key_order, layout_level),
+                    ordered_vars, name=atom.name,
+                    annotated=atom.annotated
+                    and (id(node), edge.index) not in duplicates))
+            cbag = CompiledBag(
+                eval_order, out_attrs, base_inputs,
                 chi=node.chi, width=node.width(),
-                input_names=input_names, signature=signature,
-                canonical_out=canonical_out)
-        return CompiledRule("plan", logical.rule, guards, ghd=ghd,
+                input_names=[atoms[e.index].name for e in node.edges]
+                + ["pass:%s" % ",".join(sorted(c.chi_set & node.chi_set))
+                   for c in node.children],
+                signature=bag_signature(
+                    node, out_attrs,
+                    [bags[id(c)].signature for c in node.children],
+                    aggregation_sig=(semiring.name, aggregate_mode),
+                    edge_names=sig_names),
+                canonical_out=canonical_attr_indexes(
+                    node.edges, out_attrs, edge_names=sig_names))
+            self._lower_kernel(node, cbag, bags, semiring, aggregate_mode,
+                               stats)
+            bags[id(node)] = cbag
+        return CompiledRule("plan", logical.rule, guards, ghd=logical.ghd,
                             duplicates=duplicates,
-                            global_order=global_order, semiring=semiring,
+                            global_order=logical.global_order,
+                            semiring=semiring,
                             aggregate_mode=aggregate_mode, bags=bags,
                             logical=logical,
                             bands=tuple(int(atom.relation.cardinality)
                                         .bit_length() for atom in atoms))
 
-    def run_compiled(self, compiled, stats):
-        """Execute a :class:`CompiledRule` against the current catalog."""
-        if compiled.kind == "empty":
-            return self._empty_output(compiled.rule)
-        if compiled.kind == "count_distinct":
-            distinct = self._run_compiled_plan(compiled.inner, stats)
-            return _finish_count_distinct(compiled.logical, distinct,
-                                          dict(self.env))
-        return self._run_compiled_plan(compiled, stats)
-
-    def _run_compiled_plan(self, compiled, stats):
-        """Yannakakis over precompiled bags (mirrors
-        :meth:`_execute_plan` with all planning already done)."""
+    def _run_plan(self, compiled, stats):
+        """Yannakakis' bottom-up pass over a lowered plan, then the
+        finalizer: every bag is answered by the memo or evaluated with
+        its children's results passed up, and its result retained."""
         logical = compiled.logical
         ghd = compiled.ghd
         semiring = compiled.semiring
@@ -903,9 +749,8 @@ class RuleExecutor:
                 continue
             result = self._timed_bag(
                 bag_plan,
-                lambda: self._run_compiled_bag(node, cbag, semiring,
-                                               aggregate_mode, retained,
-                                               stats, bag_plan))
+                lambda: self._run_bag(node, cbag, semiring, aggregate_mode,
+                                      retained, stats, bag_plan))
             retained[id(node)] = result
             self._memo_store(memo, cbag.signature, result,
                              cbag.canonical_out, logical)
@@ -914,19 +759,35 @@ class RuleExecutor:
             return self._finish_aggregate(logical, root_result)
         return self._finish_materialize(logical, ghd, retained, root_result)
 
-    def _run_compiled_bag(self, node, cbag, semiring, aggregate_mode,
-                          retained, stats, bag_plan=None):
-        """Evaluate one bag through its block kernel.
+    def _timed_bag(self, bag_plan, evaluate):
+        """Evaluate one bag, recording wall time, charged lane ops, and
+        (when tracing) a ``bag:`` span.  The always-on part is two
+        clock reads and one counter delta per bag — bags are few."""
+        counter = self.config.counter
+        ops_before = counter.total_ops
+        start = time.perf_counter()
+        with maybe_span(self.config.tracer,
+                        "bag:%s" % ",".join(bag_plan.chi), "execute",
+                        width=bag_plan.width):
+            result = evaluate()
+        bag_plan.actual_seconds = time.perf_counter() - start
+        bag_plan.actual_ops = counter.total_ops - ops_before
+        return result
 
-        Child pass-ups are built exactly as in :meth:`_evaluate_bag`,
-        in the shapes the compiled bag baked in; a pass-up whose
-        runtime shape disagrees is a :class:`PlanError`.
+    def _run_bag(self, node, cbag, semiring, aggregate_mode, retained,
+                 stats, bag_plan):
+        """Evaluate one bag over its base inputs and its children's
+        pass-ups.
+
+        A disconnected child (no shared attributes) passes nothing up:
+        an empty one admits no bindings, so the whole bag is dead; in
+        aggregate mode a live one's fold multiplies in as a scalar
+        (distributivity over the cross product); in materialize mode
+        any columns it carries re-enter in the top-down pass.
         """
         inputs = list(cbag.base_inputs)
         scalar_factor = 1.0
         dead = False
-        kernel = cbag.generated
-        passups = iter(cbag.passups)
         for child in node.children:
             child_result = retained[id(child)]
             if _is_disconnected_child(child_result, node.chi_set):
@@ -935,35 +796,19 @@ class RuleExecutor:
                 elif aggregate_mode:
                     scalar_factor *= _child_scalar(child_result, semiring)
                 continue
-            relation, annotated = self._pass_up(
-                child_result, node.chi_set, aggregate_mode, semiring)
-            ordered_vars, key_order, spec_annotated = next(
-                passups, (None, None, None))
-            if ordered_vars is None or annotated != spec_annotated:
-                raise PlanError("pass-up %s does not match bag %s's "
-                                "compiled shape" % (relation.name,
-                                                    ",".join(cbag.chi)))
-            trie = Trie(relation, key_order=key_order,
-                        optimizer=SetOptimizer(self.config.layout_level))
-            inputs.append(BagInput(trie, ordered_vars,
-                                   annotated=annotated,
-                                   name=relation.name))
-        if bag_plan is not None:
-            bag_plan.input_profiles = _input_profiles(inputs)
-        out_count = cbag.out_count
+            relation, annotated = _pass_up(child_result, node.chi_set,
+                                           aggregate_mode)
+            inputs.append(self._pass_up_input(
+                cbag, len(inputs) - len(cbag.base_inputs), relation,
+                annotated))
+        bag_plan.input_profiles = _input_profiles(inputs)
         if dead:
             result = BagResult(cbag.out_attrs,
-                               np.empty((0, out_count), dtype=np.uint32),
+                               np.empty((0, cbag.out_count), dtype=np.uint32),
                                annotations=np.empty(0),
                                scalar=semiring.zero)
         else:
-            result = None if kernel.unordered \
-                else _no_join_result(cbag, inputs, semiring)
-            if result is None:
-                stats.compiled_bag_calls += 1
-                stats.fused_blocks += 1
-                result = kernel([bag_input.trie for bag_input in inputs],
-                                self.config)
+            result = self._evaluate(cbag, inputs, semiring, stats)
         if aggregate_mode and scalar_factor != 1.0:
             if result.scalar is not None:
                 result.scalar *= scalar_factor
@@ -1028,7 +873,7 @@ class RuleExecutor:
                             np.empty((1 if exists else 0, 0),
                                      dtype=np.uint32))
         if set(head) <= set(root_attrs) and (
-                self.config.skip_top_down
+                self.config.ablation.skip_top_down
                 or all(not n.children for n in [ghd.root])):
             data, annotations = root_result.data, root_result.annotations
             attrs = root_attrs
@@ -1051,15 +896,6 @@ class RuleExecutor:
             # Plain conjunctive rule: no annotation column in the head.
             annotations = None
         return Relation(rule.head_name, data, annotations)
-
-    # -- COUNT(var): distinct -------------------------------------------------
-
-    def _execute_count_distinct(self, logical, agg):
-        """``<<COUNT(v)>>`` counts *distinct* bindings of ``v`` per head
-        tuple (the paper's ``N(;w) :- Edge(x,y); w=<<COUNT(x)>>`` counts
-        nodes, not edges)."""
-        distinct = self._execute_plan(_distinct_head(logical, agg.arg))
-        return _finish_count_distinct(logical, distinct, dict(self.env))
 
     def _empty_output(self, rule):
         if rule.annotation is not None and not rule.head_vars:
@@ -1092,6 +928,13 @@ def _wanted_attrs(logical, node, parent):
             keep |= node.chi_set & child.chi_set
     head = frozenset(logical.head_vars)
     return {a for a in node.chi if a in head or a in keep}
+
+
+def _semiring(logical):
+    """The semiring a rule's bags fold with (``EXISTS`` unless it
+    aggregates)."""
+    return semiring_for(logical.aggregate.op) if logical.aggregate_mode \
+        else EXISTS
 
 
 def _kernel_bag_order(logical, node, wanted, semiring, child_outs):
@@ -1259,6 +1102,30 @@ def _finish_count_distinct(logical, distinct, env):
     values = np.broadcast_to(np.asarray(values, dtype=np.float64),
                              (heads.shape[0],)).copy()
     return Relation(head_name, heads, values)
+
+
+def _pass_up(child_result, parent_chi, aggregate_mode):
+    """``(relation, annotated)``: a child's retained result as its
+    parent's input relation.
+
+    Aggregate mode: the child result (already aggregated onto its out
+    attributes, all of which the parent can see) flows up annotated.
+    Materialize mode: only the shared columns flow up, as an
+    unannotated semijoin filter (annotations re-enter in the top-down
+    pass).
+    """
+    attrs = list(child_result.out_attrs)
+    if aggregate_mode:
+        relation = Relation("pass:" + ",".join(attrs), child_result.data,
+                            child_result.annotations)
+        relation.attr_names = tuple(attrs)
+        return relation, child_result.annotations is not None
+    shared_cols = [i for i, a in enumerate(attrs) if a in parent_chi]
+    shared_attrs = [attrs[i] for i in shared_cols]
+    relation = Relation("pass:" + ",".join(shared_attrs),
+                        child_result.data[:, shared_cols]).deduplicated()
+    relation.attr_names = tuple(shared_attrs)
+    return relation, False
 
 
 def _is_disconnected_child(child_result, parent_chi):

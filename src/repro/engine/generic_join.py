@@ -233,8 +233,8 @@ class BagEvaluator:
         start = tracer.now() if tracer is not None else 0.0
         result = intersect_many(
             sets, counter=self.config.counter,
-            adaptive=self.config.adaptive_algorithms,
-            simd=self.config.simd)
+            adaptive=self.config.ablation.adaptive_algorithms,
+            simd=self.config.ablation.simd)
         if tracer is not None:
             tracer.record(
                 "intersect:L%d" % level, "intersect", start, tracer.now(),

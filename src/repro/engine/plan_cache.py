@@ -22,8 +22,8 @@ make a repeated query's cost approach the pure join work:
   :class:`~repro.engine.fused.FusedBagKernel`, so structurally
   identical bags across different rules share one kernel.
 
-Every tier keys on :func:`config_signature` — the engine switches that
-change results or plan shape — so ablation configs never cross-hit.
+Every tier keys on :func:`config_signature` — the config's frozen
+:class:`~repro.ablation.Ablation` — so ablation configs never cross-hit.
 """
 
 #: Default per-tier entry cap; oldest entries evict first (dict order).
@@ -31,14 +31,12 @@ MAX_ENTRIES = 256
 
 
 def config_signature(config):
-    """The :class:`~repro.engine.config.EngineConfig` switches a cached
-    plan depends on.  Anything that alters plan shape, kernel choice,
-    or result layout must appear here; the op counter and the
-    observation hooks must not."""
-    return (config.layout_level, config.adaptive_algorithms, config.simd,
-            config.use_ghd, config.push_selections,
-            config.eliminate_redundant_bags, config.skip_top_down,
-            config.prune_attributes, config.fold_constants)
+    """What a cached plan depends on of an
+    :class:`~repro.engine.config.EngineConfig`: its
+    :class:`~repro.ablation.Ablation`, every plan and kernel switch by
+    construction.  The op counter, the observation hooks and the
+    view-maintenance route stay out."""
+    return config.ablation
 
 
 class CompiledBag:
@@ -51,8 +49,8 @@ class CompiledBag:
                  "passups", "generated", "chi", "width", "input_names",
                  "signature", "canonical_out")
 
-    def __init__(self, eval_order, out_attrs, base_inputs, passups,
-                 generated, chi=(), width=0.0, input_names=(),
+    def __init__(self, eval_order, out_attrs, base_inputs, passups=(),
+                 generated=None, chi=(), width=0.0, input_names=(),
                  signature=None, canonical_out=()):
         self.eval_order = tuple(eval_order)
         self.out_attrs = tuple(out_attrs)

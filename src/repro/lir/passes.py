@@ -37,6 +37,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+from ..ablation import Ablation
 from ..ghd.attribute_order import global_attribute_order
 from ..ghd.decompose import decompose
 from ..ghd.ghd import ghd_shape, replay_shape
@@ -92,17 +93,15 @@ class PassTrace:
 
 @dataclass
 class OptimizerOptions:
-    """The engine switches the optimizer consults.
+    """What the optimizer consults of an engine config.
 
     A plain value object so :mod:`repro.lir` never has to import
-    :mod:`repro.engine` (the layering check forbids it); the executor
-    builds one from its :class:`~repro.engine.config.EngineConfig`.
+    :mod:`repro.engine` (the layering check forbids it): the switches
+    are the config's own :class:`~repro.ablation.Ablation`, which lives
+    below both layers.
     """
 
-    push_selections: bool = True
-    use_ghd: bool = True
-    fold_constants: bool = True
-    prune_attributes: bool = True
+    ablation: Ablation = Ablation()
     tracer: Optional[object] = None
     metrics: Optional[object] = None
     #: ``{atom name: cardinality}`` overrides for GHD costing — user
@@ -117,15 +116,9 @@ class OptimizerOptions:
 
     @classmethod
     def from_config(cls, config):
-        """Duck-typed projection of an engine config (or anything with
-        the same attribute names)."""
-        return cls(
-            push_selections=getattr(config, "push_selections", True),
-            use_ghd=getattr(config, "use_ghd", True),
-            fold_constants=getattr(config, "fold_constants", True),
-            prune_attributes=getattr(config, "prune_attributes", True),
-            tracer=getattr(config, "tracer", None),
-            metrics=getattr(config, "metrics", None))
+        """The options of an :class:`~repro.engine.config.EngineConfig`."""
+        return cls(ablation=config.ablation, tracer=config.tracer,
+                   metrics=config.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +131,7 @@ class ConstantFoldingPass:
     name = "constant_folding"
 
     def enabled(self, options):
-        return options.fold_constants
+        return options.ablation.fold_constants
 
     def run(self, logical, options):
         del options
@@ -187,7 +180,7 @@ class AttributePruningPass:
     name = "attribute_pruning"
 
     def enabled(self, options):
-        return options.prune_attributes
+        return options.ablation.prune_attributes
 
     def run(self, logical, options):
         del options
@@ -301,8 +294,8 @@ class GHDChoicePass:
             ghd = decompose(
                 hypergraph, sizes=sizes, selected_vars=selected_vars,
                 selection_edges=selection_edges,
-                prefer_deep_selections=options.push_selections,
-                use_ghd=options.use_ghd, size_fallback=fallback)
+                prefer_deep_selections=options.ablation.push_selections,
+                use_ghd=options.ablation.use_ghd, size_fallback=fallback)
             details = ["width %.2f, %d bag(s)" % (ghd.width(),
                                                   ghd.n_nodes)]
             if logical.aggregate_mode \
@@ -344,7 +337,7 @@ def _ghd_memo_key(logical, atoms, sizes, selection_edges, options):
         tuple(int(sizes[i]).bit_length() for i in range(len(atoms))),
         frozenset(selection_edges),
         tuple(logical.head_vars), logical.aggregate_mode,
-        options.push_selections, options.use_ghd,
+        options.ablation.push_selections, options.ablation.use_ghd,
         tuple(sorted(overrides.items())))
 
 
@@ -368,7 +361,7 @@ class SelectionPushdownPass:
     name = "selection_pushdown"
 
     def enabled(self, options):
-        return options.push_selections
+        return options.ablation.push_selections
 
     def run(self, logical, options):
         del options

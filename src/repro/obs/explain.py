@@ -220,7 +220,7 @@ def render_explain_analyze(plan, stats, tracer, config, result=None,
                  % (plan.ghd.width(), plan.ghd.n_nodes,
                     list(plan.global_order)))
     for index, bag in enumerate(plan.bags):
-        _render_bag(lines, index, bag, simd=config.simd,
+        _render_bag(lines, index, bag, simd=config.ablation.simd,
                     rounds=plan.rounds)
     lines.append("top-down pass: %s"
                  % ("ran" if plan.used_top_down else "elided (App. B.2)"))

@@ -6,7 +6,6 @@ roster of intersection algorithms with a SIMD lane-op cost model, and the
 relation/set/block-level layout optimizers plus the oracle lower bound.
 """
 
-from .algebra import difference, union, union_many
 from .base import MAX_VALUE, SetLayout, as_sorted_uint32
 from .bitset import BLOCK_BITS, BitSet
 from .bitpacked import BitPackedSet
@@ -26,7 +25,6 @@ from .uint import UintSet
 from .variant import VariantSet
 
 __all__ = [
-    "difference", "union", "union_many",
     "MAX_VALUE", "SetLayout", "as_sorted_uint32",
     "BLOCK_BITS", "BitSet", "BitPackedSet", "BlockedSet",
     "GLOBAL_COUNTER", "OpCounter", "SIMD_REGISTER_BITS",

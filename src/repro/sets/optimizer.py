@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from ..ablation import LEVELS
 from .base import SetLayout
 from .bitset import BitSet
 from .blocked import BlockedSet
@@ -21,8 +22,6 @@ from .cost import OpCounter, SIMD_REGISTER_BITS
 from .intersect import UINT_ALGORITHMS, intersect
 from .uint import UintSet
 
-#: Names accepted for the ``level`` parameter of :func:`build_set`.
-LEVELS = ("relation", "set", "block", "uint_only", "bitset_only")
 
 
 def choose_set_layout(values, density_threshold=None):

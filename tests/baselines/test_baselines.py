@@ -114,7 +114,8 @@ class TestAnalyticsAgreement:
 class TestLogicBloxConfiguration:
     def test_locked_to_paper_description(self):
         lb = LogicBloxLike()
-        assert not lb.db.config.use_ghd
-        assert not lb.db.config.simd
-        assert lb.db.config.layout_level == "uint_only"
-        assert lb.db.config.adaptive_algorithms  # LFTJ min property
+        ablation = lb.db.config.ablation
+        assert not ablation.use_ghd
+        assert not ablation.simd
+        assert ablation.layout_level == "uint_only"
+        assert ablation.adaptive_algorithms  # LFTJ min property

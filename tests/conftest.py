@@ -32,7 +32,7 @@ def bag_inputs(db, atoms):
     specs, tries, inputs = [], [], []
     for name, variables, annotated in atoms:
         trie = db._trie_cache.get(db.catalog[name], (0, 1),
-                                  db.config.layout_level)
+                                  db.config.ablation.layout_level)
         specs.append(InputSpec(name, variables, annotated=annotated))
         tries.append(trie)
         inputs.append(BagInput(trie, variables, annotated=annotated,

@@ -109,11 +109,10 @@ class TestParityMatrix:
             assert compiled.query(QUERIES[0]).scalar == first
 
     def test_unknown_mode_rejected(self):
+        """At construction: no executor ever sees an unknown mode."""
         db = make_db("interpreted")
-        db.config = db.config.ablated(execution_mode="vectorized")
-        db._executor.config = db.config
-        with pytest.raises(ExecutionError):
-            db._executor.execute(parse_rule(QUERIES[1]))
+        with pytest.raises(ExecutionError, match="unknown execution_mode"):
+            db.config.ablated(execution_mode="vectorized")
 
 
 class TestPlanCache:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro import Database
-from repro.engine import EngineConfig, RuleExecutor, TrieCache
+from repro.engine import EngineConfig, TrieCache
 from repro.engine.executor import eval_expression
+from repro.engine.oracle import executor_for
 from repro.lir.build import normalize_atom
 from repro.errors import (ExecutionError, PlanError, UnknownRelationError)
 from repro.query import parse_rule
@@ -97,13 +98,13 @@ class TestExpressionEvaluation:
 
 class TestExecutorPaths:
     def test_head_var_unbound_rejected(self):
-        executor = RuleExecutor(catalog_with_edges([[0, 1]]),
+        executor = executor_for(catalog_with_edges([[0, 1]]),
                                 EngineConfig())
         with pytest.raises(PlanError):
             executor.execute(parse_rule("Q(q) :- E(x,y)."))
 
     def test_multiple_aggregates_rejected(self):
-        executor = RuleExecutor(catalog_with_edges([[0, 1]]),
+        executor = executor_for(catalog_with_edges([[0, 1]]),
                                 EngineConfig())
         rule = parse_rule(
             "Q(;w:int) :- E(x,y); w=<<SUM(x)>>+<<SUM(y)>>.")
@@ -111,13 +112,13 @@ class TestExecutorPaths:
             executor.execute(rule)
 
     def test_count_distinct_scalar(self):
-        executor = RuleExecutor(catalog_with_edges(
+        executor = executor_for(catalog_with_edges(
             [[0, 1], [0, 2], [1, 2]]), EngineConfig())
         rule = parse_rule("N(;w:int) :- E(x,y); w=<<COUNT(x)>>.")
         assert executor.execute(rule).scalar_value == 2.0  # x in {0, 1}
 
     def test_count_distinct_per_key(self):
-        executor = RuleExecutor(catalog_with_edges(
+        executor = executor_for(catalog_with_edges(
             [[0, 1], [0, 2], [1, 2]]), EngineConfig())
         rule = parse_rule("D(x;c:int) :- E(x,y); c=<<COUNT(y)>>.")
         out = executor.execute(rule)
@@ -126,7 +127,7 @@ class TestExecutorPaths:
         assert got == {0: 2.0, 1: 1.0}
 
     def test_count_distinct_of_head_var_rejected(self):
-        executor = RuleExecutor(catalog_with_edges([[0, 1]]),
+        executor = executor_for(catalog_with_edges([[0, 1]]),
                                 EngineConfig())
         rule = parse_rule("D(x;c:int) :- E(x,y); c=<<COUNT(x)>>.")
         with pytest.raises(PlanError):
@@ -136,19 +137,19 @@ class TestExecutorPaths:
         catalog = catalog_with_edges([[0, 1]])
         catalog["Flag"] = Relation("Flag", np.empty((0, 1),
                                                     dtype=np.uint32))
-        executor = RuleExecutor(catalog, EngineConfig())
+        executor = executor_for(catalog, EngineConfig())
         rule = parse_rule("Q(x,y) :- E(x,y),Flag(7).")
         assert executor.execute(rule).cardinality == 0
 
     def test_constant_expression_annotation(self):
-        executor = RuleExecutor(catalog_with_edges([[0, 1], [0, 2]]),
+        executor = executor_for(catalog_with_edges([[0, 1], [0, 2]]),
                                 EngineConfig())
         rule = parse_rule("B(y;d:int) :- E(x,y); d=1.")
         out = executor.execute(rule)
         assert out.annotations.tolist() == [1.0, 1.0]
 
     def test_last_plan_recorded(self):
-        executor = RuleExecutor(catalog_with_edges([[0, 1]]),
+        executor = executor_for(catalog_with_edges([[0, 1]]),
                                 EngineConfig())
         executor.execute(parse_rule("Q(x,y) :- E(x,y)."))
         assert "GHD" in executor.last_plan.describe()

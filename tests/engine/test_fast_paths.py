@@ -8,8 +8,8 @@ tests).
 
 import numpy as np
 
-from repro.engine import BagInput, EngineConfig, EXISTS, evaluate_bag
-from repro.engine.generic_join import BagEvaluator
+from repro.engine import BagInput, EngineConfig, EXISTS
+from repro.engine.generic_join import BagEvaluator, evaluate_bag
 from repro.storage import Relation, Trie
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.engine import (BagInput, EngineConfig, EXISTS, MIN, SUM,
-                          evaluate_bag)
+from repro.engine import BagInput, EngineConfig, EXISTS, MIN, SUM
+from repro.engine.generic_join import evaluate_bag
 from repro.errors import ExecutionError
 from repro.storage import Relation, Trie
 

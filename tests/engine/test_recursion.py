@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro import Database
-from repro.engine import EngineConfig, RuleExecutor, execute_recursive
+from repro.engine import EngineConfig, execute_recursive
 from repro.engine import fused
+from repro.engine.oracle import executor_for
 from repro.errors import PlanError
 from repro.query import parse_rule
 from repro.storage import Relation
 
 
 def executor_with(catalog):
-    return RuleExecutor(catalog, EngineConfig())
+    return executor_for(catalog, EngineConfig())
 
 
 class TestNaiveUnion:
@@ -149,7 +150,6 @@ class TestRecursionAcrossModes:
         "interpreted-bitset": dict(execution_mode="interpreted",
                                    layout_level="bitset_only"),
         "no-optimizer": dict(prune_attributes=False, fold_constants=False,
-                             cross_rule_cse=False,
                              eliminate_redundant_bags=False,
                              push_selections=False, skip_top_down=False),
         "no-ghd": dict(use_ghd=False),
@@ -906,7 +906,7 @@ class TestAccumulationRoutes:
 
         def run(mode):
             catalog = {"Edge": Relation("Edge", edges), base.name: base}
-            return execute_recursive(rule, RuleExecutor(
+            return execute_recursive(rule, executor_for(
                 catalog, EngineConfig(execution_mode=mode)))
         dense = self.routes(monkeypatch, run)
         if route == "dense":

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Database
-from repro.engine import EngineConfig, RuleExecutor
+from repro.engine import EngineConfig
+from repro.engine.oracle import executor_for
 from repro.engine.recursion import execute_recursive
 from repro.errors import ExecutionError
 from repro.query import parse_rule
@@ -21,7 +22,7 @@ class TestConvergenceGuards:
             "Grow": Relation("Grow", np.asarray([[0, 0]],
                                                 dtype=np.uint32)),
         }
-        executor = RuleExecutor(catalog, EngineConfig())
+        executor = executor_for(catalog, EngineConfig())
         rule = parse_rule("Grow(x,y)* :- Grow(x,z),Succ(z,y).")
         with pytest.raises(ExecutionError):
             execute_recursive(rule, executor, max_rounds=5)

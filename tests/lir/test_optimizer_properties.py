@@ -45,7 +45,7 @@ def snapshot(result):
 def test_rewrites_preserve_semantics(text):
     """Optimized output == output with every rewrite disabled."""
     baseline = make_db(prune_attributes=False, fold_constants=False,
-                       cross_rule_cse=False)
+                       eliminate_redundant_bags=False)
     optimized = make_db()
     assert snapshot(optimized.query(text)) == snapshot(baseline.query(text))
 
@@ -104,7 +104,7 @@ class TestCrossRuleCSE:
             == sorted(db.relation("B").decoded_tuples())
 
     def test_disabled_cse_takes_no_shortcuts(self):
-        db = make_db(cross_rule_cse=False)
+        db = make_db(eliminate_redundant_bags=False)
         metrics = db.enable_metrics()
         db.query(self.PROGRAM)
         assert metrics.counters.get("cse.bag_hits") is None \

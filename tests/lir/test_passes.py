@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.ablation import Ablation
 from repro.lir import OptimizerOptions, optimize_rule, plan_rule
 from repro.lir.passes import (REWRITE_PASSES, PassTrace, _default_size_warned,
                               _report_default_sizes, _run_phase)
@@ -44,7 +45,7 @@ class TestConstantFolding:
     def test_disabled_pass_recorded_in_trace(self):
         catalog = catalog_with_edges([[0, 1]])
         logical = optimize("Q(;w:long) :- E(x,y); w=1+2.", catalog,
-                           fold_constants=False)
+                           ablation=Ablation(fold_constants=False))
         assert isinstance(logical.assignment, BinOp)
         folding = [r for r in logical.trace.records
                    if r.name == "constant_folding"]
@@ -252,6 +253,21 @@ class TestLayeringChecker:
         assert len(violations) == 1
         assert "repro.lir.bad imports repro.engine" in violations[0]
 
+    def test_detects_engine_importing_the_oracle(self, tmp_path):
+        checker, _ = self.load_checker()
+        engine = tmp_path / "repro" / "engine"
+        engine.mkdir(parents=True)
+        (engine / "recursion.py").write_text(
+            "def late():\n    from .oracle import OracleExecutor\n")
+        (engine / "oracle.py").write_text(
+            "from .executor import RuleExecutor\n")
+        (tmp_path / "repro" / "api.py").write_text(
+            "from .engine.oracle import executor_for\n")
+        violations = checker.check(str(tmp_path))
+        assert len(violations) == 1
+        assert "repro.engine.recursion imports repro.engine.oracle" \
+            in violations[0]
+
     def test_detects_relative_escape(self, tmp_path):
         checker, _ = self.load_checker()
         package = tmp_path / "repro" / "lir"
@@ -286,7 +302,9 @@ class TestLayeringChecker:
                     "from repro.engine.generic_join import BagResult\n",
             generic_join="from .semiring import EXISTS\n",
             executor="from .generic_join import BagInput, BagResult, "
-                     "empty_bag_result, evaluate_bag\n")
+                     "empty_bag_result\n",
+            oracle="from .executor import RuleExecutor\n"
+                   "from .generic_join import BagInput, evaluate_bag\n")
         assert checker.check(tree) == []
 
     @pytest.mark.parametrize("module,text,what", [
@@ -301,6 +319,8 @@ class TestLayeringChecker:
          "generate_bag_plan"),
         ("executor", "from .generic_join import BagEvaluator\n",
          "BagEvaluator"),
+        ("executor", "from .generic_join import evaluate_bag\n",
+         "evaluate_bag"),
     ])
     def test_detects_kernel_and_oracle_sharing_code(self, tmp_path, module,
                                                     text, what):
@@ -313,21 +333,36 @@ class TestLayeringChecker:
         assert "oracle independence" in violations[0]
 
 
+    @pytest.mark.parametrize("module,text", [
+        ("__init__", "from .generic_join import BagInput, evaluate_bag\n"),
+        ("incremental", "from repro.engine import evaluate_bag\n"),
+        ("memo", "from . import oracle\n"),
+    ])
+    def test_detects_a_second_oracle_door(self, tmp_path, module, text):
+        checker, _ = self.load_checker()
+        violations = checker.check(
+            self.engine_tree(tmp_path, **{module: text}))
+        assert len(violations) == 1
+        assert "one oracle door" in violations[0]
+
+
 class TestValidationOrder:
     """Empty guards short-circuit before unbound-head errors (the old
     executor behaved this way; the split must preserve it)."""
 
     def test_empty_guard_beats_unbound_head(self):
-        from repro.engine import EngineConfig, RuleExecutor
+        from repro.engine import EngineConfig
+        from repro.engine.oracle import executor_for
         catalog = catalog_with_edges([[0, 1]])
-        executor = RuleExecutor(catalog, EngineConfig())
+        executor = executor_for(catalog, EngineConfig())
         out = executor.execute(parse_rule("Q(q) :- E(x,y),E(9,9)."))
         assert out.cardinality == 0
 
     def test_unbound_head_still_raises(self):
-        from repro.engine import EngineConfig, RuleExecutor
+        from repro.engine import EngineConfig
+        from repro.engine.oracle import executor_for
         from repro.errors import PlanError
         catalog = catalog_with_edges([[0, 1]])
-        executor = RuleExecutor(catalog, EngineConfig())
+        executor = executor_for(catalog, EngineConfig())
         with pytest.raises(PlanError):
             executor.execute(parse_rule("Q(q) :- E(x,y)."))

@@ -27,7 +27,7 @@ def fresh_db(**overrides):
 
 def test_rewrites_preserve_results():
     baseline = fresh_db(prune_attributes=False, fold_constants=False,
-                        cross_rule_cse=False)
+                        eliminate_redundant_bags=False)
     optimized = fresh_db()
     for text in (PRUNABLE_QUERY, CSE_PROGRAM, TRIANGLE_COUNT):
         expected = baseline.query(text)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.sets import (BitSet, BlockedSet, OpCounter, PShortSet, UintSet,
                         VariantSet, intersect)
-from repro.sets.algebra import difference, union
 
 
 def sets(a=(1, 2, 3, 300), b=(2, 3, 4, 300)):
@@ -46,17 +45,6 @@ def test_scalar_galloping_attribution():
     large = UintSet(range(0, 4000, 2))
     intersect(small, large, counter, simd=False)  # ratio >> 32
     assert "scalar_galloping" in counter.by_algorithm
-
-
-def test_union_difference_attribution():
-    a, b = sets()
-    counter = OpCounter()
-    union(UintSet(a), UintSet(b), counter)
-    difference(UintSet(a), UintSet(b), counter)
-    union(BitSet(a), BitSet(b), counter)
-    difference(BitSet(a), BitSet(b), counter)
-    for key in ("union", "difference", "bitset_or", "bitset_andnot"):
-        assert key in counter.by_algorithm, key
 
 
 def test_adaptive_dispatch_attribution_matches_choice():

@@ -66,7 +66,7 @@ class TestRoundTrip:
         db.load_graph("Edge", [(0, 1)])
         db.save(path)
         loaded = Database.load(path, layout_level="uint_only")
-        assert loaded.config.layout_level == "uint_only"
+        assert loaded.config.ablation.layout_level == "uint_only"
 
     def test_version_checked(self, path, tmp_path):
         import json

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import (Database, EngineConfig, QuerySyntaxError, SchemaError,
-                   UnknownRelationError)
+from repro import (Ablation, Database, EngineConfig, QuerySyntaxError,
+                   SchemaError, UnknownRelationError)
 from repro.graphs import chung_lu_graph
 
 
@@ -191,13 +191,13 @@ class TestColumnarDecode:
 class TestConfiguration:
     def test_keyword_overrides(self):
         db = Database(layout_level="uint_only", simd=False)
-        assert db.config.layout_level == "uint_only"
-        assert not db.config.simd
+        assert db.config.ablation.layout_level == "uint_only"
+        assert not db.config.ablation.simd
 
     def test_explicit_config(self):
-        config = EngineConfig(use_ghd=False)
+        config = EngineConfig(ablation=Ablation(use_ghd=False))
         db = Database(config=config)
-        assert not db.config.use_ghd
+        assert not db.config.ablation.use_ghd
 
     def test_default_ordering_scheme(self):
         db = Database(ordering="identity")

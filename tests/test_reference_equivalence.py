@@ -147,7 +147,6 @@ ENGINE_CONFIGS = {
                               layout_level="block"),
     "interpreted-no-simd": dict(execution_mode="interpreted", simd=False),
     "no-optimizer": dict(prune_attributes=False, fold_constants=False,
-                         cross_rule_cse=False,
                          eliminate_redundant_bags=False,
                          push_selections=False, skip_top_down=False),
     "no-ghd": dict(use_ghd=False),

@@ -25,10 +25,13 @@ while neither evaluates bags with the other's code.  So
   * ``fused`` and ``codegen`` may import from ``generic_join`` only the
     result types (``BagResult``, ``empty_bag_result``)
   * ``generic_join`` imports nothing from ``fused`` or ``codegen``
-  * ``executor``, which runs both engines, takes from ``generic_join``
-    the result types, the input wrapper (``BagInput``) and the
-    oracle's entry point (``evaluate_bag``), never ``BagEvaluator``:
-    the default engine reaches the interpreter through no other door
+  * ``executor``, the default engine and the Yannakakis driver both
+    engines run, takes from ``generic_join`` the result types and the
+    input wrapper (``BagInput``) only
+  * no ``repro.engine`` module but ``oracle`` itself imports
+    ``repro.engine.oracle`` (``Database`` constructs it), and no module
+    but ``oracle`` takes ``evaluate_bag``: the interpreter is entered
+    through one door
 
 Detection is by AST walk, so it sees ``import x``, ``from x import y``,
 and relative imports, including those nested inside functions.
@@ -73,8 +76,13 @@ ALLOWED_NAMES = {
     "repro.engine.generic_join": {"repro.engine.fused": frozenset(),
                                   "repro.engine.codegen": frozenset()},
     "repro.engine.executor": {"repro.engine.generic_join": _RESULT_TYPES
-                              | {"BagInput", "evaluate_bag"}},
+                              | {"BagInput"}},
 }
+
+#: The interpreted executor, and the one name of the interpreter only
+#: it may take.
+ORACLE = "repro.engine.oracle"
+ORACLE_ENTRY = "evaluate_bag"
 
 
 def module_name(path, src_root):
@@ -106,12 +114,15 @@ def imported_names(path, module):
     ``path``) imports; ``name`` is ``None`` for ``import x``."""
     with open(path) as handle:
         tree = ast.parse(handle.read(), filename=path)
+    # a package's own dot is the package: resolve from inside it
+    anchor = module + ".__init__" \
+        if os.path.basename(path) == "__init__.py" else module
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.extend((alias.name, None) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            source = resolve_relative(module, node.level,
+            source = resolve_relative(anchor, node.level,
                                       node.module or "") \
                 if node.level else node.module
             if source:
@@ -142,6 +153,31 @@ def name_violations(path, module):
     return violations
 
 
+def oracle_violations(path, module):
+    """Imports of ``module`` that reach the oracle by another door: an
+    engine module importing :data:`ORACLE`, or any module but the
+    oracle taking :data:`ORACLE_ENTRY` (modules :data:`ALLOWED_NAMES`
+    restricts on ``generic_join`` are reported there)."""
+    if module == ORACLE:
+        return []
+    in_engine = module == "repro.engine" \
+        or module.startswith("repro.engine.")
+    restricted = "repro.engine.generic_join" in ALLOWED_NAMES.get(module,
+                                                                  {})
+    violations = []
+    for source, name in imported_names(path, module):
+        if in_engine and ORACLE in (source, "%s.%s" % (source, name)):
+            violations.append(
+                "%s imports %s (one oracle door: no engine module "
+                "imports the oracle)" % (module, ORACLE))
+        elif name == ORACLE_ENTRY and not restricted and source in (
+                "repro.engine", "repro.engine.generic_join"):
+            violations.append(
+                "%s imports %s (one oracle door: only %s takes it)"
+                % (module, ORACLE_ENTRY, ORACLE))
+    return violations
+
+
 def check(src_root):
     """Return a list of violation strings for the tree at ``src_root``."""
     violations = []
@@ -152,6 +188,7 @@ def check(src_root):
             path = os.path.join(directory, filename)
             module = module_name(path, src_root)
             violations.extend(name_violations(path, module))
+            violations.extend(oracle_violations(path, module))
             rules = [banned for layer, banned in FORBIDDEN.items()
                      if module == layer or module.startswith(layer + ".")]
             if not rules:
@@ -202,9 +239,9 @@ def main(argv=None):
         return 1
     print("layering OK: repro.lir does not import repro.engine; "
           "repro.query does not import repro.lir; block kernels and "
-          "interpreter share result types only; the executor never "
-          "takes BagEvaluator; import repro.cli stays inside its import "
-          "budget")
+          "interpreter share result types only; only the oracle imports "
+          "evaluate_bag and no engine module imports the oracle; import "
+          "repro.cli stays inside its import budget")
     return 0
 
 
