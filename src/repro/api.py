@@ -322,8 +322,9 @@ class Database:
         relations it reads mark it stale, and the next :meth:`query` or
         :meth:`relation` call refreshes it — by semi-naive delta
         evaluation when the rule shape and mutation history allow it
-        (see :mod:`repro.engine.incremental`), by re-running the
-        program otherwise.  Returns the view's initial
+        and its predicted cost is below a rerun's (see
+        :mod:`repro.engine.incremental`), by re-running the program
+        otherwise.  Returns the view's initial
         :class:`Result`.
         """
         program = parse(query)
@@ -335,7 +336,12 @@ class Database:
                 "the last rule of a materialized view must define %r "
                 "(got %r)" % (name, rules[-1].head_name))
         view = MaterializedView(name, query, rules)
+        # other views refresh first, so the counter charges this run
+        # alone: the rerun cost the view's refresh routing starts from
+        refresh_stale_views(self)
+        before = self.config.counter.total_ops
         result = self.query(query)
+        view.full_ops = self.config.counter.total_ops - before
         view.capture(self.catalog)
         self._views[name] = view
         return result

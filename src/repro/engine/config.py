@@ -189,7 +189,10 @@ def enumerate_mutation_matrix():
     incremental maintenance interacts with: the interpreted oracle vs
     the default engine (versioned plan guards), and
     ``incremental_views=False`` (the full-recompute route as its own
-    differential axis).
+    differential axis).  ``forced-delta`` is the default engine, which
+    the fuzz runner executes with every refresh the delta route can
+    take routed to it whatever its predicted cost: the fuzzer's
+    relations are far too small for the cost routing to choose it.
     """
     def cfg(**overrides):
         return EngineConfig().ablated(**overrides)
@@ -199,4 +202,5 @@ def enumerate_mutation_matrix():
         ("default", cfg(execution_mode="compiled")),
         ("full-recompute", cfg(execution_mode="interpreted",
                                incremental_views=False)),
+        ("forced-delta", cfg(execution_mode="compiled")),
     ]

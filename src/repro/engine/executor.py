@@ -395,8 +395,12 @@ class RuleExecutor:
         variable renaming, so alpha-renamed queries share one entry)
         plus the config's :class:`~repro.ablation.Ablation`, and
         revalidates by relation identity, so a repeated query skips GHD
-        search and bag lowering entirely.  A recursion round after the
-        first skips even that (:class:`RoundPlan`).
+        search and bag lowering entirely.  A rule object executed
+        before skips the optimizer too: its key is pinned to it
+        (:class:`~repro.engine.plan_cache.RulePin`), and the optimizer
+        runs again only when the pin or the entry it leads to no longer
+        holds (:meth:`_pinned`).  A recursion round after the first
+        skips even the rule-tier probe (:class:`RoundPlan`).
         """
         if stats is None:
             stats = ExecStats(execution_mode="compiled")
@@ -408,21 +412,16 @@ class RuleExecutor:
         # trie-cache traffic of the whole execution: tries are built
         # when a rule compiles or re-binds its head, not when it runs
         marks = (self.cache.hits, self.cache.misses)
-        logical = optimize_rule(rule, self.catalog, self._options())
-        self.last_logical = logical
-        key = (logical.cache_key(), config_signature(self.config))
-        with maybe_span(self.config.tracer, "plan_cache.lookup",
-                        "cache") as span:
-            compiled = self.plans.get_rule(key, self.catalog,
-                                           self._rebind)
-            if span is not None:
-                span.args["hit"] = compiled is not None
-        tier = "miss" if compiled is None else "hit"
+        compiled = self._pinned(rule)
+        tier = "hit"
         if compiled is None:
-            stats.plan_cache_misses += 1
-            compiled = self.compile_rule(logical, stats)
-            self.plans.put_rule(key, compiled)
-        else:
+            # a round body is a new rule object per recursion, whose
+            # later rounds the RoundPlan serves: pinning it would only
+            # push live pins out
+            compiled, tier = self._optimized(rule, stats,
+                                             pin=rounds is None)
+        self.last_logical = compiled.logical
+        if tier == "hit":
             stats.plan_cache_hits += 1
         metrics = self.config.metrics
         if metrics is not None:
@@ -436,6 +435,49 @@ class RuleExecutor:
         if rounds is not None:
             self._pin_round(rounds, compiled)
         return result
+
+    def _pinned(self, rule):
+        """The compiled rule ``rule``'s pin leads to, or ``None``.
+
+        A warm execution costs one rule-tier probe: the optimizer
+        already mapped this rule object to its key.  ``None`` when
+        there is no pin, it no longer holds (another config signature,
+        a grown constant dictionary), or the rule tier no longer has a
+        valid entry under it (evicted, or :meth:`_rebind` refused it).
+        """
+        pin = self.plans.get_pin(rule)
+        if pin is None or not pin.holds(config_signature(self.config)):
+            return None
+        return self._lookup(pin.key)
+
+    def _optimized(self, rule, stats, pin=True):
+        """``(compiled, tier)`` the slow way: optimize ``rule``, probe
+        the rule tier under its key, compile on a miss, and (``pin``)
+        pin the key to the rule object."""
+        logical = optimize_rule(rule, self.catalog, self._options())
+        key = (logical.cache_key(), config_signature(self.config))
+        compiled = self._lookup(key)
+        tier = "hit"
+        if compiled is None:
+            tier = "miss"
+            stats.plan_cache_misses += 1
+            compiled = self.compile_rule(logical, stats)
+            self.plans.put_rule(key, compiled)
+        if pin:
+            self.plans.put_pin(rule, key, [
+                dictionary for atom in logical.atoms + logical.guard_atoms
+                for dictionary in atom.constant_dictionaries()])
+        return compiled, tier
+
+    def _lookup(self, key):
+        """Probe the rule tier (re-binding a stale entry when it can)."""
+        with maybe_span(self.config.tracer, "plan_cache.lookup",
+                        "cache") as span:
+            compiled = self.plans.get_rule(key, self.catalog,
+                                           self._rebind)
+            if span is not None:
+                span.args["hit"] = compiled is not None
+        return compiled
 
     def _pin_round(self, rounds, compiled):
         """Pin ``compiled`` for a recursion's later rounds when its head

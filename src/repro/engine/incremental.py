@@ -37,6 +37,16 @@ dependency was replaced wholesale or saw deletes/annotation rewrites,
 when the journal was trimmed by a delta-store merge, or when
 ``EngineConfig.incremental_views`` is off.  Both routes produce
 identical results — the mutation fuzzer checks them differentially.
+
+**Routing.**  Where both routes are open, the cheaper one by
+prediction runs (:func:`delta_pays`).  Every execution pays a fixed
+cost whatever its join work (:data:`EXECUTION_OVERHEAD`, in lane-op
+units), and the delta route pays it once per term: a triangle count
+over a few thousand edges costs less to re-run once than to evaluate
+as seven small terms.  A term's join work is predicted from the
+view's last full run, scaled by the fraction of each Δ-substituted
+relation the journal holds; nothing reads a clock, so the same
+catalog and journal always take the same route.
 """
 
 import itertools
@@ -54,6 +64,24 @@ DELTA_PREFIX = "__delta__"
 #: Ceiling on Δ-substituted body positions for the SUM/COUNT
 #: inclusion–exclusion expansion (2^n - 1 terms).
 MAX_DELTA_POSITIONS = 3
+
+#: The fixed cost of one rule execution, in lane ops: what a warm run
+#: of a compiled rule costs beyond its join work (the rule-tier probe,
+#: trie fetches, the Yannakakis walk, finalization), plus a Δ-term's
+#: share of the refresh around it.  On ``serve_mixed``'s graph (CLI
+#: loader, 2 000 rows, default engine, both benchmark seeds, median of
+#: 60 append-refresh cycles each, a 2-core Xeon VM) a refresh that
+#: re-runs the triangle count ``T`` takes 570-580 us for 4 175-4 192
+#: lane ops, and one forced through its seven Δ-terms 1 240 us for
+#: 690-712; solved for a cost per execution and one per lane op that
+#: is 167 us and 96-99 ns, so an execution weighs about 1 700 lane
+#: ops.  ``T`` then predicts
+#: seven terms at ~12 000 against a rerun at ~5 900 and re-runs; at
+#: 7 000 rows the rerun's own join work (36 000 lane ops on the default
+#: engine, 54 000 on the interpreter) outweighs six executions and the
+#: delta route is kept.  A constant, not a setting: the routing reads
+#: it on every refresh.
+EXECUTION_OVERHEAD = 1700
 
 
 def _delta_capable(rules):
@@ -101,6 +129,28 @@ class MaterializedView:
         self.delta_capable = _delta_capable(self.rules)
         self.refreshes = 0
         self.delta_refreshes = 0
+        #: Lane ops the view's latest full run charged: the rerun's
+        #: predicted cost, and the scale of every term's.
+        self.full_ops = 0
+        self._terms = {}
+        if self.delta_capable:
+            # every dependency mutated: the term set of a view over one
+            # relation, built now so each term rule is one object for
+            # the executor to pin its plan to
+            self.terms(tuple(index for index, atom
+                             in enumerate(self.rules[0].body)
+                             if atom.name in self.deps))
+
+    def terms(self, positions):
+        """``(subset, sign, term rule)`` of every Δ-term when the atoms
+        at ``positions`` read mutated relations, or ``None`` when there
+        are too many for inclusion–exclusion.  Built once per position
+        set: the same rule objects run on every refresh."""
+        terms = self._terms.get(positions)
+        if terms is None and positions not in self._terms:
+            terms = self._terms[positions] = _terms(self.rules[0],
+                                                    positions)
+        return terms
 
     def capture(self, catalog):
         """Snapshot dependency identities/versions after a refresh."""
@@ -143,28 +193,45 @@ def refresh_stale_views(db):
 
 
 def refresh_view(db, view):
-    """Bring one stale view up to date (delta route when possible)."""
+    """Bring one stale view up to date: the delta route when it is open
+    and predicted cheaper, else a full re-run."""
     view.refreshes += 1
     view.stale = False
-    if db.config.incremental_views and view.delta_capable:
-        if _delta_refresh(db, view):
-            view.delta_refreshes += 1
-            view.capture(db.catalog)
-            return
-    db._query_plain(view.text)
+    if db.config.incremental_views and view.delta_capable \
+            and _delta_refresh(db, view):
+        view.delta_refreshes += 1
+    else:
+        _rerun(db, view)
     view.capture(db.catalog)
+
+
+def _rerun(db, view):
+    """Run the view's defining program, recording its lane ops."""
+    counter = db.config.counter
+    before = counter.total_ops
+    db._query_plain(view.text)
+    view.full_ops = counter.total_ops - before
+
+
+def delta_pays(full_ops, term_ops):
+    """Whether Δ-terms predicted at ``term_ops`` lane ops each cost less
+    than a rerun of the view's last full run (``full_ops``), with
+    :data:`EXECUTION_OVERHEAD` charged per execution."""
+    return sum(term_ops) + len(term_ops) * EXECUTION_OVERHEAD \
+        < full_ops + EXECUTION_OVERHEAD
 
 
 # -- the delta route ---------------------------------------------------------
 
 
-def _pure_insert_deltas(db, view):
-    """Per-dependency Δ relations, or ``None`` to force the full route.
+def _pure_insert_journal(db, view):
+    """Per-dependency journal entries since the snapshot, or ``None``
+    to force the full route.
 
     Valid only when every mutated dependency kept its identity and its
     journal reaches back to the snapshot with insert-only entries.
     """
-    deltas = {}
+    journal = {}
     for name in view.deps:
         relation = db.catalog.get(name)
         recorded = view.dep_versions.get(name)
@@ -180,18 +247,43 @@ def _pure_insert_deltas(db, view):
             else delta.pure_inserts_since(version)
         if not entries:
             return None  # trimmed journal, deletes, or rewrites
-        rows = np.concatenate([entry.data for entry in entries])
-        anns = None
-        if relation.annotations is not None:
-            anns = np.concatenate([entry.annotations
-                                   for entry in entries])
-        delta_relation = Relation(DELTA_PREFIX + name, rows, anns,
-                                  relation.dictionaries)
-        attr_names = getattr(relation, "attr_names", None)
-        if attr_names is not None:
-            delta_relation.attr_names = attr_names
-        deltas[name] = delta_relation
-    return deltas
+        journal[name] = entries
+    return journal
+
+
+def _delta_relation(name, relation, entries):
+    """The journal's inserted rows as the Δ relation of catalog
+    relation ``name``, shaped like it."""
+    rows = np.concatenate([entry.data for entry in entries])
+    anns = None
+    if relation.annotations is not None:
+        anns = np.concatenate([entry.annotations for entry in entries])
+    delta_relation = Relation(DELTA_PREFIX + name, rows, anns,
+                              relation.dictionaries)
+    attr_names = getattr(relation, "attr_names", None)
+    if attr_names is not None:
+        delta_relation.attr_names = attr_names
+    return delta_relation
+
+
+def _terms(rule, positions):
+    """The signed Δ-terms over ``positions`` (see :meth:`
+    MaterializedView.terms`)."""
+    op = rule.assignment.op if isinstance(rule.assignment, Agg) else None
+    if op in ("SUM", "COUNT"):
+        if len(positions) > MAX_DELTA_POSITIONS:
+            return None
+        subsets = [
+            (frozenset(subset), -1.0 if (size % 2) == 0 else 1.0)
+            for size in range(1, len(positions) + 1)
+            for subset in itertools.combinations(positions, size)
+        ]
+    else:
+        # Idempotent combines: singleton terms cover every new
+        # derivation, overcounting is harmless.
+        subsets = [(frozenset([p]), 1.0) for p in positions]
+    return [(subset, sign, _term_rule(rule, subset))
+            for subset, sign in subsets]
 
 
 def _term_rule(rule, positions_in_delta):
@@ -204,42 +296,49 @@ def _term_rule(rule, positions_in_delta):
                       body=body, recursive=False, iterations=None)
 
 
+def _term_ops(view, rule, subset, fractions):
+    """A term's predicted lane ops: the last full run's, scaled by the
+    fraction of its relation each Δ-substituted atom reads."""
+    ops = float(view.full_ops)
+    for index in subset:
+        ops *= fractions[rule.body[index].name]
+    return ops
+
+
 def _delta_refresh(db, view):
-    """Try the delta route; ``True`` on success, ``False`` to fall back."""
+    """Take the delta route; ``True`` on success, ``False`` when it is
+    closed or predicted dearer than a rerun."""
     rule = view.rules[0]
     old = db.catalog.get(view.name)
     if old is None:
         return False
-    deltas = _pure_insert_deltas(db, view)
-    if deltas is None:
+    journal = _pure_insert_journal(db, view)
+    if journal is None:
         return False
-    positions = [index for index, atom in enumerate(rule.body)
-                 if atom.name in deltas]
+    positions = tuple(index for index, atom in enumerate(rule.body)
+                      if atom.name in journal)
     if not positions:
         return True  # spuriously stale — nothing actually changed
-    op = rule.assignment.op if isinstance(rule.assignment, Agg) else None
-    additive = op in ("SUM", "COUNT")
-    if additive and len(positions) > MAX_DELTA_POSITIONS:
+    terms = view.terms(positions)
+    if terms is None:
         return False
-    if additive:
-        subsets = [
-            (frozenset(subset), -1.0 if (size % 2) == 0 else 1.0)
-            for size in range(1, len(positions) + 1)
-            for subset in itertools.combinations(positions, size)
-        ]
-    else:
-        # Idempotent combines: singleton terms cover every new
-        # derivation, overcounting is harmless.
-        subsets = [(frozenset([p]), 1.0) for p in positions]
+    fractions = {
+        name: sum(entry.data.shape[0] for entry in entries)
+        / max(db.catalog[name].cardinality, 1)
+        for name, entries in journal.items()}
+    if not delta_pays(view.full_ops,
+                      [_term_ops(view, rule, subset, fractions)
+                       for subset, _, _ in terms]):
+        return False
     installed = []
     try:
-        for name, delta_relation in deltas.items():
-            db.catalog[DELTA_PREFIX + name] = delta_relation
+        for name, entries in journal.items():
+            delta_relation = _delta_relation(name, db.catalog[name],
+                                             entries)
+            db.catalog[delta_relation.name] = delta_relation
             installed.append(delta_relation)
-        signed_terms = []
-        for subset, sign in subsets:
-            result = db._executor.execute(_term_rule(rule, subset))
-            signed_terms.append((sign, result))
+        signed_terms = [(sign, db._executor.execute(term_rule))
+                        for _, sign, term_rule in terms]
     finally:
         for delta_relation in installed:
             db.catalog.pop(delta_relation.name, None)

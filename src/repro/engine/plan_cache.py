@@ -6,6 +6,11 @@ make a repeated query's cost approach the pure join work:
 
 * **program tier** — query text → parsed rule ASTs, so a repeated
   ``Database.query`` call skips the parser entirely;
+* **pins** — parsed rule object → the rule-tier key its last
+  optimization produced (:class:`RulePin`), so a warm execution of the
+  same rule object (a program-tier rule, a materialized view's
+  Δ-term) goes straight to the rule tier without re-running the
+  optimizer;
 * **rule tier** — rule text → :class:`CompiledRule` (GHD choice, global
   order, per-bag block kernels, baked base tries), guarded by
   catalog relation *identity* and *version* so replacing a relation
@@ -136,12 +141,45 @@ class CompiledRule:
         return not self.stale_guards(catalog)
 
 
+class RulePin:
+    """The rule-tier key a rule object optimized to, pinned to the
+    object.
+
+    What the optimizer's key depends on besides the rule itself is the
+    config's :func:`config_signature`, name resolution (which the rule
+    tier's guards check) and the encoding of the rule's constants: a
+    constant absent from its column's dictionary encodes as an empty
+    selection, and becomes present when the dictionary grows.  So the
+    pin records the signature and the size of every dictionary a
+    constant of the rule was encoded through, and holds while both
+    stand.  ``rule`` keeps the pinned object alive, so no other object
+    can take its ``id``; rules are never changed in place (a derived
+    rule is a :func:`~repro.query.ast.clone_rule` copy).
+    """
+
+    __slots__ = ("rule", "key", "dictionaries")
+
+    def __init__(self, rule, key, dictionaries=()):
+        self.rule = rule
+        self.key = key
+        self.dictionaries = tuple((dictionary, len(dictionary))
+                                  for dictionary in dictionaries)
+
+    def holds(self, signature):
+        """Whether the pinned key is still the one the optimizer would
+        produce under ``signature``."""
+        return self.key[1] == signature and all(
+            len(dictionary) == size for dictionary, size in self.dictionaries)
+
+
 class PlanCache:
-    """Three-tier cache: programs, compiled rules, bag kernels."""
+    """Three-tier cache (programs, compiled rules, bag kernels) plus
+    the rule pins that lead into the rule tier."""
 
     def __init__(self, max_entries=MAX_ENTRIES):
         self.max_entries = max_entries
         self._programs = {}
+        self._pins = {}
         self._rules = {}
         self._bag_code = {}
         #: Called with every :class:`CompiledRule` leaving the rule
@@ -158,6 +196,20 @@ class PlanCache:
     def put_program(self, key, rules):
         self._evict(self._programs)
         self._programs[key] = rules
+
+    # -- pins ---------------------------------------------------------------
+
+    def get_pin(self, rule):
+        """The :class:`RulePin` of this very rule object, or ``None``."""
+        pin = self._pins.get(id(rule))
+        return pin if pin is not None and pin.rule is rule else None
+
+    def put_pin(self, rule, key, dictionaries=()):
+        """Pin ``key`` (and the constant dictionaries' sizes) to
+        ``rule``."""
+        if id(rule) not in self._pins:
+            self._evict(self._pins)
+        self._pins[id(rule)] = RulePin(rule, key, dictionaries)
 
     # -- rule tier ----------------------------------------------------------
 
@@ -211,6 +263,7 @@ class PlanCache:
 
     def clear(self):
         self._programs.clear()
+        self._pins.clear()
         for key in list(self._rules):
             self.evict_rule(key)
         self._bag_code.clear()

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..api import Database
-from ..engine import fused
+from ..engine import fused, incremental
 from ..engine.config import (enumerate_config_matrix,
                              enumerate_mutation_matrix)
 from ..errors import EmptyHeadedError
@@ -36,21 +36,31 @@ from .oracle import OracleError, evaluate_case
 WARM_LABELS = ("interp", "default")
 
 
+#: What a forcing label overrides while its executions run:
+#: ``small-blocks`` cuts kernel blocks of five candidate rows (every
+#: level cut into many slices, rows split mid-fan-out) and sweeps at
+#: any skew; ``forced-delta`` sends every refresh the delta route can
+#: take down it, whatever the cost routing predicts.
+_FORCED = {
+    "small-blocks": (fused, {"BLOCK_ROWS": 5, "PROBE_CROSSOVER": 1.0}),
+    "forced-delta": (incremental,
+                     {"delta_pays": lambda full_ops, term_ops: True}),
+}
+
+
 @contextmanager
-def _kernel_constants(label):
-    """Run ``label``'s executions under its kernel constants.  The
-    ``small-blocks`` row cuts blocks of five candidate rows (every
-    level cut into many slices, rows split mid-fan-out) and sweeps at
-    any skew; the constants are restored afterwards."""
-    if label != "small-blocks":
-        yield
-        return
-    saved = fused.BLOCK_ROWS, fused.PROBE_CROSSOVER
-    fused.BLOCK_ROWS, fused.PROBE_CROSSOVER = 5, 1.0
+def _forced(label):
+    """Run ``label``'s executions under its overrides (:data:`_FORCED`,
+    none for most labels); the originals are restored afterwards."""
+    module, overrides = _FORCED.get(label, (None, {}))
+    saved = {name: getattr(module, name) for name in overrides}
+    for name, value in overrides.items():
+        setattr(module, name, value)
     try:
         yield
     finally:
-        fused.BLOCK_ROWS, fused.PROBE_CROSSOVER = saved
+        for name, value in saved.items():
+            setattr(module, name, value)
 
 
 @dataclass
@@ -264,7 +274,7 @@ def run_case(case, matrix=None, check_oracle=True, check_reference=True,
     outcomes = []
     for label, config in matrix:
         try:
-            with _kernel_constants(label):
+            with _forced(label):
                 db = _load_case(case, config)
                 outcomes.append((label, _run_engine(case, db)))
                 if label in WARM_LABELS and outcomes[-1][1][0] == "ok":
@@ -500,7 +510,8 @@ def run_mutation_case(case, matrix=None, metrics=None):
                            % (type(error).__name__, error), case)
     for label, config in matrix:
         try:
-            outcomes = _run_mutation_ops(case, config)
+            with _forced(label):
+                outcomes = _run_mutation_ops(case, config)
         except Exception as error:  # noqa: BLE001 - crash = finding
             if metrics is not None:
                 metrics.inc("fuzz.crashes")
@@ -609,11 +620,13 @@ def run_serve_case(case, matrix=None, metrics=None):
         matrix = enumerate_mutation_matrix()
     for label, config in matrix:
         try:
-            direct = _run_mutation_ops(case, config)
+            with _forced(label):
+                direct = _run_mutation_ops(case, config)
         except Exception:  # noqa: BLE001 - the mutation fuzzer's find
             return None
         try:
-            served = _serve_mutation_ops(case, config)
+            with _forced(label):
+                served = _serve_mutation_ops(case, config)
         except Exception as error:  # noqa: BLE001 - crash = finding
             if metrics is not None:
                 metrics.inc("fuzz.crashes")

@@ -117,6 +117,16 @@ class LogicalAtom:
         derived.derived_from = (source, self.sig_name)
         return derived
 
+    def constant_dictionaries(self):
+        """The source's column dictionaries this atom's constants were
+        encoded through: while none of them grows, every constant
+        encodes as it did."""
+        dictionaries = self.source.dictionaries
+        if dictionaries is None:
+            return ()
+        return tuple(dictionaries[position] for position, _ in self._filters
+                     if dictionaries[position] is not None)
+
     def rebind(self, source):
         """Point this atom at ``source`` and drop its cut slice: a
         selection-free atom takes a replacement of its source with the

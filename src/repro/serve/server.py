@@ -5,12 +5,13 @@ serves the :mod:`repro.serve.protocol` over TCP.  Design:
 
 **Single-writer execution.**  ``Database`` is not thread-safe (even a
 read query installs intermediate heads into the catalog), so every
-admitted op — queries, mutations, relation fetches — runs on a
-one-thread executor in **admission order**.  That FIFO is the whole
+admitted op — queries, mutations, relation fetches — runs on one
+worker thread in **admission order** (:class:`_Worker`: a bare thread
+draining a ``queue.SimpleQueue``).  That FIFO is the whole
 consistency story: a query admitted before a mutation executes before
 it and sees the pre-mutation catalog; a query admitted after it sees
 the post-mutation catalog.  The event loop never touches the database
-except through the pool.
+except through the worker.
 
 **Admission control.**  At most ``max_inflight`` requests hold a slot
 (admitted, response not yet sent).  Excess requests are rejected
@@ -65,6 +66,7 @@ schema-valid record on the event loop (the hub is thread-safe).
 import asyncio
 import concurrent.futures
 import os
+import queue
 import sys
 import threading
 import time
@@ -139,7 +141,10 @@ class QueryService:
         #: op that can change name resolution or dictionary encodings
         #: (an append only when it grew a dictionary).
         self._identity_epoch = 0
-        self._identity_memo = {}  # text -> (identity_epoch, identity)
+        #: ``text -> [identity_epoch, identity, hit record fields]``;
+        #: the fields (a cache hit's query-log record less what each
+        #: hit stamps) are filled in by the first hit.
+        self._identity_memo = {}
         #: ``{relation name: {token: count}}`` of admitted-but-
         #: unfinished ops that will mutate or install the relation.
         #: Mutations mark with :data:`_MUTATION`; query executions mark
@@ -160,8 +165,7 @@ class QueryService:
         self.timeouts = 0
         self._counters = {}  # series -> (registry dict, Counter)
         self.started = time.time()
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve")
+        self._worker = _Worker()
         self._loop = None
         self._server = None
         self._stopped = None
@@ -202,6 +206,8 @@ class QueryService:
                             self._shutdown(reason)))
             await self._main()
         asyncio.run(runner())
+        # what the drain left running finishes before the process exits
+        self._worker.join()
 
     def start(self):
         """Run the daemon on a background thread; returns ``self`` once
@@ -254,7 +260,7 @@ class QueryService:
             pass
         if self.hub is not None and not self.hub.closed:
             self.hub.close(dump_reason=reason)
-        self._pool.shutdown(wait=False)
+        self._worker.shutdown()
         self._stopped.set()
 
     # -- connection handling ------------------------------------------------
@@ -431,7 +437,8 @@ class QueryService:
 
     async def _run_on_worker(self, worker, timeout, base,
                              pending_marks=(), pending_global=False):
-        """Dispatch ``worker`` to the executor; await with ``timeout``.
+        """Dispatch ``worker`` to the worker thread; await with
+        ``timeout``.
 
         ``pending_marks`` is a tuple of ``(relation name, token)``
         pairs taken *now* (admission) and released by :meth:`_finish`
@@ -472,7 +479,7 @@ class QueryService:
                 loop.call_soon_threadsafe(settle, reply, error)
             except RuntimeError:  # pragma: no cover - loop closed
                 pass  # post-drain zombie; nothing left to account for
-        queued = self._pool.submit(job)
+        claim = self._worker.submit(job)
         try:
             reply = await asyncio.wait_for(done, timeout)
         except asyncio.TimeoutError:
@@ -488,7 +495,7 @@ class QueryService:
                         error="%s: %s" % (type(error).__name__, error),
                         error_class=type(error).__name__)
         finally:
-            if done.cancelled() and queued.cancel():
+            if done.cancelled() and claim.acquire(blocking=False):
                 # Never started: it applies no effects, but its marks
                 # and its outstanding count are released.
                 self._finish(None, marks, pending_global)
@@ -650,7 +657,7 @@ class QueryService:
         entry, if any, recording the hit in the query log."""
         if len(self._identity_memo) > 4 * self.cache.capacity:
             self._identity_memo.clear()
-        self._identity_memo[text] = (self._identity_epoch, identity)
+        self._identity_memo[text] = [self._identity_epoch, identity, None]
         if identity is None or skip_lookup:
             return None
         entry = self.cache.lookup(identity[0], self._epochs)
@@ -708,19 +715,38 @@ class QueryService:
 
     def _record_cache_hit(self, text, key, entry, elapsed):
         """Synthesize a schema-valid query-log record for a hit served
-        straight off the event loop (no execution, no plan cache)."""
+        straight off the event loop (no execution, no plan cache).
+        What every hit of ``text`` shares is built once, on its
+        identity memo entry; a hit stamps its id, time, elapsed time
+        and row count."""
         hub = self.hub
         if hub is None:
             return
+        memo = self._identity_memo.get(text)
+        fields = memo[2] if memo is not None else None
+        if fields is None:
+            fields = self._hit_fields(text, key)
+            if memo is not None:
+                memo[2] = fields
+        record = dict(fields)
+        record["query_id"] = hub.next_query_id()
+        record["ts"] = time.time()
+        record["elapsed_seconds"] = elapsed
+        record["rows"] = entry["rows"]
+        hub.record_query(record)
+
+    def _hit_fields(self, text, key):
+        """The query-log record of a hit on ``text``, in schema order,
+        with the per-hit fields left to stamp."""
         signature = config_signature(self.db.config)
         digest = self.db._signature_memo.get(signature)
         if digest is None:
             digest = self.db._signature_memo[signature] = \
                 key_digest(signature)
-        record = {
+        return {
             "schema_version": QUERY_LOG_VERSION,
-            "query_id": hub.next_query_id(),
-            "ts": time.time(),
+            "query_id": None,
+            "ts": None,
             "pid": os.getpid(),
             "status": "ok",
             "text_sha": text_digest(text),
@@ -728,15 +754,14 @@ class QueryService:
             "execution_mode": self.db.config.execution_mode,
             "config_signature": digest,
             "cache_key": key,
-            "elapsed_seconds": elapsed,
-            "rows": entry["rows"],
+            "elapsed_seconds": None,
+            "rows": None,
             # No plan_cache field: a served hit never touches the plan
             # cache, and inventing a sentinel tier would pollute the
             # telemetry.plan_cache counter series.
             "result_cache": "hit",
             "queue_seconds": 0.0,
         }
-        hub.record_query(record)
 
     # -- mutation / catalog ops ----------------------------------------------
 
@@ -856,6 +881,51 @@ class QueryService:
                     "elapsed_seconds": time.perf_counter() - start,
                     "result": payload}
         return run
+
+
+class _Worker:
+    """The one thread every admitted op runs on, in submission order.
+
+    Each job comes with a *claim*: a lock that the worker takes before
+    it runs the job, and that the event loop takes instead to withdraw
+    a job whose request timed out while queued — whoever takes it
+    first decides, so a withdrawn job never runs and a started one is
+    never withdrawn.  Started on first use; :meth:`shutdown` lets the
+    queued jobs finish and then ends the thread.  A daemon thread, so
+    a service never stopped does not keep its process alive.
+    """
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._thread = None
+
+    def submit(self, job):
+        """Queue ``job``; returns its claim."""
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._drain,
+                                            name="repro-serve",
+                                            daemon=True)
+            self._thread.start()
+        claim = threading.Lock()
+        self._jobs.put((job, claim))
+        return claim
+
+    def _drain(self):
+        while True:
+            job, claim = self._jobs.get()
+            if job is None:
+                return
+            if claim.acquire(blocking=False):
+                job()
+
+    def shutdown(self):
+        """End the thread once the jobs queued before this have run."""
+        self._jobs.put((None, None))
+
+    def join(self, timeout=None):
+        """Wait for the thread to end (after :meth:`shutdown`)."""
+        if self._thread is not None:
+            self._thread.join(timeout)
 
 
 def _dictionary_sizes(db, name):

@@ -7,9 +7,11 @@ enforces at scale — and additionally asserts *which* refresh route ran
 fall-back to full recomputation fails the test that expected a delta.
 """
 
+import numpy as np
 import pytest
 
 from repro import Database
+from repro.engine import incremental
 from repro.errors import SchemaError
 from repro.fuzz.runner import _normalize_relation
 
@@ -63,6 +65,15 @@ class TestMaterializeApi:
 
 
 class TestDeltaRoute:
+    @pytest.fixture(autouse=True)
+    def delta_route(self, monkeypatch):
+        """These toy views cost less to re-run than to refresh term by
+        term, so the cost routing would re-run most of them; what is
+        checked here is the delta route's answers, so it is forced
+        (as the fuzzer's ``forced-delta`` row forces it)."""
+        monkeypatch.setattr(incremental, "delta_pays",
+                            lambda full_ops, term_ops: True)
+
     def test_count_star_append_takes_delta_route(self):
         db = Database()
         db.add_relation("Edge", EDGES)
@@ -128,6 +139,65 @@ class TestDeltaRoute:
             {"Edge": (EDGES + [(2, 0)], None)}, [TRIANGLES], "T",
             execution_mode="compiled")
         assert db.views["T"].delta_refreshes == 1
+
+
+def random_edges(nodes, edges, seed, undirected=False):
+    """``edges`` distinct random pairs of distinct nodes below ``nodes``
+    (and their reverses when ``undirected``)."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, nodes, size=(edges * 2, 2))
+    raw = np.unique(raw[raw[:, 0] != raw[:, 1]], axis=0)[:edges]
+    pairs = [(int(u), int(v)) for u, v in raw]
+    if undirected:
+        pairs = sorted(set(pairs) | {(v, u) for u, v in pairs})
+    return pairs
+
+
+class TestRefreshRouting:
+    """Where both routes are open, the one predicted cheaper runs: a
+    rerun costs the view's last full run plus one execution's fixed
+    cost, the delta route one fixed cost per term on top of its
+    terms' work.  Either way the view answers like a fresh database."""
+
+    def refreshed(self, edges, batch, **config):
+        db = Database(**config)
+        db.add_relation("Edge", edges)
+        db.materialize("T", TRIANGLES)
+        assert db.views["T"].full_ops > 0
+        db.append("Edge", batch)
+        assert snapshot(db, "T") == rebuild(
+            {"Edge": (edges + batch, None)}, [TRIANGLES], "T", **config)
+        return db.views["T"]
+
+    def test_reruns_at_serve_mixed_scale(self):
+        """2 000 rows and an 8-row batch: seven terms' fixed costs
+        outweigh a rerun's join work."""
+        edges = random_edges(300, 1000, 3, undirected=True)
+        batch = [(0, 299), (299, 0), (1, 298), (298, 1), (2, 297),
+                 (297, 2), (3, 296), (296, 3)]
+        batch = [edge for edge in batch if edge not in set(edges)]
+        view = self.refreshed(edges, batch, execution_mode="compiled")
+        assert (view.refreshes, view.delta_refreshes) == (1, 0)
+
+    @pytest.mark.parametrize("mode", ["compiled", "interpreted"])
+    def test_delta_where_the_rerun_dominates(self, mode):
+        """7 000 rows and a 7-row batch (``benchmarks/floors.py``'s
+        delta-vs-rebuild scale): the rerun's join work outweighs the
+        terms' fixed costs on either engine."""
+        edges = random_edges(300, 7000, 11)
+        known = set(edges)
+        batch = [(u, v) for u, v in random_edges(300, 40, 23)
+                 if (u, v) not in known][:7]
+        view = self.refreshed(edges, batch, execution_mode=mode)
+        assert (view.refreshes, view.delta_refreshes) == (1, 1)
+
+    def test_one_overhead_per_execution(self):
+        """The prediction weighs lane ops alone, never a clock."""
+        assert incremental.delta_pays(50000, [100.0] * 7)
+        assert not incremental.delta_pays(4000, [100.0] * 7)
+        overhead = incremental.EXECUTION_OVERHEAD
+        assert not incremental.delta_pays(1000, [0.0, 0.0])
+        assert incremental.delta_pays(overhead + 1, [0.0, 0.0])
 
 
 class TestFullRouteFallbacks:

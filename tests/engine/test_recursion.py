@@ -987,7 +987,9 @@ class TestRoundWork:
         assert db.query(self.SSSP).to_dict() == first
         stats = db.last_stats
         assert stats.recursion_rounds == len(stats.rounds) == n - 1
-        assert optimized == ["S", "S"]      # the base rule, round one
+        assert optimized == ["S"]           # round one; the base rule
+        # is a program-tier rule object, whose pinned key skips the
+        # optimizer
         assert fetched == ["S"]             # round one re-binds its head
         assert (stats.plan_cache_hits, stats.plan_cache_misses) \
             == (1 + stats.recursion_rounds, 0)
@@ -1004,7 +1006,7 @@ class TestRoundWork:
         optimized, fetched = self.counting(monkeypatch)
         assert db.query(program).to_dict() == first
         stats = db.last_stats
-        assert optimized == ["N", "InvDeg", "PageRank", "PageRank"]
+        assert optimized == ["PageRank"]    # round one only
         assert stats.recursion_rounds == 6
         assert (stats.plan_cache_hits, stats.plan_cache_misses) == (9, 0)
         assert fetched.count("PageRank") == 1

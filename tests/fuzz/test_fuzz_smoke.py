@@ -163,7 +163,7 @@ def test_config_matrix_labels_are_unique():
     assert len(full) == 16
     assert len({label for label, _ in full}) == 16
     assert [label for label, _ in enumerate_mutation_matrix()] == \
-        ["interp", "default", "full-recompute"]
+        ["interp", "default", "full-recompute", "forced-delta"]
 
 
 def test_small_blocks_label_runs_tiny_blocks(monkeypatch):

@@ -91,6 +91,25 @@ def test_timeout_cancels_queued_op_cleanly(service):
         assert post["result"]["value"] == 6.0
 
 
+def test_worker_claim_decides_who_runs_a_job():
+    # The worker thread runs jobs in submission order, skips one whose
+    # claim the loop took first, and runs what was queued before
+    # shutdown; a started job's claim can no longer be taken.
+    from repro.serve.server import _Worker
+    worker = _Worker()
+    gate, ran = threading.Event(), []
+    worker.submit(lambda: gate.wait(10))
+    withdrawn = worker.submit(lambda: ran.append("withdrawn"))
+    kept = worker.submit(lambda: ran.append("kept"))
+    assert withdrawn.acquire(blocking=False)
+    gate.set()
+    worker.shutdown()
+    worker.join(timeout=10)
+    assert not worker._thread.is_alive()
+    assert ran == ["kept"]
+    assert not kept.acquire(blocking=False)
+
+
 def test_timed_out_running_query_still_completes(service):
     # A timeout on a *running* query is a response deadline, not an
     # abort: the worker finishes in the background and its effects

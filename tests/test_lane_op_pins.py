@@ -36,8 +36,11 @@ BLOCK_PINS = {
 }
 
 #: ``serve_mixed``'s view ``T`` refreshed after appending the plan's
-#: batch (delta route) and after deleting it again (full route).
-REFRESH_PINS = {DEFAULT: (712, 4146), HELD_OUT: (690, 4167)}
+#: batch and after deleting it again.  Both re-run the rule: the
+#: append's seven Δ-terms are predicted dearer than one rerun
+#: (``repro.engine.incremental.EXECUTION_OVERHEAD``), and a delete
+#: closes the delta route.
+REFRESH_PINS = {DEFAULT: (4175, 4146), HELD_OUT: (4192, 4167)}
 
 #: ``cli_cold``'s one selection query, as ``repro query`` reports it.
 SELECTION_PINS = {DEFAULT: 34, HELD_OUT: 129}
@@ -92,7 +95,7 @@ def test_view_refresh(seed, tmp_path):
         db.relation(workloads.VIEW_NAME)
         charged.append(db.counter.total_ops - before)
     assert tuple(charged) == REFRESH_PINS[seed]
-    assert (view.refreshes, view.delta_refreshes) == (2, 1)
+    assert (view.refreshes, view.delta_refreshes) == (2, 0)
 
 
 @pytest.mark.parametrize("seed", [DEFAULT, HELD_OUT])
