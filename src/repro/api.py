@@ -250,10 +250,7 @@ class Database:
         return relation
 
     def _install(self, name, relation):
-        old = self.catalog.get(name)
-        if old is not None:
-            self._trie_cache.invalidate(old)
-        self.catalog[name] = relation
+        self._executor.install(name, relation)
         if relation.is_scalar() and relation.annotations is not None:
             self._env[name] = relation.scalar_value
         if self._views:

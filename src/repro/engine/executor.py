@@ -185,25 +185,6 @@ class TrieCache:
         return len(self._tries)
 
 
-class RoundPlan:
-    """The compiled rule the rounds of one recursion share.
-
-    A recursion driver hands one to every round's
-    :meth:`RuleExecutor.execute`.  The first round runs the normal path
-    and, when the rule reads its head only through plain atoms, pins
-    its compiled rule here; every later round re-runs that rule with
-    nothing but the head re-bound — no optimizer pass, no plan-cache
-    key or lookup, and a head trie built straight from the round's
-    canonical relation instead of through the trie cache, so nothing a
-    round builds outlives it.  Lives as long as the recursion does.
-    """
-
-    __slots__ = ("compiled", "head_atoms", "head_inputs")
-
-    def __init__(self):
-        self.compiled = None
-
-
 def eval_expression(expr, agg_value, env):
     """Evaluate an annotation expression tree.
 
@@ -272,9 +253,12 @@ class RuleExecutor:
         #: Banded GHD-plan memo shared across this executor's runs: the
         #: exhaustive decomposition search (every edge subset of every
         #: subproblem) is skipped while a rule's shape recurs and its
-        #: input cardinalities stay in the same log2 band — the steady
-        #: state of incremental view refreshes, where every delta term
-        #: plans the same tiny rule again per mutation.
+        #: input cardinalities stay in the same log2 band.  Pinned rules
+        #: do not re-plan, so what it serves is new rule text of a known
+        #: shape: a query that differs from an earlier one only in a
+        #: constant (a new selection, a new rule-tier key), such as a
+        #: daemon's two-hop counts from ever new nodes (45 of the 46
+        #: hits that three blocks of ``serve_mixed``'s traffic make).
         self.ghd_memo = {}
 
     def _options(self):
@@ -286,25 +270,72 @@ class RuleExecutor:
 
     # -- public ---------------------------------------------------------------
 
-    def execute(self, rule, stats=None, rounds=None):
-        """Run ``rule`` and return the result :class:`Relation`.
+    def execute(self, rule, stats=None):
+        """Run ``rule`` and return the result :class:`Relation`: the
+        default engine (§3.3), compile once, run block kernels.
 
         The result carries the head's columns in head-variable order and,
         for aggregation rules, an annotation column.  ``stats`` carries
         program-level counters when ``Database.query`` drives a
         multi-rule program; a fresh
         :class:`~repro.engine.stats.ExecStats` is created otherwise.
-        ``rounds``, a :class:`RoundPlan`, marks the execution as a
-        round of a recursion over ``rule``'s head.
-        """
-        return self._execute_compiled(rule, stats, rounds)
 
-    def execute_compiled_mode(self, rule, stats=None):
-        """Run ``rule`` through the default compiled pipeline whatever
-        engine this executor is.  :meth:`execute` is the entry point
-        the engine itself calls; this name is part of the surface the
-        end-to-end benchmark instruments."""
-        return self._execute_compiled(rule, stats)
+        The rule is compiled at most once per catalog state: the plan
+        cache keys on the *optimized logical IR's* canonical form
+        (:meth:`repro.lir.ir.LogicalRule.cache_key` — invariant under
+        variable renaming, so alpha-renamed queries share one entry)
+        plus the config's :class:`~repro.ablation.Ablation`, and
+        revalidates by relation identity, so a repeated query skips GHD
+        search and bag lowering entirely.  A rule object executed
+        before skips the optimizer too: its key is pinned to it
+        (:class:`~repro.engine.plan_cache.RulePin`), and the optimizer
+        runs again only when the pin or the entry it leads to no longer
+        holds (:meth:`_pinned`).  A recursion round is such a rule
+        object: from its second round on, the head the driver installed
+        is the only stale guard, and :meth:`_rebind` re-binds it.
+        """
+        if stats is None:
+            stats = ExecStats(execution_mode="compiled")
+        self.last_stats = stats
+        # trie-cache traffic of the whole execution: tries are built
+        # when a rule compiles or re-binds a relation, not when it runs
+        marks = (self.cache.hits, self.cache.misses)
+        compiled = self._pinned(rule)
+        tier = "hit"
+        if compiled is None:
+            compiled, tier = self._optimized(rule, stats)
+        self.last_logical = compiled.logical
+        if tier == "hit":
+            stats.plan_cache_hits += 1
+        metrics = self.config.metrics
+        if metrics is not None:
+            # Labeled series (one per tier) rather than two metric
+            # names: the telemetry exposition renders them as one
+            # family, and dashboards can ratio them directly.
+            metrics.inc("plan_cache.lookups", labels={"tier": tier})
+        result = self.run_compiled(compiled, stats)
+        stats.trie_cache_hits += self.cache.hits - marks[0]
+        stats.trie_cache_misses += self.cache.misses - marks[1]
+        return result
+
+    #: The compiled pipeline whatever engine this executor is (the
+    #: oracle overrides :meth:`execute` only); a name the end-to-end
+    #: benchmark instruments.
+    execute_compiled_mode = execute
+
+    def install(self, name, relation):
+        """Put ``relation`` under ``name`` in the catalog (``None``:
+        remove the entry) and retire the cached tries of the relation
+        it replaces.  The trie cache keys on a per-object uid, so a
+        replaced relation's tries would otherwise stay cached forever;
+        re-installing the same object retires nothing."""
+        old = self.catalog.get(name)
+        if relation is None:
+            self.catalog.pop(name, None)
+        else:
+            self.catalog[name] = relation
+        if old is not None and old is not relation:
+            self.cache.invalidate(old)
 
     def _retire_derived(self, logical):
         """Drop the cached tries of a plan's derived relations (the
@@ -386,56 +417,6 @@ class RuleExecutor:
 
     # -- the default engine ---------------------------------------------------
 
-    def _execute_compiled(self, rule, stats=None, rounds=None):
-        """The default engine (§3.3): compile once, run block kernels.
-
-        The rule is compiled at most once per catalog state: the plan
-        cache keys on the *optimized logical IR's* canonical form
-        (:meth:`repro.lir.ir.LogicalRule.cache_key` — invariant under
-        variable renaming, so alpha-renamed queries share one entry)
-        plus the config's :class:`~repro.ablation.Ablation`, and
-        revalidates by relation identity, so a repeated query skips GHD
-        search and bag lowering entirely.  A rule object executed
-        before skips the optimizer too: its key is pinned to it
-        (:class:`~repro.engine.plan_cache.RulePin`), and the optimizer
-        runs again only when the pin or the entry it leads to no longer
-        holds (:meth:`_pinned`).  A recursion round after the first
-        skips even the rule-tier probe (:class:`RoundPlan`).
-        """
-        if stats is None:
-            stats = ExecStats(execution_mode="compiled")
-        self.last_stats = stats
-        if rounds is not None and rounds.compiled is not None:
-            result = self._next_round(rounds, stats)
-            if result is not None:
-                return result
-        # trie-cache traffic of the whole execution: tries are built
-        # when a rule compiles or re-binds its head, not when it runs
-        marks = (self.cache.hits, self.cache.misses)
-        compiled = self._pinned(rule)
-        tier = "hit"
-        if compiled is None:
-            # a round body is a new rule object per recursion, whose
-            # later rounds the RoundPlan serves: pinning it would only
-            # push live pins out
-            compiled, tier = self._optimized(rule, stats,
-                                             pin=rounds is None)
-        self.last_logical = compiled.logical
-        if tier == "hit":
-            stats.plan_cache_hits += 1
-        metrics = self.config.metrics
-        if metrics is not None:
-            # Labeled series (one per tier) rather than two metric
-            # names: the telemetry exposition renders them as one
-            # family, and dashboards can ratio them directly.
-            metrics.inc("plan_cache.lookups", labels={"tier": tier})
-        result = self.run_compiled(compiled, stats)
-        stats.trie_cache_hits += self.cache.hits - marks[0]
-        stats.trie_cache_misses += self.cache.misses - marks[1]
-        if rounds is not None:
-            self._pin_round(rounds, compiled)
-        return result
-
     def _pinned(self, rule):
         """The compiled rule ``rule``'s pin leads to, or ``None``.
 
@@ -450,10 +431,10 @@ class RuleExecutor:
             return None
         return self._lookup(pin.key)
 
-    def _optimized(self, rule, stats, pin=True):
+    def _optimized(self, rule, stats):
         """``(compiled, tier)`` the slow way: optimize ``rule``, probe
-        the rule tier under its key, compile on a miss, and (``pin``)
-        pin the key to the rule object."""
+        the rule tier under its key, compile on a miss, and pin the key
+        to the rule object."""
         logical = optimize_rule(rule, self.catalog, self._options())
         key = (logical.cache_key(), config_signature(self.config))
         compiled = self._lookup(key)
@@ -463,10 +444,9 @@ class RuleExecutor:
             stats.plan_cache_misses += 1
             compiled = self.compile_rule(logical, stats)
             self.plans.put_rule(key, compiled)
-        if pin:
-            self.plans.put_pin(rule, key, [
-                dictionary for atom in logical.atoms + logical.guard_atoms
-                for dictionary in atom.constant_dictionaries()])
+        self.plans.put_pin(rule, key, [
+            dictionary for atom in logical.atoms + logical.guard_atoms
+            for dictionary in atom.constant_dictionaries()])
         return compiled, tier
 
     def _lookup(self, key):
@@ -479,54 +459,16 @@ class RuleExecutor:
                 span.args["hit"] = compiled is not None
         return compiled
 
-    def _pin_round(self, rounds, compiled):
-        """Pin ``compiled`` for a recursion's later rounds when its head
-        can be re-bound the way :meth:`_rebind` would."""
-        name = compiled.rule.head_name
-        atoms = _plain_reads(compiled.logical, name)
-        if compiled.kind != "plan" or atoms is None:
-            return
-        rounds.compiled, rounds.head_atoms = compiled, atoms
-        rounds.head_inputs = [bag_input for cbag in compiled.bags.values()
-                              for bag_input in cbag.base_inputs
-                              if bag_input.name == name]
-
-    def _next_round(self, rounds, stats):
-        """A later round of a recursion: the pinned rule re-run with the
-        head the driver installed, its trie built from the round's
-        canonical relation and owned by no cache.  ``None`` when the
-        head changed annotatedness (a union round's delta drops the
-        base case's values), which the plan must be rebuilt for."""
-        compiled = rounds.compiled
-        relation = self.catalog[compiled.rule.head_name]
-        if any(atom.annotated != (relation.annotations is not None)
-               for atom in rounds.head_atoms):
-            rounds.compiled = None
-            return None
-        for atom in rounds.head_atoms:
-            atom.rebind(relation)
-        optimizer = SetOptimizer(self.config.ablation.layout_level)
-        for bag_input in rounds.head_inputs:
-            bag_input.trie = Trie(relation, key_order=bag_input.trie.key_order,
-                                  optimizer=optimizer)
-        # the plan cache's entry is this object: its guards must name
-        # what it is bound to, or a restored head would pass for it
-        compiled.guards = _relation_guards(compiled.logical)
-        stats.plan_cache_hits += 1
-        if self.config.metrics is not None:
-            self.config.metrics.inc("plan_cache.lookups",
-                                    labels={"tier": "hit"})
-        return self._run_plan(compiled, stats)
-
     def _rebind(self, compiled, stale):
         """Bring a compiled rule up to date with changed relations.
 
         GHD, attribute orders and kernels do not depend on a relation's
         contents beyond the log2 band of its cardinality (the GHD
         memo's reuse rule), so two kinds of change leave a compiled
-        rule sound.  A relation *replaced* by a re-derivation — a
-        recursion round's own head, PageRank's ``InvDeg`` on every run
-        of its program — gives its atoms the new object.  A relation
+        rule sound.  A relation *replaced* by a re-derivation — the
+        head a recursion driver installs for every round, PageRank's
+        ``InvDeg`` on every run of its program, a view's ``__delta__``
+        input to a Δ-term — gives its atoms the new object.  A relation
         *mutated in place* (``Database.append`` / ``delete``) is still
         the object its atoms read: they only drop the slices they cut
         from it, so a selection is cut again from the mutated source.
@@ -538,7 +480,8 @@ class RuleExecutor:
         or reads the relation through a guard (whether a guard is empty
         is decided at compile time), for an in-place mutation that
         moved an atom's cardinality band, and for a replacement that
-        changed arity or annotatedness, came back encoded through other
+        changed arity or annotatedness (a union round's head, which
+        drops the base case's values), came back encoded through other
         dictionaries (a reload, which re-plans, not a re-derivation),
         or is read through a selection or projection.
         """

@@ -335,14 +335,13 @@ def _delta_refresh(db, view):
         for name, entries in journal.items():
             delta_relation = _delta_relation(name, db.catalog[name],
                                              entries)
-            db.catalog[delta_relation.name] = delta_relation
-            installed.append(delta_relation)
+            db._executor.install(delta_relation.name, delta_relation)
+            installed.append(delta_relation.name)
         signed_terms = [(sign, db._executor.execute(term_rule))
                         for _, sign, term_rule in terms]
     finally:
-        for delta_relation in installed:
-            db.catalog.pop(delta_relation.name, None)
-            db._trie_cache.invalidate(delta_relation)
+        for name in installed:
+            db._executor.install(name, None)
     combined = _combine(old, rule, signed_terms)
     combined.dictionaries = old.dictionaries
     if getattr(old, "attr_names", None) is not None:

@@ -5,7 +5,7 @@ set-at-a-time generic join.
 :class:`~repro.engine.executor.RuleExecutor` — one lowering, one
 bottom-up pass, the same memo and finalizers — and differs from it in
 what the differential tests compare: it plans every run afresh (no
-plan cache, no recursion-round pinning), orders each bag output-first
+plan cache, no rule pins), orders each bag output-first
 (:func:`~repro.ghd.attribute_order.bag_evaluation_order`), lowers no
 kernel, and evaluates every bag with
 :func:`~repro.engine.generic_join.evaluate_bag`, the only call to it
@@ -27,11 +27,11 @@ class OracleExecutor(RuleExecutor):
     """The interpreted executor: plans per run, fetches its tries from
     the trie cache, evaluates with the generic join."""
 
-    def execute(self, rule, stats=None, rounds=None):
-        """Run ``rule`` and return the result relation.  ``stats`` and
-        ``rounds`` are the default engine's and ignored:
-        :attr:`last_stats` stays ``None``."""
-        del stats, rounds
+    def execute(self, rule, stats=None):
+        """Run ``rule`` and return the result relation.  ``stats`` is
+        the default engine's and ignored: :attr:`last_stats` stays
+        ``None``."""
+        del stats
         self.last_stats = None
         logical = optimize_rule(rule, self.catalog, self._options())
         self.last_logical = logical

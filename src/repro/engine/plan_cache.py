@@ -9,19 +9,23 @@ make a repeated query's cost approach the pure join work:
 * **pins** — parsed rule object → the rule-tier key its last
   optimization produced (:class:`RulePin`), so a warm execution of the
   same rule object (a program-tier rule, a materialized view's
-  Δ-term) goes straight to the rule tier without re-running the
-  optimizer;
+  Δ-term, a recursive rule's round body) goes straight to the rule
+  tier without re-running the optimizer.  A recursive rule's round
+  body is derived once per rule object (:meth:`PlanCache.get_body`)
+  so that it has a pin to carry;
 * **rule tier** — rule text → :class:`CompiledRule` (GHD choice, global
   order, per-bag block kernels, baked base tries), guarded by
   catalog relation *identity* and *version* so replacing a relation
   (a new load) transparently invalidates — except when the replaced
-  relations were merely re-derived (a recursion round's own head, an
-  auxiliary relation a program recomputes on every run) or mutated in
-  place without leaving their atoms' cardinality bands
-  (``Database.append`` / ``delete``).  The executor then *re-binds*
-  those atoms and their tries and the entry lives on, so a recursion
-  compiles once however many rounds — and runs — it has, and a write
-  costs the rules that read it a trie patch, not a recompile;
+  relations were merely re-derived (the head a recursion installs for
+  every round, an auxiliary relation a program recomputes on every
+  run, a view's ``__delta__`` relation) or mutated in place without
+  leaving their atoms' cardinality bands (``Database.append`` /
+  ``delete``).  The executor then *re-binds* those atoms and their
+  tries and the entry lives on, so every round of a recursion, and
+  every later run of it, reaches the plan its first round compiled
+  through the body's pin, and a write costs the rules that read it a
+  trie patch, not a recompile;
 * **bag-source tier** — normalized bag signature (attribute order +
   head split + semiring + per-input annotation flags) →
   :class:`~repro.engine.fused.FusedBagKernel`, so structurally
@@ -174,12 +178,14 @@ class RulePin:
 
 class PlanCache:
     """Three-tier cache (programs, compiled rules, bag kernels) plus
-    the rule pins that lead into the rule tier."""
+    the rule pins that lead into the rule tier and the round bodies
+    that carry them."""
 
     def __init__(self, max_entries=MAX_ENTRIES):
         self.max_entries = max_entries
         self._programs = {}
         self._pins = {}
+        self._bodies = {}
         self._rules = {}
         self._bag_code = {}
         #: Called with every :class:`CompiledRule` leaving the rule
@@ -210,6 +216,17 @@ class PlanCache:
         if id(rule) not in self._pins:
             self._evict(self._pins)
         self._pins[id(rule)] = RulePin(rule, key, dictionaries)
+
+    def get_body(self, rule, derive):
+        """``derive(rule)``, derived once per rule object: a recursive
+        rule's round body, which stays one object across rounds and
+        runs so that its pin leads to its plan.  Like a pin, the entry
+        keeps ``rule`` alive, so no other object can take its ``id``."""
+        entry = self._bodies.get(id(rule))
+        if entry is None:
+            self._evict(self._bodies)
+            entry = self._bodies[id(rule)] = (rule, derive(rule))
+        return entry[1]
 
     # -- rule tier ----------------------------------------------------------
 
@@ -264,6 +281,7 @@ class PlanCache:
     def clear(self):
         self._programs.clear()
         self._pins.clear()
+        self._bodies.clear()
         for key in list(self._rules):
             self.evict_rule(key)
         self._bag_code.clear()

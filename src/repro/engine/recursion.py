@@ -32,11 +32,15 @@ Every round is one ``executor.execute`` of the rule's non-recursive
 body against the catalog the round installed, and a round after the
 first is a flat-array step:
 
-* **Compiled once.**  Under the default engine the first round plans
-  and compiles (or hits the plan cache); later rounds re-run that
-  compiled rule with only the head re-bound, its trie built straight
-  from the round's relation (:class:`~repro.engine.executor.RoundPlan`)
-  — no optimizer pass, no plan-cache lookup, nothing cached per round.
+* **Compiled once.**  The round body is one rule object per
+  recursive rule (:meth:`~repro.engine.plan_cache.PlanCache.get_body`),
+  so under the default engine it carries a rule pin: the first round
+  of the first run optimizes and compiles (or hits the plan cache),
+  and every later round, of this run or a later one, reaches that
+  compiled rule through the pin with only the installed head stale,
+  which the plan cache's re-bind gives the body's atoms and their
+  tries — no optimizer pass.  Each round's head retires the tries of
+  the one it replaces, so nothing a round caches outlives the next.
 * **Dense accumulation.**  Every value the head can ever hold lies
   between the smallest and largest of its base case and the other
   body relations.  When the mixed-radix code space of that range is no
@@ -58,7 +62,6 @@ from ..errors import ExecutionError, PlanError
 from ..query.ast import clone_rule
 from ..storage.delta import row_keys
 from ..storage.relation import Relation
-from .executor import RoundPlan
 from .fused import DENSE_GROUPS, _codes
 from .semiring import is_monotone
 
@@ -89,9 +92,8 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
         raise PlanError(
             "recursion with non-monotone aggregate %r needs a fixed "
             "iteration count (*[i=k])" % op)
-    body = round_body(rule)
+    body = executor.plans.get_body(rule, round_body)
     seminaive = body.delta is not None
-    plan = RoundPlan()
     counter = executor.config.counter
     ran = 0
 
@@ -99,9 +101,9 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
         """Evaluate the body once with ``relation`` as the head."""
         nonlocal ran
         ran += 1
-        _install_round(executor, rule.head_name, relation)
+        executor.install(rule.head_name, relation)
         ops, start = counter.total_ops, time.perf_counter()
-        produced = executor.execute(body, stats, plan)
+        produced = executor.execute(body, stats)
         if stats is not None:
             stats.record_round(relation.cardinality, produced.cardinality,
                                counter.total_ops - ops,
@@ -115,7 +117,7 @@ def execute_recursive(rule, executor, max_rounds=MAX_FIXPOINT_ROUNDS,
         result = _naive_replace(rule, executor, run_round)
     if ran and executor.last_plan is not None:
         executor.last_plan.rounds = ran
-    _install_round(executor, rule.head_name, result)
+    executor.install(rule.head_name, result)
     return result
 
 
@@ -132,17 +134,6 @@ def round_body(rule):
     seminaive = rule.iterations is None and len(reads) == 1
     return clone_rule(rule, recursive=False, iterations=None,
                       delta=reads[0] if seminaive else None)
-
-
-def _install_round(executor, name, relation):
-    """Put ``relation`` under ``name`` and retire the relation it
-    replaces.  A round's head is a new relation object, and the trie
-    cache keys on a per-object uid, so a replaced head the cache did
-    build for (a first round's) would otherwise stay cached forever."""
-    old = executor.catalog.get(name)
-    if old is not None and old is not relation:
-        executor.cache.invalidate(old)
-    executor.catalog[name] = relation
 
 
 def _naive_replace(rule, executor, run_round):
@@ -187,7 +178,7 @@ def _fixpoint(rule, executor, run_round, op, seminaive, max_rounds,
             if stats is not None:
                 stats.rounds[-1].changed = delta.cardinality
     finally:
-        _install_round(executor, rule.head_name, saved)
+        executor.install(rule.head_name, saved)
     raise ExecutionError("recursion on %r did not converge in %d rounds"
                          % (rule.head_name, max_rounds))
 

@@ -183,6 +183,38 @@ class TestTrieCache:
         assert list(trie_second.tuples()) == [(2, 3)]
 
 
+class TestInstall:
+    """``RuleExecutor.install`` is the one way a relation replaces
+    another under a name: the replaced relation's tries go with it."""
+
+    @staticmethod
+    def executor():
+        executor = executor_for(catalog_with_edges([[0, 1]]),
+                                EngineConfig())
+        executor.cache.get(executor.catalog["E"], (0, 1), "set")
+        return executor
+
+    def test_a_replacement_retires_the_old_tries(self):
+        executor = self.executor()
+        new = Relation("E", np.asarray([[2, 3]], dtype=np.uint32))
+        executor.install("E", new)
+        assert executor.catalog["E"] is new
+        assert len(executor.cache) == 0
+
+    def test_the_same_object_keeps_its_tries(self):
+        executor = self.executor()
+        executor.install("E", executor.catalog["E"])
+        assert len(executor.cache) == 1
+
+    def test_none_removes_the_entry(self):
+        executor = self.executor()
+        executor.install("E", None)
+        assert "E" not in executor.catalog
+        assert len(executor.cache) == 0
+        executor.install("E", None)          # absent: nothing to do
+        assert "E" not in executor.catalog
+
+
 class TestDerivedRelationTries:
     """Selection and projection slices are new relation objects per
     planning; the trie cache must know them by what they were cut from

@@ -332,6 +332,19 @@ class TestLayeringChecker:
             in violations[0]
         assert "oracle independence" in violations[0]
 
+    @pytest.mark.parametrize("text,what", [
+        ("from .executor import RuleExecutor\n", "RuleExecutor"),
+        ("from . import executor\n", "the module"),
+    ])
+    def test_recursion_takes_nothing_from_the_executor(self, tmp_path,
+                                                       text, what):
+        checker, _ = self.load_checker()
+        violations = checker.check(
+            self.engine_tree(tmp_path, recursion=text))
+        assert len(violations) == 1
+        assert "repro.engine.recursion imports %s" % what \
+            in violations[0]
+        assert "one executor door" in violations[0]
 
     @pytest.mark.parametrize("module,text", [
         ("__init__", "from .generic_join import BagInput, evaluate_bag\n"),

@@ -33,6 +33,11 @@ while neither evaluates bags with the other's code.  So
     but ``oracle`` takes ``evaluate_bag``: the interpreter is entered
     through one door
 
+and the recursion driver (``engine/recursion.py``) imports nothing
+from ``executor``: it reaches the engine only through the executor it
+is handed, so a round is an ordinary ``execute`` call whichever engine
+runs it.
+
 Detection is by AST walk, so it sees ``import x``, ``from x import y``,
 and relative imports, including those nested inside functions.
 
@@ -77,6 +82,15 @@ ALLOWED_NAMES = {
                                   "repro.engine.codegen": frozenset()},
     "repro.engine.executor": {"repro.engine.generic_join": _RESULT_TYPES
                               | {"BagInput"}},
+    "repro.engine.recursion": {"repro.engine.executor": frozenset()},
+}
+
+#: Why an importing module's names are restricted, where the reason is
+#: not the oracle's independence.
+NAME_REASONS = {
+    "repro.engine.recursion": "one executor door: the driver reaches "
+                              "the engine through the executor it is "
+                              "handed",
 }
 
 #: The interpreted executor, and the one name of the interpreter only
@@ -146,9 +160,9 @@ def name_violations(path, module):
                 or "%s.%s" % (source, name) == target
             if whole or (source == target and name not in allowed):
                 violations.append(
-                    "%s imports %s from %s (oracle independence: only "
-                    "%s allowed)"
+                    "%s imports %s from %s (%s: only %s allowed)"
                     % (module, "the module" if whole else name, target,
+                       NAME_REASONS.get(module, "oracle independence"),
                        ", ".join(sorted(allowed)) or "nothing"))
     return violations
 
@@ -240,7 +254,8 @@ def main(argv=None):
     print("layering OK: repro.lir does not import repro.engine; "
           "repro.query does not import repro.lir; block kernels and "
           "interpreter share result types only; only the oracle imports "
-          "evaluate_bag and no engine module imports the oracle; import "
+          "evaluate_bag and no engine module imports the oracle; the "
+          "recursion driver imports nothing from the executor; import "
           "repro.cli stays inside its import budget")
     return 0
 
