@@ -140,10 +140,9 @@ class Database:
         self._tracer = None
         self._trace_path = None
         self._telemetry = None
-        # telemetry hot-path memos: plan-cache hits reuse the same
-        # LogicalRule object, and the config signature rarely changes,
-        # so both digests are computed once per identity
-        self._cache_key_memo = (None, None)
+        # telemetry hot-path memo: the config signature rarely
+        # changes, so its digest is computed once per signature (a
+        # rule's cache-key digest lives on its LogicalRule)
         self._signature_memo = {}
         trace_env = os.environ.get("REPRO_TRACE")
         if trace_env:
@@ -510,11 +509,9 @@ class Database:
         record["rows"] = int(result.count)
         logical = self._executor.last_logical
         if logical is not None:
-            memo_logical, memo_digest = self._cache_key_memo
-            if logical is not memo_logical:
-                memo_digest = key_digest(logical.cache_key())
-                self._cache_key_memo = (logical, memo_digest)
-            record["cache_key"] = memo_digest
+            if logical.digest is None:
+                logical.digest = key_digest(logical.cache_key())
+            record["cache_key"] = logical.digest
         stats = self._executor.last_stats
         if stats is not None:
             hits = stats.plan_cache_hits
@@ -672,7 +669,9 @@ class Database:
     # -- persistence --------------------------------------------------------
 
     def save(self, path):
-        """Persist every stored relation to a ``.npz`` file."""
+        """Persist every stored relation to a ``.npz`` file (numpy
+        appends the suffix when ``path`` lacks it; :meth:`load` takes
+        either spelling)."""
         from .storage.persistence import save_catalog
         save_catalog(path, self.catalog)
 

@@ -436,12 +436,16 @@ class RuleExecutor:
         the rule tier under its key, compile on a miss, and pin the key
         to the rule object."""
         logical = optimize_rule(rule, self.catalog, self._options())
-        key = (logical.cache_key(), config_signature(self.config))
+        key = (logical.cache_key(), config_signature(self.config),
+               tuple(atom.annotated for atom in logical.atoms))
         compiled = self._lookup(key)
         tier = "hit"
         if compiled is None:
             tier = "miss"
             stats.plan_cache_misses += 1
+            # what the re-bind refused under this key is retired before
+            # its successor fetches tries
+            self.plans.evict_rule(key)
             compiled = self.compile_rule(logical, stats)
             self.plans.put_rule(key, compiled)
         self.plans.put_pin(rule, key, [
@@ -476,14 +480,16 @@ class RuleExecutor:
         trie cache, which patches a mutated relation's tries from its
         journal.
 
-        Returns false — recompile — for a rule that is not a ``plan``
-        or reads the relation through a guard (whether a guard is empty
-        is decided at compile time), for an in-place mutation that
-        moved an atom's cardinality band, and for a replacement that
-        changed arity or annotatedness (a union round's head, which
-        drops the base case's values), came back encoded through other
-        dictionaries (a reload, which re-plans, not a re-derivation),
-        or is read through a selection or projection.
+        Returns false — re-optimize — for a rule that is not a
+        ``plan`` or reads the relation through a guard (whether a guard
+        is empty is decided at compile time), for an in-place mutation
+        that moved an atom's cardinality band, and for a replacement
+        that changed arity or annotatedness (a union round's head,
+        which drops the base case's values: the rule-tier key records
+        annotatedness, so the optimizer's key leads to the plan for
+        the other shape, which stays cached), came back encoded through
+        other dictionaries (a reload, which re-plans, not a
+        re-derivation), or is read through a selection or projection.
         """
         logical = compiled.logical
         if compiled.kind != "plan":

@@ -50,6 +50,7 @@ catalog and journal always take the same route.
 """
 
 import itertools
+import time
 
 import numpy as np
 
@@ -132,6 +133,9 @@ class MaterializedView:
         #: Lane ops the view's latest full run charged: the rerun's
         #: predicted cost, and the scale of every term's.
         self.full_ops = 0
+        #: Wall seconds the latest refresh took (``None`` before the
+        #: first): what the next refresh is predicted to cost.
+        self.refresh_seconds = None
         self._terms = {}
         if self.delta_capable:
             # every dependency mutated: the term set of a view over one
@@ -194,7 +198,9 @@ def refresh_stale_views(db):
 
 def refresh_view(db, view):
     """Bring one stale view up to date: the delta route when it is open
-    and predicted cheaper, else a full re-run."""
+    and predicted cheaper, else a full re-run.  Its wall time is kept
+    on the view (``refresh_seconds``)."""
+    start = time.perf_counter()
     view.refreshes += 1
     view.stale = False
     if db.config.incremental_views and view.delta_capable \
@@ -203,6 +209,7 @@ def refresh_view(db, view):
     else:
         _rerun(db, view)
     view.capture(db.catalog)
+    view.refresh_seconds = time.perf_counter() - start
 
 
 def _rerun(db, view):

@@ -235,16 +235,21 @@ class PlanCache:
 
         A stale entry (a guard relation was replaced or mutated) is
         offered to ``rebind(compiled, stale_names)``, which may bring
-        it up to date in place and return true; otherwise it is
-        dropped on probe, so the caller recompiles exactly once per
-        invalidation.
+        it up to date in place and return true.  A refused entry stays
+        under its key: the key records each atom's annotatedness, so
+        when a pinned key is refused because a relation came back
+        annotated differently (a union recursion's rounds alternate
+        the base case's annotated head with an unannotated one), the
+        optimizer's key for the new catalog leads to the other plan,
+        and the next run in the old shape finds its plan still here.
+        A caller that recompiles under the refused key evicts it first
+        (:meth:`evict_rule`).
         """
         compiled = self._rules.get(key)
         if compiled is None:
             return None
         stale = compiled.stale_guards(catalog)
         if stale and not (rebind is not None and rebind(compiled, stale)):
-            self.evict_rule(key)
             return None
         return compiled
 

@@ -176,7 +176,8 @@ class LogicalRule:
     __slots__ = ("rule", "head_name", "head_vars", "annotation",
                  "assignment", "atoms", "guard_atoms", "aggregate",
                  "unbound_head", "too_many_aggregates", "ghd", "duplicates",
-                 "selected_vars", "global_order", "trace", "delta_vars")
+                 "selected_vars", "global_order", "trace", "delta_vars",
+                 "digest")
 
     def __init__(self, rule, atoms, guard_atoms, trace=None,
                  delta_vars=()):
@@ -203,6 +204,10 @@ class LogicalRule:
         #: Variables of the atom that reads a seminaive round's delta
         #: (``rule.delta``); bags bind them first.  Empty otherwise.
         self.delta_vars = tuple(delta_vars)
+        #: The query log's digest of :meth:`cache_key`, filled in by
+        #: the first logged execution: a compiled rule keeps its
+        #: logical rule, so the digest is computed once per plan.
+        self.digest = None
 
     # -- derived facts -------------------------------------------------------
 

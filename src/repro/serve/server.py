@@ -4,14 +4,22 @@ One :class:`QueryService` wraps one :class:`~repro.api.Database` and
 serves the :mod:`repro.serve.protocol` over TCP.  Design:
 
 **Single-writer execution.**  ``Database`` is not thread-safe (even a
-read query installs intermediate heads into the catalog), so every
-admitted op — queries, mutations, relation fetches — runs on one
-worker thread in **admission order** (:class:`_Worker`: a bare thread
-draining a ``queue.SimpleQueue``).  That FIFO is the whole
-consistency story: a query admitted before a mutation executes before
-it and sees the pre-mutation catalog; a query admitted after it sees
-the post-mutation catalog.  The event loop never touches the database
-except through the worker.
+read query installs intermediate heads into the catalog), so admitted
+ops — queries, mutations, relation fetches — run **one at a time, in
+admission order**, on whichever thread runs them.  That order is the
+whole consistency story: a query admitted before a mutation executes
+before it and sees the pre-mutation catalog; a query admitted after
+it sees the post-mutation catalog.  An op runs on the event loop
+itself when nothing else is outstanding and its last measured run
+(plus the refreshes of the views stale now) fits one
+``sys.getswitchinterval()`` — the GIL hand-off to a second thread
+costs more than such an op, and a loop thread already waits that long
+for the GIL behind a worker job.  Every other op — first sight,
+unmeasured, long, carrying ``debug_sleep`` or a ``timeout`` the
+prediction does not clear — goes to one worker thread
+(:class:`_Worker`: a bare thread draining a ``queue.SimpleQueue``) in
+FIFO order, so one long query never stalls cache hits.  The event loop touches the database only
+while no op is outstanding on the worker.
 
 **Admission control.**  At most ``max_inflight`` requests hold a slot
 (admitted, response not yet sent).  Excess requests are rejected
@@ -141,10 +149,17 @@ class QueryService:
         #: op that can change name resolution or dictionary encodings
         #: (an append only when it grew a dictionary).
         self._identity_epoch = 0
-        #: ``text -> [identity_epoch, identity, hit record fields]``;
-        #: the fields (a cache hit's query-log record less what each
-        #: hit stamps) are filled in by the first hit.
+        #: ``text -> [identity_epoch, identity, hit record fields,
+        #: seconds]``; the fields (a cache hit's query-log record less
+        #: what each hit stamps) are filled in by the first hit, the
+        #: seconds (the last execution's, less the view refreshes it
+        #: paid for) by every execution.
         self._identity_memo = {}
+        #: ``{relation name: seconds}`` of the last append or delete
+        #: of the relation, less the view refreshes it paid for.
+        self._mutation_seconds = {}
+        #: Executed ops by the thread they ran on.
+        self._jobs = {"loop": 0, "worker": 0}
         #: ``{relation name: {token: count}}`` of admitted-but-
         #: unfinished ops that will mutate or install the relation.
         #: Mutations mark with :data:`_MUTATION`; query executions mark
@@ -294,11 +309,7 @@ class QueryService:
                     # An internal fault must produce an error reply,
                     # not kill the connection task with an unretrieved
                     # exception.
-                    response = {"status": "error", "code": "internal",
-                                "error": "%s: %s"
-                                         % (type(error).__name__,
-                                            error),
-                                "error_class": type(error).__name__}
+                    response = _internal_error({}, error)
                     if "id" in request:
                         response["id"] = request["id"]
                 writer.write(protocol.encode_message(response))
@@ -358,15 +369,16 @@ class QueryService:
                      reply.get("status", "ok")))
         return reply
 
-    def _count(self, series):
-        """Bump ``(name, op[, status])`` through a counter handle
-        memoized as ``TelemetryHub._counter`` memoizes its own."""
+    def _count(self, series, label_names=("op", "status")):
+        """Bump ``(name, *label values)`` — by default ``(name, op[,
+        status])`` — through a counter handle memoized as
+        ``TelemetryHub._counter`` memoizes its own."""
         metrics = self.db.metrics
         if not metrics.enabled:
             return
         entry = self._counters.get(series)
         if entry is None or entry[0] is not metrics.counters:
-            labels = dict(zip(("op", "status"), series[1:]))
+            labels = dict(zip(label_names, series[1:]))
             entry = self._counters[series] = (
                 metrics.counters, metrics.counter(series[0], labels))
         with metrics.lock:
@@ -397,6 +409,7 @@ class QueryService:
             "requests": self.requests,
             "rejected": self.rejected,
             "timeouts": self.timeouts,
+            "jobs": dict(self._jobs),
             "pending_relations": {name: sum(tokens.values())
                                   for name, tokens
                                   in self._pending.items() if tokens},
@@ -436,9 +449,12 @@ class QueryService:
     # -- admitted-op plumbing -------------------------------------------------
 
     async def _run_on_worker(self, worker, timeout, base,
-                             pending_marks=(), pending_global=False):
-        """Dispatch ``worker`` to the worker thread; await with
-        ``timeout``.
+                             pending_marks=(), pending_global=False,
+                             predicted=None):
+        """Run ``worker`` and answer its request: on the event loop
+        when :meth:`_runs_inline` says so (``predicted`` is the op's
+        last measured seconds, ``None`` when it has none), else on the
+        worker thread, awaited with ``timeout``.
 
         ``pending_marks`` is a tuple of ``(relation name, token)``
         pairs taken *now* (admission) and released by :meth:`_finish`
@@ -449,6 +465,10 @@ class QueryService:
         answers early; a job still queued then never runs, a running
         one is never cancelled.
         """
+        if self._runs_inline(predicted, timeout):
+            return self._run_inline(worker, base)
+        self._jobs["worker"] += 1
+        self._count(("serve.jobs", "worker"), ("thread",))
         for name, token in pending_marks:
             bucket = self._pending.setdefault(name, {})
             bucket[token] = bucket.get(token, 0) + 1
@@ -491,14 +511,58 @@ class QueryService:
                               "operation may still complete "
                               "server-side)" % timeout)
         except Exception as error:  # pragma: no cover - defensive
-            return dict(base, status="error", code="internal",
-                        error="%s: %s" % (type(error).__name__, error),
-                        error_class=type(error).__name__)
+            return _internal_error(base, error)
         finally:
             if done.cancelled() and claim.acquire(blocking=False):
                 # Never started: it applies no effects, but its marks
                 # and its outstanding count are released.
                 self._finish(None, marks, pending_global)
+        reply.pop("_effects", None)  # applied by _finish
+        reply.update(base)
+        return reply
+
+    def _runs_inline(self, predicted, timeout):
+        """Whether an op predicted at ``predicted`` seconds runs on the
+        event loop rather than the worker thread.
+
+        Only when no other op is outstanding: then the worker thread
+        is idle, and admission order and the single writer hold by
+        construction.  The prediction adds the last refresh time of
+        every view stale now (``Database`` refreshes them all before
+        the op) and must stay below ``sys.getswitchinterval()``, the
+        longest a loop thread already waits for the GIL behind a
+        running worker job, so a cache hit queued behind an inline op
+        waits no longer than it could before.  An inline op cannot
+        answer its ``timeout`` early, so a deadline the prediction does
+        not clear sends the op to the worker, as does anything never
+        measured.
+        """
+        if predicted is None or self._outstanding:
+            return False
+        refreshes = _refresh_seconds(_stale_views(self.db))
+        if refreshes is None:
+            return False
+        predicted += refreshes
+        if timeout is not None and not (
+                isinstance(timeout, (int, float)) and timeout > predicted):
+            return False
+        return predicted < sys.getswitchinterval()
+
+    def _run_inline(self, worker, base):
+        """Run ``worker`` on the event loop and apply its effects at
+        once: nothing else is outstanding, so this is its completion
+        order too, and nothing else runs on the loop meanwhile, so it
+        takes no pending marks."""
+        self._jobs["loop"] += 1
+        self._count(("serve.jobs", "loop"), ("thread",))
+        self._outstanding += 1
+        reply = None
+        try:
+            reply = worker()
+        except Exception as error:
+            return _internal_error(base, error)
+        finally:
+            self._finish(reply, (), False)
         reply.pop("_effects", None)  # applied by _finish
         reply.update(base)
         return reply
@@ -527,6 +591,15 @@ class QueryService:
         effects = reply.get("_effects")
         if not effects:
             return
+        cost = effects.get("cost")
+        if cost is not None:
+            kind, name, seconds = cost
+            if kind == "mutation":
+                self._mutation_seconds[name] = seconds
+            else:
+                memo = self._identity_memo.get(name)
+                if memo is not None:
+                    memo[3] = seconds
         if effects.get("identity"):
             self._identity_epoch += 1
         if effects.get("clear"):
@@ -594,8 +667,9 @@ class QueryService:
                                     debug_sleep)
         marks = tuple((head, identity[0]) for head in identity[2]) \
             if identity is not None else ()
-        return await self._run_on_worker(worker, timeout, base,
-                                         pending_marks=marks)
+        return await self._run_on_worker(
+            worker, timeout, base, pending_marks=marks,
+            predicted=memo[3] if debug_sleep is None else None)
 
     def _hit_blocked(self, key, reads, heads):
         """May a cache hit for this program be served right now?
@@ -657,7 +731,8 @@ class QueryService:
         entry, if any, recording the hit in the query log."""
         if len(self._identity_memo) > 4 * self.cache.capacity:
             self._identity_memo.clear()
-        self._identity_memo[text] = [self._identity_epoch, identity, None]
+        self._identity_memo[text] = [self._identity_epoch, identity, None,
+                                     None]
         if identity is None or skip_lookup:
             return None
         entry = self.cache.lookup(identity[0], self._epochs)
@@ -679,21 +754,26 @@ class QueryService:
                     time.sleep(float(debug_sleep))
                     return original(query_text)
                 self.db._query_plain = slow
+            stale = _stale_views(self.db)
             start = time.perf_counter()
+            error = None
             try:
                 result = self.db.query(text, _record_extra=extra)
-            except EmptyHeadedError as error:
-                return {"status": "error", "code": "query_error",
-                        "error": str(error),
-                        "error_class": type(error).__name__,
-                        "elapsed_seconds": time.perf_counter() - start}
+            except EmptyHeadedError as caught:
+                error = caught
             finally:
                 if debug_sleep:
                     del self.db.__dict__["_query_plain"]
             elapsed = time.perf_counter() - start
+            effects = {"cost": ("query", text,
+                                _own_seconds(elapsed, stale))}
+            if error is not None:
+                return {"status": "error", "code": "query_error",
+                        "error": str(error),
+                        "error_class": type(error).__name__,
+                        "elapsed_seconds": elapsed, "_effects": effects}
             payload = protocol.payload_from_relation(result.relation,
                                                      self.db._dictionary)
-            effects = {}
             reply = {"status": "ok", "cached": False,
                      "rows": int(result.count),
                      "elapsed_seconds": elapsed, "result": payload,
@@ -774,8 +854,9 @@ class QueryService:
         marks = ((name, _MUTATION),)
         if op in ("append", "delete"):
             worker = self._mutation_worker(op, name, request)
-            return await self._run_on_worker(worker, timeout, base,
-                                             pending_marks=marks)
+            return await self._run_on_worker(
+                worker, timeout, base, pending_marks=marks,
+                predicted=self._mutation_seconds.get(name))
         if op == "add_relation":
             worker = self._add_relation_worker(name, request)
             return await self._run_on_worker(worker, timeout, base,
@@ -794,6 +875,7 @@ class QueryService:
         combine = request.get("combine", "last")
 
         def run():
+            stale = _stale_views(self.db)
             start = time.perf_counter()
             # Only new dictionary entries can change a program's
             # identity, and a delete never adds one.
@@ -802,6 +884,7 @@ class QueryService:
             def grew():
                 return op == "append" \
                     and _dictionary_sizes(self.db, name) != sizes
+            error = None
             try:
                 if op == "append":
                     changed = self.db.append(name, tuples,
@@ -809,18 +892,22 @@ class QueryService:
                                              combine=combine)
                 else:
                     changed = self.db.delete(name, tuples)
-            except EmptyHeadedError as error:
-                # a batch rejected mid-way may have encoded its earlier
-                # rows' values already
+            except EmptyHeadedError as caught:
+                error = caught
+            elapsed = time.perf_counter() - start
+            # a batch rejected mid-way may have encoded its earlier
+            # rows' values already
+            effects = {"identity": grew(),
+                       "cost": ("mutation", name,
+                                _own_seconds(elapsed, stale))}
+            if error is not None:
                 return {"status": "error", "code": "mutation_error",
                         "error": str(error),
                         "error_class": type(error).__name__,
-                        "elapsed_seconds": time.perf_counter() - start,
-                        "_effects": {"identity": grew()}}
+                        "elapsed_seconds": elapsed, "_effects": effects}
+            effects["bump"] = [name] if changed else []
             return {"status": "ok", "changed": int(changed),
-                    "elapsed_seconds": time.perf_counter() - start,
-                    "_effects": {"identity": grew(),
-                                 "bump": [name] if changed else []}}
+                    "elapsed_seconds": elapsed, "_effects": effects}
         return run
 
     def _add_relation_worker(self, name, request):
@@ -884,7 +971,8 @@ class QueryService:
 
 
 class _Worker:
-    """The one thread every admitted op runs on, in submission order.
+    """The one thread every admitted op that does not run on the event
+    loop runs on, in submission order.
 
     Each job comes with a *claim*: a lock that the worker takes before
     it runs the job, and that the event loop takes instead to withdraw
@@ -934,6 +1022,37 @@ def _dictionary_sizes(db, name):
     relation = db.catalog.get(name)
     dictionaries = getattr(relation, "dictionaries", None) or ()
     return [len(d) for d in dictionaries if d is not None]
+
+
+def _internal_error(base, error):
+    """The reply to a request whose handling raised ``error``."""
+    return dict(base, status="error", code="internal",
+                error="%s: %s" % (type(error).__name__, error),
+                error_class=type(error).__name__)
+
+
+def _stale_views(db):
+    """The materialized views the next op on ``db`` refreshes first."""
+    return [view for view in db._views.values() if view.stale] \
+        if db._views else []
+
+
+def _refresh_seconds(views):
+    """Predicted seconds to refresh ``views``: their last refresh
+    times, or ``None`` when one has never been refreshed."""
+    total = 0.0
+    for view in views:
+        if view.refresh_seconds is None:
+            return None
+        total += view.refresh_seconds
+    return total
+
+
+def _own_seconds(elapsed, stale):
+    """An op's ``elapsed`` seconds less the refreshes of the views that
+    were ``stale`` before it (each records its last refresh time)."""
+    return max(0.0, elapsed - sum(view.refresh_seconds or 0.0
+                                  for view in stale))
 
 
 def _deferred_marks(text):

@@ -9,6 +9,7 @@ columns still share one dictionary object.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -59,9 +60,16 @@ def save_catalog(path, catalog):
 def load_catalog(path):
     """Read a saved catalog back into ``{name: Relation}``.
 
-    Manifest keys other than ``version`` and ``relations`` are ignored,
-    so files that carry extra records (older versions stored a
-    ``tuning`` record) still load."""
+    ``path`` may be spelled as it was given to :func:`save_catalog`:
+    numpy appends ``.npz`` to a file name that lacks it, so a path
+    that names no file is read with that suffix.  Manifest keys other
+    than ``version`` and ``relations`` are ignored, so files that
+    carry extra records (older versions stored a ``tuning`` record)
+    still load."""
+    if isinstance(path, (str, os.PathLike)):
+        path = os.fspath(path)
+        if not os.path.exists(path) and os.path.exists(path + ".npz"):
+            path += ".npz"
     with np.load(path, allow_pickle=False) as archive:
         manifest = json.loads(str(archive["manifest"]))
         if manifest.get("version") != FORMAT_VERSION:

@@ -1046,7 +1046,7 @@ class TestRoundWork:
     def test_an_annotated_base_does_not_ping_pong(self):
         """A union round drops the base case's values, so round one
         runs the annotated plan and later rounds the unannotated one:
-        a warm run re-plans at most once each, not every round."""
+        both plans stay cached, and a warm run compiles nothing."""
         program = """
             R(x;w:float) :- Edge(0,x); w=1.
             R(x)* :- Edge(w,x),R(w).
@@ -1059,4 +1059,4 @@ class TestRoundWork:
             assert sorted(db.query(program).tuples()) == first
             stats = db.last_stats
             assert stats.recursion_rounds == 29
-            assert stats.plan_cache_misses <= 2
+            assert (stats.plan_cache_misses, stats.ghd_builds) == (0, 0)

@@ -211,6 +211,9 @@ def test_memoized_serve_counters_expose_the_same_series():
     for status in ("ok", "ok", "error"):
         reference.inc("serve.responses",
                       labels={"op": "query", "status": status})
+    # both executions are first sight: their identity is decided on
+    # the worker thread
+    reference.inc("serve.jobs", 2, labels={"thread": "worker"})
     assert _serve_series(db.metrics) == _serve_series(reference)
     assert _serve_series(reference)
 

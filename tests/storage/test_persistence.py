@@ -113,3 +113,31 @@ class TestRoundTrip:
         save_catalog(path, db.catalog)
         catalog = load_catalog(path)
         assert set(catalog) == {"Edge"}
+
+
+class TestPathSpelling:
+    """``save`` writes ``<path>.npz`` when the path lacks the suffix;
+    ``load`` takes the path either way it was spelled."""
+
+    QUERY = "Q(a,b) :- Edge(a,b)."
+
+    def saved(self, tmp_path):
+        db = Database()
+        db.load_graph("Edge", [("x", "y"), ("y", "z")])
+        db.save(str(tmp_path / "db"))
+        assert [p.name for p in tmp_path.iterdir()] == ["db.npz"]
+        return set(db.query(self.QUERY).tuples())
+
+    def test_load_with_the_path_given_to_save(self, tmp_path):
+        expected = self.saved(tmp_path)
+        loaded = Database.load(str(tmp_path / "db"))
+        assert set(loaded.query(self.QUERY).tuples()) == expected
+
+    def test_load_with_the_file_name_written(self, tmp_path):
+        expected = self.saved(tmp_path)
+        loaded = Database.load(tmp_path / "db.npz")
+        assert set(loaded.query(self.QUERY).tuples()) == expected
+
+    def test_a_missing_file_still_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            Database.load(str(tmp_path / "absent"))
