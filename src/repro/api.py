@@ -31,7 +31,7 @@ from .obs.metrics import MetricsRegistry, TIME_BUCKETS
 from .obs.trace import Tracer, maybe_span
 from .query.parser import parse
 from .storage.dictionary import Dictionary
-from .storage.ordering import apply_order, order_nodes
+from .storage.ordering import order_nodes
 from .storage.relation import Relation
 
 
@@ -126,7 +126,7 @@ class Database:
         self.seed = seed
         self.catalog = {}
         self._env = {}
-        self._dictionary = Dictionary()  # shared by add_relation calls
+        self._dictionary = Dictionary()  # every encoded column's
         self._trie_cache = TrieCache()
         self._plan_cache = PlanCache()
         #: Materialized views by head name
@@ -166,11 +166,10 @@ class Database:
                      combine="last", arity=None):
         """Register a relation from raw tuples (any hashable values).
 
-        All relations registered this way share one *database-wide*
-        dictionary, so the same value encodes to the same id everywhere
-        and cross-relation joins are correct (``load_graph`` keeps its
-        own per-graph dictionary because node ordering permutes its
-        ids).  Use :meth:`add_encoded` when the data is already dense
+        Values encode through the database's one dictionary, as
+        :meth:`load_graph`'s do, so the same value has the same id in
+        every relation and joins across relations meet equal values.
+        Use :meth:`add_encoded` when the data is already dense
         ``uint32``.  Duplicate key tuples merge their annotations per
         ``combine`` (``"last"``, ``"sum"``, ``"min"``, or ``"max"`` —
         relations are sets, so pick the policy that matches the data's
@@ -182,22 +181,20 @@ class Database:
                                         annotations=annotations,
                                         dictionary=self._dictionary,
                                         arity=arity)
-        dictionaries = relation.dictionaries
         relation = relation.deduplicated(combine)
-        relation.dictionaries = dictionaries
         self._install(name, relation)
         return relation
 
-    def add_encoded(self, name, data, annotations=None,
-                    dictionaries=None, combine="last"):
+    def add_encoded(self, name, data, annotations=None, combine="last"):
         """Register an already-encoded relation (``uint32`` matrix).
 
-        See :meth:`add_relation` for the duplicate ``combine`` policy.
+        Its columns carry no dictionary: they hold raw keys, which
+        results decode to.  See :meth:`add_relation` for the duplicate
+        ``combine`` policy.
         """
         relation = Relation(name, np.asarray(data, dtype=np.uint32),
-                            annotations, dictionaries)
+                            annotations)
         relation = relation.deduplicated(combine)
-        relation.dictionaries = dictionaries
         self._install(name, relation)
         return relation
 
@@ -220,7 +217,11 @@ class Database:
             PageRank/SSSP/Lollipop/Barbell).
         ordering:
             Node-ordering scheme (Appendix A.1.1); defaults to the
-            database's ``ordering``.
+            database's ``ordering``.  It chooses the ids of the nodes
+            new to the database dictionary, which follow every id
+            already assigned; a node the database already holds keeps
+            its id.  In an empty database the graph's ids are exactly
+            the ordering's.
         prune:
             Apply symmetric filtering — keep only ``src_id < dst_id``
             under the chosen ordering (the standard preprocessing for
@@ -228,23 +229,28 @@ class Database:
         """
         scheme = ordering if ordering is not None else self.default_ordering
         seed = self.seed if seed is None else seed
-        dictionary = Dictionary()
+        local = {}  # node -> local id, in first-appearance order
         pairs = []
         for src, dst in edges:
-            pairs.append((dictionary.encode(src), dictionary.encode(dst)))
+            pairs.append((local.setdefault(src, len(local)),
+                          local.setdefault(dst, len(local))))
         data = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        n_nodes = len(dictionary)
-        permutation = order_nodes(data, n_nodes, scheme=scheme, seed=seed)
-        dictionary.remap(permutation)
-        data = apply_order(data, permutation)
+        nodes = list(local)
+        # encode in the ordering's rank order: a known node keeps its
+        # code, and the new ones take the next codes in that order
+        ranking = np.argsort(order_nodes(data, len(nodes), scheme=scheme,
+                                         seed=seed)).tolist()
+        codes = np.empty(len(nodes), dtype=np.uint32)
+        codes[ranking] = [self._dictionary.encode(nodes[i])
+                          for i in ranking]
+        data = codes[data]
         if undirected:
             data = np.concatenate([data, data[:, ::-1]])
         if prune:
             data = data[data[:, 0] < data[:, 1]]
-        relation = Relation(name, data.astype(np.uint32),
-                            dictionaries=[dictionary, dictionary])
+        relation = Relation(name, data,
+                            dictionaries=[self._dictionary] * 2)
         relation = relation.deduplicated()
-        relation.dictionaries = [dictionary, dictionary]
         self._install(name, relation)
         return relation
 
@@ -260,9 +266,9 @@ class Database:
     def append(self, name, tuples, annotations=None, combine="last"):
         """Append tuples to a stored relation *in place*.
 
-        Values encode through the relation's own column dictionaries
-        (new values extend them); columns without a dictionary take raw
-        ``uint32`` ids.  Returns the number of rows that actually
+        Values encode through the database dictionary (new values
+        extend it); columns without a dictionary take raw ``uint32``
+        ids.  Returns the number of rows that actually
         changed the relation — re-appending an existing row is a no-op
         (and leaves every cache warm) unless the relation is annotated
         and ``combine`` (``"last"``/``"sum"``/``"min"``/``"max"``,
@@ -291,8 +297,8 @@ class Database:
     def delete(self, name, tuples):
         """Delete tuples from a stored relation *in place*.
 
-        Tuples whose values never entered the relation's dictionaries
-        (or are absent from the relation) are ignored.  Returns the
+        Tuples whose values never entered the database dictionary (or
+        are absent from the relation) are ignored.  Returns the
         number of rows removed; a real removal has the same cache /
         journal / view-staleness effects as :meth:`append`.
         """
@@ -679,12 +685,16 @@ class Database:
     def load(cls, path, **kwargs):
         """Reconstruct a database saved with :meth:`save`.
 
-        Engine configuration is *not* persisted (pass the usual
-        constructor keywords).
+        The file's dictionary becomes the database dictionary, so
+        relations added later encode as the saved ones did.  Engine
+        configuration is *not* persisted (pass the usual constructor
+        keywords).
         """
         from .storage.persistence import load_catalog
         db = cls(**kwargs)
         for name, relation in load_catalog(path).items():
+            if relation.dictionaries:
+                db._dictionary = relation.dictionaries[0]
             db._install(name, relation)
         return db
 

@@ -472,7 +472,10 @@ class RuleExecutor:
         rule sound.  A relation *replaced* by a re-derivation — the
         head a recursion driver installs for every round, PageRank's
         ``InvDeg`` on every run of its program, a view's ``__delta__``
-        input to a Δ-term — gives its atoms the new object.  A relation
+        input to a Δ-term — or by a reload gives its atoms the new
+        object: every encoded column uses the database's one
+        dictionary, so the new object's ids mean what the old one's
+        did.  A relation
         *mutated in place* (``Database.append`` / ``delete``) is still
         the object its atoms read: they only drop the slices they cut
         from it, so a selection is cut again from the mutated source.
@@ -487,9 +490,8 @@ class RuleExecutor:
         that changed arity or annotatedness (a union round's head,
         which drops the base case's values: the rule-tier key records
         annotatedness, so the optimizer's key leads to the plan for
-        the other shape, which stays cached), came back encoded through
-        other dictionaries (a reload, which re-plans, not a
-        re-derivation), or is read through a selection or projection.
+        the other shape, which stays cached), or is read through a
+        selection or projection.
         """
         logical = compiled.logical
         if compiled.kind != "plan":
@@ -511,7 +513,6 @@ class RuleExecutor:
                            or atom.source.arity != relation.arity
                            or atom.annotated
                            != (relation.annotations is not None)
-                           or _reencoded(atom.source, relation)
                            for atom in atoms):
                 return False
         for atom in logical.atoms:
@@ -990,13 +991,6 @@ def _plain_reads(logical, name):
             or any(atom.sig_name != name for atom in atoms):
         return None
     return atoms
-
-
-def _reencoded(old, new):
-    """Whether both relations carry dictionaries and they differ."""
-    return old.dictionaries is not None and new.dictionaries is not None \
-        and any(a is not b
-                for a, b in zip(old.dictionaries, new.dictionaries))
 
 
 def _guard_annotation_factor(logical):

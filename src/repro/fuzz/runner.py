@@ -17,6 +17,7 @@ results exact in practice.
 """
 
 import math
+import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -115,32 +116,43 @@ def case_seed(master_seed, index):
 # ---------------------------------------------------------------------------
 
 
-def _normalize_relation(relation, fallback_dictionary):
+def _normalize_relation(relation):
     """Collapse a result :class:`Relation` to an engine-independent
-    ``(kind, value)`` — decoded tuples, plain floats."""
+    ``(kind, value)`` — tuples decoded as ``Result.tuples()`` decodes
+    them, plain floats."""
     if relation.arity == 0:
         if relation.annotations is not None:
             return "scalar", float(relation.annotations[0])
         return "exists", relation.cardinality > 0
-    dictionaries = relation.dictionaries
-    if dictionaries is None:
-        dictionaries = [fallback_dictionary] * relation.arity
-    rows = []
-    for row in relation.data:
-        rows.append(tuple(dictionaries[c].decode(v)
-                          for c, v in enumerate(row)))
+    rows = relation.decoded_tuples()
     if relation.annotations is not None:
         return "map", {row: float(a)
                        for row, a in zip(rows, relation.annotations)}
     return "set", frozenset(rows)
 
 
+def _load_relations(db, case):
+    """Load the case's relations into ``db`` through a seeded mix of
+    loaders: about half of the unannotated binary relations as
+    directed graphs (``load_graph``, whose node ordering picks their
+    new values' ids), the rest through ``add_relation``.  Every loader
+    encodes through the database's one dictionary, so no answer may
+    show which loader a relation took."""
+    rng = random.Random(case.seed)
+    for relation in case.relations:
+        if relation.arity == 2 and relation.annotations is None \
+                and rng.random() < 0.5:
+            db.load_graph(relation.name, relation.tuples,
+                          undirected=False)
+        else:
+            db.add_relation(relation.name, relation.tuples,
+                            annotations=relation.annotations,
+                            arity=relation.arity)
+
+
 def _load_case(case, config):
     db = Database(config=config.ablated())
-    for relation in case.relations:
-        db.add_relation(relation.name, relation.tuples,
-                        annotations=relation.annotations,
-                        arity=relation.arity)
+    _load_relations(db, case)
     return db
 
 
@@ -157,8 +169,7 @@ def _run_engine(case, db):
             heads.append(name)
     results = {}
     for name in heads:
-        results[name] = _normalize_relation(db.relation(name),
-                                            db._dictionary)
+        results[name] = _normalize_relation(db.relation(name))
     return "ok", results
 
 
@@ -400,10 +411,7 @@ def _run_mutation_ops(case, config):
     """
     db = Database(config=config.ablated())
     outcomes = []
-    for relation in case.relations:
-        db.add_relation(relation.name, relation.tuples,
-                        annotations=relation.annotations,
-                        arity=relation.arity)
+    _load_relations(db, case)
     try:
         for name, rule in case.views:
             db.materialize(name, str(rule))
@@ -426,8 +434,7 @@ def _query_snapshot(db, case):
         db.query(case.query_text)
         results = {}
         for name in case.head_names:
-            results[name] = _normalize_relation(db.relation(name),
-                                                db._dictionary)
+            results[name] = _normalize_relation(db.relation(name))
         return "ok", results
     except EmptyHeadedError as error:
         return "error", type(error).__name__
@@ -472,8 +479,7 @@ def _oracle_outcomes(case):
             continue
         results = {}
         for name in case.head_names:
-            results[name] = _normalize_relation(db.relation(name),
-                                                db._dictionary)
+            results[name] = _normalize_relation(db.relation(name))
         outcomes.append(("ok", results))
     return outcomes
 
@@ -557,8 +563,8 @@ def _serve_mutation_ops(case, config):
     """Replay the case's op sequence through a live query daemon.
 
     Boots a :class:`~repro.serve.QueryService` around a database with
-    the same config as the direct run, then drives every op over the
-    wire — setup ``add_relation``/``materialize``, interleaved
+    the same config and relations as the direct run, then drives every
+    op over the wire — setup ``materialize``, interleaved
     ``append``/``delete``/``query`` — returning the same outcome-list
     shape as :func:`_run_mutation_ops` for
     :func:`_diff_mutation_outcomes`.  This is the result cache's
@@ -567,18 +573,11 @@ def _serve_mutation_ops(case, config):
     """
     from ..serve import QueryService, ServeClient
     db = Database(config=config.ablated())
+    _load_relations(db, case)
     service = QueryService(db).start()
     outcomes = []
     try:
         with ServeClient(port=service.port) as client:
-            for relation in case.relations:
-                reply = client.add_relation(
-                    relation.name, relation.tuples,
-                    annotations=relation.annotations,
-                    arity=relation.arity)
-                if reply["status"] != "ok":
-                    raise RuntimeError("add_relation %r failed: %r"
-                                       % (relation.name, reply))
             setup_error = None
             for name, rule in case.views:
                 reply = client.materialize(name, str(rule))

@@ -106,21 +106,19 @@ def decode_message(line):
     return message
 
 
-def payload_from_relation(relation, fallback_dictionary):
+def payload_from_relation(relation):
     """Normalized JSON payload of a relation (see module docstring),
-    decoded column by column, rows in canonical order: sorted by
-    encoded key and duplicate-free (a result that arrives that way is
-    not re-sorted)."""
+    decoded column by column as ``Result.tuples()`` decodes it (a
+    relation without dictionaries travels as its raw keys), rows in
+    canonical order: sorted by encoded key and duplicate-free (a
+    result that arrives that way is not re-sorted)."""
     if relation.arity == 0:
         if relation.annotations is not None:
             return Payload(kind="scalar",
                            value=float(relation.annotations[0]))
         return Payload(kind="exists", value=relation.cardinality > 0)
     relation = relation.deduplicated()
-    dictionaries = relation.dictionaries \
-        or [fallback_dictionary] * relation.arity
-    rows = list(map(list, zip(*relation.decoded_columns(
-        dictionaries=dictionaries))))
+    rows = list(map(list, zip(*relation.decoded_columns())))
     if relation.annotations is None:
         return Payload(kind="set", rows=rows)
     return Payload(kind="map", items=list(map(

@@ -42,11 +42,11 @@ at its FIFO position (where every earlier op has applied its effects
 and nothing later has run — a hit there is trivially bit-identical to
 serial replay).  The memo is stamped with an identity epoch that only
 ops able to change an identity bump: a new relation, a materialize,
-and an append that grew one of the relation's dictionaries (identity
-reads the catalog through name resolution and constant encodings
-alone, and an absent constant encodes the same however the relation's
-rows change).  Completed ops apply their *effects* on the event loop
-in completion (= admission) order: mutations bump the mutated
+and an append that grew the database dictionary (identity reads the
+catalog through name resolution and constant encodings alone, and an
+absent constant encodes the same however the relation's rows
+change).  Completed ops apply their *effects* on the event loop in
+completion (= admission) order: mutations bump the mutated
 relation's epoch and evict entries stamped with it; executed queries
 bump their installed heads' epochs and store their payload.  A query
 arriving while a mutation (or an overlapping execution) is pending on
@@ -147,7 +147,7 @@ class QueryService:
         self._epochs = {}
         #: Coarse epoch for the program-identity memo: bumped by any
         #: op that can change name resolution or dictionary encodings
-        #: (an append only when it grew a dictionary).
+        #: (an append only when it grew the database dictionary).
         self._identity_epoch = 0
         #: ``text -> [identity_epoch, identity, hit record fields,
         #: seconds]``; the fields (a cache hit's query-log record less
@@ -772,8 +772,7 @@ class QueryService:
                         "error": str(error),
                         "error_class": type(error).__name__,
                         "elapsed_seconds": elapsed, "_effects": effects}
-            payload = protocol.payload_from_relation(result.relation,
-                                                     self.db._dictionary)
+            payload = protocol.payload_from_relation(result.relation)
             reply = {"status": "ok", "cached": False,
                      "rows": int(result.count),
                      "elapsed_seconds": elapsed, "result": payload,
@@ -879,11 +878,7 @@ class QueryService:
             start = time.perf_counter()
             # Only new dictionary entries can change a program's
             # identity, and a delete never adds one.
-            sizes = _dictionary_sizes(self.db, name)
-
-            def grew():
-                return op == "append" \
-                    and _dictionary_sizes(self.db, name) != sizes
+            size = len(self.db._dictionary)
             error = None
             try:
                 if op == "append":
@@ -897,7 +892,7 @@ class QueryService:
             elapsed = time.perf_counter() - start
             # a batch rejected mid-way may have encoded its earlier
             # rows' values already
-            effects = {"identity": grew(),
+            effects = {"identity": len(self.db._dictionary) != size,
                        "cost": ("mutation", name,
                                 _own_seconds(elapsed, stale))}
             if error is not None:
@@ -962,8 +957,7 @@ class QueryService:
                         "error": str(error),
                         "error_class": type(error).__name__,
                         "elapsed_seconds": time.perf_counter() - start}
-            payload = protocol.payload_from_relation(relation,
-                                                     self.db._dictionary)
+            payload = protocol.payload_from_relation(relation)
             return {"status": "ok", "rows": int(relation.cardinality),
                     "elapsed_seconds": time.perf_counter() - start,
                     "result": payload}
@@ -1014,14 +1008,6 @@ class _Worker:
         """Wait for the thread to end (after :meth:`shutdown`)."""
         if self._thread is not None:
             self._thread.join(timeout)
-
-
-def _dictionary_sizes(db, name):
-    """Entry counts of relation ``name``'s column dictionaries (empty
-    for an unknown or dictionary-free relation)."""
-    relation = db.catalog.get(name)
-    dictionaries = getattr(relation, "dictionaries", None) or ()
-    return [len(d) for d in dictionaries if d is not None]
 
 
 def _internal_error(base, error):

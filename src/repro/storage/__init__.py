@@ -1,16 +1,16 @@
 """Storage substrate: dictionary encoding, relations, tries, orderings."""
 
 from .builder import TrieBuilder
-from .dictionary import Dictionary, identity_dictionary
-from .ordering import ORDERINGS, apply_order, order_nodes
+from .dictionary import Dictionary
+from .ordering import ORDERINGS, order_nodes
 from .persistence import load_catalog, save_catalog
 from .relation import Relation
 from .trie import Trie, TrieNode, trie_from_arrays
 
 __all__ = [
     "TrieBuilder",
-    "Dictionary", "identity_dictionary",
-    "ORDERINGS", "apply_order", "order_nodes",
+    "Dictionary",
+    "ORDERINGS", "order_nodes",
     "load_catalog", "save_catalog",
     "Relation",
     "Trie", "TrieNode", "trie_from_arrays",

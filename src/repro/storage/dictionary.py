@@ -1,10 +1,12 @@
 """Dictionary encoding: arbitrary values ↔ dense 32-bit keys (paper §2.2).
 
 EmptyHeaded tries store only ``uint32`` values, so input tables of
-arbitrary type are dictionary-encoded first.  The *order* in which ids are
-assigned matters for performance (it determines set density in the trie),
-which is why :mod:`repro.storage.ordering` produces id permutations that
-this class can be rebuilt around.
+arbitrary type are dictionary-encoded first.  A database holds one
+dictionary, and every encoded column of its relations uses it, so a
+value has one id everywhere and joins compare ids.  The *order* in which
+ids are assigned matters for performance (it determines set density in
+the trie): ``Database.load_graph`` encodes a graph's new nodes in the
+order :mod:`repro.storage.ordering` ranks them.
 """
 
 import numpy as np
@@ -15,8 +17,8 @@ from ..errors import SchemaError
 class Dictionary:
     """A bijective mapping from hashable values to dense ``uint32`` ids.
 
-    Ids are assigned on first encode in insertion order; use
-    :meth:`remap` to apply a node-ordering permutation afterwards.
+    Ids are assigned on first encode in insertion order and never
+    change afterwards.
 
     Examples
     --------
@@ -108,35 +110,3 @@ class Dictionary:
                 except OverflowError:
                     self._mixed = True
         return self._id_array
-
-    def remap(self, permutation):
-        """Apply a node-ordering permutation in place.
-
-        ``permutation[old_id] == new_id``; must be a bijection over the
-        current id range.  Returns the permutation for chaining so callers
-        can remap already-encoded columns with ``permutation[column]``.
-        """
-        perm = np.asarray(permutation)
-        n = len(self._id_to_value)
-        if perm.shape != (n,) or not np.array_equal(np.sort(perm),
-                                                    np.arange(n)):
-            raise SchemaError("permutation must be a bijection over %d ids"
-                              % n)
-        new_table = [None] * n
-        for old_id, value in enumerate(self._id_to_value):
-            new_table[int(perm[old_id])] = value
-        self._id_to_value = new_table
-        self._value_to_id = {v: i for i, v in enumerate(new_table)}
-        self._id_array = None
-        return perm
-
-
-def identity_dictionary(n):
-    """A dictionary over ``range(n)`` mapping each integer to itself.
-
-    Convenience for graph inputs whose node ids are already dense ints.
-    """
-    d = Dictionary()
-    for i in range(n):
-        d.encode(i)
-    return d

@@ -182,9 +182,3 @@ def order_nodes(edges, n_nodes, scheme="degree", seed=0):
         return np.arange(n_nodes, dtype=np.uint32)
     return _SCHEMES[scheme](edges.astype(np.int64, copy=False), n_nodes,
                             seed=seed)
-
-
-def apply_order(edges, permutation):
-    """Relabel an edge array under ``permutation[old] = new``."""
-    perm = np.asarray(permutation, dtype=np.uint32)
-    return perm[np.asarray(edges, dtype=np.int64)]

@@ -1,11 +1,11 @@
 """Database persistence: save/load relations to a single ``.npz`` file.
 
 The on-disk format is deliberately simple and pickle-free: every
-relation contributes its key matrix, optional annotation vector, and —
-when its columns are dictionary-encoded — the decoded value table as a
-numpy array (strings or integers).  Dictionaries shared across columns
-are deduplicated through an identity map so a reloaded graph's two edge
-columns still share one dictionary object.
+relation contributes its key matrix, optional annotation vector and,
+when its columns are dictionary-encoded, the ids of their dictionaries.
+A database has one dictionary, so a file holds at most one value table
+(``dict:0``, strings or integers) and every encoded column of the
+reloaded catalog shares that one dictionary object.
 """
 
 import json
@@ -65,7 +65,9 @@ def load_catalog(path):
     that names no file is read with that suffix.  Manifest keys other
     than ``version`` and ``relations`` are ignored, so files that
     carry extra records (older versions stored a ``tuning`` record)
-    still load."""
+    still load.  A file that holds more than one dictionary was
+    written when graphs had dictionaries of their own, and joins
+    across them were wrong: it is refused."""
     if isinstance(path, (str, os.PathLike)):
         path = os.fspath(path)
         if not os.path.exists(path) and os.path.exists(path + ".npz"):
@@ -75,17 +77,17 @@ def load_catalog(path):
         if manifest.get("version") != FORMAT_VERSION:
             raise SchemaError("unsupported save-file version %r"
                               % manifest.get("version"))
-        dictionaries = {}
-
-        def dictionary_for(index):
-            if index not in dictionaries:
-                table = archive["dict:%d" % index]
-                d = Dictionary()
-                for value in table.tolist():
-                    d.encode(value)
-                dictionaries[index] = d
-            return dictionaries[index]
-
+        if "dict:1" in archive.files:
+            raise SchemaError(
+                "%s holds more than one dictionary: it was saved by a "
+                "version that gave each graph its own, whose joins "
+                "across them were wrong; load the relations again from "
+                "their sources" % path)
+        dictionary = None
+        if "dict:0" in archive.files:
+            dictionary = Dictionary()
+            for value in archive["dict:0"].tolist():
+                dictionary.encode(value)
         catalog = {}
         for name, record in manifest["relations"].items():
             data = archive["data:%s" % name]
@@ -93,8 +95,7 @@ def load_catalog(path):
                 if record["annotated"] else None
             column_dictionaries = None
             if record["dictionaries"] is not None:
-                column_dictionaries = [dictionary_for(i)
-                                       for i in record["dictionaries"]]
+                column_dictionaries = [dictionary] * record["arity"]
             catalog[name] = Relation(name, data, annotations,
                                      column_dictionaries)
     return catalog

@@ -341,21 +341,19 @@ class Relation:
             dicts = [self.dictionaries[c] for c in columns]
         return Relation(self.name, data, self.annotations, dicts)
 
-    def decoded_columns(self, rows=None, dictionaries=None):
+    def decoded_columns(self, rows=None):
         """One list of decoded values per column — all rows, or those
-        ``rows`` indexes — through ``dictionaries`` (default: the
-        relation's own; without any, the keys as Python ``int``).
+        ``rows`` indexes — through the relation's dictionaries (without
+        any, the keys as Python ``int``).
 
         Decoding is columnar (:meth:`Dictionary.decode_many`), never a
         call per element; elements are the dictionaries' stored
         objects, so ``int`` node ids come back as Python ``int``.
         """
         data = self.data if rows is None else self.data[rows]
-        if dictionaries is None:
-            dictionaries = self.dictionaries
-        if dictionaries is None:
+        if self.dictionaries is None:
             return [data[:, c].tolist() for c in range(self.arity)]
-        return [dictionaries[c].decode_many(data[:, c])
+        return [self.dictionaries[c].decode_many(data[:, c])
                 for c in range(self.arity)]
 
     def decoded_tuples(self, rows=None):

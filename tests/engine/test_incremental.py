@@ -22,7 +22,7 @@ TRIANGLES = ("T(;w:long) :- Edge(x,y),Edge(y,z),Edge(x,z); "
 
 
 def snapshot(db, name):
-    return _normalize_relation(db.relation(name), db._dictionary)
+    return _normalize_relation(db.relation(name))
 
 
 def rebuild(relations, programs, name, **config):

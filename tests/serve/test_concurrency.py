@@ -68,7 +68,7 @@ def _oracle_payloads():
         row = {}
         for text, _ in WORKLOAD:
             relation = db.query(text).relation
-            row[text] = payload_from_relation(relation, db._dictionary)
+            row[text] = payload_from_relation(relation)
         expected.append(row)
     return expected
 

@@ -108,7 +108,7 @@ def _payloads():
 @pytest.mark.parametrize("kind", ["scalar", "exists", "set", "map"])
 def test_memoized_reply_equals_the_whole_message_dump(kind):
     relation = _payloads()[kind]
-    payload = payload_from_relation(relation, Dictionary())
+    payload = payload_from_relation(relation)
     assert payload["kind"] == kind
     reply = {"status": "ok", "cached": False, "rows": 3, "id": "r-1",
              "elapsed_seconds": 0.25, "result": payload}
@@ -130,7 +130,7 @@ def test_memoized_reply_equals_the_whole_message_dump(kind):
 
 
 def test_payload_rows_are_plain_python_values():
-    payload = payload_from_relation(_payloads()["map"], Dictionary())
+    payload = payload_from_relation(_payloads()["map"])
     assert isinstance(payload, Payload)
     assert payload["items"] == [[[5, 3], 1.0], [[5, 9], 2.5],
                                 [[9, 3], 3.0]]
@@ -147,8 +147,7 @@ def test_cli_loaded_graph_replies_with_plain_ints(tmp_path):
     assert dictionary._int_column() is not None
     assert all(type(v) is int
                for v in dictionary.decode_many(np.arange(len(dictionary))))
-    payload = payload_from_relation(db.query(DEGREE).relation,
-                                    db._dictionary)
+    payload = payload_from_relation(db.query(DEGREE).relation)
     assert all(type(v) is int for row, _ in payload["items"] for v in row)
 
 
@@ -175,8 +174,7 @@ def test_items_follow_canonical_order_after_append_then_delete(service):
             direct.load_graph("Edge", service.db.relation(
                 "Edge").decoded_tuples(), undirected=False)
             assert payload_to_outcome(result) == payload_to_outcome(
-                payload_from_relation(direct.query(text).relation,
-                                      direct._dictionary))
+                payload_from_relation(direct.query(text).relation))
         fetched = client.relation("Edge", check=True)["result"]["rows"]
         keys = [_encoded(edges, row) for row in fetched]
         assert keys == sorted(set(keys))
@@ -236,7 +234,7 @@ def test_serve_counters_survive_a_registry_reset():
 
 
 def test_a_value_equal_to_the_splice_mark_falls_back_to_a_whole_dump():
-    payload = payload_from_relation(_payloads()["set"], Dictionary())
+    payload = payload_from_relation(_payloads()["set"])
     for key in ("id", "status"):
         reply = {key: "\x00payload\x00", "result": payload}
         assert encode_message(reply) == _plain_dumps(reply)

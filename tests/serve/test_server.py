@@ -56,7 +56,7 @@ def test_decode_rejects_non_objects():
 
 def test_payload_round_trip(service):
     relation = service.db.relation("Edge")
-    payload = payload_from_relation(relation, service.db._dictionary)
+    payload = payload_from_relation(relation)
     kind, value = payload_to_outcome(payload)
     assert kind == "set"
     assert (0, 1) in value and (1, 0) in value

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SchemaError
-from repro.storage import Dictionary, identity_dictionary
+from repro.storage import Dictionary
 
 
 class TestEncoding:
@@ -50,31 +49,6 @@ class TestEncoding:
         for v in "abc":
             d.encode(v)
         assert d.decode_many([2, 0]) == ["c", "a"]
-
-
-class TestRemap:
-    def test_remap_permutes_ids(self):
-        d = Dictionary()
-        for v in "abc":
-            d.encode(v)
-        d.remap(np.array([2, 0, 1]))  # a->2, b->0, c->1
-        assert d.decode(2) == "a"
-        assert d.decode(0) == "b"
-        assert d.lookup("c") == 1
-
-    def test_remap_rejects_non_bijection(self):
-        d = Dictionary()
-        d.encode("a")
-        d.encode("b")
-        with pytest.raises(SchemaError):
-            d.remap(np.array([0, 0]))
-        with pytest.raises(SchemaError):
-            d.remap(np.array([0]))
-
-    def test_identity_dictionary(self):
-        d = identity_dictionary(4)
-        assert [d.decode(i) for i in range(4)] == [0, 1, 2, 3]
-        assert d.encode(2) == 2
 
 
 class TestNumpyScalars:

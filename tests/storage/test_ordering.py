@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage import ORDERINGS, apply_order, order_nodes
+from repro.storage import ORDERINGS, order_nodes
 
 STAR_PLUS_TAIL = np.array([[0, 1], [0, 2], [0, 3], [0, 4], [4, 5]])
 
@@ -70,13 +70,6 @@ class TestSchemes:
         perm = order_nodes(np.empty((0, 2)), 3, scheme="degree")
         assert perm.tolist() == [0, 1, 2]
 
-
-class TestApplyOrder:
-    def test_relabels_edges(self):
-        perm = np.array([2, 0, 1], dtype=np.uint32)
-        out = apply_order(np.array([[0, 1], [1, 2]]), perm)
-        assert out.tolist() == [[2, 0], [0, 1]]
-
     def test_triangle_count_invariant_under_ordering(self):
         """Relabeling must never change the set of triangles."""
         from tests.conftest import (brute_force_triangles,
@@ -86,5 +79,5 @@ class TestApplyOrder:
         arr = np.asarray(edges)
         for scheme in ORDERINGS:
             perm = order_nodes(arr, 25, scheme=scheme)
-            relabeled = [tuple(e) for e in apply_order(arr, perm).tolist()]
+            relabeled = [tuple(e) for e in perm[arr].tolist()]
             assert brute_force_triangles(relabeled) == base, scheme
