@@ -16,7 +16,9 @@ empirically:
 * :mod:`repro.fuzz.runner` — the differential harness: each program
   runs across a config matrix (``enumerate_config_matrix``) plus a
   plan-cache warm re-run, and every result is compared against every
-  other and against the oracle(s);
+  other and against the oracle; mutation sequences (in process or
+  through a live daemon) are checked against the oracle at every
+  query op;
 * :mod:`repro.fuzz.shrink` — a delta-debugging minimizer that reduces a
   mismatching program (fewer rules → fewer atoms → fewer tuples →
   smaller domain) while it keeps failing;

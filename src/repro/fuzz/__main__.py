@@ -7,8 +7,7 @@ number of failing cases (capped at 99), so CI can gate on it directly.
 import argparse
 import sys
 
-from ..engine.config import (enumerate_config_matrix,
-                             enumerate_mutation_matrix)
+from ..engine.config import enumerate_config_matrix
 from ..obs.metrics import MetricsRegistry
 from .corpus import load_corpus, save_case
 from .runner import (run_case, run_fuzz, run_mutation_fuzz,
@@ -24,15 +23,16 @@ def build_parser():
                         help="master seed (default 0)")
     parser.add_argument("--budget", type=int, default=100,
                         help="number of cases to run (default 100)")
-    parser.add_argument("--mutations", action="store_true",
-                        help="fuzz incremental maintenance: interleaved "
-                             "append/delete/query sequences checked "
-                             "against a full-rebuild oracle")
-    parser.add_argument("--serve", action="store_true",
-                        help="fuzz the query daemon: replay mutation "
-                             "cases through a live repro.serve daemon "
-                             "and diff every reply against direct "
-                             "Database execution")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--mutations", action="store_true",
+                      help="fuzz incremental maintenance: interleaved "
+                           "append/delete/query sequences checked "
+                           "against the brute-force oracle")
+    mode.add_argument("--serve", action="store_true",
+                      help="fuzz the query daemon: replay mutation "
+                           "cases through a live repro.serve daemon "
+                           "and check every reply against the "
+                           "brute-force oracle")
     parser.add_argument("--shrink", action="store_true",
                         help="minimize failures before reporting them")
     parser.add_argument("--full-matrix", action="store_true",
@@ -50,8 +50,6 @@ def build_parser():
     parser.add_argument("--max-failures", type=int, default=10,
                         help="stop after this many failures "
                              "(default 10)")
-    parser.add_argument("--no-reference", action="store_true",
-                        help="skip the tests/reference.py oracle layer")
     parser.add_argument("--metrics", action="store_true",
                         help="print fuzzing metrics at the end")
     parser.add_argument("--quiet", action="store_true",
@@ -66,8 +64,7 @@ def _replay(args, matrix):
         return 0
     failures = 0
     for name, case in cases:
-        failure = run_case(case, matrix,
-                           check_reference=not args.no_reference)
+        failure = run_case(case, matrix)
         status = "ok" if failure is None else "FAIL"
         print("%-50s %s" % (name, status))
         if failure is not None:
@@ -78,8 +75,29 @@ def _replay(args, matrix):
     return failures
 
 
+#: Flags only the plain fuzzer reads: mutation cases replay from their
+#: seed, run the mutation matrix and have no shrinker or corpus format.
+PLAIN_ONLY = ("--shrink", "--save-corpus", "--full-matrix",
+              "--replay-corpus")
+
+
+def parse_args(argv=None):
+    """Parse the command line; a flag the chosen mode would ignore is a
+    usage error (exit 2)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    mode = "--serve" if args.serve else "--mutations" \
+        if args.mutations else None
+    if mode is not None:
+        for flag in PLAIN_ONLY:
+            if getattr(args, flag[2:].replace("-", "_")):
+                parser.error("%s cannot be combined with %s"
+                             % (flag, mode))
+    return args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     matrix = enumerate_config_matrix(full=args.full_matrix)
     if args.replay_corpus:
         return min(_replay(args, matrix), 99)
@@ -92,28 +110,20 @@ def main(argv=None):
             print("\r%d/%d cases, %d failure(s)"
                   % (done, budget, failures), end="", flush=True)
 
-    if args.serve:
-        report = run_serve_fuzz(seed=args.seed, budget=args.budget,
-                                matrix=enumerate_mutation_matrix(),
-                                max_failures=args.max_failures,
-                                metrics=metrics, progress=ticker)
-    elif args.mutations:
-        report = run_mutation_fuzz(seed=args.seed, budget=args.budget,
-                                   matrix=enumerate_mutation_matrix(),
-                                   max_failures=args.max_failures,
-                                   metrics=metrics, progress=ticker)
+    if args.serve or args.mutations:
+        fuzz = run_serve_fuzz if args.serve else run_mutation_fuzz
+        report = fuzz(seed=args.seed, budget=args.budget,
+                      max_failures=args.max_failures, metrics=metrics,
+                      progress=ticker)
     else:
         report = run_fuzz(seed=args.seed, budget=args.budget,
                           matrix=matrix, shrink=args.shrink,
                           max_failures=args.max_failures,
-                          metrics=metrics, progress=ticker,
-                          check_reference=not args.no_reference)
+                          metrics=metrics, progress=ticker)
     if not args.quiet:
         print()
     print(report.describe())
-    if args.save_corpus and not (args.mutations or args.serve):
-        # Mutation cases replay from their seed; the corpus format only
-        # stores plain FuzzCases.
+    if args.save_corpus:
         for failure in report.failures:
             case = failure.shrunk if failure.shrunk is not None \
                 else failure.case

@@ -577,9 +577,9 @@ class MutationCase:
     materialized views over them (and over each other), a query program,
     and an interleaved append/delete/query op sequence.
 
-    The runner checks every query op differentially: engine configs
-    against each other and against a from-scratch full-rebuild oracle
-    (a fresh database loaded with the mirrored post-mutation contents).
+    The runner checks every query op of every engine config against
+    the brute-force oracle (:func:`repro.fuzz.oracle.evaluate_program`)
+    run over the mirrored post-mutation contents.
     """
 
     seed: int
@@ -619,7 +619,8 @@ class MutationCase:
 
 def initial_mirror(relations):
     """``{name: {tuple: annotation-or-None}}`` for the base contents —
-    the ground truth the oracle rebuilds from at every query op."""
+    the ground truth the brute-force oracle evaluates at every query
+    op."""
     mirror = {}
     for relation in relations:
         annotations = relation.annotations \

@@ -1,9 +1,10 @@
-"""Independent brute-force evaluator for fuzz cases.
+"""The brute-force evaluator: the datalog semantics, written out.
 
 This oracle shares *no* code with the engine: it evaluates programs by
-backtracking over plain Python tuples (the engine joins dictionary-
-encoded numpy tries; ``tests/reference.py`` enumerates cartesian
-products — three implementations, one semantics).
+backtracking over plain Python tuples, where the engine joins
+dictionary-encoded numpy tries.  It is the one brute-force reference:
+every fuzz mode (plain, ``--mutations``, ``--serve``) and the property
+tests compare the engine against :func:`evaluate_program`.
 
 Semantics implemented (matching the engine's semiring model):
 
@@ -249,26 +250,24 @@ def _eval_recursive(rule, catalog, env):
     raise OracleDiverged("monotone recursion on %r" % name)
 
 
-def evaluate_case(case):
-    """Evaluate a :class:`~repro.fuzz.gen.FuzzCase` from scratch.
+def evaluate_program(base, rules):
+    """Evaluate ``rules`` in order over the base relations ``base``.
 
-    Returns ``{head_name: (kind, value)}`` with the *final* value of
-    every derived head (a recursive pair reports its fixpoint).  Raises
-    :class:`OracleError` for programs outside the supported shape and
-    :class:`OracleDiverged` for non-terminating recursion.
+    ``base`` maps each relation name to ``(tuples, {tuple: annotation}
+    | None)``.  Returns ``{head_name: (kind, value)}`` with the *final*
+    value of every derived head (a recursive pair reports its
+    fixpoint).  Raises :class:`OracleError` for programs outside the
+    supported shape and :class:`OracleDiverged` for non-terminating
+    recursion.
     """
-    catalog = {}
+    catalog = {name: ([tuple(row) for row in tuples],
+                      None if annotations is None
+                      else {tuple(row): float(value)
+                            for row, value in annotations.items()})
+               for name, (tuples, annotations) in base.items()}
     env = {}
-    for relation in case.relations:
-        annotations = None
-        if relation.annotations is not None:
-            annotations = {tuple(row): float(a)
-                           for row, a in zip(relation.tuples,
-                                             relation.annotations)}
-        catalog[relation.name] = ([tuple(row) for row in relation.tuples],
-                                  annotations)
     results = {}
-    for rule in case.rules:
+    for rule in rules:
         if rule.recursive:
             kind, value = _eval_recursive(rule, catalog, env)
         else:
@@ -278,3 +277,15 @@ def evaluate_case(case):
         if kind == "scalar":
             env[rule.head_name] = value
     return results
+
+
+def evaluate_case(case):
+    """:func:`evaluate_program` over a :class:`~repro.fuzz.gen.FuzzCase`'s
+    relations and rules."""
+    return evaluate_program(
+        {relation.name: (relation.tuples,
+                         None if relation.annotations is None
+                         else dict(zip(map(tuple, relation.tuples),
+                                       relation.annotations)))
+         for relation in case.relations},
+        case.rules)

@@ -6,10 +6,12 @@ warm re-run, and every derived head is cross-checked:
 
 * config vs config — all engine paths must agree tuple-for-tuple and
   value-for-value (or fail with the same error class);
-* engine vs :mod:`repro.fuzz.oracle` — the backtracking brute force;
-* engine vs ``tests.reference`` — the cartesian-product brute force
-  (skipped automatically when the test package is not importable,
-  e.g. from an installed wheel).
+* engine vs :mod:`repro.fuzz.oracle` — the backtracking brute force.
+
+The write fuzzers (``--mutations``, and ``--serve`` through a live
+daemon) run a mutation case's interleaved append/delete/query ops
+under every config of the mutation matrix and diff every query op
+against the same oracle, run over the mirrored relations.
 
 Float comparison is tolerant (``isclose``) but the generator's numeric
 hygiene — integer annotations, division only by powers of two — makes
@@ -30,7 +32,7 @@ from ..engine.config import (enumerate_config_matrix,
 from ..errors import EmptyHeadedError
 from .gen import (apply_op_to_mirror, generate_case,
                   generate_mutation_case, initial_mirror)
-from .oracle import OracleError, evaluate_case
+from .oracle import OracleError, evaluate_case, evaluate_program
 
 #: Config labels that additionally execute a warm (plan-cache hit)
 #: re-run of the same program on the same database.
@@ -69,7 +71,7 @@ class CaseFailure:
     """One differential mismatch, engine error disagreement, or crash."""
 
     seed: int
-    kind: str  # "mismatch" | "oracle" | "reference" | "crash"
+    kind: str  # "mismatch" | "oracle" | "{mutation,serve}-mismatch" | "crash"
     detail: str
     case: object
     shrunk: Optional[object] = None
@@ -240,45 +242,22 @@ def _diff_outcomes(label_a, outcome_a, label_b, outcome_b):
 
 
 # ---------------------------------------------------------------------------
-# reference layer (tests/reference.py, when importable)
-# ---------------------------------------------------------------------------
-
-
-def _reference_module():
-    try:
-        from tests import reference
-    except ImportError:
-        return None
-    return reference if hasattr(reference, "evaluate_program") else None
-
-
-def _reference_results(case, reference):
-    base = {}
-    for relation in case.relations:
-        annotations = None
-        if relation.annotations is not None:
-            annotations = {tuple(row): float(a)
-                           for row, a in zip(relation.tuples,
-                                             relation.annotations)}
-        base[relation.name] = ([tuple(row) for row in relation.tuples],
-                               annotations)
-    return reference.evaluate_program(base, case.rules)
-
-
-# ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
 
-def run_case(case, matrix=None, check_oracle=True, check_reference=True,
-             metrics=None):
+def _count(metrics, name):
+    if metrics is not None:
+        metrics.inc(name)
+
+
+def run_case(case, matrix=None, metrics=None):
     """Run one case across the config matrix; ``None`` when consistent,
     else a :class:`CaseFailure`.
 
     A non-engine exception from any config is reported as a ``crash``
-    failure.  Oracle divergence (non-terminating recursion) skips the
-    oracle layers but still cross-checks the engine configs against
-    each other.
+    failure.  A case the oracle cannot evaluate (non-terminating
+    recursion) is still cross-checked config against config.
     """
     if matrix is None:
         matrix = enumerate_config_matrix()
@@ -292,8 +271,7 @@ def run_case(case, matrix=None, check_oracle=True, check_reference=True,
                     outcomes.append((label + "+warm",
                                      _run_engine(case, db)))
         except Exception as error:  # noqa: BLE001 - crash = finding
-            if metrics is not None:
-                metrics.inc("fuzz.crashes")
+            _count(metrics, "fuzz.crashes")
             return CaseFailure(case.seed, "crash",
                                "%s crashed: %s: %s"
                                % (label, type(error).__name__, error),
@@ -302,47 +280,53 @@ def run_case(case, matrix=None, check_oracle=True, check_reference=True,
     for label, outcome in outcomes[1:]:
         diff = _diff_outcomes(base_label, base_outcome, label, outcome)
         if diff is not None:
-            if metrics is not None:
-                metrics.inc("fuzz.mismatches")
+            _count(metrics, "fuzz.mismatches")
             return CaseFailure(case.seed, "mismatch", diff, case)
     if base_outcome[0] != "ok":
         return None  # every config failed identically; nothing to check
-    if check_oracle:
-        try:
-            expected = {name: result for name, result
-                        in evaluate_case(case).items()}
-        except OracleError:
-            expected = None
-            if metrics is not None:
-                metrics.inc("fuzz.oracle_skips")
-        if expected is not None:
-            diff = _diff_outcomes("oracle", ("ok", expected),
-                                  base_label, base_outcome)
-            if diff is not None:
-                if metrics is not None:
-                    metrics.inc("fuzz.mismatches")
-                return CaseFailure(case.seed, "oracle", diff, case)
-    if check_reference:
-        reference = _reference_module()
-        if reference is not None:
-            try:
-                expected = _reference_results(case, reference)
-            except reference.ReferenceDiverged:
-                expected = None
-            if expected is not None:
-                diff = _diff_outcomes("reference", ("ok", expected),
-                                      base_label, base_outcome)
-                if diff is not None:
-                    if metrics is not None:
-                        metrics.inc("fuzz.mismatches")
-                    return CaseFailure(case.seed, "reference", diff,
-                                       case)
+    try:
+        expected = evaluate_case(case)
+    except OracleError:
+        _count(metrics, "fuzz.oracle_skips")
+        return None
+    diff = _diff_outcomes("oracle", ("ok", expected), base_label,
+                          base_outcome)
+    if diff is not None:
+        _count(metrics, "fuzz.mismatches")
+        return CaseFailure(case.seed, "oracle", diff, case)
     return None
 
 
+def _drive(generate, check, counter, seed, budget, max_failures,
+           metrics, progress, shrink=None):
+    """The loop every fuzz mode runs: generate case ``i`` from
+    :func:`case_seed(seed, i) <case_seed>`, ``check`` it, and collect
+    its failure (minimized by ``shrink``, when given) until ``budget``
+    cases or ``max_failures`` failures."""
+    report = FuzzReport(budget=budget)
+    start = time.perf_counter()
+    for index in range(budget):
+        case = generate(case_seed(seed, index))
+        _count(metrics, counter)
+        failure = check(case)
+        report.executed += 1
+        if failure is not None:
+            if shrink is not None:
+                failure.shrunk = shrink(case)
+            report.failures.append(failure)
+            if len(report.failures) >= max_failures:
+                break
+        if progress is not None:
+            progress(index + 1, budget, len(report.failures))
+    report.elapsed = time.perf_counter() - start
+    if metrics is not None:
+        metrics.observe("fuzz.seconds", report.elapsed,
+                        (1, 10, 60, 300, 1800, float("inf")))
+    return report
+
+
 def run_fuzz(seed=0, budget=100, matrix=None, shrink=False,
-             max_failures=10, metrics=None, progress=None,
-             check_reference=True):
+             max_failures=10, metrics=None, progress=None):
     """Generate and differentially check ``budget`` cases.
 
     Parameters
@@ -363,39 +347,21 @@ def run_fuzz(seed=0, budget=100, matrix=None, shrink=False,
     """
     if matrix is None:
         matrix = enumerate_config_matrix()
-    report = FuzzReport(budget=budget)
-    start = time.perf_counter()
-    for index in range(budget):
-        case = generate_case(case_seed(seed, index))
-        if metrics is not None:
-            metrics.inc("fuzz.cases")
-        failure = run_case(case, matrix, metrics=metrics,
-                           check_reference=check_reference)
-        report.executed += 1
-        if failure is not None:
-            if shrink:
-                from .shrink import shrink_case
 
-                def still_failing(candidate):
-                    return run_case(candidate, matrix,
-                                    check_reference=check_reference) \
-                        is not None
+    def minimized(case):
+        from .shrink import shrink_case
+        return shrink_case(
+            case, lambda candidate: run_case(candidate, matrix) is not None)
 
-                failure.shrunk = shrink_case(case, still_failing)
-            report.failures.append(failure)
-            if len(report.failures) >= max_failures:
-                break
-        if progress is not None:
-            progress(index + 1, budget, len(report.failures))
-    report.elapsed = time.perf_counter() - start
-    if metrics is not None:
-        metrics.observe("fuzz.seconds", report.elapsed,
-                        (1, 10, 60, 300, 1800, float("inf")))
-    return report
+    return _drive(generate_case,
+                  lambda case: run_case(case, matrix, metrics=metrics),
+                  "fuzz.cases", seed, budget, max_failures, metrics,
+                  progress, minimized if shrink else None)
 
 
 # ---------------------------------------------------------------------------
-# mutation fuzzing (incremental maintenance vs full-rebuild oracle)
+# write fuzzing: mutation sequences, in process or through a daemon,
+# against the brute-force oracle
 # ---------------------------------------------------------------------------
 
 
@@ -440,47 +406,25 @@ def _query_snapshot(db, case):
         return "error", type(error).__name__
 
 
-def _oracle_db(case, mirror):
-    """A fresh default-config database loaded with the mirror contents
-    — the from-scratch rebuild the live databases are checked against."""
-    db = Database()
-    for relation in case.relations:
-        items = sorted(mirror[relation.name].items())
-        annotations = None
-        if relation.annotations is not None:
-            annotations = [value for _, value in items]
-        db.add_relation(relation.name, [row for row, _ in items],
-                        annotations=annotations, arity=relation.arity)
-    return db
-
-
 def _oracle_outcomes(case):
-    """The full-rebuild reference: at every query op, rebuild the
-    database from the replayed mirror and run views + query cold."""
+    """What the ops runners must return for ``case``: at every query
+    op, the brute-force oracle over the mirrored relations, the views'
+    rules first and then the query's.  Raises :class:`OracleError` when
+    the oracle cannot evaluate the program."""
+    rules = [rule for _, rule in case.views] + list(case.query_rules)
     mirror = initial_mirror(case.relations)
-    db = _oracle_db(case, mirror)
-    try:
-        for _, rule in case.views:
-            db.query(str(rule))
-    except EmptyHeadedError as error:
-        return [("setup-error", type(error).__name__)]
     outcomes = [("setup-ok", None)]
     for op in case.ops:
         if op.kind != "query":
             apply_op_to_mirror(mirror, op)
             continue
-        db = _oracle_db(case, mirror)
-        try:
-            for _, rule in case.views:
-                db.query(str(rule))
-            db.query(case.query_text)
-        except EmptyHeadedError as error:
-            outcomes.append(("error", type(error).__name__))
-            continue
-        results = {}
-        for name in case.head_names:
-            results[name] = _normalize_relation(db.relation(name))
-        outcomes.append(("ok", results))
+        base = {relation.name: (list(mirror[relation.name]),
+                                None if relation.annotations is None
+                                else mirror[relation.name])
+                for relation in case.relations}
+        results = evaluate_program(base, rules)
+        outcomes.append(("ok", {name: results[name]
+                                for name in case.head_names}))
     return outcomes
 
 
@@ -498,46 +442,6 @@ def _diff_mutation_outcomes(label_a, outcomes_a, label_b, outcomes_b):
         if diff is not None:
             return "query #%d: %s" % (step, diff)
     return None
-
-
-def run_mutation_case(case, matrix=None, metrics=None):
-    """Run one mutation case across the mutation matrix; ``None`` when
-    every config matches the full-rebuild oracle step-for-step, else a
-    :class:`CaseFailure`."""
-    if matrix is None:
-        matrix = enumerate_mutation_matrix()
-    try:
-        expected = _oracle_outcomes(case)
-    except Exception as error:  # noqa: BLE001 - crash = finding
-        if metrics is not None:
-            metrics.inc("fuzz.crashes")
-        return CaseFailure(case.seed, "crash",
-                           "rebuild oracle crashed: %s: %s"
-                           % (type(error).__name__, error), case)
-    for label, config in matrix:
-        try:
-            with _forced(label):
-                outcomes = _run_mutation_ops(case, config)
-        except Exception as error:  # noqa: BLE001 - crash = finding
-            if metrics is not None:
-                metrics.inc("fuzz.crashes")
-            return CaseFailure(case.seed, "crash",
-                               "%s crashed: %s: %s"
-                               % (label, type(error).__name__, error),
-                               case)
-        diff = _diff_mutation_outcomes("rebuild-oracle", expected,
-                                       label, outcomes)
-        if diff is not None:
-            if metrics is not None:
-                metrics.inc("fuzz.mismatches")
-            return CaseFailure(case.seed, "mutation-mismatch", diff,
-                               case)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# serve fuzzing (live daemon vs direct execution)
-# ---------------------------------------------------------------------------
 
 
 def _serve_query_snapshot(client, case):
@@ -563,13 +467,12 @@ def _serve_mutation_ops(case, config):
     """Replay the case's op sequence through a live query daemon.
 
     Boots a :class:`~repro.serve.QueryService` around a database with
-    the same config and relations as the direct run, then drives every
+    the config's settings and the case's relations, then drives every
     op over the wire — setup ``materialize``, interleaved
-    ``append``/``delete``/``query`` — returning the same outcome-list
-    shape as :func:`_run_mutation_ops` for
-    :func:`_diff_mutation_outcomes`.  This is the result cache's
-    hardest test: repeated queries hit, mutations invalidate, and every
-    served payload must equal direct execution bit-for-bit.
+    ``append``/``delete``/``query`` — returning the outcome-list shape
+    of :func:`_run_mutation_ops`.  This is the result cache's hardest
+    test: repeated queries hit, mutations invalidate, and every served
+    payload must equal the brute-force oracle's answer.
     """
     from ..serve import QueryService, ServeClient
     db = Database(config=config.ablated())
@@ -606,96 +509,64 @@ def _serve_mutation_ops(case, config):
     return outcomes
 
 
-def run_serve_case(case, matrix=None, metrics=None):
-    """Differentially check one mutation case: daemon vs direct.
+def run_mutation_case(case, matrix=None, metrics=None, serve=False):
+    """Check one mutation case against the brute-force oracle.
 
-    For every config in the mutation matrix the case's full op
-    sequence runs twice — directly on a :class:`Database` and through
-    a live :class:`~repro.serve.QueryService` — and the outcome lists
-    must agree step-for-step.  A case whose *direct* run crashes is
-    skipped here (that is the mutation fuzzer's finding, not ours).
+    For every config of the mutation matrix the case's op sequence
+    runs on a live database (:func:`_run_mutation_ops`), or through a
+    live query daemon when ``serve`` (:func:`_serve_mutation_ops`), and
+    its outcome list must match :func:`_oracle_outcomes` step for step.
+    ``None`` when every config does, else a :class:`CaseFailure`.  A
+    case the oracle cannot evaluate is skipped.
     """
     if matrix is None:
         matrix = enumerate_mutation_matrix()
+    try:
+        expected = _oracle_outcomes(case)
+    except OracleError:
+        _count(metrics, "fuzz.oracle_skips")
+        return None
+    run_ops = _serve_mutation_ops if serve else _run_mutation_ops
+    kind = "serve-mismatch" if serve else "mutation-mismatch"
     for label, config in matrix:
+        name = "serve[%s]" % label if serve else label
         try:
             with _forced(label):
-                direct = _run_mutation_ops(case, config)
-        except Exception:  # noqa: BLE001 - the mutation fuzzer's find
-            return None
-        try:
-            with _forced(label):
-                served = _serve_mutation_ops(case, config)
+                outcomes = run_ops(case, config)
         except Exception as error:  # noqa: BLE001 - crash = finding
-            if metrics is not None:
-                metrics.inc("fuzz.crashes")
+            _count(metrics, "fuzz.crashes")
             return CaseFailure(case.seed, "crash",
-                               "serve[%s] crashed: %s: %s"
-                               % (label, type(error).__name__, error),
+                               "%s crashed: %s: %s"
+                               % (name, type(error).__name__, error),
                                case)
-        diff = _diff_mutation_outcomes("direct[%s]" % label, direct,
-                                       "serve[%s]" % label, served)
+        diff = _diff_mutation_outcomes("oracle", expected, name, outcomes)
         if diff is not None:
-            if metrics is not None:
-                metrics.inc("fuzz.mismatches")
-            return CaseFailure(case.seed, "serve-mismatch", diff, case)
+            _count(metrics, "fuzz.mismatches")
+            return CaseFailure(case.seed, kind, diff, case)
     return None
 
 
-def run_serve_fuzz(seed=0, budget=100, matrix=None, max_failures=10,
-                   metrics=None, progress=None):
-    """Generate mutation cases and replay each through a live daemon,
-    diffing against direct execution across the mutation matrix."""
-    if matrix is None:
-        matrix = enumerate_mutation_matrix()
-    report = FuzzReport(budget=budget)
-    start = time.perf_counter()
-    for index in range(budget):
-        case = generate_mutation_case(case_seed(seed, index))
-        if metrics is not None:
-            metrics.inc("fuzz.serve_cases")
-        failure = run_serve_case(case, matrix, metrics=metrics)
-        report.executed += 1
-        if failure is not None:
-            report.failures.append(failure)
-            if len(report.failures) >= max_failures:
-                break
-        if progress is not None:
-            progress(index + 1, budget, len(report.failures))
-    report.elapsed = time.perf_counter() - start
-    if metrics is not None:
-        metrics.observe("fuzz.seconds", report.elapsed,
-                        (1, 10, 60, 300, 1800, float("inf")))
-    return report
+def run_serve_case(case, matrix=None, metrics=None):
+    """:func:`run_mutation_case` with every op sent through a daemon."""
+    return run_mutation_case(case, matrix, metrics, serve=True)
 
 
 def run_mutation_fuzz(seed=0, budget=100, matrix=None, max_failures=10,
                       metrics=None, progress=None):
-    """Generate and differentially check ``budget`` mutation cases.
+    """Generate ``budget`` mutation cases and check each config of
+    :func:`enumerate_mutation_matrix` against the brute-force oracle
+    at every query op (:func:`run_mutation_case`)."""
+    return _drive(generate_mutation_case,
+                  lambda case: run_mutation_case(case, matrix, metrics),
+                  "fuzz.mutation_cases", seed, budget, max_failures,
+                  metrics, progress)
 
-    Every engine config in :func:`enumerate_mutation_matrix` — the
-    delta-maintaining live databases — is compared outcome-for-outcome
-    against the from-scratch full-rebuild oracle (which transitively
-    cross-checks the configs against each other).
-    """
-    if matrix is None:
-        matrix = enumerate_mutation_matrix()
-    report = FuzzReport(budget=budget)
-    start = time.perf_counter()
-    for index in range(budget):
-        case = generate_mutation_case(case_seed(seed, index))
-        if metrics is not None:
-            metrics.inc("fuzz.mutation_cases")
-        failure = run_mutation_case(case, matrix, metrics=metrics)
-        report.executed += 1
-        if failure is not None:
-            report.failures.append(failure)
-            if len(report.failures) >= max_failures:
-                break
-        if progress is not None:
-            progress(index + 1, budget, len(report.failures))
-    report.elapsed = time.perf_counter() - start
-    if metrics is not None:
-        metrics.observe("fuzz.seconds", report.elapsed,
-                        (1, 10, 60, 300, 1800, float("inf")))
-    return report
+
+def run_serve_fuzz(seed=0, budget=100, matrix=None, max_failures=10,
+                   metrics=None, progress=None):
+    """:func:`run_mutation_fuzz` with every op sent through a live
+    daemon (:func:`run_serve_case`)."""
+    return _drive(generate_mutation_case,
+                  lambda case: run_serve_case(case, matrix, metrics),
+                  "fuzz.serve_cases", seed, budget, max_failures,
+                  metrics, progress)

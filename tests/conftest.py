@@ -71,6 +71,22 @@ def record_leaf_folds(monkeypatch):
     return folds
 
 
+def drop_delta_terms(monkeypatch):
+    """Plant a delta-route bug: a view refresh down the delta route
+    keeps the view's old contents and drops every Δ-term."""
+    from repro.engine import incremental
+    monkeypatch.setattr(incremental, "_combine",
+                        lambda old, rule, signed_terms: old)
+
+
+def forced_delta_row():
+    """The mutation matrix cut to its ``forced-delta`` row, which sends
+    every refresh the delta route can take down it."""
+    from repro.engine.config import enumerate_mutation_matrix
+    return [row for row in enumerate_mutation_matrix()
+            if row[0] == "forced-delta"]
+
+
 def brute_force_triangles(edges):
     """Reference triangle count over undirected edges."""
     adjacency = {}

@@ -10,8 +10,9 @@ head across bags and validate against brute force.
 import pytest
 
 from repro import Database
+from repro.fuzz.oracle import evaluate_program
+from repro.query.parser import parse
 from tests.conftest import random_undirected_edges
-from tests.reference import evaluate_conjunctive
 
 
 @pytest.fixture(scope="module")
@@ -27,30 +28,29 @@ def edge_tuples(db):
     return list(db.relation("Edge").decoded_tuples())
 
 
+def brute_force(text, base):
+    """``Q``'s ``{head: value}`` for ``text`` over ``base`` by brute
+    force."""
+    return evaluate_program(base, parse(text).rules)["Q"][1]
+
+
 class TestHeadSpansBags:
     def test_path_endpoints_count(self, db):
         """Head (a, d) of a 3-path: a and d live in different bags of
         the min-width GHD."""
-        result = db.query(
-            "Q(a,d;c:long) :- Edge(a,b),Edge(b,c),Edge(c,d); "
-            "c=<<COUNT(*)>>.")
-        tuples = edge_tuples(db)
-        expected = evaluate_conjunctive(
-            [tuples] * 3, [("a", "b"), ("b", "c"), ("c", "d")],
-            ["a", "d"], aggregate="COUNT*")
+        text = ("Q(a,d;c:long) :- Edge(a,b),Edge(b,c),Edge(c,d); "
+                "c=<<COUNT(*)>>.")
+        result = db.query(text)
+        expected = brute_force(text, {"Edge": (edge_tuples(db), None)})
         got = {k: v for k, v in result.to_dict().items()}
         assert got == expected
 
     def test_lollipop_tail_and_triangle_vertex(self, db):
         """Head mixes a triangle attribute and the tail attribute."""
-        result = db.query(
-            "Q(y,u;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),Edge(x,u); "
-            "c=<<COUNT(*)>>.")
-        tuples = edge_tuples(db)
-        expected = evaluate_conjunctive(
-            [tuples] * 4,
-            [("x", "y"), ("y", "z"), ("x", "z"), ("x", "u")],
-            ["y", "u"], aggregate="COUNT*")
+        text = ("Q(y,u;c:long) :- Edge(x,y),Edge(y,z),Edge(x,z),"
+                "Edge(x,u); c=<<COUNT(*)>>.")
+        result = db.query(text)
+        expected = brute_force(text, {"Edge": (edge_tuples(db), None)})
         assert result.to_dict() == expected
 
     def test_sum_across_bags(self, db):
@@ -63,11 +63,9 @@ class TestHeadSpansBags:
             "W", np.asarray(tuples, dtype=np.uint32),
             annotations=np.asarray(annotations))
         table = {t: x for t, x in zip(tuples, annotations)}
-        result = weighted.query(
-            "Q(a,c;s:float) :- W(a,b),W(b,c); s=<<SUM(b)>>.")
-        expected = evaluate_conjunctive(
-            [tuples] * 2, [("a", "b"), ("b", "c")], ["a", "c"],
-            aggregate="SUM", annotations=[table] * 2)
+        text = "Q(a,c;s:float) :- W(a,b),W(b,c); s=<<SUM(b)>>."
+        result = weighted.query(text)
+        expected = brute_force(text, {"W": (tuples, table)})
         got = result.to_dict()
         assert set(got) == set(expected)
         for key, value in expected.items():

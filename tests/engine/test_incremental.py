@@ -1,8 +1,8 @@
 """Materialized views and their incremental (semi-naive) maintenance.
 
 Every test cross-checks the live, incrementally-maintained database
-against a from-scratch rebuild — the same contract the mutation fuzzer
-enforces at scale — and additionally asserts *which* refresh route ran
+against a from-scratch rebuild — the contract the mutation fuzzer
+enforces at scale against the brute-force oracle — and additionally asserts *which* refresh route ran
 (``MaterializedView.delta_refreshes`` vs ``refreshes``), so a silent
 fall-back to full recomputation fails the test that expected a delta.
 """

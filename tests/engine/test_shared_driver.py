@@ -1,5 +1,5 @@
 """The Yannakakis driver both engines share, checked against the
-brute-force reference.
+brute-force oracle.
 
 The default engine (:class:`~repro.engine.executor.RuleExecutor`) and
 the interpreted oracle (:class:`~repro.engine.oracle.OracleExecutor`)
@@ -19,8 +19,8 @@ import pytest
 from repro import Ablation, Database
 from repro.ablation import LEVELS
 from repro.engine.oracle import OracleExecutor
+from repro.fuzz.oracle import evaluate_program
 from repro.query.parser import parse
-from tests.reference import evaluate_program
 
 ENGINES = ("compiled", "interpreted")
 
@@ -95,7 +95,7 @@ def expected(text):
 
 
 def observed(db, text, kind):
-    """The engine's answer in the reference's ``(kind, value)`` terms."""
+    """The engine's answer in the oracle's ``(kind, value)`` terms."""
     result = db.query(text)
     if kind == "scalar":
         return kind, result.scalar

@@ -253,6 +253,19 @@ class TestLayeringChecker:
         assert len(violations) == 1
         assert "repro.lir.bad imports repro.engine" in violations[0]
 
+    def test_detects_library_importing_tests(self, tmp_path):
+        checker, _ = self.load_checker()
+        package = tmp_path / "repro" / "fuzz"
+        package.mkdir(parents=True)
+        (package / "runner.py").write_text(
+            "def late():\n    from tests import reference\n")
+        (tmp_path / "repro" / "api.py").write_text("import tests.conftest\n")
+        violations = checker.check(str(tmp_path))
+        assert len(violations) == 2
+        assert "repro.api imports tests.conftest" in violations[0]
+        assert "repro.fuzz.runner imports tests (forbidden: repro may " \
+            "not depend on tests)" in violations[1]
+
     def test_detects_engine_importing_the_oracle(self, tmp_path):
         checker, _ = self.load_checker()
         engine = tmp_path / "repro" / "engine"

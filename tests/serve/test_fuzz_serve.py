@@ -1,5 +1,7 @@
-"""Serve-mode fuzzer smoke: the daemon differential must run clean on
-generated cases, and must actually *catch* a daemon that lies.
+"""Serve-mode fuzzer smoke: the daemon's replies must match the
+brute-force oracle on generated cases, and the check must actually
+*catch* a daemon that lies — or an engine bug that the daemon and the
+in-process engine share.
 
 The full sweep runs in CI via ``python -m repro.fuzz --serve``; these
 tests keep the harness itself honest with a small budget.
@@ -9,6 +11,7 @@ from repro.fuzz.gen import generate_mutation_case
 from repro.fuzz.runner import (case_seed, run_serve_case,
                                run_serve_fuzz)
 from repro.engine.config import enumerate_mutation_matrix
+from tests.conftest import drop_delta_terms, forced_delta_row
 
 #: One config is plenty for the harness smoke — the full matrix runs
 #: in the CI fuzz job.
@@ -60,3 +63,14 @@ def test_crashing_daemon_is_reported(monkeypatch):
     assert failure is not None
     assert failure.kind == "crash"
     assert "daemon fell over" in failure.detail
+
+
+def test_planted_delta_bug_is_reported(monkeypatch):
+    """A delta refresh that drops its terms is wrong through the daemon
+    and in process alike; the oracle tells it apart."""
+    case = generate_mutation_case(case_seed(0, 10))
+    assert run_serve_case(case, forced_delta_row()) is None
+    drop_delta_terms(monkeypatch)
+    failure = run_serve_case(case, forced_delta_row())
+    assert failure is not None and failure.kind == "serve-mismatch"
+    assert "oracle vs serve[forced-delta]" in failure.detail

@@ -15,6 +15,8 @@ This script fails (exit 1) when a forbidden import edge exists:
   * any module under ``repro.lir`` importing ``repro.engine``
   * any module under ``repro.query`` importing ``repro.lir``
     (or ``repro.engine``, which is implied by the same boundary)
+  * any module under ``repro`` importing ``tests``: the library never
+    reaches into its test suite (an installed package has none)
 
 and, inside the engine, when the default engine and its oracle stop
 being independent: the block kernels (``engine/fused.py``, lowered by
@@ -61,6 +63,7 @@ import sys
 FORBIDDEN = {
     "repro.lir": ("repro.engine",),
     "repro.query": ("repro.lir", "repro.engine"),
+    "repro": ("tests",),
 }
 
 
@@ -203,21 +206,17 @@ def check(src_root):
             module = module_name(path, src_root)
             violations.extend(name_violations(path, module))
             violations.extend(oracle_violations(path, module))
-            rules = [banned for layer, banned in FORBIDDEN.items()
-                     if module == layer or module.startswith(layer + ".")]
-            if not rules:
-                continue
-            banned = tuple(b for group in rules for b in group)
-            for imported in imported_modules(path, module):
-                for prefix in banned:
-                    if imported == prefix \
-                            or imported.startswith(prefix + "."):
-                        violations.append(
-                            "%s imports %s (forbidden: %s may not "
-                            "depend on %s)"
-                            % (module, imported,
-                               module.split(".")[0] + "."
-                               + module.split(".")[1], prefix))
+            for layer, banned in FORBIDDEN.items():
+                if module != layer and not module.startswith(layer + "."):
+                    continue
+                for imported in imported_modules(path, module):
+                    for prefix in banned:
+                        if imported == prefix \
+                                or imported.startswith(prefix + "."):
+                            violations.append(
+                                "%s imports %s (forbidden: %s may not "
+                                "depend on %s)"
+                                % (module, imported, layer, prefix))
     return violations
 
 
@@ -252,7 +251,8 @@ def main(argv=None):
             print("  " + violation)
         return 1
     print("layering OK: repro.lir does not import repro.engine; "
-          "repro.query does not import repro.lir; block kernels and "
+          "repro.query does not import repro.lir; repro does not "
+          "import tests; block kernels and "
           "interpreter share result types only; only the oracle imports "
           "evaluate_bag and no engine module imports the oracle; the "
           "recursion driver imports nothing from the executor; import "
